@@ -5,7 +5,6 @@ from .model import (
     EmitterParams,
     RateBudget,
     Scenario,
-    budget_totals,
     scattering_rate,
     table_budget,
 )

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -67,21 +68,9 @@ def _load_config(args) -> tuple[Scenario, DeadTimeModel, str]:
         scenario, dead = Scenario(), DeadTimeModel()
         text = scenario_to_text(scenario, dead)
     if getattr(args, "seed", None) is not None:
-        scenario = Scenario(
-            budget=scenario.budget,
-            emitter=scenario.emitter,
-            geometry=scenario.geometry,
-            trial_duration=scenario.trial_duration,
-            rng_seed=args.seed,
-        )
+        scenario = replace(scenario, rng_seed=args.seed)
     if getattr(args, "duration", None) is not None:
-        scenario = Scenario(
-            budget=scenario.budget,
-            emitter=scenario.emitter,
-            geometry=scenario.geometry,
-            trial_duration=args.duration,
-            rng_seed=scenario.rng_seed,
-        )
+        scenario = replace(scenario, trial_duration=args.duration)
     return scenario, dead, text
 
 
@@ -95,6 +84,8 @@ def _parse_range(spec: str, scale: float = 1.0) -> list[float]:
         if step <= 0:
             raise ValueError("range step must be > 0")
         n = int(math.floor((stop - start) / step + 1e-9)) + 1
+        if n < 1:
+            raise ValueError(f"range {spec!r} has no points")
         return [(start + i * step) * scale for i in range(n)]
     return [float(p) * scale for p in spec.split(",")]
 
@@ -162,7 +153,7 @@ def cmd_fidelity(args) -> int:
             print("check: PASS")
         return EXIT_OK
 
-    scenario, _, config_text = _load_config(args)
+    scenario, dead, config_text = _load_config(args)
     targets = [float(t) for t in args.targets.split(",")]
     curve = detection.fidelity_curve(
         scenario,
@@ -170,6 +161,7 @@ def cmd_fidelity(args) -> int:
         args.trials,
         sub_bin=args.sub_bin_us * 1e-6,
         max_time=args.max_time_ms * 1e-3,
+        dead=dead,
     )
     manifest = _manifest_hash("fidelity", args, config_text)
     _write_output(_output_path(args, "fidelity_curve.csv"), manifest, _fidelity_csv(curve))

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
+from dataclasses import replace
+from operator import attrgetter
 from pathlib import Path
 
-from .model import EmitterParams, RateBudget, Scenario
-from .optics import ActiveAreaMap, DetectorGeometry, OpticalStack, quarter_disc_map
+from .model import BUDGET_SOURCES, SOURCE_LABELS, Scenario
+from .optics import ActiveAreaMap, quarter_disc_map
 from .simulator import DeadTimeModel
 
 
@@ -13,32 +16,73 @@ class ConfigError(ValueError):
     """Malformed scenario config; message carries line/key diagnostics."""
 
 
-_DEFAULT_SCENARIO = Scenario()
+def _fmt(x: float) -> str:
+    return f"{x:.12g}"
 
-KNOWN_KEYS = {
-    "budget.fluorescence_kcps",
-    "budget.repump_kcps",
-    "budget.doppler_kcps",
-    "budget.dark_kcps",
-    "budget.rf_kcps",
-    "emitter.gamma_over_2pi_mhz",
-    "emitter.saturation_fraction",
-    "trial.duration_s",
-    "trial.seed",
-    "geometry.ion_height_um",
-    "geometry.recess_um",
-    "geometry.lateral_offset_um",
-    "geometry.emission",
-    "geometry.active_area_csv",
-    "geometry.active_outer_radius_um",
-    "geometry.guard_width_um",
-    "geometry.cell_size_um",
-    "stack.wavelength_nm",
-    "stack.ambient_index",
-    "stack.substrate_index",
-    "stack.layers",
-    "deadtime.dead_time_us",
-}
+
+def _fmt_complex(z) -> str:
+    z = complex(z)
+    if z.imag == 0:
+        return _fmt(z.real)
+    return f"{z.real:.12g}{z.imag:+.12g}j"
+
+
+def _parse_layers(text: str):
+    if not text:
+        return ()
+    layers = []
+    for part in text.split(";"):
+        fields = part.split()
+        if len(fields) != 2:
+            raise ValueError(f"each ';'-separated entry needs 'thickness_nm index', got {part.strip()!r}")
+        layers.append((float(fields[0]) * 1e-9, complex(fields[1])))
+    return tuple(layers)
+
+
+def _fmt_layers(layers) -> str:
+    return " ; ".join(f"{_fmt(d / 1e-9)} {_fmt_complex(n)}" for d, n in layers)
+
+
+def _number(unit: float):
+    """(parse, format) of a real number written in units of `unit` SI units."""
+    return (lambda text: float(text) * unit), (lambda x: _fmt(x / unit))
+
+
+_MICRONS = _number(1e-6)
+_INTEGER = (int, str)
+_TEXT = (str, str)
+_COMPLEX = ((lambda text: complex(text.replace(" ", ""))), _fmt_complex)
+_LAYERS = (_parse_layers, _fmt_layers)
+
+# One row per config key: (key, attribute path, (parse, format)). The path
+# starts with the object the key sets: the scenario, the dead-time model, or
+# the active area (a CSV file, or the arguments of quarter_disc_map).
+# scenario_to_text writes the scenario and dead-time keys in this order.
+_KEYS = (
+    *(
+        (f"budget.{label}_kcps", f"scenario.budget.{name}", _number(1e3))
+        for label, name in zip(SOURCE_LABELS, BUDGET_SOURCES)
+    ),
+    ("emitter.gamma_over_2pi_mhz", "scenario.emitter.gamma_over_2pi_hz", _number(1e6)),
+    ("emitter.saturation_fraction", "scenario.emitter.saturation_fraction", _number(1.0)),
+    ("trial.duration_s", "scenario.trial_duration", _number(1.0)),
+    ("trial.seed", "scenario.rng_seed", _INTEGER),
+    ("geometry.ion_height_um", "scenario.geometry.ion_height_above_surface", _MICRONS),
+    ("geometry.recess_um", "scenario.geometry.detector_recess_below_surface", _MICRONS),
+    ("geometry.lateral_offset_um", "scenario.geometry.ion_lateral_offset", _MICRONS),
+    ("geometry.emission", "scenario.geometry.emission_pattern", _TEXT),
+    ("stack.wavelength_nm", "scenario.geometry.stack.wavelength", _number(1e-9)),
+    ("stack.ambient_index", "scenario.geometry.stack.ambient_index", _COMPLEX),
+    ("stack.substrate_index", "scenario.geometry.stack.substrate_index", _COMPLEX),
+    ("stack.layers", "scenario.geometry.stack.layers", _LAYERS),
+    ("deadtime.dead_time_us", "dead.dead_time", _MICRONS),
+    ("geometry.active_area_csv", "area.csv", _TEXT),
+    ("geometry.active_outer_radius_um", "area.outer_radius", _MICRONS),
+    ("geometry.guard_width_um", "area.guard_width", _MICRONS),
+    ("geometry.cell_size_um", "area.cell_size", _MICRONS),
+)
+
+KNOWN_KEYS = {key for key, _, _ in _KEYS}
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -59,105 +103,51 @@ def parse_config_text(text: str) -> dict[str, str]:
     return values
 
 
-def _get_float(values, key, default, lineno_hint=""):
-    if key not in values:
-        return default
-    try:
-        return float(values[key])
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: cannot parse {values[key]!r} as a number") from exc
-
-
-def _get_complex(values, key, default):
-    if key not in values:
-        return default
-    try:
-        return complex(values[key].replace(" ", ""))
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: cannot parse {values[key]!r} as a complex number") from exc
-
-
-def _parse_layers(values, default):
-    if "stack.layers" not in values:
-        return default
-    text = values["stack.layers"].strip()
-    if not text:
-        return ()
-    layers = []
-    for part in text.split(";"):
-        fields = part.split()
-        if len(fields) != 2:
-            raise ConfigError(
-                f"key 'stack.layers': each ';'-separated entry needs 'thickness_nm index', got {part.strip()!r}"
-            )
-        try:
-            layers.append((float(fields[0]) * 1e-9, complex(fields[1])))
-        except ValueError as exc:
-            raise ConfigError(f"key 'stack.layers': cannot parse entry {part.strip()!r}") from exc
-    return tuple(layers)
-
-
 def scenario_from_text(text: str, base_dir: Path | None = None) -> tuple[Scenario, DeadTimeModel]:
     values = parse_config_text(text)
-    d = _DEFAULT_SCENARIO
     try:
-        return _build_scenario(values, d, base_dir)
+        return _build_scenario(values, base_dir)
+    except ConfigError:
+        raise
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(str(exc)) from exc
 
 
-def _build_scenario(values, d, base_dir):
-    budget = RateBudget(
-        fluorescence=_get_float(values, "budget.fluorescence_kcps", d.budget.fluorescence / 1e3) * 1e3,
-        repump_scatter=_get_float(values, "budget.repump_kcps", d.budget.repump_scatter / 1e3) * 1e3,
-        doppler_scatter=_get_float(values, "budget.doppler_kcps", d.budget.doppler_scatter / 1e3) * 1e3,
-        dark_counts=_get_float(values, "budget.dark_kcps", d.budget.dark_counts / 1e3) * 1e3,
-        rf_pickup=_get_float(values, "budget.rf_kcps", d.budget.rf_pickup / 1e3) * 1e3,
-    )
-    emitter = EmitterParams(
-        gamma_over_2pi_hz=_get_float(values, "emitter.gamma_over_2pi_mhz", d.emitter.gamma_over_2pi_hz / 1e6) * 1e6,
-        saturation_fraction=_get_float(values, "emitter.saturation_fraction", d.emitter.saturation_fraction),
-    )
-    stack = OpticalStack(
-        ambient_index=_get_complex(values, "stack.ambient_index", d.geometry.stack.ambient_index),
-        layers=_parse_layers(values, d.geometry.stack.layers),
-        substrate_index=_get_complex(values, "stack.substrate_index", d.geometry.stack.substrate_index),
-        wavelength=_get_float(values, "stack.wavelength_nm", d.geometry.stack.wavelength * 1e9) * 1e-9,
-    )
-    if "geometry.active_area_csv" in values:
-        path = Path(values["geometry.active_area_csv"])
-        if base_dir is not None and not path.is_absolute():
-            path = base_dir / path
+def _build_scenario(values, base_dir):
+    changes = {"scenario": {}, "dead": {}, "area": {}}
+    for key, path, (parse, _) in _KEYS:
+        if key in values:
+            try:
+                value = parse(values[key])
+            except ValueError as exc:
+                raise ConfigError(f"key {key!r}: cannot parse {values[key]!r}: {exc}") from exc
+            obj, _, attr = path.partition(".")
+            changes[obj][attr] = value
+    area = changes["area"]
+    if "csv" in area:
+        path = Path(area["csv"]) if base_dir is None else base_dir / area["csv"]
         try:
-            active = ActiveAreaMap.load_csv(path)
-        except OSError as exc:
+            area_map = ActiveAreaMap.load_csv(path)
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"key 'geometry.active_area_csv': cannot read {path}: {exc}") from exc
-    else:
-        active = quarter_disc_map(
-            outer_radius=_get_float(values, "geometry.active_outer_radius_um", 11.0) * 1e-6,
-            guard_width=_get_float(values, "geometry.guard_width_um", 2.0) * 1e-6,
-            cell_size=_get_float(values, "geometry.cell_size_um", 0.4) * 1e-6,
-        )
-    emission = values.get("geometry.emission", d.geometry.emission_pattern)
-    geometry = DetectorGeometry(
-        ion_lateral_offset=_get_float(values, "geometry.lateral_offset_um", d.geometry.ion_lateral_offset * 1e6) * 1e-6,
-        ion_height_above_surface=_get_float(values, "geometry.ion_height_um", d.geometry.ion_height_above_surface * 1e6) * 1e-6,
-        detector_recess_below_surface=_get_float(values, "geometry.recess_um", d.geometry.detector_recess_below_surface * 1e6) * 1e-6,
-        active_area=active,
-        stack=stack,
-        emission_pattern=emission,
-    )
-    scenario = Scenario(
-        budget=budget,
-        emitter=emitter,
-        geometry=geometry,
-        trial_duration=_get_float(values, "trial.duration_s", d.trial_duration),
-        rng_seed=int(_get_float(values, "trial.seed", d.rng_seed)),
-    )
-    dead = DeadTimeModel(dead_time=_get_float(values, "deadtime.dead_time_us", 1.0) * 1e-6)
-    return scenario, dead
+        changes["scenario"]["geometry.active_area"] = area_map
+    elif area:
+        changes["scenario"]["geometry.active_area"] = quarter_disc_map(**area)
+    return _replaced(Scenario(), changes["scenario"]), _replaced(DeadTimeModel(), changes["dead"])
+
+
+def _replaced(obj, changes: dict):
+    """Copy of obj with each dotted attribute path in changes set; every object is rebuilt once."""
+    fields, nested = {}, defaultdict(dict)
+    for path, value in changes.items():
+        head, dot, rest = path.partition(".")
+        if dot:
+            nested[head][rest] = value
+        else:
+            fields[head] = value
+    for head, sub in nested.items():
+        fields[head] = _replaced(getattr(obj, head), sub)
+    return replace(obj, **fields)
 
 
 def load_scenario(path) -> tuple[Scenario, DeadTimeModel]:
@@ -169,10 +159,6 @@ def load_scenario(path) -> tuple[Scenario, DeadTimeModel]:
     return scenario_from_text(text, base_dir=path.parent)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
 def scenario_to_text(scenario: Scenario, dead: DeadTimeModel | None = None) -> str:
     """Serialize to the flat config format; parse(serialize(s)) reproduces s.
 
@@ -180,35 +166,10 @@ def scenario_to_text(scenario: Scenario, dead: DeadTimeModel | None = None) -> s
     parameters when it matches the default builder; otherwise reference an
     external CSV via geometry.active_area_csv before serializing.
     """
-    g = scenario.geometry
-    st = g.stack
-    layers = " ; ".join(f"{d * 1e9:.12g} {_fmt_complex(n)}" for d, n in st.layers)
-    lines = [
-        f"budget.fluorescence_kcps = {_fmt(scenario.budget.fluorescence / 1e3)}",
-        f"budget.repump_kcps = {_fmt(scenario.budget.repump_scatter / 1e3)}",
-        f"budget.doppler_kcps = {_fmt(scenario.budget.doppler_scatter / 1e3)}",
-        f"budget.dark_kcps = {_fmt(scenario.budget.dark_counts / 1e3)}",
-        f"budget.rf_kcps = {_fmt(scenario.budget.rf_pickup / 1e3)}",
-        f"emitter.gamma_over_2pi_mhz = {_fmt(scenario.emitter.gamma_over_2pi_hz / 1e6)}",
-        f"emitter.saturation_fraction = {_fmt(scenario.emitter.saturation_fraction)}",
-        f"trial.duration_s = {_fmt(scenario.trial_duration)}",
-        f"trial.seed = {scenario.rng_seed}",
-        f"geometry.ion_height_um = {_fmt(g.ion_height_above_surface * 1e6)}",
-        f"geometry.recess_um = {_fmt(g.detector_recess_below_surface * 1e6)}",
-        f"geometry.lateral_offset_um = {_fmt(g.ion_lateral_offset * 1e6)}",
-        f"geometry.emission = {g.emission_pattern}",
-        f"stack.wavelength_nm = {_fmt(st.wavelength * 1e9)}",
-        f"stack.ambient_index = {_fmt_complex(st.ambient_index)}",
-        f"stack.substrate_index = {_fmt_complex(st.substrate_index)}",
-        f"stack.layers = {layers}",
-    ]
-    if dead is not None:
-        lines.append(f"deadtime.dead_time_us = {_fmt(dead.dead_time * 1e6)}")
+    objects = {"scenario": scenario, "dead": dead}
+    lines = []
+    for key, path, (_, fmt) in _KEYS:
+        obj, _, attr = path.partition(".")
+        if objects.get(obj) is not None:
+            lines.append(f"{key} = {fmt(attrgetter(attr)(objects[obj]))}")
     return "\n".join(lines) + "\n"
-
-
-def _fmt_complex(z) -> str:
-    z = complex(z)
-    if z.imag == 0:
-        return f"{z.real:.12g}"
-    return f"{z.real:.12g}{z.imag:+.12g}j"

@@ -4,13 +4,13 @@ fidelity-vs-time curves and the sequential-analysis lower bound."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import stats
 
 from .model import RateBudget, Scenario
-from .simulator import DeadTimeModel, EventStream, gate_and_count, simulate_stream
+from .simulator import DeadTimeModel, EventStream, _bin_counts, simulate_stream
 
 # Effective emission rate (photons/s) of the odd-isotope emitter during
 # hyperfine-qubit readout. Coherent population trapping reduces it well below
@@ -123,8 +123,7 @@ def bayesian_detect(stream: EventStream, ion_rate: float, empty_rate: float, con
         raise ValueError("require ion_rate > empty_rate >= 0")
     horizon = min(config.max_time, stream.duration)
     n_bins = max(int(np.floor(horizon / config.sub_bin + 1e-9)), 1)
-    edges_ns = np.round(np.arange(n_bins + 1) * config.sub_bin / 1e-9).astype(np.int64)
-    counts, _ = np.histogram(stream.timestamps_ns, bins=edges_ns)
+    counts = _bin_counts(stream.timestamps_ns, config.sub_bin, n_bins)
     return detect_from_counts(counts, ion_rate, empty_rate, config)
 
 
@@ -207,15 +206,8 @@ def fidelity_curve(
     ion_rate, empty_rate = scenario.budget.ion_total(), scenario.budget.background_total()
     if not ion_rate > empty_rate:
         raise ValueError("scenario has no signal rate above background")
-    trial_scenario = Scenario(
-        budget=scenario.budget,
-        emitter=scenario.emitter,
-        geometry=scenario.geometry,
-        trial_duration=max_time,
-        rng_seed=scenario.rng_seed,
-    )
+    trial_scenario = replace(scenario, trial_duration=max_time)
     n_bins = max(int(np.floor(max_time / sub_bin + 1e-9)), 1)
-    edges_ns = np.round(np.arange(n_bins + 1) * sub_bin / 1e-9).astype(np.int64)
     binned = {}
     for hyp, ion_present in ((1, True), (0, False)):
         rows = np.empty((trials, n_bins), dtype=np.int64)
@@ -223,7 +215,7 @@ def fidelity_curve(
             stream = simulate_stream(
                 trial_scenario, ion_present, dead, rng=_trial_rng(scenario.rng_seed, hyp, i)
             )
-            rows[i], _ = np.histogram(stream.timestamps_ns, bins=edges_ns)
+            rows[i] = _bin_counts(stream.timestamps_ns, sub_bin, n_bins)
         binned[hyp] = rows
 
     bayes_points = []
@@ -249,13 +241,6 @@ def fidelity_curve(
         for w in threshold_windows
     ]
     return FidelityCurve(bayes_points, thresh_points, ion_rate, empty_rate)
-
-
-def histograms_from_streams(ion_stream: EventStream, empty_stream: EventStream, window: float) -> ThresholdResult:
-    """Gate, count and threshold a pair of ion/no-ion timestamp records."""
-    return threshold_fidelity(
-        gate_and_count(ion_stream, window), gate_and_count(empty_stream, window), window
-    )
 
 
 def projected_budget(

@@ -10,6 +10,7 @@ from scipy.optimize import curve_fit
 
 from .model import BUDGET_SOURCES, EmitterParams, RateBudget, scattering_rate
 from .optics import ActiveAreaMap, DetectorGeometry, collection_efficiency
+from .tables import read_metadata, read_rows
 
 
 @dataclass(frozen=True)
@@ -42,17 +43,14 @@ class SpotScan:
 
     @classmethod
     def from_csv(cls, text: str) -> "SpotScan":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("#"):
-            raise ValueError("spot-scan CSV must start with a '# step_nm=..., dwell_ms=..., dark_kcps=...' header")
-        fields = dict(p.strip().split("=", 1) for p in lines[0].lstrip("#").split(",") if "=" in p)
+        rows = list(read_rows(text, "spot-scan CSV", None, lambda f: [float(v) for v in f]))
+        meta = read_metadata(text)
         try:
-            step = float(fields["step_nm"]) * 1e-9
-            dwell = float(fields["dwell_ms"]) * 1e-3
-            dark = float(fields["dark_kcps"]) * 1e3
+            step = float(meta["step_nm"]) * 1e-9
+            dwell = float(meta["dwell_ms"]) * 1e-3
+            dark = float(meta["dark_kcps"]) * 1e3
         except (KeyError, ValueError) as exc:
-            raise ValueError(f"bad spot-scan header: {lines[0]!r}") from exc
-        rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
+            raise ValueError("spot-scan CSV needs a '# step_nm=..., dwell_ms=..., dark_kcps=...' line") from exc
         return cls(step=step, counts=np.array(rows), dark_rate=dark, dwell=dwell)
 
 

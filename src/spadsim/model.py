@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-from .optics import DetectorGeometry, default_geometry
+from .optics import DetectorGeometry
 
-BUDGET_SOURCES = ("fluorescence", "repump_scatter", "doppler_scatter", "dark_counts", "rf_pickup")
+# Short name of each count source, in RateBudget field order: event-stream
+# labels, toggle-table columns and budget config keys.
+SOURCE_LABELS = ("fluorescence", "repump", "doppler", "dark", "rf")
 
 
 @dataclass(frozen=True)
@@ -39,6 +41,9 @@ class RateBudget:
 
     def scaled(self, c: float) -> "RateBudget":
         return RateBudget(**{name: c * getattr(self, name) for name in BUDGET_SOURCES})
+
+
+BUDGET_SOURCES = tuple(f.name for f in fields(RateBudget))
 
 
 @dataclass(frozen=True)
@@ -81,18 +86,13 @@ def saturation_fraction_from_power(power: float, saturation_power: float) -> flo
     return s / (1.0 + s)
 
 
-def budget_totals(budget: RateBudget) -> tuple[float, float]:
-    """(ion_rate, background_rate) in counts/s for the given budget."""
-    return budget.ion_total(), budget.background_total()
-
-
 @dataclass(frozen=True)
 class Scenario:
     """Immutable bundle of everything a simulated trial needs."""
 
     budget: RateBudget = field(default_factory=RateBudget)
     emitter: EmitterParams = field(default_factory=EmitterParams)
-    geometry: DetectorGeometry = field(default_factory=default_geometry)
+    geometry: DetectorGeometry = field(default_factory=DetectorGeometry)
     trial_duration: float = 50.0
     rng_seed: int = 0
 

@@ -5,9 +5,11 @@ from __future__ import annotations
 import io
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+
+from .tables import read_metadata, read_rows
 
 WAVELENGTH_UV = 370e-9
 INDEX_SIO2 = 1.47 + 0.0j
@@ -148,10 +150,6 @@ class ActiveAreaMap:
             float((self.weights * yy).sum() / total),
         )
 
-    def save_csv(self, path):
-        with open(path, "w") as f:
-            f.write(self.to_csv())
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write(
@@ -164,25 +162,30 @@ class ActiveAreaMap:
 
     @classmethod
     def from_csv(cls, text: str) -> "ActiveAreaMap":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("#"):
-            raise ValueError("active-area CSV must start with a '# cell_size_um=..., origin_um=...' header")
-        header = lines[0].lstrip("#")
-        fields = dict(
-            part.strip().split("=", 1) for part in header.split(", ") if "=" in part
-        )
+        rows = list(read_rows(text, "active-area CSV", None, lambda f: [float(v) for v in f]))
+        meta = read_metadata(text)
         try:
-            cell = float(fields["cell_size_um"]) * 1e-6
-            ox, oy = (float(v) * 1e-6 for v in fields["origin_um"].split(","))
+            cell = float(meta["cell_size_um"]) * 1e-6
+            ox, oy = (float(v) * 1e-6 for v in meta["origin_um"].split(","))
         except (KeyError, ValueError) as exc:
-            raise ValueError(f"bad active-area CSV header: {header!r}") from exc
-        rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
+            raise ValueError("active-area CSV needs a '# cell_size_um=..., origin_um=x,y' line") from exc
         return cls(cell_size=cell, origin=(ox, oy), weights=np.array(rows))
 
     @classmethod
     def load_csv(cls, path) -> "ActiveAreaMap":
         with open(path) as f:
             return cls.from_csv(f.read())
+
+
+def quarter_disc_response(x, y, outer_radius=11.0e-6, guard_width=2.0e-6):
+    """Analytic response of the quarter-disc detector with guard-ring taper."""
+    rr = np.hypot(x, y)
+    w = (
+        np.clip((outer_radius - rr) / guard_width, 0.0, 1.0)
+        * np.clip(x / guard_width, 0.0, 1.0)
+        * np.clip(y / guard_width, 0.0, 1.0)
+    )
+    return np.where(rr > outer_radius, 0.0, w)
 
 
 def quarter_disc_map(
@@ -200,13 +203,7 @@ def quarter_disc_map(
     n = int(math.ceil(outer_radius / cell_size)) + 1
     x = (np.arange(n) + 0.5) * cell_size
     xx, yy = np.meshgrid(x, x, indexing="ij")
-    rr = np.hypot(xx, yy)
-    w = (
-        np.clip((outer_radius - rr) / guard_width, 0.0, 1.0)
-        * np.clip(xx / guard_width, 0.0, 1.0)
-        * np.clip(yy / guard_width, 0.0, 1.0)
-    )
-    w[rr > outer_radius] = 0.0
+    w = quarter_disc_response(xx, yy, outer_radius, guard_width)
     return ActiveAreaMap(cell_size=cell_size, origin=(0.0, 0.0), weights=w)
 
 
@@ -251,19 +248,7 @@ class DetectorGeometry:
         return self.ion_height_above_surface + self.detector_recess_below_surface
 
     def with_offset(self, offset: float) -> "DetectorGeometry":
-        return DetectorGeometry(
-            ion_lateral_offset=offset,
-            ion_height_above_surface=self.ion_height_above_surface,
-            detector_recess_below_surface=self.detector_recess_below_surface,
-            active_area=self.active_area,
-            stack=self.stack,
-            emission_pattern=self.emission_pattern,
-            aperture_diameter=self.aperture_diameter,
-        )
-
-
-def default_geometry() -> DetectorGeometry:
-    return DetectorGeometry()
+        return replace(self, ion_lateral_offset=offset)
 
 
 def _reflectance_interpolator(stack: OpticalStack, n_angles: int = 256):

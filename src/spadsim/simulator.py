@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import io
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal
 
-from .model import Scenario
+from .model import BUDGET_SOURCES, SOURCE_LABELS, Scenario
+from .tables import read_rows
 
 NS = 1e-9
 
-SOURCE_LABELS = ("fluorescence", "repump", "doppler", "dark", "rf")
+_EVENT_HEADER = "timestamp_ns,label"
 
 
 @dataclass(frozen=True)
@@ -60,9 +62,6 @@ class EventStream:
     def times_s(self) -> np.ndarray:
         return self.timestamps_ns * NS
 
-    def label_names(self) -> list[str]:
-        return [SOURCE_LABELS[i] for i in self.labels]
-
     def counts_by_source(self) -> dict[str, int]:
         out = {name: 0 for name in SOURCE_LABELS}
         for idx, n in zip(*np.unique(self.labels, return_counts=True)):
@@ -71,22 +70,16 @@ class EventStream:
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        buf.write("timestamp_ns,label\n")
+        buf.write(_EVENT_HEADER + "\n")
         for t, l in zip(self.timestamps_ns, self.labels):
             buf.write(f"{t},{SOURCE_LABELS[l]}\n")
         return buf.getvalue()
 
     @classmethod
     def from_csv(cls, text: str, duration: float) -> "EventStream":
-        lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-        if not lines or lines[0] != "timestamp_ns,label":
-            raise ValueError("event CSV must have a 'timestamp_ns,label' header")
-        ts, labels = [], []
-        for ln in lines[1:]:
-            t, name = ln.split(",")
-            ts.append(int(t))
-            labels.append(SOURCE_LABELS.index(name))
-        return cls(np.array(ts, dtype=np.int64), np.array(labels, dtype=np.int8), duration)
+        rows = read_rows(text, "event CSV", _EVENT_HEADER, lambda f: (int(f[0]), SOURCE_LABELS.index(f[1])))
+        ts, labels = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64).reshape(-1, 2).T
+        return cls(ts, labels, duration)
 
 
 def _poisson_times(rate: float, duration: float, rng) -> np.ndarray:
@@ -118,14 +111,9 @@ def simulate_stream(scenario: Scenario, ion_present: bool, dead: DeadTimeModel |
         dead = DeadTimeModel()
     if rng is None:
         rng = np.random.default_rng(scenario.rng_seed)
-    b = scenario.budget
-    rates = [
-        b.fluorescence if ion_present else 0.0,
-        b.repump_scatter,
-        b.doppler_scatter,
-        b.dark_counts,
-        b.rf_pickup,
-    ]
+    rates = [getattr(scenario.budget, name) for name in BUDGET_SOURCES]
+    if not ion_present:
+        rates[0] = 0.0  # fluorescence
     all_t, all_l = [], []
     for idx, rate in enumerate(rates):
         if rate > 0:
@@ -151,16 +139,20 @@ def gate_and_count(stream: EventStream, gate: float) -> np.ndarray:
     n_gates = int(np.floor(stream.duration / gate + 1e-9))
     if n_gates < 1:
         raise ValueError("gate is longer than the stream duration")
-    edges_ns = np.round(np.arange(n_gates + 1) * gate / NS).astype(np.int64)
-    counts, _ = np.histogram(stream.timestamps_ns, bins=edges_ns)
-    return counts.astype(np.int64)
+    return _bin_counts(stream.timestamps_ns, gate, n_gates)
+
+
+def _bin_counts(timestamps_ns: np.ndarray, width: float, n: int) -> np.ndarray:
+    """Events in each of n consecutive windows of `width` seconds starting at 0."""
+    edges_ns = np.round(np.arange(n + 1) * width / NS).astype(np.int64)
+    counts, _ = np.histogram(timestamps_ns, bins=edges_ns)
+    return counts
 
 
 @dataclass(frozen=True)
 class FrontEndParams:
     """Analog chain: quench pulse shape, low-pass filter, rf pickup, Schmitt trigger."""
 
-    quench_resistance: float = 300e3
     pulse_amplitude_range: tuple[float, float] = (0.1, 0.5)
     pulse_time_constant: float = 0.5e-6
     lowpass_cutoff: float = 1.6e6
@@ -239,11 +231,3 @@ def simulate_frontend(events: EventStream, params: FrontEndParams, sample_rate: 
     ts_ns = ts_ns[keep]
     digital = EventStream(ts_ns, np.zeros(ts_ns.size, dtype=np.int8), max(span, events.duration))
     return t, filtered, digital
-
-
-def waveform_to_csv(t: np.ndarray, wave: np.ndarray) -> str:
-    buf = io.StringIO()
-    buf.write("time_s,volts\n")
-    for ti, v in zip(t, wave):
-        buf.write(f"{ti:.9e},{v:.6e}\n")
-    return buf.getvalue()

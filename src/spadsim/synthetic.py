@@ -7,22 +7,17 @@ offset dataset for the quantum-efficiency fit.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .estimation import SpotScan, ToggleMeasurement
-from .model import RateBudget, Scenario, scattering_rate
-from .optics import collection_efficiency
+from .model import BUDGET_SOURCES, SOURCE_LABELS, RateBudget, Scenario, scattering_rate
+from .optics import collection_efficiency, quarter_disc_response
+from .tables import read_rows
 
-
-def quarter_disc_response(x, y, outer_radius=11.0e-6, guard_width=2.0e-6):
-    """Analytic response of the quarter-disc detector with guard-ring taper."""
-    rr = np.hypot(x, y)
-    w = (
-        np.clip((outer_radius - rr) / guard_width, 0.0, 1.0)
-        * np.clip(x / guard_width, 0.0, 1.0)
-        * np.clip(y / guard_width, 0.0, 1.0)
-    )
-    return np.where(rr > outer_radius, 0.0, w)
+_TOGGLE_HEADER = ",".join(SOURCE_LABELS) + ",rate_kcps,dwell_s"
+_QE_HEADER = "offset_um,rate_kcps"
 
 
 def make_spot_scan(
@@ -64,15 +59,7 @@ def make_toggle_measurements(
 ) -> list[ToggleMeasurement]:
     """Toggle table for the given budget; exact rates unless noisy."""
     rng = np.random.default_rng(seed)
-    rates = np.array(
-        [
-            budget.fluorescence,
-            budget.repump_scatter,
-            budget.doppler_scatter,
-            budget.dark_counts,
-            budget.rf_pickup,
-        ]
-    )
+    rates = np.array([getattr(budget, name) for name in BUDGET_SOURCES])
     out = []
     for flags in design:
         rate = float(rates[np.array(flags)].sum())
@@ -83,7 +70,7 @@ def make_toggle_measurements(
 
 
 def toggle_measurements_to_csv(measurements) -> str:
-    lines = ["fluorescence,repump,doppler,dark,rf,rate_kcps,dwell_s"]
+    lines = [_TOGGLE_HEADER]
     for m in measurements:
         flags = ",".join("1" if f else "0" for f in m.active_sources)
         lines.append(f"{flags},{m.measured_rate / 1e3:.9g},{m.dwell:.9g}")
@@ -91,24 +78,15 @@ def toggle_measurements_to_csv(measurements) -> str:
 
 
 def toggle_measurements_from_csv(text: str) -> list[ToggleMeasurement]:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if not lines or lines[0] != "fluorescence,repump,doppler,dark,rf,rate_kcps,dwell_s":
-        raise ValueError(
-            "toggle CSV needs header 'fluorescence,repump,doppler,dark,rf,rate_kcps,dwell_s'"
+    def row(fields):
+        *flags, rate_kcps, dwell = fields
+        return ToggleMeasurement(
+            active_sources=tuple(bool(int(f)) for f in flags),
+            measured_rate=float(rate_kcps) * 1e3,
+            dwell=float(dwell),
         )
-    out = []
-    for rowno, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(",")
-        if len(parts) != 7:
-            raise ValueError(f"toggle CSV row {rowno}: expected 7 columns, got {len(parts)}")
-        try:
-            flags = tuple(bool(int(p)) for p in parts[:5])
-            rate = float(parts[5]) * 1e3
-            dwell = float(parts[6])
-        except ValueError as exc:
-            raise ValueError(f"toggle CSV row {rowno}: {exc}") from exc
-        out.append(ToggleMeasurement(active_sources=flags, measured_rate=rate, dwell=dwell))
-    return out
+
+    return list(read_rows(text, "toggle CSV", _TOGGLE_HEADER, row))
 
 
 def make_qe_dataset(
@@ -137,24 +115,13 @@ def make_qe_dataset(
 
 
 def qe_dataset_to_csv(offsets, rates) -> str:
-    lines = ["offset_um,rate_kcps"]
+    lines = [_QE_HEADER]
     for off, r in zip(offsets, rates):
         lines.append(f"{off * 1e6:.9g},{r / 1e3:.9g}")
     return "\n".join(lines) + "\n"
 
 
 def qe_dataset_from_csv(text: str) -> tuple[np.ndarray, np.ndarray]:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if not lines or lines[0] != "offset_um,rate_kcps":
-        raise ValueError("QE dataset CSV needs header 'offset_um,rate_kcps'")
-    offs, rates = [], []
-    for rowno, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"QE dataset row {rowno}: expected 2 columns")
-        try:
-            offs.append(float(parts[0]) * 1e-6)
-            rates.append(float(parts[1]) * 1e3)
-        except ValueError as exc:
-            raise ValueError(f"QE dataset row {rowno}: {exc}") from exc
-    return np.array(offs), np.array(rates)
+    rows = read_rows(text, "QE dataset CSV", _QE_HEADER, lambda f: (float(f[0]) * 1e-6, float(f[1]) * 1e3))
+    offsets, rates = np.fromiter(itertools.chain.from_iterable(rows), dtype=float).reshape(-1, 2).T
+    return offsets, rates

@@ -104,6 +104,19 @@ class TestFidelity:
         assert lines[1] == "target,fidelity,mean_time_ms,wald_bound_ms"
         assert "target 0.99" in capsys.readouterr().out
 
+    def test_config_dead_time_takes_effect(self, tmp_path):
+        bodies = []
+        for dead_us in (1.0, 20.0):
+            cfg = tmp_path / f"dead_{dead_us:g}us.cfg"
+            scenario = Scenario(budget=table_budget(), trial_duration=5.0, rng_seed=11)
+            cfg.write_text(scenario_to_text(scenario, DeadTimeModel(dead_us * 1e-6)))
+            out = tmp_path / f"curve_{dead_us:g}us.csv"
+            argv = ["fidelity", "--config", str(cfg), "--targets", "0.9,0.99", "--trials", "200",
+                    "--max-time-ms", "20", "--out", str(out)]
+            assert main(argv) == EXIT_OK
+            bodies.append(read_output(out)[1:])
+        assert bodies[0] != bodies[1]
+
     def test_bad_target_is_input_error(self, outdir, config_file):
         rc = main(["fidelity", "--config", config_file, "--targets", "1.5", "--trials", "10"])
         assert rc == EXIT_INPUT_ERROR
@@ -124,6 +137,8 @@ class TestCollection:
 
     def test_bad_range_spec(self, outdir):
         assert main(["collection", "--offsets-um", "0:80"]) == EXIT_INPUT_ERROR
+        assert main(["collection", "--offsets-um", "10:0:5"]) == EXIT_INPUT_ERROR
+        assert not (outdir / "collection_efficiency.csv").exists()
 
 
 class TestArc:
@@ -152,6 +167,12 @@ class TestSpot:
 
     def test_missing_input(self, outdir):
         assert main(["spot"]) == EXIT_INPUT_ERROR
+
+    def test_output_loads_as_active_area(self, outdir, tmp_path):
+        assert main(["spot", "--demo", "--out", str(tmp_path / "area.csv")]) == EXIT_OK
+        cfg = tmp_path / "area.cfg"
+        cfg.write_text("geometry.active_area_csv = area.csv\n")
+        assert main(["collection", "--config", str(cfg), "--offsets-um", "0"]) == EXIT_OK
 
 
 class TestBudget:

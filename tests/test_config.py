@@ -52,6 +52,8 @@ class TestScenarioFromText:
         assert scenario.trial_duration == 2.5
         assert scenario.rng_seed == 99
         assert dead.dead_time == pytest.approx(1e-6)
+        big = 2**53 + 1  # not a float
+        assert scenario_from_text(f"trial.seed = {big}\n")[0].rng_seed == big
 
     def test_defaults_when_empty(self):
         scenario, _ = scenario_from_text("")
@@ -62,6 +64,8 @@ class TestScenarioFromText:
     def test_bad_number_reports_key(self):
         with pytest.raises(ConfigError, match="budget.dark_kcps"):
             scenario_from_text("budget.dark_kcps = lots\n")
+        with pytest.raises(ConfigError, match="trial.seed"):
+            scenario_from_text("trial.seed = 1.9\n")
 
     def test_stack_layers_parsing(self):
         scenario, _ = scenario_from_text("stack.layers = 29 2.0 ; 10 1.46\n")

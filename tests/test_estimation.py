@@ -137,7 +137,7 @@ class TestDecomposeBudget:
         good = toggle_measurements_to_csv(make_toggle_measurements(table_budget()))
         with pytest.raises(ValueError):
             toggle_measurements_from_csv("a,b\n1,2\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="line 7"):  # header and five rows above it
             toggle_measurements_from_csv(good + "1,0,0\n")
 
 

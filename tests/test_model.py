@@ -7,7 +7,6 @@ from spadsim.model import (
     EmitterParams,
     RateBudget,
     Scenario,
-    budget_totals,
     scattering_rate,
     saturation_fraction_from_power,
     table_budget,
@@ -53,22 +52,22 @@ def test_saturation_fraction_from_power():
 
 
 def test_budget_totals_reference_values():
-    ion, bg = budget_totals(table_budget())
-    assert ion == pytest.approx(11700.0)
-    assert bg == pytest.approx(6900.0)
+    b = table_budget()
+    assert b.ion_total() == pytest.approx(11700.0)
+    assert b.background_total() == pytest.approx(6900.0)
 
 
 def test_budget_totals_zero_and_single_source():
-    assert budget_totals(RateBudget()) == (0.0, 0.0)
-    ion, bg = budget_totals(RateBudget(fluorescence=5000.0))
-    assert ion == 5000.0 and bg == 0.0
+    assert RateBudget().ion_total() == 0.0 and RateBudget().background_total() == 0.0
+    b = RateBudget(fluorescence=5000.0)
+    assert b.ion_total() == 5000.0 and b.background_total() == 0.0
 
 
 def test_budget_totals_linear_in_scaling():
     b = table_budget()
-    ion, bg = budget_totals(b)
-    ion3, bg3 = budget_totals(b.scaled(3.0))
-    assert ion3 == pytest.approx(3 * ion) and bg3 == pytest.approx(3 * bg)
+    b3 = b.scaled(3.0)
+    assert b3.ion_total() == pytest.approx(3 * b.ion_total())
+    assert b3.background_total() == pytest.approx(3 * b.background_total())
 
 
 def test_negative_rate_rejected():
