@@ -15,7 +15,7 @@ import numpy as np
 
 from . import detection, estimation, synthetic
 from .config import ConfigError, load_scenario, scenario_to_text
-from .model import Scenario
+from .model import Scenario, table_budget
 from .optics import bare_silicon_stack, collection_efficiency, stack_reflectance
 from .simulator import DeadTimeModel, gate_and_count, simulate_stream
 
@@ -65,7 +65,7 @@ def _load_config(args) -> tuple[Scenario, DeadTimeModel, str]:
         scenario, dead = load_scenario(args.config)
         text = Path(args.config).read_text()
     else:
-        scenario, dead = Scenario(), DeadTimeModel()
+        scenario, dead = Scenario(budget=table_budget()), DeadTimeModel()
         text = scenario_to_text(scenario, dead)
     if getattr(args, "seed", None) is not None:
         scenario = replace(scenario, rng_seed=args.seed)
@@ -134,10 +134,19 @@ def cmd_threshold(args) -> int:
     return EXIT_OK
 
 
+# fidelity flags that --projection rejects, with the value each takes when omitted
+_CURVE_DEFAULTS = {"targets": "0.99", "sub_bin_us": 100.0, "max_time_ms": 50.0}
+
+
 def cmd_fidelity(args) -> int:
     if args.projection:
+        given = [name for name in ("config", *_CURVE_DEFAULTS) if getattr(args, name) is not None]
+        if given:
+            flags = ", ".join("--" + name.replace("_", "-") for name in given)
+            raise ConfigError(f"--projection runs a fixed preset and does not take {flags}")
+        seed = detection.PROJECTED_SEED if args.seed is None else args.seed
         (fid, mean_time), curve = detection.projected_scenario_fidelity(
-            trials=args.trials, full_curve=True
+            trials=args.trials, seed=seed, full_curve=True
         )
         manifest = _manifest_hash("fidelity", args, "")
         body = _fidelity_csv(curve)
@@ -153,6 +162,9 @@ def cmd_fidelity(args) -> int:
             print("check: PASS")
         return EXIT_OK
 
+    for name, default in _CURVE_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)  # so an omitted flag hashes like its default
     scenario, dead, config_text = _load_config(args)
     targets = [float(t) for t in args.targets.split(",")]
     curve = detection.fidelity_curve(
@@ -230,17 +242,8 @@ def cmd_collection(args) -> int:
 def cmd_arc(args) -> int:
     scenario, _, config_text = _load_config(args)
     stack = bare_silicon_stack() if args.bare else scenario.geometry.stack
-    angles = _parse_range(args.angles_deg, math.pi / 180.0)
-    rows = []
-    for a in angles:
-        rows.append(
-            (
-                a,
-                stack_reflectance(stack, a, "s"),
-                stack_reflectance(stack, a, "p"),
-                stack_reflectance(stack, a, "unpolarized"),
-            )
-        )
+    angles = np.array(_parse_range(args.angles_deg, math.pi / 180.0))
+    rows = list(zip(angles, *(stack_reflectance(stack, angles, pol) for pol in ("s", "p", "unpolarized"))))
     manifest = _manifest_hash("arc", args, config_text)
     body = "angle_deg,R_s,R_p,R_unpolarized\n" + "".join(
         f"{math.degrees(a):.6g},{rs:.6g},{rp:.6g},{ru:.6g}\n" for a, rs, rp, ru in rows
@@ -277,8 +280,6 @@ def cmd_spot(args) -> int:
 
 def cmd_budget(args) -> int:
     if args.demo:
-        from .model import table_budget
-
         measurements = synthetic.make_toggle_measurements(table_budget())
         config_text = synthetic.toggle_measurements_to_csv(measurements)
     else:
@@ -362,10 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fidelity", help="adaptive-detection fidelity vs mean gate time")
     common(p)
-    p.add_argument("--targets", default="0.99", help="comma-separated stopping targets")
+    p.add_argument("--targets", help="comma-separated stopping targets")
     p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--sub-bin-us", type=float, default=100.0)
-    p.add_argument("--max-time-ms", type=float, default=50.0)
+    p.add_argument("--sub-bin-us", type=float)
+    p.add_argument("--max-time-ms", type=float)
     p.add_argument("--projection", action="store_true", help="run the improved-device projection preset")
     p.set_defaults(func=cmd_fidelity)
 

@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .model import BUDGET_SOURCES, EmitterParams, RateBudget, scattering_rate
 from .optics import ActiveAreaMap, DetectorGeometry, collection_efficiency
@@ -131,6 +130,8 @@ def fit_saturation(powers, rates) -> tuple[float, float, np.ndarray]:
 
     Returns (saturation_power, max_rate, fraction-of-saturation per input power).
     """
+    from scipy.optimize import curve_fit
+
     p = np.asarray(powers, dtype=float)
     r = np.asarray(rates, dtype=float)
     if np.unique(p).size < 3:

@@ -52,42 +52,45 @@ def bare_silicon_stack() -> OpticalStack:
     return OpticalStack(layers=())
 
 
-def _amplitude_coeffs(stack: OpticalStack, angle: float, pol: str):
-    """Transfer-matrix r and transmittance factor for one polarization."""
+def _amplitude_coeffs(stack: OpticalStack, angle_of_incidence, pol: str):
+    """Transfer-matrix r and transmittance factor for one polarization, elementwise over angles."""
+    angle = np.asarray(angle_of_incidence, dtype=float)
+    if not np.all((angle >= 0.0) & (angle < math.pi / 2)):
+        raise ValueError("angle of incidence must lie in [0, pi/2)")
     n0 = complex(stack.ambient_index)
-    kpar = n0 * math.sin(angle)  # conserved transverse index
+    kpar = n0 * np.sin(angle)  # conserved transverse index
 
     def admittance(n):
         q = np.sqrt(n * n - kpar * kpar + 0j)
         return q if pol == "s" else n * n / q
 
-    m = np.eye(2, dtype=complex)
+    # characteristic matrix [[m11, m12], [m21, m22]], each entry elementwise over angles
+    m11, m12, m21, m22 = 1.0, 0.0, 0.0, 1.0
     for d, n in stack.layers:
         q = np.sqrt(n * n - kpar * kpar + 0j)
         delta = 2.0 * np.pi * d / stack.wavelength * q
         e = admittance(n)
-        m = m @ np.array(
-            [
-                [np.cos(delta), 1j * np.sin(delta) / e],
-                [1j * e * np.sin(delta), np.cos(delta)],
-            ]
+        cos, i_sin_e, i_e_sin = np.cos(delta), 1j * np.sin(delta) / e, 1j * e * np.sin(delta)
+        m11, m12, m21, m22 = (
+            m11 * cos + m12 * i_e_sin,
+            m11 * i_sin_e + m12 * cos,
+            m21 * cos + m22 * i_e_sin,
+            m21 * i_sin_e + m22 * cos,
         )
     e0 = admittance(n0)
     es = admittance(complex(stack.substrate_index))
-    b, c = m @ np.array([1.0, es])
+    b, c = m11 + m12 * es, m21 + m22 * es
     r = (e0 * b - c) / (e0 * b + c)
     t_power = 4.0 * e0.real * es.real / abs(e0 * b + c) ** 2
     return r, t_power
 
 
-def stack_reflectance(stack: OpticalStack, angle_of_incidence: float, polarization: str = "unpolarized") -> float:
-    """Power reflectance |r|^2 of the stack at the given incidence angle.
+def stack_reflectance(stack: OpticalStack, angle_of_incidence, polarization: str = "unpolarized"):
+    """Power reflectance |r|^2 of the stack at the given incidence angle, a scalar or an array.
 
     polarization is "s", "p" or "unpolarized" (mean of s and p). With no
     layers this reduces to the Fresnel reflection of the bare substrate.
     """
-    if not 0.0 <= angle_of_incidence < math.pi / 2:
-        raise ValueError("angle of incidence must lie in [0, pi/2)")
     if polarization not in ("s", "p", "unpolarized"):
         raise ValueError(f"unknown polarization {polarization!r}")
     if polarization == "unpolarized":
@@ -98,10 +101,8 @@ def stack_reflectance(stack: OpticalStack, angle_of_incidence: float, polarizati
     return abs(r) ** 2
 
 
-def stack_transmittance(stack: OpticalStack, angle_of_incidence: float, polarization: str = "unpolarized") -> float:
-    """Power transmittance into the substrate (R + T = 1 for lossless stacks)."""
-    if not 0.0 <= angle_of_incidence < math.pi / 2:
-        raise ValueError("angle of incidence must lie in [0, pi/2)")
+def stack_transmittance(stack: OpticalStack, angle_of_incidence, polarization: str = "unpolarized"):
+    """Power transmittance into the substrate (R + T = 1 for lossless stacks), scalar or array angles."""
     if polarization == "unpolarized":
         return 0.5 * (
             stack_transmittance(stack, angle_of_incidence, "s")
@@ -251,12 +252,6 @@ class DetectorGeometry:
         return replace(self, ion_lateral_offset=offset)
 
 
-def _reflectance_interpolator(stack: OpticalStack, n_angles: int = 256):
-    grid = np.linspace(0.0, math.pi / 2 * 0.99999, n_angles)
-    vals = np.array([stack_reflectance(stack, a, "unpolarized") for a in grid])
-    return lambda theta: np.interp(theta, grid, vals)
-
-
 def collection_efficiency(
     geometry: DetectorGeometry,
     include_arc: bool = True,
@@ -285,7 +280,7 @@ def collection_efficiency(
     if geometry.emission_pattern == "dipole_perpendicular":
         frac = frac * 1.5 * np.sin(theta) ** 2
     if include_arc:
-        frac = frac * (1.0 - _reflectance_interpolator(geometry.stack)(theta))
+        frac = frac * (1.0 - stack_reflectance(geometry.stack, theta))
 
     if warn_on_shadowing and _any_cell_shadowed(geometry, xx, yy, ion_x, ion_y):
         warnings.warn(

@@ -7,7 +7,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 from .model import BUDGET_SOURCES, SOURCE_LABELS, Scenario
 from .tables import read_rows
@@ -174,22 +173,14 @@ class FrontEndParams:
 
 
 def _schmitt_crossings(wave: np.ndarray, high: float, low: float) -> np.ndarray:
-    """Indices of rising crossings of `high`, re-armed only after dropping below `low`."""
-    above = wave >= high
-    rising = np.flatnonzero(above & ~np.concatenate(([False], above[:-1])))
-    below_idx = np.flatnonzero(wave < low)
-    crossings = []
-    last = -1
-    for r in rising:
-        if last < 0:
-            crossings.append(r)
-            last = r
-        else:
-            j = np.searchsorted(below_idx, last, side="right")
-            if j < below_idx.size and below_idx[j] < r:
-                crossings.append(r)
-                last = r
-    return np.array(crossings, dtype=np.int64)
+    """Indices of rising crossings of `high`, re-armed only after dropping below `low`.
+
+    Samples at or above `high` are labelled +1 and samples below `low` -1; a
+    crossing is a +1 whose previous label is -1, or the first label.
+    """
+    label = (wave >= high).astype(np.int8) - (wave < low)
+    idx = np.flatnonzero(label)
+    return idx[np.diff(label[idx], prepend=-1) == 2]
 
 
 def simulate_frontend(events: EventStream, params: FrontEndParams, sample_rate: float, rng=None):
@@ -199,6 +190,8 @@ def simulate_frontend(events: EventStream, params: FrontEndParams, sample_rate: 
     the sum plus an rf sinusoid passes a first-order low-pass before the
     Schmitt trigger. Returns (time axis, waveform, digital EventStream).
     """
+    from scipy import signal
+
     if sample_rate < 10 * params.lowpass_cutoff:
         raise ValueError("sample_rate must be at least 10x the low-pass cutoff")
     if rng is None:
@@ -207,16 +200,18 @@ def simulate_frontend(events: EventStream, params: FrontEndParams, sample_rate: 
     span = events.duration + 5 * params.pulse_time_constant
     n = int(np.ceil(span / dt))
     t = np.arange(n) * dt
-    wave = np.zeros(n)
 
+    # each pulse is an impulse at its first sample, scaled by the decay since its
+    # arrival, and the pulse decay is the one-pole filter over the impulse train
     lo, hi = params.pulse_amplitude_range
     amps = rng.uniform(lo, hi, size=len(events))
     tau = params.pulse_time_constant
-    for t0, amp in zip(events.times_s, amps):
-        i0 = int(np.ceil(t0 / dt))
-        if i0 >= n:
-            continue
-        wave[i0:] += amp * np.exp(-(t[i0:] - t0) / tau)
+    t0 = events.times_s
+    i0 = np.ceil(t0 / dt).astype(np.int64)
+    on = i0 < n
+    weights = amps[on] * np.exp(-(t[i0[on]] - t0[on]) / tau)
+    impulses = np.bincount(i0[on], weights, minlength=n)
+    wave = signal.lfilter([1.0], [1.0, -np.exp(-dt / tau)], impulses)
 
     if params.rf_pickup_amplitude > 0:
         wave = wave + params.rf_pickup_amplitude * np.sin(2 * np.pi * params.rf_frequency * t)

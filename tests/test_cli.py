@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -73,6 +77,11 @@ class TestThreshold:
         lines = read_output(outdir / "threshold_histogram.csv")
         assert lines[1] == "count,freq_ion,freq_empty"
 
+    def test_check_passes_without_config(self, outdir, capsys):
+        # without --config the scenario has the reference device's count budget
+        assert main(["threshold", "--check"]) == EXIT_OK
+        assert "check: PASS" in capsys.readouterr().out
+
     def test_check_fails_on_weak_signal(self, outdir, tmp_path, capsys):
         cfg = tmp_path / "weak.cfg"
         weak = Scenario(
@@ -116,6 +125,27 @@ class TestFidelity:
             assert main(argv) == EXIT_OK
             bodies.append(read_output(out)[1:])
         assert bodies[0] != bodies[1]
+
+    def test_runs_without_config(self, outdir):
+        assert main(["fidelity", "--trials", "200"]) == EXIT_OK
+        assert read_output(outdir / "fidelity_curve.csv")[2].startswith("0.99,")
+
+    def test_projection_takes_seed(self, tmp_path):
+        bodies = []
+        for seed in ("5", "6"):
+            out = tmp_path / f"projection_{seed}.csv"
+            assert main(["fidelity", "--projection", "--trials", "200", "--seed", seed, "--out", str(out)]) == EXIT_OK
+            bodies.append(read_output(out)[1:])
+        assert bodies[0] != bodies[1]
+
+    @pytest.mark.parametrize(
+        "flag", [["--config", "x.cfg"], ["--targets", "0.9"], ["--sub-bin-us", "10"], ["--max-time-ms", "5"]]
+    )
+    def test_projection_rejects_curve_flags(self, tmp_path, capsys, flag):
+        out = tmp_path / "projection.csv"
+        assert main(["fidelity", "--projection", *flag, "--out", str(out)]) == EXIT_INPUT_ERROR
+        assert flag[0] in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_target_is_input_error(self, outdir, config_file):
         rc = main(["fidelity", "--config", config_file, "--targets", "1.5", "--trials", "10"])
@@ -215,3 +245,14 @@ class TestManifest:
         main(["collection", "--offsets-um", "0,40", "--out", str(a)])
         main(["collection", "--offsets-um", "0,50", "--out", str(b)])
         assert a.read_text().splitlines()[0] != b.read_text().splitlines()[0]
+
+
+def test_cli_import_leaves_scipy_signal_and_stats_unloaded():
+    # scipy.signal and scipy.stats take most of a cold start; the CLI loads them only when used
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys, spadsim.cli; print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+    out = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"],
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -1,0 +1,272 @@
+"""Property tests: each array-at-a-time stage against the per-element loop it replaced.
+
+The loops below are the reference implementations: the per-trial, per-target
+detector sweep; the per-event direct sum of exponential pulses; the per-edge
+Schmitt trigger; and the per-angle 2x2 transfer-matrix product.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import signal
+
+from spadsim.detection import BayesianConfig, _trial_rng, detect_from_counts, fidelity_curve
+from spadsim.model import RateBudget, Scenario
+from spadsim.optics import OpticalStack, stack_reflectance, stack_transmittance
+from spadsim.simulator import (
+    NS,
+    DeadTimeModel,
+    EventStream,
+    FrontEndParams,
+    _bin_counts,
+    _schmitt_crossings,
+    simulate_frontend,
+    simulate_stream,
+)
+
+
+def finite(lo, hi):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False)
+
+
+# --- sequential detector ---------------------------------------------------------
+
+
+def loop_detect(counts, ion_rate, empty_rate, config):
+    """(decided, MAP says ion, stopping time) by scanning every bin for the first |log odds| >= threshold."""
+    counts = np.asarray(counts)
+    prior_logit = math.log(config.prior_ion / (1.0 - config.prior_ion))
+    if empty_rate > 0:
+        per_bin = counts * math.log(ion_rate / empty_rate) - (ion_rate - empty_rate) * config.sub_bin
+    else:
+        per_bin = np.where(counts > 0, np.inf, -ion_rate * config.sub_bin)
+    llr = prior_logit + np.cumsum(per_bin)
+    thresh = math.log(config.target_posterior / (1.0 - config.target_posterior))
+    hit = np.abs(llr) >= thresh
+    stop = int(hit.argmax()) if hit.any() else counts.size - 1
+    return bool(hit[stop]), bool(llr[stop] > 0), float((stop + 1) * config.sub_bin)
+
+
+def loop_fidelity_points(scenario, targets, trials, sub_bin, max_time, dead):
+    """The adaptive points of fidelity_curve: bin every trial, then run detect_from_counts per trial and target."""
+    ion_rate, empty_rate = scenario.budget.ion_total(), scenario.budget.background_total()
+    trial_scenario = replace(scenario, trial_duration=max_time)
+    n_bins = max(int(np.floor(max_time / sub_bin + 1e-9)), 1)
+    binned = {}
+    for hyp, ion_present in ((1, True), (0, False)):
+        rows = np.empty((trials, n_bins), dtype=np.int64)
+        for i in range(trials):
+            stream = simulate_stream(trial_scenario, ion_present, dead, rng=_trial_rng(scenario.rng_seed, hyp, i))
+            rows[i] = _bin_counts(stream.timestamps_ns, sub_bin, n_bins)
+        binned[hyp] = rows
+    points = []
+    for target in targets:
+        config = BayesianConfig(target_posterior=target, sub_bin=sub_bin, max_time=max_time)
+        correct = {}
+        times = []
+        for hyp in (1, 0):
+            want = "ion" if hyp else "no_ion"
+            ok = 0
+            for counts in binned[hyp]:
+                out = detect_from_counts(counts, ion_rate, empty_rate, config)
+                ok += out.map_decision == want
+                times.append(out.stopping_time)
+            correct[hyp] = ok / trials
+        points.append((target, 0.5 * (correct[1] + correct[0]), float(np.mean(times))))
+    return points
+
+
+targets_st = st.lists(
+    st.one_of(finite(0.5001, 0.9999), st.sampled_from([0.51, 0.99, 0.999999999])), min_size=1, max_size=4
+)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    fluorescence=finite(100.0, 3e4),
+    background=st.one_of(st.just(0.0), finite(10.0, 2e4)),
+    dead_time=st.sampled_from([0.0, 1e-6, 50e-6]),
+    targets=targets_st,
+    trials=st.integers(1, 12),
+    max_time=finite(0.5e-3, 20e-3),
+    n_bins=st.integers(1, 60),
+    seed=st.integers(0, 2**32),
+)
+# no background: the first count gives infinite log odds
+@example(fluorescence=5e3, background=0.0, dead_time=1e-6, targets=[0.99, 0.999999999],
+         trials=10, max_time=5e-3, n_bins=50, seed=3)
+# a weak signal and a short horizon leave most trials undecided
+@example(fluorescence=200.0, background=6900.0, dead_time=1e-6, targets=[0.9, 0.999999999],
+         trials=10, max_time=2e-3, n_bins=20, seed=4)
+def test_fidelity_curve_matches_per_trial_detector(
+    fluorescence, background, dead_time, targets, trials, max_time, n_bins, seed
+):
+    budget = RateBudget(fluorescence=fluorescence, dark_counts=background)
+    scenario = Scenario(budget=budget, rng_seed=seed)
+    sub_bin = max_time / n_bins
+    dead = DeadTimeModel(dead_time)
+    curve = fidelity_curve(scenario, targets, trials, sub_bin=sub_bin, max_time=max_time, dead=dead,
+                           threshold_windows=[sub_bin])
+    want = loop_fidelity_points(scenario, targets, trials, sub_bin, max_time, dead)
+    assert repr(curve.bayes) == repr(want)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    counts=arrays(np.int64, st.integers(1, 80), elements=st.integers(0, 6)),
+    rates=st.tuples(finite(1.0, 1e5), st.one_of(st.just(0.0), finite(1e-3, 1.0))),
+    target=st.one_of(finite(0.5001, 0.99999), st.just(0.999999999)),
+    prior=finite(0.01, 0.99),
+    sub_bin=finite(1e-6, 1e-2),
+)
+def test_detect_from_counts_matches_bin_scan(counts, rates, target, prior, sub_bin):
+    ion_rate, empty_fraction = rates
+    empty_rate = ion_rate * empty_fraction
+    if not ion_rate > empty_rate:
+        return
+    config = BayesianConfig(target_posterior=target, sub_bin=sub_bin, max_time=sub_bin * counts.size, prior_ion=prior)
+    out = detect_from_counts(counts, ion_rate, empty_rate, config)
+    decided, says_ion, stopping_time = loop_detect(counts, ion_rate, empty_rate, config)
+    assert (out.decision != "undecided") == decided
+    assert (out.map_decision == "ion") == says_ion
+    assert out.stopping_time == stopping_time
+
+
+# --- analog front end ------------------------------------------------------------
+
+
+def loop_schmitt_crossings(wave, high, low):
+    """Walk the rising edges of `high`; take one only if the wave fell below `low` since the last one taken."""
+    above = wave >= high
+    rising = np.flatnonzero(above & ~np.concatenate(([False], above[:-1])))
+    below_idx = np.flatnonzero(wave < low)
+    crossings = []
+    last = -1
+    for r in rising:
+        if last < 0:
+            crossings.append(r)
+            last = r
+        else:
+            j = np.searchsorted(below_idx, last, side="right")
+            if j < below_idx.size and below_idx[j] < r:
+                crossings.append(r)
+                last = r
+    return np.array(crossings, dtype=np.int64)
+
+
+def direct_sum_frontend(events, params, sample_rate, rng):
+    """simulate_frontend with each pulse added to the waveform sample by sample."""
+    dt = 1.0 / sample_rate
+    span = events.duration + 5 * params.pulse_time_constant
+    n = int(np.ceil(span / dt))
+    t = np.arange(n) * dt
+    wave = np.zeros(n)
+    lo, hi = params.pulse_amplitude_range
+    amps = rng.uniform(lo, hi, size=len(events))
+    tau = params.pulse_time_constant
+    for t0, amp in zip(events.times_s, amps):
+        i0 = int(np.ceil(t0 / dt))
+        if i0 >= n:
+            continue
+        wave[i0:] += amp * np.exp(-(t[i0:] - t0) / tau)
+    if params.rf_pickup_amplitude > 0:
+        wave = wave + params.rf_pickup_amplitude * np.sin(2 * np.pi * params.rf_frequency * t)
+    a = np.exp(-dt * 2 * np.pi * params.lowpass_cutoff)
+    filtered = signal.lfilter([1 - a], [1, -a], wave)
+    idx = loop_schmitt_crossings(filtered, params.schmitt_high, params.schmitt_low)
+    ts_ns = np.unique(np.round(idx * dt / NS).astype(np.int64))
+    return t, filtered, ts_ns
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    gaps_ns=st.lists(st.integers(1, 200_000), max_size=40),
+    duration_ns=st.integers(1_000, 2_000_000),
+    sample_rate=st.sampled_from([20e6, 50e6, 100e6]),
+    rf=st.sampled_from([0.0, 0.03, 0.2]),
+    seed=st.integers(0, 2**32),
+)
+def test_frontend_matches_direct_sum(gaps_ns, duration_ns, sample_rate, rf, seed):
+    # events may lie past the rendered span (EventStream does not bound them); those are skipped
+    times = np.cumsum(gaps_ns, dtype=np.int64)
+    events = EventStream(times, np.zeros(times.size, dtype=np.int8), duration_ns * NS)
+    params = FrontEndParams(rf_pickup_amplitude=rf)
+    t, wave, digital = simulate_frontend(events, params, sample_rate, rng=np.random.default_rng(seed))
+    t_ref, wave_ref, ts_ref = direct_sum_frontend(events, params, sample_rate, np.random.default_rng(seed))
+    np.testing.assert_array_equal(t, t_ref)
+    np.testing.assert_allclose(wave, wave_ref, rtol=0, atol=1e-11)
+    np.testing.assert_array_equal(digital.timestamps_ns, ts_ref)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    wave=arrays(
+        float,
+        st.integers(0, 120),
+        elements=st.one_of(finite(-0.1, 0.2), st.sampled_from([0.03, 0.04, 0.06, 0.08, 0.09])),
+    ),
+)
+def test_schmitt_crossings_match_edge_walk(wave):
+    got = _schmitt_crossings(wave, 0.08, 0.04)
+    want = loop_schmitt_crossings(wave, 0.08, 0.04)
+    assert got.tolist() == want.tolist()
+
+
+# --- thin-film reflectance -------------------------------------------------------
+
+
+def matrix_product_coeffs(stack, angle, pol):
+    """r and transmittance factor at one angle from the product of 2x2 layer matrices."""
+    n0 = complex(stack.ambient_index)
+    kpar = n0 * math.sin(angle)
+
+    def admittance(n):
+        q = np.sqrt(n * n - kpar * kpar + 0j)
+        return q if pol == "s" else n * n / q
+
+    m = np.eye(2, dtype=complex)
+    for d, n in stack.layers:
+        q = np.sqrt(n * n - kpar * kpar + 0j)
+        delta = 2.0 * np.pi * d / stack.wavelength * q
+        e = admittance(n)
+        m = m @ np.array(
+            [
+                [np.cos(delta), 1j * np.sin(delta) / e],
+                [1j * e * np.sin(delta), np.cos(delta)],
+            ]
+        )
+    e0 = admittance(n0)
+    es = admittance(complex(stack.substrate_index))
+    b, c = m @ np.array([1.0, es])
+    r = (e0 * b - c) / (e0 * b + c)
+    return abs(r) ** 2, 4.0 * e0.real * es.real / abs(e0 * b + c) ** 2
+
+
+# Lossless layers, as in the device's coating, over an absorbing substrate. An
+# absorbing layer is modelled as gain (see the FOUND note on the index sign
+# convention in CHANGES.md); near its resonances R grows without bound and no
+# two evaluation orders agree to 1e-15.
+indices = st.builds(complex, finite(1.2, 3.0))
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    layers=st.lists(st.tuples(finite(1e-9, 200e-9), indices), max_size=3),
+    substrate=st.builds(complex, finite(1.2, 7.0), finite(0.0, 2.0)),
+    angles=arrays(float, st.integers(1, 30), elements=finite(0.0, 1.5707)),
+    pol=st.sampled_from(["s", "p", "unpolarized"]),
+)
+def test_array_reflectance_matches_per_angle_matrix_product(layers, substrate, angles, pol):
+    stack = OpticalStack(layers=tuple(layers), substrate_index=substrate)
+    pols = ("s", "p") if pol == "unpolarized" else (pol,)
+    want_r = [np.mean([matrix_product_coeffs(stack, a, p)[0] for p in pols]) for a in angles]
+    want_t = [np.mean([matrix_product_coeffs(stack, a, p)[1] for p in pols]) for a in angles]
+    got_r = stack_reflectance(stack, angles, pol)
+    assert got_r.shape == angles.shape
+    np.testing.assert_allclose(got_r, want_r, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(got_r, [stack_reflectance(stack, a, pol) for a in angles], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(stack_transmittance(stack, angles, pol), want_t, rtol=0, atol=1e-15)
