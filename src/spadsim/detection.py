@@ -7,10 +7,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import pdtr, pdtrc
 
 from .model import RateBudget, Scenario
-from .simulator import DeadTimeModel, EventStream, _bin_counts, simulate_stream
+from .simulator import DeadTimeModel, EventStream, _bin_counts, _block_counts
 
 # Effective emission rate (photons/s) of the odd-isotope emitter during
 # hyperfine-qubit readout. Coherent population trapping reduces it well below
@@ -95,6 +94,8 @@ def analytic_threshold_fidelity(ion_rate: float, empty_rate: float, window: floa
 
     Equal rates are the degenerate indistinguishable case and give exactly 0.5.
     """
+    from scipy.special import pdtr, pdtrc
+
     if not ion_rate >= empty_rate >= 0:
         raise ValueError("rate ordering violated: require ion_rate >= empty_rate >= 0")
     if window <= 0:
@@ -133,7 +134,7 @@ def detect_from_counts(counts: np.ndarray, ion_rate: float, empty_rate: float, c
     counts = np.asarray(counts)
     llr = _log_odds(counts, ion_rate, empty_rate, config)
     thresh = math.log(config.target_posterior / (1.0 - config.target_posterior))
-    stop = int(_first_crossings(llr, thresh))
+    stop = int(_first_crossings(llr, [thresh])[0])
     decided = stop < counts.size
     stop = min(stop, counts.size - 1)
 
@@ -153,14 +154,19 @@ def detect_from_counts(counts: np.ndarray, ion_rate: float, empty_rate: float, c
 
 
 def _log_odds(counts: np.ndarray, ion_rate: float, empty_rate: float, config: BayesianConfig) -> np.ndarray:
-    """Log posterior odds ion:empty after each sub-bin."""
+    """Log posterior odds ion:empty after each sub-bin, along the last axis."""
     prior_logit = math.log(config.prior_ion / (1.0 - config.prior_ion))
-    return prior_logit + np.cumsum(_bin_log_likelihood_ratios(counts, ion_rate, empty_rate, config.sub_bin))
+    return prior_logit + np.cumsum(_bin_log_likelihood_ratios(counts, ion_rate, empty_rate, config.sub_bin), axis=-1)
 
 
 def _first_crossings(llr: np.ndarray, thresholds) -> np.ndarray:
-    """First bin where |llr| reaches each threshold; llr.size where it never does."""
-    return np.searchsorted(np.maximum.accumulate(np.abs(llr)), thresholds)
+    """For each threshold, the first bin along the last axis where |llr| reaches it, or the
+    axis length where it never does; the thresholds index a new last axis.
+
+    The running max of |llr| never falls, so that bin is the count of bins where it is still below.
+    """
+    peak = np.maximum.accumulate(np.abs(llr), axis=-1)
+    return np.stack([np.count_nonzero(peak < t, axis=-1) for t in thresholds], axis=-1)
 
 
 def wald_bound(ion_rate: float, empty_rate: float, error: float) -> tuple[float, float]:
@@ -190,6 +196,11 @@ class FidelityCurve:
     empty_rate: float
 
 
+# trials x bins of one block of the fidelity sweep: the block's arrays stay
+# small next to the rest of the process, and its per-trial work amortises
+_BLOCK_CELLS = 1 << 14
+
+
 def _trial_rng(seed: int, hypothesis: int, trial: int):
     return np.random.default_rng([seed, hypothesis, trial])
 
@@ -209,6 +220,10 @@ def fidelity_curve(
     through the sequential detector; streams are shared across targets so the
     sweep is smooth in the common randomness. Only each trial's stopping bin
     and MAP choice per target are kept.
+
+    Trials run in blocks of about _BLOCK_CELLS trials x bins, each trial
+    drawing from its own generator: one dead-time filter, one binning pass
+    and one log-odds cumsum serve the block.
     """
     targets = list(targets)
     if not targets:
@@ -220,19 +235,20 @@ def fidelity_curve(
     thresholds = [math.log(t / (1.0 - t)) for t in targets]
     trial_scenario = replace(scenario, trial_duration=max_time)
     n_bins = max(int(np.floor(max_time / sub_bin + 1e-9)), 1)
+    block_rows = max(_BLOCK_CELLS // n_bins, 1)
     # per target, hypothesis (ion, then empty) and trial: the stopping bin and the MAP choice there
     stops = np.empty((len(targets), 2, trials), dtype=np.int64)
     says_ion = np.empty((len(targets), 2, trials), dtype=bool)
     for h, ion_present in enumerate((True, False)):
-        for i in range(trials):
-            stream = simulate_stream(
-                trial_scenario, ion_present, dead, rng=_trial_rng(scenario.rng_seed, int(ion_present), i)
-            )
-            counts = _bin_counts(stream.timestamps_ns, sub_bin, n_bins)
+        for first in range(0, trials, block_rows):
+            last = min(first + block_rows, trials)
+            rngs = [_trial_rng(scenario.rng_seed, int(ion_present), i) for i in range(first, last)]
+            counts = _block_counts(trial_scenario, ion_present, dead, rngs, sub_bin, n_bins)
             llr = _log_odds(counts, ion_rate, empty_rate, configs[0])  # configs differ only in target
             # an undecided trial stops at the last bin
-            stops[:, h, i] = np.minimum(_first_crossings(llr, thresholds), n_bins - 1)
-            says_ion[:, h, i] = llr[stops[:, h, i]] > 0
+            stop = np.minimum(_first_crossings(llr, thresholds), n_bins - 1)
+            stops[:, h, first:last] = stop.T
+            says_ion[:, h, first:last] = np.take_along_axis(llr, stop, axis=1).T > 0
 
     bayes_points = []
     for target, stop, ion in zip(targets, stops, says_ion):

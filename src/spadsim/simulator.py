@@ -34,8 +34,8 @@ class DeadTimeModel:
 class EventStream:
     """Timestamped detector events on a 1 ns grid.
 
-    timestamps_ns are strictly increasing int64 nanoseconds; labels index into
-    SOURCE_LABELS. duration is the covered span in seconds.
+    timestamps_ns are nonnegative, strictly increasing int64 nanoseconds;
+    labels index into SOURCE_LABELS. duration is the covered span in seconds.
     """
 
     timestamps_ns: np.ndarray
@@ -49,7 +49,11 @@ class EventStream:
         object.__setattr__(self, "labels", lb)
         if ts.shape != lb.shape:
             raise ValueError("timestamps and labels must have equal length")
-        if ts.size and np.any(np.diff(ts) <= 0):
+        negative = np.flatnonzero(ts < 0)
+        if negative.size:
+            i = int(negative[0])
+            raise ValueError(f"timestamp {ts[i]} ns at index {i} is negative")
+        if np.any(np.diff(ts) <= 0):
             raise ValueError("timestamps must be strictly increasing")
         if self.duration <= 0:
             raise ValueError("duration must be > 0")
@@ -81,23 +85,59 @@ class EventStream:
         return cls(ts, labels, duration)
 
 
-def _poisson_times(rate: float, duration: float, rng) -> np.ndarray:
-    n = rng.poisson(rate * duration)
-    return np.sort(rng.uniform(0.0, duration, size=n))
-
-
 def apply_dead_time(times_ns: np.ndarray, labels: np.ndarray, dead_ns: int):
-    """Nonparalyzable filter: keep an event iff it is >= dead_ns after the last kept one."""
-    if times_ns.size == 0:
-        return times_ns, labels
-    keep = np.zeros(times_ns.size, dtype=bool)
-    last = -(1 << 62)
-    gap = max(int(dead_ns), 1)  # at least the 1 ns grid, enforcing strict increase
-    for i, t in enumerate(times_ns):
-        if t - last >= gap:
-            keep[i] = True
-            last = t
+    """Nonparalyzable filter on ascending times_ns: keep an event iff it is >= dead_ns
+    (and >= 1 ns) after the last kept one.
+
+    An event at least that gap after its predecessor is always kept, so only
+    the events closer than that to their predecessor are walked in order.
+    """
+    gap = _dead_gap_ns(dead_ns)
+    close = np.flatnonzero(np.diff(times_ns) < gap) + 1
+    drop = []
+    last, dropped = 0, -1
+    for i, t, prev in zip(close.tolist(), times_ns[close].tolist(), times_ns[close - 1].tolist()):
+        if i - 1 != dropped:  # the predecessor was kept; otherwise the last kept time carries over
+            last = prev
+        if t - last < gap:
+            drop.append(i)
+            dropped = i
+    keep = np.ones(times_ns.size, dtype=bool)
+    keep[drop] = False
     return times_ns[keep], labels[keep]
+
+
+def _dead_gap_ns(dead_ns: int) -> int:
+    """The least gap between kept events: the dead time, but at least the 1 ns grid."""
+    return max(int(dead_ns), 1)
+
+
+def _dead_ns(dead: DeadTimeModel | None) -> int:
+    """The dead time on the 1 ns grid; None is the default DeadTimeModel."""
+    return int(round((DeadTimeModel() if dead is None else dead).dead_time / NS))
+
+
+def _arrivals(scenario: Scenario, ion_present: bool, rng) -> tuple[np.ndarray, np.ndarray]:
+    """One trial's superposed Poisson arrivals before dead time: sorted ns times and source labels.
+
+    Fluorescence contributes only when ion_present. Each source with a
+    positive rate draws its count, then its times, in BUDGET_SOURCES order.
+    """
+    rates = [getattr(scenario.budget, name) for name in BUDGET_SOURCES]
+    if not ion_present:
+        rates[0] = 0.0  # fluorescence
+    duration = scenario.trial_duration
+    all_t, all_l = [], []
+    for idx, rate in enumerate(rates):
+        if rate > 0:
+            t = rng.uniform(0.0, duration, size=rng.poisson(rate * duration))
+            all_t.append(t)
+            all_l.append(np.full(t.size, idx, dtype=np.int8))
+    if not all_t:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8)
+    t = np.concatenate(all_t)
+    order = np.argsort(t, kind="stable")
+    return np.round(t[order] / NS).astype(np.int64), np.concatenate(all_l)[order]
 
 
 def simulate_stream(scenario: Scenario, ion_present: bool, dead: DeadTimeModel | None = None, rng=None) -> EventStream:
@@ -106,29 +146,29 @@ def simulate_stream(scenario: Scenario, ion_present: bool, dead: DeadTimeModel |
     Fluorescence contributes only when ion_present. Deterministic given the
     scenario seed (or an explicit rng for derived trial streams).
     """
-    if dead is None:
-        dead = DeadTimeModel()
     if rng is None:
         rng = np.random.default_rng(scenario.rng_seed)
-    rates = [getattr(scenario.budget, name) for name in BUDGET_SOURCES]
-    if not ion_present:
-        rates[0] = 0.0  # fluorescence
-    all_t, all_l = [], []
-    for idx, rate in enumerate(rates):
-        if rate > 0:
-            t = _poisson_times(rate, scenario.trial_duration, rng)
-            all_t.append(t)
-            all_l.append(np.full(t.size, idx, dtype=np.int8))
-    if not all_t:
-        return EventStream(
-            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8), scenario.trial_duration
-        )
-    t = np.concatenate(all_t)
-    l = np.concatenate(all_l)
-    order = np.argsort(t, kind="stable")
-    t_ns = np.round(t[order] / NS).astype(np.int64)
-    t_ns, l = apply_dead_time(t_ns, l[order], int(round(dead.dead_time / NS)))
-    return EventStream(t_ns, l, scenario.trial_duration)
+    t_ns, labels = _arrivals(scenario, ion_present, rng)
+    t_ns, labels = apply_dead_time(t_ns, labels, _dead_ns(dead))
+    return EventStream(t_ns, labels, scenario.trial_duration)
+
+
+def _block_counts(scenario: Scenario, ion_present: bool, dead: DeadTimeModel | None, rngs, width: float, n: int):
+    """Dead-time-filtered counts in n windows of `width` seconds for one trial per
+    generator in rngs, as a trials x n matrix.
+
+    Trial j draws its arrivals from rngs[j] and is shifted by j spans. A span
+    exceeds the trial duration by more than the dead-time gap, so one
+    apply_dead_time pass over the joined trials is exact: no trial's dead time
+    reaches into the next.
+    """
+    dead_ns = _dead_ns(dead)
+    span = round(scenario.trial_duration / NS) + _dead_gap_ns(dead_ns) + 1
+    times = [_arrivals(scenario, ion_present, rng)[0] for rng in rngs]
+    rows = np.repeat(np.arange(len(times)), [t.size for t in times])
+    # each event's trial rides through the filter as its label
+    t_ns, rows = apply_dead_time(np.concatenate(times) + rows * span, rows, dead_ns)
+    return _bin_counts(t_ns - rows * span, width, n, rows, len(times))
 
 
 def gate_and_count(stream: EventStream, gate: float) -> np.ndarray:
@@ -141,11 +181,20 @@ def gate_and_count(stream: EventStream, gate: float) -> np.ndarray:
     return _bin_counts(stream.timestamps_ns, gate, n_gates)
 
 
-def _bin_counts(timestamps_ns: np.ndarray, width: float, n: int) -> np.ndarray:
-    """Events in each of n consecutive windows of `width` seconds starting at 0."""
+def _bin_counts(timestamps_ns: np.ndarray, width: float, n: int, rows: np.ndarray | None = None, n_rows: int = 1):
+    """Events in each of n consecutive windows of `width` seconds starting at 0.
+
+    The windows are half-open except the last, which also takes its closing
+    edge (as np.histogram does). With `rows`, each event's row index below
+    n_rows, the counts come back as an n_rows x n matrix.
+    """
+    if rows is None:  # one stream is a block of one row
+        return _bin_counts(timestamps_ns, width, n, np.zeros(timestamps_ns.size, dtype=np.int64))[0]
     edges_ns = np.round(np.arange(n + 1) * width / NS).astype(np.int64)
-    counts, _ = np.histogram(timestamps_ns, bins=edges_ns)
-    return counts
+    idx = np.searchsorted(edges_ns, timestamps_ns, side="right") - 1
+    idx[timestamps_ns == edges_ns[-1]] = n - 1
+    inside = (idx >= 0) & (idx < n)
+    return np.bincount(rows[inside] * n + idx[inside], minlength=n_rows * n).reshape(n_rows, n)
 
 
 @dataclass(frozen=True)

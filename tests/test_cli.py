@@ -248,9 +248,10 @@ class TestManifest:
 
 
 def test_cli_import_leaves_scipy_signal_and_stats_unloaded():
-    # scipy.signal and scipy.stats take most of a cold start; the CLI loads them only when used
+    # scipy.signal, scipy.stats and scipy.special take most of a cold start; the CLI loads them only when used
     src = str(Path(__file__).resolve().parents[1] / "src")
-    code = "import sys, spadsim.cli; print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+    lazy = ("scipy.signal", "scipy.stats", "scipy.special")
+    code = f"import sys, spadsim.cli; print(sorted(m for m in {lazy!r} if m in sys.modules))"
     out = subprocess.run(
         [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"],
         capture_output=True, text=True, check=True,

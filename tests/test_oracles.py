@@ -1,8 +1,9 @@
 """Property tests: each array-at-a-time stage against the per-element loop it replaced.
 
-The loops below are the reference implementations: the per-trial, per-target
-detector sweep; the per-event direct sum of exponential pulses; the per-edge
-Schmitt trigger; and the per-angle 2x2 transfer-matrix product.
+The loops below are the reference implementations: the per-event dead-time
+filter; np.histogram per stream for the block binning; the per-trial,
+per-target detector sweep; the per-event direct sum of exponential pulses;
+the per-edge Schmitt trigger; and the per-angle 2x2 transfer-matrix product.
 """
 
 import math
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import signal
 
-from spadsim.detection import BayesianConfig, _trial_rng, detect_from_counts, fidelity_curve
+from spadsim.detection import _BLOCK_CELLS, BayesianConfig, _trial_rng, detect_from_counts, fidelity_curve
 from spadsim.model import RateBudget, Scenario
 from spadsim.optics import OpticalStack, stack_reflectance, stack_transmittance
 from spadsim.simulator import (
@@ -24,6 +25,7 @@ from spadsim.simulator import (
     FrontEndParams,
     _bin_counts,
     _schmitt_crossings,
+    apply_dead_time,
     simulate_frontend,
     simulate_stream,
 )
@@ -31,6 +33,85 @@ from spadsim.simulator import (
 
 def finite(lo, hi):
     return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False)
+
+
+# --- dead time -------------------------------------------------------------------
+
+
+def loop_dead_time(times_ns, labels, dead_ns):
+    """Walk every event; keep it iff it is >= max(dead_ns, 1) after the last kept one."""
+    keep = np.zeros(times_ns.size, dtype=bool)
+    last = -(1 << 62)
+    gap = max(int(dead_ns), 1)
+    for i, t in enumerate(times_ns):
+        if t - last >= gap:
+            keep[i] = True
+            last = t
+    return times_ns[keep], labels[keep]
+
+
+@st.composite
+def dead_time_cases(draw):
+    """A dead time and event times whose gaps favour the boundary cases: duplicates,
+    exactly dead_ns and dead_ns - 1 apart, and bursts of close events.
+
+    apply_dead_time takes ascending times; cumulative nonnegative gaps keep them so.
+    """
+    dead_ns = draw(st.one_of(st.sampled_from([0, 1, 2, 1000]), st.integers(0, 5000)))
+    gap = st.one_of(
+        st.sampled_from([0, dead_ns, max(dead_ns - 1, 0), dead_ns + 1]),
+        st.integers(0, max(dead_ns // 3, 1)),  # inside a burst
+        st.integers(0, 3 * dead_ns + 3),
+        st.integers(0, 10**6),
+    )
+    gaps = draw(st.lists(gap, max_size=200))
+    start = draw(st.integers(0, 10**9))
+    return dead_ns, start + np.cumsum(np.asarray(gaps, dtype=np.int64))
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=dead_time_cases())
+@example(case=(0, np.array([5, 5, 5, 6, 6, 9], dtype=np.int64)))
+@example(case=(1000, np.array([0, 999, 1000, 1999, 2000, 2999, 3998, 3999], dtype=np.int64)))
+@example(case=(1000, np.arange(0, 5000, 100, dtype=np.int64)))  # one long burst
+def test_dead_time_matches_per_event_walk(case):
+    dead_ns, times = case
+    labels = np.arange(times.size)
+    got_t, got_l = apply_dead_time(times, labels, dead_ns)
+    want_t, want_l = loop_dead_time(times, labels, dead_ns)
+    assert got_t.tolist() == want_t.tolist()
+    assert got_l.tolist() == want_l.tolist()
+
+
+# --- binning ---------------------------------------------------------------------
+
+
+@st.composite
+def binning_cases(draw):
+    """Window width and count, events (some on an edge, some outside) and each event's row."""
+    width = draw(st.one_of(finite(0.3e-9, 5e-9), finite(5e-9, 1e-4)))  # below 1 ns, edges repeat
+    n = draw(st.integers(1, 40))
+    edges = np.round(np.arange(n + 1) * width / NS).astype(np.int64)
+    on_edge = st.sampled_from(edges.tolist())
+    anywhere = st.integers(int(edges[0]) - 3, int(edges[-1]) + 3)
+    ts = draw(st.lists(st.one_of(on_edge, anywhere), max_size=60))
+    n_rows = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.integers(0, n_rows - 1), min_size=len(ts), max_size=len(ts)))
+    return width, n, np.asarray(ts, dtype=np.int64), np.asarray(rows, dtype=np.int64), n_rows
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=binning_cases())
+# on the first edge, an inner edge and the closing edge, in every row
+@example(case=(1e-6, 3, np.array([0, 999, 1000, 3000, 3000, 3001, -1]), np.array([0, 0, 1, 1, 2, 0, 2]), 3))
+def test_bin_counts_match_histogram(case):
+    width, n, ts, rows, n_rows = case
+    edges = np.round(np.arange(n + 1) * width / NS).astype(np.int64)
+    np.testing.assert_array_equal(_bin_counts(ts, width, n), np.histogram(ts, bins=edges)[0])
+    block = _bin_counts(ts, width, n, rows, n_rows)
+    assert block.shape == (n_rows, n)
+    for r in range(n_rows):
+        np.testing.assert_array_equal(block[r], np.histogram(ts[rows == r], bins=edges)[0])
 
 
 # --- sequential detector ---------------------------------------------------------
@@ -102,6 +183,12 @@ targets_st = st.lists(
 # a weak signal and a short horizon leave most trials undecided
 @example(fluorescence=200.0, background=6900.0, dead_time=1e-6, targets=[0.9, 0.999999999],
          trials=10, max_time=2e-3, n_bins=20, seed=4)
+# enough bins for two trials per block: seven trials make three full blocks and a partial one;
+# a 1 ms dead time would reach from most trials into the next if they were packed too closely
+@example(fluorescence=3e4, background=2e4, dead_time=1e-3, targets=[0.9, 0.999],
+         trials=7, max_time=20e-3, n_bins=_BLOCK_CELLS // 3 + 1, seed=5)
+@example(fluorescence=2e3, background=0.0, dead_time=1e-6, targets=[0.99],
+         trials=7, max_time=20e-3, n_bins=_BLOCK_CELLS // 3 + 1, seed=6)
 def test_fidelity_curve_matches_per_trial_detector(
     fluorescence, background, dead_time, targets, trials, max_time, n_bins, seed
 ):

@@ -219,3 +219,22 @@ class TestEventStreamSerialization:
     def test_csv_bad_header(self):
         with pytest.raises(ValueError):
             EventStream.from_csv("time,source\n", duration=1.0)
+
+    def test_csv_negative_timestamp_rejected(self):
+        with pytest.raises(ValueError, match=r"timestamp -500 ns at index 0 is negative"):
+            EventStream.from_csv("timestamp_ns,label\n-500,dark\n1000,dark\n", duration=1.0)
+
+
+class TestEventStreamValidation:
+    def test_negative_timestamp_named(self):
+        with pytest.raises(ValueError, match=r"timestamp -7 ns at index 1 is negative"):
+            make_stream([3, -7, -9])  # the first negative one is named, even out of order
+        with pytest.raises(ValueError, match=r"timestamp -1 ns at index 2 is negative"):
+            make_stream([5, 8, -1])
+
+    def test_zero_timestamp_accepted(self):
+        assert len(make_stream([0, 1])) == 2
+
+    def test_not_increasing_rejected(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            make_stream([3, 3])
