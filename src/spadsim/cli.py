@@ -49,7 +49,9 @@ def _manifest_hash(subcommand: str, args: argparse.Namespace, config_text: str) 
 
 def _write_output(path: Path, manifest: str, body: str):
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(f"# manifest: {manifest}\n{body}")
+    with path.open("w") as f:  # two writes: the body is not copied behind the manifest line
+        f.write(f"# manifest: {manifest}\n")
+        f.write(body)
     print(f"wrote {path}")
 
 

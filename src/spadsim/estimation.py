@@ -9,7 +9,7 @@ import numpy as np
 
 from .model import BUDGET_SOURCES, EmitterParams, RateBudget, scattering_rate
 from .optics import ActiveAreaMap, DetectorGeometry, collection_efficiency
-from .tables import read_metadata, read_rows
+from .tables import read_grid, read_metadata
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class SpotScan:
 
     @classmethod
     def from_csv(cls, text: str) -> "SpotScan":
-        rows = list(read_rows(text, "spot-scan CSV", None, lambda f: [float(v) for v in f]))
+        counts = read_grid(text, "spot-scan CSV")
         meta = read_metadata(text)
         try:
             step = float(meta["step_nm"]) * 1e-9
@@ -50,7 +50,7 @@ class SpotScan:
             dark = float(meta["dark_kcps"]) * 1e3
         except (KeyError, ValueError) as exc:
             raise ValueError("spot-scan CSV needs a '# step_nm=..., dwell_ms=..., dark_kcps=...' line") from exc
-        return cls(step=step, counts=np.array(rows), dark_rate=dark, dwell=dwell)
+        return cls(step=step, counts=counts, dark_rate=dark, dwell=dwell)
 
 
 def effective_area(scan: SpotScan) -> tuple[float, ActiveAreaMap]:

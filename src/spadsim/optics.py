@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .tables import read_metadata, read_rows
+from .tables import read_grid, read_metadata
 
 WAVELENGTH_UV = 370e-9
 INDEX_SIO2 = 1.47 + 0.0j
@@ -163,14 +163,14 @@ class ActiveAreaMap:
 
     @classmethod
     def from_csv(cls, text: str) -> "ActiveAreaMap":
-        rows = list(read_rows(text, "active-area CSV", None, lambda f: [float(v) for v in f]))
+        weights = read_grid(text, "active-area CSV")
         meta = read_metadata(text)
         try:
             cell = float(meta["cell_size_um"]) * 1e-6
             ox, oy = (float(v) * 1e-6 for v in meta["origin_um"].split(","))
         except (KeyError, ValueError) as exc:
             raise ValueError("active-area CSV needs a '# cell_size_um=..., origin_um=x,y' line") from exc
-        return cls(cell_size=cell, origin=(ox, oy), weights=np.array(rows))
+        return cls(cell_size=cell, origin=(ox, oy), weights=weights)
 
     @classmethod
     def load_csv(cls, path) -> "ActiveAreaMap":

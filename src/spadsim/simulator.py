@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import io
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +12,8 @@ from .tables import read_rows
 NS = 1e-9
 
 _EVENT_HEADER = "timestamp_ns,label"
+_LABEL_CODES = {name: code for code, name in enumerate(SOURCE_LABELS)}
+_WRITE_ROWS = 1 << 14  # events per block of CSV text
 
 
 @dataclass(frozen=True)
@@ -44,15 +44,19 @@ class EventStream:
 
     def __post_init__(self):
         ts = np.asarray(self.timestamps_ns, dtype=np.int64)
-        lb = np.asarray(self.labels, dtype=np.int8)
-        object.__setattr__(self, "timestamps_ns", ts)
-        object.__setattr__(self, "labels", lb)
+        lb = np.asarray(self.labels)
         if ts.shape != lb.shape:
             raise ValueError("timestamps and labels must have equal length")
         negative = np.flatnonzero(ts < 0)
         if negative.size:
             i = int(negative[0])
             raise ValueError(f"timestamp {ts[i]} ns at index {i} is negative")
+        unknown = np.flatnonzero((lb < 0) | (lb >= len(SOURCE_LABELS)))
+        if unknown.size:
+            i = int(unknown[0])
+            raise ValueError(f"label {lb[i]} at index {i} is not a source index 0..{len(SOURCE_LABELS) - 1}")
+        object.__setattr__(self, "timestamps_ns", ts)
+        object.__setattr__(self, "labels", lb.astype(np.int8, copy=False))
         if np.any(np.diff(ts) <= 0):
             raise ValueError("timestamps must be strictly increasing")
         if self.duration <= 0:
@@ -66,23 +70,32 @@ class EventStream:
         return self.timestamps_ns * NS
 
     def counts_by_source(self) -> dict[str, int]:
-        out = {name: 0 for name in SOURCE_LABELS}
-        for idx, n in zip(*np.unique(self.labels, return_counts=True)):
-            out[SOURCE_LABELS[idx]] = int(n)
-        return out
+        return dict(zip(SOURCE_LABELS, np.bincount(self.labels, minlength=len(SOURCE_LABELS)).tolist()))
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(_EVENT_HEADER + "\n")
-        for t, l in zip(self.timestamps_ns, self.labels):
-            buf.write(f"{t},{SOURCE_LABELS[l]}\n")
-        return buf.getvalue()
+        suffix = [f",{name}\n" for name in SOURCE_LABELS]
+        parts = [_EVENT_HEADER + "\n"]
+        for start in range(0, len(self), _WRITE_ROWS):
+            stamps = self.timestamps_ns[start : start + _WRITE_ROWS].tolist()
+            labels = self.labels[start : start + _WRITE_ROWS].tolist()
+            parts.append("".join([f"{t}{suffix[l]}" for t, l in zip(stamps, labels)]))
+        return "".join(parts)
 
     @classmethod
     def from_csv(cls, text: str, duration: float) -> "EventStream":
-        rows = read_rows(text, "event CSV", _EVENT_HEADER, lambda f: (int(f[0]), SOURCE_LABELS.index(f[1])))
-        ts, labels = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64).reshape(-1, 2).T
+        blocks = list(read_rows(text, "event CSV", _EVENT_HEADER, _event_columns))
+        ts, labels = (np.concatenate(col) for col in zip(*blocks)) if blocks else ([], [])
         return cls(ts, labels, duration)
+
+
+def _event_columns(columns: list[list[str]]) -> tuple[np.ndarray, np.ndarray]:
+    """One block of event CSV rows: (timestamps, label codes)."""
+    stamps, names = columns
+    try:
+        codes = list(map(_LABEL_CODES.__getitem__, names))
+    except KeyError as exc:
+        raise ValueError(f"unknown source label {exc.args[0]!r}") from None
+    return np.array(stamps, dtype=np.int64), np.array(codes, dtype=np.int8)
 
 
 def apply_dead_time(times_ns: np.ndarray, labels: np.ndarray, dead_ns: int):

@@ -78,15 +78,17 @@ def toggle_measurements_to_csv(measurements) -> str:
 
 
 def toggle_measurements_from_csv(text: str) -> list[ToggleMeasurement]:
-    def row(fields):
-        *flags, rate_kcps, dwell = fields
-        return ToggleMeasurement(
-            active_sources=tuple(bool(int(f)) for f in flags),
-            measured_rate=float(rate_kcps) * 1e3,
-            dwell=float(dwell),
-        )
+    def block(columns):
+        return [
+            ToggleMeasurement(
+                active_sources=tuple(bool(int(f)) for f in flags),
+                measured_rate=float(rate_kcps) * 1e3,
+                dwell=float(dwell),
+            )
+            for *flags, rate_kcps, dwell in zip(*columns)
+        ]
 
-    return list(read_rows(text, "toggle CSV", _TOGGLE_HEADER, row))
+    return list(itertools.chain.from_iterable(read_rows(text, "toggle CSV", _TOGGLE_HEADER, block)))
 
 
 def make_qe_dataset(
@@ -122,6 +124,10 @@ def qe_dataset_to_csv(offsets, rates) -> str:
 
 
 def qe_dataset_from_csv(text: str) -> tuple[np.ndarray, np.ndarray]:
-    rows = read_rows(text, "QE dataset CSV", _QE_HEADER, lambda f: (float(f[0]) * 1e-6, float(f[1]) * 1e3))
-    offsets, rates = np.fromiter(itertools.chain.from_iterable(rows), dtype=float).reshape(-1, 2).T
+    def block(columns):
+        offsets_um, rates_kcps = (np.array(list(map(float, c))) for c in columns)
+        return offsets_um * 1e-6, rates_kcps * 1e3
+
+    blocks = list(read_rows(text, "QE dataset CSV", _QE_HEADER, block))
+    offsets, rates = (np.concatenate(c) for c in zip(*blocks)) if blocks else (np.empty(0), np.empty(0))
     return offsets, rates

@@ -3,27 +3,34 @@
 The loops below are the reference implementations: the per-event dead-time
 filter; np.histogram per stream for the block binning; the per-trial,
 per-target detector sweep; the per-event direct sum of exponential pulses;
-the per-edge Schmitt trigger; and the per-angle 2x2 transfer-matrix product.
+the per-edge Schmitt trigger; the per-angle 2x2 transfer-matrix product; and
+the per-line table reader.
 """
 
 import math
+import re
+import unittest.mock
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import signal
 
+from spadsim import tables
 from spadsim.detection import _BLOCK_CELLS, BayesianConfig, _trial_rng, detect_from_counts, fidelity_curve
-from spadsim.model import RateBudget, Scenario
+from spadsim.model import SOURCE_LABELS, RateBudget, Scenario
 from spadsim.optics import OpticalStack, stack_reflectance, stack_transmittance
 from spadsim.simulator import (
+    _EVENT_HEADER,
     NS,
     DeadTimeModel,
     EventStream,
     FrontEndParams,
     _bin_counts,
+    _event_columns,
     _schmitt_crossings,
     apply_dead_time,
     simulate_frontend,
@@ -357,3 +364,124 @@ def test_array_reflectance_matches_per_angle_matrix_product(layers, substrate, a
     np.testing.assert_allclose(got_r, want_r, rtol=0, atol=1e-15)
     np.testing.assert_allclose(got_r, [stack_reflectance(stack, a, pol) for a in angles], rtol=0, atol=1e-15)
     np.testing.assert_allclose(stack_transmittance(stack, angles, pol), want_t, rtol=0, atol=1e-15)
+
+
+# --- table reader ----------------------------------------------------------------
+
+
+def loop_read_rows(text, what, header, parse_row):
+    """Walk every line: skip blank and '#' lines, check the header, then split and parse each row.
+
+    A headerless table takes its column count from its first data row.
+    """
+    ncols = None if header is None else header.count(",") + 1
+    need_header = header is not None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line[0] == "#":
+            continue
+        if need_header:
+            if line != header:
+                break
+            need_header = False
+            continue
+        fields = line.split(",")
+        ncols = ncols or len(fields)
+        try:
+            if len(fields) != ncols:
+                raise ValueError(f"expected {ncols} columns, got {len(fields)}")
+            row = parse_row(fields)
+        except ValueError as exc:
+            raise ValueError(f"{what} line {lineno}: {exc}") from exc
+        yield row
+    if need_header:
+        raise ValueError(f"{what} needs the column header {header!r}")
+
+
+def read_event_rows(text):
+    """The block reader's event rows as (timestamp, label code) pairs."""
+    blocks = list(tables.read_rows(text, "event CSV", _EVENT_HEADER, _event_columns))
+    return [row for ts, labels in blocks for row in zip(ts.tolist(), labels.tolist())]
+
+
+def loop_event_rows(text):
+    return list(loop_read_rows(text, "event CSV", _EVENT_HEADER, lambda f: (int(f[0]), SOURCE_LABELS.index(f[1]))))
+
+
+def read_grid_rows(text):
+    return tables.read_grid(text, "grid CSV").tolist()
+
+
+def loop_grid_rows(text):
+    return list(loop_read_rows(text, "grid CSV", None, lambda f: [float(v) for v in f]))
+
+
+def outcome(read, text):
+    """The rows read, or where the ValueError says the table went wrong."""
+    try:
+        return read(text)
+    except ValueError as exc:
+        return re.search(r"line \d+:|needs the column header", str(exc)).group()
+
+
+# Rows the two readers must agree on, good and bad: surrounding whitespace,
+# underscores and signs that int() takes, a wrong field count, a non-number,
+# an unknown label and an empty field.
+EVENT_LINES = ["12,dark", "  7,fluorescence ", "+3,rf", "1_000,doppler", "0,dark",
+               "5,dark,1", "9", "x1,dark", "1.5,dark", "4,bogus", "4, dark", ",dark", "8,"]
+GRID_LINES = ["1,2,3", "0.5, 1e3 ,-2", " 4,5,6 ", "7,8", "1,2,3,4", "1,x,3", "1,,3", "inf,0,1"]
+SKIPPED = ["", "   ", "# manifest: 0123456789abcdef", "# cell_size_um=1, origin_um=0,0", " # note, with, commas"]
+
+
+@st.composite
+def tables_text(draw, body_lines, header):
+    """A table text with '#' and blank lines anywhere and LF or CRLF line ends, and a block size
+    from 1 character to past its end, often exactly where a line ends."""
+    lines = draw(st.lists(st.one_of(st.sampled_from(body_lines), st.sampled_from(SKIPPED)), max_size=40))
+    if header is not None and draw(st.integers(0, 9)):  # the header, sometimes missing or misplaced
+        lines.insert(draw(st.integers(0, len(lines))), header)
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if text and draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no line end after the last line
+    line_ends = [m.end() for m in re.finditer("\n", text)]
+    block = draw(st.one_of(st.integers(1, len(text) + 2), st.sampled_from(line_ends or [1])))
+    return text, block
+
+
+def assert_readers_agree(read, loop, text, block):
+    with unittest.mock.patch.object(tables, "_BLOCK_CHARS", block):
+        got = outcome(read, text)
+    assert got == outcome(loop, text)
+
+
+EVENT_BODY = "timestamp_ns,label\n1,dark\n2,rf\n"
+
+
+@settings(deadline=None, max_examples=400)
+@given(case=tables_text(EVENT_LINES, _EVENT_HEADER))
+@example(case=("# manifest: 0123456789abcdef\n" + EVENT_BODY, len(EVENT_BODY)))  # the body is exactly a block
+@example(case=(EVENT_BODY + "3,dark\n", len(EVENT_BODY)))  # a block of the header and two rows, then one row
+@example(case=(EVENT_BODY + "\n\n# a\n\n4,bogus\n", 5))  # a bad row past several blocks
+def test_event_block_reader_matches_per_line_loop(case):
+    assert_readers_agree(read_event_rows, loop_event_rows, *case)
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=tables_text(GRID_LINES, None))
+@example(case=("1,2\n\r\n3,4\n5\n", 4))  # CRLF blank line, then a short row in a later block
+def test_grid_block_reader_matches_per_line_loop(case):
+    assert_readers_agree(read_grid_rows, loop_grid_rows, *case)
+
+
+def test_table_reader_holds_one_block_of_lines():
+    """A long table is split into blocks of at most _BLOCK_CHARS characters plus one line."""
+    text = "".join(f"{i},dark\n" for i in range(100_000))
+    longest = max(sum(map(len, lines)) + len(lines) for _, lines, _ in tables._blocks(text))
+    assert longest <= tables._BLOCK_CHARS + len("99999,dark\n")
+
+
+def test_columns_rejects_rows_whose_field_counts_balance():
+    # one field short and one over: the total matches two rows of two fields
+    with pytest.raises(ValueError, match="wrong number of columns"):
+        tables._columns(["9", "5,dark,1"], 2)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -59,6 +59,8 @@ def test_config_text_round_trip(rates, seed, duration, dead_time):
     labels=st.lists(st.integers(0, len(SOURCE_LABELS) - 1), min_size=50, max_size=50),
     manifest=st.booleans(),
 )
+# longer than one block of the CSV writer
+@example(gaps=[1, 10**9] * 9000, labels=[i % len(SOURCE_LABELS) for i in range(18000)], manifest=True)
 def test_event_csv_round_trip(gaps, labels, manifest):
     stream = EventStream(np.cumsum(gaps, dtype=np.int64), labels[: len(gaps)], 1.0)
     back = EventStream.from_csv(with_manifest(stream.to_csv(), manifest), stream.duration)

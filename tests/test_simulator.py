@@ -224,6 +224,19 @@ class TestEventStreamSerialization:
         with pytest.raises(ValueError, match=r"timestamp -500 ns at index 0 is negative"):
             EventStream.from_csv("timestamp_ns,label\n-500,dark\n1000,dark\n", duration=1.0)
 
+    # each bad row sits on line 5, below a manifest line, the header and blank lines
+    @pytest.mark.parametrize("row", ["1000,bogus", "1000.5,dark", "1000,dark,1", "1000,-1", "1000,7"])
+    def test_csv_bad_row_names_its_line(self, row):
+        text = f"# manifest: 0123456789abcdef\n\ntimestamp_ns,label\n\n{row}\n2000,dark\n"
+        with pytest.raises(ValueError, match=r"event CSV line 5: "):
+            EventStream.from_csv(text, duration=1.0)
+
+    def test_csv_bad_row_in_a_later_block_names_its_line(self):
+        rows = "".join(f"{t},dark\n" for t in range(1, 60_001))  # over 512 KB with the bad row
+        text = f"# manifest: 0123456789abcdef\ntimestamp_ns,label\n{rows}60001,bogus\n"
+        with pytest.raises(ValueError, match=r"event CSV line 60003: unknown source label 'bogus'"):
+            EventStream.from_csv(text, duration=1.0)
+
 
 class TestEventStreamValidation:
     def test_negative_timestamp_named(self):
@@ -231,6 +244,19 @@ class TestEventStreamValidation:
             make_stream([3, -7, -9])  # the first negative one is named, even out of order
         with pytest.raises(ValueError, match=r"timestamp -1 ns at index 2 is negative"):
             make_stream([5, 8, -1])
+
+    @pytest.mark.parametrize("label", [-1, 7])
+    def test_label_outside_sources_named(self, label):
+        with pytest.raises(ValueError, match=rf"label {label} at index 1 is not a source index 0\.\.4"):
+            EventStream(np.array([10, 20]), np.array([0, label]), 1.0)
+
+    def test_label_beyond_int8_not_wrapped(self):
+        with pytest.raises(ValueError, match=r"label 256 at index 0"):
+            EventStream(np.array([10]), np.array([256]), 1.0)
+
+    def test_counts_by_source_covers_every_source(self):
+        stream = EventStream(np.array([1, 2, 3, 4]), np.array([4, 0, 4, 2]), 1.0)
+        assert stream.counts_by_source() == {"fluorescence": 1, "repump": 0, "doppler": 1, "dark": 0, "rf": 2}
 
     def test_zero_timestamp_accepted(self):
         assert len(make_stream([0, 1])) == 2
