@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import RateBudget, Scenario
-from .simulator import DeadTimeModel, EventStream, _bin_counts, _block_counts
+from .simulator import DeadTimeModel, EventStream, _bin_counts, _chunk_counts
 
 # Effective emission rate (photons/s) of the odd-isotope emitter during
 # hyperfine-qubit readout. Coherent population trapping reduces it well below
@@ -166,7 +166,7 @@ def _first_crossings(llr: np.ndarray, thresholds) -> np.ndarray:
     The running max of |llr| never falls, so that bin is the count of bins where it is still below.
     """
     peak = np.maximum.accumulate(np.abs(llr), axis=-1)
-    return np.stack([np.count_nonzero(peak < t, axis=-1) for t in thresholds], axis=-1)
+    return np.count_nonzero(peak[..., None, :] < np.asarray(thresholds)[:, None], axis=-1)
 
 
 def wald_bound(ion_rate: float, empty_rate: float, error: float) -> tuple[float, float]:
@@ -196,13 +196,12 @@ class FidelityCurve:
     empty_rate: float
 
 
-# trials x bins of one block of the fidelity sweep: the block's arrays stay
-# small next to the rest of the process, and its per-trial work amortises
-_BLOCK_CELLS = 1 << 14
-
-
-def _trial_rng(seed: int, hypothesis: int, trial: int):
-    return np.random.default_rng([seed, hypothesis, trial])
+# Trials drawn from one generator, [seed, hypothesis, chunk]: this constant fixes
+# the sweep's random stream. 64 keeps a chunk's arrays near 1 MB at both presets
+# and its per-chunk set-up small next to its draws.
+_CHUNK_TRIALS = 64
+# Bins in the first window of the early-exit log-odds pass; each next window is twice as wide.
+_FIRST_WINDOW = 32
 
 
 def fidelity_curve(
@@ -218,16 +217,19 @@ def fidelity_curve(
 
     For each target, `trials` ion-present and `trials` ion-absent streams run
     through the sequential detector; streams are shared across targets so the
-    sweep is smooth in the common randomness. Only each trial's stopping bin
-    and MAP choice per target are kept.
+    sweep is smooth in the common randomness.
 
-    Trials run in blocks of about _BLOCK_CELLS trials x bins, each trial
-    drawing from its own generator: one dead-time filter, one binning pass
-    and one log-odds cumsum serve the block.
+    Trials run in chunks of _CHUNK_TRIALS, each chunk drawing from its own
+    generator: one dead-time filter and one binning pass serve the chunk, and
+    its log odds are taken only as far as its last undecided trial
+    (_stopping_bins). Only counts of correct choices and sums of stopping bins
+    are kept, so memory does not grow with `trials`.
     """
     targets = list(targets)
     if not targets:
         raise ValueError("targets must be non-empty")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     ion_rate, empty_rate = scenario.budget.ion_total(), scenario.budget.background_total()
     if not ion_rate > empty_rate:
         raise ValueError("scenario has no signal rate above background")
@@ -235,25 +237,23 @@ def fidelity_curve(
     thresholds = [math.log(t / (1.0 - t)) for t in targets]
     trial_scenario = replace(scenario, trial_duration=max_time)
     n_bins = max(int(np.floor(max_time / sub_bin + 1e-9)), 1)
-    block_rows = max(_BLOCK_CELLS // n_bins, 1)
-    # per target, hypothesis (ion, then empty) and trial: the stopping bin and the MAP choice there
-    stops = np.empty((len(targets), 2, trials), dtype=np.int64)
-    says_ion = np.empty((len(targets), 2, trials), dtype=bool)
+    # per target: correct MAP choices per hypothesis (ion, then empty), and the sum of stopping bins + 1
+    correct = np.zeros((len(targets), 2), dtype=np.int64)
+    bins_used = np.zeros(len(targets), dtype=np.int64)
     for h, ion_present in enumerate((True, False)):
-        for first in range(0, trials, block_rows):
-            last = min(first + block_rows, trials)
-            rngs = [_trial_rng(scenario.rng_seed, int(ion_present), i) for i in range(first, last)]
-            counts = _block_counts(trial_scenario, ion_present, dead, rngs, sub_bin, n_bins)
-            llr = _log_odds(counts, ion_rate, empty_rate, configs[0])  # configs differ only in target
-            # an undecided trial stops at the last bin
-            stop = np.minimum(_first_crossings(llr, thresholds), n_bins - 1)
-            stops[:, h, first:last] = stop.T
-            says_ion[:, h, first:last] = np.take_along_axis(llr, stop, axis=1).T > 0
+        for chunk, first in enumerate(range(0, trials, _CHUNK_TRIALS)):
+            n = min(_CHUNK_TRIALS, trials - first)
+            rng = np.random.default_rng([scenario.rng_seed, int(ion_present), chunk])
+            counts = _chunk_counts(trial_scenario, ion_present, dead, rng, n, sub_bin, n_bins)
+            # configs differ only in target
+            stop, says_ion = _stopping_bins(counts, ion_rate, empty_rate, configs[0], thresholds)
+            correct[:, h] += np.count_nonzero(says_ion == ion_present, axis=0)
+            bins_used += (stop + 1).sum(axis=0)
 
-    bayes_points = []
-    for target, stop, ion in zip(targets, stops, says_ion):
-        fidelity = 0.5 * (int(ion[0].sum()) / trials + int((~ion[1]).sum()) / trials)
-        bayes_points.append((target, fidelity, float(np.mean((stop.ravel() + 1) * sub_bin))))
+    bayes_points = [
+        (target, 0.5 * (int(ok[0]) / trials + int(ok[1]) / trials), float(int(used) * sub_bin / (2 * trials)))
+        for target, ok, used in zip(targets, correct, bins_used)
+    ]
 
     if threshold_windows is None:
         threshold_windows = np.geomspace(sub_bin, max_time, 25)
@@ -262,6 +262,44 @@ def fidelity_curve(
         for w in threshold_windows
     ]
     return FidelityCurve(bayes_points, thresh_points, ion_rate, empty_rate)
+
+
+def _stopping_bins(counts: np.ndarray, ion_rate: float, empty_rate: float, config: BayesianConfig, thresholds):
+    """Each row's stopping bin per threshold, and whether its log odds there favour the ion,
+    as two rows x thresholds arrays; a row that never reaches a threshold stops at its last bin.
+
+    The same as _log_odds and _first_crossings over whole rows, but the bins go
+    in windows of _FIRST_WINDOW, then twice as many, and so on, and a window
+    takes only the rows still below some threshold. Each such row carries its
+    log-likelihood sum into the next window's first bin, so the sums are added
+    in the same order as one cumsum over the row. Its running max of |log
+    odds| needs no carrying: a row still below a threshold has stayed below it.
+    """
+    n_rows, n_bins = counts.shape
+    prior_logit = math.log(config.prior_ion / (1.0 - config.prior_ion))
+    stop = np.empty((n_rows, len(thresholds)), dtype=np.int64)
+    says_ion = np.empty((n_rows, len(thresholds)), dtype=bool)
+    below = np.ones((n_rows, len(thresholds)), dtype=bool)  # not yet at the threshold
+    total = np.zeros(n_rows)  # log-likelihood sum so far
+    live = np.arange(n_rows)  # rows below some threshold
+    start, width = 0, _FIRST_WINDOW
+    while live.size:
+        end = min(start + width, n_bins)
+        per_bin = _bin_log_likelihood_ratios(counts[live, start:end], ion_rate, empty_rate, config.sub_bin)
+        per_bin[:, 0] += total[live]
+        sums = np.cumsum(per_bin, axis=1)
+        total[live] = sums[:, -1]
+        llr = prior_logit + sums
+        crossing = _first_crossings(llr, thresholds)
+        if end == n_bins:  # the rows left stop at the last bin
+            crossing = np.minimum(crossing, end - start - 1)
+        r, j = np.nonzero(below[live] & (crossing < end - start))
+        stop[live[r], j] = start + crossing[r, j]
+        says_ion[live[r], j] = llr[r, crossing[r, j]] > 0
+        below[live[r], j] = False
+        live = live[below[live].any(axis=1)]
+        start, width = end, 2 * width
+    return stop, says_ion
 
 
 def projected_budget(

@@ -21,13 +21,10 @@ class DeadTimeModel:
     """Nonparalyzable dead time: events within dead_time of the last kept event are dropped."""
 
     dead_time: float = 1e-6
-    mode: str = "nonparalyzable"
 
     def __post_init__(self):
         if self.dead_time < 0:
             raise ValueError("dead_time must be >= 0")
-        if self.mode != "nonparalyzable":
-            raise ValueError(f"unsupported dead-time mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -51,7 +48,10 @@ class EventStream:
         if negative.size:
             i = int(negative[0])
             raise ValueError(f"timestamp {ts[i]} ns at index {i} is negative")
-        unknown = np.flatnonzero((lb < 0) | (lb >= len(SOURCE_LABELS)))
+        bad = (lb < 0) | (lb >= len(SOURCE_LABELS))
+        if lb.dtype.kind == "f":  # a fractional label is no source index either, not one truncated
+            bad |= lb != np.floor(lb)
+        unknown = np.flatnonzero(bad)
         if unknown.size:
             i = int(unknown[0])
             raise ValueError(f"label {lb[i]} at index {i} is not a source index 0..{len(SOURCE_LABELS) - 1}")
@@ -130,27 +130,27 @@ def _dead_ns(dead: DeadTimeModel | None) -> int:
     return int(round((DeadTimeModel() if dead is None else dead).dead_time / NS))
 
 
-def _arrivals(scenario: Scenario, ion_present: bool, rng) -> tuple[np.ndarray, np.ndarray]:
-    """One trial's superposed Poisson arrivals before dead time: sorted ns times and source labels.
+def _arrivals(scenario: Scenario, ion_present: bool, rng, n: int = 1):
+    """n trials' superposed Poisson arrivals before dead time, unsorted: float times in
+    seconds, source labels and trial rows.
 
     Fluorescence contributes only when ion_present. Each source with a
-    positive rate draws its count, then its times, in BUDGET_SOURCES order.
+    positive rate draws the counts of all n trials in one call, then all their
+    times in one call, in BUDGET_SOURCES order; its events come grouped by
+    trial. With n = 1 that is one count and its times per source.
     """
     rates = [getattr(scenario.budget, name) for name in BUDGET_SOURCES]
     if not ion_present:
         rates[0] = 0.0  # fluorescence
     duration = scenario.trial_duration
-    all_t, all_l = [], []
+    times, labels, rows = [np.empty(0)], [np.empty(0, dtype=np.int8)], [np.empty(0, dtype=np.int64)]
     for idx, rate in enumerate(rates):
         if rate > 0:
-            t = rng.uniform(0.0, duration, size=rng.poisson(rate * duration))
-            all_t.append(t)
-            all_l.append(np.full(t.size, idx, dtype=np.int8))
-    if not all_t:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8)
-    t = np.concatenate(all_t)
-    order = np.argsort(t, kind="stable")
-    return np.round(t[order] / NS).astype(np.int64), np.concatenate(all_l)[order]
+            counts = rng.poisson(rate * duration, size=n)
+            times.append(rng.uniform(0.0, duration, size=int(counts.sum())))
+            labels.append(np.full(times[-1].size, idx, dtype=np.int8))
+            rows.append(np.repeat(np.arange(n), counts))
+    return np.concatenate(times), np.concatenate(labels), np.concatenate(rows)
 
 
 def simulate_stream(scenario: Scenario, ion_present: bool, dead: DeadTimeModel | None = None, rng=None) -> EventStream:
@@ -161,27 +161,32 @@ def simulate_stream(scenario: Scenario, ion_present: bool, dead: DeadTimeModel |
     """
     if rng is None:
         rng = np.random.default_rng(scenario.rng_seed)
-    t_ns, labels = _arrivals(scenario, ion_present, rng)
-    t_ns, labels = apply_dead_time(t_ns, labels, _dead_ns(dead))
+    t, labels, _ = _arrivals(scenario, ion_present, rng)
+    # stable: events at equal float times keep their source order
+    order = np.argsort(t, kind="stable")
+    t_ns, labels = apply_dead_time(np.round(t[order] / NS).astype(np.int64), labels[order], _dead_ns(dead))
     return EventStream(t_ns, labels, scenario.trial_duration)
 
 
-def _block_counts(scenario: Scenario, ion_present: bool, dead: DeadTimeModel | None, rngs, width: float, n: int):
-    """Dead-time-filtered counts in n windows of `width` seconds for one trial per
-    generator in rngs, as a trials x n matrix.
+def _chunk_counts(scenario: Scenario, ion_present: bool, dead: DeadTimeModel | None, rng, trials: int, width: float, n: int):
+    """Dead-time-filtered counts in n windows of `width` seconds for `trials` trials drawn
+    together from rng, as a trials x n matrix.
 
-    Trial j draws its arrivals from rngs[j] and is shifted by j spans. A span
-    exceeds the trial duration by more than the dead-time gap, so one
-    apply_dead_time pass over the joined trials is exact: no trial's dead time
-    reaches into the next.
+    Trial j is shifted by j spans. A span exceeds the trial duration by more
+    than the dead-time gap, so one apply_dead_time pass over the joined trials
+    is exact: no trial's dead time reaches into the next. One integer sort of
+    the shifted nanosecond times orders the events by trial, then time: the
+    order of events at equal times does not matter here, since only the times
+    are kept.
     """
     dead_ns = _dead_ns(dead)
     span = round(scenario.trial_duration / NS) + _dead_gap_ns(dead_ns) + 1
-    times = [_arrivals(scenario, ion_present, rng)[0] for rng in rngs]
-    rows = np.repeat(np.arange(len(times)), [t.size for t in times])
+    t, _, rows = _arrivals(scenario, ion_present, rng, trials)
+    t_ns = np.sort(np.round(t / NS).astype(np.int64) + rows * span)
+    rows = t_ns // span
     # each event's trial rides through the filter as its label
-    t_ns, rows = apply_dead_time(np.concatenate(times) + rows * span, rows, dead_ns)
-    return _bin_counts(t_ns - rows * span, width, n, rows, len(times))
+    t_ns, rows = apply_dead_time(t_ns, rows, dead_ns)
+    return _bin_counts(t_ns - rows * span, width, n, rows, trials)
 
 
 def gate_and_count(stream: EventStream, gate: float) -> np.ndarray:

@@ -81,7 +81,7 @@ def toggle_measurements_from_csv(text: str) -> list[ToggleMeasurement]:
     def block(columns):
         return [
             ToggleMeasurement(
-                active_sources=tuple(bool(int(f)) for f in flags),
+                active_sources=tuple(map(_source_flag, flags)),
                 measured_rate=float(rate_kcps) * 1e3,
                 dwell=float(dwell),
             )
@@ -89,6 +89,14 @@ def toggle_measurements_from_csv(text: str) -> list[ToggleMeasurement]:
         ]
 
     return list(itertools.chain.from_iterable(read_rows(text, "toggle CSV", _TOGGLE_HEADER, block)))
+
+
+def _source_flag(field: str) -> bool:
+    """A toggle table's on/off field: 0 or 1 and nothing else."""
+    flag = int(field)
+    if flag not in (0, 1):
+        raise ValueError(f"source flag {field.strip()!r} is not 0 or 1")
+    return flag == 1
 
 
 def make_qe_dataset(

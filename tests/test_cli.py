@@ -151,6 +151,14 @@ class TestFidelity:
         rc = main(["fidelity", "--config", config_file, "--targets", "1.5", "--trials", "10"])
         assert rc == EXIT_INPUT_ERROR
 
+    @pytest.mark.parametrize("projection", [[], ["--projection"]], ids=["curve", "projection"])
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_trials_below_one_is_input_error(self, tmp_path, capsys, projection, trials):
+        out = tmp_path / "fidelity.csv"
+        assert main(["fidelity", *projection, "--trials", trials, "--out", str(out)]) == EXIT_INPUT_ERROR
+        assert f"trials must be >= 1, got {trials}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCollection:
     def test_check_monotone(self, outdir, capsys):
@@ -218,6 +226,13 @@ class TestBudget:
         bad = tmp_path / "bad.csv"
         bad.write_text("not,a,toggle,table\n")
         assert main(["budget", str(bad)]) == EXIT_INPUT_ERROR
+
+    def test_flag_other_than_0_or_1_exits_2(self, outdir, tmp_path, capsys):
+        bad = tmp_path / "toggles.csv"
+        bad.write_text("fluorescence,repump,doppler,dark,rf,rate_kcps,dwell_s\n0,0,0,1,0,1.2,50\n2,0,-3,0,0,1.0,1.0\n")
+        assert main(["budget", str(bad)]) == EXIT_INPUT_ERROR
+        assert "toggle CSV line 3: source flag '2' is not 0 or 1" in capsys.readouterr().err
+        assert not (outdir / "budget.csv").exists()
 
 
 class TestQEFit:

@@ -140,6 +140,12 @@ class TestDecomposeBudget:
         with pytest.raises(ValueError, match="line 7"):  # header and five rows above it
             toggle_measurements_from_csv(good + "1,0,0\n")
 
+    @pytest.mark.parametrize("flag", ["2", "-3", "-1", "1.0", "yes"])
+    def test_csv_flag_other_than_0_or_1_named(self, flag):
+        good = toggle_measurements_to_csv(make_toggle_measurements(table_budget()))
+        with pytest.raises(ValueError, match="toggle CSV line 7"):  # header and five rows above it
+            toggle_measurements_from_csv(good + f"1,0,{flag},0,0,1.0,1.0\n")
+
 
 class TestFitSaturation:
     def test_exact_model_recovery(self):

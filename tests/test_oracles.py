@@ -1,10 +1,12 @@
 """Property tests: each array-at-a-time stage against the per-element loop it replaced.
 
-The loops below are the reference implementations: the per-event dead-time
-filter; np.histogram per stream for the block binning; the per-trial,
-per-target detector sweep; the per-event direct sum of exponential pulses;
-the per-edge Schmitt trigger; the per-angle 2x2 transfer-matrix product; and
-the per-line table reader.
+The loops below are the reference implementations: the per-trial arrival
+draw; the per-event dead-time filter; np.histogram per stream for the block
+binning; the per-trial, per-target detector sweep; the dense log-odds pass
+for the early-exit one; the per-event direct sum of exponential pulses; the
+per-edge Schmitt trigger; the per-angle 2x2 transfer-matrix product; and the
+per-line table reader. The sequential detector's Monte Carlo is also checked
+against its exact solution at zero dead time.
 """
 
 import math
@@ -19,9 +21,19 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import signal
 
-from spadsim import tables
-from spadsim.detection import _BLOCK_CELLS, BayesianConfig, _trial_rng, detect_from_counts, fidelity_curve
-from spadsim.model import SOURCE_LABELS, RateBudget, Scenario
+from spadsim import detection, tables
+from spadsim.detection import (
+    _CHUNK_TRIALS,
+    PROJECTION_TARGET_SWEEP,
+    BayesianConfig,
+    _first_crossings,
+    _log_odds,
+    _stopping_bins,
+    detect_from_counts,
+    fidelity_curve,
+    projected_scenario_fidelity,
+)
+from spadsim.model import BUDGET_SOURCES, SOURCE_LABELS, RateBudget, Scenario, table_budget
 from spadsim.optics import OpticalStack, stack_reflectance, stack_transmittance
 from spadsim.simulator import (
     _EVENT_HEADER,
@@ -29,6 +41,7 @@ from spadsim.simulator import (
     DeadTimeModel,
     EventStream,
     FrontEndParams,
+    _arrivals,
     _bin_counts,
     _event_columns,
     _schmitt_crossings,
@@ -90,6 +103,66 @@ def test_dead_time_matches_per_event_walk(case):
     assert got_l.tolist() == want_l.tolist()
 
 
+# --- arrivals --------------------------------------------------------------------
+
+
+def loop_arrivals(scenario, ion_present, rng):
+    """One trial's arrivals, a count and then its times per source: sorted ns times and labels."""
+    rates = [getattr(scenario.budget, name) for name in BUDGET_SOURCES]
+    if not ion_present:
+        rates[0] = 0.0  # fluorescence
+    duration = scenario.trial_duration
+    all_t, all_l = [], []
+    for idx, rate in enumerate(rates):
+        if rate > 0:
+            t = rng.uniform(0.0, duration, size=rng.poisson(rate * duration))
+            all_t.append(t)
+            all_l.append(np.full(t.size, idx, dtype=np.int8))
+    if not all_t:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8)
+    t = np.concatenate(all_t)
+    order = np.argsort(t, kind="stable")
+    return np.round(t[order] / NS).astype(np.int64), np.concatenate(all_l)[order]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 77, 4242, 2**40 + 3])
+@pytest.mark.parametrize("ion_present", [True, False])
+@pytest.mark.parametrize("budget", [table_budget(), RateBudget(dark_counts=300.0)], ids=["reference", "dark"])
+def test_simulate_stream_matches_per_trial_draw(seed, ion_present, budget):
+    scenario = Scenario(budget=budget, trial_duration=0.5, rng_seed=seed)
+    for dead_time in (0.0, 1e-6):
+        stream = simulate_stream(scenario, ion_present, DeadTimeModel(dead_time))
+        t_ns, labels = loop_arrivals(scenario, ion_present, np.random.default_rng(seed))
+        want_t, want_l = loop_dead_time(t_ns, labels, round(dead_time / NS))
+        assert stream.timestamps_ns.tolist() == want_t.tolist()
+        assert stream.labels.tolist() == want_l.tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 4242])
+@pytest.mark.parametrize("ion_present", [True, False])
+@pytest.mark.parametrize("budget", [table_budget(), RateBudget(dark_counts=300.0)], ids=["reference", "dark"])
+def test_chunk_draw_matches_per_source_calls(seed, ion_present, budget):
+    """n trials at once: per source, all n Poisson counts and then all their uniform
+    times, split into trials by count, are _arrivals(..., n) row by row."""
+    scenario = Scenario(budget=budget, trial_duration=2e-3, rng_seed=seed)
+    n = 9
+    t, labels, rows = _arrivals(scenario, ion_present, np.random.default_rng(seed), n)
+    rng = np.random.default_rng(seed)
+    want_t, want_l = [[] for _ in range(n)], [[] for _ in range(n)]
+    for idx, name in enumerate(BUDGET_SOURCES):
+        rate = getattr(budget, name) if ion_present or idx > 0 else 0.0
+        if rate > 0:
+            counts = rng.poisson(rate * scenario.trial_duration, size=n)
+            times = rng.uniform(0.0, scenario.trial_duration, size=counts.sum())
+            for j, part in enumerate(np.split(times, np.cumsum(counts)[:-1])):
+                want_t[j] += part.tolist()
+                want_l[j] += [idx] * part.size
+    assert sum(map(len, want_t)) == t.size
+    for j in range(n):
+        assert t[rows == j].tolist() == want_t[j]
+        assert labels[rows == j].tolist() == want_l[j]
+
+
 # --- binning ---------------------------------------------------------------------
 
 
@@ -140,31 +213,38 @@ def loop_detect(counts, ion_rate, empty_rate, config):
 
 
 def loop_fidelity_points(scenario, targets, trials, sub_bin, max_time, dead):
-    """The adaptive points of fidelity_curve: bin every trial, then run detect_from_counts per trial and target."""
+    """The adaptive points of fidelity_curve: split each chunk's draw into its trials, sort,
+    dead-time filter and bin each trial on its own, then run detect_from_counts per trial and target."""
     ion_rate, empty_rate = scenario.budget.ion_total(), scenario.budget.background_total()
     trial_scenario = replace(scenario, trial_duration=max_time)
     n_bins = max(int(np.floor(max_time / sub_bin + 1e-9)), 1)
+    edges = np.round(np.arange(n_bins + 1) * sub_bin / NS).astype(np.int64)
     binned = {}
     for hyp, ion_present in ((1, True), (0, False)):
-        rows = np.empty((trials, n_bins), dtype=np.int64)
-        for i in range(trials):
-            stream = simulate_stream(trial_scenario, ion_present, dead, rng=_trial_rng(scenario.rng_seed, hyp, i))
-            rows[i] = _bin_counts(stream.timestamps_ns, sub_bin, n_bins)
-        binned[hyp] = rows
+        binned[hyp] = []
+        for chunk, first in enumerate(range(0, trials, _CHUNK_TRIALS)):
+            n = min(_CHUNK_TRIALS, trials - first)
+            rng = np.random.default_rng([scenario.rng_seed, hyp, chunk])
+            t, labels, trial = _arrivals(trial_scenario, ion_present, rng, n)
+            for j in range(n):
+                order = np.argsort(t[trial == j], kind="stable")
+                t_ns = np.round(t[trial == j][order] / NS).astype(np.int64)
+                t_ns, _ = loop_dead_time(t_ns, labels[trial == j][order], round(dead.dead_time / NS))
+                binned[hyp].append(np.histogram(t_ns, bins=edges)[0])
     points = []
     for target in targets:
         config = BayesianConfig(target_posterior=target, sub_bin=sub_bin, max_time=max_time)
         correct = {}
-        times = []
+        bins_used = 0
         for hyp in (1, 0):
             want = "ion" if hyp else "no_ion"
             ok = 0
             for counts in binned[hyp]:
                 out = detect_from_counts(counts, ion_rate, empty_rate, config)
                 ok += out.map_decision == want
-                times.append(out.stopping_time)
+                bins_used += len(out.posterior_trace)  # the stopping bin + 1
             correct[hyp] = ok / trials
-        points.append((target, 0.5 * (correct[1] + correct[0]), float(np.mean(times))))
+        points.append((target, 0.5 * (correct[1] + correct[0]), float(bins_used * sub_bin / (2 * trials))))
     return points
 
 
@@ -179,7 +259,7 @@ targets_st = st.lists(
     background=st.one_of(st.just(0.0), finite(10.0, 2e4)),
     dead_time=st.sampled_from([0.0, 1e-6, 50e-6]),
     targets=targets_st,
-    trials=st.integers(1, 12),
+    trials=st.one_of(st.integers(1, 12), st.sampled_from([_CHUNK_TRIALS, _CHUNK_TRIALS + 1])),
     max_time=finite(0.5e-3, 20e-3),
     n_bins=st.integers(1, 60),
     seed=st.integers(0, 2**32),
@@ -190,12 +270,15 @@ targets_st = st.lists(
 # a weak signal and a short horizon leave most trials undecided
 @example(fluorescence=200.0, background=6900.0, dead_time=1e-6, targets=[0.9, 0.999999999],
          trials=10, max_time=2e-3, n_bins=20, seed=4)
-# enough bins for two trials per block: seven trials make three full blocks and a partial one;
-# a 1 ms dead time would reach from most trials into the next if they were packed too closely
+# two full chunks and a partial one; a 1 ms dead time would reach from most trials
+# into the next if they were packed too closely
 @example(fluorescence=3e4, background=2e4, dead_time=1e-3, targets=[0.9, 0.999],
-         trials=7, max_time=20e-3, n_bins=_BLOCK_CELLS // 3 + 1, seed=5)
+         trials=2 * _CHUNK_TRIALS + 7, max_time=20e-3, n_bins=50, seed=5)
 @example(fluorescence=2e3, background=0.0, dead_time=1e-6, targets=[0.99],
-         trials=7, max_time=20e-3, n_bins=_BLOCK_CELLS // 3 + 1, seed=6)
+         trials=2 * _CHUNK_TRIALS + 7, max_time=20e-3, n_bins=200, seed=6)
+# empty_rate = 0 at zero dead time: the empty hypothesis draws no events at all
+@example(fluorescence=5e3, background=0.0, dead_time=0.0, targets=[0.9, 0.999999999],
+         trials=_CHUNK_TRIALS + 1, max_time=5e-3, n_bins=50, seed=7)
 def test_fidelity_curve_matches_per_trial_detector(
     fluorescence, background, dead_time, targets, trials, max_time, n_bins, seed
 ):
@@ -207,6 +290,41 @@ def test_fidelity_curve_matches_per_trial_detector(
                            threshold_windows=[sub_bin])
     want = loop_fidelity_points(scenario, targets, trials, sub_bin, max_time, dead)
     assert repr(curve.bayes) == repr(want)
+
+
+def dense_stopping_bins(counts, ion_rate, empty_rate, config, thresholds):
+    """The whole-row pass: log odds after every bin, then each threshold's first crossing."""
+    llr = _log_odds(counts, ion_rate, empty_rate, config)
+    stop = np.minimum(_first_crossings(llr, thresholds), counts.shape[1] - 1)
+    return stop, np.take_along_axis(llr, stop, axis=1) > 0
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    shape=st.tuples(st.integers(1, 70), st.integers(1, 300)),
+    mu_ion=finite(0.01, 5.0),
+    empty_fraction=st.one_of(st.just(0.0), finite(0.05, 0.95)),
+    drawn_from=finite(0.0, 1.0),  # the count mean, from the empty (0) to the ion (1) hypothesis's
+    targets=targets_st,
+    prior=finite(0.01, 0.99),
+    first_window=st.sampled_from([1, 2, 3, 32]),
+    seed=st.integers(0, 2**32),
+)
+# empty_rate = 0: a count gives infinite log odds, and no count only a slow drift
+@example(shape=(64, 300), mu_ion=0.02, empty_fraction=0.0, drawn_from=0.5, targets=[0.9, 0.999999999],
+         prior=0.5, first_window=32, seed=1)
+def test_early_exit_matches_dense_pass(shape, mu_ion, empty_fraction, drawn_from, targets, prior, first_window, seed):
+    sub_bin = 1e-4
+    ion_rate, empty_rate = mu_ion / sub_bin, mu_ion * empty_fraction / sub_bin
+    mean = mu_ion * (empty_fraction + drawn_from * (1.0 - empty_fraction))
+    counts = np.random.default_rng(seed).poisson(mean, shape)
+    config = BayesianConfig(target_posterior=0.9, sub_bin=sub_bin, max_time=sub_bin * shape[1], prior_ion=prior)
+    thresholds = [math.log(t / (1.0 - t)) for t in targets]
+    with unittest.mock.patch.object(detection, "_FIRST_WINDOW", first_window):
+        stop, says_ion = _stopping_bins(counts, ion_rate, empty_rate, config, thresholds)
+    want_stop, want_ion = dense_stopping_bins(counts, ion_rate, empty_rate, config, thresholds)
+    assert stop.tolist() == want_stop.tolist()
+    assert says_ion.tolist() == want_ion.tolist()
 
 
 @settings(deadline=None, max_examples=200)
@@ -228,6 +346,116 @@ def test_detect_from_counts_matches_bin_scan(counts, rates, target, prior, sub_b
     assert (out.decision != "undecided") == decided
     assert (out.map_decision == "ion") == says_ion
     assert out.stopping_time == stopping_time
+
+
+# --- exact sequential test --------------------------------------------------------
+
+
+def exact_sequential(ion_rate, empty_rate, target, sub_bin, max_time, prior_ion=0.5):
+    """The adaptive detector's exact outcome at zero dead time, per hypothesis (ion, then empty):
+    (probability of the right MAP choice, mean stopping bin + 1, its variance).
+
+    With no dead time the bin counts are independent Poisson draws, so after n
+    bins the log odds depend only on the cumulative count k: prior + k ln(r1/r0)
+    - n (r1 - r0) sub_bin. A forward pass over the bins convolves the still
+    undecided probability over k with one bin's Poisson pmf, then absorbs it
+    wherever |log odds| reaches the threshold. What is left after the last bin
+    stops there and takes its MAP choice, as in fidelity_curve.
+    """
+    from scipy.stats import poisson
+
+    n_bins = max(int(np.floor(max_time / sub_bin + 1e-9)), 1)
+    threshold = math.log(target / (1.0 - target))
+    prior = math.log(prior_ion / (1.0 - prior_ion))
+    total = ion_rate * sub_bin * n_bins
+    ks = np.arange(int(total + 12 * math.sqrt(total) + 30))  # every count reached with any weight
+    if empty_rate > 0:
+        count_weight = ks * math.log(ion_rate / empty_rate)
+    else:  # the empty hypothesis emits nothing: any count is decisive
+        count_weight = np.where(ks > 0, np.inf, 0.0)
+    out = []
+    for rate, says_right in ((ion_rate, lambda llr: llr > 0), (empty_rate, lambda llr: llr <= 0)):
+        mu = rate * sub_bin
+        pmf = poisson.pmf(np.arange(int(mu + 12 * math.sqrt(mu) + 12)), mu)
+        undecided = np.zeros(ks.size)
+        undecided[0] = 1.0
+        right = moment1 = moment2 = 0.0
+        for n in range(1, n_bins + 1):
+            undecided = np.convolve(undecided, pmf)[: ks.size]
+            llr = prior + count_weight - n * (ion_rate - empty_rate) * sub_bin
+            stops = np.abs(llr) >= threshold if n < n_bins else np.ones(ks.size, dtype=bool)
+            mass = undecided[stops].sum()
+            right += undecided[stops & says_right(llr)].sum()
+            moment1 += n * mass
+            moment2 += n * n * mass
+            undecided[stops] = 0.0
+        out.append((right, moment1, max(moment2 - moment1**2, 0.0)))  # rounding can leave it just below 0
+    return out
+
+
+def assert_matches_exact(point, exact, trials, sub_bin):
+    """A Monte Carlo (target, fidelity, mean time) within 4 standard errors of the exact values,
+    each combining the two hypotheses' binomial (or stopping-time) errors over `trials` trials.
+
+    Each bound also allows one trial's share, for counts near 0 or all of `trials`,
+    where a binomial's standard error vanishes but its count still moves in whole trials.
+    """
+    _, fidelity, mean_time = point
+    (p_ion, bins_ion, var_ion), (p_empty, bins_empty, var_empty) = exact
+    want_fidelity = 0.5 * (p_ion + p_empty)
+    sd_fidelity = 0.5 * math.sqrt((p_ion * (1 - p_ion) + p_empty * (1 - p_empty)) / trials)
+    assert abs(fidelity - want_fidelity) <= 4 * sd_fidelity + 0.5 / trials, (point, want_fidelity, sd_fidelity)
+    want_time = 0.5 * (bins_ion + bins_empty) * sub_bin
+    sd_time = 0.5 * math.sqrt((var_ion + var_empty) / trials) * sub_bin
+    assert abs(mean_time - want_time) <= 4 * sd_time + 0.5 * sub_bin / trials, (point, want_time, sd_time)
+
+
+def test_exact_sequential_matches_one_bin():
+    # one bin: the MAP choice on a single Poisson count, stopping there
+    (p_ion, bins_ion, var_ion), (p_empty, bins_empty, _) = exact_sequential(2e4, 5e3, 0.99, 1e-4, 1e-4)
+    # the MAP threshold: ion iff k ln 4 > 1.5
+    assert p_ion == pytest.approx(1 - math.exp(-2.0) * 3.0, rel=1e-12)
+    assert p_empty == pytest.approx(math.exp(-0.5) * 1.5, rel=1e-12)
+    assert (bins_ion, bins_empty, var_ion) == (pytest.approx(1.0), pytest.approx(1.0), pytest.approx(0.0, abs=1e-12))
+
+
+# statistical: derandomized, so the same budgets and seeds run every time and a rare
+# 4-sigma miss cannot come and go between runs
+@settings(deadline=None, max_examples=15, derandomize=True)
+@given(
+    fluorescence=finite(500.0, 2e4),
+    background=st.one_of(st.just(0.0), finite(500.0, 2e4)),
+    targets=st.lists(finite(0.6, 0.999), min_size=1, max_size=3),
+    sub_bin=finite(20e-6, 500e-6),
+    n_bins=st.integers(1, 200),
+    seed=st.integers(0, 2**32),
+)
+def test_fidelity_curve_matches_exact_sequential_test(fluorescence, background, targets, sub_bin, n_bins, seed):
+    trials = 2000
+    scenario = Scenario(budget=RateBudget(fluorescence=fluorescence, dark_counts=background), rng_seed=seed)
+    max_time = sub_bin * n_bins
+    curve = fidelity_curve(scenario, targets, trials, sub_bin=sub_bin, max_time=max_time,
+                           dead=DeadTimeModel(0.0), threshold_windows=[sub_bin])
+    for point in curve.bayes:
+        exact = exact_sequential(fluorescence + background, background, point[0], sub_bin, max_time)
+        assert_matches_exact(point, exact, trials, sub_bin)
+
+
+def test_reference_preset_matches_exact_sequential_test():
+    trials = 5000
+    scenario = Scenario(budget=table_budget(), rng_seed=20260824)
+    curve = fidelity_curve(scenario, [0.9, 0.95, 0.99], trials, dead=DeadTimeModel(0.0))
+    for point in curve.bayes:
+        exact = exact_sequential(curve.ion_rate, curve.empty_rate, point[0], 100e-6, 50e-3)
+        assert_matches_exact(point, exact, trials, 100e-6)
+
+
+def test_projection_preset_matches_exact_sequential_test():
+    _, curve = projected_scenario_fidelity(full_curve=True)
+    assert [p[0] for p in curve.bayes] == list(PROJECTION_TARGET_SWEEP)
+    for point in curve.bayes:
+        exact = exact_sequential(curve.ion_rate, curve.empty_rate, point[0], 2e-6, 2e-3)
+        assert_matches_exact(point, exact, 20000, 2e-6)
 
 
 # --- analog front end ------------------------------------------------------------

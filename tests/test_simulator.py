@@ -254,6 +254,15 @@ class TestEventStreamValidation:
         with pytest.raises(ValueError, match=r"label 256 at index 0"):
             EventStream(np.array([10]), np.array([256]), 1.0)
 
+    @pytest.mark.parametrize("labels, named", [([0.0, 1.5], "1.5 at index 1"), ([0.9, 1.0], "0.9 at index 0"),
+                                               ([2.0, np.nan], "nan at index 1")])
+    def test_fractional_label_named_not_truncated(self, labels, named):
+        with pytest.raises(ValueError, match=rf"label {named} is not a source index"):
+            EventStream(np.array([10, 20]), np.array(labels), 1.0)
+
+    def test_whole_float_labels_accepted(self):
+        assert EventStream(np.array([10, 20]), np.array([4.0, 0.0]), 1.0).labels.tolist() == [4, 0]
+
     def test_counts_by_source_covers_every_source(self):
         stream = EventStream(np.array([1, 2, 3, 4]), np.array([4, 0, 4, 2]), 1.0)
         assert stream.counts_by_source() == {"fluorescence": 1, "repump": 0, "doppler": 1, "dark": 0, "rf": 2}
