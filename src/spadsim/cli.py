@@ -8,6 +8,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import numpy as np
 from . import detection, estimation, synthetic
 from .config import ConfigError, load_scenario, scenario_to_text
 from .model import Scenario, table_budget
-from .optics import bare_silicon_stack, collection_efficiency, stack_reflectance
+from .optics import ShadowingWarning, bare_silicon_stack, efficiency_vs_offset, stack_reflectance
 from .simulator import DeadTimeModel, gate_and_count, simulate_stream
 
 EXIT_OK = 0
@@ -115,11 +116,9 @@ def cmd_threshold(args) -> int:
         scenario.budget.ion_total(), scenario.budget.background_total(), window
     )
     manifest = _manifest_hash("threshold", args, config_text)
-    kmax = max(result.histogram_ion.size, result.histogram_empty.size)
-    hist_ion = np.pad(result.histogram_ion, (0, kmax - result.histogram_ion.size))
-    hist_empty = np.pad(result.histogram_empty, (0, kmax - result.histogram_empty.size))
     body = "count,freq_ion,freq_empty\n" + "".join(
-        f"{k},{hist_ion[k]},{hist_empty[k]}\n" for k in range(kmax)
+        f"{k},{n_ion},{n_empty}\n"
+        for k, (n_ion, n_empty) in enumerate(zip(result.histogram_ion, result.histogram_empty))
     )
     _write_output(_output_path(args, "threshold_histogram.csv"), manifest, body)
     print(f"window: {args.window_ms} ms")
@@ -138,9 +137,12 @@ def cmd_threshold(args) -> int:
 
 # fidelity flags that --projection rejects, with the value each takes when omitted
 _CURVE_DEFAULTS = {"targets": "0.99", "sub_bin_us": 100.0, "max_time_ms": 50.0}
+_CURVE_TRIALS = 10000  # the curve's --trials when omitted; the projection's is its preset's
 
 
 def cmd_fidelity(args) -> int:
+    if args.trials is None:  # so an omitted --trials hashes like its value
+        args.trials = detection.PROJECTED_TRIALS if args.projection else _CURVE_TRIALS
     if args.projection:
         given = [name for name in ("config", *_CURVE_DEFAULTS) if getattr(args, name) is not None]
         if given:
@@ -214,28 +216,19 @@ def _fidelity_csv(curve: detection.FidelityCurve) -> str:
 def cmd_collection(args) -> int:
     scenario, _, config_text = _load_config(args)
     offsets = _parse_range(args.offsets_um, 1e-6)
-    rows = []
-    for off in offsets:
-        g = scenario.geometry.with_offset(off)
-        rows.append(
-            (
-                off,
-                collection_efficiency(g, warn_on_shadowing=False),
-                collection_efficiency(g, include_arc=False, warn_on_shadowing=False),
-            )
-        )
+    ces = efficiency_vs_offset(scenario.geometry, offsets)
+    with warnings.catch_warnings():  # the sweep above has named the same shadowed offsets
+        warnings.simplefilter("ignore", ShadowingWarning)
+        ces_bare = efficiency_vs_offset(scenario.geometry, offsets, include_arc=False)
     manifest = _manifest_hash("collection", args, config_text)
     body = "offset_um,efficiency,efficiency_no_arc\n" + "".join(
-        f"{off * 1e6:.6g},{ce:.6g},{ce0:.6g}\n" for off, ce, ce0 in rows
+        f"{off * 1e6:.6g},{ce:.6g},{ce0:.6g}\n" for off, ce, ce0 in zip(offsets, ces, ces_bare)
     )
     _write_output(_output_path(args, "collection_efficiency.csv"), manifest, body)
-    for off, ce, _ in rows:
+    for off, ce in zip(offsets, ces):
         print(f"offset {off * 1e6:6.1f} um: efficiency {ce * 100:.4f}%")
     if args.check:
-        ces = [ce for _, ce, _ in rows]
-        order = np.argsort([off for off, _, _ in rows])
-        sorted_ces = np.array(ces)[order]
-        if np.any(np.diff(sorted_ces) > 0):
+        if np.any(np.diff(ces[np.argsort(offsets)]) > 0):
             raise CheckFailure("efficiency is not monotone decreasing with offset")
         print("check: PASS")
     return EXIT_OK
@@ -305,9 +298,11 @@ def cmd_qefit(args) -> int:
     scenario, _, config_text = _load_config(args)
     if args.demo:
         offsets = np.arange(0.0, 81e-6, 5e-6)
-        offs, rates = synthetic.make_qe_dataset(
-            scenario, offsets, seed=args.seed if args.seed is not None else 0
-        )
+        with warnings.catch_warnings():  # the fit below names the same shadowed offsets
+            warnings.simplefilter("ignore", ShadowingWarning)
+            offs, rates = synthetic.make_qe_dataset(
+                scenario, offsets, seed=args.seed if args.seed is not None else 0
+            )
         data_text = synthetic.qe_dataset_to_csv(offs, rates)
     else:
         if not args.data_csv:
@@ -366,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fidelity", help="adaptive-detection fidelity vs mean gate time")
     common(p)
     p.add_argument("--targets", help="comma-separated stopping targets")
-    p.add_argument("--trials", type=int, default=10000)
+    p.add_argument("--trials", type=int, help=f"trials per hypothesis and target (default {_CURVE_TRIALS}, "
+                   f"{detection.PROJECTED_TRIALS} with --projection)")
     p.add_argument("--sub-bin-us", type=float)
     p.add_argument("--max-time-ms", type=float)
     p.add_argument("--projection", action="store_true", help="run the improved-device projection preset")

@@ -21,6 +21,7 @@ PROJECTED_DARK_RATE = 100.0
 PROJECTED_QUANTUM_EFFICIENCY = 0.24
 PROJECTED_TARGET_TIME = 75e-6
 PROJECTED_SEED = 20260824
+PROJECTED_TRIALS = 20000
 
 
 @dataclass(frozen=True)
@@ -324,7 +325,7 @@ def projected_scenario_fidelity(
     dark_rate: float = PROJECTED_DARK_RATE,
     quantum_efficiency: float = PROJECTED_QUANTUM_EFFICIENCY,
     emission_rate: float = PROJECTED_EMISSION_RATE,
-    trials: int = 20000,
+    trials: int = PROJECTED_TRIALS,
     seed: int = PROJECTED_SEED,
     sub_bin: float = 2e-6,
     max_time: float = 2e-3,

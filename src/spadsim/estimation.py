@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import BUDGET_SOURCES, EmitterParams, RateBudget, scattering_rate
-from .optics import ActiveAreaMap, DetectorGeometry, collection_efficiency
+from .optics import ActiveAreaMap, DetectorGeometry, efficiency_vs_offset
 from .tables import read_grid, read_metadata
 
 
@@ -176,13 +176,7 @@ class QEFitInput:
 
 def expected_incident_rates(input: QEFitInput) -> np.ndarray:
     """Photon rate incident on the active area (after coating loss) at each offset."""
-    emit = scattering_rate(input.emitter)
-    return np.array(
-        [
-            emit * collection_efficiency(input.geometry.with_offset(off), warn_on_shadowing=False)
-            for off in input.positions
-        ]
-    )
+    return scattering_rate(input.emitter) * efficiency_vs_offset(input.geometry, input.positions)
 
 
 def fit_quantum_efficiency(input: QEFitInput) -> tuple[float, float]:

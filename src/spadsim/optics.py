@@ -16,6 +16,9 @@ INDEX_SIO2 = 1.47 + 0.0j
 INDEX_SIN = 2.10 + 0.0j
 INDEX_SI = 6.9 + 1.4j
 APERTURE_DIAMETER = 38e-6
+# offsets x cells evaluated at once: the transfer matrix's complex temporaries stay well
+# under a megabyte together, so peak memory does not grow with the number of offsets
+_SWEEP_CELLS = 1 << 11
 
 
 class ShadowingWarning(UserWarning):
@@ -112,6 +115,13 @@ def stack_transmittance(stack: OpticalStack, angle_of_incidence, polarization: s
     return t
 
 
+def _cell_centers(shape, cell_size: float, origin=(0.0, 0.0)) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of the centres of a grid of square cells whose corner is at origin, ij-indexed."""
+    x = origin[0] + (np.arange(shape[0]) + 0.5) * cell_size
+    y = origin[1] + (np.arange(shape[1]) + 0.5) * cell_size
+    return np.meshgrid(x, y, indexing="ij")
+
+
 @dataclass(frozen=True)
 class ActiveAreaMap:
     """Gridded position-dependent response of the detector, weights in [0, 1]."""
@@ -135,10 +145,7 @@ class ActiveAreaMap:
         return self.cell_size**2 * float(self.weights.sum())
 
     def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
-        nx, ny = self.weights.shape
-        x = self.origin[0] + (np.arange(nx) + 0.5) * self.cell_size
-        y = self.origin[1] + (np.arange(ny) + 0.5) * self.cell_size
-        return np.meshgrid(x, y, indexing="ij")
+        return _cell_centers(self.weights.shape, self.cell_size, self.origin)
 
     def centroid(self) -> tuple[float, float]:
         """Response-weighted centroid, the reference point for lateral offsets."""
@@ -202,8 +209,7 @@ def quarter_disc_map(
     if outer_radius <= 0 or guard_width <= 0 or cell_size <= 0:
         raise ValueError("quarter-disc parameters must be > 0")
     n = int(math.ceil(outer_radius / cell_size)) + 1
-    x = (np.arange(n) + 0.5) * cell_size
-    xx, yy = np.meshgrid(x, x, indexing="ij")
+    xx, yy = _cell_centers((n, n), cell_size)
     w = quarter_disc_response(xx, yy, outer_radius, guard_width)
     return ActiveAreaMap(cell_size=cell_size, origin=(0.0, 0.0), weights=w)
 
@@ -214,8 +220,7 @@ def aperture_filling_map(
     """Hypothetical detector whose full-response area fills the optical aperture."""
     r = diameter / 2
     n = int(math.ceil(diameter / cell_size)) + 1
-    x = -r + (np.arange(n) + 0.5) * cell_size
-    xx, yy = np.meshgrid(x, x, indexing="ij")
+    xx, yy = _cell_centers((n, n), cell_size, (-r, -r))
     w = (np.hypot(xx, yy) <= r).astype(float)
     return ActiveAreaMap(cell_size=cell_size, origin=(-r, -r), weights=w)
 
@@ -252,64 +257,57 @@ class DetectorGeometry:
         return replace(self, ion_lateral_offset=offset)
 
 
-def collection_efficiency(
-    geometry: DetectorGeometry,
-    include_arc: bool = True,
-    warn_on_shadowing: bool = True,
-) -> float:
-    """Fraction of emitted photons collected by the weighted active area.
+def collection_efficiency(geometry: DetectorGeometry, include_arc: bool = True) -> float:
+    """Fraction of emitted photons collected by the weighted active area at the
+    geometry's own lateral offset: the one-offset case of efficiency_vs_offset."""
+    return float(efficiency_vs_offset(geometry, [geometry.ion_lateral_offset], include_arc)[0])
+
+
+def efficiency_vs_offset(geometry: DetectorGeometry, offsets, include_arc: bool = True) -> np.ndarray:
+    """Collection efficiency at each lateral offset, in input order.
 
     Sums weight * cos(theta) / (4 pi r^2) * cell_area * (1 - R(theta)) over
     cells; the dipole_perpendicular pattern multiplies in (3/2) sin^2(theta).
+    All offsets are evaluated as one offsets x cells array, a block of offsets
+    at a time. One ShadowingWarning names every offset at which a weighted
+    cell's line of sight to the ion leaves the aperture through its wall,
+    whose occlusion is not modeled.
     """
+    offsets = np.asarray(list(offsets), dtype=float)
+    if offsets.size == 0:
+        raise ValueError("offsets must be non-empty")
     amap = geometry.active_area
     if amap.effective_area() <= 0:
         raise ValueError("active area map has zero effective area")
     cx, cy = amap.centroid()
-    ion_x = cx + geometry.ion_lateral_offset
-    ion_y = cy
     d = geometry.vertical_distance
     xx, yy = amap.cell_centers()
-    dx = xx - ion_x
-    dy = yy - ion_y
-    r2 = dx * dx + dy * dy + d * d
-    cos_t = d / np.sqrt(r2)
-    theta = np.arccos(np.clip(cos_t, -1.0, 1.0))
-
-    frac = amap.weights * cos_t / (4.0 * np.pi * r2) * amap.cell_size**2
-    if geometry.emission_pattern == "dipole_perpendicular":
-        frac = frac * 1.5 * np.sin(theta) ** 2
-    if include_arc:
-        frac = frac * (1.0 - stack_reflectance(geometry.stack, theta))
-
-    if warn_on_shadowing and _any_cell_shadowed(geometry, xx, yy, ion_x, ion_y):
+    dy = yy - cy
+    t_surface = geometry.detector_recess_below_surface / d  # ray parameter at the trap surface
+    block = max(1, _SWEEP_CELLS // amap.weights.size)
+    efficiency = np.empty(offsets.size)
+    shadowed = np.zeros(offsets.size, dtype=bool)
+    for start in range(0, offsets.size, block):
+        ion_x = cx + offsets[start : start + block, None, None]
+        dx = xx - ion_x
+        r2 = dx * dx + dy * dy + d * d
+        cos_t = d / np.sqrt(r2)
+        theta = np.arccos(np.clip(cos_t, -1.0, 1.0))
+        frac = amap.weights * cos_t / (4.0 * np.pi * r2) * amap.cell_size**2
+        if geometry.emission_pattern == "dipole_perpendicular":
+            frac = frac * 1.5 * np.sin(theta) ** 2
+        if include_arc:
+            frac = frac * (1.0 - stack_reflectance(geometry.stack, theta))
+        efficiency[start : start + block] = frac.reshape(len(frac), -1).sum(axis=1)
+        if t_surface > 0:
+            outside = np.hypot(xx - dx * t_surface, yy - dy * t_surface) > geometry.aperture_diameter / 2
+            shadowed[start : start + block] = (outside & (amap.weights > 0)).any(axis=(1, 2))
+    if shadowed.any():
+        named = ", ".join(f"{off * 1e6:.6g}" for off in offsets[shadowed])
         warnings.warn(
-            "line of sight from part of the active area to the ion clips the "
-            "aperture wall; wall occlusion is not modeled",
+            f"line of sight from part of the active area to the ion clips the aperture "
+            f"wall at offsets {named} um; wall occlusion is not modeled",
             ShadowingWarning,
             stacklevel=2,
         )
-    return float(frac.sum())
-
-
-def _any_cell_shadowed(geometry, xx, yy, ion_x, ion_y) -> bool:
-    """True if any weighted cell's ray to the ion leaves the aperture through its wall."""
-    recess = geometry.detector_recess_below_surface
-    if recess <= 0:
-        return False
-    frac = recess / geometry.vertical_distance  # ray parameter at the trap surface
-    sx = xx + (ion_x - xx) * frac
-    sy = yy + (ion_y - yy) * frac
-    outside = np.hypot(sx, sy) > geometry.aperture_diameter / 2
-    return bool(np.any(outside & (geometry.active_area.weights > 0)))
-
-
-def efficiency_vs_offset(geometry: DetectorGeometry, offsets, **kwargs) -> list[tuple[float, float]]:
-    """collection_efficiency evaluated at each lateral offset, input order kept."""
-    offsets = list(offsets)
-    if not offsets:
-        raise ValueError("offsets must be non-empty")
-    return [
-        (off, collection_efficiency(geometry.with_offset(off), **kwargs))
-        for off in offsets
-    ]
+    return efficiency

@@ -13,7 +13,7 @@ import numpy as np
 
 from .estimation import SpotScan, ToggleMeasurement
 from .model import BUDGET_SOURCES, SOURCE_LABELS, RateBudget, Scenario, scattering_rate
-from .optics import collection_efficiency, quarter_disc_response
+from .optics import _cell_centers, efficiency_vs_offset, quarter_disc_response
 from .tables import read_rows
 
 _TOGGLE_HEADER = ",".join(SOURCE_LABELS) + ",rate_kcps,dwell_s"
@@ -33,8 +33,7 @@ def make_spot_scan(
     """Poisson-noised raster scan of the quarter-disc response."""
     rng = np.random.default_rng(seed)
     n = int(np.ceil(extent / step))
-    coords = (np.arange(n) + 0.5) * step
-    xx, yy = np.meshgrid(coords, coords, indexing="ij")
+    xx, yy = _cell_centers((n, n), step)
     w = quarter_disc_response(xx, yy, outer_radius, guard_width)
     mean_counts = (peak_rate * w + dark_rate) * dwell
     counts = rng.poisson(mean_counts)
@@ -114,14 +113,10 @@ def make_qe_dataset(
     rng = np.random.default_rng(seed)
     offsets = np.asarray(list(offsets), dtype=float)
     emit = scattering_rate(scenario.emitter)
+    signal = quantum_efficiency * emit * efficiency_vs_offset(scenario.geometry, offsets)
     background = scenario.budget.background_total()
-    measured = np.empty_like(offsets)
-    for i, off in enumerate(offsets):
-        ce = collection_efficiency(scenario.geometry.with_offset(off), warn_on_shadowing=False)
-        signal = quantum_efficiency * emit * ce
-        total = rng.poisson((signal + background) * integration_time) / integration_time
-        measured[i] = max(total - background, 0.0)
-    return offsets, measured
+    total = rng.poisson((signal + background) * integration_time) / integration_time
+    return offsets, np.maximum(total - background, 0.0)
 
 
 def qe_dataset_to_csv(offsets, rates) -> str:

@@ -24,6 +24,7 @@ from spadsim.model import RateBudget, Scenario, table_budget
 from spadsim.optics import (
     DetectorGeometry,
     OpticalStack,
+    ShadowingWarning,
     aperture_filling_map,
     arc_stack,
     bare_silicon_stack,
@@ -113,12 +114,13 @@ def test_3_arc_optics():
 def test_4_collection_efficiency():
     geom = DetectorGeometry()
     area = geom.active_area.effective_area()
-    ce_center = collection_efficiency(geom.with_offset(0.0), warn_on_shadowing=False)
-    ce_far = collection_efficiency(geom.with_offset(80e-6), warn_on_shadowing=False)
+    ce_center = collection_efficiency(geom.with_offset(0.0))
+    with pytest.warns(ShadowingWarning, match="at offsets 80 um"):  # wall occlusion is not modeled
+        ce_far = collection_efficiency(geom.with_offset(80e-6))
     filling = DetectorGeometry(
         ion_lateral_offset=0.0, active_area=aperture_filling_map(cell_size=0.25e-6)
     )
-    ce_fill = collection_efficiency(filling, include_arc=False, warn_on_shadowing=False)
+    ce_fill = collection_efficiency(filling, include_arc=False)
     ok = (
         abs(area * 1e12 - 60.0) / 60.0 <= 0.10
         and abs(ce_center - 0.0014) / 0.0014 <= 0.30
@@ -162,8 +164,9 @@ def test_6_qe_closure():
     qe_true = 0.24
     sc = Scenario(budget=table_budget())
     offsets = np.arange(0.0, 81e-6, 5e-6)
-    offs, meas = make_qe_dataset(sc, offsets, qe_true, seed=1)
-    qe, err = fit_quantum_efficiency(QEFitInput(offs, meas, sc.geometry, sc.emitter))
+    with pytest.warns(ShadowingWarning, match="at offsets 75, 80 um"):  # wall occlusion is not modeled
+        offs, meas = make_qe_dataset(sc, offsets, qe_true, seed=1)
+        qe, err = fit_quantum_efficiency(QEFitInput(offs, meas, sc.geometry, sc.emitter))
     ok = abs(qe - qe_true) <= 0.03
     report(
         "quantum-efficiency closure",

@@ -5,9 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spadsim.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, main
+from spadsim import detection
+from spadsim.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, _fidelity_csv, main
 from spadsim.config import scenario_to_text
 from spadsim.model import Scenario, table_budget
+from spadsim.optics import ShadowingWarning
 from spadsim.simulator import DeadTimeModel
 
 
@@ -138,6 +140,15 @@ class TestFidelity:
             bodies.append(read_output(out)[1:])
         assert bodies[0] != bodies[1]
 
+    def test_projection_runs_its_preset_trials(self, outdir):
+        assert main(["fidelity", "--projection"]) == EXIT_OK
+        omitted = (outdir / "fidelity_projection.csv").read_text()
+        assert main(["fidelity", "--projection", "--trials", str(detection.PROJECTED_TRIALS)]) == EXIT_OK
+        # an omitted --trials hashes into the manifest like its value
+        assert (outdir / "fidelity_projection.csv").read_text() == omitted
+        _, curve = detection.projected_scenario_fidelity(seed=detection.PROJECTED_SEED, full_curve=True)
+        assert omitted.split("\n", 1)[1] == _fidelity_csv(curve)
+
     @pytest.mark.parametrize(
         "flag", [["--config", "x.cfg"], ["--targets", "0.9"], ["--sub-bin-us", "10"], ["--max-time-ms", "5"]]
     )
@@ -162,7 +173,8 @@ class TestFidelity:
 
 class TestCollection:
     def test_check_monotone(self, outdir, capsys):
-        rc = main(["collection", "--offsets-um", "0:80:10", "--check"])
+        with pytest.warns(ShadowingWarning, match="at offsets 80 um"):
+            rc = main(["collection", "--offsets-um", "0:80:10", "--check"])
         assert rc == EXIT_OK
         assert "check: PASS" in capsys.readouterr().out
         lines = read_output(outdir / "collection_efficiency.csv")
@@ -170,8 +182,19 @@ class TestCollection:
         assert len(lines) == 2 + 9
 
     def test_comma_list(self, outdir):
-        assert main(["collection", "--offsets-um", "0,40,80"]) == EXIT_OK
+        with pytest.warns(ShadowingWarning, match="at offsets 80 um"):
+            assert main(["collection", "--offsets-um", "0,40,80"]) == EXIT_OK
         assert len(read_output(outdir / "collection_efficiency.csv")) == 2 + 3
+
+    def test_preset_names_its_shadowed_offsets_once(self, outdir):
+        with pytest.warns(ShadowingWarning) as record:
+            assert main(["collection", "--offsets-um", "0:80:5", "--check"]) == EXIT_OK
+        [warning] = record  # one warning for the coated and the uncoated sweep together
+        assert "at offsets 75, 80 um;" in str(warning.message)
+
+    def test_unshadowed_offsets_warn_nothing(self, outdir):
+        # pyproject.toml turns a ShadowingWarning into an error
+        assert main(["collection", "--offsets-um", "0:70:5", "--check"]) == EXIT_OK
 
     def test_bad_range_spec(self, outdir):
         assert main(["collection", "--offsets-um", "0:80"]) == EXIT_INPUT_ERROR
@@ -237,8 +260,11 @@ class TestBudget:
 
 class TestQEFit:
     def test_demo_check(self, outdir, capsys):
-        rc = main(["qefit", "--demo", "--check", "--seed", "0"])
+        with pytest.warns(ShadowingWarning) as record:
+            rc = main(["qefit", "--demo", "--check", "--seed", "0"])
         assert rc == EXIT_OK
+        [warning] = record  # the fit names the offsets; the demo data's sweep does not repeat them
+        assert "at offsets 75, 80 um;" in str(warning.message)
         assert "check: PASS" in capsys.readouterr().out
         lines = read_output(outdir / "qe_fit.csv")
         assert lines[1] == "qe,std_error"

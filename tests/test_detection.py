@@ -31,6 +31,8 @@ class TestThresholdFidelity:
         result = threshold_fidelity([10] * 50, [0] * 50, 0.025)
         assert result.fidelity == 1.0
         assert 0 <= result.threshold <= 9
+        # both histograms run from 0 to the largest count of either, so they line up row by row
+        assert result.histogram_ion.size == result.histogram_empty.size == 11
 
     def test_identical_distributions_near_half(self):
         rng = np.random.default_rng(0)

@@ -116,21 +116,22 @@ def single_cell_geometry(weight=1.0, distance=57e-6, cell=1e-6, offset=0.0):
 class TestCollectionEfficiency:
     def test_centered_reference_value(self):
         geom = DetectorGeometry(ion_lateral_offset=0.0)
-        ce = collection_efficiency(geom, warn_on_shadowing=False)
+        ce = collection_efficiency(geom)
         assert ce == pytest.approx(0.0014, rel=0.30)
 
     def test_offset_80um_reference_value(self):
         geom = DetectorGeometry(ion_lateral_offset=80e-6)
-        ce = collection_efficiency(geom, warn_on_shadowing=False)
+        with pytest.warns(ShadowingWarning, match="at offsets 80 um"):
+            ce = collection_efficiency(geom)
         assert ce == pytest.approx(0.0003, rel=0.30)
 
     def test_aperture_filling_detector(self):
         geom = DetectorGeometry(
             ion_lateral_offset=0.0, active_area=aperture_filling_map(cell_size=0.25e-6)
         )
-        ce_geo = collection_efficiency(geom, include_arc=False, warn_on_shadowing=False)
+        ce_geo = collection_efficiency(geom, include_arc=False)
         assert ce_geo == pytest.approx(0.026, rel=0.20)
-        ce_arc = collection_efficiency(geom, warn_on_shadowing=False)
+        ce_arc = collection_efficiency(geom)
         assert ce_arc < ce_geo
 
     def test_point_like_cell_closed_form(self):
@@ -156,15 +157,15 @@ class TestCollectionEfficiency:
         )
         g1 = DetectorGeometry(ion_lateral_offset=30e-6, active_area=base)
         g2 = DetectorGeometry(ion_lateral_offset=30e-6, active_area=shifted)
-        assert collection_efficiency(g1, warn_on_shadowing=False) == pytest.approx(
-            collection_efficiency(g2, warn_on_shadowing=False), rel=1e-12
-        )
+        with pytest.warns(ShadowingWarning, match="at offsets 30 um"):  # the aperture stays put
+            ce2 = collection_efficiency(g2)
+        assert collection_efficiency(g1) == pytest.approx(ce2, rel=1e-12)
 
     def test_grid_refinement_converged(self):
         coarse = DetectorGeometry(ion_lateral_offset=0.0, active_area=quarter_disc_map(cell_size=0.4e-6))
         fine = DetectorGeometry(ion_lateral_offset=0.0, active_area=quarter_disc_map(cell_size=0.2e-6))
-        ce_c = collection_efficiency(coarse, warn_on_shadowing=False)
-        ce_f = collection_efficiency(fine, warn_on_shadowing=False)
+        ce_c = collection_efficiency(coarse)
+        ce_f = collection_efficiency(fine)
         assert abs(ce_c - ce_f) / ce_f < 0.005
 
     def test_zero_area_rejected(self):
@@ -176,13 +177,13 @@ class TestCollectionEfficiency:
     def test_dipole_pattern_differs(self):
         iso = DetectorGeometry(ion_lateral_offset=40e-6)
         dip = DetectorGeometry(ion_lateral_offset=40e-6, emission_pattern="dipole_perpendicular")
-        ce_iso = collection_efficiency(iso, warn_on_shadowing=False)
-        ce_dip = collection_efficiency(dip, warn_on_shadowing=False)
+        ce_iso = collection_efficiency(iso)
+        ce_dip = collection_efficiency(dip)
         assert ce_dip != pytest.approx(ce_iso, rel=1e-3)
 
     def test_shadowing_warning(self):
         geom = DetectorGeometry(ion_lateral_offset=120e-6)
-        with pytest.warns(ShadowingWarning):
+        with pytest.warns(ShadowingWarning, match="at offsets 120 um"):
             collection_efficiency(geom)
 
     def test_no_shadowing_when_centered(self):
@@ -197,24 +198,33 @@ class TestCollectionEfficiency:
 class TestEfficiencyVsOffset:
     def test_matches_elementwise_and_order(self):
         geom = DetectorGeometry()
-        pairs = efficiency_vs_offset(geom, [80e-6, 0.0], warn_on_shadowing=False)
-        assert pairs[0][0] == 80e-6 and pairs[1][0] == 0.0
-        assert pairs[0][1] == pytest.approx(0.0003, rel=0.30)
-        assert pairs[1][1] == pytest.approx(0.0014, rel=0.30)
+        with pytest.warns(ShadowingWarning, match="at offsets 80 um"):
+            ces = efficiency_vs_offset(geom, [80e-6, 0.0])
+        assert isinstance(ces, np.ndarray) and ces.shape == (2,)
+        assert ces[0] == pytest.approx(0.0003, rel=0.30)
+        assert ces[1] == pytest.approx(0.0014, rel=0.30)
 
     def test_single_offset(self):
         geom = DetectorGeometry()
-        [(off, ce)] = efficiency_vs_offset(geom, [25e-6], warn_on_shadowing=False)
-        assert ce == pytest.approx(
-            collection_efficiency(geom.with_offset(25e-6), warn_on_shadowing=False)
-        )
+        [ce] = efficiency_vs_offset(geom, [25e-6])
+        assert ce == collection_efficiency(geom.with_offset(25e-6))
 
     def test_monotone_descending_offsets(self):
         # dense sweep as the monotonicity oracle
         geom = DetectorGeometry()
-        offsets = list(np.linspace(100e-6, 0.0, 41))
-        ces = [ce for _, ce in efficiency_vs_offset(geom, offsets, warn_on_shadowing=False)]
-        assert all(b > a for a, b in zip(ces, ces[1:]))
+        offsets = np.linspace(100e-6, 0.0, 41)
+        with pytest.warns(ShadowingWarning) as record:
+            ces = efficiency_vs_offset(geom, offsets)
+        assert np.all(np.diff(ces) > 0)
+        assert len(record) == 1  # one warning for the whole sweep
+
+    def test_shadowing_names_offsets_in_input_order(self):
+        geom = DetectorGeometry()
+        with pytest.warns(ShadowingWarning) as record:
+            efficiency_vs_offset(geom, [80e-6, 0.0, 75e-6, 70e-6, -200e-6, 80e-6])
+        [warning] = record
+        assert "at offsets 80, 75, -200, 80 um;" in str(warning.message)
+        assert warning.filename == __file__  # attributed to the caller's line
 
     def test_empty_offsets_rejected(self):
         with pytest.raises(ValueError):

@@ -4,14 +4,15 @@ The loops below are the reference implementations: the per-trial arrival
 draw; the per-event dead-time filter; np.histogram per stream for the block
 binning; the per-trial, per-target detector sweep; the dense log-odds pass
 for the early-exit one; the per-event direct sum of exponential pulses; the
-per-edge Schmitt trigger; the per-angle 2x2 transfer-matrix product; and the
-per-line table reader. The sequential detector's Monte Carlo is also checked
+per-edge Schmitt trigger; the per-angle 2x2 transfer-matrix product; the
+per-offset collection sum; and the per-line table reader. The sequential detector's Monte Carlo is also checked
 against its exact solution at zero dead time.
 """
 
 import math
 import re
 import unittest.mock
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -34,7 +35,17 @@ from spadsim.detection import (
     projected_scenario_fidelity,
 )
 from spadsim.model import BUDGET_SOURCES, SOURCE_LABELS, RateBudget, Scenario, table_budget
-from spadsim.optics import OpticalStack, stack_reflectance, stack_transmittance
+from spadsim import optics
+from spadsim.optics import (
+    DetectorGeometry,
+    OpticalStack,
+    ShadowingWarning,
+    aperture_filling_map,
+    efficiency_vs_offset,
+    quarter_disc_map,
+    stack_reflectance,
+    stack_transmittance,
+)
 from spadsim.simulator import (
     _EVENT_HEADER,
     NS,
@@ -592,6 +603,79 @@ def test_array_reflectance_matches_per_angle_matrix_product(layers, substrate, a
     np.testing.assert_allclose(got_r, want_r, rtol=0, atol=1e-15)
     np.testing.assert_allclose(got_r, [stack_reflectance(stack, a, pol) for a in angles], rtol=0, atol=1e-15)
     np.testing.assert_allclose(stack_transmittance(stack, angles, pol), want_t, rtol=0, atol=1e-15)
+
+
+# --- collection efficiency ---------------------------------------------------------
+
+
+def loop_collection_efficiency(geometry, include_arc=True):
+    """(efficiency, shadowed) at the geometry's own offset: the per-offset cell sum and
+    aperture-wall test that efficiency_vs_offset evaluates for many offsets at once."""
+    amap = geometry.active_area
+    cx, cy = amap.centroid()
+    ion_x = cx + geometry.ion_lateral_offset
+    ion_y = cy
+    d = geometry.vertical_distance
+    xx, yy = amap.cell_centers()
+    dx = xx - ion_x
+    dy = yy - ion_y
+    r2 = dx * dx + dy * dy + d * d
+    cos_t = d / np.sqrt(r2)
+    theta = np.arccos(np.clip(cos_t, -1.0, 1.0))
+
+    frac = amap.weights * cos_t / (4.0 * np.pi * r2) * amap.cell_size**2
+    if geometry.emission_pattern == "dipole_perpendicular":
+        frac = frac * 1.5 * np.sin(theta) ** 2
+    if include_arc:
+        frac = frac * (1.0 - stack_reflectance(geometry.stack, theta))
+
+    shadowed = False
+    recess = geometry.detector_recess_below_surface
+    if recess > 0:
+        t = recess / d  # ray parameter at the trap surface
+        sx = xx + (ion_x - xx) * t
+        sy = yy + (ion_y - yy) * t
+        outside = np.hypot(sx, sy) > geometry.aperture_diameter / 2
+        shadowed = bool(np.any(outside & (amap.weights > 0)))
+    return float(frac.sum()), shadowed
+
+
+AREA_MAPS = {"quarter disc": quarter_disc_map(), "aperture filling": aperture_filling_map()}
+
+
+@st.composite
+def offset_sweeps(draw):
+    """Offsets in any order, with repeats, negative ones and ones past the wall."""
+    anywhere = st.one_of(finite(-200e-6, 200e-6), st.sampled_from([0.0, 75e-6, 80e-6]))
+    pool = draw(st.lists(anywhere, min_size=1, max_size=8))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    offsets=offset_sweeps(),
+    area=st.sampled_from(sorted(AREA_MAPS)),
+    pattern=st.sampled_from(["isotropic", "dipole_perpendicular"]),
+    include_arc=st.booleans(),
+    sweep_cells=st.sampled_from([1, 20_000, 1 << 20, optics._SWEEP_CELLS]),
+)
+@example(offsets=[80e-6, 0.0, -160e-6, 75e-6, 80e-6, 70e-6], area="quarter disc", pattern="isotropic",
+         include_arc=True, sweep_cells=optics._SWEEP_CELLS)
+def test_efficiency_sweep_matches_per_offset_loop(offsets, area, pattern, include_arc, sweep_cells):
+    geometry = DetectorGeometry(active_area=AREA_MAPS[area], emission_pattern=pattern)
+    want = [loop_collection_efficiency(geometry.with_offset(off), include_arc) for off in offsets]
+    # blocks of one offset, of several with a partial last one, and of every offset at once
+    with unittest.mock.patch.object(optics, "_SWEEP_CELLS", sweep_cells):
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            got = efficiency_vs_offset(geometry, offsets, include_arc)
+    assert np.array_equal(got, [ce for ce, _ in want])
+    named = [f"{off * 1e6:.6g}" for off, (_, shadowed) in zip(offsets, want) if shadowed]
+    assert [str(w.message) for w in record] == (
+        [f"line of sight from part of the active area to the ion clips the aperture wall at offsets "
+         f"{', '.join(named)} um; wall occlusion is not modeled"] if named else []
+    )
+    assert all(w.category is ShadowingWarning for w in record)
 
 
 # --- table reader ----------------------------------------------------------------
