@@ -20,7 +20,6 @@ from .optics import (
     stack_reflectance,
 )
 from .simulator import (
-    DeadTimeModel,
     EventStream,
     FrontEndParams,
     gate_and_count,

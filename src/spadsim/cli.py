@@ -18,7 +18,7 @@ from . import detection, estimation, synthetic
 from .config import ConfigError, load_scenario, scenario_to_text
 from .model import Scenario, table_budget
 from .optics import ShadowingWarning, bare_silicon_stack, efficiency_vs_offset, stack_reflectance
-from .simulator import DeadTimeModel, gate_and_count, simulate_stream
+from .simulator import gate_and_count, simulate_stream
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -57,24 +57,21 @@ def _write_output(path: Path, manifest: str, body: str):
 
 
 def _output_path(args, default_name: str) -> Path:
-    if args.out:
-        return Path(args.out)
-    base = Path(os.environ.get("SPADSIM_OUTPUT_DIR", args.output_dir))
-    return base / default_name
+    return Path(args.out) if args.out else Path(args.output_dir) / default_name
 
 
-def _load_config(args) -> tuple[Scenario, DeadTimeModel, str]:
+def _load_config(args) -> tuple[Scenario, str]:
     if args.config:
-        scenario, dead = load_scenario(args.config)
+        scenario = load_scenario(args.config)
         text = Path(args.config).read_text()
     else:
-        scenario, dead = Scenario(budget=table_budget()), DeadTimeModel()
-        text = scenario_to_text(scenario, dead)
+        scenario = Scenario(budget=table_budget())
+        text = scenario_to_text(scenario)
     if getattr(args, "seed", None) is not None:
         scenario = replace(scenario, rng_seed=args.seed)
     if getattr(args, "duration", None) is not None:
         scenario = replace(scenario, trial_duration=args.duration)
-    return scenario, dead, text
+    return scenario, text
 
 
 def _parse_range(spec: str, scale: float = 1.0) -> list[float]:
@@ -94,8 +91,8 @@ def _parse_range(spec: str, scale: float = 1.0) -> list[float]:
 
 
 def cmd_simulate(args) -> int:
-    scenario, dead, config_text = _load_config(args)
-    stream = simulate_stream(scenario, ion_present=args.ion, dead=dead)
+    scenario, config_text = _load_config(args)
+    stream = simulate_stream(scenario, ion_present=args.ion)
     manifest = _manifest_hash("simulate", args, config_text)
     _write_output(_output_path(args, "events.csv"), manifest, stream.to_csv())
     print(f"total events: {len(stream)}")
@@ -105,10 +102,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_threshold(args) -> int:
-    scenario, dead, config_text = _load_config(args)
+    scenario, config_text = _load_config(args)
     window = args.window_ms * 1e-3
-    ion = simulate_stream(scenario, True, dead)
-    empty = simulate_stream(scenario, False, dead)
+    ion = simulate_stream(scenario, True)
+    empty = simulate_stream(scenario, False)
     result = detection.threshold_fidelity(
         gate_and_count(ion, window), gate_and_count(empty, window), window
     )
@@ -169,15 +166,10 @@ def cmd_fidelity(args) -> int:
     for name, default in _CURVE_DEFAULTS.items():
         if getattr(args, name) is None:
             setattr(args, name, default)  # so an omitted flag hashes like its default
-    scenario, dead, config_text = _load_config(args)
+    scenario, config_text = _load_config(args)
     targets = [float(t) for t in args.targets.split(",")]
     curve = detection.fidelity_curve(
-        scenario,
-        targets,
-        args.trials,
-        sub_bin=args.sub_bin_us * 1e-6,
-        max_time=args.max_time_ms * 1e-3,
-        dead=dead,
+        scenario, targets, args.trials, sub_bin=args.sub_bin_us * 1e-6, max_time=args.max_time_ms * 1e-3
     )
     manifest = _manifest_hash("fidelity", args, config_text)
     _write_output(_output_path(args, "fidelity_curve.csv"), manifest, _fidelity_csv(curve))
@@ -214,7 +206,7 @@ def _fidelity_csv(curve: detection.FidelityCurve) -> str:
 
 
 def cmd_collection(args) -> int:
-    scenario, _, config_text = _load_config(args)
+    scenario, config_text = _load_config(args)
     offsets = _parse_range(args.offsets_um, 1e-6)
     ces = efficiency_vs_offset(scenario.geometry, offsets)
     with warnings.catch_warnings():  # the sweep above has named the same shadowed offsets
@@ -235,7 +227,7 @@ def cmd_collection(args) -> int:
 
 
 def cmd_arc(args) -> int:
-    scenario, _, config_text = _load_config(args)
+    scenario, config_text = _load_config(args)
     stack = bare_silicon_stack() if args.bare else scenario.geometry.stack
     angles = np.array(_parse_range(args.angles_deg, math.pi / 180.0))
     rows = list(zip(angles, *(stack_reflectance(stack, angles, pol) for pol in ("s", "p", "unpolarized"))))
@@ -295,7 +287,7 @@ def cmd_budget(args) -> int:
 
 
 def cmd_qefit(args) -> int:
-    scenario, _, config_text = _load_config(args)
+    scenario, config_text = _load_config(args)
     if args.demo:
         offsets = np.arange(0.0, 81e-6, 5e-6)
         with warnings.catch_warnings():  # the fit below names the same shadowed offsets
@@ -336,11 +328,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, check=True):
-        p.add_argument("--config", help="scenario config file (flat key = value)")
-        p.add_argument("--seed", type=int, help="override trial.seed")
+    def common(p, config=True, seed=True, check=True):
+        """--out and --output-dir, and each of --config, --seed and --check the subcommand reads."""
+        if config:
+            p.add_argument("--config", help="scenario config file (flat key = value)")
+        if seed:
+            p.add_argument("--seed", type=int, help="override trial.seed")
         p.add_argument("--out", help="output CSV path")
-        p.add_argument("--output-dir", default=".", help="directory for default-named outputs")
+        p.add_argument("--output-dir", default=os.environ.get("SPADSIM_OUTPUT_DIR", "."),
+                       help="directory for default-named outputs (default: $SPADSIM_OUTPUT_DIR, else .)")
         if check:
             p.add_argument("--check", action="store_true", help="verify acceptance thresholds; exit 1 on failure")
 
@@ -369,24 +365,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fidelity)
 
     p = sub.add_parser("collection", help="collection efficiency vs lateral ion offset")
-    common(p)
+    common(p, seed=False)
     p.add_argument("--offsets-um", default="0:80:5", help="offsets as start:stop:step or comma list")
     p.set_defaults(func=cmd_collection)
 
     p = sub.add_parser("arc", help="thin-film reflectance vs angle")
-    common(p)
+    common(p, seed=False)
     p.add_argument("--angles-deg", default="0:60:5")
     p.add_argument("--bare", action="store_true", help="use the uncoated substrate")
     p.set_defaults(func=cmd_arc)
 
     p = sub.add_parser("spot", help="effective active area from a spot-test scan")
-    common(p, check=False)
+    common(p, config=False, check=False)
     p.add_argument("scan_csv", nargs="?", help="spot scan CSV")
     p.add_argument("--demo", action="store_true", help="use a synthetic quarter-disc scan")
     p.set_defaults(func=cmd_spot)
 
     p = sub.add_parser("budget", help="count-budget decomposition from toggle measurements")
-    common(p, check=False)
+    common(p, config=False, seed=False, check=False)
     p.add_argument("toggles_csv", nargs="?", help="toggle measurement CSV")
     p.add_argument("--demo", action="store_true", help="use the bundled reference toggle table")
     p.set_defaults(func=cmd_budget)

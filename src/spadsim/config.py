@@ -9,7 +9,6 @@ from pathlib import Path
 
 from .model import BUDGET_SOURCES, SOURCE_LABELS, Scenario
 from .optics import ActiveAreaMap, quarter_disc_map
-from .simulator import DeadTimeModel
 
 
 class ConfigError(ValueError):
@@ -55,9 +54,9 @@ _COMPLEX = ((lambda text: complex(text.replace(" ", ""))), _fmt_complex)
 _LAYERS = (_parse_layers, _fmt_layers)
 
 # One row per config key: (key, attribute path, (parse, format)). The path
-# starts with the object the key sets: the scenario, the dead-time model, or
-# the active area (a CSV file, or the arguments of quarter_disc_map).
-# scenario_to_text writes the scenario and dead-time keys in this order.
+# starts with the object the key sets: the scenario, or the active area (a CSV
+# file, or the arguments of quarter_disc_map). scenario_to_text writes the
+# scenario keys in this order.
 _KEYS = (
     *(
         (f"budget.{label}_kcps", f"scenario.budget.{name}", _number(1e3))
@@ -75,7 +74,7 @@ _KEYS = (
     ("stack.ambient_index", "scenario.geometry.stack.ambient_index", _COMPLEX),
     ("stack.substrate_index", "scenario.geometry.stack.substrate_index", _COMPLEX),
     ("stack.layers", "scenario.geometry.stack.layers", _LAYERS),
-    ("deadtime.dead_time_us", "dead.dead_time", _MICRONS),
+    ("deadtime.dead_time_us", "scenario.dead_time", _MICRONS),
     ("geometry.active_area_csv", "area.csv", _TEXT),
     ("geometry.active_outer_radius_um", "area.outer_radius", _MICRONS),
     ("geometry.guard_width_um", "area.guard_width", _MICRONS),
@@ -103,7 +102,7 @@ def parse_config_text(text: str) -> dict[str, str]:
     return values
 
 
-def scenario_from_text(text: str, base_dir: Path | None = None) -> tuple[Scenario, DeadTimeModel]:
+def scenario_from_text(text: str, base_dir: Path | None = None) -> Scenario:
     values = parse_config_text(text)
     try:
         return _build_scenario(values, base_dir)
@@ -114,7 +113,7 @@ def scenario_from_text(text: str, base_dir: Path | None = None) -> tuple[Scenari
 
 
 def _build_scenario(values, base_dir):
-    changes = {"scenario": {}, "dead": {}, "area": {}}
+    changes = {"scenario": {}, "area": {}}
     for key, path, (parse, _) in _KEYS:
         if key in values:
             try:
@@ -133,7 +132,7 @@ def _build_scenario(values, base_dir):
         changes["scenario"]["geometry.active_area"] = area_map
     elif area:
         changes["scenario"]["geometry.active_area"] = quarter_disc_map(**area)
-    return _replaced(Scenario(), changes["scenario"]), _replaced(DeadTimeModel(), changes["dead"])
+    return _replaced(Scenario(), changes["scenario"])
 
 
 def _replaced(obj, changes: dict):
@@ -150,7 +149,7 @@ def _replaced(obj, changes: dict):
     return replace(obj, **fields)
 
 
-def load_scenario(path) -> tuple[Scenario, DeadTimeModel]:
+def load_scenario(path) -> Scenario:
     path = Path(path)
     try:
         text = path.read_text()
@@ -159,17 +158,14 @@ def load_scenario(path) -> tuple[Scenario, DeadTimeModel]:
     return scenario_from_text(text, base_dir=path.parent)
 
 
-def scenario_to_text(scenario: Scenario, dead: DeadTimeModel | None = None) -> str:
+def scenario_to_text(scenario: Scenario) -> str:
     """Serialize to the flat config format; parse(serialize(s)) reproduces s.
 
-    The active-area grid is emitted inline only through its quarter-disc
-    parameters when it matches the default builder; otherwise reference an
-    external CSV via geometry.active_area_csv before serializing.
+    The active-area keys are not written, so the parsed scenario has the
+    default active area; reference a map with geometry.active_area_csv by hand.
     """
-    objects = {"scenario": scenario, "dead": dead}
-    lines = []
-    for key, path, (_, fmt) in _KEYS:
-        obj, _, attr = path.partition(".")
-        if objects.get(obj) is not None:
-            lines.append(f"{key} = {fmt(attrgetter(attr)(objects[obj]))}")
-    return "\n".join(lines) + "\n"
+    return "".join(
+        f"{key} = {fmt(attrgetter(path.removeprefix('scenario.'))(scenario))}\n"
+        for key, path, (_, fmt) in _KEYS
+        if path.startswith("scenario.")
+    )

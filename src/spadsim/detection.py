@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import RateBudget, Scenario
-from .simulator import DeadTimeModel, EventStream, _bin_counts, _chunk_counts
+from .simulator import EventStream, _bin_counts, _chunk_counts
 
 # Effective emission rate (photons/s) of the odd-isotope emitter during
 # hyperfine-qubit readout. Coherent population trapping reduces it well below
@@ -211,7 +211,6 @@ def fidelity_curve(
     trials: int,
     sub_bin: float = 100e-6,
     max_time: float = 50e-3,
-    dead: DeadTimeModel | None = None,
     threshold_windows=None,
 ) -> FidelityCurve:
     """Monte Carlo sweep of the adaptive detector over stopping targets.
@@ -245,7 +244,7 @@ def fidelity_curve(
         for chunk, first in enumerate(range(0, trials, _CHUNK_TRIALS)):
             n = min(_CHUNK_TRIALS, trials - first)
             rng = np.random.default_rng([scenario.rng_seed, int(ion_present), chunk])
-            counts = _chunk_counts(trial_scenario, ion_present, dead, rng, n, sub_bin, n_bins)
+            counts = _chunk_counts(trial_scenario, ion_present, rng, n, sub_bin, n_bins)
             # configs differ only in target
             stop, says_ion = _stopping_bins(counts, ion_rate, empty_rate, configs[0], thresholds)
             correct[:, h] += np.count_nonzero(says_ion == ion_present, axis=0)
@@ -339,15 +338,8 @@ def projected_scenario_fidelity(
     budget = projected_budget(collection_efficiency, dark_rate, quantum_efficiency, emission_rate)
     if budget.fluorescence <= 0:
         return (0.5, max_time) if not full_curve else ((0.5, max_time), None)
-    scenario = Scenario(budget=budget, trial_duration=max_time, rng_seed=seed)
-    curve = fidelity_curve(
-        scenario,
-        PROJECTION_TARGET_SWEEP,
-        trials,
-        sub_bin=sub_bin,
-        max_time=max_time,
-        dead=DeadTimeModel(0.0),
-    )
+    scenario = Scenario(budget=budget, trial_duration=max_time, rng_seed=seed, dead_time=0.0)
+    curve = fidelity_curve(scenario, PROJECTION_TARGET_SWEEP, trials, sub_bin=sub_bin, max_time=max_time)
     _, fid, mean_time = min(
         curve.bayes, key=lambda p: abs(p[2] - PROJECTED_TARGET_TIME)
     )

@@ -88,17 +88,24 @@ def saturation_fraction_from_power(power: float, saturation_power: float) -> flo
 
 @dataclass(frozen=True)
 class Scenario:
-    """Immutable bundle of everything a simulated trial needs."""
+    """Immutable bundle of everything a simulated trial needs.
+
+    dead_time is the detector's nonparalyzable dead time in seconds: an event
+    within it of the last kept event is dropped.
+    """
 
     budget: RateBudget = field(default_factory=RateBudget)
     emitter: EmitterParams = field(default_factory=EmitterParams)
     geometry: DetectorGeometry = field(default_factory=DetectorGeometry)
     trial_duration: float = 50.0
     rng_seed: int = 0
+    dead_time: float = 1e-6
 
     def __post_init__(self):
         if self.trial_duration <= 0:
             raise ValueError("trial_duration must be > 0")
+        if self.dead_time < 0:
+            raise ValueError("dead_time must be >= 0")
 
 
 def table_budget() -> RateBudget:

@@ -55,37 +55,53 @@ def bare_silicon_stack() -> OpticalStack:
     return OpticalStack(layers=())
 
 
-def _amplitude_coeffs(stack: OpticalStack, angle_of_incidence, pol: str):
-    """Transfer-matrix r and transmittance factor for one polarization, elementwise over angles."""
+def _amplitude_coeffs(stack: OpticalStack, angle_of_incidence):
+    """Transfer-matrix r and transmittance factor elementwise over angles, with s then p
+    on a new leading axis.
+
+    A scalar angle goes through the same array arithmetic as an array of them, so
+    its results equal the array's element to the bit.
+    """
     angle = np.asarray(angle_of_incidence, dtype=float)
     if not np.all((angle >= 0.0) & (angle < math.pi / 2)):
         raise ValueError("angle of incidence must lie in [0, pi/2)")
     n0 = complex(stack.ambient_index)
-    kpar = n0 * np.sin(angle)  # conserved transverse index
+    kpar = n0 * np.sin(angle.reshape(-1))  # conserved transverse index
 
-    def admittance(n):
+    def admittances(n):
+        """The normal index q, and the s and p admittances (q and n^2/q) on a leading axis."""
         q = np.sqrt(n * n - kpar * kpar + 0j)
-        return q if pol == "s" else n * n / q
+        return q, np.stack((q, n * n / q))
 
-    # characteristic matrix [[m11, m12], [m21, m22]], each entry elementwise over angles
+    # characteristic matrix [[m11, m12], [m21, m22]], each entry elementwise over polarizations and angles
     m11, m12, m21, m22 = 1.0, 0.0, 0.0, 1.0
     for d, n in stack.layers:
-        q = np.sqrt(n * n - kpar * kpar + 0j)
+        q, e = admittances(n)
         delta = 2.0 * np.pi * d / stack.wavelength * q
-        e = admittance(n)
-        cos, i_sin_e, i_e_sin = np.cos(delta), 1j * np.sin(delta) / e, 1j * e * np.sin(delta)
+        cos, sin = np.cos(delta), np.sin(delta)
+        i_sin_e, i_e_sin = 1j * sin / e, 1j * e * sin
         m11, m12, m21, m22 = (
             m11 * cos + m12 * i_e_sin,
             m11 * i_sin_e + m12 * cos,
             m21 * cos + m22 * i_e_sin,
             m21 * i_sin_e + m22 * cos,
         )
-    e0 = admittance(n0)
-    es = admittance(complex(stack.substrate_index))
+    _, e0 = admittances(n0)
+    _, es = admittances(complex(stack.substrate_index))
     b, c = m11 + m12 * es, m21 + m22 * es
     r = (e0 * b - c) / (e0 * b + c)
     t_power = 4.0 * e0.real * es.real / abs(e0 * b + c) ** 2
-    return r, t_power
+    shape = (2, *angle.shape)
+    return r.reshape(shape), t_power.reshape(shape)
+
+
+def _polarized(values, polarization: str):
+    """The s or p row of values (s then p on the leading axis), or their mean for "unpolarized"."""
+    if polarization == "unpolarized":
+        return 0.5 * (values[0] + values[1])
+    if polarization not in ("s", "p"):
+        raise ValueError(f"unknown polarization {polarization!r}")
+    return values[("s", "p").index(polarization)]
 
 
 def stack_reflectance(stack: OpticalStack, angle_of_incidence, polarization: str = "unpolarized"):
@@ -94,25 +110,14 @@ def stack_reflectance(stack: OpticalStack, angle_of_incidence, polarization: str
     polarization is "s", "p" or "unpolarized" (mean of s and p). With no
     layers this reduces to the Fresnel reflection of the bare substrate.
     """
-    if polarization not in ("s", "p", "unpolarized"):
-        raise ValueError(f"unknown polarization {polarization!r}")
-    if polarization == "unpolarized":
-        rs, _ = _amplitude_coeffs(stack, angle_of_incidence, "s")
-        rp, _ = _amplitude_coeffs(stack, angle_of_incidence, "p")
-        return 0.5 * (abs(rs) ** 2 + abs(rp) ** 2)
-    r, _ = _amplitude_coeffs(stack, angle_of_incidence, polarization)
-    return abs(r) ** 2
+    r, _ = _amplitude_coeffs(stack, angle_of_incidence)
+    return _polarized(abs(r) ** 2, polarization)
 
 
 def stack_transmittance(stack: OpticalStack, angle_of_incidence, polarization: str = "unpolarized"):
     """Power transmittance into the substrate (R + T = 1 for lossless stacks), scalar or array angles."""
-    if polarization == "unpolarized":
-        return 0.5 * (
-            stack_transmittance(stack, angle_of_incidence, "s")
-            + stack_transmittance(stack, angle_of_incidence, "p")
-        )
-    _, t = _amplitude_coeffs(stack, angle_of_incidence, polarization)
-    return t
+    _, t = _amplitude_coeffs(stack, angle_of_incidence)
+    return _polarized(t, polarization)
 
 
 def _cell_centers(shape, cell_size: float, origin=(0.0, 0.0)) -> tuple[np.ndarray, np.ndarray]:

@@ -17,17 +17,6 @@ _WRITE_ROWS = 1 << 14  # events per block of CSV text
 
 
 @dataclass(frozen=True)
-class DeadTimeModel:
-    """Nonparalyzable dead time: events within dead_time of the last kept event are dropped."""
-
-    dead_time: float = 1e-6
-
-    def __post_init__(self):
-        if self.dead_time < 0:
-            raise ValueError("dead_time must be >= 0")
-
-
-@dataclass(frozen=True)
 class EventStream:
     """Timestamped detector events on a 1 ns grid.
 
@@ -125,9 +114,9 @@ def _dead_gap_ns(dead_ns: int) -> int:
     return max(int(dead_ns), 1)
 
 
-def _dead_ns(dead: DeadTimeModel | None) -> int:
-    """The dead time on the 1 ns grid; None is the default DeadTimeModel."""
-    return int(round((DeadTimeModel() if dead is None else dead).dead_time / NS))
+def _dead_ns(scenario: Scenario) -> int:
+    """The scenario's dead time on the 1 ns grid."""
+    return int(round(scenario.dead_time / NS))
 
 
 def _arrivals(scenario: Scenario, ion_present: bool, rng, n: int = 1):
@@ -153,22 +142,21 @@ def _arrivals(scenario: Scenario, ion_present: bool, rng, n: int = 1):
     return np.concatenate(times), np.concatenate(labels), np.concatenate(rows)
 
 
-def simulate_stream(scenario: Scenario, ion_present: bool, dead: DeadTimeModel | None = None, rng=None) -> EventStream:
-    """Superpose the budget's homogeneous Poisson sources into one dead-time-filtered stream.
+def simulate_stream(scenario: Scenario, ion_present: bool) -> EventStream:
+    """Superpose the budget's homogeneous Poisson sources into one stream filtered by the
+    scenario's dead time.
 
     Fluorescence contributes only when ion_present. Deterministic given the
-    scenario seed (or an explicit rng for derived trial streams).
+    scenario seed.
     """
-    if rng is None:
-        rng = np.random.default_rng(scenario.rng_seed)
-    t, labels, _ = _arrivals(scenario, ion_present, rng)
+    t, labels, _ = _arrivals(scenario, ion_present, np.random.default_rng(scenario.rng_seed))
     # stable: events at equal float times keep their source order
     order = np.argsort(t, kind="stable")
-    t_ns, labels = apply_dead_time(np.round(t[order] / NS).astype(np.int64), labels[order], _dead_ns(dead))
+    t_ns, labels = apply_dead_time(np.round(t[order] / NS).astype(np.int64), labels[order], _dead_ns(scenario))
     return EventStream(t_ns, labels, scenario.trial_duration)
 
 
-def _chunk_counts(scenario: Scenario, ion_present: bool, dead: DeadTimeModel | None, rng, trials: int, width: float, n: int):
+def _chunk_counts(scenario: Scenario, ion_present: bool, rng, trials: int, width: float, n: int):
     """Dead-time-filtered counts in n windows of `width` seconds for `trials` trials drawn
     together from rng, as a trials x n matrix.
 
@@ -179,7 +167,7 @@ def _chunk_counts(scenario: Scenario, ion_present: bool, dead: DeadTimeModel | N
     order of events at equal times does not matter here, since only the times
     are kept.
     """
-    dead_ns = _dead_ns(dead)
+    dead_ns = _dead_ns(scenario)
     span = round(scenario.trial_duration / NS) + _dead_gap_ns(dead_ns) + 1
     t, _, rows = _arrivals(scenario, ion_present, rng, trials)
     t_ns = np.sort(np.round(t / NS).astype(np.int64) + rows * span)

@@ -32,7 +32,7 @@ from spadsim.optics import (
     stack_reflectance,
     stack_transmittance,
 )
-from spadsim.simulator import DeadTimeModel, gate_and_count, simulate_stream
+from spadsim.simulator import gate_and_count, simulate_stream
 from spadsim.synthetic import make_qe_dataset, make_spot_scan
 
 
@@ -190,14 +190,14 @@ def test_8_property_suite():
     from test_simulator import poisson_gof_pvalue
 
     # Poisson goodness of fit
-    sc = Scenario(budget=RateBudget(dark_counts=5e3), trial_duration=20.0, rng_seed=12)
-    counts = gate_and_count(simulate_stream(sc, False, DeadTimeModel(0.0)), 10e-3)
+    sc = Scenario(budget=RateBudget(dark_counts=5e3), trial_duration=20.0, rng_seed=12, dead_time=0.0)
+    counts = gate_and_count(simulate_stream(sc, False), 10e-3)
     p_gof = poisson_gof_pvalue(counts, 50.0)
 
     # dead-time rate formula
     rate, tau = 50e3, 1e-6
-    sc_d = Scenario(budget=RateBudget(dark_counts=rate), trial_duration=20.0, rng_seed=9)
-    observed = len(simulate_stream(sc_d, False, DeadTimeModel(tau))) / 20.0
+    sc_d = Scenario(budget=RateBudget(dark_counts=rate), trial_duration=20.0, rng_seed=9, dead_time=tau)
+    observed = len(simulate_stream(sc_d, False)) / 20.0
     dead_err = abs(observed - rate / (1 + rate * tau)) / (rate / (1 + rate * tau))
 
     # determinism
@@ -216,9 +216,7 @@ def test_8_property_suite():
 
     # mean stopping time dominates the Wald bound at 3 sigma
     trials = 4000
-    curve = fidelity_curve(
-        Scenario(budget=table_budget(), rng_seed=55), [0.99], trials, dead=DeadTimeModel(0.0)
-    )
+    curve = fidelity_curve(Scenario(budget=table_budget(), rng_seed=55, dead_time=0.0), [0.99], trials)
     _, _, mean_time = curve.bayes[0]
     bound = sum(wald_bound(11_700.0, 6_900.0, 0.01)) / 2
     sem = mean_time / math.sqrt(2 * trials)  # conservative: std <= mean for stopping times

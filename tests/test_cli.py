@@ -10,7 +10,6 @@ from spadsim.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, _fidelity_
 from spadsim.config import scenario_to_text
 from spadsim.model import Scenario, table_budget
 from spadsim.optics import ShadowingWarning
-from spadsim.simulator import DeadTimeModel
 
 
 @pytest.fixture()
@@ -23,7 +22,7 @@ def outdir(tmp_path, monkeypatch):
 def config_file(tmp_path):
     path = tmp_path / "scenario.cfg"
     scenario = Scenario(budget=table_budget(), trial_duration=5.0, rng_seed=11)
-    path.write_text(scenario_to_text(scenario, DeadTimeModel()))
+    path.write_text(scenario_to_text(scenario))
     return str(path)
 
 
@@ -119,8 +118,8 @@ class TestFidelity:
         bodies = []
         for dead_us in (1.0, 20.0):
             cfg = tmp_path / f"dead_{dead_us:g}us.cfg"
-            scenario = Scenario(budget=table_budget(), trial_duration=5.0, rng_seed=11)
-            cfg.write_text(scenario_to_text(scenario, DeadTimeModel(dead_us * 1e-6)))
+            scenario = Scenario(budget=table_budget(), trial_duration=5.0, rng_seed=11, dead_time=dead_us * 1e-6)
+            cfg.write_text(scenario_to_text(scenario))
             out = tmp_path / f"curve_{dead_us:g}us.csv"
             argv = ["fidelity", "--config", str(cfg), "--targets", "0.9,0.99", "--trials", "200",
                     "--max-time-ms", "20", "--out", str(out)]
@@ -286,6 +285,33 @@ class TestManifest:
         main(["collection", "--offsets-um", "0,40", "--out", str(a)])
         main(["collection", "--offsets-um", "0,50", "--out", str(b)])
         assert a.read_text().splitlines()[0] != b.read_text().splitlines()[0]
+
+
+class TestFlags:
+    # each subcommand offers --config and --seed only where they take effect
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["spot", "--demo"], ["--config", "/nonexistent.cfg"]),
+            (["budget", "--demo"], ["--config", "/nonexistent.cfg"]),
+            (["budget", "--demo"], ["--seed", "3"]),
+            (["collection", "--offsets-um", "0,10"], ["--seed", "3"]),
+            (["arc", "--angles-deg", "0"], ["--seed", "3"]),
+        ],
+        ids=["spot-config", "budget-config", "budget-seed", "collection-seed", "arc-seed"],
+    )
+    def test_flag_without_effect_is_rejected(self, outdir, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *flag])
+        assert exc.value.code == EXIT_INPUT_ERROR
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+        assert not any(outdir.iterdir())
+
+    def test_output_dir_flag_wins_over_environment(self, outdir, tmp_path):
+        flag_dir = tmp_path / "flag"
+        assert main(["arc", "--angles-deg", "0", "--output-dir", str(flag_dir)]) == EXIT_OK
+        read_output(flag_dir / "reflectance.csv")
+        assert not (outdir / "reflectance.csv").exists()
 
 
 def test_cli_import_leaves_scipy_signal_and_stats_unloaded():

@@ -7,7 +7,6 @@ from spadsim.config import (
     scenario_to_text,
 )
 from spadsim.model import Scenario, table_budget
-from spadsim.simulator import DeadTimeModel
 
 
 MINIMAL = """
@@ -19,6 +18,29 @@ budget.dark_kcps = 1.2
 budget.rf_kcps = 0.3
 trial.duration_s = 2.5
 trial.seed = 99
+"""
+
+# scenario_to_text of the reference-budget scenario, as written before the dead
+# time moved into Scenario
+REFERENCE_TEXT = """\
+budget.fluorescence_kcps = 4.8
+budget.repump_kcps = 4
+budget.doppler_kcps = 1.4
+budget.dark_kcps = 1.2
+budget.rf_kcps = 0.3
+emitter.gamma_over_2pi_mhz = 19.6
+emitter.saturation_fraction = 0.83
+trial.duration_s = 50
+trial.seed = 0
+geometry.ion_height_um = 50
+geometry.recess_um = 7
+geometry.lateral_offset_um = 80
+geometry.emission = isotropic
+stack.wavelength_nm = 370
+stack.ambient_index = 1
+stack.substrate_index = 6.9+1.4j
+stack.layers = 29 2.1 ; 10 1.47
+deadtime.dead_time_us = 1
 """
 
 
@@ -47,16 +69,16 @@ class TestParse:
 
 class TestScenarioFromText:
     def test_budget_and_trial_fields(self):
-        scenario, dead = scenario_from_text(MINIMAL)
+        scenario = scenario_from_text(MINIMAL)
         assert scenario.budget == table_budget()
         assert scenario.trial_duration == 2.5
         assert scenario.rng_seed == 99
-        assert dead.dead_time == pytest.approx(1e-6)
+        assert scenario.dead_time == pytest.approx(1e-6)
         big = 2**53 + 1  # not a float
-        assert scenario_from_text(f"trial.seed = {big}\n")[0].rng_seed == big
+        assert scenario_from_text(f"trial.seed = {big}\n").rng_seed == big
 
     def test_defaults_when_empty(self):
-        scenario, _ = scenario_from_text("")
+        scenario = scenario_from_text("")
         default = Scenario()
         assert scenario.budget == default.budget
         assert scenario.emitter == default.emitter
@@ -68,7 +90,7 @@ class TestScenarioFromText:
             scenario_from_text("trial.seed = 1.9\n")
 
     def test_stack_layers_parsing(self):
-        scenario, _ = scenario_from_text("stack.layers = 29 2.0 ; 10 1.46\n")
+        scenario = scenario_from_text("stack.layers = 29 2.0 ; 10 1.46\n")
         layers = scenario.geometry.stack.layers
         assert layers[0][0] == pytest.approx(29e-9)
         assert layers[1][1] == pytest.approx(1.46 + 0j)
@@ -83,14 +105,18 @@ class TestScenarioFromText:
         with pytest.raises(ConfigError):
             scenario_from_text("budget.dark_kcps = -1\n")
 
+    def test_negative_dead_time_rejected(self):
+        with pytest.raises(ConfigError, match="dead_time must be >= 0"):
+            scenario_from_text("deadtime.dead_time_us = -0.5\n")
+
     def test_active_area_csv_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="active_area_csv"):
             scenario_from_text("geometry.active_area_csv = nope.csv\n", base_dir=tmp_path)
 
     def test_active_area_csv_loaded_relative(self, tmp_path):
-        base_scenario, _ = scenario_from_text("")
+        base_scenario = scenario_from_text("")
         (tmp_path / "area.csv").write_text(base_scenario.geometry.active_area.to_csv())
-        scenario, _ = scenario_from_text(
+        scenario = scenario_from_text(
             "geometry.active_area_csv = area.csv\n", base_dir=tmp_path
         )
         assert scenario.geometry.active_area.effective_area() == pytest.approx(
@@ -100,23 +126,23 @@ class TestScenarioFromText:
 
 class TestRoundTrip:
     def test_default_scenario(self):
-        scenario, dead = Scenario(), DeadTimeModel(2.5e-6)
-        text = scenario_to_text(scenario, dead)
-        back, dead_back = scenario_from_text(text)
+        scenario = Scenario(dead_time=2.5e-6)
+        text = scenario_to_text(scenario)
+        back = scenario_from_text(text)
         assert back.budget == scenario.budget
         assert back.rng_seed == scenario.rng_seed
         assert back.trial_duration == pytest.approx(scenario.trial_duration)
         assert back.geometry.ion_lateral_offset == pytest.approx(
             scenario.geometry.ion_lateral_offset, rel=1e-12
         )
-        assert dead_back.dead_time == pytest.approx(dead.dead_time)
+        assert back.dead_time == pytest.approx(scenario.dead_time)
         # serialize(parse(serialize(s))) is a fixed point
-        assert scenario_to_text(back, dead_back) == text
+        assert scenario_to_text(back) == text
 
     def test_modified_scenario(self):
         scenario = Scenario(budget=table_budget().scaled(1.7), trial_duration=0.125, rng_seed=7)
         text = scenario_to_text(scenario)
-        back, _ = scenario_from_text(text)
+        back = scenario_from_text(text)
         assert back.budget.fluorescence == pytest.approx(scenario.budget.fluorescence, rel=1e-12)
         assert back.trial_duration == scenario.trial_duration
         assert back.rng_seed == 7
@@ -125,5 +151,9 @@ class TestRoundTrip:
     def test_serialized_text_is_stable(self):
         scenario = Scenario()
         t1 = scenario_to_text(scenario)
-        t2 = scenario_to_text(scenario_from_text(t1)[0])
+        t2 = scenario_to_text(scenario_from_text(t1))
         assert t1 == t2
+
+    def test_reference_text_is_pinned(self):
+        # the config of every CLI run without --config, and so part of its manifest hash
+        assert scenario_to_text(Scenario(budget=table_budget())) == REFERENCE_TEXT

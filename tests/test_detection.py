@@ -15,7 +15,7 @@ from spadsim.detection import (
     wald_bound,
 )
 from spadsim.model import RateBudget, Scenario, table_budget
-from spadsim.simulator import DeadTimeModel, EventStream
+from spadsim.simulator import EventStream
 
 ION_RATE = 11700.0
 EMPTY_RATE = 6900.0
@@ -199,18 +199,18 @@ class TestFidelityCurve:
     def test_achieved_fidelity_tracks_target(self):
         # generating model equals inference model: achieved fidelity within
         # binomial 3 sigma of (at least) the target
-        sc = Scenario(budget=table_budget(), rng_seed=29)
+        sc = Scenario(budget=table_budget(), rng_seed=29, dead_time=0.0)
         trials = 2000
         target = 0.98
-        curve = fidelity_curve(sc, [target], trials, dead=DeadTimeModel(0.0))
+        curve = fidelity_curve(sc, [target], trials)
         _, fid, _ = curve.bayes[0]
         sigma = math.sqrt(target * (1 - target) / (2 * trials))
         assert fid >= target - 3 * sigma
 
     def test_mean_time_dominates_wald_bound(self):
-        sc = Scenario(budget=table_budget(), rng_seed=31)
+        sc = Scenario(budget=table_budget(), rng_seed=31, dead_time=0.0)
         trials = 2000
-        curve = fidelity_curve(sc, [0.99], trials, dead=DeadTimeModel(0.0))
+        curve = fidelity_curve(sc, [0.99], trials)
         _, _, mean_time = curve.bayes[0]
         bound = sum(wald_bound(ION_RATE, EMPTY_RATE, 0.01)) / 2
         assert mean_time > bound

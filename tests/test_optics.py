@@ -69,9 +69,21 @@ class TestReflectance:
         with pytest.raises(ValueError):
             stack_reflectance(arc_stack(), math.pi / 2)
 
+    def test_scalar_angle_equals_array_element(self):
+        # a complex ambient index makes every complex product in the transfer matrix count
+        stack = OpticalStack(ambient_index=1.33 + 0.01j, layers=((80e-9, 2.0 + 0.3j), (40e-9, 1.5 + 0.1j)))
+        angles = np.linspace(0.0, 1.5, 31)
+        for f in (stack_reflectance, stack_transmittance):
+            for pol in ("s", "p", "unpolarized"):
+                assert f(stack, angles, pol).tolist() == [f(stack, a, pol) for a in angles]
+
     def test_bad_polarization(self):
         with pytest.raises(ValueError):
             stack_reflectance(arc_stack(), 0.0, "circular")
+
+    def test_transmittance_bad_polarization(self):
+        with pytest.raises(ValueError, match="unknown polarization 'circular'"):
+            stack_transmittance(arc_stack(), 0.3, "circular")
 
     def test_stack_validation(self):
         with pytest.raises(ValueError):

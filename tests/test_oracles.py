@@ -49,7 +49,6 @@ from spadsim.optics import (
 from spadsim.simulator import (
     _EVENT_HEADER,
     NS,
-    DeadTimeModel,
     EventStream,
     FrontEndParams,
     _arrivals,
@@ -140,9 +139,9 @@ def loop_arrivals(scenario, ion_present, rng):
 @pytest.mark.parametrize("ion_present", [True, False])
 @pytest.mark.parametrize("budget", [table_budget(), RateBudget(dark_counts=300.0)], ids=["reference", "dark"])
 def test_simulate_stream_matches_per_trial_draw(seed, ion_present, budget):
-    scenario = Scenario(budget=budget, trial_duration=0.5, rng_seed=seed)
     for dead_time in (0.0, 1e-6):
-        stream = simulate_stream(scenario, ion_present, DeadTimeModel(dead_time))
+        scenario = Scenario(budget=budget, trial_duration=0.5, rng_seed=seed, dead_time=dead_time)
+        stream = simulate_stream(scenario, ion_present)
         t_ns, labels = loop_arrivals(scenario, ion_present, np.random.default_rng(seed))
         want_t, want_l = loop_dead_time(t_ns, labels, round(dead_time / NS))
         assert stream.timestamps_ns.tolist() == want_t.tolist()
@@ -223,7 +222,7 @@ def loop_detect(counts, ion_rate, empty_rate, config):
     return bool(hit[stop]), bool(llr[stop] > 0), float((stop + 1) * config.sub_bin)
 
 
-def loop_fidelity_points(scenario, targets, trials, sub_bin, max_time, dead):
+def loop_fidelity_points(scenario, targets, trials, sub_bin, max_time):
     """The adaptive points of fidelity_curve: split each chunk's draw into its trials, sort,
     dead-time filter and bin each trial on its own, then run detect_from_counts per trial and target."""
     ion_rate, empty_rate = scenario.budget.ion_total(), scenario.budget.background_total()
@@ -240,7 +239,7 @@ def loop_fidelity_points(scenario, targets, trials, sub_bin, max_time, dead):
             for j in range(n):
                 order = np.argsort(t[trial == j], kind="stable")
                 t_ns = np.round(t[trial == j][order] / NS).astype(np.int64)
-                t_ns, _ = loop_dead_time(t_ns, labels[trial == j][order], round(dead.dead_time / NS))
+                t_ns, _ = loop_dead_time(t_ns, labels[trial == j][order], round(scenario.dead_time / NS))
                 binned[hyp].append(np.histogram(t_ns, bins=edges)[0])
     points = []
     for target in targets:
@@ -294,12 +293,10 @@ def test_fidelity_curve_matches_per_trial_detector(
     fluorescence, background, dead_time, targets, trials, max_time, n_bins, seed
 ):
     budget = RateBudget(fluorescence=fluorescence, dark_counts=background)
-    scenario = Scenario(budget=budget, rng_seed=seed)
+    scenario = Scenario(budget=budget, rng_seed=seed, dead_time=dead_time)
     sub_bin = max_time / n_bins
-    dead = DeadTimeModel(dead_time)
-    curve = fidelity_curve(scenario, targets, trials, sub_bin=sub_bin, max_time=max_time, dead=dead,
-                           threshold_windows=[sub_bin])
-    want = loop_fidelity_points(scenario, targets, trials, sub_bin, max_time, dead)
+    curve = fidelity_curve(scenario, targets, trials, sub_bin=sub_bin, max_time=max_time, threshold_windows=[sub_bin])
+    want = loop_fidelity_points(scenario, targets, trials, sub_bin, max_time)
     assert repr(curve.bayes) == repr(want)
 
 
@@ -443,10 +440,11 @@ def test_exact_sequential_matches_one_bin():
 )
 def test_fidelity_curve_matches_exact_sequential_test(fluorescence, background, targets, sub_bin, n_bins, seed):
     trials = 2000
-    scenario = Scenario(budget=RateBudget(fluorescence=fluorescence, dark_counts=background), rng_seed=seed)
+    scenario = Scenario(
+        budget=RateBudget(fluorescence=fluorescence, dark_counts=background), rng_seed=seed, dead_time=0.0
+    )
     max_time = sub_bin * n_bins
-    curve = fidelity_curve(scenario, targets, trials, sub_bin=sub_bin, max_time=max_time,
-                           dead=DeadTimeModel(0.0), threshold_windows=[sub_bin])
+    curve = fidelity_curve(scenario, targets, trials, sub_bin=sub_bin, max_time=max_time, threshold_windows=[sub_bin])
     for point in curve.bayes:
         exact = exact_sequential(fluorescence + background, background, point[0], sub_bin, max_time)
         assert_matches_exact(point, exact, trials, sub_bin)
@@ -454,8 +452,8 @@ def test_fidelity_curve_matches_exact_sequential_test(fluorescence, background, 
 
 def test_reference_preset_matches_exact_sequential_test():
     trials = 5000
-    scenario = Scenario(budget=table_budget(), rng_seed=20260824)
-    curve = fidelity_curve(scenario, [0.9, 0.95, 0.99], trials, dead=DeadTimeModel(0.0))
+    scenario = Scenario(budget=table_budget(), rng_seed=20260824, dead_time=0.0)
+    curve = fidelity_curve(scenario, [0.9, 0.95, 0.99], trials)
     for point in curve.bayes:
         exact = exact_sequential(curve.ion_rate, curve.empty_rate, point[0], 100e-6, 50e-3)
         assert_matches_exact(point, exact, trials, 100e-6)

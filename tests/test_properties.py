@@ -10,7 +10,7 @@ from spadsim.config import scenario_from_text, scenario_to_text
 from spadsim.estimation import SpotScan, ToggleMeasurement
 from spadsim.model import BUDGET_SOURCES, SOURCE_LABELS, RateBudget, Scenario
 from spadsim.optics import ActiveAreaMap
-from spadsim.simulator import DeadTimeModel, EventStream
+from spadsim.simulator import EventStream
 from spadsim.synthetic import (
     qe_dataset_from_csv,
     qe_dataset_to_csv,
@@ -47,10 +47,11 @@ def with_manifest(text, manifest):
 )
 def test_config_text_round_trip(rates, seed, duration, dead_time):
     scenario = Scenario(
-        budget=RateBudget(**dict(zip(BUDGET_SOURCES, rates))), trial_duration=duration, rng_seed=seed
+        budget=RateBudget(**dict(zip(BUDGET_SOURCES, rates))), trial_duration=duration, rng_seed=seed,
+        dead_time=dead_time,
     )
-    text = scenario_to_text(scenario, DeadTimeModel(dead_time))
-    assert scenario_to_text(*scenario_from_text(text)) == text
+    text = scenario_to_text(scenario)
+    assert scenario_to_text(scenario_from_text(text)) == text
 
 
 @settings(deadline=None)

@@ -1,18 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from spadsim.model import RateBudget, Scenario, table_budget
 from spadsim.simulator import (
-    DeadTimeModel,
     EventStream,
     FrontEndParams,
     gate_and_count,
     simulate_frontend,
     simulate_stream,
 )
-
-NO_DEAD = DeadTimeModel(0.0)
 
 
 def make_stream(times_ns, duration=1.0):
@@ -32,23 +31,23 @@ class TestSimulateStream:
         counts = []
         for seed in range(100):
             sc_i = Scenario(budget=sc.budget, trial_duration=50.0, rng_seed=seed)
-            counts.append(len(simulate_stream(sc_i, False, NO_DEAD)))
+            counts.append(len(simulate_stream(replace(sc_i, dead_time=0.0), False)))
         mean = np.mean(counts)
         sigma_mean = np.sqrt(60000 / 100)
         assert abs(mean - 60000) < 3 * sigma_mean
 
     def test_fluorescence_only_with_ion(self):
         sc = Scenario(budget=table_budget(), trial_duration=2.0, rng_seed=5)
-        empty = simulate_stream(sc, False, NO_DEAD)
+        empty = simulate_stream(replace(sc, dead_time=0.0), False)
         assert empty.counts_by_source()["fluorescence"] == 0
-        ion = simulate_stream(sc, True, NO_DEAD)
+        ion = simulate_stream(replace(sc, dead_time=0.0), True)
         assert ion.counts_by_source()["fluorescence"] > 0
 
     def test_nonparalyzable_dead_time_rate(self):
         rate = 50e3
         tau = 1e-6  # lambda*tau = 0.05
         sc = Scenario(budget=RateBudget(dark_counts=rate), trial_duration=20.0, rng_seed=9)
-        stream = simulate_stream(sc, False, DeadTimeModel(tau))
+        stream = simulate_stream(replace(sc, dead_time=tau), False)
         observed = len(stream) / sc.trial_duration
         expected = rate / (1 + rate * tau)
         assert observed == pytest.approx(expected, rel=0.02)
@@ -56,13 +55,13 @@ class TestSimulateStream:
     def test_dead_time_gap_invariant(self):
         tau = 2e-6
         sc = Scenario(budget=RateBudget(dark_counts=100e3), trial_duration=1.0, rng_seed=2)
-        stream = simulate_stream(sc, False, DeadTimeModel(tau))
+        stream = simulate_stream(replace(sc, dead_time=tau), False)
         gaps = np.diff(stream.timestamps_ns)
         assert gaps.min() >= tau / 1e-9
 
     def test_strictly_increasing_and_1ns_grid(self):
         sc = Scenario(budget=table_budget(), trial_duration=1.0, rng_seed=3)
-        stream = simulate_stream(sc, True, NO_DEAD)
+        stream = simulate_stream(replace(sc, dead_time=0.0), True)
         assert np.all(np.diff(stream.timestamps_ns) > 0)
         assert stream.timestamps_ns.dtype == np.int64
 
@@ -85,12 +84,12 @@ class TestSimulateStream:
             merged = np.sort(
                 np.concatenate(
                     [
-                        simulate_stream(s1, False, NO_DEAD).times_s,
-                        simulate_stream(s2, False, NO_DEAD).times_s,
+                        simulate_stream(replace(s1, dead_time=0.0), False).times_s,
+                        simulate_stream(replace(s2, dead_time=0.0), False).times_s,
                     ]
                 )
             )
-            single = simulate_stream(s12, False, NO_DEAD).times_s
+            single = simulate_stream(replace(s12, dead_time=0.0), False).times_s
             _, p = stats.ks_2samp(np.diff(merged), np.diff(single))
             passes += p > 0.01
         assert passes >= 18
@@ -102,7 +101,7 @@ class TestSimulateStream:
         n_rep = 100
         for seed in range(n_rep):
             sc = Scenario(budget=RateBudget(dark_counts=rate), trial_duration=duration, rng_seed=seed)
-            counts = gate_and_count(simulate_stream(sc, False, NO_DEAD), gate)
+            counts = gate_and_count(simulate_stream(replace(sc, dead_time=0.0), False), gate)
             passes += poisson_gof_pvalue(counts, rate * gate) > 0.01
         assert passes >= 0.95 * n_rep
 
@@ -145,13 +144,13 @@ class TestGateAndCount:
 
     def test_mean_counts_at_reference_rates(self):
         sc = Scenario(budget=table_budget(), trial_duration=50.0, rng_seed=8)
-        counts = gate_and_count(simulate_stream(sc, True, NO_DEAD), 0.025)
+        counts = gate_and_count(simulate_stream(replace(sc, dead_time=0.0), True), 0.025)
         assert counts.size == 2000
         assert np.mean(counts) == pytest.approx(292.5, rel=0.02)
 
     def test_count_conservation(self):
         sc = Scenario(budget=table_budget(), trial_duration=1.0, rng_seed=4)
-        stream = simulate_stream(sc, True, NO_DEAD)
+        stream = simulate_stream(replace(sc, dead_time=0.0), True)
         counts = gate_and_count(stream, 0.25)
         assert counts.sum() == np.sum(stream.times_s < 1.0)
 
@@ -190,7 +189,7 @@ class TestFrontEnd:
     def test_count_preservation_sparse_pulses(self):
         rng = np.random.default_rng(12)
         sc = Scenario(budget=RateBudget(dark_counts=2e3), trial_duration=20e-3, rng_seed=31)
-        events = simulate_stream(sc, False, DeadTimeModel(2e-6))
+        events = simulate_stream(replace(sc, dead_time=2e-6), False)
         # thresholds below the filtered peak of the smallest pulses so only
         # overlap, not amplitude, could lose counts
         params = FrontEndParams(schmitt_high=0.05, schmitt_low=0.025)
