@@ -38,7 +38,6 @@ from .detection import (
     wald_bound,
 )
 from .estimation import (
-    QEFitInput,
     SpotScan,
     ToggleMeasurement,
     decompose_budget,

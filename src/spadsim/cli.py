@@ -292,22 +292,14 @@ def cmd_qefit(args) -> int:
         offsets = np.arange(0.0, 81e-6, 5e-6)
         with warnings.catch_warnings():  # the fit below names the same shadowed offsets
             warnings.simplefilter("ignore", ShadowingWarning)
-            offs, rates = synthetic.make_qe_dataset(
-                scenario, offsets, seed=args.seed if args.seed is not None else 0
-            )
+            offs, rates = synthetic.make_qe_dataset(scenario, offsets)
         data_text = synthetic.qe_dataset_to_csv(offs, rates)
     else:
         if not args.data_csv:
             raise ConfigError("qefit needs a data CSV path or --demo")
         data_text = Path(args.data_csv).read_text()
         offs, rates = synthetic.qe_dataset_from_csv(data_text)
-    fit_input = estimation.QEFitInput(
-        positions=offs,
-        measured_fluorescence=rates,
-        geometry=scenario.geometry,
-        emitter=scenario.emitter,
-    )
-    qe, err = estimation.fit_quantum_efficiency(fit_input)
+    qe, err = estimation.fit_quantum_efficiency(scenario, offs, rates)
     manifest = _manifest_hash("qefit", args, config_text + data_text)
     body = f"qe,std_error\n{qe:.6g},{err:.6g}\n"
     _write_output(_output_path(args, "qe_fit.csv"), manifest, body)

@@ -7,6 +7,8 @@ from dataclasses import replace
 from operator import attrgetter
 from pathlib import Path
 
+import numpy as np
+
 from .model import BUDGET_SOURCES, SOURCE_LABELS, Scenario
 from .optics import ActiveAreaMap, quarter_disc_map
 
@@ -126,7 +128,7 @@ def _build_scenario(values, base_dir):
     if "csv" in area:
         path = Path(area["csv"]) if base_dir is None else base_dir / area["csv"]
         try:
-            area_map = ActiveAreaMap.load_csv(path)
+            area_map = ActiveAreaMap.from_csv(path.read_text())
         except (OSError, ValueError) as exc:
             raise ConfigError(f"key 'geometry.active_area_csv': cannot read {path}: {exc}") from exc
         changes["scenario"]["geometry.active_area"] = area_map
@@ -162,8 +164,19 @@ def scenario_to_text(scenario: Scenario) -> str:
     """Serialize to the flat config format; parse(serialize(s)) reproduces s.
 
     The active-area keys are not written, so the parsed scenario has the
-    default active area; reference a map with geometry.active_area_csv by hand.
+    default active area. Any other area raises ValueError: write its map to a
+    CSV file and name that with geometry.active_area_csv by hand.
     """
+    area, default = scenario.geometry.active_area, quarter_disc_map()
+    if not (
+        area.cell_size == default.cell_size
+        and tuple(area.origin) == default.origin
+        and np.array_equal(area.weights, default.weights)
+    ):
+        raise ValueError(
+            "geometry.active_area_csv: the config text cannot carry an active area other than "
+            "the default quarter disc; write its map to a CSV file and name it with that key"
+        )
     return "".join(
         f"{key} = {fmt(attrgetter(path.removeprefix('scenario.'))(scenario))}\n"
         for key, path, (_, fmt) in _KEYS

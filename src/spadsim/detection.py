@@ -22,6 +22,9 @@ PROJECTED_QUANTUM_EFFICIENCY = 0.24
 PROJECTED_TARGET_TIME = 75e-6
 PROJECTED_SEED = 20260824
 PROJECTED_TRIALS = 20000
+# the projection's sequential detector: 2 us bins over at most 2 ms
+PROJECTED_SUB_BIN = 2e-6
+PROJECTED_MAX_TIME = 2e-3
 
 
 @dataclass(frozen=True)
@@ -302,17 +305,12 @@ def _stopping_bins(counts: np.ndarray, ion_rate: float, empty_rate: float, confi
     return stop, says_ion
 
 
-def projected_budget(
-    collection_efficiency: float = PROJECTED_COLLECTION_EFFICIENCY,
-    dark_rate: float = PROJECTED_DARK_RATE,
-    quantum_efficiency: float = PROJECTED_QUANTUM_EFFICIENCY,
-    emission_rate: float = PROJECTED_EMISSION_RATE,
-) -> RateBudget:
+def projected_budget() -> RateBudget:
     """Detected-count budget for the improved-device projection: no laser scatter,
     reduced dark counts, higher collection efficiency."""
     return RateBudget(
-        fluorescence=emission_rate * collection_efficiency * quantum_efficiency,
-        dark_counts=dark_rate,
+        fluorescence=PROJECTED_EMISSION_RATE * PROJECTED_COLLECTION_EFFICIENCY * PROJECTED_QUANTUM_EFFICIENCY,
+        dark_counts=PROJECTED_DARK_RATE,
     )
 
 
@@ -320,26 +318,17 @@ PROJECTION_TARGET_SWEEP = (0.990, 0.9925, 0.995, 0.9965, 0.9977, 0.9987)
 
 
 def projected_scenario_fidelity(
-    collection_efficiency: float = PROJECTED_COLLECTION_EFFICIENCY,
-    dark_rate: float = PROJECTED_DARK_RATE,
-    quantum_efficiency: float = PROJECTED_QUANTUM_EFFICIENCY,
-    emission_rate: float = PROJECTED_EMISSION_RATE,
-    trials: int = PROJECTED_TRIALS,
-    seed: int = PROJECTED_SEED,
-    sub_bin: float = 2e-6,
-    max_time: float = 2e-3,
-    full_curve: bool = False,
+    trials: int = PROJECTED_TRIALS, seed: int = PROJECTED_SEED, full_curve: bool = False
 ):
     """Fidelity/mean-time of the forward-projection scenario at its design point.
 
     Sweeps the stopping target and reports the sweep point whose mean decision
     time lands closest to the 75 us design time.
     """
-    budget = projected_budget(collection_efficiency, dark_rate, quantum_efficiency, emission_rate)
-    if budget.fluorescence <= 0:
-        return (0.5, max_time) if not full_curve else ((0.5, max_time), None)
-    scenario = Scenario(budget=budget, trial_duration=max_time, rng_seed=seed, dead_time=0.0)
-    curve = fidelity_curve(scenario, PROJECTION_TARGET_SWEEP, trials, sub_bin=sub_bin, max_time=max_time)
+    scenario = Scenario(budget=projected_budget(), trial_duration=PROJECTED_MAX_TIME, rng_seed=seed, dead_time=0.0)
+    curve = fidelity_curve(
+        scenario, PROJECTION_TARGET_SWEEP, trials, sub_bin=PROJECTED_SUB_BIN, max_time=PROJECTED_MAX_TIME
+    )
     _, fid, mean_time = min(
         curve.bayes, key=lambda p: abs(p[2] - PROJECTED_TARGET_TIME)
     )

@@ -3,12 +3,12 @@ saturation-curve fit and the single-parameter quantum-efficiency fit."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BUDGET_SOURCES, EmitterParams, RateBudget, scattering_rate
-from .optics import ActiveAreaMap, DetectorGeometry, efficiency_vs_offset
+from .model import BUDGET_SOURCES, RateBudget, Scenario, scattering_rate
+from .optics import ActiveAreaMap, efficiency_vs_offset
 from .tables import read_grid, read_metadata
 
 
@@ -154,40 +154,27 @@ def fit_saturation(powers, rates) -> tuple[float, float, np.ndarray]:
     return psat, rmax, fractions
 
 
-@dataclass(frozen=True)
-class QEFitInput:
-    """Background-subtracted fluorescence rates at a set of ion lateral offsets."""
-
-    positions: np.ndarray
-    measured_fluorescence: np.ndarray
-    geometry: DetectorGeometry
-    emitter: EmitterParams = field(default_factory=EmitterParams)
-
-    def __post_init__(self):
-        p = np.asarray(self.positions, dtype=float)
-        m = np.asarray(self.measured_fluorescence, dtype=float)
-        object.__setattr__(self, "positions", p)
-        object.__setattr__(self, "measured_fluorescence", m)
-        if p.size == 0 or p.shape != m.shape:
-            raise ValueError("positions and measured rates must be equal-length and non-empty")
-        if np.any(m < 0):
-            raise ValueError("measured rates must be >= 0")
+def expected_incident_rates(scenario: Scenario, offsets) -> np.ndarray:
+    """Photon rate incident on the active area (after coating loss) at each lateral
+    offset: the scenario's emission rate times its collection efficiency there."""
+    return scattering_rate(scenario.emitter) * efficiency_vs_offset(scenario.geometry, offsets)
 
 
-def expected_incident_rates(input: QEFitInput) -> np.ndarray:
-    """Photon rate incident on the active area (after coating loss) at each offset."""
-    return scattering_rate(input.emitter) * efficiency_vs_offset(input.geometry, input.positions)
-
-
-def fit_quantum_efficiency(input: QEFitInput) -> tuple[float, float]:
-    """Single-parameter least-squares scale between expected incident and measured rates.
+def fit_quantum_efficiency(scenario: Scenario, offsets, measured) -> tuple[float, float]:
+    """Single-parameter least-squares scale between the scenario's expected incident
+    rates and background-subtracted fluorescence rates measured at the offsets.
 
     Returns (qe, standard error from residual variance).
     """
-    expected = expected_incident_rates(input)
+    offsets = np.asarray(offsets, dtype=float)
+    measured = np.asarray(measured, dtype=float)
+    if offsets.size == 0 or offsets.shape != measured.shape:
+        raise ValueError("positions and measured rates must be equal-length and non-empty")
+    if np.any(measured < 0):
+        raise ValueError("measured rates must be >= 0")
+    expected = expected_incident_rates(scenario, offsets)
     if np.all(expected <= 0):
         raise ValueError("expected incident rates are all zero; geometry collects nothing")
-    measured = input.measured_fluorescence
     denom = float(np.dot(expected, expected))
     qe = float(np.dot(measured, expected)) / denom
     resid = measured - qe * expected

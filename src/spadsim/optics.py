@@ -5,7 +5,7 @@ from __future__ import annotations
 import io
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -15,6 +15,7 @@ WAVELENGTH_UV = 370e-9
 INDEX_SIO2 = 1.47 + 0.0j
 INDEX_SIN = 2.10 + 0.0j
 INDEX_SI = 6.9 + 1.4j
+# the trap's optical aperture over the detector; lines of sight through its wall are shadowed
 APERTURE_DIAMETER = 38e-6
 # offsets x cells evaluated at once: the transfer matrix's complex temporaries stay well
 # under a megabyte together, so peak memory does not grow with the number of offsets
@@ -184,11 +185,6 @@ class ActiveAreaMap:
             raise ValueError("active-area CSV needs a '# cell_size_um=..., origin_um=x,y' line") from exc
         return cls(cell_size=cell, origin=(ox, oy), weights=weights)
 
-    @classmethod
-    def load_csv(cls, path) -> "ActiveAreaMap":
-        with open(path) as f:
-            return cls.from_csv(f.read())
-
 
 def quarter_disc_response(x, y, outer_radius=11.0e-6, guard_width=2.0e-6):
     """Analytic response of the quarter-disc detector with guard-ring taper."""
@@ -246,7 +242,6 @@ class DetectorGeometry:
     active_area: ActiveAreaMap = field(default_factory=quarter_disc_map)
     stack: OpticalStack = field(default_factory=arc_stack)
     emission_pattern: str = "isotropic"
-    aperture_diameter: float = APERTURE_DIAMETER
 
     def __post_init__(self):
         if self.vertical_distance <= 0:
@@ -257,9 +252,6 @@ class DetectorGeometry:
     @property
     def vertical_distance(self) -> float:
         return self.ion_height_above_surface + self.detector_recess_below_surface
-
-    def with_offset(self, offset: float) -> "DetectorGeometry":
-        return replace(self, ion_lateral_offset=offset)
 
 
 def collection_efficiency(geometry: DetectorGeometry, include_arc: bool = True) -> float:
@@ -305,7 +297,7 @@ def efficiency_vs_offset(geometry: DetectorGeometry, offsets, include_arc: bool 
             frac = frac * (1.0 - stack_reflectance(geometry.stack, theta))
         efficiency[start : start + block] = frac.reshape(len(frac), -1).sum(axis=1)
         if t_surface > 0:
-            outside = np.hypot(xx - dx * t_surface, yy - dy * t_surface) > geometry.aperture_diameter / 2
+            outside = np.hypot(xx - dx * t_surface, yy - dy * t_surface) > APERTURE_DIAMETER / 2
             shadowed[start : start + block] = (outside & (amap.weights > 0)).any(axis=(1, 2))
     if shadowed.any():
         named = ", ".join(f"{off * 1e6:.6g}" for off in offsets[shadowed])

@@ -11,13 +11,15 @@ import itertools
 
 import numpy as np
 
-from .estimation import SpotScan, ToggleMeasurement
-from .model import BUDGET_SOURCES, SOURCE_LABELS, RateBudget, Scenario, scattering_rate
-from .optics import _cell_centers, efficiency_vs_offset, quarter_disc_response
+from .estimation import SpotScan, ToggleMeasurement, expected_incident_rates
+from .model import BUDGET_SOURCES, SOURCE_LABELS, RateBudget, Scenario
+from .optics import _cell_centers, quarter_disc_response
 from .tables import read_rows
 
 _TOGGLE_HEADER = ",".join(SOURCE_LABELS) + ",rate_kcps,dwell_s"
 _QE_HEADER = "offset_um,rate_kcps"
+# seconds of counting behind each rate of the QE dataset
+QE_INTEGRATION_TIME = 50.0
 
 
 def make_spot_scan(
@@ -99,23 +101,19 @@ def _source_flag(field: str) -> bool:
 
 
 def make_qe_dataset(
-    scenario: Scenario,
-    offsets,
-    quantum_efficiency: float = 0.24,
-    integration_time: float = 50.0,
-    seed: int = 0,
+    scenario: Scenario, offsets, quantum_efficiency: float = 0.24
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(offsets, background-subtracted measured fluorescence rates) with Poisson noise.
+    """(offsets, background-subtracted measured fluorescence rates) with Poisson noise,
+    drawn from the scenario's seed.
 
-    Counts accumulate over integration_time with the background rate known and
+    Counts accumulate over QE_INTEGRATION_TIME with the background rate known and
     subtracted, as in a paired ion/no-ion measurement.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(scenario.rng_seed)
     offsets = np.asarray(list(offsets), dtype=float)
-    emit = scattering_rate(scenario.emitter)
-    signal = quantum_efficiency * emit * efficiency_vs_offset(scenario.geometry, offsets)
+    signal = quantum_efficiency * expected_incident_rates(scenario, offsets)
     background = scenario.budget.background_total()
-    total = rng.poisson((signal + background) * integration_time) / integration_time
+    total = rng.poisson((signal + background) * QE_INTEGRATION_TIME) / QE_INTEGRATION_TIME
     return offsets, np.maximum(total - background, 0.0)
 
 

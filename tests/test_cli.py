@@ -271,6 +271,18 @@ class TestQEFit:
     def test_missing_input(self, outdir):
         assert main(["qefit"]) == EXIT_INPUT_ERROR
 
+    def test_demo_draws_from_config_seed_unless_overridden(self, tmp_path):
+        def body(seed, *argv):
+            config = tmp_path / f"seed{seed}.cfg"
+            config.write_text(scenario_to_text(Scenario(budget=table_budget(), rng_seed=seed)))
+            out = tmp_path / "qe_fit.csv"
+            with pytest.warns(ShadowingWarning):
+                assert main(["qefit", "--demo", "--config", str(config), *argv, "--out", str(out)]) == EXIT_OK
+            return read_output(out)[1:]
+
+        assert body(1) != body(2)
+        assert body(1, "--seed", "2") == body(2)
+
 
 class TestManifest:
     def test_identical_invocations_identical_manifest(self, outdir, config_file):

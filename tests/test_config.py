@@ -7,6 +7,7 @@ from spadsim.config import (
     scenario_to_text,
 )
 from spadsim.model import Scenario, table_budget
+from spadsim.optics import DetectorGeometry, quarter_disc_map
 
 
 MINIMAL = """
@@ -153,6 +154,17 @@ class TestRoundTrip:
         t1 = scenario_to_text(scenario)
         t2 = scenario_to_text(scenario_from_text(t1))
         assert t1 == t2
+
+    def test_non_default_active_area_refused(self):
+        # the text has no key for the area; it would parse back as the default 29x29 map
+        area = quarter_disc_map(outer_radius=20e-6)
+        scenario = Scenario(geometry=DetectorGeometry(active_area=area))
+        with pytest.raises(ValueError, match="geometry.active_area_csv"):
+            scenario_to_text(scenario)
+
+    def test_rebuilt_default_active_area_accepted(self):
+        scenario = Scenario(geometry=DetectorGeometry(active_area=quarter_disc_map()))
+        assert scenario_to_text(scenario) == scenario_to_text(Scenario())
 
     def test_reference_text_is_pinned(self):
         # the config of every CLI run without --config, and so part of its manifest hash

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -219,7 +220,7 @@ class TestEfficiencyVsOffset:
     def test_single_offset(self):
         geom = DetectorGeometry()
         [ce] = efficiency_vs_offset(geom, [25e-6])
-        assert ce == collection_efficiency(geom.with_offset(25e-6))
+        assert ce == collection_efficiency(replace(geom, ion_lateral_offset=25e-6))
 
     def test_monotone_descending_offsets(self):
         # dense sweep as the monotonicity oracle

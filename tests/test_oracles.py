@@ -633,7 +633,7 @@ def loop_collection_efficiency(geometry, include_arc=True):
         t = recess / d  # ray parameter at the trap surface
         sx = xx + (ion_x - xx) * t
         sy = yy + (ion_y - yy) * t
-        outside = np.hypot(sx, sy) > geometry.aperture_diameter / 2
+        outside = np.hypot(sx, sy) > optics.APERTURE_DIAMETER / 2
         shadowed = bool(np.any(outside & (amap.weights > 0)))
     return float(frac.sum()), shadowed
 
@@ -661,7 +661,7 @@ def offset_sweeps(draw):
          include_arc=True, sweep_cells=optics._SWEEP_CELLS)
 def test_efficiency_sweep_matches_per_offset_loop(offsets, area, pattern, include_arc, sweep_cells):
     geometry = DetectorGeometry(active_area=AREA_MAPS[area], emission_pattern=pattern)
-    want = [loop_collection_efficiency(geometry.with_offset(off), include_arc) for off in offsets]
+    want = [loop_collection_efficiency(replace(geometry, ion_lateral_offset=off), include_arc) for off in offsets]
     # blocks of one offset, of several with a partial last one, and of every offset at once
     with unittest.mock.patch.object(optics, "_SWEEP_CELLS", sweep_cells):
         with warnings.catch_warnings(record=True) as record:
