@@ -27,11 +27,8 @@ from .simulator import (
     simulate_stream,
 )
 from .detection import (
-    BayesianConfig,
-    DetectionOutcome,
     ThresholdResult,
     analytic_threshold_fidelity,
-    bayesian_detect,
     fidelity_curve,
     projected_scenario_fidelity,
     threshold_fidelity,

@@ -75,19 +75,25 @@ def _load_config(args) -> tuple[Scenario, str]:
 
 
 def _parse_range(spec: str, scale: float = 1.0) -> list[float]:
-    """'start:stop:step' (inclusive endpoints) or comma-separated values."""
+    """'start:stop:step' (inclusive endpoints) or comma-separated values, all finite."""
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ValueError(f"range must be start:stop:step, got {spec!r}")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0:
-            raise ValueError("range step must be > 0")
-        n = int(math.floor((stop - start) / step + 1e-9)) + 1
-        if n < 1:
-            raise ValueError(f"range {spec!r} has no points")
-        return [(start + i * step) * scale for i in range(n)]
-    return [float(p) * scale for p in spec.split(",")]
+    else:
+        parts = spec.split(",")
+    values = [float(p) for p in parts]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"range {spec!r} holds a value that is not finite")
+    if ":" not in spec:
+        return [v * scale for v in values]
+    start, stop, step = values
+    if step <= 0:
+        raise ValueError("range step must be > 0")
+    n = int(math.floor((stop - start) / step + 1e-9)) + 1
+    if n < 1:
+        raise ValueError(f"range {spec!r} has no points")
+    return [(start + i * step) * scale for i in range(n)]
 
 
 def cmd_simulate(args) -> int:

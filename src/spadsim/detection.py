@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import RateBudget, Scenario
-from .simulator import EventStream, _bin_counts, _chunk_counts
+from .simulator import _chunk_counts
 
 # Effective emission rate (photons/s) of the odd-isotope emitter during
 # hyperfine-qubit readout. Coherent population trapping reduces it well below
@@ -34,33 +34,6 @@ class ThresholdResult:
     window: float
     histogram_ion: np.ndarray
     histogram_empty: np.ndarray
-
-
-@dataclass(frozen=True)
-class BayesianConfig:
-    """Stopping rule: walk sub_bin steps until either posterior reaches target_posterior."""
-
-    target_posterior: float
-    sub_bin: float = 100e-6
-    max_time: float = 50e-3
-    prior_ion: float = 0.5
-
-    def __post_init__(self):
-        if not 0.5 < self.target_posterior < 1.0:
-            raise ValueError("target_posterior must lie in (0.5, 1)")
-        if not 0.0 < self.sub_bin <= self.max_time:
-            raise ValueError("require 0 < sub_bin <= max_time")
-        if not 0.0 < self.prior_ion < 1.0:
-            raise ValueError("prior_ion must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
-class DetectionOutcome:
-    decision: str  # "ion" | "no_ion" | "undecided"
-    map_decision: str  # MAP choice, always set
-    stopping_time: float
-    final_posterior: float  # posterior of the MAP hypothesis
-    posterior_trace: np.ndarray  # rows of (time, posterior_ion)
 
 
 def _fidelity_by_threshold(miss_cdf: np.ndarray, fa_sf: np.ndarray) -> np.ndarray:
@@ -123,46 +96,6 @@ def _bin_log_likelihood_ratios(counts: np.ndarray, ion_rate: float, empty_rate: 
     return np.where(counts > 0, np.inf, -ion_rate * sub_bin)
 
 
-def bayesian_detect(stream: EventStream, ion_rate: float, empty_rate: float, config: BayesianConfig) -> DetectionOutcome:
-    """Sequential posterior update over sub-bins of the stream with early stopping."""
-    if not ion_rate > empty_rate >= 0:
-        raise ValueError("require ion_rate > empty_rate >= 0")
-    horizon = min(config.max_time, stream.duration)
-    n_bins = max(int(np.floor(horizon / config.sub_bin + 1e-9)), 1)
-    counts = _bin_counts(stream.timestamps_ns, config.sub_bin, n_bins)
-    return detect_from_counts(counts, ion_rate, empty_rate, config)
-
-
-def detect_from_counts(counts: np.ndarray, ion_rate: float, empty_rate: float, config: BayesianConfig) -> DetectionOutcome:
-    """bayesian_detect on pre-binned sub-bin counts (one entry per sub_bin)."""
-    counts = np.asarray(counts)
-    llr = _log_odds(counts, ion_rate, empty_rate, config)
-    thresh = math.log(config.target_posterior / (1.0 - config.target_posterior))
-    stop = int(_first_crossings(llr, [thresh])[0])
-    decided = stop < counts.size
-    stop = min(stop, counts.size - 1)
-
-    with np.errstate(over="ignore"):
-        post_ion = 1.0 / (1.0 + np.exp(-llr[: stop + 1]))
-    times = (np.arange(stop + 1) + 1) * config.sub_bin
-    final_llr = llr[stop]
-    map_decision = "ion" if final_llr > 0 else "no_ion"
-    final_posterior = float(post_ion[stop] if map_decision == "ion" else 1.0 - post_ion[stop])
-    return DetectionOutcome(
-        decision=map_decision if decided else "undecided",
-        map_decision=map_decision,
-        stopping_time=float(times[stop]),
-        final_posterior=final_posterior,
-        posterior_trace=np.column_stack([times, post_ion]),
-    )
-
-
-def _log_odds(counts: np.ndarray, ion_rate: float, empty_rate: float, config: BayesianConfig) -> np.ndarray:
-    """Log posterior odds ion:empty after each sub-bin, along the last axis."""
-    prior_logit = math.log(config.prior_ion / (1.0 - config.prior_ion))
-    return prior_logit + np.cumsum(_bin_log_likelihood_ratios(counts, ion_rate, empty_rate, config.sub_bin), axis=-1)
-
-
 def _first_crossings(llr: np.ndarray, thresholds) -> np.ndarray:
     """For each threshold, the first bin along the last axis where |llr| reaches it, or the
     axis length where it never does; the thresholds index a new last axis.
@@ -220,7 +153,8 @@ def fidelity_curve(
 
     For each target, `trials` ion-present and `trials` ion-absent streams run
     through the sequential detector; streams are shared across targets so the
-    sweep is smooth in the common randomness.
+    sweep is smooth in the common randomness. Each target lies in (0.5, 1),
+    and 0 < sub_bin <= max_time < inf.
 
     Trials run in chunks of _CHUNK_TRIALS, each chunk drawing from its own
     generator: one dead-time filter and one binning pass serve the chunk, and
@@ -236,7 +170,11 @@ def fidelity_curve(
     ion_rate, empty_rate = scenario.budget.ion_total(), scenario.budget.background_total()
     if not ion_rate > empty_rate:
         raise ValueError("scenario has no signal rate above background")
-    configs = [BayesianConfig(target_posterior=t, sub_bin=sub_bin, max_time=max_time) for t in targets]
+    # written so that NaN fails them; a target of 1 would divide by zero below
+    if not all(0.5 < t < 1.0 for t in targets):
+        raise ValueError("target_posterior must lie in (0.5, 1)")
+    if not 0.0 < sub_bin <= max_time < math.inf:
+        raise ValueError(f"require 0 < sub_bin <= max_time < inf, got sub_bin={sub_bin}, max_time={max_time}")
     thresholds = [math.log(t / (1.0 - t)) for t in targets]
     trial_scenario = replace(scenario, trial_duration=max_time)
     n_bins = max(int(np.floor(max_time / sub_bin + 1e-9)), 1)
@@ -248,8 +186,7 @@ def fidelity_curve(
             n = min(_CHUNK_TRIALS, trials - first)
             rng = np.random.default_rng([scenario.rng_seed, int(ion_present), chunk])
             counts = _chunk_counts(trial_scenario, ion_present, rng, n, sub_bin, n_bins)
-            # configs differ only in target
-            stop, says_ion = _stopping_bins(counts, ion_rate, empty_rate, configs[0], thresholds)
+            stop, says_ion = _stopping_bins(counts, ion_rate, empty_rate, sub_bin, thresholds)
             correct[:, h] += np.count_nonzero(says_ion == ion_present, axis=0)
             bins_used += (stop + 1).sum(axis=0)
 
@@ -267,32 +204,32 @@ def fidelity_curve(
     return FidelityCurve(bayes_points, thresh_points, ion_rate, empty_rate)
 
 
-def _stopping_bins(counts: np.ndarray, ion_rate: float, empty_rate: float, config: BayesianConfig, thresholds):
+def _stopping_bins(counts: np.ndarray, ion_rate: float, empty_rate: float, sub_bin: float, thresholds):
     """Each row's stopping bin per threshold, and whether its log odds there favour the ion,
     as two rows x thresholds arrays; a row that never reaches a threshold stops at its last bin.
 
-    The same as _log_odds and _first_crossings over whole rows, but the bins go
-    in windows of _FIRST_WINDOW, then twice as many, and so on, and a window
-    takes only the rows still below some threshold. Each such row carries its
-    log-likelihood sum into the next window's first bin, so the sums are added
-    in the same order as one cumsum over the row. Its running max of |log
-    odds| needs no carrying: a row still below a threshold has stayed below it.
+    The priors are equal, so a row's log odds after a bin are the cumsum of its
+    _bin_log_likelihood_ratios up to that bin. The result is _first_crossings
+    of that cumsum over whole rows, but the bins go in windows of
+    _FIRST_WINDOW, then twice as many, and so on, and a window takes only the
+    rows still below some threshold. Each such row carries its log odds into
+    the next window's first bin, so the sums are added in the same order as
+    one cumsum over the row. Its running max of |log odds| needs no carrying:
+    a row still below a threshold has stayed below it.
     """
     n_rows, n_bins = counts.shape
-    prior_logit = math.log(config.prior_ion / (1.0 - config.prior_ion))
     stop = np.empty((n_rows, len(thresholds)), dtype=np.int64)
     says_ion = np.empty((n_rows, len(thresholds)), dtype=bool)
     below = np.ones((n_rows, len(thresholds)), dtype=bool)  # not yet at the threshold
-    total = np.zeros(n_rows)  # log-likelihood sum so far
+    total = np.zeros(n_rows)  # log odds so far
     live = np.arange(n_rows)  # rows below some threshold
     start, width = 0, _FIRST_WINDOW
     while live.size:
         end = min(start + width, n_bins)
-        per_bin = _bin_log_likelihood_ratios(counts[live, start:end], ion_rate, empty_rate, config.sub_bin)
+        per_bin = _bin_log_likelihood_ratios(counts[live, start:end], ion_rate, empty_rate, sub_bin)
         per_bin[:, 0] += total[live]
-        sums = np.cumsum(per_bin, axis=1)
-        total[live] = sums[:, -1]
-        llr = prior_logit + sums
+        llr = np.cumsum(per_bin, axis=1)
+        total[live] = llr[:, -1]
         crossing = _first_crossings(llr, thresholds)
         if end == n_bins:  # the rows left stop at the last bin
             crossing = np.minimum(crossing, end - start - 1)

@@ -3,6 +3,7 @@ saturation-curve fit and the single-parameter quantum-efficiency fit."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,12 +25,18 @@ class SpotScan:
     def __post_init__(self):
         c = np.asarray(self.counts, dtype=float)
         object.__setattr__(self, "counts", c)
-        if self.step <= 0 or self.dwell <= 0:
-            raise ValueError("step and dwell must be > 0")
+        if not (0 < self.step < math.inf and 0 < self.dwell < math.inf):
+            raise ValueError(f"step and dwell must be finite and > 0, got step={self.step}, dwell={self.dwell}")
+        if not math.isfinite(self.dark_rate):
+            raise ValueError(f"dark_rate must be finite, got {self.dark_rate}")
         if np.any(c < 0):
             raise ValueError("counts must be >= 0")
         if c.ndim != 2:
             raise ValueError("counts must be a 2-D grid")
+        bad = np.argwhere(~np.isfinite(c))
+        if bad.size:
+            row, col = bad[0]
+            raise ValueError(f"counts must be finite, got {c[row, col]} in grid row {row + 1}, column {col + 1}")
 
     def to_csv(self) -> str:
         lines = [
@@ -77,12 +84,12 @@ class ToggleMeasurement:
     dwell: float = 1.0
 
     def __post_init__(self):
-        if self.measured_rate < 0:
-            raise ValueError("measured_rate must be >= 0")
+        if not 0 <= self.measured_rate < math.inf:
+            raise ValueError(f"measured_rate must be finite and >= 0, got {self.measured_rate}")
         if len(self.active_sources) != len(BUDGET_SOURCES):
             raise ValueError(f"active_sources must have {len(BUDGET_SOURCES)} flags")
-        if self.dwell <= 0:
-            raise ValueError("dwell must be > 0")
+        if not 0 < self.dwell < math.inf:
+            raise ValueError(f"dwell must be finite and > 0, got {self.dwell}")
 
 
 def decompose_budget(measurements) -> tuple[RateBudget, dict[str, float]]:
@@ -170,6 +177,13 @@ def fit_quantum_efficiency(scenario: Scenario, offsets, measured) -> tuple[float
     measured = np.asarray(measured, dtype=float)
     if offsets.size == 0 or offsets.shape != measured.shape:
         raise ValueError("positions and measured rates must be equal-length and non-empty")
+    bad = ~(np.isfinite(offsets) & np.isfinite(measured))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"positions and measured rates must be finite, got offset {offsets[i]:g} m, rate {measured[i]:g} /s"
+            f" at point {i + 1}"
+        )
     if np.any(measured < 0):
         raise ValueError("measured rates must be >= 0")
     expected = expected_incident_rates(scenario, offsets)

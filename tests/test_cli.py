@@ -161,6 +161,11 @@ class TestFidelity:
         rc = main(["fidelity", "--config", config_file, "--targets", "1.5", "--trials", "10"])
         assert rc == EXIT_INPUT_ERROR
 
+    def test_infinite_max_time_is_input_error(self, outdir, capsys):
+        assert main(["fidelity", "--max-time-ms", "inf", "--trials", "10"]) == EXIT_INPUT_ERROR
+        assert "max_time=inf" in capsys.readouterr().err
+        assert not (outdir / "fidelity_curve.csv").exists()
+
     @pytest.mark.parametrize("projection", [[], ["--projection"]], ids=["curve", "projection"])
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_trials_below_one_is_input_error(self, tmp_path, capsys, projection, trials):
@@ -200,6 +205,12 @@ class TestCollection:
         assert main(["collection", "--offsets-um", "10:0:5"]) == EXIT_INPUT_ERROR
         assert not (outdir / "collection_efficiency.csv").exists()
 
+    @pytest.mark.parametrize("spec", ["0:inf:5", "0:80:nan", "nan,0,5", "0,-inf"])
+    def test_non_finite_range_spec(self, outdir, capsys, spec):
+        assert main(["collection", "--offsets-um", spec]) == EXIT_INPUT_ERROR
+        assert f"range {spec!r} holds a value that is not finite" in capsys.readouterr().err
+        assert not (outdir / "collection_efficiency.csv").exists()
+
 
 class TestArc:
     def test_check_reference_reflectances(self, outdir, capsys):
@@ -215,6 +226,11 @@ class TestArc:
         r_coated = float(read_output(outdir / "coated.csv")[2].split(",")[3])
         r_bare = float(read_output(outdir / "bare.csv")[2].split(",")[3])
         assert r_bare > r_coated
+
+    def test_non_finite_range_spec(self, outdir, capsys):
+        assert main(["arc", "--angles-deg", "0:inf:5"]) == EXIT_INPUT_ERROR
+        assert "range '0:inf:5' holds a value that is not finite" in capsys.readouterr().err
+        assert not (outdir / "reflectance.csv").exists()
 
 
 class TestSpot:
@@ -233,6 +249,13 @@ class TestSpot:
         cfg = tmp_path / "area.cfg"
         cfg.write_text("geometry.active_area_csv = area.csv\n")
         assert main(["collection", "--config", str(cfg), "--offsets-um", "0"]) == EXIT_OK
+
+    def test_non_finite_cell_exits_2(self, outdir, tmp_path, capsys):
+        scan = tmp_path / "scan.csv"
+        scan.write_text("# step_nm=800, dwell_ms=500, dark_kcps=1.2\n1,2,3\n4,nan,6\n")
+        assert main(["spot", str(scan)]) == EXIT_INPUT_ERROR
+        assert "counts must be finite, got nan in grid row 2, column 2" in capsys.readouterr().err
+        assert not (outdir / "active_area_map.csv").exists()
 
 
 class TestBudget:
@@ -256,6 +279,24 @@ class TestBudget:
         assert "toggle CSV line 3: source flag '2' is not 0 or 1" in capsys.readouterr().err
         assert not (outdir / "budget.csv").exists()
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("nan,50", "measured_rate must be finite and >= 0, got nan"),
+            ("2.0,inf", "dwell must be finite and > 0, got inf"),
+        ],
+        ids=["rate-nan", "dwell-inf"],
+    )
+    def test_non_finite_rate_or_dwell_exits_2(self, outdir, tmp_path, capsys, row, message):
+        toggles = tmp_path / "toggles.csv"
+        toggles.write_text(
+            "fluorescence,repump,doppler,dark,rf,rate_kcps,dwell_s\n0,0,0,1,0,1.2,50\n"
+            f"0,0,0,1,1,{row}\n0,0,1,1,1,3,50\n0,1,1,1,1,4,50\n1,1,1,1,1,8,50\n"
+        )
+        assert main(["budget", str(toggles)]) == EXIT_INPUT_ERROR
+        assert f"toggle CSV line 3: {message}" in capsys.readouterr().err
+        assert not (outdir / "budget.csv").exists()
+
 
 class TestQEFit:
     def test_demo_check(self, outdir, capsys):
@@ -270,6 +311,13 @@ class TestQEFit:
 
     def test_missing_input(self, outdir):
         assert main(["qefit"]) == EXIT_INPUT_ERROR
+
+    def test_non_finite_rate_exits_2(self, outdir, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("offset_um,rate_kcps\n0,nan\n10,2.0\n")
+        assert main(["qefit", str(data)]) == EXIT_INPUT_ERROR
+        assert "must be finite, got offset 0 m, rate nan /s at point 1" in capsys.readouterr().err
+        assert not (outdir / "qe_fit.csv").exists()
 
     def test_demo_draws_from_config_seed_unless_overridden(self, tmp_path):
         def body(seed, *argv):

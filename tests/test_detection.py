@@ -7,26 +7,19 @@ from spadsim.detection import (
     PROJECTED_MAX_TIME,
     PROJECTED_SUB_BIN,
     PROJECTION_TARGET_SWEEP,
-    BayesianConfig,
+    _bin_log_likelihood_ratios,
+    _stopping_bins,
     analytic_threshold_fidelity,
-    bayesian_detect,
-    detect_from_counts,
     fidelity_curve,
     projected_budget,
     threshold_fidelity,
     wald_bound,
 )
 from spadsim.model import RateBudget, Scenario, table_budget
-from spadsim.simulator import EventStream
 from test_oracles import exact_sequential
 
 ION_RATE = 11700.0
 EMPTY_RATE = 6900.0
-
-
-def make_stream(times_ns, duration):
-    t = np.asarray(times_ns, dtype=np.int64)
-    return EventStream(t, np.zeros(t.size, dtype=np.int8), duration)
 
 
 class TestThresholdFidelity:
@@ -80,79 +73,87 @@ class TestAnalyticThreshold:
 
 
 class TestBayesianDetect:
-    CONFIG = BayesianConfig(target_posterior=0.99)
+    """The adaptive detector's stopping rule, _stopping_bins, on hand-made bin counts."""
+
+    @staticmethod
+    def stop(counts, target=0.99, sub_bin=100e-6, ion_rate=ION_RATE, empty_rate=EMPTY_RATE):
+        """(stopping bin, says ion) of each row of counts at one target."""
+        stop, says_ion = _stopping_bins(
+            np.atleast_2d(counts), ion_rate, empty_rate, sub_bin, [math.log(target / (1.0 - target))]
+        )
+        return stop[:, 0], says_ion[:, 0]
 
     def test_empty_stream_rapid_no_ion(self):
-        stream = make_stream([], duration=0.05)
-        out = bayesian_detect(stream, ION_RATE, EMPTY_RATE, self.CONFIG)
-        assert out.decision == "no_ion"
-        assert out.stopping_time < 0.01
-        post_no_ion = 1.0 - out.posterior_trace[:, 1]
-        assert np.all(np.diff(post_no_ion) > 0)
-
-    def test_stopping_time_is_sub_bin_multiple(self):
-        stream = make_stream([], duration=0.05)
-        out = bayesian_detect(stream, ION_RATE, EMPTY_RATE, self.CONFIG)
-        steps = out.stopping_time / self.CONFIG.sub_bin
-        assert steps == pytest.approx(round(steps))
+        counts = np.zeros(500, dtype=np.int64)  # 50 ms of 100 us bins
+        [stop], [says_ion] = self.stop(counts)
+        assert not says_ion
+        assert (stop + 1) * 100e-6 < 0.01
+        assert np.all(np.diff(np.cumsum(_bin_log_likelihood_ratios(counts, ION_RATE, EMPTY_RATE, 100e-6))) < 0)
 
     def test_unit_likelihood_ratio_undecided(self):
         # one event per sub-bin with bin width chosen so the per-bin
         # likelihood ratio is exactly 1: posterior pinned at the prior
         sub_bin = math.log(ION_RATE / EMPTY_RATE) / (ION_RATE - EMPTY_RATE)
-        config = BayesianConfig(target_posterior=0.99, sub_bin=sub_bin, max_time=100 * sub_bin)
-        times_ns = np.round((np.arange(100) + 0.5) * sub_bin / 1e-9).astype(np.int64)
-        stream = make_stream(times_ns, duration=100 * sub_bin)
-        out = bayesian_detect(stream, ION_RATE, EMPTY_RATE, config)
-        assert out.decision == "undecided"
-        np.testing.assert_allclose(out.posterior_trace[:, 1], 0.5, atol=1e-9)
+        counts = np.ones(100, dtype=np.int64)
+        [stop], _ = self.stop(counts, sub_bin=sub_bin)
+        assert stop == counts.size - 1
+        llr = np.cumsum(_bin_log_likelihood_ratios(counts, ION_RATE, EMPTY_RATE, sub_bin))
+        np.testing.assert_allclose(1.0 / (1.0 + np.exp(-llr)), 0.5, atol=1e-9)
 
     def test_zero_empty_rate_event_decides_ion(self):
-        config = BayesianConfig(target_posterior=0.99, sub_bin=1e-3, max_time=0.05)
-        stream = make_stream([500_000], duration=0.05)
-        out = bayesian_detect(stream, 5000.0, 0.0, config)
-        assert out.decision == "ion"
-        assert out.stopping_time == pytest.approx(1e-3)
-        assert out.final_posterior == 1.0
+        counts = np.zeros(50, dtype=np.int64)  # 50 ms of 1 ms bins, one event at 0.5 ms
+        counts[0] = 1
+        [stop], [says_ion] = self.stop(counts, sub_bin=1e-3, ion_rate=5000.0, empty_rate=0.0)
+        assert stop == 0
+        assert says_ion
+        assert _bin_log_likelihood_ratios(counts, 5000.0, 0.0, 1e-3)[0] == np.inf
 
     def test_decision_matches_llr_sign_with_flat_prior(self):
-        rng = np.random.default_rng(3)
-        config = BayesianConfig(target_posterior=0.999, sub_bin=1e-3, max_time=0.02)
-        for _ in range(20):
-            n = rng.poisson(9000 * 0.02)
-            times = np.sort(rng.integers(0, int(0.02 / 1e-9), n))
-            stream = make_stream(np.unique(times), duration=0.02)
-            out = bayesian_detect(stream, ION_RATE, EMPTY_RATE, config)
-            counts = np.histogram(stream.timestamps_ns, bins=np.arange(21) * 10**6)[0]
-            llr = np.sum(
-                counts * math.log(ION_RATE / EMPTY_RATE)
-                - (ION_RATE - EMPTY_RATE) * config.sub_bin
-            )
-            # undecided trials are resolved at max_time, so the full-record
-            # sign applies only there; decided trials match their stop point
-            if out.decision == "undecided":
-                assert out.map_decision == ("ion" if llr > 0 else "no_ion")
+        # rows that never reach the target stop at their last bin and take the
+        # sign of their full log-likelihood sum
+        counts = np.random.default_rng(3).poisson(9000 * 1e-3, (20, 20))
+        stop, says_ion = self.stop(counts, target=0.999, sub_bin=1e-3)
+        llr = np.cumsum(_bin_log_likelihood_ratios(counts, ION_RATE, EMPTY_RATE, 1e-3), axis=1)
+        undecided = np.abs(llr).max(axis=1) < math.log(0.999 / 0.001)
+        assert undecided.any()
+        assert np.all(stop[undecided] == 19)
+        assert says_ion[undecided].tolist() == (llr[undecided, -1] > 0).tolist()
 
     def test_permutation_invariance_of_final_posterior(self):
         rng = np.random.default_rng(11)
         counts = rng.poisson(1.0, 200)
-        config = BayesianConfig(target_posterior=0.9999999, sub_bin=1e-4, max_time=0.02)
-        base = detect_from_counts(counts, ION_RATE, EMPTY_RATE, config)
-        for _ in range(5):
-            perm = detect_from_counts(rng.permutation(counts), ION_RATE, EMPTY_RATE, config)
-            assert perm.posterior_trace[-1, 1] == pytest.approx(
-                base.posterior_trace[-1, 1], rel=1e-9
-            )
-
-    def test_rate_ordering_rejected(self):
-        with pytest.raises(ValueError):
-            bayesian_detect(make_stream([], 0.05), 5000.0, 5000.0, self.CONFIG)
+        rows = np.array([counts] + [rng.permutation(counts) for _ in range(5)])
+        final = np.cumsum(_bin_log_likelihood_ratios(rows, ION_RATE, EMPTY_RATE, 1e-4), axis=1)[:, -1]
+        for llr in final[1:]:
+            assert llr == pytest.approx(final[0], rel=1e-9)
+        # no ordering reaches the target, so each stops at its last bin with the same choice
+        stop, says_ion = self.stop(rows, target=0.9999999, sub_bin=1e-4)
+        assert stop.tolist() == [199] * 6
+        assert says_ion.tolist() == [bool(final[0] > 0)] * 6
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            BayesianConfig(target_posterior=0.4)
-        with pytest.raises(ValueError):
-            BayesianConfig(target_posterior=0.99, sub_bin=0.2, max_time=0.1)
+        sc = Scenario(budget=table_budget(), rng_seed=1)
+        with pytest.raises(ValueError, match="target_posterior must lie in"):
+            fidelity_curve(sc, [0.4], trials=10)
+        with pytest.raises(ValueError, match="require 0 < sub_bin <= max_time"):
+            fidelity_curve(sc, [0.99], trials=10, sub_bin=0.2, max_time=0.1)
+
+    @pytest.mark.parametrize(
+        "targets, sub_bin, max_time, message",
+        [
+            ([0.99, 1.0], 100e-6, 0.05, "target_posterior must lie in"),
+            ([math.nan], 100e-6, 0.05, "target_posterior must lie in"),
+            ([0.99], math.nan, 0.05, "require 0 < sub_bin <= max_time"),
+            ([0.99], 100e-6, math.nan, "require 0 < sub_bin <= max_time"),
+            ([0.99], 100e-6, math.inf, "require 0 < sub_bin <= max_time"),
+        ],
+        ids=["target-1", "target-nan", "sub-bin-nan", "max-time-nan", "max-time-inf"],
+    )
+    def test_unit_and_non_finite_settings_rejected(self, targets, sub_bin, max_time, message):
+        # a target of 1 has an infinite threshold, and an infinite max_time an endless bin array
+        sc = Scenario(budget=table_budget(), rng_seed=1)
+        with pytest.raises(ValueError, match=message):
+            fidelity_curve(sc, targets, trials=10, sub_bin=sub_bin, max_time=max_time)
 
 
 class TestWaldBound:

@@ -75,6 +75,14 @@ class TestEffectiveArea:
             SpotScan(step=1e-6, counts=np.ones(4), dark_rate=0.0, dwell=1.0)
         with pytest.raises(ValueError):
             SpotScan(step=1e-6, counts=-np.ones((2, 2)), dark_rate=0.0, dwell=1.0)
+        with pytest.raises(ValueError, match="step and dwell must be finite"):
+            SpotScan(step=math.nan, counts=np.ones((2, 2)), dark_rate=0.0, dwell=1.0)
+        with pytest.raises(ValueError, match="step and dwell must be finite"):
+            SpotScan(step=1e-6, counts=np.ones((2, 2)), dark_rate=0.0, dwell=math.inf)
+        with pytest.raises(ValueError, match="dark_rate must be finite, got nan"):
+            SpotScan(step=1e-6, counts=np.ones((2, 2)), dark_rate=math.nan, dwell=1.0)
+        with pytest.raises(ValueError, match="got inf in grid row 2, column 1"):
+            SpotScan(step=1e-6, counts=np.array([[1.0, 2.0], [math.inf, 3.0]]), dark_rate=0.0, dwell=1.0)
 
 
 class TestDecomposeBudget:
@@ -119,6 +127,11 @@ class TestDecomposeBudget:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             decompose_budget([])
+
+    @pytest.mark.parametrize("rate, dwell", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)])
+    def test_non_finite_rate_or_dwell_rejected(self, rate, dwell):
+        with pytest.raises(ValueError, match="must be finite"):
+            ToggleMeasurement(active_sources=(True,) * 5, measured_rate=rate, dwell=dwell)
 
     def test_cumulative_design_full_rank(self):
         design = np.array(CUMULATIVE_TOGGLE_DESIGN, dtype=float)
@@ -244,3 +257,7 @@ class TestQuantumEfficiencyFit:
             fit_quantum_efficiency(sc, np.array([0.0]), np.array([1.0, 2.0]))
         with pytest.raises(ValueError, match="must be >= 0"):
             fit_quantum_efficiency(sc, np.array([0.0]), np.array([-1.0]))
+        with pytest.raises(ValueError, match="must be finite, got offset nan m, rate 1 /s at point 2"):
+            fit_quantum_efficiency(sc, np.array([0.0, math.nan]), np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="must be finite, got offset 0 m, rate inf /s at point 1"):
+            fit_quantum_efficiency(sc, np.array([0.0, 1e-6]), np.array([math.inf, 1.0]))

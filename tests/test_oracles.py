@@ -2,11 +2,16 @@
 
 The loops below are the reference implementations: the per-trial arrival
 draw; the per-event dead-time filter; np.histogram per stream for the block
-binning; the per-trial, per-target detector sweep; the dense log-odds pass
-for the early-exit one; the per-event direct sum of exponential pulses; the
-per-edge Schmitt trigger; the per-angle 2x2 transfer-matrix product; the
-per-offset collection sum; and the per-line table reader. The sequential detector's Monte Carlo is also checked
-against its exact solution at zero dead time.
+binning; the per-event direct sum of exponential pulses; the per-edge
+Schmitt trigger; the per-angle 2x2 transfer-matrix product; the per-offset
+collection sum; and the per-line table reader.
+
+The sequential detector's one stopping rule in the package is the early-exit
+pass `_stopping_bins` inside `fidelity_curve`. Its oracles live here: the
+bin-by-bin scan `loop_detect`, run on one row and on every trial and target
+of a sweep (`loop_fidelity_points`); the dense whole-row cumsum
+`dense_stopping_bins`; and, at zero dead time, the exact solution
+`exact_sequential`, which the Monte Carlo is checked against.
 """
 
 import math
@@ -26,11 +31,9 @@ from spadsim import detection, tables
 from spadsim.detection import (
     _CHUNK_TRIALS,
     PROJECTION_TARGET_SWEEP,
-    BayesianConfig,
+    _bin_log_likelihood_ratios,
     _first_crossings,
-    _log_odds,
     _stopping_bins,
-    detect_from_counts,
     fidelity_curve,
     projected_scenario_fidelity,
 )
@@ -207,24 +210,24 @@ def test_bin_counts_match_histogram(case):
 # --- sequential detector ---------------------------------------------------------
 
 
-def loop_detect(counts, ion_rate, empty_rate, config):
-    """(decided, MAP says ion, stopping time) by scanning every bin for the first |log odds| >= threshold."""
+def loop_detect(counts, ion_rate, empty_rate, target, sub_bin):
+    """(MAP says ion, stopping bin) by scanning every bin for the first |log odds| >= threshold;
+    a row that never gets there stops at its last bin."""
     counts = np.asarray(counts)
-    prior_logit = math.log(config.prior_ion / (1.0 - config.prior_ion))
     if empty_rate > 0:
-        per_bin = counts * math.log(ion_rate / empty_rate) - (ion_rate - empty_rate) * config.sub_bin
+        per_bin = counts * math.log(ion_rate / empty_rate) - (ion_rate - empty_rate) * sub_bin
     else:
-        per_bin = np.where(counts > 0, np.inf, -ion_rate * config.sub_bin)
-    llr = prior_logit + np.cumsum(per_bin)
-    thresh = math.log(config.target_posterior / (1.0 - config.target_posterior))
+        per_bin = np.where(counts > 0, np.inf, -ion_rate * sub_bin)
+    llr = np.cumsum(per_bin)
+    thresh = math.log(target / (1.0 - target))
     hit = np.abs(llr) >= thresh
     stop = int(hit.argmax()) if hit.any() else counts.size - 1
-    return bool(hit[stop]), bool(llr[stop] > 0), float((stop + 1) * config.sub_bin)
+    return bool(llr[stop] > 0), stop
 
 
 def loop_fidelity_points(scenario, targets, trials, sub_bin, max_time):
     """The adaptive points of fidelity_curve: split each chunk's draw into its trials, sort,
-    dead-time filter and bin each trial on its own, then run detect_from_counts per trial and target."""
+    dead-time filter and bin each trial on its own, then run loop_detect per trial and target."""
     ion_rate, empty_rate = scenario.budget.ion_total(), scenario.budget.background_total()
     trial_scenario = replace(scenario, trial_duration=max_time)
     n_bins = max(int(np.floor(max_time / sub_bin + 1e-9)), 1)
@@ -243,16 +246,14 @@ def loop_fidelity_points(scenario, targets, trials, sub_bin, max_time):
                 binned[hyp].append(np.histogram(t_ns, bins=edges)[0])
     points = []
     for target in targets:
-        config = BayesianConfig(target_posterior=target, sub_bin=sub_bin, max_time=max_time)
         correct = {}
         bins_used = 0
         for hyp in (1, 0):
-            want = "ion" if hyp else "no_ion"
             ok = 0
             for counts in binned[hyp]:
-                out = detect_from_counts(counts, ion_rate, empty_rate, config)
-                ok += out.map_decision == want
-                bins_used += len(out.posterior_trace)  # the stopping bin + 1
+                says_ion, stop = loop_detect(counts, ion_rate, empty_rate, target, sub_bin)
+                ok += says_ion == bool(hyp)
+                bins_used += stop + 1
             correct[hyp] = ok / trials
         points.append((target, 0.5 * (correct[1] + correct[0]), float(bins_used * sub_bin / (2 * trials))))
     return points
@@ -300,9 +301,9 @@ def test_fidelity_curve_matches_per_trial_detector(
     assert repr(curve.bayes) == repr(want)
 
 
-def dense_stopping_bins(counts, ion_rate, empty_rate, config, thresholds):
+def dense_stopping_bins(counts, ion_rate, empty_rate, sub_bin, thresholds):
     """The whole-row pass: log odds after every bin, then each threshold's first crossing."""
-    llr = _log_odds(counts, ion_rate, empty_rate, config)
+    llr = np.cumsum(_bin_log_likelihood_ratios(counts, ion_rate, empty_rate, sub_bin), axis=1)
     stop = np.minimum(_first_crossings(llr, thresholds), counts.shape[1] - 1)
     return stop, np.take_along_axis(llr, stop, axis=1) > 0
 
@@ -314,23 +315,21 @@ def dense_stopping_bins(counts, ion_rate, empty_rate, config, thresholds):
     empty_fraction=st.one_of(st.just(0.0), finite(0.05, 0.95)),
     drawn_from=finite(0.0, 1.0),  # the count mean, from the empty (0) to the ion (1) hypothesis's
     targets=targets_st,
-    prior=finite(0.01, 0.99),
     first_window=st.sampled_from([1, 2, 3, 32]),
     seed=st.integers(0, 2**32),
 )
 # empty_rate = 0: a count gives infinite log odds, and no count only a slow drift
 @example(shape=(64, 300), mu_ion=0.02, empty_fraction=0.0, drawn_from=0.5, targets=[0.9, 0.999999999],
-         prior=0.5, first_window=32, seed=1)
-def test_early_exit_matches_dense_pass(shape, mu_ion, empty_fraction, drawn_from, targets, prior, first_window, seed):
+         first_window=32, seed=1)
+def test_early_exit_matches_dense_pass(shape, mu_ion, empty_fraction, drawn_from, targets, first_window, seed):
     sub_bin = 1e-4
     ion_rate, empty_rate = mu_ion / sub_bin, mu_ion * empty_fraction / sub_bin
     mean = mu_ion * (empty_fraction + drawn_from * (1.0 - empty_fraction))
     counts = np.random.default_rng(seed).poisson(mean, shape)
-    config = BayesianConfig(target_posterior=0.9, sub_bin=sub_bin, max_time=sub_bin * shape[1], prior_ion=prior)
     thresholds = [math.log(t / (1.0 - t)) for t in targets]
     with unittest.mock.patch.object(detection, "_FIRST_WINDOW", first_window):
-        stop, says_ion = _stopping_bins(counts, ion_rate, empty_rate, config, thresholds)
-    want_stop, want_ion = dense_stopping_bins(counts, ion_rate, empty_rate, config, thresholds)
+        stop, says_ion = _stopping_bins(counts, ion_rate, empty_rate, sub_bin, thresholds)
+    want_stop, want_ion = dense_stopping_bins(counts, ion_rate, empty_rate, sub_bin, thresholds)
     assert stop.tolist() == want_stop.tolist()
     assert says_ion.tolist() == want_ion.tolist()
 
@@ -340,31 +339,29 @@ def test_early_exit_matches_dense_pass(shape, mu_ion, empty_fraction, drawn_from
     counts=arrays(np.int64, st.integers(1, 80), elements=st.integers(0, 6)),
     rates=st.tuples(finite(1.0, 1e5), st.one_of(st.just(0.0), finite(1e-3, 1.0))),
     target=st.one_of(finite(0.5001, 0.99999), st.just(0.999999999)),
-    prior=finite(0.01, 0.99),
     sub_bin=finite(1e-6, 1e-2),
 )
-def test_detect_from_counts_matches_bin_scan(counts, rates, target, prior, sub_bin):
+def test_one_row_stopping_bins_matches_bin_scan(counts, rates, target, sub_bin):
     ion_rate, empty_fraction = rates
     empty_rate = ion_rate * empty_fraction
     if not ion_rate > empty_rate:
         return
-    config = BayesianConfig(target_posterior=target, sub_bin=sub_bin, max_time=sub_bin * counts.size, prior_ion=prior)
-    out = detect_from_counts(counts, ion_rate, empty_rate, config)
-    decided, says_ion, stopping_time = loop_detect(counts, ion_rate, empty_rate, config)
-    assert (out.decision != "undecided") == decided
-    assert (out.map_decision == "ion") == says_ion
-    assert out.stopping_time == stopping_time
+    threshold = math.log(target / (1.0 - target))
+    [[stop]], [[says_ion]] = _stopping_bins(counts[None], ion_rate, empty_rate, sub_bin, [threshold])
+    want_ion, want_stop = loop_detect(counts, ion_rate, empty_rate, target, sub_bin)
+    assert stop == want_stop
+    assert says_ion == want_ion
 
 
 # --- exact sequential test --------------------------------------------------------
 
 
-def exact_sequential(ion_rate, empty_rate, target, sub_bin, max_time, prior_ion=0.5):
+def exact_sequential(ion_rate, empty_rate, target, sub_bin, max_time):
     """The adaptive detector's exact outcome at zero dead time, per hypothesis (ion, then empty):
     (probability of the right MAP choice, mean stopping bin + 1, its variance).
 
     With no dead time the bin counts are independent Poisson draws, so after n
-    bins the log odds depend only on the cumulative count k: prior + k ln(r1/r0)
+    bins the log odds depend only on the cumulative count k: k ln(r1/r0)
     - n (r1 - r0) sub_bin. A forward pass over the bins convolves the still
     undecided probability over k with one bin's Poisson pmf, then absorbs it
     wherever |log odds| reaches the threshold. What is left after the last bin
@@ -374,7 +371,6 @@ def exact_sequential(ion_rate, empty_rate, target, sub_bin, max_time, prior_ion=
 
     n_bins = max(int(np.floor(max_time / sub_bin + 1e-9)), 1)
     threshold = math.log(target / (1.0 - target))
-    prior = math.log(prior_ion / (1.0 - prior_ion))
     total = ion_rate * sub_bin * n_bins
     ks = np.arange(int(total + 12 * math.sqrt(total) + 30))  # every count reached with any weight
     if empty_rate > 0:
@@ -390,7 +386,7 @@ def exact_sequential(ion_rate, empty_rate, target, sub_bin, max_time, prior_ion=
         right = moment1 = moment2 = 0.0
         for n in range(1, n_bins + 1):
             undecided = np.convolve(undecided, pmf)[: ks.size]
-            llr = prior + count_weight - n * (ion_rate - empty_rate) * sub_bin
+            llr = count_weight - n * (ion_rate - empty_rate) * sub_bin
             stops = np.abs(llr) >= threshold if n < n_bins else np.ones(ks.size, dtype=bool)
             mass = undecided[stops].sum()
             right += undecided[stops & says_right(llr)].sum()
