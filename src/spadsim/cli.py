@@ -76,16 +76,14 @@ def _load_config(args) -> tuple[Scenario, str]:
 
 def _parse_range(spec: str, scale: float = 1.0) -> list[float]:
     """'start:stop:step' (inclusive endpoints) or comma-separated values, all finite."""
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"range must be start:stop:step, got {spec!r}")
-    else:
-        parts = spec.split(",")
+    is_range = ":" in spec
+    parts = spec.split(":" if is_range else ",")
+    if is_range and len(parts) != 3:
+        raise ValueError(f"range must be start:stop:step, got {spec!r}")
     values = [float(p) for p in parts]
     if not all(map(math.isfinite, values)):
         raise ValueError(f"range {spec!r} holds a value that is not finite")
-    if ":" not in spec:
+    if not is_range:
         return [v * scale for v in values]
     start, stop, step = values
     if step <= 0:
