@@ -94,6 +94,17 @@ def _parse_range(spec: str, scale: float = 1.0) -> list[float]:
     return [(start + i * step) * scale for i in range(n)]
 
 
+def _finite_float(text: str) -> float:
+    """The argparse type of every float flag: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def cmd_simulate(args) -> int:
     scenario, config_text = _load_config(args)
     stream = simulate_stream(scenario, ion_present=args.ion)
@@ -341,13 +352,13 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--ion", dest="ion", action="store_true", default=True)
     group.add_argument("--no-ion", dest="ion", action="store_false")
-    p.add_argument("--duration", type=float, help="override trial duration in seconds")
+    p.add_argument("--duration", type=_finite_float, help="override trial duration in seconds")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("threshold", help="fixed-window count histograms and optimal threshold")
     common(p)
-    p.add_argument("--window-ms", type=float, default=25.0)
-    p.add_argument("--duration", type=float, help="override trial duration in seconds")
+    p.add_argument("--window-ms", type=_finite_float, default=25.0)
+    p.add_argument("--duration", type=_finite_float, help="override trial duration in seconds")
     p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("fidelity", help="adaptive-detection fidelity vs mean gate time")
@@ -355,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--targets", help="comma-separated stopping targets")
     p.add_argument("--trials", type=int, help=f"trials per hypothesis and target (default {_CURVE_TRIALS}, "
                    f"{detection.PROJECTED_TRIALS} with --projection)")
-    p.add_argument("--sub-bin-us", type=float)
-    p.add_argument("--max-time-ms", type=float)
+    p.add_argument("--sub-bin-us", type=_finite_float)
+    p.add_argument("--max-time-ms", type=_finite_float)
     p.add_argument("--projection", action="store_true", help="run the improved-device projection preset")
     p.set_defaults(func=cmd_fidelity)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import replace
 from operator import attrgetter
@@ -28,6 +29,13 @@ def _fmt_complex(z) -> str:
     return f"{z.real:.12g}{z.imag:+.12g}j"
 
 
+def _finite(value):
+    """value, a real or complex number, if each of its parts is finite."""
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise ValueError(f"{value} is not finite")
+    return value
+
+
 def _parse_layers(text: str):
     if not text:
         return ()
@@ -36,7 +44,7 @@ def _parse_layers(text: str):
         fields = part.split()
         if len(fields) != 2:
             raise ValueError(f"each ';'-separated entry needs 'thickness_nm index', got {part.strip()!r}")
-        layers.append((float(fields[0]) * 1e-9, complex(fields[1])))
+        layers.append((_finite(float(fields[0]) * 1e-9), _finite(complex(fields[1]))))
     return tuple(layers)
 
 
@@ -45,14 +53,14 @@ def _fmt_layers(layers) -> str:
 
 
 def _number(unit: float):
-    """(parse, format) of a real number written in units of `unit` SI units."""
-    return (lambda text: float(text) * unit), (lambda x: _fmt(x / unit))
+    """(parse, format) of a finite real number written in units of `unit` SI units."""
+    return (lambda text: _finite(float(text) * unit)), (lambda x: _fmt(x / unit))
 
 
 _MICRONS = _number(1e-6)
 _INTEGER = (int, str)
 _TEXT = (str, str)
-_COMPLEX = ((lambda text: complex(text.replace(" ", ""))), _fmt_complex)
+_COMPLEX = ((lambda text: _finite(complex(text.replace(" ", "")))), _fmt_complex)
 _LAYERS = (_parse_layers, _fmt_layers)
 
 # One row per config key: (key, attribute path, (parse, format)). The path

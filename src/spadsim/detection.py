@@ -4,12 +4,12 @@ fidelity-vs-time curves and the sequential-analysis lower bound."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import RateBudget, Scenario
-from .simulator import _chunk_counts
+from .simulator import _window_counter
 
 # Effective emission rate (photons/s) of the odd-isotope emitter during
 # hyperfine-qubit readout. Coherent population trapping reduces it well below
@@ -134,9 +134,10 @@ class FidelityCurve:
 
 
 # Trials drawn from one generator, [seed, hypothesis, chunk]: this constant fixes
-# the sweep's random stream. 64 keeps a chunk's arrays near 1 MB at both presets
-# and its per-chunk set-up small next to its draws.
-_CHUNK_TRIALS = 64
+# the sweep's random stream. A chunk's arrays hold one window of its undecided
+# trials, at most about 1 MiB at either preset with 256 trials, and fewer chunks
+# mean less per-window set-up next to the draws.
+_CHUNK_TRIALS = 256
 # Bins in the first window of the early-exit log-odds pass; each next window is twice as wide.
 _FIRST_WINDOW = 32
 
@@ -157,10 +158,12 @@ def fidelity_curve(
     and 0 < sub_bin <= max_time < inf.
 
     Trials run in chunks of _CHUNK_TRIALS, each chunk drawing from its own
-    generator: one dead-time filter and one binning pass serve the chunk, and
-    its log odds are taken only as far as its last undecided trial
-    (_stopping_bins). Only counts of correct choices and sums of stopping bins
-    are kept, so memory does not grow with `trials`.
+    generator. The chunk's log odds go window by window (_stopping_bins), and
+    each window draws, dead-time filters and bins arrivals for only the
+    trials still undecided and only over its own span (_window_counter), so a
+    trial's photons are generated only as far as it is undecided. Only counts
+    of correct choices and sums of stopping bins are kept, so memory does not
+    grow with `trials`.
     """
     targets = list(targets)
     if not targets:
@@ -176,7 +179,6 @@ def fidelity_curve(
     if not 0.0 < sub_bin <= max_time < math.inf:
         raise ValueError(f"require 0 < sub_bin <= max_time < inf, got sub_bin={sub_bin}, max_time={max_time}")
     thresholds = [math.log(t / (1.0 - t)) for t in targets]
-    trial_scenario = replace(scenario, trial_duration=max_time)
     n_bins = max(int(np.floor(max_time / sub_bin + 1e-9)), 1)
     # per target: correct MAP choices per hypothesis (ion, then empty), and the sum of stopping bins + 1
     correct = np.zeros((len(targets), 2), dtype=np.int64)
@@ -185,8 +187,8 @@ def fidelity_curve(
         for chunk, first in enumerate(range(0, trials, _CHUNK_TRIALS)):
             n = min(_CHUNK_TRIALS, trials - first)
             rng = np.random.default_rng([scenario.rng_seed, int(ion_present), chunk])
-            counts = _chunk_counts(trial_scenario, ion_present, rng, n, sub_bin, n_bins)
-            stop, says_ion = _stopping_bins(counts, ion_rate, empty_rate, sub_bin, thresholds)
+            counts = _window_counter(scenario, ion_present, rng, n, sub_bin)
+            stop, says_ion = _stopping_bins(counts, n, n_bins, ion_rate, empty_rate, sub_bin, thresholds)
             correct[:, h] += np.count_nonzero(says_ion == ion_present, axis=0)
             bins_used += (stop + 1).sum(axis=0)
 
@@ -204,20 +206,25 @@ def fidelity_curve(
     return FidelityCurve(bayes_points, thresh_points, ion_rate, empty_rate)
 
 
-def _stopping_bins(counts: np.ndarray, ion_rate: float, empty_rate: float, sub_bin: float, thresholds):
-    """Each row's stopping bin per threshold, and whether its log odds there favour the ion,
-    as two rows x thresholds arrays; a row that never reaches a threshold stops at its last bin.
+def _stopping_bins(counts, n_rows: int, n_bins: int, ion_rate: float, empty_rate: float, sub_bin: float, thresholds):
+    """Each of n_rows rows' stopping bin per threshold, and whether its log odds there favour
+    the ion, as two rows x thresholds arrays; a row that never reaches a threshold stops at
+    its last bin, n_bins - 1.
+
+    counts(rows, start, end) gives the counts of `rows` in bins start..end-1,
+    a len(rows) x (end - start) matrix. It is asked for windows of
+    _FIRST_WINDOW bins, then twice as many, and so on, each starting where the
+    last ended and each only for the rows still below some threshold, so a
+    draw behind it (_window_counter) need go no further than that.
 
     The priors are equal, so a row's log odds after a bin are the cumsum of its
-    _bin_log_likelihood_ratios up to that bin. The result is _first_crossings
-    of that cumsum over whole rows, but the bins go in windows of
-    _FIRST_WINDOW, then twice as many, and so on, and a window takes only the
-    rows still below some threshold. Each such row carries its log odds into
-    the next window's first bin, so the sums are added in the same order as
-    one cumsum over the row. Its running max of |log odds| needs no carrying:
-    a row still below a threshold has stayed below it.
+    _bin_log_likelihood_ratios up to that bin, and the result is
+    _first_crossings of that cumsum over whole rows. Each row still below a
+    threshold carries its log odds into the next window's first bin, so the
+    sums are added in the same order as one cumsum over the row. Its running
+    max of |log odds| needs no carrying: a row still below a threshold has
+    stayed below it.
     """
-    n_rows, n_bins = counts.shape
     stop = np.empty((n_rows, len(thresholds)), dtype=np.int64)
     says_ion = np.empty((n_rows, len(thresholds)), dtype=bool)
     below = np.ones((n_rows, len(thresholds)), dtype=bool)  # not yet at the threshold
@@ -226,7 +233,7 @@ def _stopping_bins(counts: np.ndarray, ion_rate: float, empty_rate: float, sub_b
     start, width = 0, _FIRST_WINDOW
     while live.size:
         end = min(start + width, n_bins)
-        per_bin = _bin_log_likelihood_ratios(counts[live, start:end], ion_rate, empty_rate, sub_bin)
+        per_bin = _bin_log_likelihood_ratios(counts(live, start, end), ion_rate, empty_rate, sub_bin)
         per_bin[:, 0] += total[live]
         llr = np.cumsum(per_bin, axis=1)
         total[live] = llr[:, -1]

@@ -119,24 +119,23 @@ def _dead_ns(scenario: Scenario) -> int:
     return int(round(scenario.dead_time / NS))
 
 
-def _arrivals(scenario: Scenario, ion_present: bool, rng, n: int = 1):
-    """n trials' superposed Poisson arrivals before dead time, unsorted: float times in
-    seconds, source labels and trial rows.
+def _arrivals(scenario: Scenario, ion_present: bool, rng, start: float, end: float, n: int = 1):
+    """n rows' superposed Poisson arrivals over [start, end) seconds before dead time,
+    unsorted: float times in seconds, source labels and rows.
 
     Fluorescence contributes only when ion_present. Each source with a
-    positive rate draws the counts of all n trials in one call, then all their
+    positive rate draws the counts of all n rows in one call, then all their
     times in one call, in BUDGET_SOURCES order; its events come grouped by
-    trial. With n = 1 that is one count and its times per source.
+    row. With n = 1 that is one count and its times per source.
     """
     rates = [getattr(scenario.budget, name) for name in BUDGET_SOURCES]
     if not ion_present:
         rates[0] = 0.0  # fluorescence
-    duration = scenario.trial_duration
     times, labels, rows = [np.empty(0)], [np.empty(0, dtype=np.int8)], [np.empty(0, dtype=np.int64)]
     for idx, rate in enumerate(rates):
         if rate > 0:
-            counts = rng.poisson(rate * duration, size=n)
-            times.append(rng.uniform(0.0, duration, size=int(counts.sum())))
+            counts = rng.poisson(rate * (end - start), size=n)
+            times.append(rng.uniform(start, end, size=int(counts.sum())))
             labels.append(np.full(times[-1].size, idx, dtype=np.int8))
             rows.append(np.repeat(np.arange(n), counts))
     return np.concatenate(times), np.concatenate(labels), np.concatenate(rows)
@@ -149,32 +148,69 @@ def simulate_stream(scenario: Scenario, ion_present: bool) -> EventStream:
     Fluorescence contributes only when ion_present. Deterministic given the
     scenario seed.
     """
-    t, labels, _ = _arrivals(scenario, ion_present, np.random.default_rng(scenario.rng_seed))
+    rng = np.random.default_rng(scenario.rng_seed)
+    t, labels, _ = _arrivals(scenario, ion_present, rng, 0.0, scenario.trial_duration)
     # stable: events at equal float times keep their source order
     order = np.argsort(t, kind="stable")
     t_ns, labels = apply_dead_time(np.round(t[order] / NS).astype(np.int64), labels[order], _dead_ns(scenario))
     return EventStream(t_ns, labels, scenario.trial_duration)
 
 
-def _chunk_counts(scenario: Scenario, ion_present: bool, rng, trials: int, width: float, n: int):
-    """Dead-time-filtered counts in n windows of `width` seconds for `trials` trials drawn
-    together from rng, as a trials x n matrix.
+def _carry_dead_time(times_ns: np.ndarray, labels: np.ndarray, rows: np.ndarray, last_ns: np.ndarray, dead_ns: int):
+    """apply_dead_time on each row's events in one window, continuing from last_ns[r], row
+    r's last kept time before the window; last_ns is updated in place.
 
-    Trial j is shifted by j spans. A span exceeds the trial duration by more
-    than the dead-time gap, so one apply_dead_time pass over the joined trials
-    is exact: no trial's dead time reaches into the next. One integer sort of
-    the shifted nanosecond times orders the events by trial, then time: the
-    order of events at equal times does not matter here, since only the times
-    are kept.
+    Returns the kept events' times, labels and rows, sorted by row, then
+    time; events at equal times keep their given order. Events within the
+    dead-time gap of their row's last kept time are dropped first, and the
+    row's first event after them is kept, as in one pass over the row's
+    windows joined. The rows are then laid end to end, each more than a gap
+    past the last, so one apply_dead_time pass serves them all.
+    """
+    gap = _dead_gap_ns(dead_ns)
+    fresh = times_ns - last_ns[rows] >= gap
+    times_ns, labels, rows = times_ns[fresh], labels[fresh], rows[fresh]
+    if not times_ns.size:
+        return times_ns, labels, rows
+    lo = times_ns.min()
+    span = times_ns.max() - lo + gap + 1
+    key = rows * span + (times_ns - lo)
+    order = np.argsort(key, kind="stable")
+    key, labels = apply_dead_time(key[order], labels[order], dead_ns)
+    rows = key // span
+    times_ns = key - rows * span + lo
+    row_ends = np.append(rows[1:] != rows[:-1], True)
+    last_ns[rows[row_ends]] = times_ns[row_ends]
+    return times_ns, labels, rows
+
+
+def _window_counter(scenario: Scenario, ion_present: bool, rng, n_rows: int, width: float):
+    """Dead-time-filtered counts of n_rows trials in bins of `width` seconds, drawn one
+    window at a time as they are asked for.
+
+    Returns counts(rows, start, end): the counts of the trials `rows`
+    (ascending, below n_rows) in bins start..end-1, a len(rows) x (end -
+    start) matrix. Each call starts where the last one ended, for rows among
+    the last call's. It draws arrivals for those rows over [start * width,
+    end * width) only (_arrivals) and bins each on its drawn time, half-open,
+    so every arrival is counted in exactly one window. Poisson arrivals in
+    disjoint windows are independent, and a trial's last kept time is all
+    the dead-time filter carries from one window to the next
+    (_carry_dead_time), so the counts are distributed as whole trials' counts.
     """
     dead_ns = _dead_ns(scenario)
-    span = round(scenario.trial_duration / NS) + _dead_gap_ns(dead_ns) + 1
-    t, _, rows = _arrivals(scenario, ion_present, rng, trials)
-    t_ns = np.sort(np.round(t / NS).astype(np.int64) + rows * span)
-    rows = t_ns // span
-    # each event's trial rides through the filter as its label
-    t_ns, rows = apply_dead_time(t_ns, rows, dead_ns)
-    return _bin_counts(t_ns - rows * span, width, n, rows, trials)
+    last_ns = np.full(n_rows, -_dead_gap_ns(dead_ns), dtype=np.int64)  # nothing kept yet
+
+    def counts(rows: np.ndarray, start: int, end: int) -> np.ndarray:
+        n_bins, lo = end - start, start * width
+        t, _, row = _arrivals(scenario, ion_present, rng, lo, end * width, rows.size)
+        bins = np.minimum(((t - lo) / width).astype(np.int64), n_bins - 1)  # rounding may reach `end`
+        carry = last_ns[rows]
+        _, bins, row = _carry_dead_time(np.round(t / NS).astype(np.int64), bins, row, carry, dead_ns)
+        last_ns[rows] = carry
+        return np.bincount(row * n_bins + bins, minlength=rows.size * n_bins).reshape(rows.size, n_bins)
+
+    return counts
 
 
 def gate_and_count(stream: EventStream, gate: float) -> np.ndarray:
@@ -187,20 +223,16 @@ def gate_and_count(stream: EventStream, gate: float) -> np.ndarray:
     return _bin_counts(stream.timestamps_ns, gate, n_gates)
 
 
-def _bin_counts(timestamps_ns: np.ndarray, width: float, n: int, rows: np.ndarray | None = None, n_rows: int = 1):
+def _bin_counts(timestamps_ns: np.ndarray, width: float, n: int) -> np.ndarray:
     """Events in each of n consecutive windows of `width` seconds starting at 0.
 
     The windows are half-open except the last, which also takes its closing
-    edge (as np.histogram does). With `rows`, each event's row index below
-    n_rows, the counts come back as an n_rows x n matrix.
+    edge (as np.histogram does).
     """
-    if rows is None:  # one stream is a block of one row
-        return _bin_counts(timestamps_ns, width, n, np.zeros(timestamps_ns.size, dtype=np.int64))[0]
     edges_ns = np.round(np.arange(n + 1) * width / NS).astype(np.int64)
     idx = np.searchsorted(edges_ns, timestamps_ns, side="right") - 1
     idx[timestamps_ns == edges_ns[-1]] = n - 1
-    inside = (idx >= 0) & (idx < n)
-    return np.bincount(rows[inside] * n + idx[inside], minlength=n_rows * n).reshape(n_rows, n)
+    return np.bincount(idx[(idx >= 0) & (idx < n)], minlength=n)
 
 
 @dataclass(frozen=True)

@@ -162,8 +162,10 @@ class TestFidelity:
         assert rc == EXIT_INPUT_ERROR
 
     def test_infinite_max_time_is_input_error(self, outdir, capsys):
-        assert main(["fidelity", "--max-time-ms", "inf", "--trials", "10"]) == EXIT_INPUT_ERROR
-        assert "max_time=inf" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["fidelity", "--max-time-ms", "inf", "--trials", "10"])
+        assert exc.value.code == EXIT_INPUT_ERROR
+        assert "argument --max-time-ms: 'inf' is not a finite number" in capsys.readouterr().err
         assert not (outdir / "fidelity_curve.csv").exists()
 
     @pytest.mark.parametrize("projection", [[], ["--projection"]], ids=["curve", "projection"])
@@ -365,6 +367,27 @@ class TestFlags:
             main([*argv, *flag])
         assert exc.value.code == EXIT_INPUT_ERROR
         assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+        assert not any(outdir.iterdir())
+
+    # every float flag takes a finite number only, and a bad one is named by its flag
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["threshold"], "--window-ms", "nan"),
+            (["threshold"], "--window-ms", "inf"),
+            (["threshold"], "--duration", "nan"),
+            (["simulate"], "--duration", "nan"),
+            (["simulate"], "--duration", "inf"),
+            (["fidelity"], "--sub-bin-us", "nan"),
+            (["fidelity"], "--max-time-ms", "nan"),
+        ],
+        ids=lambda v: "-".join(v) if isinstance(v, list) else v.strip("-"),
+    )
+    def test_non_finite_float_flag_exits_2_naming_it(self, outdir, capsys, argv, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, value])
+        assert exc.value.code == EXIT_INPUT_ERROR
+        assert f"argument {flag}: {value!r} is not a finite number" in capsys.readouterr().err
         assert not any(outdir.iterdir())
 
     def test_output_dir_flag_wins_over_environment(self, outdir, tmp_path):

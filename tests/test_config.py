@@ -90,6 +90,28 @@ class TestScenarioFromText:
         with pytest.raises(ConfigError, match="trial.seed"):
             scenario_from_text("trial.seed = 1.9\n")
 
+    @pytest.mark.parametrize("key", ["trial.duration_s", "geometry.lateral_offset_um", "deadtime.dead_time_us"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_number_reports_key(self, key, value):
+        with pytest.raises(ConfigError, match=rf"key '{key}': cannot parse '{value}': .* is not finite"):
+            scenario_from_text(f"{key} = {value}\n")
+
+    def test_number_overflowing_its_unit_reports_key(self):
+        # finite as written, infinite once scaled from kcps to counts per second
+        with pytest.raises(ConfigError, match="key 'budget.dark_kcps': .* is not finite"):
+            scenario_from_text("budget.dark_kcps = 1e306\n")
+
+    @pytest.mark.parametrize("key", ["stack.ambient_index", "stack.substrate_index"])
+    @pytest.mark.parametrize("value", ["nan", "nan+0.1j", "3.5+infj"])
+    def test_non_finite_complex_reports_key(self, key, value):
+        with pytest.raises(ConfigError, match=rf"key '{key}': .* is not finite"):
+            scenario_from_text(f"{key} = {value}\n")
+
+    @pytest.mark.parametrize("value", ["nan 1.5", "inf 1.5", "29 2.0 ; 10 nan", "29 2.0+infj"])
+    def test_non_finite_layer_reports_key(self, value):
+        with pytest.raises(ConfigError, match=r"key 'stack.layers': .* is not finite"):
+            scenario_from_text(f"stack.layers = {value}\n")
+
     def test_stack_layers_parsing(self):
         scenario = scenario_from_text("stack.layers = 29 2.0 ; 10 1.46\n")
         layers = scenario.geometry.stack.layers

@@ -8,7 +8,6 @@ from spadsim.detection import (
     PROJECTED_SUB_BIN,
     PROJECTION_TARGET_SWEEP,
     _bin_log_likelihood_ratios,
-    _stopping_bins,
     analytic_threshold_fidelity,
     fidelity_curve,
     projected_budget,
@@ -16,7 +15,7 @@ from spadsim.detection import (
     wald_bound,
 )
 from spadsim.model import RateBudget, Scenario, table_budget
-from test_oracles import exact_sequential
+from test_oracles import exact_sequential, stopping_bins_of
 
 ION_RATE = 11700.0
 EMPTY_RATE = 6900.0
@@ -78,7 +77,7 @@ class TestBayesianDetect:
     @staticmethod
     def stop(counts, target=0.99, sub_bin=100e-6, ion_rate=ION_RATE, empty_rate=EMPTY_RATE):
         """(stopping bin, says ion) of each row of counts at one target."""
-        stop, says_ion = _stopping_bins(
+        stop, says_ion = stopping_bins_of(
             np.atleast_2d(counts), ion_rate, empty_rate, sub_bin, [math.log(target / (1.0 - target))]
         )
         return stop[:, 0], says_ion[:, 0]

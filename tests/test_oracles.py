@@ -1,7 +1,8 @@
 """Property tests: each array-at-a-time stage against the per-element loop it replaced.
 
 The loops below are the reference implementations: the per-trial arrival
-draw; the per-event dead-time filter; np.histogram per stream for the block
+draw; the per-event dead-time filter, also for the window-by-window filter
+with its carried last kept time; np.histogram per stream for the block
 binning; the per-event direct sum of exponential pulses; the per-edge
 Schmitt trigger; the per-angle 2x2 transfer-matrix product; the per-offset
 collection sum; and the per-line table reader.
@@ -9,9 +10,10 @@ collection sum; and the per-line table reader.
 The sequential detector's one stopping rule in the package is the early-exit
 pass `_stopping_bins` inside `fidelity_curve`. Its oracles live here: the
 bin-by-bin scan `loop_detect`, run on one row and on every trial and target
-of a sweep (`loop_fidelity_points`); the dense whole-row cumsum
-`dense_stopping_bins`; and, at zero dead time, the exact solution
-`exact_sequential`, which the Monte Carlo is checked against.
+of a sweep (`loop_fidelity_points`, which redraws the sweep's windows trial
+by trial); the dense whole-row cumsum `dense_stopping_bins`; and, at zero
+dead time, the exact solution `exact_sequential`, which the Monte Carlo is
+checked against.
 """
 
 import math
@@ -30,6 +32,7 @@ from scipy import signal
 from spadsim import detection, tables
 from spadsim.detection import (
     _CHUNK_TRIALS,
+    _FIRST_WINDOW,
     PROJECTION_TARGET_SWEEP,
     _bin_log_likelihood_ratios,
     _first_crossings,
@@ -56,8 +59,10 @@ from spadsim.simulator import (
     FrontEndParams,
     _arrivals,
     _bin_counts,
+    _carry_dead_time,
     _event_columns,
     _schmitt_crossings,
+    _window_counter,
     apply_dead_time,
     simulate_frontend,
     simulate_stream,
@@ -116,6 +121,60 @@ def test_dead_time_matches_per_event_walk(case):
     assert got_l.tolist() == want_l.tolist()
 
 
+@st.composite
+def window_cases(draw):
+    """A dead time, window edges in ns, and per window the events of a few rows: (row, time)
+    pairs in drawn order, each time inside its window's closed span.
+
+    Windows run from one bin up, and the dead time from zero to several windows.
+    A drawn time can round onto its window's closing edge, so the closed span
+    lets a row's event share a time with the next window's first one.
+    """
+    bin_ns = draw(st.integers(1, 50))
+    widths = draw(st.lists(st.integers(1, 8), min_size=1, max_size=6))  # in bins
+    edges = bin_ns * np.cumsum([0, *widths])
+    dead_ns = draw(st.one_of(st.sampled_from([0, 1, bin_ns, int(edges[-1])]), st.integers(0, 3 * int(edges[-1]))))
+    n_rows = draw(st.integers(1, 4))
+    windows = []
+    for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist()):
+        event = st.tuples(st.integers(0, n_rows - 1), st.one_of(st.sampled_from([lo, hi]), st.integers(lo, hi)))
+        windows.append(draw(st.lists(event, max_size=12)))
+    return dead_ns, n_rows, windows
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=window_cases())
+# a dead time longer than the window it starts in, reaching into the next two
+@example(case=(25, 2, [[(0, 10), (1, 3)], [(0, 20), (1, 19), (0, 35)], [(0, 40), (1, 30)]]))
+# a time on a closing edge, then the same time opening the next window
+@example(case=(0, 1, [[(0, 0), (0, 10)], [(0, 10), (0, 11)]]))
+def test_windowed_dead_time_matches_joined_stream(case):
+    """_carry_dead_time window after window, each row's last kept time carried, keeps what
+    apply_dead_time keeps on each row's windows joined into one stream."""
+    dead_ns, n_rows, windows = case
+    last_ns = np.full(n_rows, -max(dead_ns, 1), dtype=np.int64)
+    kept = [[] for _ in range(n_rows)]
+    joined = [[] for _ in range(n_rows)]  # per row: (time, id), windows in order, each sorted stably
+    ids = 0
+    for events in windows:
+        rows = np.array([r for r, _ in events], dtype=np.int64)
+        times = np.array([t for _, t in events], dtype=np.int64)
+        labels = np.arange(ids, ids + len(events))
+        ids += len(events)
+        for r in range(n_rows):
+            mine = rows == r
+            joined[r] += sorted(zip(times[mine].tolist(), labels[mine].tolist()), key=lambda e: e[0])
+        got_t, got_l, got_rows = _carry_dead_time(times, labels, rows, last_ns, dead_ns)
+        assert np.all(np.diff(got_rows) >= 0)
+        for r, t, label in zip(got_rows.tolist(), got_t.tolist(), got_l.tolist()):
+            kept[r].append((t, label))
+    for r in range(n_rows):
+        t = np.array([e[0] for e in joined[r]], dtype=np.int64)
+        want_t, want_l = apply_dead_time(t, np.array([e[1] for e in joined[r]], dtype=np.int64), dead_ns)
+        assert kept[r] == list(zip(want_t.tolist(), want_l.tolist()))
+        assert last_ns[r] == (want_t[-1] if want_t.size else -max(dead_ns, 1))
+
+
 # --- arrivals --------------------------------------------------------------------
 
 
@@ -151,23 +210,56 @@ def test_simulate_stream_matches_per_trial_draw(seed, ion_present, budget):
         assert stream.labels.tolist() == want_l.tolist()
 
 
+class RecordingRng:
+    """A generator that logs each call: ("poisson", mean, size, total drawn) or
+    ("uniform", low, high, size)."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), []
+
+    def poisson(self, lam, size):
+        out = self.rng.poisson(lam, size)
+        self.calls.append(("poisson", lam, size, int(out.sum())))
+        return out
+
+    def uniform(self, low, high, size):
+        self.calls.append(("uniform", low, high, size))
+        return self.rng.uniform(low, high, size)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 4242])
 @pytest.mark.parametrize("ion_present", [True, False])
 @pytest.mark.parametrize("budget", [table_budget(), RateBudget(dark_counts=300.0)], ids=["reference", "dark"])
 def test_chunk_draw_matches_per_source_calls(seed, ion_present, budget):
-    """n trials at once: per source, all n Poisson counts and then all their uniform
-    times, split into trials by count, are _arrivals(..., n) row by row."""
-    scenario = Scenario(budget=budget, trial_duration=2e-3, rng_seed=seed)
-    n = 9
-    t, labels, rows = _arrivals(scenario, ion_present, np.random.default_rng(seed), n)
-    rng = np.random.default_rng(seed)
+    """A chunk draws window by window. In each window, per source, one call draws the Poisson
+    counts of the live rows only, over the window's span, and one call all their uniform
+    times; split into rows by count, those are _arrivals(..., start, end, n) row by row."""
+    rates = [getattr(budget, name) if ion_present or idx > 0 else 0.0 for idx, name in enumerate(BUDGET_SOURCES)]
+    scenario = Scenario(budget=budget, rng_seed=seed, dead_time=1e-6)
+    width, n = 1e-4, 9
+    windows = [(np.arange(n), 0, 3), (np.array([0, 2, 5, 8]), 3, 7), (np.array([5]), 7, 8)]
+    rng = RecordingRng(seed)
+    counts = _window_counter(scenario, ion_present, rng, n, width)
+    for rows, start, end in windows:
+        assert counts(rows, start, end).shape == (rows.size, end - start)
+    calls = iter(rng.calls)
+    for rows, start, end in windows:
+        for rate in rates:
+            if rate > 0:
+                kind, mean, size, drawn = next(calls)
+                assert (kind, mean, size) == ("poisson", rate * (end * width - start * width), rows.size)
+                assert next(calls) == ("uniform", start * width, end * width, drawn)
+    assert next(calls, None) is None
+
+    start, end = 3 * width, 7 * width
+    t, labels, rows = _arrivals(scenario, ion_present, np.random.default_rng(seed), start, end, n)
+    gen = np.random.default_rng(seed)
     want_t, want_l = [[] for _ in range(n)], [[] for _ in range(n)]
-    for idx, name in enumerate(BUDGET_SOURCES):
-        rate = getattr(budget, name) if ion_present or idx > 0 else 0.0
+    for idx, rate in enumerate(rates):
         if rate > 0:
-            counts = rng.poisson(rate * scenario.trial_duration, size=n)
-            times = rng.uniform(0.0, scenario.trial_duration, size=counts.sum())
-            for j, part in enumerate(np.split(times, np.cumsum(counts)[:-1])):
+            per_row = gen.poisson(rate * (end - start), size=n)
+            times = gen.uniform(start, end, size=per_row.sum())
+            for j, part in enumerate(np.split(times, np.cumsum(per_row)[:-1])):
                 want_t[j] += part.tolist()
                 want_l[j] += [idx] * part.size
     assert sum(map(len, want_t)) == t.size
@@ -181,69 +273,109 @@ def test_chunk_draw_matches_per_source_calls(seed, ion_present, budget):
 
 @st.composite
 def binning_cases(draw):
-    """Window width and count, events (some on an edge, some outside) and each event's row."""
+    """Window width and count, and events (some on an edge, some outside)."""
     width = draw(st.one_of(finite(0.3e-9, 5e-9), finite(5e-9, 1e-4)))  # below 1 ns, edges repeat
     n = draw(st.integers(1, 40))
     edges = np.round(np.arange(n + 1) * width / NS).astype(np.int64)
     on_edge = st.sampled_from(edges.tolist())
     anywhere = st.integers(int(edges[0]) - 3, int(edges[-1]) + 3)
     ts = draw(st.lists(st.one_of(on_edge, anywhere), max_size=60))
-    n_rows = draw(st.integers(1, 5))
-    rows = draw(st.lists(st.integers(0, n_rows - 1), min_size=len(ts), max_size=len(ts)))
-    return width, n, np.asarray(ts, dtype=np.int64), np.asarray(rows, dtype=np.int64), n_rows
+    return width, n, np.asarray(ts, dtype=np.int64)
 
 
 @settings(deadline=None, max_examples=300)
 @given(case=binning_cases())
-# on the first edge, an inner edge and the closing edge, in every row
-@example(case=(1e-6, 3, np.array([0, 999, 1000, 3000, 3000, 3001, -1]), np.array([0, 0, 1, 1, 2, 0, 2]), 3))
+# on the first edge, an inner edge and the closing edge
+@example(case=(1e-6, 3, np.array([0, 999, 1000, 3000, 3000, 3001, -1])))
 def test_bin_counts_match_histogram(case):
-    width, n, ts, rows, n_rows = case
+    width, n, ts = case
     edges = np.round(np.arange(n + 1) * width / NS).astype(np.int64)
     np.testing.assert_array_equal(_bin_counts(ts, width, n), np.histogram(ts, bins=edges)[0])
-    block = _bin_counts(ts, width, n, rows, n_rows)
-    assert block.shape == (n_rows, n)
-    for r in range(n_rows):
-        np.testing.assert_array_equal(block[r], np.histogram(ts[rows == r], bins=edges)[0])
 
 
 # --- sequential detector ---------------------------------------------------------
 
 
-def loop_detect(counts, ion_rate, empty_rate, target, sub_bin):
-    """(MAP says ion, stopping bin) by scanning every bin for the first |log odds| >= threshold;
-    a row that never gets there stops at its last bin."""
+def loop_log_odds(counts, ion_rate, empty_rate, sub_bin):
+    """The log odds after each bin: the running sum of the per-bin Poisson log likelihood ratios."""
     counts = np.asarray(counts)
     if empty_rate > 0:
         per_bin = counts * math.log(ion_rate / empty_rate) - (ion_rate - empty_rate) * sub_bin
     else:
         per_bin = np.where(counts > 0, np.inf, -ion_rate * sub_bin)
-    llr = np.cumsum(per_bin)
-    thresh = math.log(target / (1.0 - target))
-    hit = np.abs(llr) >= thresh
-    stop = int(hit.argmax()) if hit.any() else counts.size - 1
+    return np.cumsum(per_bin)
+
+
+def loop_detect(counts, ion_rate, empty_rate, target, sub_bin):
+    """(MAP says ion, stopping bin) by scanning every bin for the first |log odds| >= threshold;
+    a row that never gets there stops at its last bin."""
+    llr = loop_log_odds(counts, ion_rate, empty_rate, sub_bin)
+    hit = np.abs(llr) >= math.log(target / (1.0 - target))
+    stop = int(hit.argmax()) if hit.any() else llr.size - 1
     return bool(llr[stop] > 0), stop
 
 
+def stopping_bins_of(counts, ion_rate, empty_rate, sub_bin, thresholds):
+    """_stopping_bins on a prebuilt rows x bins matrix of counts."""
+    return _stopping_bins(
+        lambda rows, start, end: counts[rows, start:end], *counts.shape, ion_rate, empty_rate, sub_bin, thresholds
+    )
+
+
 def loop_fidelity_points(scenario, targets, trials, sub_bin, max_time):
-    """The adaptive points of fidelity_curve: split each chunk's draw into its trials, sort,
-    dead-time filter and bin each trial on its own, then run loop_detect per trial and target."""
+    """The adaptive points of fidelity_curve, trial by trial.
+
+    Each chunk draws in windows of _FIRST_WINDOW bins, then twice as many,
+    and so on: per source, the Poisson counts of the chunk's trials still
+    undecided at some target over the window's span, then all their times.
+    Each such trial's arrivals so far are sorted window by window, dead-time
+    filtered as one stream and counted in the bin they were drawn in; it
+    stays undecided while some target's |log odds| has not reached its
+    threshold. loop_detect then runs per trial and target.
+    """
     ion_rate, empty_rate = scenario.budget.ion_total(), scenario.budget.background_total()
-    trial_scenario = replace(scenario, trial_duration=max_time)
+    rates = [getattr(scenario.budget, name) for name in BUDGET_SOURCES]
     n_bins = max(int(np.floor(max_time / sub_bin + 1e-9)), 1)
-    edges = np.round(np.arange(n_bins + 1) * sub_bin / NS).astype(np.int64)
+    dead_ns = round(scenario.dead_time / NS)
     binned = {}
     for hyp, ion_present in ((1, True), (0, False)):
         binned[hyp] = []
         for chunk, first in enumerate(range(0, trials, _CHUNK_TRIALS)):
             n = min(_CHUNK_TRIALS, trials - first)
             rng = np.random.default_rng([scenario.rng_seed, hyp, chunk])
-            t, labels, trial = _arrivals(trial_scenario, ion_present, rng, n)
-            for j in range(n):
-                order = np.argsort(t[trial == j], kind="stable")
-                t_ns = np.round(t[trial == j][order] / NS).astype(np.int64)
-                t_ns, _ = loop_dead_time(t_ns, labels[trial == j][order], round(scenario.dead_time / NS))
-                binned[hyp].append(np.histogram(t_ns, bins=edges)[0])
+            stamps = [np.empty(0, dtype=np.int64) for _ in range(n)]  # each trial's drawn ns times
+            bins = [np.empty(0, dtype=np.int64) for _ in range(n)]  # and the bin each was drawn in
+            counts = np.zeros((n, n_bins), dtype=np.int64)
+            live, start, width = list(range(n)), 0, _FIRST_WINDOW
+            while live:
+                end = min(start + width, n_bins)
+                lo, hi = start * sub_bin, end * sub_bin
+                drawn = [[] for _ in live]
+                for idx, rate in enumerate(rates):
+                    if rate > 0 and (ion_present or idx > 0):
+                        per_trial = rng.poisson(rate * (hi - lo), size=len(live))
+                        times = rng.uniform(lo, hi, size=per_trial.sum())
+                        for j, part in enumerate(np.split(times, np.cumsum(per_trial)[:-1])):
+                            drawn[j] += part.tolist()
+                for j, row in enumerate(live):
+                    t = np.array(drawn[j])
+                    order = np.argsort(np.round(t / NS).astype(np.int64), kind="stable")
+                    t = t[order]
+                    stamps[row] = np.concatenate([stamps[row], np.round(t / NS).astype(np.int64)])
+                    drawn_bin = np.minimum(((t - lo) / sub_bin).astype(np.int64), end - start - 1) + start
+                    bins[row] = np.concatenate([bins[row], drawn_bin])
+                    _, kept = loop_dead_time(stamps[row], bins[row], dead_ns)
+                    counts[row] = np.bincount(kept, minlength=n_bins)
+                live = [
+                    row for row in live
+                    if end < n_bins and not all(
+                        np.any(np.abs(loop_log_odds(counts[row, :end], ion_rate, empty_rate, sub_bin))
+                               >= math.log(target / (1.0 - target)))
+                        for target in targets
+                    )
+                ]
+                start, width = end, 2 * width
+            binned[hyp].extend(counts)
     points = []
     for target in targets:
         correct = {}
@@ -281,8 +413,14 @@ targets_st = st.lists(
 # a weak signal and a short horizon leave most trials undecided
 @example(fluorescence=200.0, background=6900.0, dead_time=1e-6, targets=[0.9, 0.999999999],
          trials=10, max_time=2e-3, n_bins=20, seed=4)
-# two full chunks and a partial one; a 1 ms dead time would reach from most trials
-# into the next if they were packed too closely
+# a weak signal leaves most trials undecided past the first window's edge, and a dead
+# time of ten bins reaches across it
+@example(fluorescence=200.0, background=6900.0, dead_time=1e-3, targets=[0.9, 0.999999999],
+         trials=10, max_time=20e-3, n_bins=200, seed=8)
+# the reference budget: trials decide in every window, so each later window draws for fewer
+@example(fluorescence=4800.0, background=6900.0, dead_time=1e-6, targets=[0.9, 0.99],
+         trials=40, max_time=20e-3, n_bins=200, seed=9)
+# two full chunks and a partial one
 @example(fluorescence=3e4, background=2e4, dead_time=1e-3, targets=[0.9, 0.999],
          trials=2 * _CHUNK_TRIALS + 7, max_time=20e-3, n_bins=50, seed=5)
 @example(fluorescence=2e3, background=0.0, dead_time=1e-6, targets=[0.99],
@@ -328,7 +466,7 @@ def test_early_exit_matches_dense_pass(shape, mu_ion, empty_fraction, drawn_from
     counts = np.random.default_rng(seed).poisson(mean, shape)
     thresholds = [math.log(t / (1.0 - t)) for t in targets]
     with unittest.mock.patch.object(detection, "_FIRST_WINDOW", first_window):
-        stop, says_ion = _stopping_bins(counts, ion_rate, empty_rate, sub_bin, thresholds)
+        stop, says_ion = stopping_bins_of(counts, ion_rate, empty_rate, sub_bin, thresholds)
     want_stop, want_ion = dense_stopping_bins(counts, ion_rate, empty_rate, sub_bin, thresholds)
     assert stop.tolist() == want_stop.tolist()
     assert says_ion.tolist() == want_ion.tolist()
@@ -347,7 +485,7 @@ def test_one_row_stopping_bins_matches_bin_scan(counts, rates, target, sub_bin):
     if not ion_rate > empty_rate:
         return
     threshold = math.log(target / (1.0 - target))
-    [[stop]], [[says_ion]] = _stopping_bins(counts[None], ion_rate, empty_rate, sub_bin, [threshold])
+    [[stop]], [[says_ion]] = stopping_bins_of(counts[None], ion_rate, empty_rate, sub_bin, [threshold])
     want_ion, want_stop = loop_detect(counts, ion_rate, empty_rate, target, sub_bin)
     assert stop == want_stop
     assert says_ion == want_ion
