@@ -14,6 +14,10 @@ NS = 1e-9
 _EVENT_HEADER = "timestamp_ns,label"
 _LABEL_CODES = {name: code for code, name in enumerate(SOURCE_LABELS)}
 _WRITE_ROWS = 1 << 14  # events per block of CSV text
+# The most events one draw may expect: 17 bytes each drawn (time, label, row), about
+# 0.6 GB, and a few times that while they are sorted and filtered; far above the
+# ~585k events of a 50 s stream at the reference budget.
+_MAX_EVENTS = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -126,11 +130,18 @@ def _arrivals(scenario: Scenario, ion_present: bool, rng, start: float, end: flo
     Fluorescence contributes only when ion_present. Each source with a
     positive rate draws the counts of all n rows in one call, then all their
     times in one call, in BUDGET_SOURCES order; its events come grouped by
-    row. With n = 1 that is one count and its times per source.
+    row. With n = 1 that is one count and its times per source. An expected
+    count above _MAX_EVENTS is rejected before anything is drawn.
     """
     rates = [getattr(scenario.budget, name) for name in BUDGET_SOURCES]
     if not ion_present:
         rates[0] = 0.0  # fluorescence
+    expected = sum(rates) * (end - start) * n
+    if expected > _MAX_EVENTS:
+        raise ValueError(
+            f"{expected:.3g} events expected in one draw (total rate x span x rows), "
+            f"more than the limit of {_MAX_EVENTS}"
+        )
     times, labels, rows = [np.empty(0)], [np.empty(0, dtype=np.int8)], [np.empty(0, dtype=np.int64)]
     for idx, rate in enumerate(rates):
         if rate > 0:
@@ -146,14 +157,29 @@ def simulate_stream(scenario: Scenario, ion_present: bool) -> EventStream:
     scenario's dead time.
 
     Fluorescence contributes only when ion_present. Deterministic given the
-    scenario seed.
+    scenario seed. The arrivals are put in time order by _stable_order, so
+    events at equal float times keep their source order.
     """
     rng = np.random.default_rng(scenario.rng_seed)
     t, labels, _ = _arrivals(scenario, ion_present, rng, 0.0, scenario.trial_duration)
-    # stable: events at equal float times keep their source order
-    order = np.argsort(t, kind="stable")
-    t_ns, labels = apply_dead_time(np.round(t[order] / NS).astype(np.int64), labels[order], _dead_ns(scenario))
+    order, t = _stable_order(t)
+    t_ns, labels = apply_dead_time(np.round(t / NS).astype(np.int64), labels[order], _dead_ns(scenario))
     return EventStream(t_ns, labels, scenario.trial_duration)
+
+
+def _stable_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable ascending order of keys, and the keys in that order.
+
+    numpy's default sort is not stable, but when the sorted keys strictly
+    increase the ascending order is unique, so it is the stable one. Only keys
+    with a tie (0.0 against -0.0 too) are sorted again by the stable mergesort.
+    """
+    order = np.argsort(keys)
+    ordered = keys[order]
+    if not np.all(ordered[1:] > ordered[:-1]):
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
+    return order, ordered
 
 
 def _carry_dead_time(times_ns: np.ndarray, labels: np.ndarray, rows: np.ndarray, last_ns: np.ndarray, dead_ns: int):
@@ -161,7 +187,8 @@ def _carry_dead_time(times_ns: np.ndarray, labels: np.ndarray, rows: np.ndarray,
     r's last kept time before the window; last_ns is updated in place.
 
     Returns the kept events' times, labels and rows, sorted by row, then
-    time; events at equal times keep their given order. Events within the
+    time; events at equal times keep their given order (_stable_order on one
+    int64 key per event, row then time). Events within the
     dead-time gap of their row's last kept time are dropped first, and the
     row's first event after them is kept, as in one pass over the row's
     windows joined. The rows are then laid end to end, each more than a gap
@@ -175,8 +202,8 @@ def _carry_dead_time(times_ns: np.ndarray, labels: np.ndarray, rows: np.ndarray,
     lo = times_ns.min()
     span = times_ns.max() - lo + gap + 1
     key = rows * span + (times_ns - lo)
-    order = np.argsort(key, kind="stable")
-    key, labels = apply_dead_time(key[order], labels[order], dead_ns)
+    order, key = _stable_order(key)
+    key, labels = apply_dead_time(key, labels[order], dead_ns)
     rows = key // span
     times_ns = key - rows * span + lo
     row_ends = np.append(rows[1:] != rows[:-1], True)
@@ -224,15 +251,19 @@ def gate_and_count(stream: EventStream, gate: float) -> np.ndarray:
 
 
 def _bin_counts(timestamps_ns: np.ndarray, width: float, n: int) -> np.ndarray:
-    """Events in each of n consecutive windows of `width` seconds starting at 0.
+    """Events in each of n consecutive windows of `width` seconds starting at 0, from
+    ascending timestamps_ns.
 
     The windows are half-open except the last, which also takes its closing
-    edge (as np.histogram does).
+    edge (as np.histogram does). The timestamps are in order already, so the
+    n + 1 edges are searched in them, not each event in the edges: a window's
+    count is the number of events before its closing edge less those before
+    its opening one, and the last closing edge counts the events on it too.
     """
     edges_ns = np.round(np.arange(n + 1) * width / NS).astype(np.int64)
-    idx = np.searchsorted(edges_ns, timestamps_ns, side="right") - 1
-    idx[timestamps_ns == edges_ns[-1]] = n - 1
-    return np.bincount(idx[(idx >= 0) & (idx < n)], minlength=n)
+    below = np.searchsorted(timestamps_ns, edges_ns, side="left")
+    below[-1] = np.searchsorted(timestamps_ns, edges_ns[-1], side="right")
+    return np.diff(below)
 
 
 @dataclass(frozen=True)

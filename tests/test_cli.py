@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -334,6 +335,23 @@ class TestQEFit:
         assert body(1, "--seed", "2") == body(2)
 
 
+class TestPinnedOutputs:
+    # sha256 of the body under the manifest line of the default `threshold` and of a
+    # 500-trial `fidelity`. A faster path must keep these bytes; a declared change of
+    # the random stream updates them.
+    @pytest.mark.parametrize("argv, seed, digest", [
+        (["threshold"], 1, "b292327c09c4e7eba703f8f425fdde16a19f219b7648c33c5cb5a87ea62cefeb"),
+        (["threshold"], 4242, "1153707c1f4f41feb0254e2827fbc965949964393d5c32536b4e730d7b099852"),
+        (["fidelity", "--trials", "500"], 1, "a6da01c59b36bcaf80596c0f2b635601df0ae57c156d6c227c44b5532e24ed11"),
+        (["fidelity", "--trials", "500"], 4242, "95daa7b13799753fe610fca35b252269c42eb84b330ee43259aa728402678d92"),
+    ], ids=lambda v: v[0] if isinstance(v, list) else None)
+    def test_fixed_seed_body_is_pinned(self, outdir, argv, seed, digest):
+        out = outdir / "out.csv"
+        assert main([*argv, "--seed", str(seed), "--out", str(out)]) == EXIT_OK
+        body = out.read_text().split("\n", 1)[1]
+        assert hashlib.sha256(body.encode()).hexdigest() == digest
+
+
 class TestManifest:
     def test_identical_invocations_identical_manifest(self, outdir, config_file):
         a, b = outdir / "a.csv", outdir / "b.csv"
@@ -389,6 +407,23 @@ class TestFlags:
         assert exc.value.code == EXIT_INPUT_ERROR
         assert f"argument {flag}: {value!r} is not a finite number" in capsys.readouterr().err
         assert not any(outdir.iterdir())
+
+    # an event count too large to draw is an input error, raised before any output is written
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate", "--duration", "1e12"], ["threshold", "--duration", "1e12"], ["simulate", "--config"]],
+        ids=["simulate-duration", "threshold-duration", "config-duration"],
+    )
+    def test_event_count_past_limit_exits_2(self, outdir, tmp_path, capsys, argv):
+        if argv[-1] == "--config":
+            config = tmp_path / "in" / "huge.cfg"
+            config.parent.mkdir()
+            config.write_text("budget.dark_kcps = 1.2\ntrial.duration_s = 1e12\n")
+            argv = [*argv, str(config)]
+        before = set(outdir.iterdir())
+        assert main(argv) == EXIT_INPUT_ERROR
+        assert "events expected in one draw" in capsys.readouterr().err
+        assert set(outdir.iterdir()) == before
 
     def test_output_dir_flag_wins_over_environment(self, outdir, tmp_path):
         flag_dir = tmp_path / "flag"

@@ -1,9 +1,10 @@
 """Property tests: each array-at-a-time stage against the per-element loop it replaced.
 
 The loops below are the reference implementations: the per-trial arrival
-draw; the per-event dead-time filter, also for the window-by-window filter
-with its carried last kept time; np.histogram per stream for the block
-binning; the per-event direct sum of exponential pulses; the per-edge
+draw; numpy's stable argsort for the checked unstable sort; the per-event
+dead-time filter, also for the window-by-window filter with its carried
+last kept time; np.histogram and the per-event edge search for the binning;
+the per-event direct sum of exponential pulses; the per-edge
 Schmitt trigger; the per-angle 2x2 transfer-matrix product; the per-offset
 collection sum; and the per-line table reader.
 
@@ -62,8 +63,10 @@ from spadsim.simulator import (
     _carry_dead_time,
     _event_columns,
     _schmitt_crossings,
+    _stable_order,
     _window_counter,
     apply_dead_time,
+    gate_and_count,
     simulate_frontend,
     simulate_stream,
 )
@@ -268,29 +271,99 @@ def test_chunk_draw_matches_per_source_calls(seed, ion_present, budget):
         assert labels[rows == j].tolist() == want_l[j]
 
 
+# --- sorting ---------------------------------------------------------------------
+
+
+def pooled_keys(dtype, pool):
+    """Arrays of 0-40 keys from a pool of five values, so most hold ties."""
+    return arrays(dtype, st.integers(0, 40), elements=st.sampled_from(pool))
+
+
+@settings(deadline=None, max_examples=300)
+@given(keys=st.one_of(
+    pooled_keys(np.int64, [-3, 0, 1, 2, 7]),
+    pooled_keys(np.float64, [-1.5, -0.0, 0.0, 0.5, 2.0]),
+    arrays(np.int64, st.integers(0, 40), elements=st.integers(-(2**62), 2**62), unique=True),
+    arrays(np.float64, st.integers(0, 40), elements=finite(-1e3, 1e3), unique=True),
+))
+@example(keys=np.empty(0, dtype=np.int64))
+@example(keys=np.empty(0))
+@example(keys=np.array([5], dtype=np.int64))
+@example(keys=np.array([-0.0]))
+@example(keys=np.array([0.0, -0.0]))
+@example(keys=np.array([-0.0, 0.0, -0.0]))
+@example(keys=np.array([3, 1, 2, 1, 3], dtype=np.int64))
+def test_stable_order_matches_stable_argsort(keys):
+    """_stable_order gives numpy's stable order, and the keys in it, bit for bit."""
+    order, ordered = _stable_order(keys)
+    want = np.argsort(keys, kind="stable")
+    assert order.tolist() == want.tolist()
+    assert ordered.dtype == keys.dtype
+    assert ordered.tobytes() == keys[want].tobytes()  # tells -0.0 from 0.0
+
+
 # --- binning ---------------------------------------------------------------------
+
+
+def per_event_bin_counts(timestamps_ns, width, n):
+    """Events in each of n windows of `width` seconds from 0: each event searched in the
+    edges, the closing edge counted in the last window, anything else outside dropped."""
+    edges_ns = np.round(np.arange(n + 1) * width / NS).astype(np.int64)
+    idx = np.searchsorted(edges_ns, timestamps_ns, side="right") - 1
+    idx[timestamps_ns == edges_ns[-1]] = n - 1
+    return np.bincount(idx[(idx >= 0) & (idx < n)], minlength=n)
 
 
 @st.composite
 def binning_cases(draw):
-    """Window width and count, and events (some on an edge, some outside)."""
+    """Window width and count, and ascending events (some on an edge, some outside)."""
     width = draw(st.one_of(finite(0.3e-9, 5e-9), finite(5e-9, 1e-4)))  # below 1 ns, edges repeat
     n = draw(st.integers(1, 40))
     edges = np.round(np.arange(n + 1) * width / NS).astype(np.int64)
     on_edge = st.sampled_from(edges.tolist())
     anywhere = st.integers(int(edges[0]) - 3, int(edges[-1]) + 3)
     ts = draw(st.lists(st.one_of(on_edge, anywhere), max_size=60))
-    return width, n, np.asarray(ts, dtype=np.int64)
+    return width, n, np.sort(np.asarray(ts, dtype=np.int64))
 
 
 @settings(deadline=None, max_examples=300)
 @given(case=binning_cases())
 # on the first edge, an inner edge and the closing edge
-@example(case=(1e-6, 3, np.array([0, 999, 1000, 3000, 3000, 3001, -1])))
+@example(case=(1e-6, 3, np.array([-1, 0, 999, 1000, 3000, 3000, 3001])))
 def test_bin_counts_match_histogram(case):
     width, n, ts = case
     edges = np.round(np.arange(n + 1) * width / NS).astype(np.int64)
     np.testing.assert_array_equal(_bin_counts(ts, width, n), np.histogram(ts, bins=edges)[0])
+
+
+@st.composite
+def stream_gate_cases(draw):
+    """A gate, a duration of a whole number of gates and up to one more, and an event
+    stream: strictly increasing times, many on a gate edge or on the last closing one,
+    some past the duration."""
+    gate = draw(st.one_of(finite(0.3e-9, 5e-9), finite(5e-9, 1e-4)))
+    n = draw(st.integers(1, 40))
+    duration = (n + draw(st.sampled_from([0.0, 0.5, 0.999]))) * gate
+    edges = np.round(np.arange(n + 2) * gate / NS).astype(np.int64)
+    on_edge = st.sampled_from(edges.tolist())
+    closing = st.just(int(edges[n]))
+    anywhere = st.integers(0, int(edges[-1]) + 3)
+    ts = draw(st.sets(st.one_of(on_edge, closing, anywhere), max_size=60))
+    return gate, duration, np.array(sorted(ts), dtype=np.int64)
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=stream_gate_cases())
+# on the first edge, an inner edge, the closing edge and past it
+@example(case=(1e-6, 3e-6, np.array([0, 999, 1000, 2999, 3000, 3001, 4000])))
+@example(case=(1e-6, 3.5e-6, np.array([1000, 3000, 3400, 4000])))
+def test_gate_and_count_matches_per_event_search(case):
+    """gate_and_count on an event stream counts what each event's own edge search does:
+    the closing edge in the last gate, nothing past it."""
+    gate, duration, ts = case
+    got = gate_and_count(EventStream(ts, np.zeros(ts.size, dtype=np.int8), duration), gate)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, per_event_bin_counts(ts, gate, got.size))
 
 
 # --- sequential detector ---------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -6,8 +7,10 @@ from scipy import stats
 
 from spadsim.model import RateBudget, Scenario, table_budget
 from spadsim.simulator import (
+    _MAX_EVENTS,
     EventStream,
     FrontEndParams,
+    _arrivals,
     gate_and_count,
     simulate_frontend,
     simulate_stream,
@@ -72,6 +75,27 @@ class TestSimulateStream:
         np.testing.assert_array_equal(a.timestamps_ns, b.timestamps_ns)
         np.testing.assert_array_equal(a.labels, b.labels)
         assert a.to_csv() == b.to_csv()
+
+    # sha256 of the event CSV of a 1 s stream at the reference budget and 1 us dead time.
+    # A faster path must keep these bytes; a declared change of the random stream updates them.
+    @pytest.mark.parametrize("seed, digest", [
+        (1, "f2660826f2ac899fe494a00255aa9a63fdd61e5995b5176566c292639979d0bf"),
+        (4242, "5b09d0b575c7a623abbe0ec97d43426cce181c3fbc1c70a39d8cddcb548424d1"),
+    ])
+    def test_fixed_seed_bytes_are_pinned(self, seed, digest):
+        stream = simulate_stream(Scenario(budget=table_budget(), trial_duration=1.0, rng_seed=seed), True)
+        assert hashlib.sha256(stream.to_csv().encode()).hexdigest() == digest
+
+    def test_event_count_past_limit_rejected_before_drawing(self):
+        # counts far past any memory, so that a missing bound fails to allocate rather than allocating
+        sc = Scenario(budget=table_budget(), trial_duration=1e12, rng_seed=1)
+        with pytest.raises(ValueError, match=rf"1.17e\+16 events expected in one draw .* limit of {_MAX_EVENTS}"):
+            simulate_stream(sc, True)
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=rf"1.17e\+13 events expected .* limit of {_MAX_EVENTS}"):
+            _arrivals(sc, True, rng, 0.0, 1e3, n=10**6)  # rows multiply the count
+        assert rng.bit_generator.state == state
 
     def test_superposition_property(self):
         # merged lambda1 + lambda2 streams vs a single stream at the summed
