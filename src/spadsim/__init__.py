@@ -40,7 +40,6 @@ from .estimation import (
     decompose_budget,
     effective_area,
     fit_quantum_efficiency,
-    fit_saturation,
 )
 from .config import ConfigError, load_scenario, scenario_from_text, scenario_to_text
 

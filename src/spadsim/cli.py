@@ -9,7 +9,8 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import replace
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,23 @@ class CheckFailure(Exception):
     """A --check numeric criterion was not met."""
 
 
+@dataclass(frozen=True)
+class Output:
+    """What a subcommand produced; main hashes, writes, prints and checks it.
+
+    hashed is the input text the manifest hashes besides the arguments: the
+    config, the scan or toggle CSV, or both config and data for qefit. checks
+    returns the --check criteria as (met, failure message) pairs; main calls it
+    only under --check.
+    """
+
+    name: str  # the file written under --output-dir when --out is not given
+    hashed: str
+    body: str
+    summary: Sequence[str]
+    checks: Callable[[], Sequence[tuple[bool, str]]] = lambda: ()
+
+
 def _manifest_hash(subcommand: str, args: argparse.Namespace, config_text: str) -> str:
     payload = {
         "subcommand": subcommand,
@@ -62,10 +80,9 @@ def _output_path(args, default_name: str) -> Path:
 
 def _load_config(args) -> tuple[Scenario, str]:
     if args.config:
-        scenario = load_scenario(args.config)
-        text = Path(args.config).read_text()
+        scenario, text = load_scenario(args.config)
     else:
-        scenario = Scenario(budget=table_budget())
+        scenario = Scenario()
         text = scenario_to_text(scenario)
     if getattr(args, "seed", None) is not None:
         scenario = replace(scenario, rng_seed=args.seed)
@@ -105,18 +122,15 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> Output:
     scenario, config_text = _load_config(args)
     stream = simulate_stream(scenario, ion_present=args.ion)
-    manifest = _manifest_hash("simulate", args, config_text)
-    _write_output(_output_path(args, "events.csv"), manifest, stream.to_csv())
-    print(f"total events: {len(stream)}")
-    for name, n in stream.counts_by_source().items():
-        print(f"  {name}: {n}")
-    return EXIT_OK
+    summary = [f"total events: {len(stream)}"]
+    summary += [f"  {name}: {n}" for name, n in stream.counts_by_source().items()]
+    return Output("events.csv", config_text, stream.to_csv(), summary)
 
 
-def cmd_threshold(args) -> int:
+def cmd_threshold(args) -> Output:
     scenario, config_text = _load_config(args)
     window = args.window_ms * 1e-3
     ion = simulate_stream(scenario, True)
@@ -127,24 +141,22 @@ def cmd_threshold(args) -> int:
     k_exact, f_exact = detection.analytic_threshold_fidelity(
         scenario.budget.ion_total(), scenario.budget.background_total(), window
     )
-    manifest = _manifest_hash("threshold", args, config_text)
     body = "count,freq_ion,freq_empty\n" + "".join(
         f"{k},{n_ion},{n_empty}\n"
         for k, (n_ion, n_empty) in enumerate(zip(result.histogram_ion, result.histogram_empty))
     )
-    _write_output(_output_path(args, "threshold_histogram.csv"), manifest, body)
-    print(f"window: {args.window_ms} ms")
-    print(f"optimal threshold: {result.threshold} counts, fidelity {result.fidelity:.4f}")
-    print(f"exact-Poisson optimum: threshold {k_exact}, fidelity {f_exact:.4f}")
-    if args.check:
-        if result.fidelity < 0.996:
-            raise CheckFailure(f"threshold fidelity {result.fidelity:.4f} < 0.996")
-        if abs(result.fidelity - f_exact) > 0.003:
-            raise CheckFailure(
-                f"Monte Carlo fidelity {result.fidelity:.4f} deviates from exact {f_exact:.4f} by > 0.003"
-            )
-        print("check: PASS")
-    return EXIT_OK
+    summary = [
+        f"window: {args.window_ms} ms",
+        f"optimal threshold: {result.threshold} counts, fidelity {result.fidelity:.4f}",
+        f"exact-Poisson optimum: threshold {k_exact}, fidelity {f_exact:.4f}",
+    ]
+    return Output("threshold_histogram.csv", config_text, body, summary, checks=lambda: [
+        (result.fidelity >= 0.996, f"threshold fidelity {result.fidelity:.4f} < 0.996"),
+        (
+            abs(result.fidelity - f_exact) <= 0.003,
+            f"Monte Carlo fidelity {result.fidelity:.4f} deviates from exact {f_exact:.4f} by > 0.003",
+        ),
+    ])
 
 
 # fidelity flags that --projection rejects, with the value each takes when omitted
@@ -152,7 +164,7 @@ _CURVE_DEFAULTS = {"targets": "0.99", "sub_bin_us": 100.0, "max_time_ms": 50.0}
 _CURVE_TRIALS = 10000  # the curve's --trials when omitted; the projection's is its preset's
 
 
-def cmd_fidelity(args) -> int:
+def cmd_fidelity(args) -> Output:
     if args.trials is None:  # so an omitted --trials hashes like its value
         args.trials = detection.PROJECTED_TRIALS if args.projection else _CURVE_TRIALS
     if args.projection:
@@ -164,19 +176,14 @@ def cmd_fidelity(args) -> int:
         (fid, mean_time), curve = detection.projected_scenario_fidelity(
             trials=args.trials, seed=seed, full_curve=True
         )
-        manifest = _manifest_hash("fidelity", args, "")
-        body = _fidelity_csv(curve)
-        _write_output(_output_path(args, "fidelity_projection.csv"), manifest, body)
-        print(f"projection: fidelity {fid:.4f} at mean time {mean_time * 1e6:.1f} us")
-        if args.check:
-            if not 0.9967 <= fid <= 0.9987:
-                raise CheckFailure(f"projection fidelity {fid:.4f} outside 0.9977 +/- 0.001")
-            if not 56.25e-6 <= mean_time <= 93.75e-6:
-                raise CheckFailure(
-                    f"projection mean time {mean_time * 1e6:.1f} us outside 75 us +/- 25%"
-                )
-            print("check: PASS")
-        return EXIT_OK
+        summary = [f"projection: fidelity {fid:.4f} at mean time {mean_time * 1e6:.1f} us"]
+        return Output("fidelity_projection.csv", "", _fidelity_csv(curve), summary, checks=lambda: [
+            (0.9967 <= fid <= 0.9987, f"projection fidelity {fid:.4f} outside 0.9977 +/- 0.001"),
+            (
+                56.25e-6 <= mean_time <= 93.75e-6,
+                f"projection mean time {mean_time * 1e6:.1f} us outside 75 us +/- 25%",
+            ),
+        ])
 
     for name, default in _CURVE_DEFAULTS.items():
         if getattr(args, name) is None:
@@ -186,22 +193,23 @@ def cmd_fidelity(args) -> int:
     curve = detection.fidelity_curve(
         scenario, targets, args.trials, sub_bin=args.sub_bin_us * 1e-6, max_time=args.max_time_ms * 1e-3
     )
-    manifest = _manifest_hash("fidelity", args, config_text)
-    _write_output(_output_path(args, "fidelity_curve.csv"), manifest, _fidelity_csv(curve))
-    for target, fid, mean_time in curve.bayes:
-        print(f"target {target}: fidelity {fid:.4f}, mean time {mean_time * 1e3:.2f} ms")
-    if args.check:
-        row = min(curve.bayes, key=lambda p: abs(p[0] - 0.99))
-        target, fid, mean_time = row
+    summary = [
+        f"target {target}: fidelity {fid:.4f}, mean time {mean_time * 1e3:.2f} ms"
+        for target, fid, mean_time in curve.bayes
+    ]
+
+    def checks():
+        target, fid, mean_time = min(curve.bayes, key=lambda p: abs(p[0] - 0.99))
         bound = sum(detection.wald_bound(curve.ion_rate, curve.empty_rate, 1 - target)) / 2
-        if abs(fid - 0.99) > 0.005:
-            raise CheckFailure(f"fidelity {fid:.4f} outside 0.99 +/- 0.005")
-        if not bound <= mean_time <= 7.7e-3:
-            raise CheckFailure(
-                f"mean time {mean_time * 1e3:.2f} ms outside [{bound * 1e3:.2f}, 7.7] ms"
-            )
-        print("check: PASS")
-    return EXIT_OK
+        return [
+            (abs(fid - 0.99) <= 0.005, f"fidelity {fid:.4f} outside 0.99 +/- 0.005"),
+            (
+                bound <= mean_time <= 7.7e-3,
+                f"mean time {mean_time * 1e3:.2f} ms outside [{bound * 1e3:.2f}, 7.7] ms",
+            ),
+        ]
+
+    return Output("fidelity_curve.csv", config_text, _fidelity_csv(curve), summary, checks)
 
 
 def _fidelity_csv(curve: detection.FidelityCurve) -> str:
@@ -220,88 +228,83 @@ def _fidelity_csv(curve: detection.FidelityCurve) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_collection(args) -> int:
+def cmd_collection(args) -> Output:
     scenario, config_text = _load_config(args)
     offsets = _parse_range(args.offsets_um, 1e-6)
     ces = efficiency_vs_offset(scenario.geometry, offsets)
     with warnings.catch_warnings():  # the sweep above has named the same shadowed offsets
         warnings.simplefilter("ignore", ShadowingWarning)
         ces_bare = efficiency_vs_offset(scenario.geometry, offsets, include_arc=False)
-    manifest = _manifest_hash("collection", args, config_text)
     body = "offset_um,efficiency,efficiency_no_arc\n" + "".join(
         f"{off * 1e6:.6g},{ce:.6g},{ce0:.6g}\n" for off, ce, ce0 in zip(offsets, ces, ces_bare)
     )
-    _write_output(_output_path(args, "collection_efficiency.csv"), manifest, body)
-    for off, ce in zip(offsets, ces):
-        print(f"offset {off * 1e6:6.1f} um: efficiency {ce * 100:.4f}%")
-    if args.check:
-        if np.any(np.diff(ces[np.argsort(offsets)]) > 0):
-            raise CheckFailure("efficiency is not monotone decreasing with offset")
-        print("check: PASS")
-    return EXIT_OK
+    summary = [f"offset {off * 1e6:6.1f} um: efficiency {ce * 100:.4f}%" for off, ce in zip(offsets, ces)]
+    return Output("collection_efficiency.csv", config_text, body, summary, checks=lambda: [
+        (not np.any(np.diff(ces[np.argsort(offsets)]) > 0), "efficiency is not monotone decreasing with offset"),
+    ])
 
 
-def cmd_arc(args) -> int:
+def cmd_arc(args) -> Output:
     scenario, config_text = _load_config(args)
     stack = bare_silicon_stack() if args.bare else scenario.geometry.stack
     angles = np.array(_parse_range(args.angles_deg, math.pi / 180.0))
     rows = list(zip(angles, *(stack_reflectance(stack, angles, pol) for pol in ("s", "p", "unpolarized"))))
-    manifest = _manifest_hash("arc", args, config_text)
     body = "angle_deg,R_s,R_p,R_unpolarized\n" + "".join(
         f"{math.degrees(a):.6g},{rs:.6g},{rp:.6g},{ru:.6g}\n" for a, rs, rp, ru in rows
     )
-    _write_output(_output_path(args, "reflectance.csv"), manifest, body)
-    for a, _, _, ru in rows:
-        print(f"angle {math.degrees(a):5.1f} deg: R = {ru:.4f}")
-    if args.check:
+    summary = [f"angle {math.degrees(a):5.1f} deg: R = {ru:.4f}" for a, _, _, ru in rows]
+
+    def checks():
         r_normal = stack_reflectance(scenario.geometry.stack, 0.0, "unpolarized")
-        if abs(r_normal - 0.10) > 0.03:
-            raise CheckFailure(f"coated normal-incidence R {r_normal:.3f} outside 0.10 +/- 0.03")
         r_bare = stack_reflectance(bare_silicon_stack(), 0.0, "unpolarized")
-        if abs(r_bare - 0.57) > 0.04:
-            raise CheckFailure(f"bare-substrate normal R {r_bare:.3f} outside 0.57 +/- 0.04")
-        print("check: PASS")
-    return EXIT_OK
+        return [
+            (abs(r_normal - 0.10) <= 0.03, f"coated normal-incidence R {r_normal:.3f} outside 0.10 +/- 0.03"),
+            (abs(r_bare - 0.57) <= 0.04, f"bare-substrate normal R {r_bare:.3f} outside 0.57 +/- 0.04"),
+        ]
+
+    return Output("reflectance.csv", config_text, body, summary, checks)
 
 
-def cmd_spot(args) -> int:
+def _input_text(args, path: str | None, kind: str) -> str:
+    """The text of the input CSV at path, which a subcommand needs unless it runs --demo."""
+    if not path:
+        raise ConfigError(f"{args.subcommand} needs a {kind} CSV path or --demo")
+    return Path(path).read_text()
+
+
+def cmd_spot(args) -> Output:
     if args.demo:
         scan = synthetic.make_spot_scan(seed=args.seed if args.seed is not None else 0)
-        config_text = ""
+        scan_text = ""
     else:
-        if not args.scan_csv:
-            raise ConfigError("spot needs a scan CSV path or --demo")
-        config_text = Path(args.scan_csv).read_text()
-        scan = estimation.SpotScan.from_csv(config_text)
+        scan_text = _input_text(args, args.scan_csv, "scan")
+        scan = estimation.SpotScan.from_csv(scan_text)
     area, amap = estimation.effective_area(scan)
-    manifest = _manifest_hash("spot", args, config_text)
-    _write_output(_output_path(args, "active_area_map.csv"), manifest, amap.to_csv())
-    print(f"effective active area: {area * 1e12:.2f} um^2")
-    return EXIT_OK
+    return Output("active_area_map.csv", scan_text, amap.to_csv(), [f"effective active area: {area * 1e12:.2f} um^2"])
 
 
-def cmd_budget(args) -> int:
+def cmd_budget(args) -> Output:
     if args.demo:
         measurements = synthetic.make_toggle_measurements(table_budget())
-        config_text = synthetic.toggle_measurements_to_csv(measurements)
+        toggles_text = synthetic.toggle_measurements_to_csv(measurements)
     else:
-        if not args.toggles_csv:
-            raise ConfigError("budget needs a toggle CSV path or --demo")
-        config_text = Path(args.toggles_csv).read_text()
-        measurements = synthetic.toggle_measurements_from_csv(config_text)
+        toggles_text = _input_text(args, args.toggles_csv, "toggle")
+        measurements = synthetic.toggle_measurements_from_csv(toggles_text)
     budget, sigma = estimation.decompose_budget(measurements)
-    manifest = _manifest_hash("budget", args, config_text)
-    lines = ["source,rate_kcps,sigma_kcps"]
-    for name in estimation.BUDGET_SOURCES:
-        lines.append(f"{name},{getattr(budget, name) / 1e3:.6g},{sigma[name] / 1e3:.6g}")
-    _write_output(_output_path(args, "budget.csv"), manifest, "\n".join(lines) + "\n")
-    for name in estimation.BUDGET_SOURCES:
-        print(f"{name:16s} {getattr(budget, name) / 1e3:7.3f} +/- {sigma[name] / 1e3:.3f} kcps")
-    print(f"ion total: {budget.ion_total() / 1e3:.2f} kcps, background: {budget.background_total() / 1e3:.2f} kcps")
-    return EXIT_OK
+    body = "source,rate_kcps,sigma_kcps\n" + "".join(
+        f"{name},{getattr(budget, name) / 1e3:.6g},{sigma[name] / 1e3:.6g}\n" for name in estimation.BUDGET_SOURCES
+    )
+    summary = [
+        f"{name:16s} {getattr(budget, name) / 1e3:7.3f} +/- {sigma[name] / 1e3:.3f} kcps"
+        for name in estimation.BUDGET_SOURCES
+    ]
+    summary.append(
+        f"ion total: {budget.ion_total() / 1e3:.2f} kcps, background: {budget.background_total() / 1e3:.2f} kcps"
+    )
+    return Output("budget.csv", toggles_text, body, summary)
 
 
-def cmd_qefit(args) -> int:
+def cmd_qefit(args) -> Output:
     scenario, config_text = _load_config(args)
     if args.demo:
         offsets = np.arange(0.0, 81e-6, 5e-6)
@@ -310,20 +313,14 @@ def cmd_qefit(args) -> int:
             offs, rates = synthetic.make_qe_dataset(scenario, offsets)
         data_text = synthetic.qe_dataset_to_csv(offs, rates)
     else:
-        if not args.data_csv:
-            raise ConfigError("qefit needs a data CSV path or --demo")
-        data_text = Path(args.data_csv).read_text()
+        data_text = _input_text(args, args.data_csv, "data")
         offs, rates = synthetic.qe_dataset_from_csv(data_text)
     qe, err = estimation.fit_quantum_efficiency(scenario, offs, rates)
-    manifest = _manifest_hash("qefit", args, config_text + data_text)
     body = f"qe,std_error\n{qe:.6g},{err:.6g}\n"
-    _write_output(_output_path(args, "qe_fit.csv"), manifest, body)
-    print(f"quantum efficiency: {qe * 100:.1f} +/- {err * 100:.1f} %")
-    if args.check:
-        if abs(qe - 0.24) > 0.03:
-            raise CheckFailure(f"fitted QE {qe:.3f} outside 0.24 +/- 0.03")
-        print("check: PASS")
-    return EXIT_OK
+    summary = [f"quantum efficiency: {qe * 100:.1f} +/- {err * 100:.1f} %"]
+    return Output("qe_fit.csv", config_text + data_text, body, summary, checks=lambda: [
+        (abs(qe - 0.24) <= 0.03, f"fitted QE {qe:.3f} outside 0.24 +/- 0.03"),
+    ])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -407,7 +404,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        out = args.func(args)
+        _write_output(_output_path(args, out.name), _manifest_hash(args.subcommand, args, out.hashed), out.body)
+        for line in out.summary:
+            print(line)
+        if getattr(args, "check", False):  # simulate, spot and budget have no --check
+            for met, message in out.checks():
+                if not met:
+                    raise CheckFailure(message)
+            print("check: PASS")
+        return EXIT_OK
     except CheckFailure as exc:
         print(f"check: FAIL: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED

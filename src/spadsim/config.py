@@ -159,13 +159,14 @@ def _replaced(obj, changes: dict):
     return replace(obj, **fields)
 
 
-def load_scenario(path) -> Scenario:
+def load_scenario(path) -> tuple[Scenario, str]:
+    """The scenario a config file describes, and the file's text."""
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return scenario_from_text(text, base_dir=path.parent)
+    return scenario_from_text(text, base_dir=path.parent), text
 
 
 def scenario_to_text(scenario: Scenario) -> str:

@@ -1,5 +1,5 @@
-"""Estimation procedures: spot-test effective area, count-budget decomposition,
-saturation-curve fit and the single-parameter quantum-efficiency fit."""
+"""Estimation procedures: spot-test effective area, count-budget decomposition
+and the single-parameter quantum-efficiency fit."""
 
 from __future__ import annotations
 
@@ -130,35 +130,6 @@ def _unresolvable_sources(design: np.ndarray) -> list[str]:
         return []
     mask = np.any(np.abs(vt[ncols - nullity :]) > 1e-9, axis=0)
     return [name for name, bad in zip(BUDGET_SOURCES, mask) if bad]
-
-
-def fit_saturation(powers, rates) -> tuple[float, float, np.ndarray]:
-    """Fit rate = max_rate * (P/Psat) / (1 + P/Psat).
-
-    Returns (saturation_power, max_rate, fraction-of-saturation per input power).
-    """
-    from scipy.optimize import curve_fit
-
-    p = np.asarray(powers, dtype=float)
-    r = np.asarray(rates, dtype=float)
-    if np.unique(p).size < 3:
-        raise ValueError("need at least 3 distinct powers")
-    if np.ptp(r) <= 0:
-        raise ValueError("saturation fit cannot converge on flat data")
-
-    def model(pp, psat, rmax):
-        return rmax * (pp / psat) / (1.0 + pp / psat)
-
-    p0 = (np.median(p), 2.0 * r.max())
-    try:
-        popt, _ = curve_fit(model, p, r, p0=p0, maxfev=20000)
-    except RuntimeError as exc:
-        raise ValueError("saturation fit did not converge") from exc
-    psat, rmax = float(popt[0]), float(popt[1])
-    if psat <= 0 or rmax <= 0:
-        raise ValueError("saturation fit converged to a non-physical optimum")
-    fractions = (p / psat) / (1.0 + p / psat)
-    return psat, rmax, fractions
 
 
 def expected_incident_rates(scenario: Scenario, offsets) -> np.ndarray:

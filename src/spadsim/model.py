@@ -78,23 +78,26 @@ def scattering_rate(emitter: EmitterParams) -> float:
     return 0.5 * emitter.gamma * emitter.saturation_fraction
 
 
-def saturation_fraction_from_power(power: float, saturation_power: float) -> float:
-    """Optional helper mapping drive power to s/(1+s) with s = P/Psat."""
-    if power < 0 or saturation_power <= 0:
-        raise ValueError("power must be >= 0 and saturation_power > 0")
-    s = power / saturation_power
-    return s / (1.0 + s)
+def table_budget() -> RateBudget:
+    """The measured count budget of the reference device, in counts/s."""
+    return RateBudget(
+        fluorescence=4800.0,
+        repump_scatter=4000.0,
+        doppler_scatter=1400.0,
+        dark_counts=1200.0,
+        rf_pickup=300.0,
+    )
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """Immutable bundle of everything a simulated trial needs.
+    """Immutable bundle of everything a simulated trial needs; by default the reference device.
 
     dead_time is the detector's nonparalyzable dead time in seconds: an event
     within it of the last kept event is dropped.
     """
 
-    budget: RateBudget = field(default_factory=RateBudget)
+    budget: RateBudget = field(default_factory=table_budget)
     emitter: EmitterParams = field(default_factory=EmitterParams)
     geometry: DetectorGeometry = field(default_factory=DetectorGeometry)
     trial_duration: float = 50.0
@@ -107,13 +110,3 @@ class Scenario:
         if self.dead_time < 0:
             raise ValueError("dead_time must be >= 0")
 
-
-def table_budget() -> RateBudget:
-    """The measured count budget of the reference device, in counts/s."""
-    return RateBudget(
-        fluorescence=4800.0,
-        repump_scatter=4000.0,
-        doppler_scatter=1400.0,
-        dark_counts=1200.0,
-        rf_pickup=300.0,
-    )

@@ -1,6 +1,7 @@
 import hashlib
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -365,6 +366,77 @@ class TestManifest:
         main(["collection", "--offsets-um", "0,40", "--out", str(a)])
         main(["collection", "--offsets-um", "0,50", "--out", str(b)])
         assert a.read_text().splitlines()[0] != b.read_text().splitlines()[0]
+
+
+class TestOutputRules:
+    # every subcommand writes one manifest-headed table; the manifest hashes the
+    # arguments and the subcommand's input text, and these values are pinned
+    @pytest.mark.parametrize("argv, manifest", [
+        (["simulate", "--duration", "0.01"], "5f81e3ead08df267"),
+        (["threshold", "--duration", "1"], "8f8b28d2161eb68f"),
+        (["fidelity", "--trials", "20"], "962dd6c8659e70f9"),
+        (["fidelity", "--projection", "--trials", "20"], "8f315d2a2b685bac"),
+        (["collection", "--offsets-um", "0,40"], "dc95a0a70513989e"),
+        (["arc", "--angles-deg", "0"], "d1e777dcceb6f33d"),
+        (["spot", "--demo"], "d5e1ce8046c94b70"),
+        (["budget", "--demo"], "5f1d6dc52cd60abc"),
+        (["qefit", "--demo"], "8bb1780eeab80bf1"),
+    ], ids=lambda v: "-".join(v).replace("--", "") if isinstance(v, list) else None)
+    def test_manifest_line_is_pinned(self, tmp_path, monkeypatch, argv, manifest):
+        monkeypatch.delenv("SPADSIM_OUTPUT_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings():  # qefit --demo names its shadowed offsets
+            warnings.simplefilter("ignore", ShadowingWarning)
+            assert main([*argv, "--out", "out/table.csv"]) == EXIT_OK
+        assert read_output(tmp_path / "out" / "table.csv")[0] == f"# manifest: {manifest}"
+
+    @pytest.mark.parametrize("argv, name, summary, failure", [
+        # both criteria fail; the first is named
+        (["threshold", "--config", "weak.cfg"], "threshold_histogram.csv", "optimal threshold:",
+         "threshold fidelity 0.7212 < 0.996"),
+        (["arc", "--config", "thick.cfg", "--angles-deg", "0"], "reflectance.csv", "angle   0.0 deg:",
+         "coated normal-incidence R 0.586 outside 0.10 +/- 0.03"),
+        (["qefit", "off.csv"], "qe_fit.csv", "quantum efficiency:", "fitted QE 0.783 outside 0.24 +/- 0.03"),
+    ], ids=["threshold", "arc", "qefit"])
+    def test_failed_check_keeps_table_and_summary(self, outdir, tmp_path, monkeypatch, capsys, argv, name, summary,
+                                                   failure):
+        weak = Scenario(budget=table_budget().scaled(0.02), trial_duration=20.0, rng_seed=1)
+        (tmp_path / "weak.cfg").write_text(scenario_to_text(weak))
+        (tmp_path / "thick.cfg").write_text("stack.layers = 80 2.1 ; 10 1.47\n")
+        (tmp_path / "off.csv").write_text("offset_um,rate_kcps\n0,50\n20,40\n40,30\n60,20\n")
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--check"]) == EXIT_CHECK_FAILED
+        out, err = capsys.readouterr()
+        assert len(read_output(outdir / name)) > 2
+        assert out.splitlines()[0] == f"wrote {outdir / name}"
+        assert summary in out and "check: PASS" not in out
+        assert err.splitlines() == [f"check: FAIL: {failure}"]
+
+    def test_checks_run_only_under_check(self, outdir, tmp_path, capsys):
+        # with no background the Wald bound is undefined: the table leaves it empty,
+        # and only the --check criterion that needs it fails
+        config = tmp_path / "no_background.cfg"
+        config.write_text("budget.fluorescence_kcps = 4.8\n" + "".join(
+            f"budget.{label}_kcps = 0\n" for label in ("repump", "doppler", "dark", "rf")
+        ))
+        argv = ["fidelity", "--config", str(config), "--trials", "100"]
+        assert main(argv) == EXIT_OK
+        assert read_output(outdir / "fidelity_curve.csv")[2].endswith(",")
+        capsys.readouterr()
+        (outdir / "fidelity_curve.csv").unlink()
+        assert main([*argv, "--check"]) == EXIT_INPUT_ERROR
+        out, err = capsys.readouterr()
+        assert read_output(outdir / "fidelity_curve.csv")[2].endswith(",")
+        assert "target 0.99: fidelity" in out
+        assert err == "error: require ion_rate > empty_rate > 0\n"
+
+    def test_config_starts_from_reference_device(self, outdir, tmp_path, capsys):
+        config = tmp_path / "short.cfg"
+        config.write_text("trial.duration_s = 1\n")
+        assert main(["simulate", "--config", str(config)]) == EXIT_OK
+        counts = dict(line.split(": ") for line in capsys.readouterr().out.splitlines()[2:])
+        assert sorted(counts) == ["  dark", "  doppler", "  fluorescence", "  repump", "  rf"]
+        assert all(int(n) > 0 for n in counts.values())
 
 
 class TestFlags:

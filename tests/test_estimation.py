@@ -11,7 +11,6 @@ from spadsim.estimation import (
     effective_area,
     expected_incident_rates,
     fit_quantum_efficiency,
-    fit_saturation,
 )
 from spadsim.model import EmitterParams, Scenario, scattering_rate, table_budget
 from spadsim.optics import DetectorGeometry, ShadowingWarning, collection_efficiency
@@ -158,42 +157,6 @@ class TestDecomposeBudget:
         good = toggle_measurements_to_csv(make_toggle_measurements(table_budget()))
         with pytest.raises(ValueError, match="toggle CSV line 7"):  # header and five rows above it
             toggle_measurements_from_csv(good + f"1,0,{flag},0,0,1.0,1.0\n")
-
-
-class TestFitSaturation:
-    def test_exact_model_recovery(self):
-        psat_true, rmax_true = 2.5e-3, 60e3
-        p = np.linspace(0.2e-3, 20e-3, 12)
-        r = rmax_true * (p / psat_true) / (1 + p / psat_true)
-        psat, rmax, fr = fit_saturation(p, r)
-        assert psat == pytest.approx(psat_true, rel=1e-6)
-        assert rmax == pytest.approx(rmax_true, rel=1e-6)
-        np.testing.assert_allclose(fr, (p / psat_true) / (1 + p / psat_true), rtol=1e-5)
-
-    def test_83_percent_operating_point(self):
-        psat_true, rmax_true = 1e-3, 50e3
-        p = np.linspace(0.1e-3, 10e-3, 15)
-        r = rmax_true * (p / psat_true) / (1 + p / psat_true)
-        psat, _, _ = fit_saturation(p, r)
-        p_op = psat * 0.83 / (1 - 0.83)
-        frac = (p_op / psat) / (1 + p_op / psat)
-        assert frac == pytest.approx(0.83, rel=1e-9)
-
-    def test_noise_tolerance(self):
-        rng = np.random.default_rng(6)
-        psat_true, rmax_true = 2e-3, 40e3
-        p = np.linspace(0.2e-3, 16e-3, 20)
-        r = rmax_true * (p / psat_true) / (1 + p / psat_true)
-        r = rng.poisson(r * 10.0) / 10.0
-        psat, rmax, _ = fit_saturation(p, r)
-        assert psat == pytest.approx(psat_true, rel=0.1)
-        assert rmax == pytest.approx(rmax_true, rel=0.05)
-
-    def test_degenerate_inputs(self):
-        with pytest.raises(ValueError):
-            fit_saturation([1e-3, 1e-3], [1.0, 1.0])
-        with pytest.raises(ValueError):
-            fit_saturation([1e-3, 2e-3, 3e-3], [5.0, 5.0, 5.0])
 
 
 class TestQuantumEfficiencyFit:

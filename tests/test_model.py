@@ -8,7 +8,6 @@ from spadsim.model import (
     RateBudget,
     Scenario,
     scattering_rate,
-    saturation_fraction_from_power,
     table_budget,
 )
 
@@ -42,13 +41,6 @@ def test_scattering_rate_homogeneous_in_gamma():
     base = EmitterParams(gamma_over_2pi_hz=10e6, saturation_fraction=0.5)
     doubled = EmitterParams(gamma_over_2pi_hz=20e6, saturation_fraction=0.5)
     assert scattering_rate(doubled) == pytest.approx(2 * scattering_rate(base), rel=1e-12)
-
-
-def test_saturation_fraction_from_power():
-    assert saturation_fraction_from_power(1e-3, 1e-3) == pytest.approx(0.5)
-    assert saturation_fraction_from_power(0.0, 1e-3) == 0.0
-    with pytest.raises(ValueError):
-        saturation_fraction_from_power(1.0, 0.0)
 
 
 def test_budget_totals_reference_values():
