@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tables
 from .model import BUDGET_SOURCES, SOURCE_LABELS, Scenario
-from .tables import read_rows
 
 NS = 1e-9
 
@@ -50,8 +50,13 @@ class EventStream:
             raise ValueError(f"label {lb[i]} at index {i} is not a source index 0..{len(SOURCE_LABELS) - 1}")
         object.__setattr__(self, "timestamps_ns", ts)
         object.__setattr__(self, "labels", lb.astype(np.int8, copy=False))
-        if np.any(np.diff(ts) <= 0):
-            raise ValueError("timestamps must be strictly increasing")
+        behind = np.diff(ts) <= 0
+        if behind.any():
+            i = int(behind.argmax()) + 1
+            raise ValueError(
+                f"timestamp {ts[i]} ns at index {i} is not after {ts[i - 1]} ns at index {i - 1}: "
+                "timestamps must be strictly increasing"
+            )
         if self.duration <= 0:
             raise ValueError("duration must be > 0")
 
@@ -66,29 +71,193 @@ class EventStream:
         return dict(zip(SOURCE_LABELS, np.bincount(self.labels, minlength=len(SOURCE_LABELS)).tolist()))
 
     def to_csv(self) -> str:
-        suffix = [f",{name}\n" for name in SOURCE_LABELS]
         parts = [_EVENT_HEADER + "\n"]
         for start in range(0, len(self), _WRITE_ROWS):
-            stamps = self.timestamps_ns[start : start + _WRITE_ROWS].tolist()
-            labels = self.labels[start : start + _WRITE_ROWS].tolist()
-            parts.append("".join([f"{t}{suffix[l]}" for t, l in zip(stamps, labels)]))
+            block = slice(start, start + _WRITE_ROWS)
+            parts.append(_format_rows(self.timestamps_ns[block], self.labels[block]))
         return "".join(parts)
 
     @classmethod
     def from_csv(cls, text: str, duration: float) -> "EventStream":
-        blocks = list(read_rows(text, "event CSV", _EVENT_HEADER, _event_columns))
-        ts, labels = (np.concatenate(col) for col in zip(*blocks)) if blocks else ([], [])
-        return cls(ts, labels, duration)
+        """Text in the form to_csv writes, '#' lines ahead allowed, is parsed as bytes; any
+        other text by tables.read_rows, whose errors name the line."""
+        columns = _parse_canonical(text)
+        if columns is None:
+            blocks = list(tables.read_rows(text, "event CSV", _EVENT_HEADER, _event_columns))
+            columns = (np.concatenate(col) for col in zip(*blocks)) if blocks else ([], [])
+        return cls(*columns, duration)
 
 
 def _event_columns(columns: list[list[str]]) -> tuple[np.ndarray, np.ndarray]:
-    """One block of event CSV rows: (timestamps, label codes)."""
+    """One block of event CSV rows: (timestamps, label codes). A timestamp past int64 is a
+    ValueError naming it, as a bad label is."""
     stamps, names = columns
     try:
         codes = list(map(_LABEL_CODES.__getitem__, names))
     except KeyError as exc:
         raise ValueError(f"unknown source label {exc.args[0]!r}") from None
-    return np.array(stamps, dtype=np.int64), np.array(codes, dtype=np.int8)
+    try:
+        return np.array(stamps, dtype=np.int64), np.array(codes, dtype=np.int8)
+    except OverflowError:
+        big = next(s for s in stamps if not -(2**63) <= int(s) < 2**63)
+        raise ValueError(f"timestamp {big.strip()} ns does not fit in int64") from None
+
+
+# The event CSV codec. A row is `<timestamp digits>,<label name>\n`. Each label's
+# suffix `,<name>\n` is kept right-aligned in 16 NUL-padded bytes, and as the two
+# little-endian words ending at its newline, with masks of the bytes it fills.
+# The five suffixes have different lengths, so a row's label length names its
+# label (_LENGTH_CODES, -1 for none, the last entry for every longer one). The
+# tables come from Python bytes and ints where they can: then an import loads no
+# numpy arithmetic kernel, whose pages would count in every process's memory.
+_SUFFIXES = [f",{name}\n".encode().rjust(16, b"\0") for name in SOURCE_LABELS]
+_SUFFIX_BYTES = np.frombuffer(b"".join(_SUFFIXES), "V16")
+_LENGTHS = [len(name) for name in SOURCE_LABELS]
+_LENGTH_CODES = np.array([_LENGTHS.index(n) if n in _LENGTHS else -1 for n in range(16)], np.int8)
+
+
+def _suffix_words(rows: list[bytes]) -> np.ndarray:
+    """16-byte rows as their two little-endian words, nearest the row's end first: [k][code]."""
+    return np.frombuffer(b"".join(rows), "<u8").reshape(-1, 2)[:, ::-1].T.copy()
+
+
+_SUFFIX_WORDS = _suffix_words(_SUFFIXES)
+_SUFFIX_MASKS = _suffix_words([bytes(b and 0xFF for b in x) for x in _SUFFIXES])
+_MAX_DIGITS = 18  # the reader's longest timestamp: every one of 18 digits fits in int64
+_BACK = 24  # bytes kept ahead of a block's rows: its first timestamp's three digit words reach that far
+_GROUP_LIMITS = np.array([10**4, 10**8, 10**12, 10**16])  # the least stamps of 2, 3, 4 and 5 four-digit groups
+_TOP_BYTES = np.array([(1 << 8 * m) - 1 << 64 - 8 * m for m in range(9)], "<u8")  # the m high bytes of a word
+_TOP_ZEROS = np.array([top & 0x3030303030303030 for top in _TOP_BYTES.tolist()], "<u8")  # ASCII '0' in them
+
+
+def _digit_quads() -> tuple[np.ndarray, np.ndarray]:
+    """The four ASCII digits of each of 0..9999 as one uint32 each, and the same
+    with leading zeros as NUL bytes (0 keeps its last '0')."""
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    quads = np.empty((10, 10, 10, 10, 4), np.uint8)
+    quads[..., 0] = digits[:, None, None, None]
+    quads[..., 1] = digits[:, None, None]
+    quads[..., 2] = digits[:, None]
+    quads[..., 3] = digits
+    quads = quads.reshape(10_000, 4)
+    lead = quads.copy()
+    lead[:1000, 0] = lead[:100, 1] = lead[:10, 2] = 0
+    return quads.view(np.uint32).ravel(), lead.view(np.uint32).ravel()
+
+
+_DIGIT_QUADS, _LEAD_QUADS = _digit_quads()
+
+
+def _format_rows(stamps: np.ndarray, labels: np.ndarray) -> str:
+    """The event CSV rows of ascending nonnegative stamps and their label codes.
+
+    Row i is laid out in row i of a NUL-filled byte matrix: the timestamp in
+    groups of four digits, right-aligned, then the label's suffix. A stamp's
+    leading group comes from _LEAD_QUADS, whose leading zeros are NUL; the
+    stamps ascend, so the rows whose leading group is the j-th from the right
+    lie between the places of 10**(4j) and 10**(4j + 4) in them. Deleting
+    every NUL joins the rows.
+    """
+    below = np.searchsorted(stamps, _GROUP_LIMITS).tolist() + [stamps.size]  # rows under 10**4, 10**8, ...
+    groups = below.index(stamps.size) + 1
+    rows = np.zeros((stamps.size, 4 * groups + 16), np.uint8)
+    quads = rows.view(np.uint32)
+    rest, lead = stamps, 0
+    for j in range(groups):
+        high = rest // 10_000
+        low = rest - high * 10_000
+        quads[lead : below[j], groups - 1 - j] = _LEAD_QUADS[low[lead : below[j]]]
+        quads[below[j] :, groups - 1 - j] = _DIGIT_QUADS[low[below[j] :]]
+        rest, lead = high, below[j]
+    rows[:, 4 * groups :].view(_SUFFIX_BYTES.dtype)[:, 0] = np.take(_SUFFIX_BYTES, labels)
+    return rows.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _parse_canonical(text: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """(timestamps, label codes) of event CSV text in the form to_csv writes, or None.
+
+    That form is ASCII: lines starting with '#', the header, then rows of 1 to
+    _MAX_DIGITS digits, a comma and a label name, each line ending in "\n".
+    Any other text is left to tables.read_rows. The rows are parsed as bytes,
+    a block of about tables._BLOCK_CHARS at a time.
+    """
+    if not text.isascii() or not text.endswith("\n"):
+        return None
+    start = 0
+    while text.startswith("#", start):
+        end = text.find("\n", start)
+        if text[start:end].splitlines() != [text[start:end]]:  # another line break inside
+            return None
+        start = end + 1
+    if not text.startswith(_EVENT_HEADER + "\n", start):
+        return None
+    start += len(_EVENT_HEADER) + 1
+    blocks = []
+    while start < len(text):
+        end = text.find("\n", start + tables._BLOCK_CHARS) + 1 or len(text)
+        back = min(start, _BACK)
+        block = _parse_rows(text[start - back : end].encode("ascii"), back)
+        if block is None:
+            return None
+        blocks.append(block)
+        start = end
+    if not blocks:
+        return np.empty(0, np.int64), np.empty(0, np.int8)
+    return tuple(np.concatenate(col) for col in zip(*blocks))
+
+
+def _parse_rows(raw: bytes, back: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """(timestamps, label codes) of the rows in raw after its first `back` bytes, or None
+    unless each is `[0-9]{1,18},<label>\n`.
+
+    The bytes are copied _BACK bytes into a zeroed buffer of whole words.
+    Each row's suffix is checked as the two words ending at its newline, and
+    its digits are read from up to three words ending before its comma, eight
+    digits per word by shifts and multiplies.
+    """
+    size = _BACK - back + len(raw)
+    data = np.zeros(8 * (size // 8 + 2), np.uint8)
+    data[_BACK - back : size] = np.frombuffer(raw, np.uint8)
+    words, body = data.view("<u8"), data[_BACK:size]
+    delims = np.flatnonzero((body == ord("\n")) | (body == ord(","))) + _BACK
+    if delims.size % 2:
+        return None
+    # taken as comma, newline, comma, ...: the label check below finds each in its place
+    commas, ends = delims[0::2], delims[1::2]
+    gaps = np.diff(delims, prepend=_BACK - 1)
+    ndigits, codes = gaps[0::2] - 1, np.take(_LENGTH_CODES, gaps[1::2] - 1, mode="clip")
+    if ndigits.min() < 1 or ndigits.max() > _MAX_DIGITS or codes.min() < 0:
+        return None
+    for word, mask, suffix in zip(_words_before(words, ends + 1, 2), _SUFFIX_MASKS, _SUFFIX_WORDS):
+        if np.any(word & np.take(mask, codes) != np.take(suffix, codes)):
+            return None
+    # the labels hold no digit, so the digit count is right iff the rest of each row is digits
+    if np.count_nonzero(body - ord("0") < 10) != ndigits.sum():
+        return None
+    stamps = np.zeros(commas.size, np.uint64)
+    for k, word in enumerate(_words_before(words, commas, -(-int(ndigits.max()) // 8))):
+        valid = np.clip(ndigits - 8 * k, 0, 8)
+        v = (word & _TOP_BYTES[valid]) - _TOP_ZEROS[valid]
+        # the first digit is the lowest byte: pair digits, then pairs, then quads
+        v = (v * 10 + (v >> 8)) & 0x00FF00FF00FF00FF
+        v = (v * 100 + (v >> 16)) & 0x0000FFFF0000FFFF
+        v = (v * 10_000 + (v >> 32)) & 0xFFFFFFFF
+        stamps += v * 10 ** (8 * k)
+    return stamps.view(np.int64), codes
+
+
+def _words_before(words: np.ndarray, at: np.ndarray, n: int) -> list[np.ndarray]:
+    """The n little-endian words ending just before each byte offset in `at` of the buffer
+    viewed as `words`, nearest first."""
+    right = ((at & 7) << 3).view(np.uint64)
+    left = 64 - right
+    q = at >> 3
+    upper, out = words[q], []
+    for k in range(1, n + 1):
+        lower = words[q - k]
+        out.append((lower >> right) | (upper << left))
+        upper = lower
+    return out
 
 
 def apply_dead_time(times_ns: np.ndarray, labels: np.ndarray, dead_ns: int):

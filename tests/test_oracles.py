@@ -6,7 +6,7 @@ dead-time filter, also for the window-by-window filter with its carried
 last kept time; np.histogram and the per-event edge search for the binning;
 the per-event direct sum of exponential pulses; the per-edge
 Schmitt trigger; the per-angle 2x2 transfer-matrix product; the per-offset
-collection sum; and the per-line table reader.
+collection sum; the per-line table reader; and the per-row event CSV writer.
 
 The sequential detector's one stopping rule in the package is the early-exit
 pass `_stopping_bins` inside `fidelity_curve`. Its oracles live here: the
@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import signal
 
-from spadsim import detection, tables
+from spadsim import detection, simulator, tables
 from spadsim.detection import (
     _CHUNK_TRIALS,
     _FIRST_WINDOW,
@@ -921,8 +921,15 @@ def read_event_rows(text):
     return [row for ts, labels in blocks for row in zip(ts.tolist(), labels.tolist())]
 
 
+def int64(field):
+    value = int(field)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{value} does not fit in int64")
+    return value
+
+
 def loop_event_rows(text):
-    return list(loop_read_rows(text, "event CSV", _EVENT_HEADER, lambda f: (int(f[0]), SOURCE_LABELS.index(f[1]))))
+    return list(loop_read_rows(text, "event CSV", _EVENT_HEADER, lambda f: (int64(f[0]), SOURCE_LABELS.index(f[1]))))
 
 
 def read_grid_rows(text):
@@ -943,9 +950,10 @@ def outcome(read, text):
 
 # Rows the two readers must agree on, good and bad: surrounding whitespace,
 # underscores and signs that int() takes, a wrong field count, a non-number,
-# an unknown label and an empty field.
+# an unknown label, an empty field and a timestamp past int64.
 EVENT_LINES = ["12,dark", "  7,fluorescence ", "+3,rf", "1_000,doppler", "0,dark",
-               "5,dark,1", "9", "x1,dark", "1.5,dark", "4,bogus", "4, dark", ",dark", "8,"]
+               "5,dark,1", "9", "x1,dark", "1.5,dark", "4,bogus", "4, dark", ",dark", "8,",
+               "99999999999999999999,dark"]
 GRID_LINES = ["1,2,3", "0.5, 1e3 ,-2", " 4,5,6 ", "7,8", "1,2,3,4", "1,x,3", "1,,3", "inf,0,1"]
 SKIPPED = ["", "   ", "# manifest: 0123456789abcdef", "# cell_size_um=1, origin_um=0,0", " # note, with, commas"]
 
@@ -982,6 +990,110 @@ EVENT_BODY = "timestamp_ns,label\n1,dark\n2,rf\n"
 @example(case=(EVENT_BODY + "\n\n# a\n\n4,bogus\n", 5))  # a bad row past several blocks
 def test_event_block_reader_matches_per_line_loop(case):
     assert_readers_agree(read_event_rows, loop_event_rows, *case)
+
+
+def loop_event_stream(text):
+    """The per-line loop's rows as an EventStream, as EventStream.from_csv builds one."""
+    rows = loop_event_rows(text)
+    return EventStream([t for t, _ in rows], [code for _, code in rows], 1.0)
+
+
+def stream_outcome(read, text):
+    """The stream read, or where the ValueError says the table went wrong, or else its message."""
+    try:
+        stream = read(text)
+    except ValueError as exc:
+        where = re.search(r"line \d+:|needs the column header", str(exc))
+        return where.group() if where else str(exc)
+    return stream.timestamps_ns.tolist(), stream.labels.tolist()
+
+
+@settings(deadline=None, max_examples=400)
+@given(case=tables_text(EVENT_LINES, _EVENT_HEADER))
+@example(case=(EVENT_BODY + "12,dark\n", 9))  # canonical rows, read as bytes
+@example(case=("# manifest: 0123456789abcdef\n" + EVENT_BODY + ",dark\n", 9))  # a row with no digits
+@example(case=(EVENT_BODY + "99999999999999999999,dark\n", 64))
+def test_event_csv_from_csv_matches_per_line_loop(case):
+    text, block = case
+    with unittest.mock.patch.object(tables, "_BLOCK_CHARS", block):
+        got = stream_outcome(lambda t: EventStream.from_csv(t, 1.0), text)
+    assert got == stream_outcome(loop_event_stream, text)
+
+
+# --- event CSV codec -------------------------------------------------------------
+
+
+def loop_to_csv(stream):
+    """The per-row writer: one f-string per event."""
+    return _EVENT_HEADER + "\n" + "".join(
+        f"{t},{SOURCE_LABELS[code]}\n" for t, code in zip(stream.timestamps_ns.tolist(), stream.labels.tolist())
+    )
+
+
+@st.composite
+def event_streams(draw, max_size=40, top=2**63 - 1):
+    """A stream of ascending timestamps up to `top` and any labels, possibly empty. The
+    timestamps take every digit count, often at the ends of its range."""
+    stamps = st.one_of(
+        st.integers(0, top),
+        st.integers(0, 18).map(lambda k: 10**k).filter(lambda t: t <= top),
+        st.integers(1, 18).map(lambda k: 10**k - 1).filter(lambda t: t <= top),
+        st.integers(0, 10**6),
+    )
+    stamps = sorted(draw(st.lists(stamps, unique=True, max_size=max_size)))
+    labels = draw(st.lists(st.integers(0, len(SOURCE_LABELS) - 1), min_size=len(stamps), max_size=len(stamps)))
+    return EventStream(np.array(stamps, dtype=np.int64), np.array(labels, dtype=np.int8), 1.0)
+
+
+def edge_stream(top):
+    """Both ends of every digit count's range up to `top`, with every label in turn."""
+    stamps = sorted(t for t in {0, 2**63 - 1, *(10**k for k in range(19)), *(10**k - 1 for k in range(1, 19))} if t <= top)
+    return EventStream(np.array(stamps), np.arange(len(stamps)) % len(SOURCE_LABELS), 1.0)
+
+
+@settings(deadline=None, max_examples=300)
+@given(stream=event_streams(), write_rows=st.integers(1, 3))
+@example(stream=edge_stream(2**63 - 1), write_rows=3)
+@example(stream=edge_stream(2**63 - 1), write_rows=1 << 14)  # one block
+@example(stream=EventStream(np.zeros(0, np.int64), np.zeros(0, np.int8), 1.0), write_rows=1)
+def test_to_csv_matches_per_row_writer(stream, write_rows):
+    with unittest.mock.patch.object(simulator, "_WRITE_ROWS", write_rows):
+        assert stream.to_csv() == loop_to_csv(stream)
+
+
+# bytes that change a canonical row's meaning, its form or its line count
+EDIT_BYTES = list("0159,#+-_ .xa\n\r\t\x00\x0b\x1c") + ["\u00e9", "\u2028"]
+
+
+@settings(deadline=None, max_examples=600)
+@given(stream=event_streams(max_size=12), manifest=st.booleans(), edit=st.sampled_from(["change", "insert", "delete"]),
+       byte=st.sampled_from(EDIT_BYTES), data=st.data())
+def test_edited_event_csv_matches_per_line_loop(stream, manifest, edit, byte, data):
+    """to_csv text with one byte changed, inserted or deleted: whatever reader takes it, the
+    outcome is the per-line loop's."""
+    text = ("# manifest: 0123456789abcdef\n" if manifest else "") + stream.to_csv()
+    at = data.draw(st.integers(0, len(text) - (edit != "insert")))
+    text = text[:at] + (byte if edit != "delete" else "") + text[at + (edit != "insert") :]
+    block = data.draw(st.one_of(st.integers(1, len(text) + 2), st.just(tables._BLOCK_CHARS)))
+    with unittest.mock.patch.object(tables, "_BLOCK_CHARS", block):
+        got = stream_outcome(lambda t: EventStream.from_csv(t, 1.0), text)
+    assert got == stream_outcome(loop_event_stream, text)
+
+
+@settings(deadline=None, max_examples=200)
+@given(stream=event_streams(top=10**18 - 1), manifest=st.booleans(),
+       block=st.one_of(st.integers(1, 64), st.just(tables._BLOCK_CHARS)))
+@example(stream=edge_stream(10**18 - 1), manifest=True, block=1)
+def test_written_event_csv_is_read_as_bytes(stream, manifest, block):
+    """to_csv text, with or without the manifest line, never reaches the line reader while
+    its timestamps have at most 18 digits."""
+    text = ("# manifest: 0123456789abcdef\n" if manifest else "") + stream.to_csv()
+    line_reader = unittest.mock.Mock(side_effect=AssertionError("tables.read_rows was called"))
+    with unittest.mock.patch.object(tables, "read_rows", line_reader), \
+            unittest.mock.patch.object(tables, "_BLOCK_CHARS", block):
+        back = EventStream.from_csv(text, 1.0)
+    np.testing.assert_array_equal(back.timestamps_ns, stream.timestamps_ns)
+    np.testing.assert_array_equal(back.labels, stream.labels)
 
 
 @settings(deadline=None, max_examples=200)

@@ -254,6 +254,12 @@ class TestEventStreamSerialization:
         with pytest.raises(ValueError, match=r"event CSV line 5: "):
             EventStream.from_csv(text, duration=1.0)
 
+    @pytest.mark.parametrize("stamp", ["99999999999999999999", "-9223372036854775809"])
+    def test_csv_timestamp_past_int64_names_its_line(self, stamp):
+        text = f"timestamp_ns,label\n1000,dark\n{stamp},dark\n"
+        with pytest.raises(ValueError, match=rf"event CSV line 3: timestamp {stamp} ns does not fit in int64"):
+            EventStream.from_csv(text, duration=1.0)
+
     def test_csv_bad_row_in_a_later_block_names_its_line(self):
         rows = "".join(f"{t},dark\n" for t in range(1, 60_001))  # over 512 KB with the bad row
         text = f"# manifest: 0123456789abcdef\ntimestamp_ns,label\n{rows}60001,bogus\n"
@@ -296,3 +302,9 @@ class TestEventStreamValidation:
     def test_not_increasing_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             make_stream([3, 3])
+
+    def test_not_increasing_named(self):
+        with pytest.raises(ValueError, match=r"timestamp 4 ns at index 3 is not after 9 ns at index 2: .*strictly increasing"):
+            make_stream([1, 5, 9, 4, 2])  # the first step back is named
+        with pytest.raises(ValueError, match=r"timestamp 5 ns at index 1 is not after 5 ns at index 0"):
+            EventStream.from_csv("timestamp_ns,label\n5,dark\n5,rf\n", duration=1.0)
