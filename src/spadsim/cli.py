@@ -308,14 +308,14 @@ def cmd_qefit(args) -> Output:
     scenario, config_text = _load_config(args)
     if args.demo:
         offsets = np.arange(0.0, 81e-6, 5e-6)
-        with warnings.catch_warnings():  # the fit below names the same shadowed offsets
-            warnings.simplefilter("ignore", ShadowingWarning)
-            offs, rates = synthetic.make_qe_dataset(scenario, offsets)
-        data_text = synthetic.qe_dataset_to_csv(offs, rates)
+        expected = estimation.expected_incident_rates(scenario, offsets)
+        rates = synthetic.make_qe_dataset(scenario, expected)
+        data_text = synthetic.qe_dataset_to_csv(offsets, rates)
     else:
         data_text = _input_text(args, args.data_csv, "data")
-        offs, rates = synthetic.qe_dataset_from_csv(data_text)
-    qe, err = estimation.fit_quantum_efficiency(scenario, offs, rates)
+        offsets, rates = synthetic.qe_dataset_from_csv(data_text)
+        expected = estimation.expected_incident_rates(scenario, offsets)
+    qe, err = estimation.fit_quantum_efficiency(expected, rates)
     body = f"qe,std_error\n{qe:.6g},{err:.6g}\n"
     summary = [f"quantum efficiency: {qe * 100:.1f} +/- {err * 100:.1f} %"]
     return Output("qe_fit.csv", config_text + data_text, body, summary, checks=lambda: [

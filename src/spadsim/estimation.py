@@ -134,30 +134,30 @@ def _unresolvable_sources(design: np.ndarray) -> list[str]:
 
 def expected_incident_rates(scenario: Scenario, offsets) -> np.ndarray:
     """Photon rate incident on the active area (after coating loss) at each lateral
-    offset: the scenario's emission rate times its collection efficiency there."""
+    offset: the scenario's emission rate times its collection efficiency there. The QE
+    fit's one forward model, for make_qe_dataset and fit_quantum_efficiency."""
     return scattering_rate(scenario.emitter) * efficiency_vs_offset(scenario.geometry, offsets)
 
 
-def fit_quantum_efficiency(scenario: Scenario, offsets, measured) -> tuple[float, float]:
-    """Single-parameter least-squares scale between the scenario's expected incident
-    rates and background-subtracted fluorescence rates measured at the offsets.
+def fit_quantum_efficiency(expected, measured) -> tuple[float, float]:
+    """Single-parameter least-squares scale between the expected incident rates at
+    some offsets and the background-subtracted fluorescence rates measured there.
 
     Returns (qe, standard error from residual variance).
     """
-    offsets = np.asarray(offsets, dtype=float)
+    expected = np.asarray(expected, dtype=float)
     measured = np.asarray(measured, dtype=float)
-    if offsets.size == 0 or offsets.shape != measured.shape:
-        raise ValueError("positions and measured rates must be equal-length and non-empty")
-    bad = ~(np.isfinite(offsets) & np.isfinite(measured))
+    if measured.size == 0 or expected.shape != measured.shape:
+        raise ValueError("expected and measured rates must be equal-length and non-empty")
+    bad = ~(np.isfinite(expected) & np.isfinite(measured))
     if bad.any():
         i = int(np.argmax(bad))
         raise ValueError(
-            f"positions and measured rates must be finite, got offset {offsets[i]:g} m, rate {measured[i]:g} /s"
+            f"expected and measured rates must be finite, got {expected[i]:g} and {measured[i]:g} /s"
             f" at point {i + 1}"
         )
     if np.any(measured < 0):
         raise ValueError("measured rates must be >= 0")
-    expected = expected_incident_rates(scenario, offsets)
     if np.all(expected <= 0):
         raise ValueError("expected incident rates are all zero; geometry collects nothing")
     denom = float(np.dot(expected, expected))

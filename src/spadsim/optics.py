@@ -139,12 +139,14 @@ class ActiveAreaMap:
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "weights", w)
-        if self.cell_size <= 0:
-            raise ValueError("cell_size must be > 0")
+        if not (0 < self.cell_size < math.inf and all(map(math.isfinite, self.origin))):
+            raise ValueError(f"cell_size must be finite and > 0 and origin finite, got {self.cell_size}, {self.origin}")
         if w.ndim != 2:
             raise ValueError("weights must be a 2-D grid")
-        if np.any(w < 0) or np.any(w > 1 + 1e-12):
-            raise ValueError("weights must lie in [0, 1]")
+        bad = np.argwhere(~((w >= 0) & (w <= 1 + 1e-12)))  # NaN fails both comparisons
+        if bad.size:
+            row, col = bad[0]
+            raise ValueError(f"weights must lie in [0, 1], got {w[row, col]} in grid row {row + 1}, column {col + 1}")
 
     def effective_area(self) -> float:
         """Response-weighted area, cell_size^2 * sum(weights)."""
@@ -158,11 +160,7 @@ class ActiveAreaMap:
         total = self.weights.sum()
         if total <= 0:
             raise ValueError("active area map has zero total response")
-        xx, yy = self.cell_centers()
-        return (
-            float((self.weights * xx).sum() / total),
-            float((self.weights * yy).sum() / total),
-        )
+        return tuple(float((self.weights * c).sum() / total) for c in self.cell_centers())
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -270,20 +268,23 @@ def efficiency_vs_offset(geometry: DetectorGeometry, offsets, include_arc: bool 
     Sums weight * cos(theta) / (4 pi r^2) * cell_area * (1 - R(theta)) over
     cells; the dipole_perpendicular pattern multiplies in (3/2) sin^2(theta).
     All offsets are evaluated as one offsets x cells array, a block of offsets
-    at a time. One ShadowingWarning names every offset at which a weighted
-    cell's line of sight to the ion leaves the aperture through its wall,
-    whose occlusion is not modeled.
+    at a time, with R only at cells of positive weight (the rest add an exact 0).
+    One ShadowingWarning names every offset at which a weighted cell's line of sight
+    to the ion leaves the aperture through its wall, whose occlusion is not modeled.
     """
     offsets = np.asarray(list(offsets), dtype=float)
     if offsets.size == 0:
         raise ValueError("offsets must be non-empty")
+    bad = ~np.isfinite(offsets)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"offsets must be finite, got {offsets[i]:g} m at point {i + 1}")
     amap = geometry.active_area
-    if amap.effective_area() <= 0:
-        raise ValueError("active area map has zero effective area")
-    cx, cy = amap.centroid()
+    cx, cy = amap.centroid()  # raises on a map with zero total response
     d = geometry.vertical_distance
     xx, yy = amap.cell_centers()
     dy = yy - cy
+    weighted = amap.weights > 0
     t_surface = geometry.detector_recess_below_surface / d  # ray parameter at the trap surface
     block = max(1, _SWEEP_CELLS // amap.weights.size)
     efficiency = np.empty(offsets.size)
@@ -298,11 +299,13 @@ def efficiency_vs_offset(geometry: DetectorGeometry, offsets, include_arc: bool 
         if geometry.emission_pattern == "dipole_perpendicular":
             frac = frac * 1.5 * np.sin(theta) ** 2
         if include_arc:
-            frac = frac * (1.0 - stack_reflectance(geometry.stack, theta))
+            transmit = np.ones_like(theta)
+            transmit[:, weighted] = 1.0 - stack_reflectance(geometry.stack, theta[:, weighted])
+            frac = frac * transmit
         efficiency[start : start + block] = frac.reshape(len(frac), -1).sum(axis=1)
         if t_surface > 0:
             outside = np.hypot(xx - dx * t_surface, yy - dy * t_surface) > APERTURE_DIAMETER / 2
-            shadowed[start : start + block] = (outside & (amap.weights > 0)).any(axis=(1, 2))
+            shadowed[start : start + block] = (outside & weighted).any(axis=(1, 2))
     if shadowed.any():
         named = ", ".join(f"{off * 1e6:.6g}" for off in offsets[shadowed])
         warnings.warn(

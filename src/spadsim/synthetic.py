@@ -11,7 +11,7 @@ import itertools
 
 import numpy as np
 
-from .estimation import SpotScan, ToggleMeasurement, expected_incident_rates
+from .estimation import SpotScan, ToggleMeasurement
 from .model import BUDGET_SOURCES, SOURCE_LABELS, RateBudget, Scenario
 from .optics import _cell_centers, quarter_disc_response
 from .tables import read_rows
@@ -100,21 +100,19 @@ def _source_flag(field: str) -> bool:
     return flag == 1
 
 
-def make_qe_dataset(
-    scenario: Scenario, offsets, quantum_efficiency: float = 0.24
-) -> tuple[np.ndarray, np.ndarray]:
-    """(offsets, background-subtracted measured fluorescence rates) with Poisson noise,
-    drawn from the scenario's seed.
+def make_qe_dataset(scenario: Scenario, expected, quantum_efficiency: float = 0.24) -> np.ndarray:
+    """Background-subtracted measured fluorescence rates with Poisson noise, drawn from
+    the scenario's seed, where the incident rates are expected (from
+    estimation.expected_incident_rates at the dataset's offsets).
 
     Counts accumulate over QE_INTEGRATION_TIME with the background rate known and
     subtracted, as in a paired ion/no-ion measurement.
     """
     rng = np.random.default_rng(scenario.rng_seed)
-    offsets = np.asarray(list(offsets), dtype=float)
-    signal = quantum_efficiency * expected_incident_rates(scenario, offsets)
+    signal = quantum_efficiency * np.asarray(expected, dtype=float)
     background = scenario.budget.background_total()
     total = rng.poisson((signal + background) * QE_INTEGRATION_TIME) / QE_INTEGRATION_TIME
-    return offsets, np.maximum(total - background, 0.0)
+    return np.maximum(total - background, 0.0)
 
 
 def qe_dataset_to_csv(offsets, rates) -> str:
@@ -130,5 +128,4 @@ def qe_dataset_from_csv(text: str) -> tuple[np.ndarray, np.ndarray]:
         return offsets_um * 1e-6, rates_kcps * 1e3
 
     blocks = list(read_rows(text, "QE dataset CSV", _QE_HEADER, block))
-    offsets, rates = (np.concatenate(c) for c in zip(*blocks)) if blocks else (np.empty(0), np.empty(0))
-    return offsets, rates
+    return tuple(np.concatenate(c) for c in zip(*blocks)) if blocks else (np.empty(0), np.empty(0))

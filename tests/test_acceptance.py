@@ -19,7 +19,7 @@ from spadsim.detection import (
     threshold_fidelity,
     wald_bound,
 )
-from spadsim.estimation import effective_area, fit_quantum_efficiency
+from spadsim.estimation import effective_area, expected_incident_rates, fit_quantum_efficiency
 from spadsim.model import RateBudget, Scenario, table_budget
 from spadsim.optics import (
     DetectorGeometry,
@@ -165,8 +165,8 @@ def test_6_qe_closure():
     sc = Scenario(budget=table_budget(), rng_seed=1)
     offsets = np.arange(0.0, 81e-6, 5e-6)
     with pytest.warns(ShadowingWarning, match="at offsets 75, 80 um"):  # wall occlusion is not modeled
-        offs, meas = make_qe_dataset(sc, offsets, qe_true)
-        qe, err = fit_quantum_efficiency(sc, offs, meas)
+        expected = expected_incident_rates(sc, offsets)
+    qe, err = fit_quantum_efficiency(expected, make_qe_dataset(sc, expected, qe_true))
     ok = abs(qe - qe_true) <= 0.03
     report(
         "quantum-efficiency closure",

@@ -1,13 +1,14 @@
 import hashlib
 import subprocess
 import sys
+import unittest.mock
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spadsim import detection
+from spadsim import detection, estimation
 from spadsim.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, _fidelity_csv, main
 from spadsim.config import scenario_to_text
 from spadsim.model import Scenario, table_budget
@@ -215,6 +216,19 @@ class TestCollection:
         assert f"range {spec!r} holds a value that is not finite" in capsys.readouterr().err
         assert not (outdir / "collection_efficiency.csv").exists()
 
+    @pytest.mark.parametrize("argv", [["collection"], ["qefit", "--demo"]], ids=["collection", "qefit"])
+    def test_non_finite_area_weight_names_key_and_file(self, outdir, tmp_path, capsys, argv):
+        # a NaN weight used to fail deep in the optics: "angle of incidence must lie in [0, pi/2)"
+        area = tmp_path / "area_nan.csv"
+        area.write_text("# cell_size_um=1, origin_um=0,0\n1,nan\n1,1\n")
+        cfg = tmp_path / "area_nan.cfg"
+        cfg.write_text("geometry.active_area_csv = area_nan.csv\n")
+        assert main([*argv, "--config", str(cfg)]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert f"key 'geometry.active_area_csv': cannot read {area}: " in err
+        assert "got nan in grid row 1, column 2" in err
+        assert sorted(path.name for path in outdir.iterdir()) == ["area_nan.cfg", "area_nan.csv"]  # no output
+
 
 class TestArc:
     def test_check_reference_reflectances(self, outdir, capsys):
@@ -307,7 +321,7 @@ class TestQEFit:
         with pytest.warns(ShadowingWarning) as record:
             rc = main(["qefit", "--demo", "--check", "--seed", "0"])
         assert rc == EXIT_OK
-        [warning] = record  # the fit names the offsets; the demo data's sweep does not repeat them
+        [warning] = record  # one sweep serves the demo data and the fit
         assert "at offsets 75, 80 um;" in str(warning.message)
         assert "check: PASS" in capsys.readouterr().out
         lines = read_output(outdir / "qe_fit.csv")
@@ -320,8 +334,28 @@ class TestQEFit:
         data = tmp_path / "data.csv"
         data.write_text("offset_um,rate_kcps\n0,nan\n10,2.0\n")
         assert main(["qefit", str(data)]) == EXIT_INPUT_ERROR
-        assert "must be finite, got offset 0 m, rate nan /s at point 1" in capsys.readouterr().err
+        assert "expected and measured rates must be finite, got 65076.9 and nan /s at point 1" in capsys.readouterr().err
         assert not (outdir / "qe_fit.csv").exists()
+
+    def test_non_finite_offset_exits_2(self, outdir, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("offset_um,rate_kcps\n0,1.0\ninf,2.0\n")
+        assert main(["qefit", str(data)]) == EXIT_INPUT_ERROR
+        assert "offsets must be finite, got inf m at point 2" in capsys.readouterr().err
+        assert not (outdir / "qe_fit.csv").exists()
+
+    @pytest.mark.parametrize("demo", [True, False], ids=["demo", "csv"])
+    def test_one_collection_sweep_per_run(self, outdir, tmp_path, demo):
+        # the demo data and the fit share one forward model, so one offset sweep
+        data = tmp_path / "data.csv"
+        data.write_text("offset_um,rate_kcps\n0,3.7\n20,3.1\n40,2.0\n")
+        argv = ["qefit", "--demo"] if demo else ["qefit", str(data)]
+        sweep = unittest.mock.Mock(wraps=estimation.efficiency_vs_offset)
+        with unittest.mock.patch.object(estimation, "efficiency_vs_offset", sweep):
+            with warnings.catch_warnings():  # the demo names its shadowed offsets
+                warnings.simplefilter("ignore", ShadowingWarning)
+                assert main(argv) == EXIT_OK
+        assert sweep.call_count == 1
 
     def test_demo_draws_from_config_seed_unless_overridden(self, tmp_path):
         def body(seed, *argv):
@@ -337,18 +371,26 @@ class TestQEFit:
 
 
 class TestPinnedOutputs:
-    # sha256 of the body under the manifest line of the default `threshold` and of a
-    # 500-trial `fidelity`. A faster path must keep these bytes; a declared change of
-    # the random stream updates them.
+    # sha256 of the body under the manifest line of the default `threshold`, of a
+    # 500-trial `fidelity`, of the Fig. 6 presets `collection` and `arc` (which take no
+    # seed) and of `qefit --demo`. A faster path must keep these bytes; a declared
+    # change of the random stream or of the optics updates them.
     @pytest.mark.parametrize("argv, seed, digest", [
         (["threshold"], 1, "b292327c09c4e7eba703f8f425fdde16a19f219b7648c33c5cb5a87ea62cefeb"),
         (["threshold"], 4242, "1153707c1f4f41feb0254e2827fbc965949964393d5c32536b4e730d7b099852"),
         (["fidelity", "--trials", "500"], 1, "a6da01c59b36bcaf80596c0f2b635601df0ae57c156d6c227c44b5532e24ed11"),
         (["fidelity", "--trials", "500"], 4242, "95daa7b13799753fe610fca35b252269c42eb84b330ee43259aa728402678d92"),
+        (["collection"], None, "43f1d2511584aa2022bc30fe0ebe8474689413a693fee8761412e3228a46ea48"),
+        (["arc"], None, "689163aa47e7014b44add7114d171d4a9d280ed4fdac1e186041abab0ce3b814"),
+        (["qefit", "--demo"], 1, "1d43553b26b0f554ad4fb035cc8ef6d0138314baa37a3bf549c34955b17df654"),
+        (["qefit", "--demo"], 4242, "5943e12fd5770a3ec544057f943dfebf2ccd67156fa7f6611432dd4b48a7c418"),
     ], ids=lambda v: v[0] if isinstance(v, list) else None)
     def test_fixed_seed_body_is_pinned(self, outdir, argv, seed, digest):
         out = outdir / "out.csv"
-        assert main([*argv, "--seed", str(seed), "--out", str(out)]) == EXIT_OK
+        seeded = [] if seed is None else ["--seed", str(seed)]
+        with warnings.catch_warnings():  # collection and qefit --demo name their shadowed offsets
+            warnings.simplefilter("ignore", ShadowingWarning)
+            assert main([*argv, *seeded, "--out", str(out)]) == EXIT_OK
         body = out.read_text().split("\n", 1)[1]
         assert hashlib.sha256(body.encode()).hexdigest() == digest
 

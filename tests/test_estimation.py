@@ -168,8 +168,8 @@ class TestQuantumEfficiencyFit:
         geom = DetectorGeometry()
         with pytest.warns(ShadowingWarning, match=self.SHADOWED):
             sc = Scenario(geometry=geom)
-            measured = qe_true * expected_incident_rates(sc, self.OFFSETS)
-            qe, err = fit_quantum_efficiency(sc, self.OFFSETS, measured)
+            expected = expected_incident_rates(sc, self.OFFSETS)
+        qe, err = fit_quantum_efficiency(expected, qe_true * expected)
         assert qe == pytest.approx(qe_true, rel=1e-9)
         assert err == pytest.approx(0.0, abs=1e-9)
 
@@ -186,12 +186,12 @@ class TestQuantumEfficiencyFit:
         # most seeds (Poisson noise, 50 s integration)
         qe_true = 0.24
         sc = Scenario(budget=table_budget())
+        with pytest.warns(ShadowingWarning, match=self.SHADOWED):
+            expected = expected_incident_rates(sc, self.OFFSETS)
         hits = 0
         for seed in range(5):
-            with pytest.warns(ShadowingWarning, match=self.SHADOWED):
-                seeded = replace(sc, rng_seed=seed)
-                offs, meas = make_qe_dataset(seeded, self.OFFSETS, qe_true)
-                qe, err = fit_quantum_efficiency(seeded, offs, meas)
+            meas = make_qe_dataset(replace(sc, rng_seed=seed), expected, qe_true)
+            qe, err = fit_quantum_efficiency(expected, meas)
             hits += abs(qe - qe_true) <= 3 * err
         assert hits >= 4
 
@@ -200,27 +200,33 @@ class TestQuantumEfficiencyFit:
         with pytest.warns(ShadowingWarning, match=self.SHADOWED):
             sc = Scenario(geometry=geom)
             base = expected_incident_rates(sc, self.OFFSETS)
-            qe1, _ = fit_quantum_efficiency(sc, self.OFFSETS, 0.1 * base)
-            qe2, _ = fit_quantum_efficiency(sc, self.OFFSETS, 0.3 * base)
+        qe1, _ = fit_quantum_efficiency(base, 0.1 * base)
+        qe2, _ = fit_quantum_efficiency(base, 0.3 * base)
         assert qe2 == pytest.approx(3 * qe1, rel=1e-9)
 
     def test_csv_round_trip(self):
         sc = Scenario(budget=table_budget(), rng_seed=2)
         with pytest.warns(ShadowingWarning, match=self.SHADOWED):
-            offs, meas = make_qe_dataset(sc, self.OFFSETS)
-        o2, m2 = qe_dataset_from_csv(qe_dataset_to_csv(offs, meas))
-        np.testing.assert_allclose(o2, offs, rtol=1e-6)
+            meas = make_qe_dataset(sc, expected_incident_rates(sc, self.OFFSETS))
+        o2, m2 = qe_dataset_from_csv(qe_dataset_to_csv(self.OFFSETS, meas))
+        np.testing.assert_allclose(o2, self.OFFSETS, rtol=1e-6)
         np.testing.assert_allclose(m2, meas, rtol=1e-6)
 
     def test_validation(self):
-        sc = Scenario()
         with pytest.raises(ValueError, match="equal-length and non-empty"):
-            fit_quantum_efficiency(sc, np.array([]), np.array([]))
+            fit_quantum_efficiency(np.array([]), np.array([]))
         with pytest.raises(ValueError, match="equal-length and non-empty"):
-            fit_quantum_efficiency(sc, np.array([0.0]), np.array([1.0, 2.0]))
+            fit_quantum_efficiency(np.array([1.0]), np.array([1.0, 2.0]))
         with pytest.raises(ValueError, match="must be >= 0"):
-            fit_quantum_efficiency(sc, np.array([0.0]), np.array([-1.0]))
-        with pytest.raises(ValueError, match="must be finite, got offset nan m, rate 1 /s at point 2"):
-            fit_quantum_efficiency(sc, np.array([0.0, math.nan]), np.array([1.0, 1.0]))
-        with pytest.raises(ValueError, match="must be finite, got offset 0 m, rate inf /s at point 1"):
-            fit_quantum_efficiency(sc, np.array([0.0, 1e-6]), np.array([math.inf, 1.0]))
+            fit_quantum_efficiency(np.array([1.0]), np.array([-1.0]))
+        with pytest.raises(ValueError, match="must be finite, got nan and 1 /s at point 2"):
+            fit_quantum_efficiency(np.array([1.0, math.nan]), np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="must be finite, got 1 and inf /s at point 1"):
+            fit_quantum_efficiency(np.array([1.0, 2.0]), np.array([math.inf, 1.0]))
+        with pytest.raises(ValueError, match="geometry collects nothing"):
+            fit_quantum_efficiency(np.zeros(2), np.array([1.0, 1.0]))
+
+    def test_expected_rates_name_a_non_finite_offset(self):
+        # the forward model takes the sweep's check: the value and its point are named
+        with pytest.raises(ValueError, match="offsets must be finite, got nan m at point 2"):
+            expected_incident_rates(Scenario(), [0.0, math.nan])

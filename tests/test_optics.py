@@ -1,9 +1,11 @@
 import math
+import unittest.mock
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from spadsim import optics
 from spadsim.optics import (
     ActiveAreaMap,
     DetectorGeometry,
@@ -103,6 +105,21 @@ class TestActiveAreaMap:
     def test_weight_bounds_enforced(self):
         with pytest.raises(ValueError):
             ActiveAreaMap(cell_size=1e-6, origin=(0, 0), weights=np.array([[1.5]]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_named(self, bad):
+        # a NaN weight used to pass and make effective_area() nan
+        weights = np.ones((2, 3))
+        weights[1, 2] = bad
+        with pytest.raises(ValueError, match=f"weights must lie in \\[0, 1\\], got {bad} in grid row 2, column 3"):
+            ActiveAreaMap(cell_size=1e-6, origin=(0, 0), weights=weights)
+
+    @pytest.mark.parametrize("cell_size, origin", [
+        (math.nan, (0.0, 0.0)), (math.inf, (0.0, 0.0)), (1e-6, (math.nan, 0.0)), (1e-6, (0.0, -math.inf)),
+    ])
+    def test_non_finite_cell_size_or_origin_rejected(self, cell_size, origin):
+        with pytest.raises(ValueError, match=f"must be finite .*got {cell_size}, \\({origin[0]}, {origin[1]}\\)"):
+            ActiveAreaMap(cell_size=cell_size, origin=origin, weights=np.ones((2, 2)))
 
     def test_csv_round_trip(self):
         amap = quarter_disc_map(cell_size=1e-6)
@@ -242,3 +259,27 @@ class TestEfficiencyVsOffset:
     def test_empty_offsets_rejected(self):
         with pytest.raises(ValueError):
             efficiency_vs_offset(DetectorGeometry(), [])
+
+    def test_reflectance_only_at_weighted_cells(self):
+        # the default quarter disc has 587 of its 841 cells weighted; the other 254 add
+        # an exact 0 whatever R is, so the 17 offsets of 0:80:5 need 17 x 587 angles
+        geom = DetectorGeometry()
+        assert (geom.active_area.weights.size, np.count_nonzero(geom.active_area.weights)) == (841, 587)
+        angles = []
+
+        def counted(stack, theta, *args):
+            angles.append(np.size(theta))
+            return stack_reflectance(stack, theta, *args)
+
+        with unittest.mock.patch.object(optics, "stack_reflectance", counted):
+            with pytest.warns(ShadowingWarning, match="at offsets 75, 80 um"):
+                efficiency_vs_offset(geom, np.arange(0.0, 81e-6, 5e-6))
+        assert sum(angles) == 17 * 587
+
+    @pytest.mark.parametrize("include_arc", [True, False])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_offset_named(self, include_arc, bad):
+        # without the coating NaN used to give nan and inf 0.0; with it the angle check
+        # fired and named neither the offset nor its point
+        with pytest.raises(ValueError, match=f"offsets must be finite, got {bad:g} m at point 2"):
+            efficiency_vs_offset(DetectorGeometry(), [0.0, bad, 1e-6], include_arc)

@@ -25,7 +25,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import signal
@@ -44,6 +44,7 @@ from spadsim.detection import (
 from spadsim.model import BUDGET_SOURCES, SOURCE_LABELS, RateBudget, Scenario, table_budget
 from spadsim import optics
 from spadsim.optics import (
+    ActiveAreaMap,
     DetectorGeometry,
     OpticalStack,
     ShadowingWarning,
@@ -849,6 +850,30 @@ AREA_MAPS = {"quarter disc": quarter_disc_map(), "aperture filling": aperture_fi
 
 
 @st.composite
+def area_maps(draw):
+    """One of the two fixed maps, one of them with holes, or a small random grid.
+
+    The fixed maps have zero weights only outside their weighted region. Holes and
+    random grids put zeros between weighted cells, where the sweep skips R but must
+    still sum in the whole grid's order.
+    """
+    kind = draw(st.sampled_from(["fixed", "holes", "grid"]))
+    if kind == "grid":
+        weights = draw(arrays(float, st.tuples(st.integers(1, 12), st.integers(1, 12)),
+                              elements=st.one_of(st.just(0.0), finite(0.0, 1.0))))
+        assume(weights.sum() > 0)
+        origin = (draw(finite(-30e-6, 30e-6)), draw(finite(-30e-6, 30e-6)))
+        return ActiveAreaMap(cell_size=draw(finite(0.2e-6, 5e-6)), origin=origin, weights=weights)
+    base = AREA_MAPS[draw(st.sampled_from(sorted(AREA_MAPS)))]
+    if kind == "fixed":
+        return base
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = np.where(rng.random(base.weights.shape) < draw(st.sampled_from([0.01, 0.3, 0.9])), 0.0, base.weights)
+    assume(weights.sum() > 0)
+    return replace(base, weights=weights)
+
+
+@st.composite
 def offset_sweeps(draw):
     """Offsets in any order, with repeats, negative ones and ones past the wall."""
     anywhere = st.one_of(finite(-200e-6, 200e-6), st.sampled_from([0.0, 75e-6, 80e-6]))
@@ -859,15 +884,15 @@ def offset_sweeps(draw):
 @settings(deadline=None, max_examples=100)
 @given(
     offsets=offset_sweeps(),
-    area=st.sampled_from(sorted(AREA_MAPS)),
+    area=area_maps(),
     pattern=st.sampled_from(["isotropic", "dipole_perpendicular"]),
     include_arc=st.booleans(),
     sweep_cells=st.sampled_from([1, 20_000, 1 << 20, optics._SWEEP_CELLS]),
 )
-@example(offsets=[80e-6, 0.0, -160e-6, 75e-6, 80e-6, 70e-6], area="quarter disc", pattern="isotropic",
-         include_arc=True, sweep_cells=optics._SWEEP_CELLS)
+@example(offsets=[80e-6, 0.0, -160e-6, 75e-6, 80e-6, 70e-6], area=AREA_MAPS["quarter disc"],
+         pattern="isotropic", include_arc=True, sweep_cells=optics._SWEEP_CELLS)
 def test_efficiency_sweep_matches_per_offset_loop(offsets, area, pattern, include_arc, sweep_cells):
-    geometry = DetectorGeometry(active_area=AREA_MAPS[area], emission_pattern=pattern)
+    geometry = DetectorGeometry(active_area=area, emission_pattern=pattern)
     want = [loop_collection_efficiency(replace(geometry, ion_lateral_offset=off), include_arc) for off in offsets]
     # blocks of one offset, of several with a partial last one, and of every offset at once
     with unittest.mock.patch.object(optics, "_SWEEP_CELLS", sweep_cells):
