@@ -134,9 +134,9 @@ class FidelityCurve:
 
 
 # Trials drawn from one generator, [seed, hypothesis, chunk]: this constant fixes
-# the sweep's random stream. A chunk's arrays hold one window of its undecided
-# trials, at most about 1 MiB at either preset with 256 trials, and fewer chunks
-# mean less per-window set-up next to the draws.
+# the sweep's random stream. A window of a chunk's undecided trials draws at most
+# about 10k events at either preset with 256 trials, about 1 MiB with its spacings,
+# and fewer chunks mean fewer per-window calls beside its two draws.
 _CHUNK_TRIALS = 256
 # Bins in the first window of the early-exit log-odds pass; each next window is twice as wide.
 _FIRST_WINDOW = 32
@@ -158,12 +158,12 @@ def fidelity_curve(
     and 0 < sub_bin <= max_time < inf.
 
     Trials run in chunks of _CHUNK_TRIALS, each chunk drawing from its own
-    generator. The chunk's log odds go window by window (_stopping_bins), and
-    each window draws, dead-time filters and bins arrivals for only the
-    trials still undecided and only over its own span (_window_counter), so a
-    trial's photons are generated only as far as it is undecided. Only counts
-    of correct choices and sums of stopping bins are kept, so memory does not
-    grow with `trials`.
+    generator. The chunk's log odds go window by window (_stopping_bins). Each
+    window draws one superposed process per trial still undecided, already in
+    time order, over its own span only, then dead-time filters and bins it
+    (_window_counter), so a trial's photons are drawn only as far as it is
+    undecided. Only counts of correct choices and sums of stopping bins are
+    kept, so memory does not grow with `trials`.
     """
     targets = list(targets)
     if not targets:

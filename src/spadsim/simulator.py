@@ -14,9 +14,8 @@ NS = 1e-9
 _EVENT_HEADER = "timestamp_ns,label"
 _LABEL_CODES = {name: code for code, name in enumerate(SOURCE_LABELS)}
 _WRITE_ROWS = 1 << 14  # events per block of CSV text
-# The most events one draw may expect: 17 bytes each drawn (time, label, row), about
-# 0.6 GB, and a few times that while they are sorted and filtered; far above the
-# ~585k events of a 50 s stream at the reference budget.
+# The most events one draw may expect: about 24 bytes each (a sweep window's spacing sum, time
+# and row), 0.8 GB, and a few times that while filtered; a 50 s stream holds about 585k.
 _MAX_EVENTS = 1 << 25
 
 
@@ -292,33 +291,35 @@ def _dead_ns(scenario: Scenario) -> int:
     return int(round(scenario.dead_time / NS))
 
 
-def _arrivals(scenario: Scenario, ion_present: bool, rng, start: float, end: float, n: int = 1):
-    """n rows' superposed Poisson arrivals over [start, end) seconds before dead time,
-    unsorted: float times in seconds, source labels and rows.
-
-    Fluorescence contributes only when ion_present. Each source with a
-    positive rate draws the counts of all n rows in one call, then all their
-    times in one call, in BUDGET_SOURCES order; its events come grouped by
-    row. With n = 1 that is one count and its times per source. An expected
-    count above _MAX_EVENTS is rejected before anything is drawn.
-    """
-    rates = [getattr(scenario.budget, name) for name in BUDGET_SOURCES]
-    if not ion_present:
-        rates[0] = 0.0  # fluorescence
-    expected = sum(rates) * (end - start) * n
+def _rates(scenario: Scenario, ion_present: bool, span: float, n: int = 1) -> list[float]:
+    """The budget's rates in BUDGET_SOURCES order, fluorescence only when ion_present; a draw
+    of n rows over `span` seconds expecting over _MAX_EVENTS events is refused before it starts."""
+    rates = [getattr(scenario.budget, s) if ion_present or s != "fluorescence" else 0.0 for s in BUDGET_SOURCES]
+    expected = sum(rates) * span * n
     if expected > _MAX_EVENTS:
         raise ValueError(
             f"{expected:.3g} events expected in one draw (total rate x span x rows), "
             f"more than the limit of {_MAX_EVENTS}"
         )
-    times, labels, rows = [np.empty(0)], [np.empty(0, dtype=np.int8)], [np.empty(0, dtype=np.int64)]
-    for idx, rate in enumerate(rates):
-        if rate > 0:
-            counts = rng.poisson(rate * (end - start), size=n)
-            times.append(rng.uniform(start, end, size=int(counts.sum())))
-            labels.append(np.full(times[-1].size, idx, dtype=np.int8))
-            rows.append(np.repeat(np.arange(n), counts))
-    return np.concatenate(times), np.concatenate(labels), np.concatenate(rows)
+    return rates
+
+
+def _ordered_arrivals(scenario: Scenario, ion_present: bool, rng, start: float, end: float, n: int):
+    """n rows' superposed Poisson arrivals over [start, end) seconds before dead time: float
+    times in seconds, ascending within each row, and their rows, ascending.
+
+    One call draws each row's count at the total rate, one call the exponential spacings of all
+    rows, k + 1 for a row of k, whose partial sums over their total are k sorted uniforms on
+    [0, 1) (Devroye 1986, ch. V): nothing is sorted.
+    """
+    rate = sum(_rates(scenario, ion_present, end - start, n))
+    per_row = rng.poisson(rate * (end - start), size=n)
+    rows = np.repeat(np.arange(n), per_row)
+    sums = np.cumsum(rng.standard_exponential(rows.size + n))
+    ends = np.cumsum(per_row + 1) - 1  # each row's last spacing
+    base = np.append(0.0, sums[ends[:-1]])  # the sum before each row's first spacing
+    fractions = (sums[np.arange(rows.size) + rows] - base[rows]) / (sums[ends] - base)[rows]
+    return start + (end - start) * fractions, rows
 
 
 def simulate_stream(scenario: Scenario, ion_present: bool) -> EventStream:
@@ -326,14 +327,19 @@ def simulate_stream(scenario: Scenario, ion_present: bool) -> EventStream:
     scenario's dead time.
 
     Fluorescence contributes only when ion_present. Deterministic given the
-    scenario seed. The arrivals are put in time order by _stable_order, so
-    events at equal float times keep their source order.
+    scenario seed: each source with a positive rate draws its count, then its
+    uniform times, in BUDGET_SOURCES order. The arrivals are put in time order
+    by _stable_order, so events at equal float times keep their source order.
     """
-    rng = np.random.default_rng(scenario.rng_seed)
-    t, labels, _ = _arrivals(scenario, ion_present, rng, 0.0, scenario.trial_duration)
-    order, t = _stable_order(t)
-    t_ns, labels = apply_dead_time(np.round(t / NS).astype(np.int64), labels[order], _dead_ns(scenario))
-    return EventStream(t_ns, labels, scenario.trial_duration)
+    rng, span = np.random.default_rng(scenario.rng_seed), scenario.trial_duration
+    times, labels = [np.empty(0)], [np.empty(0, dtype=np.int8)]
+    for idx, rate in enumerate(_rates(scenario, ion_present, span)):
+        if rate > 0:
+            times.append(rng.uniform(0.0, span, size=rng.poisson(rate * span)))
+            labels.append(np.full(times[-1].size, idx, dtype=np.int8))
+    order, t = _stable_order(np.concatenate(times))
+    t_ns, labels = apply_dead_time(np.round(t / NS).astype(np.int64), np.concatenate(labels)[order], _dead_ns(scenario))
+    return EventStream(t_ns, labels, span)
 
 
 def _stable_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -355,13 +361,10 @@ def _carry_dead_time(times_ns: np.ndarray, labels: np.ndarray, rows: np.ndarray,
     """apply_dead_time on each row's events in one window, continuing from last_ns[r], row
     r's last kept time before the window; last_ns is updated in place.
 
-    Returns the kept events' times, labels and rows, sorted by row, then
-    time; events at equal times keep their given order (_stable_order on one
-    int64 key per event, row then time). Events within the
-    dead-time gap of their row's last kept time are dropped first, and the
-    row's first event after them is kept, as in one pass over the row's
-    windows joined. The rows are then laid end to end, each more than a gap
-    past the last, so one apply_dead_time pass serves them all.
+    The events come, and the kept times, labels and rows go, in (row, time) order. Events
+    within the dead-time gap of their row's last kept time are dropped first, and the row's
+    next is kept, as in one pass over its windows joined. Laid end to end on one int64 key,
+    each row more than a gap past the last, the rows need one apply_dead_time pass, no sort.
     """
     gap = _dead_gap_ns(dead_ns)
     fresh = times_ns - last_ns[rows] >= gap
@@ -370,9 +373,7 @@ def _carry_dead_time(times_ns: np.ndarray, labels: np.ndarray, rows: np.ndarray,
         return times_ns, labels, rows
     lo = times_ns.min()
     span = times_ns.max() - lo + gap + 1
-    key = rows * span + (times_ns - lo)
-    order, key = _stable_order(key)
-    key, labels = apply_dead_time(key, labels[order], dead_ns)
+    key, labels = apply_dead_time(rows * span + (times_ns - lo), labels, dead_ns)
     rows = key // span
     times_ns = key - rows * span + lo
     row_ends = np.append(rows[1:] != rows[:-1], True)
@@ -384,22 +385,21 @@ def _window_counter(scenario: Scenario, ion_present: bool, rng, n_rows: int, wid
     """Dead-time-filtered counts of n_rows trials in bins of `width` seconds, drawn one
     window at a time as they are asked for.
 
-    Returns counts(rows, start, end): the counts of the trials `rows`
-    (ascending, below n_rows) in bins start..end-1, a len(rows) x (end -
-    start) matrix. Each call starts where the last one ended, for rows among
-    the last call's. It draws arrivals for those rows over [start * width,
-    end * width) only (_arrivals) and bins each on its drawn time, half-open,
-    so every arrival is counted in exactly one window. Poisson arrivals in
-    disjoint windows are independent, and a trial's last kept time is all
-    the dead-time filter carries from one window to the next
-    (_carry_dead_time), so the counts are distributed as whole trials' counts.
+    Returns counts(rows, start, end): the counts of the trials `rows` (ascending, below
+    n_rows) in bins start..end-1, a len(rows) x (end - start) matrix. Each call starts
+    where the last one ended, for rows among the last call's. It draws those rows'
+    arrivals over [start * width, end * width) only, in (row, time) order
+    (_ordered_arrivals), and bins each on its drawn time, half-open, so every arrival is
+    counted in exactly one window. Poisson arrivals in disjoint windows are independent,
+    and a trial's last kept time is all the dead-time filter carries from one window to
+    the next (_carry_dead_time), so the counts are distributed as whole trials' counts.
     """
     dead_ns = _dead_ns(scenario)
     last_ns = np.full(n_rows, -_dead_gap_ns(dead_ns), dtype=np.int64)  # nothing kept yet
 
     def counts(rows: np.ndarray, start: int, end: int) -> np.ndarray:
         n_bins, lo = end - start, start * width
-        t, _, row = _arrivals(scenario, ion_present, rng, lo, end * width, rows.size)
+        t, row = _ordered_arrivals(scenario, ion_present, rng, lo, end * width, rows.size)
         bins = np.minimum(((t - lo) / width).astype(np.int64), n_bins - 1)  # rounding may reach `end`
         carry = last_ns[rows]
         _, bins, row = _carry_dead_time(np.round(t / NS).astype(np.int64), bins, row, carry, dead_ns)

@@ -371,15 +371,17 @@ class TestQEFit:
 
 
 class TestPinnedOutputs:
-    # sha256 of the body under the manifest line of the default `threshold`, of a
-    # 500-trial `fidelity`, of the Fig. 6 presets `collection` and `arc` (which take no
-    # seed) and of `qefit --demo`. A faster path must keep these bytes; a declared
-    # change of the random stream or of the optics updates them.
+    # sha256 of the body under the manifest line of a 1 s `simulate` event CSV, of the
+    # default `threshold`, of a 500-trial `fidelity`, of the Fig. 6 presets `collection`
+    # and `arc` (which take no seed) and of `qefit --demo`. A faster path must keep these
+    # bytes; a declared change of the random stream or of the optics updates them.
     @pytest.mark.parametrize("argv, seed, digest", [
+        (["simulate", "--duration", "1"], 1, "f2660826f2ac899fe494a00255aa9a63fdd61e5995b5176566c292639979d0bf"),
+        (["simulate", "--duration", "1"], 4242, "5b09d0b575c7a623abbe0ec97d43426cce181c3fbc1c70a39d8cddcb548424d1"),
         (["threshold"], 1, "b292327c09c4e7eba703f8f425fdde16a19f219b7648c33c5cb5a87ea62cefeb"),
         (["threshold"], 4242, "1153707c1f4f41feb0254e2827fbc965949964393d5c32536b4e730d7b099852"),
-        (["fidelity", "--trials", "500"], 1, "a6da01c59b36bcaf80596c0f2b635601df0ae57c156d6c227c44b5532e24ed11"),
-        (["fidelity", "--trials", "500"], 4242, "95daa7b13799753fe610fca35b252269c42eb84b330ee43259aa728402678d92"),
+        (["fidelity", "--trials", "500"], 1, "f8c7b2234b64ef9d3e49ccd8a3bc83e8271187d3e7951c36285a060051e674d7"),
+        (["fidelity", "--trials", "500"], 4242, "80bc77c8fb5242e0a1a3b95dcb1ccb3da02ec6b6c623f5786f3c79a0c82cc0b4"),
         (["collection"], None, "43f1d2511584aa2022bc30fe0ebe8474689413a693fee8761412e3228a46ea48"),
         (["arc"], None, "689163aa47e7014b44add7114d171d4a9d280ed4fdac1e186041abab0ce3b814"),
         (["qefit", "--demo"], 1, "1d43553b26b0f554ad4fb035cc8ef6d0138314baa37a3bf549c34955b17df654"),

@@ -59,7 +59,6 @@ from spadsim.simulator import (
     NS,
     EventStream,
     FrontEndParams,
-    _arrivals,
     _bin_counts,
     _carry_dead_time,
     _event_columns,
@@ -128,7 +127,7 @@ def test_dead_time_matches_per_event_walk(case):
 @st.composite
 def window_cases(draw):
     """A dead time, window edges in ns, and per window the events of a few rows: (row, time)
-    pairs in drawn order, each time inside its window's closed span.
+    pairs in (row, time) order, each time inside its window's closed span.
 
     Windows run from one bin up, and the dead time from zero to several windows.
     A drawn time can round onto its window's closing edge, so the closed span
@@ -142,23 +141,24 @@ def window_cases(draw):
     windows = []
     for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist()):
         event = st.tuples(st.integers(0, n_rows - 1), st.one_of(st.sampled_from([lo, hi]), st.integers(lo, hi)))
-        windows.append(draw(st.lists(event, max_size=12)))
+        windows.append(sorted(draw(st.lists(event, max_size=12))))
     return dead_ns, n_rows, windows
 
 
 @settings(deadline=None, max_examples=300)
 @given(case=window_cases())
 # a dead time longer than the window it starts in, reaching into the next two
-@example(case=(25, 2, [[(0, 10), (1, 3)], [(0, 20), (1, 19), (0, 35)], [(0, 40), (1, 30)]]))
+@example(case=(25, 2, [[(0, 10), (1, 3)], [(0, 20), (0, 35), (1, 19)], [(0, 40), (1, 30)]]))
 # a time on a closing edge, then the same time opening the next window
 @example(case=(0, 1, [[(0, 0), (0, 10)], [(0, 10), (0, 11)]]))
 def test_windowed_dead_time_matches_joined_stream(case):
-    """_carry_dead_time window after window, each row's last kept time carried, keeps what
-    apply_dead_time keeps on each row's windows joined into one stream."""
+    """_carry_dead_time window after window, each window's events in (row, time) order and
+    each row's last kept time carried, keeps what apply_dead_time keeps on each row's
+    windows joined into one stream."""
     dead_ns, n_rows, windows = case
     last_ns = np.full(n_rows, -max(dead_ns, 1), dtype=np.int64)
     kept = [[] for _ in range(n_rows)]
-    joined = [[] for _ in range(n_rows)]  # per row: (time, id), windows in order, each sorted stably
+    joined = [[] for _ in range(n_rows)]  # per row: (time, id), windows in order
     ids = 0
     for events in windows:
         rows = np.array([r for r, _ in events], dtype=np.int64)
@@ -167,7 +167,7 @@ def test_windowed_dead_time_matches_joined_stream(case):
         ids += len(events)
         for r in range(n_rows):
             mine = rows == r
-            joined[r] += sorted(zip(times[mine].tolist(), labels[mine].tolist()), key=lambda e: e[0])
+            joined[r] += zip(times[mine].tolist(), labels[mine].tolist())
         got_t, got_l, got_rows = _carry_dead_time(times, labels, rows, last_ns, dead_ns)
         assert np.all(np.diff(got_rows) >= 0)
         for r, t, label in zip(got_rows.tolist(), got_t.tolist(), got_l.tolist()):
@@ -215,61 +215,65 @@ def test_simulate_stream_matches_per_trial_draw(seed, ion_present, budget):
 
 
 class RecordingRng:
-    """A generator that logs each call: ("poisson", mean, size, total drawn) or
-    ("uniform", low, high, size)."""
+    """A generator that logs each call with what it drew: ("poisson", mean, size, counts) or
+    ("standard_exponential", size, spacings)."""
 
     def __init__(self, seed):
         self.rng, self.calls = np.random.default_rng(seed), []
 
     def poisson(self, lam, size):
         out = self.rng.poisson(lam, size)
-        self.calls.append(("poisson", lam, size, int(out.sum())))
+        self.calls.append(("poisson", lam, size, out.copy()))
         return out
 
-    def uniform(self, low, high, size):
-        self.calls.append(("uniform", low, high, size))
-        return self.rng.uniform(low, high, size)
+    def standard_exponential(self, size):
+        out = self.rng.standard_exponential(size)
+        self.calls.append(("standard_exponential", size, out.copy()))
+        return out
+
+
+def row_fractions(spacings, per_row):
+    """Each row's sorted uniforms from its k + 1 spacings of the window's draw, row by row:
+    the partial sums of all the spacings less those before the row, over the row's total."""
+    sums = np.cumsum(spacings)
+    out, first = [], 0
+    for k in per_row.tolist():
+        part = sums[first : first + k + 1] - (sums[first - 1] if first else 0.0)
+        out.append(part[:-1] / part[-1])
+        first += k + 1
+    assert first == sums.size
+    return out
 
 
 @pytest.mark.parametrize("seed", [0, 1, 4242])
 @pytest.mark.parametrize("ion_present", [True, False])
 @pytest.mark.parametrize("budget", [table_budget(), RateBudget(dark_counts=300.0)], ids=["reference", "dark"])
-def test_chunk_draw_matches_per_source_calls(seed, ion_present, budget):
-    """A chunk draws window by window. In each window, per source, one call draws the Poisson
-    counts of the live rows only, over the window's span, and one call all their uniform
-    times; split into rows by count, those are _arrivals(..., start, end, n) row by row."""
-    rates = [getattr(budget, name) if ion_present or idx > 0 else 0.0 for idx, name in enumerate(BUDGET_SOURCES)]
-    scenario = Scenario(budget=budget, rng_seed=seed, dead_time=1e-6)
+def test_window_draw_is_one_count_call_and_one_spacing_call(seed, ion_present, budget):
+    """A chunk draws window by window. Each window makes one Poisson call for the live rows'
+    counts at the total rate over its span, then one call for count + rows exponential
+    spacings. Row j takes the next k_j + 1 spacings, and at zero dead time its counts are
+    the bins its partial sums fall in, as times in the window."""
+    rate = sum(getattr(budget, name) for name in BUDGET_SOURCES if ion_present or name != "fluorescence")
+    scenario = Scenario(budget=budget, rng_seed=seed, dead_time=0.0)
     width, n = 1e-4, 9
     windows = [(np.arange(n), 0, 3), (np.array([0, 2, 5, 8]), 3, 7), (np.array([5]), 7, 8)]
     rng = RecordingRng(seed)
-    counts = _window_counter(scenario, ion_present, rng, n, width)
-    for rows, start, end in windows:
-        assert counts(rows, start, end).shape == (rows.size, end - start)
+    counter = _window_counter(scenario, ion_present, rng, n, width)
+    got = [counter(rows, start, end) for rows, start, end in windows]
     calls = iter(rng.calls)
-    for rows, start, end in windows:
-        for rate in rates:
-            if rate > 0:
-                kind, mean, size, drawn = next(calls)
-                assert (kind, mean, size) == ("poisson", rate * (end * width - start * width), rows.size)
-                assert next(calls) == ("uniform", start * width, end * width, drawn)
+    for (rows, start, end), counts in zip(windows, got):
+        lo, hi = start * width, end * width
+        kind, mean, size, per_row = next(calls)
+        assert (kind, mean, size) == ("poisson", rate * (hi - lo), rows.size)
+        kind, size, spacings = next(calls)
+        assert (kind, size) == ("standard_exponential", per_row.sum() + rows.size)
+        want = []
+        for fractions in row_fractions(spacings, per_row):
+            t = lo + (hi - lo) * fractions
+            drawn_bin = np.minimum(((t - lo) / width).astype(np.int64), end - start - 1)
+            want.append(np.bincount(drawn_bin, minlength=end - start))
+        assert counts.tolist() == np.array(want).tolist()
     assert next(calls, None) is None
-
-    start, end = 3 * width, 7 * width
-    t, labels, rows = _arrivals(scenario, ion_present, np.random.default_rng(seed), start, end, n)
-    gen = np.random.default_rng(seed)
-    want_t, want_l = [[] for _ in range(n)], [[] for _ in range(n)]
-    for idx, rate in enumerate(rates):
-        if rate > 0:
-            per_row = gen.poisson(rate * (end - start), size=n)
-            times = gen.uniform(start, end, size=per_row.sum())
-            for j, part in enumerate(np.split(times, np.cumsum(per_row)[:-1])):
-                want_t[j] += part.tolist()
-                want_l[j] += [idx] * part.size
-    assert sum(map(len, want_t)) == t.size
-    for j in range(n):
-        assert t[rows == j].tolist() == want_t[j]
-        assert labels[rows == j].tolist() == want_l[j]
 
 
 # --- sorting ---------------------------------------------------------------------
@@ -400,19 +404,21 @@ def loop_fidelity_points(scenario, targets, trials, sub_bin, max_time):
     """The adaptive points of fidelity_curve, trial by trial.
 
     Each chunk draws in windows of _FIRST_WINDOW bins, then twice as many,
-    and so on: per source, the Poisson counts of the chunk's trials still
-    undecided at some target over the window's span, then all their times.
-    Each such trial's arrivals so far are sorted window by window, dead-time
-    filtered as one stream and counted in the bin they were drawn in; it
-    stays undecided while some target's |log odds| has not reached its
-    threshold. loop_detect then runs per trial and target.
+    and so on: the Poisson counts of the chunk's trials still undecided at
+    some target, at the total rate over the window's span, then count + trials
+    exponential spacings, k + 1 for a trial of k arrivals, whose partial sums
+    give its times in the window (row_fractions). Each such trial's arrivals
+    so far are sorted window by window, dead-time filtered as one stream and
+    counted in the bin they were drawn in; it stays undecided while some
+    target's |log odds| has not reached its threshold. loop_detect then runs
+    per trial and target.
     """
     ion_rate, empty_rate = scenario.budget.ion_total(), scenario.budget.background_total()
-    rates = [getattr(scenario.budget, name) for name in BUDGET_SOURCES]
     n_bins = max(int(np.floor(max_time / sub_bin + 1e-9)), 1)
     dead_ns = round(scenario.dead_time / NS)
     binned = {}
     for hyp, ion_present in ((1, True), (0, False)):
+        rate = sum(getattr(scenario.budget, name) for name in BUDGET_SOURCES if ion_present or name != "fluorescence")
         binned[hyp] = []
         for chunk, first in enumerate(range(0, trials, _CHUNK_TRIALS)):
             n = min(_CHUNK_TRIALS, trials - first)
@@ -424,15 +430,10 @@ def loop_fidelity_points(scenario, targets, trials, sub_bin, max_time):
             while live:
                 end = min(start + width, n_bins)
                 lo, hi = start * sub_bin, end * sub_bin
-                drawn = [[] for _ in live]
-                for idx, rate in enumerate(rates):
-                    if rate > 0 and (ion_present or idx > 0):
-                        per_trial = rng.poisson(rate * (hi - lo), size=len(live))
-                        times = rng.uniform(lo, hi, size=per_trial.sum())
-                        for j, part in enumerate(np.split(times, np.cumsum(per_trial)[:-1])):
-                            drawn[j] += part.tolist()
-                for j, row in enumerate(live):
-                    t = np.array(drawn[j])
+                per_trial = rng.poisson(rate * (hi - lo), size=len(live))
+                spacings = rng.standard_exponential(per_trial.sum() + len(live))
+                for row, fractions in zip(live, row_fractions(spacings, per_trial)):
+                    t = lo + (hi - lo) * fractions
                     order = np.argsort(np.round(t / NS).astype(np.int64), kind="stable")
                     t = t[order]
                     stamps[row] = np.concatenate([stamps[row], np.round(t / NS).astype(np.int64)])

@@ -10,7 +10,8 @@ from spadsim.simulator import (
     _MAX_EVENTS,
     EventStream,
     FrontEndParams,
-    _arrivals,
+    _ordered_arrivals,
+    _window_counter,
     gate_and_count,
     simulate_frontend,
     simulate_stream,
@@ -93,8 +94,9 @@ class TestSimulateStream:
             simulate_stream(sc, True)
         rng = np.random.default_rng(1)
         state = rng.bit_generator.state
+        counts = _window_counter(sc, True, rng, 10**6, 1e3)
         with pytest.raises(ValueError, match=rf"1.17e\+13 events expected .* limit of {_MAX_EVENTS}"):
-            _arrivals(sc, True, rng, 0.0, 1e3, n=10**6)  # rows multiply the count
+            counts(np.arange(10**6), 0, 1)  # a sweep window: rows multiply the count
         assert rng.bit_generator.state == state
 
     def test_superposition_property(self):
@@ -128,6 +130,52 @@ class TestSimulateStream:
             counts = gate_and_count(simulate_stream(replace(sc, dead_time=0.0), False), gate)
             passes += poisson_gof_pvalue(counts, rate * gate) > 0.01
         assert passes >= 0.95 * n_rep
+
+
+class TestWindowDraw:
+    """The fidelity sweep's draw: each row one superposed Poisson process over a window,
+    its times from exponential spacings, already in order."""
+
+    @pytest.mark.parametrize("seed", [1, 4242])
+    @pytest.mark.parametrize("ion_present", [True, False])
+    def test_times_are_sorted_uniforms_in_the_window(self, seed, ion_present):
+        sc = Scenario(budget=table_budget(), rng_seed=seed, dead_time=0.0)
+        lo, hi, n = 3.2e-3, 6.4e-3, 2000
+        t, rows = _ordered_arrivals(sc, ion_present, np.random.default_rng(seed), lo, hi, n)
+        assert t.size > 10_000
+        assert np.all((t >= lo) & (t < hi))
+        assert np.all(np.diff(rows) >= 0)
+        assert np.all(np.diff(t)[rows[1:] == rows[:-1]] > 0)
+        assert stats.kstest((t - lo) / (hi - lo), "uniform").pvalue > 1e-3
+
+    @pytest.mark.parametrize("seed", [1, 4242])
+    @pytest.mark.parametrize("ion_present", [True, False])
+    def test_window_counts_are_poisson_at_zero_dead_time(self, seed, ion_present):
+        sc = Scenario(budget=table_budget(), rng_seed=seed, dead_time=0.0)
+        width, n_bins, n = 1e-4, 32, 4000
+        rate = sc.budget.ion_total() if ion_present else sc.budget.background_total()
+        mu = rate * n_bins * width
+        per_row = _window_counter(sc, ion_present, np.random.default_rng(seed), n, width)(np.arange(n), 0, n_bins)
+        per_row = per_row.sum(axis=1)
+        # a Poisson count's fourth central moment is mu + 3 mu^2, so its sample variance has variance (mu + 2 mu^2) / n
+        assert abs(per_row.mean() - mu) < 4 * np.sqrt(mu / n)
+        assert abs(per_row.var(ddof=1) - mu) < 4 * np.sqrt((mu + 2 * mu**2) / n)
+
+    @pytest.mark.parametrize("tau", [1e-6, 50e-6])
+    def test_dead_time_carried_across_windows_keeps_the_nonparalyzable_rate(self, tau):
+        # 8 rows x 5 s in 1 ms windows; a kept count over T has mean T r / (1 + r tau) and,
+        # for T much longer than tau, variance T r / (1 + r tau)^3 (Mueller 1973)
+        sc = Scenario(budget=table_budget(), rng_seed=7, dead_time=tau)
+        width, window, n, horizon = 1e-4, 10, 8, 5.0
+        rate = sc.budget.ion_total()
+        counts = _window_counter(sc, True, np.random.default_rng(7), n, width)
+        rows = np.arange(n)
+        n_windows = round(horizon / (window * width))
+        kept = sum(int(counts(rows, k * window, (k + 1) * window).sum()) for k in range(n_windows))
+        total = n * horizon
+        mean = total * rate / (1 + rate * tau)
+        sigma = np.sqrt(total * rate / (1 + rate * tau) ** 3)
+        assert abs(kept - mean) < 4 * sigma
 
 
 def poisson_gof_pvalue(counts, mu):
