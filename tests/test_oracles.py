@@ -248,11 +248,12 @@ def row_fractions(spacings, per_row):
 @pytest.mark.parametrize("seed", [0, 1, 4242])
 @pytest.mark.parametrize("ion_present", [True, False])
 @pytest.mark.parametrize("budget", [table_budget(), RateBudget(dark_counts=300.0)], ids=["reference", "dark"])
-def test_window_draw_is_one_count_call_and_one_spacing_call(seed, ion_present, budget):
-    """A chunk draws window by window. Each window makes one Poisson call for the live rows'
-    counts at the total rate over its span, then one call for count + rows exponential
-    spacings. Row j takes the next k_j + 1 spacings, and at zero dead time its counts are
-    the bins its partial sums fall in, as times in the window."""
+def test_chunk_draw_matches_per_source_calls(seed, ion_present, budget):
+    """A chunk draws window by window. The sources superpose, so each window makes one
+    Poisson call for the live rows' counts at the sum of the per-source rates over its span,
+    then one call for count + rows exponential spacings. Row j takes the next k_j + 1
+    spacings, and at zero dead time its counts are the bins its partial sums fall in, as
+    times in the window."""
     rate = sum(getattr(budget, name) for name in BUDGET_SOURCES if ion_present or name != "fluorescence")
     scenario = Scenario(budget=budget, rng_seed=seed, dead_time=0.0)
     width, n = 1e-4, 9
