@@ -91,23 +91,31 @@ def _load_config(args) -> tuple[Scenario, str]:
     return scenario, text
 
 
-def _parse_range(spec: str, scale: float = 1.0) -> list[float]:
-    """'start:stop:step' (inclusive endpoints) or comma-separated values, all finite."""
+def _float(flag: str, token: str) -> float:
+    """One token of a list flag as a float; ValueError naming the flag and the token if it is none."""
+    try:
+        return float(token)
+    except ValueError:
+        raise ValueError(f"{flag}: {token!r} is not a number") from None
+
+
+def _parse_range(flag: str, spec: str, scale: float = 1.0) -> list[float]:
+    """'start:stop:step' (inclusive endpoints) or comma-separated values, all finite; errors name the flag."""
     is_range = ":" in spec
     parts = spec.split(":" if is_range else ",")
     if is_range and len(parts) != 3:
-        raise ValueError(f"range must be start:stop:step, got {spec!r}")
-    values = [float(p) for p in parts]
+        raise ValueError(f"{flag}: range must be start:stop:step, got {spec!r}")
+    values = [_float(flag, p) for p in parts]
     if not all(map(math.isfinite, values)):
-        raise ValueError(f"range {spec!r} holds a value that is not finite")
+        raise ValueError(f"{flag}: range {spec!r} holds a value that is not finite")
     if not is_range:
         return [v * scale for v in values]
     start, stop, step = values
     if step <= 0:
-        raise ValueError("range step must be > 0")
+        raise ValueError(f"{flag}: range step must be > 0")
     n = int(math.floor((stop - start) / step + 1e-9)) + 1
     if n < 1:
-        raise ValueError(f"range {spec!r} has no points")
+        raise ValueError(f"{flag}: range {spec!r} has no points")
     return [(start + i * step) * scale for i in range(n)]
 
 
@@ -189,7 +197,7 @@ def cmd_fidelity(args) -> Output:
         if getattr(args, name) is None:
             setattr(args, name, default)  # so an omitted flag hashes like its default
     scenario, config_text = _load_config(args)
-    targets = [float(t) for t in args.targets.split(",")]
+    targets = [_float("--targets", t) for t in args.targets.split(",")]
     curve = detection.fidelity_curve(
         scenario, targets, args.trials, sub_bin=args.sub_bin_us * 1e-6, max_time=args.max_time_ms * 1e-3
     )
@@ -230,7 +238,7 @@ def _fidelity_csv(curve: detection.FidelityCurve) -> str:
 
 def cmd_collection(args) -> Output:
     scenario, config_text = _load_config(args)
-    offsets = _parse_range(args.offsets_um, 1e-6)
+    offsets = _parse_range("--offsets-um", args.offsets_um, 1e-6)
     ces = efficiency_vs_offset(scenario.geometry, offsets)
     with warnings.catch_warnings():  # the sweep above has named the same shadowed offsets
         warnings.simplefilter("ignore", ShadowingWarning)
@@ -247,7 +255,7 @@ def cmd_collection(args) -> Output:
 def cmd_arc(args) -> Output:
     scenario, config_text = _load_config(args)
     stack = bare_silicon_stack() if args.bare else scenario.geometry.stack
-    angles = np.array(_parse_range(args.angles_deg, math.pi / 180.0))
+    angles = np.array(_parse_range("--angles-deg", args.angles_deg, math.pi / 180.0))
     rows = list(zip(angles, *(stack_reflectance(stack, angles, pol) for pol in ("s", "p", "unpolarized"))))
     body = "angle_deg,R_s,R_p,R_unpolarized\n" + "".join(
         f"{math.degrees(a):.6g},{rs:.6g},{rp:.6g},{ru:.6g}\n" for a, rs, rp, ru in rows

@@ -14,6 +14,7 @@ NS = 1e-9
 _EVENT_HEADER = "timestamp_ns,label"
 _LABEL_CODES = {name: code for code, name in enumerate(SOURCE_LABELS)}
 _WRITE_ROWS = 1 << 14  # events per block of CSV text
+_READ_CHARS = 1 << 19  # characters per block of CSV text parsed as bytes, some 26k events
 # The most events one draw may expect: about 24 bytes each (a sweep window's spacing sum, time
 # and row), 0.8 GB, and a few times that while filtered; a 50 s stream holds about 585k.
 _MAX_EVENTS = 1 << 25
@@ -79,27 +80,24 @@ class EventStream:
     @classmethod
     def from_csv(cls, text: str, duration: float) -> "EventStream":
         """Text in the form to_csv writes, '#' lines ahead allowed, is parsed as bytes; any
-        other text by tables.read_rows, whose errors name the line."""
+        other text line by line by tables.read_rows, whose errors name the line."""
         columns = _parse_canonical(text)
         if columns is None:
-            blocks = list(tables.read_rows(text, "event CSV", _EVENT_HEADER, _event_columns))
-            columns = (np.concatenate(col) for col in zip(*blocks)) if blocks else ([], [])
+            rows = list(tables.read_rows(text, "event CSV", _EVENT_HEADER, _event_row))
+            columns = np.array(rows, dtype=np.int64).reshape(-1, 2).T
         return cls(*columns, duration)
 
 
-def _event_columns(columns: list[list[str]]) -> tuple[np.ndarray, np.ndarray]:
-    """One block of event CSV rows: (timestamps, label codes). A timestamp past int64 is a
-    ValueError naming it, as a bad label is."""
-    stamps, names = columns
-    try:
-        codes = list(map(_LABEL_CODES.__getitem__, names))
-    except KeyError as exc:
-        raise ValueError(f"unknown source label {exc.args[0]!r}") from None
-    try:
-        return np.array(stamps, dtype=np.int64), np.array(codes, dtype=np.int8)
-    except OverflowError:
-        big = next(s for s in stamps if not -(2**63) <= int(s) < 2**63)
-        raise ValueError(f"timestamp {big.strip()} ns does not fit in int64") from None
+def _event_row(fields: list[str]) -> tuple[int, int]:
+    """One event CSV row: (timestamp, label code). A timestamp past int64 is a ValueError
+    naming it, as an unknown label is."""
+    stamp, name = fields
+    if name not in _LABEL_CODES:
+        raise ValueError(f"unknown source label {name!r}")
+    t = int(stamp)
+    if not -(2**63) <= t < 2**63:
+        raise ValueError(f"timestamp {stamp.strip()} ns does not fit in int64")
+    return t, _LABEL_CODES[name]
 
 
 # The event CSV codec. A row is `<timestamp digits>,<label name>\n`. Each label's
@@ -178,7 +176,7 @@ def _parse_canonical(text: str) -> tuple[np.ndarray, np.ndarray] | None:
     That form is ASCII: lines starting with '#', the header, then rows of 1 to
     _MAX_DIGITS digits, a comma and a label name, each line ending in "\n".
     Any other text is left to tables.read_rows. The rows are parsed as bytes,
-    a block of about tables._BLOCK_CHARS at a time.
+    a block of about _READ_CHARS at a time.
     """
     if not text.isascii() or not text.endswith("\n"):
         return None
@@ -193,7 +191,7 @@ def _parse_canonical(text: str) -> tuple[np.ndarray, np.ndarray] | None:
     start += len(_EVENT_HEADER) + 1
     blocks = []
     while start < len(text):
-        end = text.find("\n", start + tables._BLOCK_CHARS) + 1 or len(text)
+        end = text.find("\n", start + _READ_CHARS) + 1 or len(text)
         back = min(start, _BACK)
         block = _parse_rows(text[start - back : end].encode("ascii"), back)
         if block is None:
@@ -361,7 +359,7 @@ def _carry_dead_time(times_ns: np.ndarray, labels: np.ndarray, rows: np.ndarray,
     """apply_dead_time on each row's events in one window, continuing from last_ns[r], row
     r's last kept time before the window; last_ns is updated in place.
 
-    The events come, and the kept times, labels and rows go, in (row, time) order. Events
+    The events come, and the kept labels and rows go, in (row, time) order. Events
     within the dead-time gap of their row's last kept time are dropped first, and the row's
     next is kept, as in one pass over its windows joined. Laid end to end on one int64 key,
     each row more than a gap past the last, the rows need one apply_dead_time pass, no sort.
@@ -370,15 +368,14 @@ def _carry_dead_time(times_ns: np.ndarray, labels: np.ndarray, rows: np.ndarray,
     fresh = times_ns - last_ns[rows] >= gap
     times_ns, labels, rows = times_ns[fresh], labels[fresh], rows[fresh]
     if not times_ns.size:
-        return times_ns, labels, rows
+        return labels, rows
     lo = times_ns.min()
     span = times_ns.max() - lo + gap + 1
     key, labels = apply_dead_time(rows * span + (times_ns - lo), labels, dead_ns)
     rows = key // span
-    times_ns = key - rows * span + lo
-    row_ends = np.append(rows[1:] != rows[:-1], True)
-    last_ns[rows[row_ends]] = times_ns[row_ends]
-    return times_ns, labels, rows
+    row_ends = np.flatnonzero(np.append(rows[1:] != rows[:-1], True))
+    last_ns[rows[row_ends]] = key[row_ends] - rows[row_ends] * span + lo
+    return labels, rows
 
 
 def _window_counter(scenario: Scenario, ion_present: bool, rng, n_rows: int, width: float):
@@ -402,7 +399,7 @@ def _window_counter(scenario: Scenario, ion_present: bool, rng, n_rows: int, wid
         t, row = _ordered_arrivals(scenario, ion_present, rng, lo, end * width, rows.size)
         bins = np.minimum(((t - lo) / width).astype(np.int64), n_bins - 1)  # rounding may reach `end`
         carry = last_ns[rows]
-        _, bins, row = _carry_dead_time(np.round(t / NS).astype(np.int64), bins, row, carry, dead_ns)
+        bins, row = _carry_dead_time(np.round(t / NS).astype(np.int64), bins, row, carry, dead_ns)
         last_ns[rows] = carry
         return np.bincount(row * n_bins + bins, minlength=rows.size * n_bins).reshape(rows.size, n_bins)
 

@@ -7,14 +7,12 @@ offset dataset for the quantum-efficiency fit.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .estimation import SpotScan, ToggleMeasurement
 from .model import BUDGET_SOURCES, SOURCE_LABELS, RateBudget, Scenario
 from .optics import _cell_centers, quarter_disc_response
-from .tables import read_rows
+from .tables import read_grid, read_rows
 
 _TOGGLE_HEADER = ",".join(SOURCE_LABELS) + ",rate_kcps,dwell_s"
 _QE_HEADER = "offset_um,rate_kcps"
@@ -79,17 +77,15 @@ def toggle_measurements_to_csv(measurements) -> str:
 
 
 def toggle_measurements_from_csv(text: str) -> list[ToggleMeasurement]:
-    def block(columns):
-        return [
-            ToggleMeasurement(
-                active_sources=tuple(map(_source_flag, flags)),
-                measured_rate=float(rate_kcps) * 1e3,
-                dwell=float(dwell),
-            )
-            for *flags, rate_kcps, dwell in zip(*columns)
-        ]
+    def parse_row(fields):
+        *flags, rate_kcps, dwell = fields
+        return ToggleMeasurement(
+            active_sources=tuple(map(_source_flag, flags)),
+            measured_rate=float(rate_kcps) * 1e3,
+            dwell=float(dwell),
+        )
 
-    return list(itertools.chain.from_iterable(read_rows(text, "toggle CSV", _TOGGLE_HEADER, block)))
+    return list(read_rows(text, "toggle CSV", _TOGGLE_HEADER, parse_row))
 
 
 def _source_flag(field: str) -> bool:
@@ -123,9 +119,5 @@ def qe_dataset_to_csv(offsets, rates) -> str:
 
 
 def qe_dataset_from_csv(text: str) -> tuple[np.ndarray, np.ndarray]:
-    def block(columns):
-        offsets_um, rates_kcps = (np.array(list(map(float, c))) for c in columns)
-        return offsets_um * 1e-6, rates_kcps * 1e3
-
-    blocks = list(read_rows(text, "QE dataset CSV", _QE_HEADER, block))
-    return tuple(np.concatenate(c) for c in zip(*blocks)) if blocks else (np.empty(0), np.empty(0))
+    offsets_um, rates_kcps = read_grid(text, "QE dataset CSV", _QE_HEADER).reshape(-1, 2).T
+    return offsets_um * 1e-6, rates_kcps * 1e3

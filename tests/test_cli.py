@@ -213,7 +213,7 @@ class TestCollection:
     @pytest.mark.parametrize("spec", ["0:inf:5", "0:80:nan", "nan,0,5", "0,-inf"])
     def test_non_finite_range_spec(self, outdir, capsys, spec):
         assert main(["collection", "--offsets-um", spec]) == EXIT_INPUT_ERROR
-        assert f"range {spec!r} holds a value that is not finite" in capsys.readouterr().err
+        assert f"--offsets-um: range {spec!r} holds a value that is not finite" in capsys.readouterr().err
         assert not (outdir / "collection_efficiency.csv").exists()
 
     @pytest.mark.parametrize("argv", [["collection"], ["qefit", "--demo"]], ids=["collection", "qefit"])
@@ -247,7 +247,7 @@ class TestArc:
 
     def test_non_finite_range_spec(self, outdir, capsys):
         assert main(["arc", "--angles-deg", "0:inf:5"]) == EXIT_INPUT_ERROR
-        assert "range '0:inf:5' holds a value that is not finite" in capsys.readouterr().err
+        assert "--angles-deg: range '0:inf:5' holds a value that is not finite" in capsys.readouterr().err
         assert not (outdir / "reflectance.csv").exists()
 
 
@@ -373,7 +373,8 @@ class TestQEFit:
 class TestPinnedOutputs:
     # sha256 of the body under the manifest line of a 1 s `simulate` event CSV, of the
     # default `threshold`, of a 500-trial `fidelity`, of the Fig. 6 presets `collection`
-    # and `arc` (which take no seed) and of `qefit --demo`. A faster path must keep these
+    # and `arc` (which take no seed), of `qefit --demo`, of the Fig. 3 preset `spot --demo`
+    # and of the Table 1 preset `budget --demo` (no seed). A faster path must keep these
     # bytes; a declared change of the random stream or of the optics updates them.
     @pytest.mark.parametrize("argv, seed, digest", [
         (["simulate", "--duration", "1"], 1, "f2660826f2ac899fe494a00255aa9a63fdd61e5995b5176566c292639979d0bf"),
@@ -386,6 +387,9 @@ class TestPinnedOutputs:
         (["arc"], None, "689163aa47e7014b44add7114d171d4a9d280ed4fdac1e186041abab0ce3b814"),
         (["qefit", "--demo"], 1, "1d43553b26b0f554ad4fb035cc8ef6d0138314baa37a3bf549c34955b17df654"),
         (["qefit", "--demo"], 4242, "5943e12fd5770a3ec544057f943dfebf2ccd67156fa7f6611432dd4b48a7c418"),
+        (["spot", "--demo"], 1, "c3d7496e5e1b7b65e4ff180bf5ea859b67e4eb5a0b32a457afdfa65683ea0835"),
+        (["spot", "--demo"], 4242, "25ae8c59a3e0f88e69c42ac7cf12ab9a2f6bfcba0243decca3250f8bcd9f94d2"),
+        (["budget", "--demo"], None, "819422de3df0497d87b0dec7468ab2d50f8f50431b021ec386bf8a753dadfcc8"),
     ], ids=lambda v: v[0] if isinstance(v, list) else None)
     def test_fixed_seed_body_is_pinned(self, outdir, argv, seed, digest):
         out = outdir / "out.csv"
@@ -522,6 +526,21 @@ class TestFlags:
             main([*argv, flag, value])
         assert exc.value.code == EXIT_INPUT_ERROR
         assert f"argument {flag}: {value!r} is not a finite number" in capsys.readouterr().err
+        assert not any(outdir.iterdir())
+
+    # a list flag's token that is not a number is named with its flag
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["fidelity", "--targets", "abc"], "--targets: 'abc'"),
+            (["collection", "--offsets-um", "0:x:5"], "--offsets-um: 'x'"),
+            (["arc", "--angles-deg", "a,b"], "--angles-deg: 'a'"),
+        ],
+        ids=["fidelity-targets", "collection-offsets", "arc-angles"],
+    )
+    def test_malformed_list_flag_exits_2_naming_it(self, outdir, capsys, argv, named):
+        assert main(argv) == EXIT_INPUT_ERROR
+        assert f"error: {named} is not a number" in capsys.readouterr().err
         assert not any(outdir.iterdir())
 
     # an event count too large to draw is an input error, raised before any output is written

@@ -61,7 +61,7 @@ from spadsim.simulator import (
     FrontEndParams,
     _bin_counts,
     _carry_dead_time,
-    _event_columns,
+    _event_row,
     _schmitt_crossings,
     _stable_order,
     _window_counter,
@@ -159,19 +159,20 @@ def test_windowed_dead_time_matches_joined_stream(case):
     last_ns = np.full(n_rows, -max(dead_ns, 1), dtype=np.int64)
     kept = [[] for _ in range(n_rows)]
     joined = [[] for _ in range(n_rows)]  # per row: (time, id), windows in order
-    ids = 0
+    ids, time_of = 0, []
     for events in windows:
         rows = np.array([r for r, _ in events], dtype=np.int64)
         times = np.array([t for _, t in events], dtype=np.int64)
-        labels = np.arange(ids, ids + len(events))
+        labels = np.arange(ids, ids + len(events))  # unique ids: each kept one names its time
         ids += len(events)
+        time_of += times.tolist()
         for r in range(n_rows):
             mine = rows == r
             joined[r] += zip(times[mine].tolist(), labels[mine].tolist())
-        got_t, got_l, got_rows = _carry_dead_time(times, labels, rows, last_ns, dead_ns)
+        got_l, got_rows = _carry_dead_time(times, labels, rows, last_ns, dead_ns)
         assert np.all(np.diff(got_rows) >= 0)
-        for r, t, label in zip(got_rows.tolist(), got_t.tolist(), got_l.tolist()):
-            kept[r].append((t, label))
+        for r, label in zip(got_rows.tolist(), got_l.tolist()):
+            kept[r].append((time_of[label], label))
     for r in range(n_rows):
         t = np.array([e[0] for e in joined[r]], dtype=np.int64)
         want_t, want_l = apply_dead_time(t, np.array([e[1] for e in joined[r]], dtype=np.int64), dead_ns)
@@ -943,9 +944,8 @@ def loop_read_rows(text, what, header, parse_row):
 
 
 def read_event_rows(text):
-    """The block reader's event rows as (timestamp, label code) pairs."""
-    blocks = list(tables.read_rows(text, "event CSV", _EVENT_HEADER, _event_columns))
-    return [row for ts, labels in blocks for row in zip(ts.tolist(), labels.tolist())]
+    """The line reader's event rows as (timestamp, label code) pairs."""
+    return list(tables.read_rows(text, "event CSV", _EVENT_HEADER, _event_row))
 
 
 def int64(field):
@@ -988,7 +988,7 @@ SKIPPED = ["", "   ", "# manifest: 0123456789abcdef", "# cell_size_um=1, origin_
 @st.composite
 def tables_text(draw, body_lines, header):
     """A table text with '#' and blank lines anywhere and LF or CRLF line ends, and a block size
-    from 1 character to past its end, often exactly where a line ends."""
+    for the byte parser from 1 character to past its end, often exactly where a line ends."""
     lines = draw(st.lists(st.one_of(st.sampled_from(body_lines), st.sampled_from(SKIPPED)), max_size=40))
     if header is not None and draw(st.integers(0, 9)):  # the header, sometimes missing or misplaced
         lines.insert(draw(st.integers(0, len(lines))), header)
@@ -1001,22 +1001,19 @@ def tables_text(draw, body_lines, header):
     return text, block
 
 
-def assert_readers_agree(read, loop, text, block):
-    with unittest.mock.patch.object(tables, "_BLOCK_CHARS", block):
-        got = outcome(read, text)
-    assert got == outcome(loop, text)
-
-
 EVENT_BODY = "timestamp_ns,label\n1,dark\n2,rf\n"
 
 
 @settings(deadline=None, max_examples=400)
 @given(case=tables_text(EVENT_LINES, _EVENT_HEADER))
-@example(case=("# manifest: 0123456789abcdef\n" + EVENT_BODY, len(EVENT_BODY)))  # the body is exactly a block
-@example(case=(EVENT_BODY + "3,dark\n", len(EVENT_BODY)))  # a block of the header and two rows, then one row
-@example(case=(EVENT_BODY + "\n\n# a\n\n4,bogus\n", 5))  # a bad row past several blocks
+@example(case=("# manifest: 0123456789abcdef\n" + EVENT_BODY, len(EVENT_BODY)))
+@example(case=(EVENT_BODY + "3,dark\n", len(EVENT_BODY)))
+@example(case=(EVENT_BODY + "\n\n# a\n\n4,bogus\n", 5))  # a bad row past blank and '#' lines
+# one field short and one over: the two rows' field counts balance out
+@example(case=("timestamp_ns,label\n9\n5,dark,1\n", 1))
 def test_event_block_reader_matches_per_line_loop(case):
-    assert_readers_agree(read_event_rows, loop_event_rows, *case)
+    text, _ = case
+    assert outcome(read_event_rows, text) == outcome(loop_event_rows, text)
 
 
 def loop_event_stream(text):
@@ -1042,7 +1039,7 @@ def stream_outcome(read, text):
 @example(case=(EVENT_BODY + "99999999999999999999,dark\n", 64))
 def test_event_csv_from_csv_matches_per_line_loop(case):
     text, block = case
-    with unittest.mock.patch.object(tables, "_BLOCK_CHARS", block):
+    with unittest.mock.patch.object(simulator, "_READ_CHARS", block):
         got = stream_outcome(lambda t: EventStream.from_csv(t, 1.0), text)
     assert got == stream_outcome(loop_event_stream, text)
 
@@ -1101,15 +1098,15 @@ def test_edited_event_csv_matches_per_line_loop(stream, manifest, edit, byte, da
     text = ("# manifest: 0123456789abcdef\n" if manifest else "") + stream.to_csv()
     at = data.draw(st.integers(0, len(text) - (edit != "insert")))
     text = text[:at] + (byte if edit != "delete" else "") + text[at + (edit != "insert") :]
-    block = data.draw(st.one_of(st.integers(1, len(text) + 2), st.just(tables._BLOCK_CHARS)))
-    with unittest.mock.patch.object(tables, "_BLOCK_CHARS", block):
+    block = data.draw(st.one_of(st.integers(1, len(text) + 2), st.just(simulator._READ_CHARS)))
+    with unittest.mock.patch.object(simulator, "_READ_CHARS", block):
         got = stream_outcome(lambda t: EventStream.from_csv(t, 1.0), text)
     assert got == stream_outcome(loop_event_stream, text)
 
 
 @settings(deadline=None, max_examples=200)
 @given(stream=event_streams(top=10**18 - 1), manifest=st.booleans(),
-       block=st.one_of(st.integers(1, 64), st.just(tables._BLOCK_CHARS)))
+       block=st.one_of(st.integers(1, 64), st.just(simulator._READ_CHARS)))
 @example(stream=edge_stream(10**18 - 1), manifest=True, block=1)
 def test_written_event_csv_is_read_as_bytes(stream, manifest, block):
     """to_csv text, with or without the manifest line, never reaches the line reader while
@@ -1117,7 +1114,7 @@ def test_written_event_csv_is_read_as_bytes(stream, manifest, block):
     text = ("# manifest: 0123456789abcdef\n" if manifest else "") + stream.to_csv()
     line_reader = unittest.mock.Mock(side_effect=AssertionError("tables.read_rows was called"))
     with unittest.mock.patch.object(tables, "read_rows", line_reader), \
-            unittest.mock.patch.object(tables, "_BLOCK_CHARS", block):
+            unittest.mock.patch.object(simulator, "_READ_CHARS", block):
         back = EventStream.from_csv(text, 1.0)
     np.testing.assert_array_equal(back.timestamps_ns, stream.timestamps_ns)
     np.testing.assert_array_equal(back.labels, stream.labels)
@@ -1125,19 +1122,7 @@ def test_written_event_csv_is_read_as_bytes(stream, manifest, block):
 
 @settings(deadline=None, max_examples=200)
 @given(case=tables_text(GRID_LINES, None))
-@example(case=("1,2\n\r\n3,4\n5\n", 4))  # CRLF blank line, then a short row in a later block
+@example(case=("1,2\n\r\n3,4\n5\n", 4))  # CRLF blank line, then a short row
 def test_grid_block_reader_matches_per_line_loop(case):
-    assert_readers_agree(read_grid_rows, loop_grid_rows, *case)
-
-
-def test_table_reader_holds_one_block_of_lines():
-    """A long table is split into blocks of at most _BLOCK_CHARS characters plus one line."""
-    text = "".join(f"{i},dark\n" for i in range(100_000))
-    longest = max(sum(map(len, lines)) + len(lines) for _, lines, _ in tables._blocks(text))
-    assert longest <= tables._BLOCK_CHARS + len("99999,dark\n")
-
-
-def test_columns_rejects_rows_whose_field_counts_balance():
-    # one field short and one over: the total matches two rows of two fields
-    with pytest.raises(ValueError, match="wrong number of columns"):
-        tables._columns(["9", "5,dark,1"], 2)
+    text, _ = case
+    assert outcome(read_grid_rows, text) == outcome(loop_grid_rows, text)
