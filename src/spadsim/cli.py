@@ -197,7 +197,11 @@ def cmd_fidelity(args) -> Output:
         if getattr(args, name) is None:
             setattr(args, name, default)  # so an omitted flag hashes like its default
     scenario, config_text = _load_config(args)
-    targets = [_float("--targets", t) for t in args.targets.split(",")]
+    tokens = args.targets.split(",")
+    targets = [_float("--targets", t) for t in tokens]
+    for i, target in enumerate(targets):
+        if target in targets[:i]:  # a repeated target would run its sweep again for the same row
+            raise ValueError(f"--targets: {tokens[i]!r} repeats an earlier target")
     curve = detection.fidelity_curve(
         scenario, targets, args.trials, sub_bin=args.sub_bin_us * 1e-6, max_time=args.max_time_ms * 1e-3
     )

@@ -164,6 +164,12 @@ class TestFidelity:
         rc = main(["fidelity", "--config", config_file, "--targets", "1.5", "--trials", "10"])
         assert rc == EXIT_INPUT_ERROR
 
+    def test_repeated_target_is_input_error(self, outdir, capsys):
+        # a repeated target would run the same sweep twice and write the same row twice
+        assert main(["fidelity", "--targets", "0.99,0.9,0.990", "--trials", "10"]) == EXIT_INPUT_ERROR
+        assert "error: --targets: '0.990' repeats an earlier target" in capsys.readouterr().err
+        assert not (outdir / "fidelity_curve.csv").exists()
+
     def test_infinite_max_time_is_input_error(self, outdir, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["fidelity", "--max-time-ms", "inf", "--trials", "10"])
@@ -567,13 +573,32 @@ class TestFlags:
         assert not (outdir / "reflectance.csv").exists()
 
 
-def test_cli_import_leaves_scipy_signal_and_stats_unloaded():
-    # scipy.signal, scipy.stats and scipy.special take most of a cold start; the CLI loads them only when used
+def test_cli_import_leaves_scipy_signal_and_stats_unloaded(tmp_path):
+    # scipy is a test dependency only: importing the CLI loads no scipy module, and with every
+    # scipy import blocked the presets that once used it, and the front end, still run
     src = str(Path(__file__).resolve().parents[1] / "src")
-    lazy = ("scipy.signal", "scipy.stats", "scipy.special")
-    code = f"import sys, spadsim.cli; print(sorted(m for m in {lazy!r} if m in sys.modules))"
+    loaded = 'print(sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod is not None))'
     out = subprocess.run(
-        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"],
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); import spadsim.cli; {loaded}"],
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "[]"
+    code = f"""
+import sys
+sys.path.insert(0, {src!r})
+sys.modules["scipy"] = None  # so that importing scipy or any of its modules raises ImportError
+from spadsim.cli import main
+from spadsim.model import Scenario
+from spadsim.simulator import FrontEndParams, simulate_frontend, simulate_stream
+for argv in (["threshold"], ["fidelity", "--trials", "200"], ["fidelity", "--projection", "--trials", "200"],
+             ["simulate", "--duration", "1"]):
+    assert main([*argv, "--output-dir", {str(tmp_path)!r}]) == 0, argv
+_, _, digital = simulate_frontend(simulate_stream(Scenario(trial_duration=1e-3), True), FrontEndParams(), 50e6)
+assert len(digital) > 0
+{loaded}
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "[]"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "events.csv", "fidelity_curve.csv", "fidelity_projection.csv", "threshold_histogram.csv",
+    ]

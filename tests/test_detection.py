@@ -61,6 +61,17 @@ class TestAnalyticThreshold:
         with pytest.raises(ValueError):
             analytic_threshold_fidelity(5000.0, 6000.0, 0.025)
 
+    @pytest.mark.parametrize("budget, sub_bin, max_time", [
+        (table_budget(), 100e-6, 50e-3),
+        (projected_budget(), PROJECTED_SUB_BIN, PROJECTED_MAX_TIME),
+    ], ids=["reference", "projection"])
+    def test_curve_matches_per_window_wrapper(self, budget, sub_bin, max_time):
+        # the curve takes all 25 windows in one call on one ln k! table; each equals its own call
+        curve = fidelity_curve(Scenario(budget=budget), [0.99], 1, sub_bin=sub_bin, max_time=max_time)
+        assert len(curve.threshold) == 25
+        for window, fid in curve.threshold:
+            assert fid == analytic_threshold_fidelity(curve.ion_rate, curve.empty_rate, window)[1]
+
     def test_monte_carlo_agreement(self):
         rng = np.random.default_rng(7)
         window, n = 0.025, 2000

@@ -4,9 +4,10 @@ The loops below are the reference implementations: the per-trial arrival
 draw; numpy's stable argsort for the checked unstable sort; the per-event
 dead-time filter, also for the window-by-window filter with its carried
 last kept time; np.histogram and the per-event edge search for the binning;
-the per-event direct sum of exponential pulses; the per-edge
-Schmitt trigger; the per-angle 2x2 transfer-matrix product; the per-offset
-collection sum; the per-line table reader; and the per-row event CSV writer.
+the per-event direct sum of exponential pulses, and scipy.signal's lfilter
+for the first-order scan of both front-end filters; the per-edge Schmitt
+trigger; scipy.special's pdtr and pdtrc for the Poisson law; the per-angle
+2x2 transfer-matrix product; the per-offset collection sum; the per-line table reader; and the per-row event CSV writer.
 
 The sequential detector's one stopping rule in the package is the early-exit
 pass `_stopping_bins` inside `fidelity_curve`. Its oracles live here: the
@@ -29,6 +30,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import signal
+from scipy.special import pdtr, pdtrc
 
 from spadsim import detection, simulator, tables
 from spadsim.detection import (
@@ -37,6 +39,7 @@ from spadsim.detection import (
     PROJECTION_TARGET_SWEEP,
     _bin_log_likelihood_ratios,
     _first_crossings,
+    _poisson_cdf,
     _stopping_bins,
     fidelity_curve,
     projected_scenario_fidelity,
@@ -56,12 +59,15 @@ from spadsim.optics import (
 )
 from spadsim.simulator import (
     _EVENT_HEADER,
+    _SCAN_BLOCK,
+    _SCAN_FLOOR,
     NS,
     EventStream,
     FrontEndParams,
     _bin_counts,
     _carry_dead_time,
     _event_row,
+    _first_order,
     _schmitt_crossings,
     _stable_order,
     _window_counter,
@@ -612,6 +618,22 @@ def exact_sequential(ion_rate, empty_rate, target, sub_bin, max_time):
     return out
 
 
+@settings(deadline=None, max_examples=300)
+@given(mus=st.lists(finite(0.0, 1000.0), min_size=1, max_size=4))
+@example(mus=[0.0])
+@example(mus=[1000.0])
+@example(mus=[0.0, 585.0, 1e-300])
+def test_poisson_law_matches_pdtr(mus):
+    # means from 0 to 1000 hold every threshold window of both presets (the largest, about 585);
+    # the rows share one table up to the largest mean's kmax, and every k up to it is checked
+    kmax = max(int(mu + 10.0 * math.sqrt(mu) + 10) for mu in mus)
+    ks = np.arange(kmax + 1)
+    cdf = _poisson_cdf(mus, kmax)
+    for mu, row in zip(mus, cdf):
+        np.testing.assert_allclose(row, pdtr(ks, mu), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(1.0 - row, pdtrc(ks, mu), rtol=0, atol=1e-12)
+
+
 def assert_matches_exact(point, exact, trials, sub_bin):
     """A Monte Carlo (target, fidelity, mean time) within 4 standard errors of the exact values,
     each combining the two hypotheses' binomial (or stopping-time) errors over `trials` trials.
@@ -742,6 +764,30 @@ def test_frontend_matches_direct_sum(gaps_ns, duration_ns, sample_rate, rf, seed
     np.testing.assert_array_equal(t, t_ref)
     np.testing.assert_allclose(wave, wave_ref, rtol=0, atol=1e-11)
     np.testing.assert_array_equal(digital.timestamps_ns, ts_ref)
+
+
+# the pulse filter at 50 MS/s (a = 0.96), the low-pass at its 10x sample-rate floor, and the pulse
+# filter of a time constant so short that a underflows to 0
+@pytest.mark.parametrize("a, b", [
+    (math.exp(-20e-9 / 0.5e-6), 1.0),
+    (math.exp(-2 * math.pi / 10), 1 - math.exp(-2 * math.pi / 10)),
+    (0.0, 1.0),
+], ids=["pulse-50MSps", "lowpass-floor", "zero"])
+@pytest.mark.parametrize("n", [0, 1, 2, *(m + d for m in (_SCAN_BLOCK // 2, _SCAN_BLOCK) for d in (-1, 0, 1)),
+                               3 * _SCAN_BLOCK + 5])
+@pytest.mark.parametrize("rf", [False, True], ids=["impulses", "impulses+rf"])
+def test_first_order_scan_matches_lfilter(a, b, n, rf):
+    # the pulse filter takes blocks of _SCAN_BLOCK samples, the low-pass at its floor half as
+    # many (its a**_SCAN_BLOCK is below _SCAN_FLOOR), and a = 0 blocks of 1, so the lengths hold
+    # a block less one, a block and a block and one of each
+    assert (a**_SCAN_BLOCK >= _SCAN_FLOOR) == (a > 0.9) and a ** (_SCAN_BLOCK // 2) >= _SCAN_FLOOR or a == 0
+    rng = np.random.default_rng(n)
+    x = np.where(rng.random(n) < 0.05, rng.uniform(0.1, 0.5, n), 0.0)  # sparse pulse impulses
+    if rf:
+        x = x + 0.2 * np.sin(2 * np.pi * 17.7e6 * np.arange(n) / 50e6)
+    want = signal.lfilter([b], [1.0, -a], x)
+    # 1e-13 relative to the largest output: with rf the output crosses zero
+    np.testing.assert_allclose(_first_order(x, a, b), want, rtol=1e-13, atol=1e-13 * np.abs(want).max(initial=0.0))
 
 
 @settings(deadline=None, max_examples=300)

@@ -278,6 +278,27 @@ class TestFrontEnd:
         with pytest.raises(ValueError):
             FrontEndParams(lowpass_cutoff=0.0)
 
+    # the scan's premise is 0 <= a < 1 for both filters: a time constant of 0 divided by zero, a
+    # negative one rendered growing pulses, and NaN or inf passed the range checks
+    @pytest.mark.parametrize("field, value", [
+        ("pulse_time_constant", 0.0),
+        ("pulse_time_constant", -0.5e-6),
+        ("pulse_time_constant", float("nan")),
+        ("pulse_time_constant", float("inf")),
+        ("lowpass_cutoff", float("inf")),
+        ("lowpass_cutoff", float("nan")),
+        ("rf_frequency", float("inf")),
+        ("rf_frequency", float("nan")),
+        ("pulse_amplitude_range", (0.1, float("inf"))),
+        ("pulse_amplitude_range", (float("nan"), 0.5)),
+        ("pulse_amplitude_range", (0.1, float("nan"))),
+        ("rf_pickup_amplitude", float("inf")),
+        ("rf_pickup_amplitude", float("nan")),
+    ])
+    def test_bad_field_is_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            FrontEndParams(**{field: value})
+
 
 class TestEventStreamSerialization:
     def test_csv_round_trip(self):
