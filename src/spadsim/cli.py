@@ -8,7 +8,6 @@ import json
 import math
 import os
 import sys
-import warnings
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -18,7 +17,7 @@ import numpy as np
 from . import detection, estimation, synthetic
 from .config import ConfigError, load_scenario, scenario_to_text
 from .model import Scenario, table_budget
-from .optics import ShadowingWarning, bare_silicon_stack, efficiency_vs_offset, stack_reflectance
+from .optics import bare_silicon_stack, efficiency_vs_offset, stack_reflectance
 from .simulator import gate_and_count, simulate_stream
 
 EXIT_OK = 0
@@ -243,10 +242,7 @@ def _fidelity_csv(curve: detection.FidelityCurve) -> str:
 def cmd_collection(args) -> Output:
     scenario, config_text = _load_config(args)
     offsets = _parse_range("--offsets-um", args.offsets_um, 1e-6)
-    ces = efficiency_vs_offset(scenario.geometry, offsets)
-    with warnings.catch_warnings():  # the sweep above has named the same shadowed offsets
-        warnings.simplefilter("ignore", ShadowingWarning)
-        ces_bare = efficiency_vs_offset(scenario.geometry, offsets, include_arc=False)
+    ces, ces_bare = efficiency_vs_offset(scenario.geometry, offsets)
     body = "offset_um,efficiency,efficiency_no_arc\n" + "".join(
         f"{off * 1e6:.6g},{ce:.6g},{ce0:.6g}\n" for off, ce, ce0 in zip(offsets, ces, ces_bare)
     )

@@ -52,17 +52,18 @@ def threshold_fidelity(ion_counts, empty_counts, window: float) -> ThresholdResu
     if ion.size == 0 or empty.size == 0:
         raise ValueError("both count lists must be non-empty")
     kmax = int(max(ion.max(), empty.max()))
-    ks = np.arange(kmax + 1)
-    miss = np.searchsorted(np.sort(ion), ks, side="right") / ion.size
-    fa = 1.0 - np.searchsorted(np.sort(empty), ks, side="right") / empty.size
+    hist_ion = np.bincount(ion, minlength=kmax + 1)
+    hist_empty = np.bincount(empty, minlength=kmax + 1)
+    miss = np.cumsum(hist_ion) / ion.size  # empirical P(count <= k), k = 0..kmax
+    fa = 1.0 - np.cumsum(hist_empty) / empty.size
     fid = _fidelity_by_threshold(miss, fa)
     best = int(np.argmax(fid))
     return ThresholdResult(
         threshold=best,
         fidelity=float(fid[best]),
         window=window,
-        histogram_ion=np.bincount(ion, minlength=kmax + 1),
-        histogram_empty=np.bincount(empty, minlength=kmax + 1),
+        histogram_ion=hist_ion,
+        histogram_empty=hist_empty,
     )
 
 
@@ -178,7 +179,6 @@ def fidelity_curve(
     trials: int,
     sub_bin: float = 100e-6,
     max_time: float = 50e-3,
-    threshold_windows=None,
 ) -> FidelityCurve:
     """Monte Carlo sweep of the adaptive detector over stopping targets.
 
@@ -227,10 +227,9 @@ def fidelity_curve(
         for target, ok, used in zip(targets, correct, bins_used)
     ]
 
-    if threshold_windows is None:
-        threshold_windows = np.geomspace(sub_bin, max_time, 25)
-    _, thresh_fid = _threshold_optima(ion_rate, empty_rate, threshold_windows)
-    thresh_points = [(float(w), float(f)) for w, f in zip(threshold_windows, thresh_fid)]
+    windows = np.geomspace(sub_bin, max_time, 25)
+    _, thresh_fid = _threshold_optima(ion_rate, empty_rate, windows)
+    thresh_points = [(float(w), float(f)) for w, f in zip(windows, thresh_fid)]
     return FidelityCurve(bayes_points, thresh_points, ion_rate, empty_rate)
 
 

@@ -136,7 +136,7 @@ def expected_incident_rates(scenario: Scenario, offsets) -> np.ndarray:
     """Photon rate incident on the active area (after coating loss) at each lateral
     offset: the scenario's emission rate times its collection efficiency there. The QE
     fit's one forward model, for make_qe_dataset and fit_quantum_efficiency."""
-    return scattering_rate(scenario.emitter) * efficiency_vs_offset(scenario.geometry, offsets)
+    return scattering_rate(scenario.emitter) * efficiency_vs_offset(scenario.geometry, offsets)[0]
 
 
 def fit_quantum_efficiency(expected, measured) -> tuple[float, float]:

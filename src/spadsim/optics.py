@@ -256,19 +256,21 @@ class DetectorGeometry:
         return self.ion_height_above_surface + self.detector_recess_below_surface
 
 
-def collection_efficiency(geometry: DetectorGeometry, include_arc: bool = True) -> float:
-    """Fraction of emitted photons collected by the weighted active area at the
-    geometry's own lateral offset: the one-offset case of efficiency_vs_offset."""
-    return float(efficiency_vs_offset(geometry, [geometry.ion_lateral_offset], include_arc)[0])
+def collection_efficiency(geometry: DetectorGeometry) -> float:
+    """Fraction of emitted photons collected through the stack by the weighted active
+    area at the geometry's own lateral offset: the one-offset case of efficiency_vs_offset."""
+    return float(efficiency_vs_offset(geometry, [geometry.ion_lateral_offset])[0][0])
 
 
-def efficiency_vs_offset(geometry: DetectorGeometry, offsets, include_arc: bool = True) -> np.ndarray:
-    """Collection efficiency at each lateral offset, in input order.
+def efficiency_vs_offset(geometry: DetectorGeometry, offsets) -> tuple[np.ndarray, np.ndarray]:
+    """Collection efficiency at each lateral offset, in input order: through the
+    stack, and with no reflection loss at all (transmission 1, not bare silicon).
 
-    Sums weight * cos(theta) / (4 pi r^2) * cell_area * (1 - R(theta)) over
-    cells; the dipole_perpendicular pattern multiplies in (3/2) sin^2(theta).
-    All offsets are evaluated as one offsets x cells array, a block of offsets
-    at a time, with R only at cells of positive weight (the rest add an exact 0).
+    Sums weight * cos(theta) / (4 pi r^2) * cell_area over cells, times
+    (1 - R(theta)) for the first array; the dipole_perpendicular pattern
+    multiplies in (3/2) sin^2(theta). Both arrays come from one sweep: all
+    offsets are evaluated as one offsets x cells array, a block of offsets at a
+    time, with R only at cells of positive weight (the rest add an exact 0).
     One ShadowingWarning names every offset at which a weighted cell's line of sight
     to the ion leaves the aperture through its wall, whose occlusion is not modeled.
     """
@@ -287,7 +289,7 @@ def efficiency_vs_offset(geometry: DetectorGeometry, offsets, include_arc: bool 
     weighted = amap.weights > 0
     t_surface = geometry.detector_recess_below_surface / d  # ray parameter at the trap surface
     block = max(1, _SWEEP_CELLS // amap.weights.size)
-    efficiency = np.empty(offsets.size)
+    efficiency, no_reflection = np.empty(offsets.size), np.empty(offsets.size)
     shadowed = np.zeros(offsets.size, dtype=bool)
     for start in range(0, offsets.size, block):
         ion_x = cx + offsets[start : start + block, None, None]
@@ -298,11 +300,10 @@ def efficiency_vs_offset(geometry: DetectorGeometry, offsets, include_arc: bool 
         frac = amap.weights * cos_t / (4.0 * np.pi * r2) * amap.cell_size**2
         if geometry.emission_pattern == "dipole_perpendicular":
             frac = frac * 1.5 * np.sin(theta) ** 2
-        if include_arc:
-            transmit = np.ones_like(theta)
-            transmit[:, weighted] = 1.0 - stack_reflectance(geometry.stack, theta[:, weighted])
-            frac = frac * transmit
-        efficiency[start : start + block] = frac.reshape(len(frac), -1).sum(axis=1)
+        transmit = np.ones_like(theta)
+        transmit[:, weighted] = 1.0 - stack_reflectance(geometry.stack, theta[:, weighted])
+        no_reflection[start : start + block] = frac.reshape(len(frac), -1).sum(axis=1)
+        efficiency[start : start + block] = (frac * transmit).reshape(len(frac), -1).sum(axis=1)
         if t_surface > 0:
             outside = np.hypot(xx - dx * t_surface, yy - dy * t_surface) > APERTURE_DIAMETER / 2
             shadowed[start : start + block] = (outside & weighted).any(axis=(1, 2))
@@ -314,4 +315,4 @@ def efficiency_vs_offset(geometry: DetectorGeometry, offsets, include_arc: bool 
             ShadowingWarning,
             stacklevel=2,
         )
-    return efficiency
+    return efficiency, no_reflection

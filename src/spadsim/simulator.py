@@ -448,6 +448,9 @@ class FrontEndParams:
 
     def __post_init__(self):
         # each test is written so that NaN fails it
+        for name in ("schmitt_high", "schmitt_low"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.schmitt_high > self.schmitt_low > 0:
             raise ValueError("require schmitt_high > schmitt_low > 0")
         if not 0 < self.pulse_time_constant < math.inf:
@@ -515,8 +518,8 @@ def simulate_frontend(events: EventStream, params: FrontEndParams, sample_rate: 
     the sum plus an rf sinusoid passes a first-order low-pass before the
     Schmitt trigger. Returns (time axis, waveform, digital EventStream).
     """
-    if sample_rate < 10 * params.lowpass_cutoff:
-        raise ValueError("sample_rate must be at least 10x the low-pass cutoff")
+    if not 10 * params.lowpass_cutoff <= sample_rate < math.inf:  # written so that NaN fails it
+        raise ValueError(f"sample_rate must be finite and at least 10x the low-pass cutoff, got {sample_rate}")
     if rng is None:
         rng = np.random.default_rng(0)
     dt = 1.0 / sample_rate

@@ -29,6 +29,7 @@ from spadsim.optics import (
     arc_stack,
     bare_silicon_stack,
     collection_efficiency,
+    efficiency_vs_offset,
     stack_reflectance,
     stack_transmittance,
 )
@@ -120,7 +121,7 @@ def test_4_collection_efficiency():
     filling = DetectorGeometry(
         ion_lateral_offset=0.0, active_area=aperture_filling_map(cell_size=0.25e-6)
     )
-    ce_fill = collection_efficiency(filling, include_arc=False)
+    _, [ce_fill] = efficiency_vs_offset(filling, [filling.ion_lateral_offset])  # no reflection loss
     ok = (
         abs(area * 1e12 - 60.0) / 60.0 <= 0.10
         and abs(ce_center - 0.0014) / 0.0014 <= 0.30

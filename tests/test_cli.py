@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spadsim import detection, estimation
+from spadsim import cli, detection, estimation
 from spadsim.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, _fidelity_csv, main
 from spadsim.config import scenario_to_text
 from spadsim.model import Scenario, table_budget
@@ -204,8 +204,17 @@ class TestCollection:
     def test_preset_names_its_shadowed_offsets_once(self, outdir):
         with pytest.warns(ShadowingWarning) as record:
             assert main(["collection", "--offsets-um", "0:80:5", "--check"]) == EXIT_OK
-        [warning] = record  # one warning for the coated and the uncoated sweep together
+        [warning] = record  # one sweep gives both columns
         assert "at offsets 75, 80 um;" in str(warning.message)
+
+    def test_one_sweep_for_both_columns(self, outdir):
+        sweep = unittest.mock.Mock(wraps=cli.efficiency_vs_offset)
+        with unittest.mock.patch.object(cli, "efficiency_vs_offset", sweep):
+            with pytest.warns(ShadowingWarning, match="at offsets 75, 80 um"):
+                assert main(["collection", "--offsets-um", "0:80:5"]) == EXIT_OK
+        assert sweep.call_count == 1
+        header, row = read_output(outdir / "collection_efficiency.csv")[1:3]
+        assert (header, row) == ("offset_um,efficiency,efficiency_no_arc", "0,0.00127334,0.00145852")
 
     def test_unshadowed_offsets_warn_nothing(self, outdir):
         # pyproject.toml turns a ShadowingWarning into an error

@@ -159,9 +159,8 @@ class TestCollectionEfficiency:
         geom = DetectorGeometry(
             ion_lateral_offset=0.0, active_area=aperture_filling_map(cell_size=0.25e-6)
         )
-        ce_geo = collection_efficiency(geom, include_arc=False)
+        [ce_arc], [ce_geo] = efficiency_vs_offset(geom, [0.0])
         assert ce_geo == pytest.approx(0.026, rel=0.20)
-        ce_arc = collection_efficiency(geom)
         assert ce_arc < ce_geo
 
     def test_point_like_cell_closed_form(self):
@@ -229,14 +228,16 @@ class TestEfficiencyVsOffset:
     def test_matches_elementwise_and_order(self):
         geom = DetectorGeometry()
         with pytest.warns(ShadowingWarning, match="at offsets 80 um"):
-            ces = efficiency_vs_offset(geom, [80e-6, 0.0])
-        assert isinstance(ces, np.ndarray) and ces.shape == (2,)
+            ces, ces_no_reflection = efficiency_vs_offset(geom, [80e-6, 0.0])
+        for column in (ces, ces_no_reflection):
+            assert isinstance(column, np.ndarray) and column.shape == (2,)
+        assert np.all(ces < ces_no_reflection)
         assert ces[0] == pytest.approx(0.0003, rel=0.30)
         assert ces[1] == pytest.approx(0.0014, rel=0.30)
 
     def test_single_offset(self):
         geom = DetectorGeometry()
-        [ce] = efficiency_vs_offset(geom, [25e-6])
+        [ce], _ = efficiency_vs_offset(geom, [25e-6])
         assert ce == collection_efficiency(replace(geom, ion_lateral_offset=25e-6))
 
     def test_monotone_descending_offsets(self):
@@ -244,7 +245,7 @@ class TestEfficiencyVsOffset:
         geom = DetectorGeometry()
         offsets = np.linspace(100e-6, 0.0, 41)
         with pytest.warns(ShadowingWarning) as record:
-            ces = efficiency_vs_offset(geom, offsets)
+            ces, _ = efficiency_vs_offset(geom, offsets)
         assert np.all(np.diff(ces) > 0)
         assert len(record) == 1  # one warning for the whole sweep
 
@@ -276,10 +277,13 @@ class TestEfficiencyVsOffset:
                 efficiency_vs_offset(geom, np.arange(0.0, 81e-6, 5e-6))
         assert sum(angles) == 17 * 587
 
-    @pytest.mark.parametrize("include_arc", [True, False])
+    @pytest.mark.parametrize("with_shadowed", [True, False])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_offset_named(self, include_arc, bad):
-        # without the coating NaN used to give nan and inf 0.0; with it the angle check
-        # fired and named neither the offset nor its point
+    def test_non_finite_offset_named(self, with_shadowed, bad):
+        # with no reflection loss NaN used to give nan and inf 0.0; through the coating the
+        # angle check fired and named neither the offset nor its point. The offsets are
+        # checked before the sweep, so a shadowed one after the bad one warns nothing
+        # (pyproject.toml turns a ShadowingWarning into an error)
+        offsets = [0.0, bad, 80e-6 if with_shadowed else 1e-6]
         with pytest.raises(ValueError, match=f"offsets must be finite, got {bad:g} m at point 2"):
-            efficiency_vs_offset(DetectorGeometry(), [0.0, bad, 1e-6], include_arc)
+            efficiency_vs_offset(DetectorGeometry(), offsets)

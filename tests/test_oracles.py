@@ -4,10 +4,12 @@ The loops below are the reference implementations: the per-trial arrival
 draw; numpy's stable argsort for the checked unstable sort; the per-event
 dead-time filter, also for the window-by-window filter with its carried
 last kept time; np.histogram and the per-event edge search for the binning;
+searchsorted on the sorted counts for the threshold rule's empirical CDFs;
 the per-event direct sum of exponential pulses, and scipy.signal's lfilter
 for the first-order scan of both front-end filters; the per-edge Schmitt
 trigger; scipy.special's pdtr and pdtrc for the Poisson law; the per-angle
-2x2 transfer-matrix product; the per-offset collection sum; the per-line table reader; and the per-row event CSV writer.
+2x2 transfer-matrix product; the per-offset collection sum, with the reflection
+loss and without it; the per-line table reader; and the per-row event CSV writer.
 
 The sequential detector's one stopping rule in the package is the early-exit
 pass `_stopping_bins` inside `fidelity_curve`. Its oracles live here: the
@@ -43,6 +45,7 @@ from spadsim.detection import (
     _stopping_bins,
     fidelity_curve,
     projected_scenario_fidelity,
+    threshold_fidelity,
 )
 from spadsim.model import BUDGET_SOURCES, SOURCE_LABELS, RateBudget, Scenario, table_budget
 from spadsim import optics
@@ -379,6 +382,34 @@ def test_gate_and_count_matches_per_event_search(case):
     np.testing.assert_array_equal(got, per_event_bin_counts(ts, gate, got.size))
 
 
+# --- threshold rule --------------------------------------------------------------
+
+
+def sorted_threshold_fidelity(ion, empty):
+    """(threshold, fidelity, histograms): the empirical CDFs by searchsorted on the sorted counts,
+    and each count's tally by list.count."""
+    ks = np.arange(max(max(ion), max(empty)) + 1)
+    miss = np.searchsorted(np.sort(ion), ks, side="right") / len(ion)
+    fa = 1.0 - np.searchsorted(np.sort(empty), ks, side="right") / len(empty)
+    fid = 1.0 - 0.5 * (miss + fa)
+    best = int(np.argmax(fid))
+    return best, float(fid[best]), [ion.count(k) for k in ks], [empty.count(k) for k in ks]
+
+
+# small counts tie often; large ones reach the counts of the presets' longest windows
+counts_lists = st.lists(st.one_of(st.integers(0, 12), st.integers(0, 5000)), min_size=1, max_size=300)
+
+
+@settings(deadline=None, max_examples=200)
+@given(ion=counts_lists, empty=counts_lists)
+@example(ion=[0], empty=[0])
+@example(ion=[3, 3, 3], empty=[3])
+def test_threshold_fidelity_matches_sorted_counts(ion, empty):
+    got = threshold_fidelity(ion, empty, 1e-3)
+    want = sorted_threshold_fidelity(ion, empty)
+    assert (got.threshold, got.fidelity, got.histogram_ion.tolist(), got.histogram_empty.tolist()) == want
+
+
 # --- sequential detector ---------------------------------------------------------
 
 
@@ -517,7 +548,7 @@ def test_fidelity_curve_matches_per_trial_detector(
     budget = RateBudget(fluorescence=fluorescence, dark_counts=background)
     scenario = Scenario(budget=budget, rng_seed=seed, dead_time=dead_time)
     sub_bin = max_time / n_bins
-    curve = fidelity_curve(scenario, targets, trials, sub_bin=sub_bin, max_time=max_time, threshold_windows=[sub_bin])
+    curve = fidelity_curve(scenario, targets, trials, sub_bin=sub_bin, max_time=max_time)
     want = loop_fidelity_points(scenario, targets, trials, sub_bin, max_time)
     assert repr(curve.bayes) == repr(want)
 
@@ -677,7 +708,7 @@ def test_fidelity_curve_matches_exact_sequential_test(fluorescence, background, 
         budget=RateBudget(fluorescence=fluorescence, dark_counts=background), rng_seed=seed, dead_time=0.0
     )
     max_time = sub_bin * n_bins
-    curve = fidelity_curve(scenario, targets, trials, sub_bin=sub_bin, max_time=max_time, threshold_windows=[sub_bin])
+    curve = fidelity_curve(scenario, targets, trials, sub_bin=sub_bin, max_time=max_time)
     for point in curve.bayes:
         exact = exact_sequential(fluorescence + background, background, point[0], sub_bin, max_time)
         assert_matches_exact(point, exact, trials, sub_bin)
@@ -935,20 +966,22 @@ def offset_sweeps(draw):
     offsets=offset_sweeps(),
     area=area_maps(),
     pattern=st.sampled_from(["isotropic", "dipole_perpendicular"]),
-    include_arc=st.booleans(),
     sweep_cells=st.sampled_from([1, 20_000, 1 << 20, optics._SWEEP_CELLS]),
 )
 @example(offsets=[80e-6, 0.0, -160e-6, 75e-6, 80e-6, 70e-6], area=AREA_MAPS["quarter disc"],
-         pattern="isotropic", include_arc=True, sweep_cells=optics._SWEEP_CELLS)
-def test_efficiency_sweep_matches_per_offset_loop(offsets, area, pattern, include_arc, sweep_cells):
+         pattern="isotropic", sweep_cells=optics._SWEEP_CELLS)
+def test_efficiency_sweep_matches_per_offset_loop(offsets, area, pattern, sweep_cells):
     geometry = DetectorGeometry(active_area=area, emission_pattern=pattern)
-    want = [loop_collection_efficiency(replace(geometry, ion_lateral_offset=off), include_arc) for off in offsets]
+    at_offsets = [replace(geometry, ion_lateral_offset=off) for off in offsets]
+    want = [loop_collection_efficiency(g, include_arc=True) for g in at_offsets]
+    want_no_reflection = [loop_collection_efficiency(g, include_arc=False)[0] for g in at_offsets]
     # blocks of one offset, of several with a partial last one, and of every offset at once
     with unittest.mock.patch.object(optics, "_SWEEP_CELLS", sweep_cells):
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
-            got = efficiency_vs_offset(geometry, offsets, include_arc)
+            got, got_no_reflection = efficiency_vs_offset(geometry, offsets)
     assert np.array_equal(got, [ce for ce, _ in want])
+    assert np.array_equal(got_no_reflection, want_no_reflection)
     named = [f"{off * 1e6:.6g}" for off, (_, shadowed) in zip(offsets, want) if shadowed]
     assert [str(w.message) for w in record] == (
         [f"line of sight from part of the active area to the ion clips the aperture wall at offsets "

@@ -272,6 +272,12 @@ class TestFrontEnd:
         with pytest.raises(ValueError):
             simulate_frontend(make_stream([], duration=1e-3), FrontEndParams(), 1e6)
 
+    # NaN passed the old lower-bound check and failed on an integer conversion; inf divided by zero
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_sample_rate_named(self, rate):
+        with pytest.raises(ValueError, match=f"sample_rate must be finite and at least 10x the low-pass cutoff, got {rate}"):
+            simulate_frontend(make_stream([1_000], duration=1e-3), FrontEndParams(), rate)
+
     def test_param_validation(self):
         with pytest.raises(ValueError):
             FrontEndParams(schmitt_high=0.03)  # below schmitt_low
@@ -294,6 +300,10 @@ class TestFrontEnd:
         ("pulse_amplitude_range", (0.1, float("nan"))),
         ("rf_pickup_amplitude", float("inf")),
         ("rf_pickup_amplitude", float("nan")),
+        # a Schmitt level of inf never fired: a 14-event stream rendered 0 digital events
+        ("schmitt_high", float("inf")),
+        ("schmitt_high", float("nan")),
+        ("schmitt_low", float("-inf")),
     ])
     def test_bad_field_is_named(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
