@@ -52,7 +52,7 @@ class EventStream:
             raise ValueError(f"label {lb[i]} at index {i} is not a source index 0..{len(SOURCE_LABELS) - 1}")
         object.__setattr__(self, "timestamps_ns", ts)
         object.__setattr__(self, "labels", lb.astype(np.int8, copy=False))
-        behind = np.diff(ts) <= 0
+        behind = ts[1:] <= ts[:-1]
         if behind.any():
             i = int(behind.argmax()) + 1
             raise ValueError(
@@ -332,14 +332,19 @@ def simulate_stream(scenario: Scenario, ion_present: bool) -> EventStream:
     by _stable_order, so events at equal float times keep their source order.
     """
     rng, span = np.random.default_rng(scenario.rng_seed), scenario.trial_duration
-    times, labels = [np.empty(0)], [np.empty(0, dtype=np.int8)]
-    for idx, rate in enumerate(_rates(scenario, ion_present, span)):
-        if rate > 0:
-            times.append(rng.uniform(0.0, span, size=rng.poisson(rate * span)))
-            labels.append(np.full(times[-1].size, idx, dtype=np.int8))
-    order, t = _stable_order(np.concatenate(times))
-    t_ns, labels = apply_dead_time(np.round(t / NS).astype(np.int64), np.concatenate(labels)[order], _dead_ns(scenario))
-    return EventStream(t_ns, labels, span)
+    times = [rng.uniform(0.0, span, size=rng.poisson(rate * span)) if rate > 0 else np.empty(0)
+             for rate in _rates(scenario, ion_present, span)]
+    labels = np.repeat(np.arange(len(times), dtype=np.int8), [x.size for x in times])
+    keys = np.concatenate(times)
+    del times  # each temporary goes once it is used up: the draw peaks at the sort
+    order, t = _stable_order(keys)
+    del keys
+    labels = labels[order]
+    del order
+    t /= NS
+    t_ns = np.round(t, out=t).astype(np.int64)
+    del t
+    return EventStream(*apply_dead_time(t_ns, labels, _dead_ns(scenario)), span)
 
 
 def _stable_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -470,10 +475,16 @@ class FrontEndParams:
 # the a**-j it multiplies by stays far below overflow.
 _SCAN_BLOCK = 1024
 _SCAN_FLOOR = 1e-150
+# The most samples one front-end render may hold: 1 GB at the 16 bytes a sample of its time
+# axis and waveform, where the render peaks; a second at 50 MS/s is 50M samples.
+_MAX_SAMPLES = 1 << 26
 
 
-def _first_order(x: np.ndarray, a: float, b: float) -> np.ndarray:
-    """y[n] = a * y[n - 1] + b * x[n] from y[-1] = 0, for 0 <= a <= 1, as a blocked scan.
+def _first_order(y: np.ndarray, a: float, b: float) -> None:
+    """y[n] = a * y[n - 1] + b * x[n] from y[-1] = 0, for 0 <= a <= 1, as a blocked scan in
+    place: y holds x on entry and the output on return. Its size must be a whole number of
+    _SCAN_BLOCKs. The scan is causal, so a caller pads its samples with any finite values
+    and reads the first ones back as if unpadded.
 
     Within a block that starts after state c, y at its j-th sample is
     a**j * (a * c + cumsum(b * x * a**-i)[j]). Each block's last y from a zero
@@ -487,8 +498,6 @@ def _first_order(x: np.ndarray, a: float, b: float) -> np.ndarray:
     while block > 1 and a**block < _SCAN_FLOOR:
         block //= 2
     j = np.arange(block)
-    y = np.zeros(-(-x.size // block) * block)
-    y[: x.size] = x
     y = y.reshape(-1, block)
     y *= b * a**-j
     ends = (y.sum(axis=1) * a ** (block - 1)).tolist()
@@ -497,18 +506,19 @@ def _first_order(x: np.ndarray, a: float, b: float) -> np.ndarray:
     y[:, 0] += a * np.array(entering)
     np.cumsum(y, axis=1, out=y)
     y *= a**j
-    return y.ravel()[: x.size]
 
 
 def _schmitt_crossings(wave: np.ndarray, high: float, low: float) -> np.ndarray:
     """Indices of rising crossings of `high`, re-armed only after dropping below `low`.
 
     Samples at or above `high` are labelled +1 and samples below `low` -1; a
-    crossing is a +1 whose previous label is -1, or the first label.
+    crossing is the start of a run of +1 whose previous run of nonzero labels
+    is -1, or the first such run.
     """
     label = (wave >= high).astype(np.int8) - (wave < low)
-    idx = np.flatnonzero(label)
-    return idx[np.diff(label[idx], prepend=-1) == 2]
+    starts = np.flatnonzero(np.diff(label, prepend=np.int8(0)))  # every run's start but a first run of 0
+    starts = starts[label[starts] != 0]
+    return starts[np.diff(label[starts], prepend=-1) == 2]
 
 
 def simulate_frontend(events: EventStream, params: FrontEndParams, sample_rate: float, rng=None):
@@ -517,15 +527,26 @@ def simulate_frontend(events: EventStream, params: FrontEndParams, sample_rate: 
     Each event adds a single-exponential pulse with a uniformly drawn amplitude;
     the sum plus an rf sinusoid passes a first-order low-pass before the
     Schmitt trigger. Returns (time axis, waveform, digital EventStream).
+
+    The render works in one float buffer of whole _SCAN_BLOCKs, which both
+    scans overwrite in place; the waveform returned is a view of its first
+    samples. It peaks at the time axis and waveform, 16 bytes a sample, and
+    a render of more than _MAX_SAMPLES samples is refused before anything
+    is drawn or allocated.
     """
     if not 10 * params.lowpass_cutoff <= sample_rate < math.inf:  # written so that NaN fails it
         raise ValueError(f"sample_rate must be finite and at least 10x the low-pass cutoff, got {sample_rate}")
-    if rng is None:
-        rng = np.random.default_rng(0)
     dt = 1.0 / sample_rate
     span = events.duration + 5 * params.pulse_time_constant
-    n = int(np.ceil(span / dt))
-    t = np.arange(n) * dt
+    samples = np.ceil(span / dt)
+    if not samples <= _MAX_SAMPLES:  # written so that NaN fails it
+        raise ValueError(
+            f"{samples:.0f} samples to render ({sample_rate:g} samples/s over {span:g} s), "
+            f"more than the limit of {_MAX_SAMPLES}"
+        )
+    if rng is None:
+        rng = np.random.default_rng(0)
+    n = int(samples)
 
     # each pulse is an impulse at its first sample, scaled by the decay since its
     # arrival, and the pulse decay is the one-pole filter over the impulse train
@@ -535,20 +556,34 @@ def simulate_frontend(events: EventStream, params: FrontEndParams, sample_rate: 
     t0 = events.times_s
     i0 = np.ceil(t0 / dt).astype(np.int64)
     on = i0 < n
-    weights = amps[on] * np.exp(-(t[i0[on]] - t0[on]) / tau)
-    impulses = np.bincount(i0[on], weights, minlength=n)
-    wave = _first_order(impulses, np.exp(-dt / tau), 1.0)
+    weights = amps[on] * np.exp(-(i0[on] * dt - t0[on]) / tau)  # i0 * dt is the time axis at i0, to the bit
+    # bincount gives int64 zeros for no events at all, and float64 for any
+    wave = np.bincount(i0[on], weights, minlength=-(-n // _SCAN_BLOCK) * _SCAN_BLOCK).astype(float, copy=False)
+    _first_order(wave, np.exp(-dt / tau), 1.0)
 
     if params.rf_pickup_amplitude > 0:
-        wave = wave + params.rf_pickup_amplitude * np.sin(2 * np.pi * params.rf_frequency * t)
+        pickup = _time_axis(n, dt)
+        pickup *= 2 * np.pi * params.rf_frequency
+        np.sin(pickup, out=pickup)
+        pickup *= params.rf_pickup_amplitude
+        wave[:n] += pickup
+        del pickup  # so that it is not held beside the time axis allocated below
 
     # exact first-order low-pass discretization
     a = np.exp(-dt * 2 * np.pi * params.lowpass_cutoff)
-    filtered = _first_order(wave, a, 1 - a)
+    _first_order(wave, a, 1 - a)
+    filtered = wave[:n]
 
     idx = _schmitt_crossings(filtered, params.schmitt_high, params.schmitt_low)
     ts_ns = np.round(idx * dt / NS).astype(np.int64)
     keep = np.concatenate(([True], np.diff(ts_ns) > 0)) if ts_ns.size else np.empty(0, dtype=bool)
     ts_ns = ts_ns[keep]
-    digital = EventStream(ts_ns, np.zeros(ts_ns.size, dtype=np.int8), max(span, events.duration))
-    return t, filtered, digital
+    digital = EventStream(ts_ns, np.zeros(ts_ns.size, dtype=np.int8), span)
+    return _time_axis(n, dt), filtered, digital
+
+
+def _time_axis(n: int, dt: float) -> np.ndarray:
+    """np.arange(n) * dt to the bit, with no int64 arange beside it."""
+    t = np.arange(n, dtype=float)
+    t *= dt
+    return t

@@ -817,18 +817,43 @@ def test_first_order_scan_matches_lfilter(a, b, n, rf):
     if rf:
         x = x + 0.2 * np.sin(2 * np.pi * 17.7e6 * np.arange(n) / 50e6)
     want = signal.lfilter([b], [1.0, -a], x)
+    # the scan runs in place on whole _SCAN_BLOCKs: x is padded, and the first n samples compared.
+    # The scan is causal, so the padding may hold anything finite; the front end leaves the pulse
+    # tails there when it runs the low-pass
+    y = rng.uniform(-1.0, 1.0, -(-n // _SCAN_BLOCK) * _SCAN_BLOCK)
+    y[:n] = x
+    _first_order(y, a, b)
     # 1e-13 relative to the largest output: with rf the output crosses zero
-    np.testing.assert_allclose(_first_order(x, a, b), want, rtol=1e-13, atol=1e-13 * np.abs(want).max(initial=0.0))
+    np.testing.assert_allclose(y[:n], want, rtol=1e-13, atol=1e-13 * np.abs(want).max(initial=0.0))
+
+
+# values below the low level, in the band between the levels, and at or above the high level
+_SCHMITT_LEVELS = {-1: [-0.1, 0.0, 0.03, 0.0399], 0: [0.04, 0.06, 0.0799], 1: [0.08, 0.09, 0.2]}
+
+
+@st.composite
+def schmitt_runs(draw):
+    """A wave of runs of -1, 0 and +1 labels (below low, in band, at or above high), each
+    run 1 to 6 samples of values from its range."""
+    runs = draw(st.lists(st.tuples(st.sampled_from([-1, 0, 1]), st.integers(1, 6)), max_size=20))
+    return np.array([draw(st.sampled_from(_SCHMITT_LEVELS[k])) for k, length in runs for _ in range(length)])
 
 
 @settings(deadline=None, max_examples=300)
 @given(
-    wave=arrays(
-        float,
-        st.integers(0, 120),
-        elements=st.one_of(finite(-0.1, 0.2), st.sampled_from([0.03, 0.04, 0.06, 0.08, 0.09])),
+    wave=st.one_of(
+        arrays(
+            float,
+            st.integers(0, 120),
+            elements=st.one_of(finite(-0.1, 0.2), st.sampled_from([0.03, 0.04, 0.06, 0.08, 0.09])),
+        ),
+        schmitt_runs(),
     ),
 )
+# a wave that starts in the band; one that starts above high and ends on a +1 run; +1 runs split only by the band
+@example(wave=np.array([0.06, 0.06, 0.09, 0.02, 0.05, 0.08, 0.08]))
+@example(wave=np.array([0.1, 0.1, 0.05, 0.09, 0.03, 0.2]))
+@example(wave=np.array([0.0, 0.09, 0.06, 0.09, 0.06, 0.09]))
 def test_schmitt_crossings_match_edge_walk(wave):
     got = _schmitt_crossings(wave, 0.08, 0.04)
     want = loop_schmitt_crossings(wave, 0.08, 0.04)

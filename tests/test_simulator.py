@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy import stats
 from spadsim.model import RateBudget, Scenario, table_budget
 from spadsim.simulator import (
     _MAX_EVENTS,
+    _MAX_SAMPLES,
     EventStream,
     FrontEndParams,
     _ordered_arrivals,
@@ -21,6 +23,18 @@ from spadsim.simulator import (
 def make_stream(times_ns, duration=1.0):
     t = np.asarray(times_ns, dtype=np.int64)
     return EventStream(t, np.zeros(t.size, dtype=np.int8), duration)
+
+
+def traced_peak(f):
+    """f() and the most memory traced while it ran, beyond what was allocated before it."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = f()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 class TestSimulateStream:
@@ -86,6 +100,14 @@ class TestSimulateStream:
     def test_fixed_seed_bytes_are_pinned(self, seed, digest):
         stream = simulate_stream(Scenario(budget=table_budget(), trial_duration=1.0, rng_seed=seed), True)
         assert hashlib.sha256(stream.to_csv().encode()).hexdigest() == digest
+
+    def test_draw_peak_per_event(self):
+        # the sort holds the times, their order and the ordered times, 24 bytes an event, and the
+        # draw drops each other temporary once it is used up
+        sc = Scenario(budget=table_budget(), trial_duration=10.0, dead_time=1e-6, rng_seed=1)
+        stream, peak = traced_peak(lambda: simulate_stream(sc, True))
+        assert len(stream) > 100_000
+        assert peak / len(stream) <= 32
 
     def test_event_count_past_limit_rejected_before_drawing(self):
         # counts far past any memory, so that a missing bound fails to allocate rather than allocating
@@ -267,6 +289,50 @@ class TestFrontEnd:
         params = FrontEndParams(schmitt_high=0.05, schmitt_low=0.025)
         _, _, digital = simulate_frontend(events, params, 20e6, rng=rng)
         assert abs(len(digital) - len(events)) <= max(1, 0.01 * len(events))
+
+    # sha256 of the time axis, waveform and digital timestamps of one 4 ms stream: at 50 MS/s,
+    # at the low-pass's 10x sample-rate floor (its scan takes 512-sample blocks), and with rf
+    # pickup, which at 16 MS/s aliases to 1.7 MHz and fires the trigger thousands of times
+    @pytest.mark.parametrize("rate, rf, digest", [
+        (50e6, 0.0, "51057c4557e4b5f0bde213a6c9fd21db3138418790f1eef696157fd12b8f0b1a"),
+        (16e6, 0.0, "b68adec75681a3363b97cced33b0634ef931abd3e70894a5549ed12e62a6dc22"),
+        (50e6, 0.2, "883984cc34c4132ce6c934926e55738b07fa7d8f8e5ce5c8aaefe36082b625fe"),
+        (16e6, 0.2, "d46df318729397a313ccfdd2ce29fb06d0116c016c6e64aa8458c4d89be063fd"),
+    ], ids=["50MSps", "lowpass-floor", "50MSps-rf", "lowpass-floor-rf"])
+    def test_fixed_seed_render_is_pinned(self, rate, rf, digest):
+        sc = Scenario(budget=table_budget(), trial_duration=4e-3, dead_time=1e-6, rng_seed=20)
+        params = FrontEndParams(rf_pickup_amplitude=rf)
+        t, wave, digital = simulate_frontend(simulate_stream(sc, True), params, rate, rng=np.random.default_rng(5))
+        data = t.tobytes() + wave.tobytes() + digital.timestamps_ns.tobytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    # the returned time axis and waveform take 16 bytes a sample, and the render holds little else at once
+    @pytest.mark.parametrize("rf", [0.0, 0.2], ids=["no-rf", "rf"])
+    def test_render_peak_per_sample(self, rf):
+        sc = Scenario(budget=table_budget(), trial_duration=25e-3, dead_time=1e-6, rng_seed=3)
+        events, params = simulate_stream(sc, True), FrontEndParams(rf_pickup_amplitude=rf)
+        (t, wave, _), peak = traced_peak(lambda: simulate_frontend(events, params, 50e6))
+        assert t.size == wave.size >= 1_000_000
+        assert peak / t.size <= 20
+
+    # a span too long for memory is refused before any sample or amplitude is allocated or drawn
+    @pytest.mark.parametrize("duration, named", [
+        (2.0, r"100000125 samples to render \(5e\+07 samples/s over 2 s\)"),
+        (float("inf"), r"inf samples to render \(5e\+07 samples/s over inf s\)"),
+        (float("nan"), r"nan samples to render \(5e\+07 samples/s over nan s\)"),
+    ])
+    def test_render_past_sample_limit_rejected_before_allocating(self, duration, named):
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        events = make_stream([1_000, 2_000], duration=duration)
+
+        def render():
+            with pytest.raises(ValueError, match=rf"^{named}, more than the limit of {_MAX_SAMPLES}$"):
+                simulate_frontend(events, FrontEndParams(), 50e6, rng=rng)
+
+        _, peak = traced_peak(render)
+        assert peak < 100_000
+        assert rng.bit_generator.state == state
 
     def test_sample_rate_too_low_rejected(self):
         with pytest.raises(ValueError):
