@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -331,7 +332,15 @@ def cmd_qefit(args) -> Output:
     ])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built on first use and shared by every later call.
+
+    Building it is most of an in-process preset's fixed cost, so one process
+    builds it once. Callers must not modify it. It holds nothing read from the
+    environment: main resolves --output-dir against $SPADSIM_OUTPUT_DIR at
+    each call.
+    """
     parser = argparse.ArgumentParser(
         prog="spadsim",
         description="Desk-scale trapped-ion/SPAD detection experiments",
@@ -347,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=int, help="override trial.seed")
         p.add_argument("--out", help="output CSV path")
-        p.add_argument("--output-dir", default=os.environ.get("SPADSIM_OUTPUT_DIR", "."),
+        p.add_argument("--output-dir",
                        help="directory for default-named outputs (default: $SPADSIM_OUTPUT_DIR, else .)")
         if check:
             p.add_argument("--check", action="store_true", help="verify acceptance thresholds; exit 1 on failure")
@@ -409,8 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    if args.output_dir is None:  # not falsiness: an explicit --output-dir '' keeps its meaning
+        args.output_dir = os.environ.get("SPADSIM_OUTPUT_DIR", ".")
     try:
         out = args.func(args)
         _write_output(_output_path(args, out.name), _manifest_hash(args.subcommand, args, out.hashed), out.body)

@@ -94,7 +94,9 @@ class Scenario:
     """Immutable bundle of everything a simulated trial needs; by default the reference device.
 
     dead_time is the detector's nonparalyzable dead time in seconds: an event
-    within it of the last kept event is dropped.
+    within it of the last kept event is dropped. trial_duration must be finite
+    and > 0, dead_time finite and >= 0; any other value is a ValueError that
+    names the field and the value.
     """
 
     budget: RateBudget = field(default_factory=table_budget)
@@ -105,8 +107,8 @@ class Scenario:
     dead_time: float = 1e-6
 
     def __post_init__(self):
-        if self.trial_duration <= 0:
-            raise ValueError("trial_duration must be > 0")
-        if self.dead_time < 0:
-            raise ValueError("dead_time must be >= 0")
+        if not 0 < self.trial_duration < math.inf:
+            raise ValueError(f"trial_duration must be > 0 and finite, got {self.trial_duration}")
+        if not 0 <= self.dead_time < math.inf:
+            raise ValueError(f"dead_time must be >= 0 and finite, got {self.dead_time}")
 

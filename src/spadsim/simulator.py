@@ -27,7 +27,8 @@ class EventStream:
     """Timestamped detector events on a 1 ns grid.
 
     timestamps_ns are nonnegative, strictly increasing int64 nanoseconds;
-    labels index into SOURCE_LABELS. duration is the covered span in seconds.
+    labels index into SOURCE_LABELS. duration is the covered span in seconds,
+    finite and > 0; any other value is a ValueError that names it.
     """
 
     timestamps_ns: np.ndarray
@@ -59,8 +60,8 @@ class EventStream:
                 f"timestamp {ts[i]} ns at index {i} is not after {ts[i - 1]} ns at index {i - 1}: "
                 "timestamps must be strictly increasing"
             )
-        if self.duration <= 0:
-            raise ValueError("duration must be > 0")
+        if not 0 < self.duration < math.inf:
+            raise ValueError(f"duration must be > 0 and finite, got {self.duration}")
 
     def __len__(self):
         return self.timestamps_ns.size
@@ -414,9 +415,12 @@ def _window_counter(scenario: Scenario, ion_present: bool, rng, n_rows: int, wid
 
 
 def gate_and_count(stream: EventStream, gate: float) -> np.ndarray:
-    """Counts in consecutive windows of length gate partitioning [0, duration)."""
-    if gate <= 0:
-        raise ValueError("gate must be > 0")
+    """Counts in consecutive windows of length gate partitioning [0, duration).
+
+    gate is in seconds, finite and > 0; any other value is a ValueError that names it.
+    """
+    if not 0 < gate < math.inf:
+        raise ValueError(f"gate must be > 0 and finite, got {gate}")
     n_gates = int(np.floor(stream.duration / gate + 1e-9))
     if n_gates < 1:
         raise ValueError("gate is longer than the stream duration")

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import subprocess
 import sys
@@ -453,6 +454,21 @@ class TestOutputRules:
             assert main([*argv, "--out", "out/table.csv"]) == EXIT_OK
         assert read_output(tmp_path / "out" / "table.csv")[0] == f"# manifest: {manifest}"
 
+    # the --output-dir default is read from the environment at each call and hashes as its value
+    @pytest.mark.parametrize("env, argv, path, manifest", [
+        ("results", ["budget", "--demo"], "results/budget.csv", "7ed2cc4f623bc058"),
+        ("results", ["budget", "--demo", "--out", "x/b.csv"], "x/b.csv", "ec4909a6574ca5ac"),
+        (None, ["arc", "--output-dir", ""], "reflectance.csv", "917f2205420298fd"),
+    ], ids=["budget-environment", "budget-environment-out", "arc-empty-output-dir"])
+    def test_manifest_line_with_output_dir_is_pinned(self, tmp_path, monkeypatch, env, argv, path, manifest):
+        if env is None:
+            monkeypatch.delenv("SPADSIM_OUTPUT_DIR", raising=False)
+        else:
+            monkeypatch.setenv("SPADSIM_OUTPUT_DIR", env)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == EXIT_OK
+        assert read_output(tmp_path / path)[0] == f"# manifest: {manifest}"
+
     @pytest.mark.parametrize("argv, name, summary, failure", [
         # both criteria fail; the first is named
         (["threshold", "--config", "weak.cfg"], "threshold_histogram.csv", "optimal threshold:",
@@ -580,6 +596,41 @@ class TestFlags:
         assert main(["arc", "--angles-deg", "0", "--output-dir", str(flag_dir)]) == EXIT_OK
         read_output(flag_dir / "reflectance.csv")
         assert not (outdir / "reflectance.csv").exists()
+
+
+class TestOneParser:
+    # main builds its parser once per process; each call still reads its own arguments and environment
+    def test_second_call_builds_no_parser(self, outdir):
+        assert main(["arc", "--angles-deg", "0"]) == EXIT_OK
+        with unittest.mock.patch.object(argparse.ArgumentParser, "__init__", side_effect=AssertionError("built")):
+            assert main(["budget", "--demo"]) == EXIT_OK
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_output_dir_environment_read_at_each_call(self, tmp_path, monkeypatch):
+        for name in ("first", "second"):
+            monkeypatch.setenv("SPADSIM_OUTPUT_DIR", str(tmp_path / name))
+            assert main(["arc", "--angles-deg", "0"]) == EXIT_OK
+            assert [p.name for p in (tmp_path / name).iterdir()] == ["reflectance.csv"]
+        (tmp_path / "second" / "reflectance.csv").unlink()
+        # an explicit --output-dir still wins, the empty one (the working directory) included
+        assert main(["arc", "--angles-deg", "0", "--output-dir", str(tmp_path / "flag")]) == EXIT_OK
+        read_output(tmp_path / "flag" / "reflectance.csv")
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        assert main(["arc", "--angles-deg", "0", "--output-dir", ""]) == EXIT_OK
+        read_output(tmp_path / "cwd" / "reflectance.csv")
+        assert not any((tmp_path / "second").iterdir())
+
+    def test_no_state_carries_over_between_calls(self, outdir, capsys):
+        assert main(["simulate", "--duration", "0.5", "--no-ion"]) == EXIT_OK
+        assert "  fluorescence: 0" in capsys.readouterr().out.splitlines()
+        assert main(["simulate", "--duration", "0.5"]) == EXIT_OK
+        counts = dict(line.split(": ") for line in capsys.readouterr().out.splitlines()[2:])
+        assert int(counts["  fluorescence"]) > 0
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--no-such-flag"])
+        assert exc.value.code == EXIT_INPUT_ERROR
+        assert main(["arc", "--angles-deg", "0"]) == EXIT_OK
 
 
 def test_cli_import_leaves_scipy_signal_and_stats_unloaded(tmp_path):

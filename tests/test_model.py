@@ -79,3 +79,16 @@ def test_emitter_validation():
 def test_scenario_validation():
     with pytest.raises(ValueError):
         Scenario(trial_duration=0.0)
+
+
+# a field that is not finite is named with its value here, not met later inside simulate_stream
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_trial_duration_named(value):
+    with pytest.raises(ValueError, match=rf"^trial_duration must be > 0 and finite, got {value}$"):
+        Scenario(trial_duration=value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_dead_time_named(value):
+    with pytest.raises(ValueError, match=rf"^dead_time must be >= 0 and finite, got {value}$"):
+        Scenario(dead_time=value)

@@ -256,6 +256,12 @@ class TestGateAndCount:
         with pytest.raises(ValueError):
             gate_and_count(make_stream([], duration=1.0), 0.0)
 
+    # a gate that is not finite is named, not met as a failed int conversion or a "longer than" error
+    @pytest.mark.parametrize("gate", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_gate_named(self, gate):
+        with pytest.raises(ValueError, match=rf"^gate must be > 0 and finite, got {gate}$"):
+            gate_and_count(make_stream([100], duration=1.0), gate)
+
 
 class TestFrontEnd:
     def test_single_event_single_digital_pulse(self):
@@ -315,11 +321,11 @@ class TestFrontEnd:
         assert t.size == wave.size >= 1_000_000
         assert peak / t.size <= 20
 
-    # a span too long for memory is refused before any sample or amplitude is allocated or drawn
+    # a span too long for memory is refused before any sample or amplitude is allocated or drawn;
+    # a non-finite span cannot reach the render, since EventStream refuses a non-finite duration
     @pytest.mark.parametrize("duration, named", [
         (2.0, r"100000125 samples to render \(5e\+07 samples/s over 2 s\)"),
-        (float("inf"), r"inf samples to render \(5e\+07 samples/s over inf s\)"),
-        (float("nan"), r"nan samples to render \(5e\+07 samples/s over nan s\)"),
+        (1e301, r"inf samples to render \(5e\+07 samples/s over 1e\+301 s\)"),
     ])
     def test_render_past_sample_limit_rejected_before_allocating(self, duration, named):
         rng = np.random.default_rng(1)
@@ -440,6 +446,12 @@ class TestEventStreamValidation:
     def test_counts_by_source_covers_every_source(self):
         stream = EventStream(np.array([1, 2, 3, 4]), np.array([4, 0, 4, 2]), 1.0)
         assert stream.counts_by_source() == {"fluorescence": 1, "repump": 0, "doppler": 1, "dark": 0, "rf": 2}
+
+    # a duration that is not finite is named here, not later by gate_and_count's int conversion
+    @pytest.mark.parametrize("duration", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_duration_named(self, duration):
+        with pytest.raises(ValueError, match=rf"^duration must be > 0 and finite, got {duration}$"):
+            EventStream(np.array([1000, 2000]), np.array([0, 0]), duration)
 
     def test_zero_timestamp_accepted(self):
         assert len(make_stream([0, 1])) == 2
