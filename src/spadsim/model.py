@@ -17,7 +17,8 @@ class RateBudget:
     """Per-source detector count rates in counts/s.
 
     fluorescence is ion signal; the other four are backgrounds that persist
-    with the ion removed.
+    with the ion removed. Each must be finite and >= 0; any other value is a
+    ValueError that names the field and the value.
     """
 
     fluorescence: float = 0.0
@@ -28,8 +29,8 @@ class RateBudget:
 
     def __post_init__(self):
         for name in BUDGET_SOURCES:
-            if getattr(self, name) < 0:
-                raise ValueError(f"rate {name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:  # written so that NaN fails it
+                raise ValueError(f"rate {name} must be >= 0 and finite, got {getattr(self, name)}")
 
     def ion_total(self) -> float:
         """Total count rate with the ion present (all five sources)."""
@@ -51,17 +52,19 @@ class EmitterParams:
     """Two-level scatterer: natural linewidth and drive strength.
 
     gamma_over_2pi_hz is the linewidth gamma/2pi in Hz. saturation_fraction is
-    s/(1+s), the fraction of the fully saturated emission rate gamma/2.
+    s/(1+s), the fraction of the fully saturated emission rate gamma/2. A value out
+    of range, NaN or ±inf included, is a ValueError that names the field and the value.
     """
 
     gamma_over_2pi_hz: float = 19.6e6
     saturation_fraction: float = 0.83
 
     def __post_init__(self):
-        if self.gamma_over_2pi_hz <= 0:
-            raise ValueError("linewidth must be > 0")
+        # each test is written so that NaN fails it
+        if not 0 < self.gamma_over_2pi_hz < math.inf:
+            raise ValueError(f"gamma_over_2pi_hz must be > 0 and finite, got {self.gamma_over_2pi_hz}")
         if not 0.0 <= self.saturation_fraction < 1.0 + 1e-12:
-            raise ValueError("saturation_fraction must lie in [0, 1]")
+            raise ValueError(f"saturation_fraction must lie in [0, 1], got {self.saturation_fraction}")
 
     @property
     def gamma(self) -> float:

@@ -264,21 +264,24 @@ def apply_dead_time(times_ns: np.ndarray, labels: np.ndarray, dead_ns: int):
     """Nonparalyzable filter on ascending times_ns: keep an event iff it is >= dead_ns
     (and >= 1 ns) after the last kept one.
 
-    An event at least that gap after its predecessor is always kept, so only
-    the events closer than that to their predecessor are walked in order.
+    An event at least that gap after its predecessor is always kept, and one
+    closer than that to a kept predecessor is always dropped. So the first
+    close event of each run is dropped after a kept one, and only the events
+    whose predecessor is close too are walked in order.
     """
     gap = _dead_gap_ns(dead_ns)
-    close = np.flatnonzero(np.diff(times_ns) < gap) + 1
-    drop = []
-    last, dropped = 0, -1
-    for i, t, prev in zip(close.tolist(), times_ns[close].tolist(), times_ns[close - 1].tolist()):
-        if i - 1 != dropped:  # the predecessor was kept; otherwise the last kept time carries over
-            last = prev
-        if t - last < gap:
-            drop.append(i)
-            dropped = i
+    close = np.diff(times_ns) < gap  # close[i - 1]: event i is within the gap of event i - 1
     keep = np.ones(times_ns.size, dtype=bool)
-    keep[drop] = False
+    keep[1:] = ~close
+    chained = np.flatnonzero(close[1:] & close[:-1]) + 2
+    walked = -1
+    for i, t, before in zip(chained.tolist(), times_ns[chained].tolist(), times_ns[chained - 2].tolist()):
+        if i - 1 != walked:  # event i - 1 starts the run: dropped after the kept event i - 2
+            last = before
+        if t - last >= gap:
+            keep[i] = True
+            last = t
+        walked = i
     return times_ns[keep], labels[keep]
 
 
@@ -327,40 +330,35 @@ def simulate_stream(scenario: Scenario, ion_present: bool) -> EventStream:
     """Superpose the budget's homogeneous Poisson sources into one stream filtered by the
     scenario's dead time.
 
-    Fluorescence contributes only when ion_present. Deterministic given the
-    scenario seed: each source with a positive rate draws its count, then its
-    uniform times, in BUDGET_SOURCES order. The arrivals are put in time order
-    by _stable_order, so events at equal float times keep their source order.
+    Fluorescence contributes only when ion_present. The sources superpose into one
+    Poisson process at the total rate whose events take independent labels by rate
+    share (Kingman 1993), so one draw serves them all: a count at the total rate,
+    then count + 1 exponential spacings, whose partial sums over their total, times
+    the span, are the count's sorted uniform times (Devroye 1986, ch. V), then one
+    uniform per event, whose label is the number of the four interior cumulative
+    rate shares at or below it. Nothing is sorted, and a source of zero rate is
+    never drawn. Deterministic given the scenario seed and ion_present, which seed
+    the draw together, so the two hypotheses' streams are independent.
+
+    This is _ordered_arrivals' law for one row, drawn in place: that function's
+    row index and per-row sums would cost a stream more memory and time.
     """
-    rng, span = np.random.default_rng(scenario.rng_seed), scenario.trial_duration
-    times = [rng.uniform(0.0, span, size=rng.poisson(rate * span)) if rate > 0 else np.empty(0)
-             for rate in _rates(scenario, ion_present, span)]
-    labels = np.repeat(np.arange(len(times), dtype=np.int8), [x.size for x in times])
-    keys = np.concatenate(times)
-    del times  # each temporary goes once it is used up: the draw peaks at the sort
-    order, t = _stable_order(keys)
-    del keys
-    labels = labels[order]
-    del order
-    t /= NS
-    t_ns = np.round(t, out=t).astype(np.int64)
-    del t
-    return EventStream(*apply_dead_time(t_ns, labels, _dead_ns(scenario)), span)
-
-
-def _stable_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The stable ascending order of keys, and the keys in that order.
-
-    numpy's default sort is not stable, but when the sorted keys strictly
-    increase the ascending order is unique, so it is the stable one. Only keys
-    with a tie (0.0 against -0.0 too) are sorted again by the stable mergesort.
-    """
-    order = np.argsort(keys)
-    ordered = keys[order]
-    if not np.all(ordered[1:] > ordered[:-1]):
-        order = np.argsort(keys, kind="stable")
-        ordered = keys[order]
-    return order, ordered
+    rng, span = np.random.default_rng([scenario.rng_seed, int(ion_present)]), scenario.trial_duration
+    rates = _rates(scenario, ion_present, span)
+    total = sum(rates)
+    n = rng.poisson(total * span)
+    t = rng.standard_exponential(n + 1)
+    np.cumsum(t, out=t)
+    t *= span / NS / t[-1]
+    t_ns = np.round(t[:-1], out=t[:-1]).astype(np.int64)
+    del t  # each temporary goes once it is used up: the draw peaks at the dead-time filter
+    u = rng.random(n)
+    labels = np.zeros(n, dtype=np.int8)
+    for cumulative in accumulate(rates[:-1]) if n else ():  # no events: no shares, and maybe no rate
+        labels += u >= cumulative / total
+    del u
+    t_ns, labels = apply_dead_time(t_ns, labels, _dead_ns(scenario))
+    return EventStream(t_ns, labels, span)
 
 
 def _carry_dead_time(times_ns: np.ndarray, labels: np.ndarray, rows: np.ndarray, last_ns: np.ndarray, dead_ns: int):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spadsim.model import (
+    BUDGET_SOURCES,
     EmitterParams,
     RateBudget,
     Scenario,
@@ -74,6 +75,22 @@ def test_emitter_validation():
         EmitterParams(saturation_fraction=1.5)
     with pytest.raises(ValueError):
         EmitterParams(saturation_fraction=-0.1)
+
+
+# a rate or emitter field that is not finite is named with its value here, not met later as an
+# unnamed error inside the Poisson draw
+@pytest.mark.parametrize("field", BUDGET_SOURCES)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_rate_named(field, value):
+    with pytest.raises(ValueError, match=rf"^rate {field} must be >= 0 and finite, got {value}$"):
+        RateBudget(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["gamma_over_2pi_hz", "saturation_fraction"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_emitter_field_named(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} .*, got {value}$"):
+        EmitterParams(**{field: value})
 
 
 def test_scenario_validation():

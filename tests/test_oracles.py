@@ -1,10 +1,10 @@
 """Property tests: each array-at-a-time stage against the per-element loop it replaced.
 
-The loops below are the reference implementations: the per-trial arrival
-draw; numpy's stable argsort for the checked unstable sort; the per-event
-dead-time filter, also for the window-by-window filter with its carried
-last kept time; np.histogram and the per-event edge search for the binning;
-searchsorted on the sorted counts for the threshold rule's empirical CDFs;
+The loops below are the reference implementations: the per-event arrival
+draw; the per-event dead-time filter, also for the window-by-window filter
+with its carried last kept time; np.histogram and the per-event edge search
+for the binning; searchsorted on the sorted counts for the threshold rule's
+empirical CDFs;
 the per-event direct sum of exponential pulses, and scipy.signal's lfilter
 for the first-order scan of both front-end filters; the per-edge Schmitt
 trigger; scipy.special's pdtr and pdtrc for the Poisson law; the per-angle
@@ -72,7 +72,6 @@ from spadsim.simulator import (
     _event_row,
     _first_order,
     _schmitt_crossings,
-    _stable_order,
     _window_counter,
     apply_dead_time,
     gate_and_count,
@@ -193,32 +192,44 @@ def test_windowed_dead_time_matches_joined_stream(case):
 
 
 def loop_arrivals(scenario, ion_present, rng):
-    """One trial's arrivals, a count and then its times per source: sorted ns times and labels."""
+    """One trial's arrivals event by event, sorted ns times and labels: a count at the total
+    rate, then count + 1 exponential spacings summed one at a time, whose partial sums over
+    the last are the times as fractions of the trial, then per event one uniform, whose label
+    is the number of the four interior cumulative rate shares at or below it."""
     rates = [getattr(scenario.budget, name) for name in BUDGET_SOURCES]
     if not ion_present:
         rates[0] = 0.0  # fluorescence
-    duration = scenario.trial_duration
-    all_t, all_l = [], []
-    for idx, rate in enumerate(rates):
-        if rate > 0:
-            t = rng.uniform(0.0, duration, size=rng.poisson(rate * duration))
-            all_t.append(t)
-            all_l.append(np.full(t.size, idx, dtype=np.int8))
-    if not all_t:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8)
-    t = np.concatenate(all_t)
-    order = np.argsort(t, kind="stable")
-    return np.round(t[order] / NS).astype(np.int64), np.concatenate(all_l)[order]
+    duration, total = scenario.trial_duration, sum(rates)
+    n = int(rng.poisson(total * duration))
+    sums, s = [], 0.0
+    for _ in range(n + 1):
+        s += rng.standard_exponential()
+        sums.append(s)
+    scale = duration / NS / sums[-1]
+    times = [round(x * scale) for x in sums[:-1]]
+    shares, c = [], 0.0
+    for rate in rates[:-1]:
+        c += rate
+        shares.append(c / total)
+    labels = []
+    for _ in range(n):
+        u = rng.random()
+        labels.append(sum(u >= share for share in shares))
+    return np.array(times, dtype=np.int64), np.array(labels, dtype=np.int8)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 77, 4242, 2**40 + 3])
 @pytest.mark.parametrize("ion_present", [True, False])
-@pytest.mark.parametrize("budget", [table_budget(), RateBudget(dark_counts=300.0)], ids=["reference", "dark"])
+@pytest.mark.parametrize("budget", [
+    table_budget(),
+    RateBudget(dark_counts=300.0),
+    replace(table_budget(), doppler_scatter=0.0, rf_pickup=0.0),
+], ids=["reference", "dark", "gaps"])
 def test_simulate_stream_matches_per_trial_draw(seed, ion_present, budget):
     for dead_time in (0.0, 1e-6):
         scenario = Scenario(budget=budget, trial_duration=0.5, rng_seed=seed, dead_time=dead_time)
         stream = simulate_stream(scenario, ion_present)
-        t_ns, labels = loop_arrivals(scenario, ion_present, np.random.default_rng(seed))
+        t_ns, labels = loop_arrivals(scenario, ion_present, np.random.default_rng([seed, int(ion_present)]))
         want_t, want_l = loop_dead_time(t_ns, labels, round(dead_time / NS))
         assert stream.timestamps_ns.tolist() == want_t.tolist()
         assert stream.labels.tolist() == want_l.tolist()
@@ -285,37 +296,6 @@ def test_chunk_draw_matches_per_source_calls(seed, ion_present, budget):
             want.append(np.bincount(drawn_bin, minlength=end - start))
         assert counts.tolist() == np.array(want).tolist()
     assert next(calls, None) is None
-
-
-# --- sorting ---------------------------------------------------------------------
-
-
-def pooled_keys(dtype, pool):
-    """Arrays of 0-40 keys from a pool of five values, so most hold ties."""
-    return arrays(dtype, st.integers(0, 40), elements=st.sampled_from(pool))
-
-
-@settings(deadline=None, max_examples=300)
-@given(keys=st.one_of(
-    pooled_keys(np.int64, [-3, 0, 1, 2, 7]),
-    pooled_keys(np.float64, [-1.5, -0.0, 0.0, 0.5, 2.0]),
-    arrays(np.int64, st.integers(0, 40), elements=st.integers(-(2**62), 2**62), unique=True),
-    arrays(np.float64, st.integers(0, 40), elements=finite(-1e3, 1e3), unique=True),
-))
-@example(keys=np.empty(0, dtype=np.int64))
-@example(keys=np.empty(0))
-@example(keys=np.array([5], dtype=np.int64))
-@example(keys=np.array([-0.0]))
-@example(keys=np.array([0.0, -0.0]))
-@example(keys=np.array([-0.0, 0.0, -0.0]))
-@example(keys=np.array([3, 1, 2, 1, 3], dtype=np.int64))
-def test_stable_order_matches_stable_argsort(keys):
-    """_stable_order gives numpy's stable order, and the keys in it, bit for bit."""
-    order, ordered = _stable_order(keys)
-    want = np.argsort(keys, kind="stable")
-    assert order.tolist() == want.tolist()
-    assert ordered.dtype == keys.dtype
-    assert ordered.tobytes() == keys[want].tobytes()  # tells -0.0 from 0.0
 
 
 # --- binning ---------------------------------------------------------------------
