@@ -14,7 +14,6 @@ from .optics import (
     OpticalStack,
     arc_stack,
     bare_silicon_stack,
-    collection_efficiency,
     efficiency_vs_offset,
     quarter_disc_map,
     stack_reflectance,

@@ -143,9 +143,7 @@ def cmd_threshold(args) -> Output:
     window = args.window_ms * 1e-3
     ion = simulate_stream(scenario, True)
     empty = simulate_stream(scenario, False)
-    result = detection.threshold_fidelity(
-        gate_and_count(ion, window), gate_and_count(empty, window), window
-    )
+    result = detection.threshold_fidelity(gate_and_count(ion, window), gate_and_count(empty, window))
     k_exact, f_exact = detection.analytic_threshold_fidelity(
         scenario.budget.ion_total(), scenario.budget.background_total(), window
     )
@@ -275,9 +273,14 @@ def cmd_arc(args) -> Output:
 
 
 def _input_text(args, path: str | None, kind: str) -> str:
-    """The text of the input CSV at path, which a subcommand needs unless it runs --demo."""
+    """The text of the input CSV at path, which a subcommand needs unless it runs --demo.
+
+    --seed seeds only the --demo data, so it is refused beside a CSV.
+    """
     if not path:
         raise ConfigError(f"{args.subcommand} needs a {kind} CSV path or --demo")
+    if getattr(args, "seed", None) is not None:
+        raise ConfigError(f"--seed seeds only the --demo data; {args.subcommand} {path} draws no random numbers")
     return Path(path).read_text()
 
 

@@ -78,7 +78,6 @@ _KEYS = (
     ("trial.seed", "scenario.rng_seed", _INTEGER),
     ("geometry.ion_height_um", "scenario.geometry.ion_height_above_surface", _MICRONS),
     ("geometry.recess_um", "scenario.geometry.detector_recess_below_surface", _MICRONS),
-    ("geometry.lateral_offset_um", "scenario.geometry.ion_lateral_offset", _MICRONS),
     ("geometry.emission", "scenario.geometry.emission_pattern", _TEXT),
     ("stack.wavelength_nm", "scenario.geometry.stack.wavelength", _number(1e-9)),
     ("stack.ambient_index", "scenario.geometry.stack.ambient_index", _COMPLEX),

@@ -31,7 +31,6 @@ PROJECTED_MAX_TIME = 2e-3
 class ThresholdResult:
     threshold: int
     fidelity: float
-    window: float
     histogram_ion: np.ndarray
     histogram_empty: np.ndarray
 
@@ -41,7 +40,7 @@ def _fidelity_by_threshold(miss_cdf: np.ndarray, fa_sf: np.ndarray) -> np.ndarra
     return 1.0 - 0.5 * (miss_cdf + fa_sf)
 
 
-def threshold_fidelity(ion_counts, empty_counts, window: float) -> ThresholdResult:
+def threshold_fidelity(ion_counts, empty_counts) -> ThresholdResult:
     """Best classify-if-count-exceeds-k rule on two empirical count histograms.
 
     Ties in fidelity break toward the smaller threshold; a count equal to the
@@ -61,7 +60,6 @@ def threshold_fidelity(ion_counts, empty_counts, window: float) -> ThresholdResu
     return ThresholdResult(
         threshold=best,
         fidelity=float(fid[best]),
-        window=window,
         histogram_ion=hist_ion,
         histogram_empty=hist_empty,
     )

@@ -36,15 +36,25 @@ class OpticalStack:
     wavelength: float = WAVELENGTH_UV
 
     def __post_init__(self):
-        if self.wavelength <= 0:
-            raise ValueError("wavelength must be > 0")
-        for d, n in self.layers:
-            if d <= 0:
-                raise ValueError("layer thickness must be > 0")
-            if n.imag < 0:
-                raise ValueError("imaginary index parts must be >= 0")
-        if self.substrate_index.imag < 0 or complex(self.ambient_index).imag < 0:
-            raise ValueError("imaginary index parts must be >= 0")
+        _positive("wavelength", self.wavelength)
+        for i, (d, n) in enumerate(self.layers, start=1):
+            _positive(f"layer {i} thickness", d)
+            _index(f"layer {i} index", n)
+        _index("substrate_index", self.substrate_index)
+        _index("ambient_index", self.ambient_index)
+
+
+def _positive(name: str, value: float):
+    """ValueError naming name and value unless value is finite and > 0 (NaN fails the test)."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be > 0 and finite, got {value}")
+
+
+def _index(name: str, n):
+    """ValueError naming name and n unless n is finite with imaginary part >= 0 (NaN fails the test)."""
+    n = complex(n)
+    if not (math.isfinite(n.real) and 0 <= n.imag < math.inf):
+        raise ValueError(f"{name} must be finite with imaginary part >= 0, got {n}")
 
 
 def arc_stack() -> OpticalStack:
@@ -205,8 +215,9 @@ def quarter_disc_map(
 
     The defaults reproduce the reference device's ~60 um^2 effective area.
     """
-    if outer_radius <= 0 or guard_width <= 0 or cell_size <= 0:
-        raise ValueError("quarter-disc parameters must be > 0")
+    _positive("outer_radius", outer_radius)
+    _positive("guard_width", guard_width)
+    _positive("cell_size", cell_size)
     n = int(math.ceil(outer_radius / cell_size)) + 1
     xx, yy = _cell_centers((n, n), cell_size)
     w = quarter_disc_response(xx, yy, outer_radius, guard_width)
@@ -217,6 +228,8 @@ def aperture_filling_map(
     diameter: float = APERTURE_DIAMETER, cell_size: float = 0.4e-6
 ) -> ActiveAreaMap:
     """Hypothetical detector whose full-response area fills the optical aperture."""
+    _positive("diameter", diameter)
+    _positive("cell_size", cell_size)
     r = diameter / 2
     n = int(math.ceil(diameter / cell_size)) + 1
     xx, yy = _cell_centers((n, n), cell_size, (-r, -r))
@@ -226,19 +239,15 @@ def aperture_filling_map(
 
 @dataclass(frozen=True)
 class DetectorGeometry:
-    """Ion position relative to the recessed detector plane.
+    """The recessed detector below the ion: where it sits, what it collects, and
+    how the ion emits.
 
     The ion sits ion_height_above_surface above the trap surface; the detector
-    plane is detector_recess_below_surface below it. ion_lateral_offset is
-    measured along the trap axis (+x) from the response-weighted centroid of
-    the active area.
-
-    The default offset, 80 um, lies where collection numbers ignore wall
-    occlusion: on the default geometry a ShadowingWarning names every offset
-    from 73 um on.
+    plane is detector_recess_below_surface below it. Both must be finite and
+    their sum > 0. The ion's lateral position is not part of the geometry:
+    efficiency_vs_offset takes it as an offset.
     """
 
-    ion_lateral_offset: float = 80e-6
     ion_height_above_surface: float = 50e-6
     detector_recess_below_surface: float = 7e-6
     active_area: ActiveAreaMap = field(default_factory=quarter_disc_map)
@@ -246,8 +255,11 @@ class DetectorGeometry:
     emission_pattern: str = "isotropic"
 
     def __post_init__(self):
-        if self.vertical_distance <= 0:
-            raise ValueError("ion-to-detector vertical distance must be > 0")
+        for name in ("ion_height_above_surface", "detector_recess_below_surface"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not self.vertical_distance > 0:
+            raise ValueError(f"ion-to-detector vertical distance must be > 0, got {self.vertical_distance}")
         if self.emission_pattern not in ("isotropic", "dipole_perpendicular"):
             raise ValueError(f"unknown emission pattern {self.emission_pattern!r}")
 
@@ -256,15 +268,12 @@ class DetectorGeometry:
         return self.ion_height_above_surface + self.detector_recess_below_surface
 
 
-def collection_efficiency(geometry: DetectorGeometry) -> float:
-    """Fraction of emitted photons collected through the stack by the weighted active
-    area at the geometry's own lateral offset: the one-offset case of efficiency_vs_offset."""
-    return float(efficiency_vs_offset(geometry, [geometry.ion_lateral_offset])[0][0])
-
-
 def efficiency_vs_offset(geometry: DetectorGeometry, offsets) -> tuple[np.ndarray, np.ndarray]:
     """Collection efficiency at each lateral offset, in input order: through the
     stack, and with no reflection loss at all (transmission 1, not bare silicon).
+
+    An offset places the ion along +x (the trap axis) from the response-weighted
+    centroid of the active area, at the geometry's vertical distance.
 
     Sums weight * cos(theta) / (4 pi r^2) * cell_area over cells, times
     (1 - R(theta)) for the first array; the dipole_perpendicular pattern

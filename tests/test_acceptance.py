@@ -6,7 +6,6 @@ summary lines alongside the pytest verdicts.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +27,6 @@ from spadsim.optics import (
     aperture_filling_map,
     arc_stack,
     bare_silicon_stack,
-    collection_efficiency,
     efficiency_vs_offset,
     stack_reflectance,
     stack_transmittance,
@@ -67,7 +65,7 @@ def test_2_threshold_detection():
     sc = Scenario(budget=table_budget(), trial_duration=50.0, rng_seed=77)
     ion = gate_and_count(simulate_stream(sc, True), window)
     empty = gate_and_count(simulate_stream(sc, False), window)
-    result = threshold_fidelity(ion, empty, window)
+    result = threshold_fidelity(ion, empty)
     _, exact = analytic_threshold_fidelity(11_700.0, 6_900.0, window)
     ok = result.fidelity >= 0.996 and abs(result.fidelity - exact) <= 0.003
     report(
@@ -115,13 +113,11 @@ def test_3_arc_optics():
 def test_4_collection_efficiency():
     geom = DetectorGeometry()
     area = geom.active_area.effective_area()
-    ce_center = collection_efficiency(replace(geom, ion_lateral_offset=0.0))
+    ce_center = efficiency_vs_offset(geom, [0.0])[0][0]
     with pytest.warns(ShadowingWarning, match="at offsets 80 um"):  # wall occlusion is not modeled
-        ce_far = collection_efficiency(replace(geom, ion_lateral_offset=80e-6))
-    filling = DetectorGeometry(
-        ion_lateral_offset=0.0, active_area=aperture_filling_map(cell_size=0.25e-6)
-    )
-    _, [ce_fill] = efficiency_vs_offset(filling, [filling.ion_lateral_offset])  # no reflection loss
+        ce_far = efficiency_vs_offset(geom, [80e-6])[0][0]
+    filling = DetectorGeometry(active_area=aperture_filling_map(cell_size=0.25e-6))
+    _, [ce_fill] = efficiency_vs_offset(filling, [0.0])  # no reflection loss
     ok = (
         abs(area * 1e12 - 60.0) / 60.0 <= 0.10
         and abs(ce_center - 0.0014) / 0.0014 <= 0.30

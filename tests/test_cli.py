@@ -11,9 +11,9 @@ import pytest
 
 from spadsim import cli, detection, estimation
 from spadsim.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, _fidelity_csv, main
-from spadsim.config import scenario_to_text
+from spadsim.config import KNOWN_KEYS, scenario_to_text
 from spadsim.model import Scenario, table_budget
-from spadsim.optics import ShadowingWarning
+from spadsim.optics import ShadowingWarning, quarter_disc_map
 
 
 @pytest.fixture()
@@ -436,15 +436,15 @@ class TestOutputRules:
     # every subcommand writes one manifest-headed table; the manifest hashes the
     # arguments and the subcommand's input text, and these values are pinned
     @pytest.mark.parametrize("argv, manifest", [
-        (["simulate", "--duration", "0.01"], "5f81e3ead08df267"),
-        (["threshold", "--duration", "1"], "8f8b28d2161eb68f"),
-        (["fidelity", "--trials", "20"], "962dd6c8659e70f9"),
+        (["simulate", "--duration", "0.01"], "6152b87f2b15bbcf"),
+        (["threshold", "--duration", "1"], "fc000cba4415ad2b"),
+        (["fidelity", "--trials", "20"], "6d74aed176a854f1"),
         (["fidelity", "--projection", "--trials", "20"], "8f315d2a2b685bac"),
-        (["collection", "--offsets-um", "0,40"], "dc95a0a70513989e"),
-        (["arc", "--angles-deg", "0"], "d1e777dcceb6f33d"),
+        (["collection", "--offsets-um", "0,40"], "410c63caa9d2f1fb"),
+        (["arc", "--angles-deg", "0"], "49a612d09c781f76"),
         (["spot", "--demo"], "d5e1ce8046c94b70"),
         (["budget", "--demo"], "5f1d6dc52cd60abc"),
-        (["qefit", "--demo"], "8bb1780eeab80bf1"),
+        (["qefit", "--demo"], "5c25b8fcb65aafb4"),
     ], ids=lambda v: "-".join(v).replace("--", "") if isinstance(v, list) else None)
     def test_manifest_line_is_pinned(self, tmp_path, monkeypatch, argv, manifest):
         monkeypatch.delenv("SPADSIM_OUTPUT_DIR", raising=False)
@@ -458,7 +458,7 @@ class TestOutputRules:
     @pytest.mark.parametrize("env, argv, path, manifest", [
         ("results", ["budget", "--demo"], "results/budget.csv", "7ed2cc4f623bc058"),
         ("results", ["budget", "--demo", "--out", "x/b.csv"], "x/b.csv", "ec4909a6574ca5ac"),
-        (None, ["arc", "--output-dir", ""], "reflectance.csv", "917f2205420298fd"),
+        (None, ["arc", "--output-dir", ""], "reflectance.csv", "352348de7aaddb0c"),
     ], ids=["budget-environment", "budget-environment-out", "arc-empty-output-dir"])
     def test_manifest_line_with_output_dir_is_pinned(self, tmp_path, monkeypatch, env, argv, path, manifest):
         if env is None:
@@ -538,6 +538,20 @@ class TestFlags:
         assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
         assert not any(outdir.iterdir())
 
+    # spot and qefit draw random numbers only for their --demo data, so a CSV input refuses --seed
+    @pytest.mark.parametrize("subcommand, table", [
+        ("spot", "# step_nm=800, dwell_ms=500, dark_kcps=1.2\n600,5000,9000\n600,8000,12000\n"),
+        ("qefit", "offset_um,rate_kcps\n0,3.7\n20,3.1\n40,2.0\n"),
+    ])
+    def test_seed_beside_a_csv_is_rejected(self, outdir, tmp_path, capsys, subcommand, table):
+        data = tmp_path / "in" / "data.csv"
+        data.parent.mkdir()
+        data.write_text(table)
+        assert main([subcommand, str(data), "--seed", "1"]) == EXIT_INPUT_ERROR
+        assert "error: --seed seeds only the --demo data" in capsys.readouterr().err
+        assert [p.name for p in outdir.iterdir()] == ["in"]
+        assert main([subcommand, str(data)]) == EXIT_OK
+
     # every float flag takes a finite number only, and a bad one is named by its flag
     @pytest.mark.parametrize(
         "argv, flag, value",
@@ -596,6 +610,72 @@ class TestFlags:
         assert main(["arc", "--angles-deg", "0", "--output-dir", str(flag_dir)]) == EXIT_OK
         read_output(flag_dir / "reflectance.csv")
         assert not (outdir / "reflectance.csv").exists()
+
+
+class TestEveryConfigKeyTakesEffect:
+    # a config that changes one key changes the table of at least one subcommand that reads
+    # a scenario; the area keys describe another quarter disc, written to a CSV for the file key
+    CHANGES = {
+        "budget.fluorescence_kcps": "6",
+        "budget.repump_kcps": "3",
+        "budget.doppler_kcps": "2",
+        "budget.dark_kcps": "2",
+        "budget.rf_kcps": "1",
+        "emitter.gamma_over_2pi_mhz": "15",
+        "emitter.saturation_fraction": "0.5",
+        "trial.duration_s": "0.25",
+        "trial.seed": "7",
+        "geometry.ion_height_um": "40",
+        "geometry.recess_um": "5",
+        "geometry.emission": "dipole_perpendicular",
+        "stack.wavelength_nm": "400",
+        "stack.ambient_index": "1.33",
+        "stack.substrate_index": "5+1j",
+        "stack.layers": "40 2.1 ; 10 1.47",
+        "deadtime.dead_time_us": "3",
+        "geometry.active_area_csv": "area.csv",
+        "geometry.active_outer_radius_um": "9",
+        "geometry.guard_width_um": "1",
+        "geometry.cell_size_um": "0.5",
+    }
+    RUNS = (
+        ["simulate", "--duration", "0.5"],
+        ["threshold"],
+        ["fidelity", "--trials", "100"],
+        ["collection"],
+        ["arc"],
+        ["qefit", "--demo"],
+    )
+
+    @pytest.fixture(scope="class")
+    def bodies(self, tmp_path_factory):
+        """The table body of a run under a config text, each computed once."""
+        folder = tmp_path_factory.mktemp("keys")
+        (folder / "area.csv").write_text(quarter_disc_map(outer_radius=9e-6).to_csv())
+        cache = {}
+
+        def body(config_text, argv):
+            if (config_text, tuple(argv)) not in cache:
+                config, out = folder / "scenario.cfg", folder / "out.csv"
+                config.write_text(config_text)
+                with warnings.catch_warnings():  # collection and qefit --demo name their shadowed offsets
+                    warnings.simplefilter("ignore", ShadowingWarning)
+                    assert main([*argv, "--config", str(config), "--out", str(out)]) == EXIT_OK
+                cache[config_text, tuple(argv)] = out.read_text().split("\n", 1)[1]
+            return cache[config_text, tuple(argv)]
+
+        return body
+
+    def test_every_key_has_a_changed_value(self):
+        assert set(self.CHANGES) == KNOWN_KEYS
+
+    @pytest.mark.parametrize("key", sorted(KNOWN_KEYS))
+    def test_key_changes_a_table(self, bodies, key):
+        assert key in self.CHANGES, f"no changed value for {key}"
+        config_text = f"{key} = {self.CHANGES[key]}\n"
+        assert any(bodies(config_text, argv) != bodies("", argv) for argv in self.RUNS), (
+            f"{key} = {self.CHANGES[key]} leaves every table unchanged"
+        )
 
 
 class TestOneParser:

@@ -35,7 +35,6 @@ trial.duration_s = 50
 trial.seed = 0
 geometry.ion_height_um = 50
 geometry.recess_um = 7
-geometry.lateral_offset_um = 80
 geometry.emission = isotropic
 stack.wavelength_nm = 370
 stack.ambient_index = 1
@@ -90,7 +89,7 @@ class TestScenarioFromText:
         with pytest.raises(ConfigError, match="trial.seed"):
             scenario_from_text("trial.seed = 1.9\n")
 
-    @pytest.mark.parametrize("key", ["trial.duration_s", "geometry.lateral_offset_um", "deadtime.dead_time_us"])
+    @pytest.mark.parametrize("key", ["trial.duration_s", "geometry.ion_height_um", "deadtime.dead_time_us"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_number_reports_key(self, key, value):
         with pytest.raises(ConfigError, match=rf"key '{key}': cannot parse '{value}': .* is not finite"):
@@ -155,8 +154,8 @@ class TestRoundTrip:
         assert back.budget == scenario.budget
         assert back.rng_seed == scenario.rng_seed
         assert back.trial_duration == pytest.approx(scenario.trial_duration)
-        assert back.geometry.ion_lateral_offset == pytest.approx(
-            scenario.geometry.ion_lateral_offset, rel=1e-12
+        assert back.geometry.ion_height_above_surface == pytest.approx(
+            scenario.geometry.ion_height_above_surface, rel=1e-12
         )
         assert back.dead_time == pytest.approx(scenario.dead_time)
         # serialize(parse(serialize(s))) is a fixed point

@@ -23,7 +23,7 @@ EMPTY_RATE = 6900.0
 
 class TestThresholdFidelity:
     def test_perfectly_separated(self):
-        result = threshold_fidelity([10] * 50, [0] * 50, 0.025)
+        result = threshold_fidelity([10] * 50, [0] * 50)
         assert result.fidelity == 1.0
         assert 0 <= result.threshold <= 9
         # both histograms run from 0 to the largest count of either, so they line up row by row
@@ -33,16 +33,16 @@ class TestThresholdFidelity:
         rng = np.random.default_rng(0)
         a = rng.poisson(20, 2000)
         b = rng.poisson(20, 2000)
-        result = threshold_fidelity(a, b, 0.025)
+        result = threshold_fidelity(a, b)
         assert result.fidelity == pytest.approx(0.5, abs=0.05)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            threshold_fidelity([], [1, 2], 0.025)
+            threshold_fidelity([], [1, 2])
 
     def test_ties_at_threshold_go_to_no_ion(self):
         # single threshold k classifies count > k as ion
-        result = threshold_fidelity([5, 5, 5], [5, 5, 5], 0.025)
+        result = threshold_fidelity([5, 5, 5], [5, 5, 5])
         assert result.fidelity == pytest.approx(0.5)
 
 
@@ -77,7 +77,7 @@ class TestAnalyticThreshold:
         window, n = 0.025, 2000
         ion = rng.poisson(ION_RATE * window, n)
         empty = rng.poisson(EMPTY_RATE * window, n)
-        mc = threshold_fidelity(ion, empty, window)
+        mc = threshold_fidelity(ion, empty)
         _, exact = analytic_threshold_fidelity(ION_RATE, EMPTY_RATE, window)
         assert abs(mc.fidelity - exact) <= 0.005
 

@@ -13,7 +13,7 @@ from spadsim.estimation import (
     fit_quantum_efficiency,
 )
 from spadsim.model import EmitterParams, Scenario, scattering_rate, table_budget
-from spadsim.optics import DetectorGeometry, ShadowingWarning, collection_efficiency
+from spadsim.optics import DetectorGeometry, ShadowingWarning, efficiency_vs_offset
 from spadsim.synthetic import (
     CUMULATIVE_TOGGLE_DESIGN,
     make_qe_dataset,
@@ -177,7 +177,7 @@ class TestQuantumEfficiencyFit:
         geom = DetectorGeometry()
         with pytest.warns(ShadowingWarning, match=self.SHADOWED):
             expected = expected_incident_rates(Scenario(geometry=geom), self.OFFSETS)
-            ces = [collection_efficiency(replace(geom, ion_lateral_offset=off)) for off in self.OFFSETS]
+            ces = [efficiency_vs_offset(geom, [off])[0][0] for off in self.OFFSETS]
         emit = scattering_rate(EmitterParams())
         assert list(expected) == [emit * ce for ce in ces]
 

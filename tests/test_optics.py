@@ -1,6 +1,6 @@
 import math
+import re
 import unittest.mock
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from spadsim.optics import (
     aperture_filling_map,
     arc_stack,
     bare_silicon_stack,
-    collection_efficiency,
     efficiency_vs_offset,
     quarter_disc_map,
     stack_reflectance,
@@ -97,6 +96,46 @@ class TestReflectance:
             OpticalStack(substrate_index=2.0 - 0.5j)
 
 
+NAN, INF = math.nan, math.inf
+
+
+class TestNonFiniteOpticsInputs:
+    # each optics value is checked where it comes in, so NaN or inf is a ValueError naming
+    # the field and the value rather than a NaN reflectance or an error from a later step
+    @pytest.mark.parametrize("kwargs, named", [
+        ({"wavelength": NAN}, "wavelength must be > 0 and finite, got nan"),
+        ({"wavelength": INF}, "wavelength must be > 0 and finite, got inf"),
+        ({"layers": ((NAN, 2.1),)}, "layer 1 thickness must be > 0 and finite, got nan"),
+        ({"layers": ((29e-9, 2.1), (INF, 1.47))}, "layer 2 thickness must be > 0 and finite, got inf"),
+        ({"layers": ((29e-9, complex(NAN, 0.0)),)}, "layer 1 index must be finite with imaginary part >= 0, got (nan+0j)"),
+        ({"layers": ((29e-9, complex(2.1, INF)),)}, "layer 1 index must be finite with imaginary part >= 0, got (2.1+infj)"),
+        ({"substrate_index": complex(INF, 1.4)}, "substrate_index must be finite with imaginary part >= 0, got (inf+1.4j)"),
+        ({"substrate_index": complex(6.9, NAN)}, "substrate_index must be finite with imaginary part >= 0, got (6.9+nanj)"),
+        ({"ambient_index": NAN}, "ambient_index must be finite with imaginary part >= 0, got (nan+0j)"),
+    ], ids=lambda v: next(iter(v)) if isinstance(v, dict) else v.split(" got ")[1])
+    def test_stack_rejects(self, kwargs, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            OpticalStack(**kwargs)
+
+    @pytest.mark.parametrize("field", ["ion_height_above_surface", "detector_recess_below_surface"])
+    @pytest.mark.parametrize("value", [NAN, INF, -INF])
+    def test_geometry_rejects(self, field, value):
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be finite, got {value}")):
+            DetectorGeometry(**{field: value})
+
+    @pytest.mark.parametrize("make, field", [
+        (quarter_disc_map, "outer_radius"),
+        (quarter_disc_map, "guard_width"),
+        (quarter_disc_map, "cell_size"),
+        (aperture_filling_map, "diameter"),
+        (aperture_filling_map, "cell_size"),
+    ], ids=lambda v: v if isinstance(v, str) else v.__name__)
+    @pytest.mark.parametrize("value", [NAN, INF])
+    def test_area_map_rejects(self, make, field, value):
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be > 0 and finite, got {value}")):
+            make(**{field: value})
+
+
 class TestActiveAreaMap:
     def test_quarter_disc_effective_area(self):
         amap = quarter_disc_map()
@@ -133,10 +172,9 @@ class TestActiveAreaMap:
             ActiveAreaMap.from_csv("1.0,0.5\n0.5,0.0\n")
 
 
-def single_cell_geometry(weight=1.0, distance=57e-6, cell=1e-6, offset=0.0):
+def single_cell_geometry(weight=1.0, distance=57e-6, cell=1e-6):
     amap = ActiveAreaMap(cell_size=cell, origin=(-cell / 2, -cell / 2), weights=np.array([[weight]]))
     return DetectorGeometry(
-        ion_lateral_offset=offset,
         ion_height_above_surface=distance,
         detector_recess_below_surface=0.0,
         active_area=amap,
@@ -145,20 +183,16 @@ def single_cell_geometry(weight=1.0, distance=57e-6, cell=1e-6, offset=0.0):
 
 class TestCollectionEfficiency:
     def test_centered_reference_value(self):
-        geom = DetectorGeometry(ion_lateral_offset=0.0)
-        ce = collection_efficiency(geom)
+        ce = efficiency_vs_offset(DetectorGeometry(), [0.0])[0][0]
         assert ce == pytest.approx(0.0014, rel=0.30)
 
     def test_offset_80um_reference_value(self):
-        geom = DetectorGeometry(ion_lateral_offset=80e-6)
         with pytest.warns(ShadowingWarning, match="at offsets 80 um"):
-            ce = collection_efficiency(geom)
+            ce = efficiency_vs_offset(DetectorGeometry(), [80e-6])[0][0]
         assert ce == pytest.approx(0.0003, rel=0.30)
 
     def test_aperture_filling_detector(self):
-        geom = DetectorGeometry(
-            ion_lateral_offset=0.0, active_area=aperture_filling_map(cell_size=0.25e-6)
-        )
+        geom = DetectorGeometry(active_area=aperture_filling_map(cell_size=0.25e-6))
         [ce_arc], [ce_geo] = efficiency_vs_offset(geom, [0.0])
         assert ce_geo == pytest.approx(0.026, rel=0.20)
         assert ce_arc < ce_geo
@@ -168,11 +202,11 @@ class TestCollectionEfficiency:
         cell = 0.05e-6  # area/d^2 tiny so the single-cell sum is the closed form
         geom = single_cell_geometry(weight=0.7, distance=d, cell=cell)
         expected = 0.7 * cell**2 * (1 - stack_reflectance(arc_stack(), 0.0)) / (4 * math.pi * d**2)
-        assert collection_efficiency(geom) == pytest.approx(expected, rel=1e-6)
+        assert efficiency_vs_offset(geom, [0.0])[0][0] == pytest.approx(expected, rel=1e-6)
 
     def test_inverse_square_scaling(self):
-        ce1 = collection_efficiency(single_cell_geometry(distance=50e-6, cell=0.5e-6))
-        ce2 = collection_efficiency(single_cell_geometry(distance=100e-6, cell=0.5e-6))
+        ce1 = efficiency_vs_offset(single_cell_geometry(distance=50e-6, cell=0.5e-6), [0.0])[0][0]
+        ce2 = efficiency_vs_offset(single_cell_geometry(distance=100e-6, cell=0.5e-6), [0.0])[0][0]
         assert ce1 / ce2 == pytest.approx(4.0, rel=0.01)
 
     def test_translation_invariance(self):
@@ -184,44 +218,42 @@ class TestCollectionEfficiency:
             origin=(base.origin[0] + 13e-6, base.origin[1] - 4e-6),
             weights=base.weights,
         )
-        g1 = DetectorGeometry(ion_lateral_offset=30e-6, active_area=base)
-        g2 = DetectorGeometry(ion_lateral_offset=30e-6, active_area=shifted)
+        g1 = DetectorGeometry(active_area=base)
+        g2 = DetectorGeometry(active_area=shifted)
         with pytest.warns(ShadowingWarning, match="at offsets 30 um"):  # the aperture stays put
-            ce2 = collection_efficiency(g2)
-        assert collection_efficiency(g1) == pytest.approx(ce2, rel=1e-12)
+            ce2 = efficiency_vs_offset(g2, [30e-6])[0][0]
+        assert efficiency_vs_offset(g1, [30e-6])[0][0] == pytest.approx(ce2, rel=1e-12)
 
     def test_grid_refinement_converged(self):
-        coarse = DetectorGeometry(ion_lateral_offset=0.0, active_area=quarter_disc_map(cell_size=0.4e-6))
-        fine = DetectorGeometry(ion_lateral_offset=0.0, active_area=quarter_disc_map(cell_size=0.2e-6))
-        ce_c = collection_efficiency(coarse)
-        ce_f = collection_efficiency(fine)
+        coarse = DetectorGeometry(active_area=quarter_disc_map(cell_size=0.4e-6))
+        fine = DetectorGeometry(active_area=quarter_disc_map(cell_size=0.2e-6))
+        ce_c = efficiency_vs_offset(coarse, [0.0])[0][0]
+        ce_f = efficiency_vs_offset(fine, [0.0])[0][0]
         assert abs(ce_c - ce_f) / ce_f < 0.005
 
     def test_zero_area_rejected(self):
         amap = ActiveAreaMap(cell_size=1e-6, origin=(0, 0), weights=np.zeros((3, 3)))
         geom = DetectorGeometry(active_area=amap)
         with pytest.raises(ValueError):
-            collection_efficiency(geom)
+            efficiency_vs_offset(geom, [0.0])
 
     def test_dipole_pattern_differs(self):
-        iso = DetectorGeometry(ion_lateral_offset=40e-6)
-        dip = DetectorGeometry(ion_lateral_offset=40e-6, emission_pattern="dipole_perpendicular")
-        ce_iso = collection_efficiency(iso)
-        ce_dip = collection_efficiency(dip)
+        iso = DetectorGeometry()
+        dip = DetectorGeometry(emission_pattern="dipole_perpendicular")
+        ce_iso = efficiency_vs_offset(iso, [40e-6])[0][0]
+        ce_dip = efficiency_vs_offset(dip, [40e-6])[0][0]
         assert ce_dip != pytest.approx(ce_iso, rel=1e-3)
 
     def test_shadowing_warning(self):
-        geom = DetectorGeometry(ion_lateral_offset=120e-6)
         with pytest.warns(ShadowingWarning, match="at offsets 120 um"):
-            collection_efficiency(geom)
+            efficiency_vs_offset(DetectorGeometry(), [120e-6])
 
     def test_no_shadowing_when_centered(self):
         import warnings
 
-        geom = DetectorGeometry(ion_lateral_offset=0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", ShadowingWarning)
-            collection_efficiency(geom)
+            efficiency_vs_offset(DetectorGeometry(), [0.0])
 
 
 class TestEfficiencyVsOffset:
@@ -236,9 +268,10 @@ class TestEfficiencyVsOffset:
         assert ces[1] == pytest.approx(0.0014, rel=0.30)
 
     def test_single_offset(self):
+        # one offset on its own gives its element of a longer sweep to the bit
         geom = DetectorGeometry()
-        [ce], _ = efficiency_vs_offset(geom, [25e-6])
-        assert ce == collection_efficiency(replace(geom, ion_lateral_offset=25e-6))
+        ces, _ = efficiency_vs_offset(geom, [0.0, 25e-6, 50e-6])
+        assert ces[1] == efficiency_vs_offset(geom, [25e-6])[0][0]
 
     def test_monotone_descending_offsets(self):
         # dense sweep as the monotonicity oracle
