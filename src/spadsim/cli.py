@@ -272,6 +272,13 @@ def cmd_arc(args) -> Output:
     return Output("reflectance.csv", config_text, body, summary, checks)
 
 
+def _demo(args, path: str | None) -> bool:
+    """Whether the subcommand runs on its --demo data; a CSV path beside --demo is refused."""
+    if args.demo and path:
+        raise ConfigError(f"--demo makes its own data and takes no CSV path, got {path}")
+    return args.demo
+
+
 def _input_text(args, path: str | None, kind: str) -> str:
     """The text of the input CSV at path, which a subcommand needs unless it runs --demo.
 
@@ -285,7 +292,7 @@ def _input_text(args, path: str | None, kind: str) -> str:
 
 
 def cmd_spot(args) -> Output:
-    if args.demo:
+    if _demo(args, args.scan_csv):
         scan = synthetic.make_spot_scan(seed=args.seed if args.seed is not None else 0)
         scan_text = ""
     else:
@@ -296,7 +303,7 @@ def cmd_spot(args) -> Output:
 
 
 def cmd_budget(args) -> Output:
-    if args.demo:
+    if _demo(args, args.toggles_csv):
         measurements = synthetic.make_toggle_measurements(table_budget())
         toggles_text = synthetic.toggle_measurements_to_csv(measurements)
     else:
@@ -318,7 +325,7 @@ def cmd_budget(args) -> Output:
 
 def cmd_qefit(args) -> Output:
     scenario, config_text = _load_config(args)
-    if args.demo:
+    if _demo(args, args.data_csv):
         offsets = np.arange(0.0, 81e-6, 5e-6)
         expected = estimation.expected_incident_rates(scenario, offsets)
         rates = synthetic.make_qe_dataset(scenario, expected)

@@ -552,6 +552,13 @@ class TestFlags:
         assert [p.name for p in outdir.iterdir()] == ["in"]
         assert main([subcommand, str(data)]) == EXIT_OK
 
+    # --demo makes its own data, so a CSV path beside it is refused, found or not
+    @pytest.mark.parametrize("subcommand", ["spot", "budget", "qefit"])
+    def test_demo_beside_a_path_is_rejected(self, outdir, capsys, subcommand):
+        assert main([subcommand, "--demo", "/nonexistent.csv"]) == EXIT_INPUT_ERROR
+        assert "error: --demo makes its own data and takes no CSV path, got /nonexistent.csv" in capsys.readouterr().err
+        assert not any(outdir.iterdir())
+
     # every float flag takes a finite number only, and a bad one is named by its flag
     @pytest.mark.parametrize(
         "argv, flag, value",

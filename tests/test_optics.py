@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import unittest.mock
@@ -86,6 +87,13 @@ class TestReflectance:
     def test_transmittance_bad_polarization(self):
         with pytest.raises(ValueError, match="unknown polarization 'circular'"):
             stack_transmittance(arc_stack(), 0.3, "circular")
+
+    # the name is checked before any arithmetic, so beside a bad angle it is the one named
+    @pytest.mark.parametrize("f", [stack_reflectance, stack_transmittance])
+    @pytest.mark.parametrize("angle", [2.0, np.array([0.1, math.nan])])
+    def test_polarization_checked_before_angle(self, f, angle):
+        with pytest.raises(ValueError, match="unknown polarization 'x'"):
+            f(arc_stack(), angle, "x")
 
     def test_stack_validation(self):
         with pytest.raises(ValueError):
@@ -289,6 +297,20 @@ class TestEfficiencyVsOffset:
         [warning] = record
         assert "at offsets 80, 75, -200, 80 um;" in str(warning.message)
         assert warning.filename == __file__  # attributed to the caller's line
+
+    # both arrays of the 17-offset sweep, as qefit --demo (np.arange) and collection's
+    # default 0:80:5 range build the offsets, pinned to the bit
+    @pytest.mark.parametrize("offsets, digests", [
+        (np.arange(0.0, 81e-6, 5e-6), ("1297c88bc8150dbfee32791b97a44c5f153effa4628fc376c1190d9397e117a5",
+                                       "a9de71d7f4ef12dd030761352385d1ec0c2658e47f66c4b109937403d0506b1f")),
+        ([(0.0 + i * 5.0) * 1e-6 for i in range(17)],
+         ("06a76832f2a6fe96c454d36ce35e1dc82607128568702b597f68738460dbde04",
+          "a15faba9f6e12385a96860e67e73853d317e05568f8cfd548999919d008c335a")),
+    ], ids=["arange", "range-spec"])
+    def test_fixed_sweep_is_pinned(self, offsets, digests):
+        with pytest.warns(ShadowingWarning, match="at offsets 75, 80 um"):
+            arrays = efficiency_vs_offset(DetectorGeometry(), offsets)
+        assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays) == digests
 
     def test_empty_offsets_rejected(self):
         with pytest.raises(ValueError):

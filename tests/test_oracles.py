@@ -8,8 +8,10 @@ empirical CDFs;
 the per-event direct sum of exponential pulses, and scipy.signal's lfilter
 for the first-order scan of both front-end filters; the per-edge Schmitt
 trigger; scipy.special's pdtr and pdtrc for the Poisson law; the per-angle
-2x2 transfer-matrix product; the per-offset collection sum, with the reflection
-loss and without it; the per-line table reader; and the per-row event CSV writer.
+2x2 transfer-matrix product, and the characteristic matrix in complex
+arithmetic throughout, whose R and T the package's must equal to the bit; the
+per-offset collection sum, with the reflection loss and without it; the
+per-line table reader; and the per-row event CSV writer.
 
 The sequential detector's one stopping rule in the package is the early-exit
 pass `_stopping_bins` inside `fidelity_curve`. Its oracles live here: the
@@ -880,13 +882,16 @@ def matrix_product_coeffs(stack, angle, pol):
 indices = st.builds(complex, finite(1.2, 3.0))
 
 
-@settings(deadline=None, max_examples=100)
-@given(
+lossless_stacks = dict(
     layers=st.lists(st.tuples(finite(1e-9, 200e-9), indices), max_size=3),
     substrate=st.builds(complex, finite(1.2, 7.0), finite(0.0, 2.0)),
     angles=arrays(float, st.integers(1, 30), elements=finite(0.0, 1.5707)),
     pol=st.sampled_from(["s", "p", "unpolarized"]),
 )
+
+
+@settings(deadline=None, max_examples=100)
+@given(**lossless_stacks)
 def test_array_reflectance_matches_per_angle_matrix_product(layers, substrate, angles, pol):
     stack = OpticalStack(layers=tuple(layers), substrate_index=substrate)
     pols = ("s", "p") if pol == "unpolarized" else (pol,)
@@ -897,6 +902,70 @@ def test_array_reflectance_matches_per_angle_matrix_product(layers, substrate, a
     np.testing.assert_allclose(got_r, want_r, rtol=0, atol=1e-15)
     np.testing.assert_allclose(got_r, [stack_reflectance(stack, a, pol) for a in angles], rtol=0, atol=1e-15)
     np.testing.assert_allclose(stack_transmittance(stack, angles, pol), want_t, rtol=0, atol=1e-15)
+
+
+def reference_amplitude_coeffs(stack, angle_of_incidence):
+    """r and the transmittance factor over angles, s then p on a leading axis: the
+    characteristic matrix in complex arithmetic throughout, started from the identity,
+    with r and T both formed from e0 * B + C."""
+    angle = np.asarray(angle_of_incidence, dtype=float)
+    n0 = complex(stack.ambient_index)
+    kpar = n0 * np.sin(angle.reshape(-1))
+
+    def admittances(n):
+        q = np.sqrt(n * n - kpar * kpar + 0j)
+        return q, np.stack((q, n * n / q))
+
+    m11, m12, m21, m22 = 1.0, 0.0, 0.0, 1.0
+    for d, n in stack.layers:
+        q, e = admittances(n)
+        delta = 2.0 * np.pi * d / stack.wavelength * q
+        cos, sin = np.cos(delta), np.sin(delta)
+        i_sin_e, i_e_sin = 1j * sin / e, 1j * e * sin
+        m11, m12, m21, m22 = (
+            m11 * cos + m12 * i_e_sin,
+            m11 * i_sin_e + m12 * cos,
+            m21 * cos + m22 * i_e_sin,
+            m21 * i_sin_e + m22 * cos,
+        )
+    _, e0 = admittances(n0)
+    _, es = admittances(complex(stack.substrate_index))
+    b, c = m11 + m12 * es, m21 + m22 * es
+    r = (e0 * b - c) / (e0 * b + c)
+    t_power = 4.0 * e0.real * es.real / abs(e0 * b + c) ** 2
+    shape = (2, *angle.shape)
+    return r.reshape(shape), t_power.reshape(shape)
+
+
+def assert_matches_reference_bits(stack, angles, pol):
+    """R and T of the package equal the reference's to the bit."""
+    r, t = reference_amplitude_coeffs(stack, angles)
+    for got, want in ((stack_reflectance(stack, angles, pol), abs(r) ** 2), (stack_transmittance(stack, angles, pol), t)):
+        want = 0.5 * (want[0] + want[1]) if pol == "unpolarized" else want[("s", "p").index(pol)]
+        np.testing.assert_array_equal(got, want, strict=True)
+
+
+# every phase these stacks give is real
+@settings(deadline=None, max_examples=100)
+@given(**lossless_stacks)
+def test_reflectance_bits_match_reference_matrix(layers, substrate, angles, pol):
+    assert_matches_reference_bits(OpticalStack(layers=tuple(layers), substrate_index=substrate), angles, pol)
+
+
+# stacks whose phases are complex, and the bare substrate, at a scalar angle and at an array
+# of them: an absorbing layer; a layer of index 1.2 under an ambient of 1.5, whose phase turns
+# imaginary past the critical angle asin(1.2 / 1.5) = 53.1 deg; a complex ambient index
+@pytest.mark.parametrize("stack", [
+    OpticalStack(layers=((143.7e-9, 2.0 + 0.25j),), substrate_index=2.0 + 0j),
+    OpticalStack(ambient_index=1.5 + 0j, layers=((100e-9, 1.2 + 0j),), substrate_index=3.0 + 0j),
+    OpticalStack(ambient_index=1.5 + 0j, layers=((100e-9, 1.2 + 0j), (29e-9, 2.1 + 0j)), substrate_index=3.0 + 0j),
+    OpticalStack(ambient_index=1.33 + 0.01j, layers=((80e-9, 2.0 + 0.3j), (40e-9, 1.5 + 0.1j))),
+    OpticalStack(layers=()),
+], ids=["absorbing", "past-critical", "past-critical-over-lossless", "complex-ambient", "bare"])
+@pytest.mark.parametrize("angles", [np.linspace(0.0, 1.5707, 181), 1.2], ids=["array", "scalar"])
+@pytest.mark.parametrize("pol", ["s", "p", "unpolarized"])
+def test_complex_phase_bits_match_reference_matrix(stack, angles, pol):
+    assert_matches_reference_bits(stack, angles, pol)
 
 
 # --- collection efficiency ---------------------------------------------------------
