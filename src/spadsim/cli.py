@@ -18,7 +18,7 @@ import numpy as np
 from . import detection, estimation, synthetic
 from .config import ConfigError, load_scenario, scenario_to_text
 from .model import Scenario, table_budget
-from .optics import bare_silicon_stack, efficiency_vs_offset, stack_reflectance
+from .optics import _polarized, _reflectance_rows, bare_silicon_stack, efficiency_vs_offset, stack_reflectance
 from .simulator import gate_and_count, simulate_stream
 
 EXIT_OK = 0
@@ -255,7 +255,8 @@ def cmd_arc(args) -> Output:
     scenario, config_text = _load_config(args)
     stack = bare_silicon_stack() if args.bare else scenario.geometry.stack
     angles = np.array(_parse_range("--angles-deg", args.angles_deg, math.pi / 180.0))
-    rows = list(zip(angles, *(stack_reflectance(stack, angles, pol) for pol in ("s", "p", "unpolarized"))))
+    reflectance = _reflectance_rows(stack, angles)  # s and p: one transfer matrix for all three columns
+    rows = list(zip(angles, *reflectance, _polarized(reflectance, "unpolarized")))
     body = "angle_deg,R_s,R_p,R_unpolarized\n" + "".join(
         f"{math.degrees(a):.6g},{rs:.6g},{rp:.6g},{ru:.6g}\n" for a, rs, rp, ru in rows
     )

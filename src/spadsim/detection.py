@@ -65,18 +65,18 @@ def threshold_fidelity(ion_counts, empty_counts) -> ThresholdResult:
     )
 
 
-def _poisson_cdf(mu, kmax: int) -> np.ndarray:
-    """P(X <= k) for X ~ Poisson(mu), k = 0..kmax, one row per mean in mu.
+def _poisson_cdf(mu, log_factorial: np.ndarray) -> np.ndarray:
+    """P(X <= k) for X ~ Poisson(mu), k = 0..kmax, one row per mean in mu, where
+    log_factorial holds ln k! for k = 0..kmax.
 
-    The pmf is exp(k ln mu - mu - ln k!) from one table of ln k!, and its
-    cumsum, divided by its last entry, is the CDF. kmax must lie 10 standard
-    deviations or more above each mean, where the mass left out is below
-    1e-20; the division then removes the sum's drift from rounding ln mu. The
-    result is within about mu times the float epsilon of the exact CDF: within
-    1e-12 for 0 <= mu <= 1000, which holds every window of both presets.
+    The pmf is exp(k ln mu - mu - ln k!), and its cumsum, divided by its last
+    entry, is the CDF. kmax must lie 10 standard deviations or more above each
+    mean, where the mass left out is below 1e-20; the division then removes the
+    sum's drift from rounding ln mu. The result is within about mu times the
+    float epsilon of the exact CDF: within 1e-12 for 0 <= mu <= 1000, which
+    holds every window of both presets.
     """
-    ks = np.arange(kmax + 1)
-    log_factorial = np.fromiter(map(math.lgamma, range(1, kmax + 2)), float, kmax + 1)
+    ks = np.arange(log_factorial.size)
     mu = np.asarray(mu, dtype=float)[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):  # mu = 0: only k = 0 has mass
         k_log_mu = np.where(ks > 0, ks * np.log(mu), 0.0)
@@ -84,13 +84,24 @@ def _poisson_cdf(mu, kmax: int) -> np.ndarray:
     return cdf / cdf[:, -1:]
 
 
+# A band of the threshold curve holds the windows whose kmax is at most this many times
+# its least one's: 3 bands at the reference budget, 2 at the projection's.
+_BAND_RATIO = 4
+
+
 def _threshold_optima(ion_rate: float, empty_rate: float, windows) -> tuple[np.ndarray, np.ndarray]:
     """Exact-Poisson optimal threshold and fidelity of the classify-if-count-exceeds-k
-    rule for each window, all windows from one ln k! table.
+    rule for each window.
 
-    A window's candidate thresholds run to 10 standard deviations above its
-    ion-present mean. The false alarm is 1 - CDF of the empty mean, so equal
-    rates give exactly 0.5.
+    A window's candidate thresholds k run to kmax, 10 standard deviations above
+    its ion-present mean. The false alarm is 1 - CDF of the empty mean, so equal
+    rates give exactly 0.5. The windows go in bands of similar kmax (_BAND_RATIO),
+    and a band's CDF rows run only to its own largest kmax, all from one table
+    of ln k!. A row's cumsum up to k does not depend on how far the row runs,
+    and the terms past a band's width, over 10 standard deviations above every
+    mean in it, are below half an ulp of the sum they would join, so its last
+    entry, the divisor, does not either: every value equals the one a row run
+    to the largest kmax of all windows gives, to the bit.
     """
     if not ion_rate >= empty_rate >= 0:
         raise ValueError("rate ordering violated: require ion_rate >= empty_rate >= 0")
@@ -100,12 +111,22 @@ def _threshold_optima(ion_rate: float, empty_rate: float, windows) -> tuple[np.n
     mu1 = ion_rate * windows
     mu0 = empty_rate * windows
     kmax = (mu1 + 10.0 * np.sqrt(mu1) + 10).astype(np.int64)
-    cdf = _poisson_cdf(np.concatenate((mu1, mu0)), int(kmax.max(initial=0)))
-    miss, fa = cdf[: windows.size], 1.0 - cdf[windows.size :]
-    fid = _fidelity_by_threshold(miss, fa)
-    fid[np.arange(fid.shape[1]) > kmax[:, None]] = -np.inf
-    best = np.argmax(fid, axis=1)
-    return best, fid[np.arange(windows.size), best]
+    log_factorial = np.fromiter(map(math.lgamma, range(1, kmax.max(initial=0) + 2)), float)
+    best = np.empty(windows.size, dtype=np.intp)
+    best_fid = np.empty(windows.size)
+    order = np.argsort(kmax, kind="stable")
+    ascending = kmax[order]
+    first = 0
+    while first < order.size:
+        end = int(np.searchsorted(ascending, _BAND_RATIO * ascending[first], side="right"))
+        band, width = order[first:end], int(ascending[end - 1]) + 1
+        cdf = _poisson_cdf(np.concatenate((mu1[band], mu0[band])), log_factorial[:width])
+        fid = _fidelity_by_threshold(cdf[: band.size], 1.0 - cdf[band.size :])
+        fid[np.arange(width) > kmax[band, None]] = -np.inf
+        best[band] = np.argmax(fid, axis=1)
+        best_fid[band] = fid[np.arange(band.size), best[band]]
+        first = end
+    return best, best_fid
 
 
 def analytic_threshold_fidelity(ion_rate: float, empty_rate: float, window: float) -> tuple[int, float]:
@@ -126,13 +147,22 @@ def _bin_log_likelihood_ratios(counts: np.ndarray, ion_rate: float, empty_rate: 
 
 
 def _first_crossings(llr: np.ndarray, thresholds) -> np.ndarray:
-    """For each threshold, the first bin along the last axis where |llr| reaches it, or the
-    axis length where it never does; the thresholds index a new last axis.
+    """For each row of llr (rows x bins) and each threshold, the first bin where |llr|
+    reaches it, or the number of bins where it never does: a rows x thresholds array.
 
-    The running max of |llr| never falls, so that bin is the count of bins where it is still below.
+    Per threshold, argmax of the rows x bins boolean |llr| >= t is each row's first
+    true bin, or bin 0 for a row with none; a row whose element at its argmax is
+    false never reaches t.
     """
-    peak = np.maximum.accumulate(np.abs(llr), axis=-1)
-    return np.count_nonzero(peak[..., None, :] < np.asarray(thresholds)[:, None], axis=-1)
+    magnitude = np.abs(llr)
+    rows = np.arange(llr.shape[0])
+    first = np.empty((llr.shape[0], len(thresholds)), dtype=np.intp)
+    for j, t in enumerate(thresholds):
+        reached = magnitude >= t
+        at = reached.argmax(axis=1)
+        at[~reached[rows, at]] = llr.shape[1]
+        first[:, j] = at
+    return first
 
 
 def wald_bound(ion_rate: float, empty_rate: float, error: float) -> tuple[float, float]:
@@ -246,9 +276,9 @@ def _stopping_bins(counts, n_rows: int, n_bins: int, ion_rate: float, empty_rate
     _bin_log_likelihood_ratios up to that bin, and the result is
     _first_crossings of that cumsum over whole rows. Each row still below a
     threshold carries its log odds into the next window's first bin, so the
-    sums are added in the same order as one cumsum over the row. Its running
-    max of |log odds| needs no carrying: a row still below a threshold has
-    stayed below it.
+    sums are added in the same order as one cumsum over the row. Nothing else
+    is carried: a row still below a threshold has reached it in no earlier
+    bin, so its first crossing in this window is its first over the row.
     """
     stop = np.empty((n_rows, len(thresholds)), dtype=np.int64)
     says_ion = np.empty((n_rows, len(thresholds)), dtype=bool)

@@ -54,10 +54,13 @@ def _positive(name: str, value: float):
 
 
 def _index(name: str, n):
-    """ValueError naming name and n unless n is finite with imaginary part >= 0 (NaN fails the test)."""
+    """ValueError naming name and n unless n is finite with real part > 0 and imaginary
+    part >= 0 (NaN fails the test)."""
     n = complex(n)
     if not (math.isfinite(n.real) and 0 <= n.imag < math.inf):
         raise ValueError(f"{name} must be finite with imaginary part >= 0, got {n}")
+    if not n.real > 0:
+        raise ValueError(f"{name} must have real part > 0, got {n}")
 
 
 def arc_stack() -> OpticalStack:
@@ -134,6 +137,14 @@ def _polarized(values, polarization: str):
     return values[("s", "p").index(polarization)]
 
 
+def _reflectance_rows(stack: OpticalStack, angle_of_incidence) -> np.ndarray:
+    """Power reflectance |r|^2 of the stack over angles, s then p on a new leading axis."""
+    _, _, e0b, c = _stack_terms(stack, angle_of_incidence)
+    r = e0b - c
+    r /= e0b + c
+    return abs(r) ** 2
+
+
 def stack_reflectance(stack: OpticalStack, angle_of_incidence, polarization: str = "unpolarized"):
     """Power reflectance |r|^2 of the stack at the given incidence angle, a scalar or an array.
 
@@ -141,10 +152,7 @@ def stack_reflectance(stack: OpticalStack, angle_of_incidence, polarization: str
     layers this reduces to the Fresnel reflection of the bare substrate.
     """
     _check_polarization(polarization)
-    _, _, e0b, c = _stack_terms(stack, angle_of_incidence)
-    r = e0b - c
-    r /= e0b + c
-    return _polarized(abs(r) ** 2, polarization)
+    return _polarized(_reflectance_rows(stack, angle_of_incidence), polarization)
 
 
 def stack_transmittance(stack: OpticalStack, angle_of_incidence, polarization: str = "unpolarized"):

@@ -262,27 +262,34 @@ def _words_before(words: np.ndarray, at: np.ndarray, n: int) -> list[np.ndarray]
 
 def apply_dead_time(times_ns: np.ndarray, labels: np.ndarray, dead_ns: int):
     """Nonparalyzable filter on ascending times_ns: keep an event iff it is >= dead_ns
-    (and >= 1 ns) after the last kept one.
-
-    An event at least that gap after its predecessor is always kept, and one
-    closer than that to a kept predecessor is always dropped. So the first
-    close event of each run is dropped after a kept one, and only the events
-    whose predecessor is close too are walked in order.
-    """
+    (and >= 1 ns) after the last kept one (_dead_time_keep)."""
     gap = _dead_gap_ns(dead_ns)
-    close = np.diff(times_ns) < gap  # close[i - 1]: event i is within the gap of event i - 1
+    keep = _dead_time_keep(times_ns, np.diff(times_ns) < gap, gap)
+    return times_ns[keep], labels[keep]
+
+
+def _dead_time_keep(times_ns: np.ndarray, close: np.ndarray, gap: int) -> np.ndarray:
+    """Which events the nonparalyzable filter keeps: each is kept iff it is >= gap after
+    the last kept one of its run, where close[i - 1] says event i is in the same run as
+    event i - 1 and less than gap after it (a run's times ascending).
+
+    An event that is not close to its predecessor is always kept, and one close
+    to a kept predecessor is always dropped. So the first close event of each
+    chain is dropped after a kept one, and only the events whose predecessor is
+    close too are walked in order.
+    """
     keep = np.ones(times_ns.size, dtype=bool)
     keep[1:] = ~close
     chained = np.flatnonzero(close[1:] & close[:-1]) + 2
     walked = -1
     for i, t, before in zip(chained.tolist(), times_ns[chained].tolist(), times_ns[chained - 2].tolist()):
-        if i - 1 != walked:  # event i - 1 starts the run: dropped after the kept event i - 2
+        if i - 1 != walked:  # event i - 1 starts the chain: dropped after the kept event i - 2
             last = before
         if t - last >= gap:
             keep[i] = True
             last = t
         walked = i
-    return times_ns[keep], labels[keep]
+    return keep
 
 
 def _dead_gap_ns(dead_ns: int) -> int:
@@ -366,21 +373,22 @@ def _carry_dead_time(times_ns: np.ndarray, labels: np.ndarray, rows: np.ndarray,
     r's last kept time before the window; last_ns is updated in place.
 
     The events come, and the kept labels and rows go, in (row, time) order. Events
-    within the dead-time gap of their row's last kept time are dropped first, and the row's
-    next is kept, as in one pass over its windows joined. Laid end to end on one int64 key,
-    each row more than a gap past the last, the rows need one apply_dead_time pass, no sort.
+    within the dead-time gap of their row's last kept time are dropped first (when there
+    are any), and the row's next is kept, as in one pass over its windows joined. An
+    event is then close when it is less than the gap after its predecessor in the same
+    row, and the rows share one _dead_time_keep pass.
     """
     gap = _dead_gap_ns(dead_ns)
     fresh = times_ns - last_ns[rows] >= gap
-    times_ns, labels, rows = times_ns[fresh], labels[fresh], rows[fresh]
+    if not fresh.all():
+        times_ns, labels, rows = times_ns[fresh], labels[fresh], rows[fresh]
     if not times_ns.size:
         return labels, rows
-    lo = times_ns.min()
-    span = times_ns.max() - lo + gap + 1
-    key, labels = apply_dead_time(rows * span + (times_ns - lo), labels, dead_ns)
-    rows = key // span
+    same_row = rows[1:] == rows[:-1]
+    keep = _dead_time_keep(times_ns, (np.diff(times_ns) < gap) & same_row, gap)
+    times_ns, labels, rows = times_ns[keep], labels[keep], rows[keep]
     row_ends = np.flatnonzero(np.append(rows[1:] != rows[:-1], True))
-    last_ns[rows[row_ends]] = key[row_ends] - rows[row_ends] * span + lo
+    last_ns[rows[row_ends]] = times_ns[row_ends]
     return labels, rows
 
 

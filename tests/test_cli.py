@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spadsim import cli, detection, estimation
+from spadsim import cli, detection, estimation, optics
 from spadsim.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, _fidelity_csv, main
 from spadsim.config import KNOWN_KEYS, scenario_to_text
 from spadsim.model import Scenario, table_budget
@@ -245,6 +245,14 @@ class TestCollection:
         assert "got nan in grid row 1, column 2" in err
         assert sorted(path.name for path in outdir.iterdir()) == ["area_nan.cfg", "area_nan.csv"]  # no output
 
+    def test_substrate_index_of_real_part_0_exits_2(self, outdir, tmp_path, capsys):
+        # it used to exit 0 with R = 1 and efficiencies of 6.5e-21
+        cfg = tmp_path / "index_0.cfg"
+        cfg.write_text("stack.substrate_index = 0\n")
+        assert main(["collection", "--config", str(cfg)]) == EXIT_INPUT_ERROR
+        assert "substrate_index must have real part > 0, got 0j" in capsys.readouterr().err
+        assert sorted(path.name for path in outdir.iterdir()) == ["index_0.cfg"]  # no output
+
 
 class TestArc:
     def test_check_reference_reflectances(self, outdir, capsys):
@@ -260,6 +268,12 @@ class TestArc:
         r_coated = float(read_output(outdir / "coated.csv")[2].split(",")[3])
         r_bare = float(read_output(outdir / "bare.csv")[2].split(",")[3])
         assert r_bare > r_coated
+
+    def test_one_transfer_matrix_for_the_table(self, outdir):
+        terms = unittest.mock.Mock(wraps=optics._stack_terms)
+        with unittest.mock.patch.object(optics, "_stack_terms", terms):
+            assert main(["arc"]) == EXIT_OK
+        assert terms.call_count == 1  # the s and p rows give all three columns
 
     def test_non_finite_range_spec(self, outdir, capsys):
         assert main(["arc", "--angles-deg", "0:inf:5"]) == EXIT_INPUT_ERROR

@@ -120,6 +120,12 @@ class TestNonFiniteOpticsInputs:
         ({"substrate_index": complex(INF, 1.4)}, "substrate_index must be finite with imaginary part >= 0, got (inf+1.4j)"),
         ({"substrate_index": complex(6.9, NAN)}, "substrate_index must be finite with imaginary part >= 0, got (6.9+nanj)"),
         ({"ambient_index": NAN}, "ambient_index must be finite with imaginary part >= 0, got (nan+0j)"),
+        # an index of real part 0 gave R = 1 (NaN in a layer), and a negative one the R of its opposite
+        ({"layers": ((50e-9, 0j),)}, "layer 1 index must have real part > 0, got 0j"),
+        ({"layers": ((29e-9, 2.1), (10e-9, -1.47))}, "layer 2 index must have real part > 0, got (-1.47+0j)"),
+        ({"substrate_index": 0}, "substrate_index must have real part > 0, got 0j"),
+        ({"substrate_index": complex(-6.9, 1.4)}, "substrate_index must have real part > 0, got (-6.9+1.4j)"),
+        ({"ambient_index": -0.0}, "ambient_index must have real part > 0, got (-0+0j)"),
     ], ids=lambda v: next(iter(v)) if isinstance(v, dict) else v.split(" got ")[1])
     def test_stack_rejects(self, kwargs, named):
         with pytest.raises(ValueError, match=re.escape(named)):

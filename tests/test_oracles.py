@@ -2,9 +2,11 @@
 
 The loops below are the reference implementations: the per-event arrival
 draw; the per-event dead-time filter, also for the window-by-window filter
-with its carried last kept time; np.histogram and the per-event edge search
+with its carried last kept time, and the one pass over an int64 (row, time)
+key that the window filter replaced; np.histogram and the per-event edge search
 for the binning; searchsorted on the sorted counts for the threshold rule's
-empirical CDFs;
+empirical CDFs; the running max of |log odds| for the first crossings; the
+threshold curve with every window's CDF rows run to the largest cutoff;
 the per-event direct sum of exponential pulses, and scipy.signal's lfilter
 for the first-order scan of both front-end filters; the per-edge Schmitt
 trigger; scipy.special's pdtr and pdtrc for the Poisson law; the per-angle
@@ -45,6 +47,7 @@ from spadsim.detection import (
     _first_crossings,
     _poisson_cdf,
     _stopping_bins,
+    _threshold_optima,
     fidelity_curve,
     projected_scenario_fidelity,
     threshold_fidelity,
@@ -84,6 +87,11 @@ from spadsim.simulator import (
 
 def finite(lo, hi):
     return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False)
+
+
+def log_factorials(kmax):
+    """ln k! for k = 0..kmax."""
+    return np.fromiter(map(math.lgamma, range(1, kmax + 2)), float, kmax + 1)
 
 
 # --- dead time -------------------------------------------------------------------
@@ -188,6 +196,51 @@ def test_windowed_dead_time_matches_joined_stream(case):
         want_t, want_l = apply_dead_time(t, np.array([e[1] for e in joined[r]], dtype=np.int64), dead_ns)
         assert kept[r] == list(zip(want_t.tolist(), want_l.tolist()))
         assert last_ns[r] == (want_t[-1] if want_t.size else -max(dead_ns, 1))
+
+
+def keyed_carry_dead_time(times_ns, labels, rows, last_ns, dead_ns):
+    """_carry_dead_time as one apply_dead_time pass over an int64 (row, time) key: each
+    row's times offset by the window's least, the rows laid end to end more than a gap
+    apart, and the rows and last kept times taken back out of the kept keys."""
+    gap = max(int(dead_ns), 1)
+    fresh = times_ns - last_ns[rows] >= gap
+    times_ns, labels, rows = times_ns[fresh], labels[fresh], rows[fresh]
+    if not times_ns.size:
+        return labels, rows
+    lo = times_ns.min()
+    span = times_ns.max() - lo + gap + 1
+    key, labels = apply_dead_time(rows * span + (times_ns - lo), labels, dead_ns)
+    rows = key // span
+    row_ends = np.flatnonzero(np.append(rows[1:] != rows[:-1], True))
+    last_ns[rows[row_ends]] = key[row_ends] - rows[row_ends] * span + lo
+    return labels, rows
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(case=window_cases())
+@example(case=(25, 2, [[(0, 10), (1, 3)], [(0, 20), (0, 35), (1, 19)], [(0, 40), (1, 30)]]))
+# a chain across a window edge: row 0's kept 8 drops 11 and 15 in the next window, keeps 19,
+# drops 22 and 27 (chained, 8 after 19) and keeps 30; row 1 has no event in the second window
+@example(case=(10, 2, [[(0, 0), (0, 5), (0, 8), (1, 4)], [(0, 11), (0, 15), (0, 19), (0, 22), (0, 27), (0, 30)]]))
+# every event fresh, and none: the second window lies wholly inside the dead time
+@example(case=(5, 3, [[(0, 0), (1, 10), (2, 20)], [(0, 2), (1, 12), (2, 22)], []]))
+def test_carry_dead_time_matches_keyed_reference(case):
+    """_carry_dead_time keeps the same labels and rows, and leaves the same last kept
+    times, as the int64-key pass, window after window."""
+    dead_ns, n_rows, windows = case
+    last_ns = np.full(n_rows, -max(dead_ns, 1), dtype=np.int64)
+    want_last = last_ns.copy()
+    ids = 0
+    for events in windows:
+        rows = np.array([r for r, _ in events], dtype=np.int64)
+        times = np.array([t for _, t in events], dtype=np.int64)
+        labels = np.arange(ids, ids + len(events))
+        ids += len(events)
+        got = _carry_dead_time(times, labels, rows, last_ns, dead_ns)
+        want = keyed_carry_dead_time(times, labels, rows, want_last, dead_ns)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        assert np.array_equal(last_ns, want_last)
 
 
 # --- arrivals --------------------------------------------------------------------
@@ -535,11 +588,40 @@ def test_fidelity_curve_matches_per_trial_detector(
     assert repr(curve.bayes) == repr(want)
 
 
+def running_max_first_crossings(llr, thresholds):
+    """Each row's first bin where |llr| reaches each threshold, or the number of bins: the
+    running max of |llr| never falls, so that bin is the count of bins where it is still
+    below the threshold, taken over a rows x thresholds x bins broadcast."""
+    peak = np.maximum.accumulate(np.abs(llr), axis=-1)
+    return np.count_nonzero(peak[..., None, :] < np.asarray(thresholds)[:, None], axis=-1)
+
+
 def dense_stopping_bins(counts, ion_rate, empty_rate, sub_bin, thresholds):
     """The whole-row pass: log odds after every bin, then each threshold's first crossing."""
     llr = np.cumsum(_bin_log_likelihood_ratios(counts, ion_rate, empty_rate, sub_bin), axis=1)
-    stop = np.minimum(_first_crossings(llr, thresholds), counts.shape[1] - 1)
+    stop = np.minimum(running_max_first_crossings(llr, thresholds), counts.shape[1] - 1)
     return stop, np.take_along_axis(llr, stop, axis=1) > 0
+
+
+# log odds as the sweep makes them (finite, or +inf once a count meets an empty rate of 0),
+# with whole rows of 0 and of +inf, and thresholds from below every |llr| to above all of them
+log_odds_entries = st.one_of(finite(-30.0, 30.0), st.sampled_from([0.0, np.inf, 2.0, -2.0]))
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(
+    llr=arrays(float, st.tuples(st.integers(0, 12), st.integers(1, 40)), elements=log_odds_entries),
+    zero_rows=st.integers(0, 3),
+    thresholds=st.lists(st.one_of(finite(1e-3, 40.0), st.sampled_from([2.0, 1e300])), min_size=1, max_size=6),
+)
+@example(llr=np.array([[0.0], [2.0], [np.inf], [-2.0]]), zero_rows=1, thresholds=[2.0, 1e300])  # one bin
+@example(llr=np.cumsum(np.where(np.eye(5, 8) > 0, np.inf, -0.1), axis=1), zero_rows=0, thresholds=[2.2, 9.2])
+def test_first_crossings_match_running_max(llr, zero_rows, thresholds):
+    llr = np.concatenate((llr, np.zeros((zero_rows, llr.shape[1]))))
+    got = _first_crossings(llr, thresholds)
+    want = running_max_first_crossings(llr, thresholds)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 @settings(deadline=None, max_examples=200)
@@ -641,10 +723,69 @@ def test_poisson_law_matches_pdtr(mus):
     # the rows share one table up to the largest mean's kmax, and every k up to it is checked
     kmax = max(int(mu + 10.0 * math.sqrt(mu) + 10) for mu in mus)
     ks = np.arange(kmax + 1)
-    cdf = _poisson_cdf(mus, kmax)
+    cdf = _poisson_cdf(mus, log_factorials(kmax))
     for mu, row in zip(mus, cdf):
         np.testing.assert_allclose(row, pdtr(ks, mu), rtol=0, atol=1e-12)
         np.testing.assert_allclose(1.0 - row, pdtrc(ks, mu), rtol=0, atol=1e-12)
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(mus=st.lists(finite(0.0, 2000.0), min_size=1, max_size=4), extra=st.integers(1, 3000))
+@example(mus=[0.0], extra=1)
+@example(mus=[1e-300, 1.0, 584.9], extra=1)
+@example(mus=[2000.0], extra=3000)
+def test_poisson_cdf_bits_do_not_depend_on_width(mus, extra):
+    """Run past the least width that holds each mean's 10 standard deviations, a CDF row
+    keeps every bit up to that width: the terms added beyond it change no sum."""
+    kmax = max(int(mu + 10.0 * math.sqrt(mu) + 10) for mu in mus)
+    log_factorial = log_factorials(kmax + extra)
+    narrow = _poisson_cdf(mus, log_factorial[: kmax + 1])
+    wide = _poisson_cdf(mus, log_factorial)
+    assert np.array_equal(narrow, wide[:, : kmax + 1])
+
+
+def full_matrix_threshold_optima(ion_rate, empty_rate, windows):
+    """_threshold_optima with every window's CDF rows run to the largest kmax of all, from
+    one table of ln k!, and each row's candidates past its own kmax masked out."""
+    windows = np.asarray(windows, dtype=float)
+    mu1 = ion_rate * windows
+    mu0 = empty_rate * windows
+    kmax = (mu1 + 10.0 * np.sqrt(mu1) + 10).astype(np.int64)
+    width = int(kmax.max(initial=0)) + 1
+    ks = np.arange(width)
+    log_factorial = log_factorials(width - 1)
+    mu = np.concatenate((mu1, mu0))[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k_log_mu = np.where(ks > 0, ks * np.log(mu), 0.0)
+    cdf = np.cumsum(np.exp(k_log_mu - mu - log_factorial), axis=1)
+    cdf = cdf / cdf[:, -1:]
+    miss, fa = cdf[: windows.size], 1.0 - cdf[windows.size :]
+    fid = 1.0 - 0.5 * (miss + fa)
+    fid[ks > kmax[:, None]] = -np.inf
+    best = np.argmax(fid, axis=1)
+    return best, fid[np.arange(windows.size), best]
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(
+    ion_rate=st.one_of(st.just(0.0), finite(1.0, 2e5)),
+    empty_share=st.one_of(st.sampled_from([0.0, 1.0]), finite(0.0, 1.0)),
+    windows=st.one_of(
+        st.lists(finite(1e-7, 0.1), min_size=1, max_size=30),
+        st.tuples(finite(1e-7, 1e-3), finite(1.0, 1e3), st.integers(1, 40)).map(lambda g: np.geomspace(g[0], g[0] * g[1], g[2])),
+    ),
+)
+@example(ion_rate=11700.0, empty_share=6900.0 / 11700.0, windows=np.geomspace(100e-6, 50e-3, 25))  # the reference curve
+@example(ion_rate=50140.0, empty_share=100.0 / 50140.0, windows=np.geomspace(2e-6, 2e-3, 25))  # the projection's
+@example(ion_rate=5e3, empty_share=1.0, windows=[1e-3, 1e-5, 0.1])  # equal rates, windows out of order
+@example(ion_rate=5e3, empty_share=0.0, windows=[1e-3, 0.02])  # empty_rate = 0
+def test_threshold_optima_bits_match_full_matrix(ion_rate, empty_share, windows):
+    # means up to 2e4, 20 times the largest of either preset
+    empty_rate = ion_rate * empty_share
+    got = _threshold_optima(ion_rate, empty_rate, windows)
+    want = full_matrix_threshold_optima(ion_rate, empty_rate, windows)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 def assert_matches_exact(point, exact, trials, sub_bin):
