@@ -18,12 +18,13 @@ import numpy as np
 from . import detection, estimation, synthetic
 from .config import ConfigError, load_scenario, scenario_to_text
 from .model import Scenario, table_budget
-from .optics import _polarized, _reflectance_rows, bare_silicon_stack, efficiency_vs_offset, stack_reflectance
+from .optics import _reflectance_rows, bare_silicon_stack, efficiency_vs_offset, stack_reflectance
 from .simulator import gate_and_count, simulate_stream
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
+_MAX_POINTS = 1 << 20  # the most points a start:stop:step flag may ask for, checked before any is made
 
 PRESETS_EPILOG = """\
 figure/table presets:
@@ -113,7 +114,10 @@ def _parse_range(flag: str, spec: str, scale: float = 1.0) -> list[float]:
     start, stop, step = values
     if step <= 0:
         raise ValueError(f"{flag}: range step must be > 0")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
+    steps = (stop - start) / step + 1e-9
+    if not steps < _MAX_POINTS:  # written so that inf fails it
+        raise ValueError(f"{flag}: range {spec!r} has {steps + 1:.3g} points, more than the limit of {_MAX_POINTS}")
+    n = int(math.floor(steps)) + 1
     if n < 1:
         raise ValueError(f"{flag}: range {spec!r} has no points")
     return [(start + i * step) * scale for i in range(n)]
@@ -143,7 +147,11 @@ def cmd_threshold(args) -> Output:
     window = args.window_ms * 1e-3
     ion = simulate_stream(scenario, True)
     empty = simulate_stream(scenario, False)
-    result = detection.threshold_fidelity(gate_and_count(ion, window), gate_and_count(empty, window))
+    try:
+        counts = [gate_and_count(stream, window) for stream in (ion, empty)]
+    except ValueError as exc:
+        raise ValueError(f"--window-ms: {exc}") from None
+    result = detection.threshold_fidelity(*counts)
     k_exact, f_exact = detection.analytic_threshold_fidelity(
         scenario.budget.ion_total(), scenario.budget.background_total(), window
     )
@@ -255,16 +263,16 @@ def cmd_arc(args) -> Output:
     scenario, config_text = _load_config(args)
     stack = bare_silicon_stack() if args.bare else scenario.geometry.stack
     angles = np.array(_parse_range("--angles-deg", args.angles_deg, math.pi / 180.0))
-    reflectance = _reflectance_rows(stack, angles)  # s and p: one transfer matrix for all three columns
-    rows = list(zip(angles, *reflectance, _polarized(reflectance, "unpolarized")))
+    rs, rp = _reflectance_rows(stack, angles)  # one transfer matrix for all three columns
+    rows = list(zip(angles, rs, rp, 0.5 * (rs + rp)))  # the mean as stack_reflectance takes it
     body = "angle_deg,R_s,R_p,R_unpolarized\n" + "".join(
         f"{math.degrees(a):.6g},{rs:.6g},{rp:.6g},{ru:.6g}\n" for a, rs, rp, ru in rows
     )
     summary = [f"angle {math.degrees(a):5.1f} deg: R = {ru:.4f}" for a, _, _, ru in rows]
 
     def checks():
-        r_normal = stack_reflectance(scenario.geometry.stack, 0.0, "unpolarized")
-        r_bare = stack_reflectance(bare_silicon_stack(), 0.0, "unpolarized")
+        r_normal = stack_reflectance(scenario.geometry.stack, 0.0)
+        r_bare = stack_reflectance(bare_silicon_stack(), 0.0)
         return [
             (abs(r_normal - 0.10) <= 0.03, f"coated normal-incidence R {r_normal:.3f} outside 0.10 +/- 0.03"),
             (abs(r_bare - 0.57) <= 0.04, f"bare-substrate normal R {r_bare:.3f} outside 0.57 +/- 0.04"),
@@ -433,6 +441,8 @@ def main(argv=None) -> int:
     if args.output_dir is None:  # not falsiness: an explicit --output-dir '' keeps its meaning
         args.output_dir = os.environ.get("SPADSIM_OUTPUT_DIR", ".")
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:  # numpy's generators take seeds >= 0
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         out = args.func(args)
         _write_output(_output_path(args, out.name), _manifest_hash(args.subcommand, args, out.hashed), out.body)
         for line in out.summary:

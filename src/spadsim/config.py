@@ -57,8 +57,15 @@ def _number(unit: float):
     return (lambda text: _finite(float(text) * unit)), (lambda x: _fmt(x / unit))
 
 
+def _seed(text: str) -> int:
+    """A random seed: an integer >= 0, as numpy's generators take."""
+    if (seed := int(text)) < 0:
+        raise ValueError(f"a seed must be >= 0, got {seed}")
+    return seed
+
+
 _MICRONS = _number(1e-6)
-_INTEGER = (int, str)
+_SEED = (_seed, str)
 _TEXT = (str, str)
 _COMPLEX = ((lambda text: _finite(complex(text.replace(" ", "")))), _fmt_complex)
 _LAYERS = (_parse_layers, _fmt_layers)
@@ -75,7 +82,7 @@ _KEYS = (
     ("emitter.gamma_over_2pi_mhz", "scenario.emitter.gamma_over_2pi_hz", _number(1e6)),
     ("emitter.saturation_fraction", "scenario.emitter.saturation_fraction", _number(1.0)),
     ("trial.duration_s", "scenario.trial_duration", _number(1.0)),
-    ("trial.seed", "scenario.rng_seed", _INTEGER),
+    ("trial.seed", "scenario.rng_seed", _SEED),
     ("geometry.ion_height_um", "scenario.geometry.ion_height_above_surface", _MICRONS),
     ("geometry.recess_um", "scenario.geometry.detector_recess_below_surface", _MICRONS),
     ("geometry.emission", "scenario.geometry.emission_pattern", _TEXT),

@@ -40,9 +40,6 @@ class RateBudget:
         """Total count rate with the ion removed (all sources but fluorescence)."""
         return self.ion_total() - self.fluorescence
 
-    def scaled(self, c: float) -> "RateBudget":
-        return RateBudget(**{name: c * getattr(self, name) for name in BUDGET_SOURCES})
-
 
 BUDGET_SOURCES = tuple(f.name for f in fields(RateBudget))
 

@@ -72,10 +72,11 @@ def bare_silicon_stack() -> OpticalStack:
     return OpticalStack(layers=())
 
 
-def _stack_terms(stack: OpticalStack, angle_of_incidence):
-    """e0, es, e0 * B and C elementwise over angles, s then p on a new leading axis: the
-    ambient's and the substrate's admittances, and [B, C] = M [1, es] for M the product
-    of the layer matrices top first (Macleod, Thin-Film Optical Filters, ch. 2).
+def _reflectance_rows(stack: OpticalStack, angle_of_incidence) -> np.ndarray:
+    """Power reflectance |r|^2 of the stack over angles, s then p on a new leading axis:
+    r = (e0 B - C) / (e0 B + C) for the ambient's admittance e0 and [B, C] = M [1, es],
+    M the product of the layer matrices top first and es the substrate's admittance
+    (Macleod, Thin-Film Optical Filters, ch. 2).
 
     A layer whose phase is real at every angle (lossless, below its critical angle)
     takes cos and sin in real arithmetic, bit-equal to the complex functions on the
@@ -121,45 +122,18 @@ def _stack_terms(stack: OpticalStack, angle_of_incidence):
     else:
         m11, m12, m21, m22 = m
         e0b, c = e0 * (m11 + m12 * es), m21 + m22 * es
-    shape = (2, *angle.shape)
-    return e0.reshape(shape), es.reshape(shape), e0b.reshape(shape), c.reshape(shape)
-
-
-def _check_polarization(polarization: str):
-    if polarization not in ("s", "p", "unpolarized"):
-        raise ValueError(f"unknown polarization {polarization!r}")
-
-
-def _polarized(values, polarization: str):
-    """The s or p row of values (s then p on the leading axis), or their mean for "unpolarized"."""
-    if polarization == "unpolarized":
-        return 0.5 * (values[0] + values[1])
-    return values[("s", "p").index(polarization)]
-
-
-def _reflectance_rows(stack: OpticalStack, angle_of_incidence) -> np.ndarray:
-    """Power reflectance |r|^2 of the stack over angles, s then p on a new leading axis."""
-    _, _, e0b, c = _stack_terms(stack, angle_of_incidence)
     r = e0b - c
     r /= e0b + c
-    return abs(r) ** 2
+    return (abs(r) ** 2).reshape(2, *angle.shape)
 
 
-def stack_reflectance(stack: OpticalStack, angle_of_incidence, polarization: str = "unpolarized"):
-    """Power reflectance |r|^2 of the stack at the given incidence angle, a scalar or an array.
-
-    polarization is "s", "p" or "unpolarized" (mean of s and p). With no
-    layers this reduces to the Fresnel reflection of the bare substrate.
+def stack_reflectance(stack: OpticalStack, angle_of_incidence):
+    """Unpolarized power reflectance of the stack at the given incidence angle, a scalar or
+    an array: the mean of the s and p rows of _reflectance_rows. With no layers this
+    reduces to the Fresnel reflection of the bare substrate.
     """
-    _check_polarization(polarization)
-    return _polarized(_reflectance_rows(stack, angle_of_incidence), polarization)
-
-
-def stack_transmittance(stack: OpticalStack, angle_of_incidence, polarization: str = "unpolarized"):
-    """Power transmittance into the substrate (R + T = 1 for lossless stacks), scalar or array angles."""
-    _check_polarization(polarization)
-    e0, es, e0b, c = _stack_terms(stack, angle_of_incidence)
-    return _polarized(4.0 * e0.real * es.real / abs(e0b + c) ** 2, polarization)
+    rows = _reflectance_rows(stack, angle_of_incidence)
+    return 0.5 * (rows[0] + rows[1])
 
 
 def _cell_centers(shape, cell_size: float, origin=(0.0, 0.0)) -> tuple[np.ndarray, np.ndarray]:
@@ -253,19 +227,6 @@ def quarter_disc_map(
     xx, yy = _cell_centers((n, n), cell_size)
     w = quarter_disc_response(xx, yy, outer_radius, guard_width)
     return ActiveAreaMap(cell_size=cell_size, origin=(0.0, 0.0), weights=w)
-
-
-def aperture_filling_map(
-    diameter: float = APERTURE_DIAMETER, cell_size: float = 0.4e-6
-) -> ActiveAreaMap:
-    """Hypothetical detector whose full-response area fills the optical aperture."""
-    _positive("diameter", diameter)
-    _positive("cell_size", cell_size)
-    r = diameter / 2
-    n = int(math.ceil(diameter / cell_size)) + 1
-    xx, yy = _cell_centers((n, n), cell_size, (-r, -r))
-    w = (np.hypot(xx, yy) <= r).astype(float)
-    return ActiveAreaMap(cell_size=cell_size, origin=(-r, -r), weights=w)
 
 
 @dataclass(frozen=True)

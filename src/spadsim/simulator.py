@@ -20,6 +20,8 @@ _READ_CHARS = 1 << 19  # characters per block of CSV text parsed as bytes, some 
 # The most events one draw may expect: about 24 bytes each (a sweep window's spacing sum, time
 # and row), 0.8 GB, and a few times that while filtered; a 50 s stream holds about 585k.
 _MAX_EVENTS = 1 << 25
+# The most windows one gating may make: some 0.5 GB in its few int64 arrays; 50 s in 25 ms gates make 2000
+_MAX_GATES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -424,10 +426,14 @@ def gate_and_count(stream: EventStream, gate: float) -> np.ndarray:
     """Counts in consecutive windows of length gate partitioning [0, duration).
 
     gate is in seconds, finite and > 0; any other value is a ValueError that names it.
+    More than _MAX_GATES windows are a ValueError too, raised before any edge is made.
     """
     if not 0 < gate < math.inf:
         raise ValueError(f"gate must be > 0 and finite, got {gate}")
-    n_gates = int(np.floor(stream.duration / gate + 1e-9))
+    gates = np.floor(stream.duration / gate + 1e-9)
+    if not gates <= _MAX_GATES:  # written so that inf fails it
+        raise ValueError(f"{gates:.3g} gates of {gate:g} s, more than the limit of {_MAX_GATES}")
+    n_gates = int(gates)
     if n_gates < 1:
         raise ValueError("gate is longer than the stream duration")
     return _bin_counts(stream.timestamps_ns, gate, n_gates)

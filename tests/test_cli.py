@@ -12,8 +12,11 @@ import pytest
 from spadsim import cli, detection, estimation, optics
 from spadsim.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, _fidelity_csv, main
 from spadsim.config import KNOWN_KEYS, scenario_to_text
-from spadsim.model import Scenario, table_budget
+from spadsim.model import BUDGET_SOURCES, RateBudget, Scenario, table_budget
 from spadsim.optics import ShadowingWarning, quarter_disc_map
+
+# the reference budget at 2%: the threshold fidelity falls far below 0.996
+WEAK_BUDGET = RateBudget(**{name: 0.02 * getattr(table_budget(), name) for name in BUDGET_SOURCES})
 
 
 @pytest.fixture()
@@ -89,9 +92,7 @@ class TestThreshold:
 
     def test_check_fails_on_weak_signal(self, outdir, tmp_path, capsys):
         cfg = tmp_path / "weak.cfg"
-        weak = Scenario(
-            budget=table_budget().scaled(0.02), trial_duration=20.0, rng_seed=1
-        )
+        weak = Scenario(budget=WEAK_BUDGET, trial_duration=20.0, rng_seed=1)
         cfg.write_text(scenario_to_text(weak))
         rc = main(["threshold", "--config", str(cfg), "--check"])
         assert rc == EXIT_CHECK_FAILED
@@ -270,10 +271,12 @@ class TestArc:
         assert r_bare > r_coated
 
     def test_one_transfer_matrix_for_the_table(self, outdir):
-        terms = unittest.mock.Mock(wraps=optics._stack_terms)
-        with unittest.mock.patch.object(optics, "_stack_terms", terms):
+        # every transfer matrix, whether the table's own or one behind stack_reflectance
+        rows = unittest.mock.Mock(wraps=optics._reflectance_rows)
+        with unittest.mock.patch.object(optics, "_reflectance_rows", rows), \
+                unittest.mock.patch.object(cli, "_reflectance_rows", rows):
             assert main(["arc"]) == EXIT_OK
-        assert terms.call_count == 1  # the s and p rows give all three columns
+        assert rows.call_count == 1  # the s and p rows give all three columns
 
     def test_non_finite_range_spec(self, outdir, capsys):
         assert main(["arc", "--angles-deg", "0:inf:5"]) == EXIT_INPUT_ERROR
@@ -403,8 +406,9 @@ class TestQEFit:
 class TestPinnedOutputs:
     # sha256 of the body under the manifest line of a 1 s `simulate` event CSV, of the
     # default `threshold`, of a 500-trial `fidelity`, of the Fig. 6 presets `collection`
-    # and `arc` (which take no seed), of `qefit --demo`, of the Fig. 3 preset `spot --demo`
-    # and of the Table 1 preset `budget --demo` (no seed). A faster path must keep these
+    # and `arc`, coated and `--bare` (which take no seed), of `qefit --demo`, of the
+    # Fig. 3 preset `spot --demo` and of the Table 1 preset `budget --demo` (no seed).
+    # The `--bare` row is the transfer matrix with no layer. A faster path must keep these
     # bytes; a declared change of the random stream or of the optics updates them.
     @pytest.mark.parametrize("argv, seed, digest", [
         (["simulate", "--duration", "1"], 1, "9438d0e2e2ebb5172957aa05c097d03b3a4a6752560a50691210d8594a45a547"),
@@ -415,6 +419,7 @@ class TestPinnedOutputs:
         (["fidelity", "--trials", "500"], 4242, "80bc77c8fb5242e0a1a3b95dcb1ccb3da02ec6b6c623f5786f3c79a0c82cc0b4"),
         (["collection"], None, "43f1d2511584aa2022bc30fe0ebe8474689413a693fee8761412e3228a46ea48"),
         (["arc"], None, "689163aa47e7014b44add7114d171d4a9d280ed4fdac1e186041abab0ce3b814"),
+        (["arc", "--bare"], None, "994abc5aab07543993374dbcbd65b44bf97c1e33a53f640ede2f29dad259aa52"),
         (["qefit", "--demo"], 1, "1d43553b26b0f554ad4fb035cc8ef6d0138314baa37a3bf549c34955b17df654"),
         (["qefit", "--demo"], 4242, "5943e12fd5770a3ec544057f943dfebf2ccd67156fa7f6611432dd4b48a7c418"),
         (["spot", "--demo"], 1, "c3d7496e5e1b7b65e4ff180bf5ea859b67e4eb5a0b32a457afdfa65683ea0835"),
@@ -493,7 +498,7 @@ class TestOutputRules:
     ], ids=["threshold", "arc", "qefit"])
     def test_failed_check_keeps_table_and_summary(self, outdir, tmp_path, monkeypatch, capsys, argv, name, summary,
                                                    failure):
-        weak = Scenario(budget=table_budget().scaled(0.02), trial_duration=20.0, rng_seed=1)
+        weak = Scenario(budget=WEAK_BUDGET, trial_duration=20.0, rng_seed=1)
         (tmp_path / "weak.cfg").write_text(scenario_to_text(weak))
         (tmp_path / "thick.cfg").write_text("stack.layers = 80 2.1 ; 10 1.47\n")
         (tmp_path / "off.csv").write_text("offset_um,rate_kcps\n0,50\n20,40\n40,30\n60,20\n")
@@ -624,6 +629,46 @@ class TestFlags:
         before = set(outdir.iterdir())
         assert main(argv) == EXIT_INPUT_ERROR
         assert "events expected in one draw" in capsys.readouterr().err
+        assert set(outdir.iterdir()) == before
+
+    # a size taken from a flag is bounded before anything of that size is made
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["arc", "--angles-deg", "0:60:1e-12"], "--angles-deg: range '0:60:1e-12' has 6e+13 points, "
+             "more than the limit of 1048576"),
+            (["collection", "--offsets-um", "0:1e308:1e-308"], "--offsets-um: range '0:1e308:1e-308' has inf points"),
+            (["threshold", "--window-ms", "1e-6"], "--window-ms: 5e+10 gates of 1e-09 s, "
+             "more than the limit of 16777216"),
+            (["threshold", "--window-ms", "1e-320", "--duration", "1"], "--window-ms: inf gates"),
+        ],
+        ids=["arc-angles", "collection-offsets", "threshold-window", "threshold-window-overflow"],
+    )
+    def test_size_past_limit_exits_2_naming_the_flag(self, outdir, capsys, argv, named):
+        assert main(argv) == EXIT_INPUT_ERROR
+        assert f"error: {named}" in capsys.readouterr().err
+        assert not any(outdir.iterdir())
+
+    # numpy's generators take seeds >= 0: a negative one is named by its flag or key
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["threshold", "--seed", "-1"], "--seed must be >= 0, got -1"),
+            (["spot", "--demo", "--seed", "-1"], "--seed must be >= 0, got -1"),
+            (["fidelity", "--projection", "--seed", "-3"], "--seed must be >= 0, got -3"),
+            (["simulate", "--config"], "key 'trial.seed': cannot parse '-1': a seed must be >= 0, got -1"),
+        ],
+        ids=["threshold", "spot-demo", "projection", "config"],
+    )
+    def test_negative_seed_exits_2_naming_its_source(self, outdir, tmp_path, capsys, argv, named):
+        if argv[-1] == "--config":
+            config = tmp_path / "in" / "seed.cfg"
+            config.parent.mkdir()
+            config.write_text("trial.seed = -1\n")
+            argv = [*argv, str(config)]
+        before = set(outdir.iterdir())
+        assert main(argv) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: {named}\n"
         assert set(outdir.iterdir()) == before
 
     def test_output_dir_flag_wins_over_environment(self, outdir, tmp_path):

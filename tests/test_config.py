@@ -6,7 +6,7 @@ from spadsim.config import (
     scenario_from_text,
     scenario_to_text,
 )
-from spadsim.model import Scenario, table_budget
+from spadsim.model import BUDGET_SOURCES, RateBudget, Scenario, table_budget
 from spadsim.optics import DetectorGeometry, quarter_disc_map
 
 
@@ -89,6 +89,12 @@ class TestScenarioFromText:
         with pytest.raises(ConfigError, match="trial.seed"):
             scenario_from_text("trial.seed = 1.9\n")
 
+    def test_negative_seed_reports_key(self):
+        # numpy's generators take seeds >= 0; the key is named here, not by numpy at the first draw
+        with pytest.raises(ConfigError, match=r"^key 'trial.seed': cannot parse '-1': a seed must be >= 0, got -1$"):
+            scenario_from_text("trial.seed = -1\n")
+        assert scenario_from_text("trial.seed = 0\n").rng_seed == 0
+
     @pytest.mark.parametrize("key", ["trial.duration_s", "geometry.ion_height_um", "deadtime.dead_time_us"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_number_reports_key(self, key, value):
@@ -162,7 +168,8 @@ class TestRoundTrip:
         assert scenario_to_text(back) == text
 
     def test_modified_scenario(self):
-        scenario = Scenario(budget=table_budget().scaled(1.7), trial_duration=0.125, rng_seed=7)
+        budget = RateBudget(**{name: 1.7 * getattr(table_budget(), name) for name in BUDGET_SOURCES})
+        scenario = Scenario(budget=budget, trial_duration=0.125, rng_seed=7)
         text = scenario_to_text(scenario)
         back = scenario_from_text(text)
         assert back.budget.fluorescence == pytest.approx(scenario.budget.fluorescence, rel=1e-12)

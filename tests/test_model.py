@@ -58,7 +58,7 @@ def test_budget_totals_zero_and_single_source():
 
 def test_budget_totals_linear_in_scaling():
     b = table_budget()
-    b3 = b.scaled(3.0)
+    b3 = RateBudget(**{name: 3.0 * getattr(b, name) for name in BUDGET_SOURCES})
     assert b3.ion_total() == pytest.approx(3 * b.ion_total())
     assert b3.background_total() == pytest.approx(3 * b.background_total())
 

@@ -11,7 +11,7 @@ the per-event direct sum of exponential pulses, and scipy.signal's lfilter
 for the first-order scan of both front-end filters; the per-edge Schmitt
 trigger; scipy.special's pdtr and pdtrc for the Poisson law; the per-angle
 2x2 transfer-matrix product, and the characteristic matrix in complex
-arithmetic throughout, whose R and T the package's must equal to the bit; the
+arithmetic throughout (reference_optics), whose R the package's must equal to the bit; the
 per-offset collection sum, with the reflection loss and without it; the
 per-line table reader; and the per-row event CSV writer.
 
@@ -59,11 +59,10 @@ from spadsim.optics import (
     DetectorGeometry,
     OpticalStack,
     ShadowingWarning,
-    aperture_filling_map,
+    _reflectance_rows,
     efficiency_vs_offset,
     quarter_disc_map,
     stack_reflectance,
-    stack_transmittance,
 )
 from spadsim.simulator import (
     _EVENT_HEADER,
@@ -83,6 +82,8 @@ from spadsim.simulator import (
     simulate_frontend,
     simulate_stream,
 )
+
+from reference_optics import aperture_filling_map, reference_amplitude_coeffs
 
 
 def finite(lo, hi):
@@ -986,8 +987,8 @@ def test_schmitt_crossings_match_edge_walk(wave):
 # --- thin-film reflectance -------------------------------------------------------
 
 
-def matrix_product_coeffs(stack, angle, pol):
-    """r and transmittance factor at one angle from the product of 2x2 layer matrices."""
+def matrix_product_reflectance(stack, angle, pol):
+    """|r|^2 at one angle from the product of 2x2 layer matrices."""
     n0 = complex(stack.ambient_index)
     kpar = n0 * math.sin(angle)
 
@@ -996,7 +997,7 @@ def matrix_product_coeffs(stack, angle, pol):
         return q if pol == "s" else n * n / q
 
     # the 2x2 products written out in textbook order: a complex matmul goes to BLAS, whose
-    # fused multiply-adds round differently, by up to about 1.2e-15 in T
+    # fused multiply-adds round differently in the last bits
     m11, m12, m21, m22 = 1.0, 0.0, 0.0, 1.0
     for d, n in stack.layers:
         q = np.sqrt(n * n - kpar * kpar + 0j)
@@ -1013,7 +1014,7 @@ def matrix_product_coeffs(stack, angle, pol):
     es = admittance(complex(stack.substrate_index))
     b, c = m11 + m12 * es, m21 + m22 * es
     r = (e0 * b - c) / (e0 * b + c)
-    return abs(r) ** 2, 4.0 * e0.real * es.real / abs(e0 * b + c) ** 2
+    return abs(r) ** 2
 
 
 # Lossless layers, as in the device's coating, over an absorbing substrate. An
@@ -1036,54 +1037,25 @@ lossless_stacks = dict(
 def test_array_reflectance_matches_per_angle_matrix_product(layers, substrate, angles, pol):
     stack = OpticalStack(layers=tuple(layers), substrate_index=substrate)
     pols = ("s", "p") if pol == "unpolarized" else (pol,)
-    want_r = [np.mean([matrix_product_coeffs(stack, a, p)[0] for p in pols]) for a in angles]
-    want_t = [np.mean([matrix_product_coeffs(stack, a, p)[1] for p in pols]) for a in angles]
-    got_r = stack_reflectance(stack, angles, pol)
+    want_r = [np.mean([matrix_product_reflectance(stack, a, p) for p in pols]) for a in angles]
+    got_r = polarized_reflectance(stack, angles, pol)
     assert got_r.shape == angles.shape
     np.testing.assert_allclose(got_r, want_r, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(got_r, [stack_reflectance(stack, a, pol) for a in angles], rtol=0, atol=1e-15)
-    np.testing.assert_allclose(stack_transmittance(stack, angles, pol), want_t, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(got_r, [polarized_reflectance(stack, a, pol) for a in angles], rtol=0, atol=1e-15)
 
 
-def reference_amplitude_coeffs(stack, angle_of_incidence):
-    """r and the transmittance factor over angles, s then p on a leading axis: the
-    characteristic matrix in complex arithmetic throughout, started from the identity,
-    with r and T both formed from e0 * B + C."""
-    angle = np.asarray(angle_of_incidence, dtype=float)
-    n0 = complex(stack.ambient_index)
-    kpar = n0 * np.sin(angle.reshape(-1))
-
-    def admittances(n):
-        q = np.sqrt(n * n - kpar * kpar + 0j)
-        return q, np.stack((q, n * n / q))
-
-    m11, m12, m21, m22 = 1.0, 0.0, 0.0, 1.0
-    for d, n in stack.layers:
-        q, e = admittances(n)
-        delta = 2.0 * np.pi * d / stack.wavelength * q
-        cos, sin = np.cos(delta), np.sin(delta)
-        i_sin_e, i_e_sin = 1j * sin / e, 1j * e * sin
-        m11, m12, m21, m22 = (
-            m11 * cos + m12 * i_e_sin,
-            m11 * i_sin_e + m12 * cos,
-            m21 * cos + m22 * i_e_sin,
-            m21 * i_sin_e + m22 * cos,
-        )
-    _, e0 = admittances(n0)
-    _, es = admittances(complex(stack.substrate_index))
-    b, c = m11 + m12 * es, m21 + m22 * es
-    r = (e0 * b - c) / (e0 * b + c)
-    t_power = 4.0 * e0.real * es.real / abs(e0 * b + c) ** 2
-    shape = (2, *angle.shape)
-    return r.reshape(shape), t_power.reshape(shape)
+def polarized_reflectance(stack, angles, pol):
+    """The package's R for pol: stack_reflectance for "unpolarized", else that row of _reflectance_rows."""
+    if pol == "unpolarized":
+        return stack_reflectance(stack, angles)
+    return _reflectance_rows(stack, angles)[("s", "p").index(pol)]
 
 
 def assert_matches_reference_bits(stack, angles, pol):
-    """R and T of the package equal the reference's to the bit."""
-    r, t = reference_amplitude_coeffs(stack, angles)
-    for got, want in ((stack_reflectance(stack, angles, pol), abs(r) ** 2), (stack_transmittance(stack, angles, pol), t)):
-        want = 0.5 * (want[0] + want[1]) if pol == "unpolarized" else want[("s", "p").index(pol)]
-        np.testing.assert_array_equal(got, want, strict=True)
+    """R of the package equals the reference's to the bit."""
+    want = abs(reference_amplitude_coeffs(stack, angles)[0]) ** 2
+    want = 0.5 * (want[0] + want[1]) if pol == "unpolarized" else want[("s", "p").index(pol)]
+    np.testing.assert_array_equal(polarized_reflectance(stack, angles, pol), want, strict=True)
 
 
 # every phase these stacks give is real

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ from scipy import stats
 from spadsim.model import BUDGET_SOURCES, RateBudget, Scenario, table_budget
 from spadsim.simulator import (
     _MAX_EVENTS,
+    _MAX_GATES,
     _MAX_SAMPLES,
     EventStream,
     FrontEndParams,
@@ -293,6 +295,13 @@ class TestGateAndCount:
     def test_non_finite_gate_named(self, gate):
         with pytest.raises(ValueError, match=rf"^gate must be > 0 and finite, got {gate}$"):
             gate_and_count(make_stream([100], duration=1.0), gate)
+
+    # the window count is bounded before any edge is made; a count past float range is refused too
+    @pytest.mark.parametrize("gate, count", [(1e-9, "5e+10"), (1e-320, "inf")], ids=["large", "overflow"])
+    def test_gate_count_past_limit_named(self, gate, count):
+        named = f"{count} gates of {gate:g} s, more than the limit of {_MAX_GATES}"
+        with pytest.raises(ValueError, match=re.escape(named)):
+            gate_and_count(make_stream([100], duration=50.0), gate)
 
 
 class TestFrontEnd:
