@@ -45,10 +45,11 @@ class CheckFailure(Exception):
 class Output:
     """What a subcommand produced; main hashes, writes, prints and checks it.
 
-    hashed is the input text the manifest hashes besides the arguments: the
-    config, the scan or toggle CSV, or both config and data for qefit. checks
-    returns the --check criteria as (met, failure message) pairs; main calls it
-    only under --check.
+    The manifest hashes the arguments and hashed, the text of each input the
+    run reads: the scenario's config text and the CSV at a path, joined. Data
+    that a preset makes from its arguments (--demo, --projection) are not
+    inputs, since the arguments already fix them. checks returns the --check
+    criteria as (met, failure message) pairs; main calls it only under --check.
     """
 
     name: str  # the file written under --output-dir when --out is not given
@@ -208,9 +209,12 @@ def cmd_fidelity(args) -> Output:
     for i, target in enumerate(targets):
         if target in targets[:i]:  # a repeated target would run its sweep again for the same row
             raise ValueError(f"--targets: {tokens[i]!r} repeats an earlier target")
-    curve = detection.fidelity_curve(
-        scenario, targets, args.trials, sub_bin=args.sub_bin_us * 1e-6, max_time=args.max_time_ms * 1e-3
-    )
+    sub_bin, max_time = args.sub_bin_us * 1e-6, args.max_time_ms * 1e-3
+    try:
+        detection.sweep_bins(sub_bin, max_time)
+    except ValueError as exc:
+        raise ValueError(f"--sub-bin-us/--max-time-ms: {exc}") from None
+    curve = detection.fidelity_curve(scenario, targets, args.trials, sub_bin=sub_bin, max_time=max_time)
     summary = [
         f"target {target}: fidelity {fid:.4f}, mean time {mean_time * 1e3:.2f} ms"
         for target, fid, mean_time in curve.bayes
@@ -281,18 +285,16 @@ def cmd_arc(args) -> Output:
     return Output("reflectance.csv", config_text, body, summary, checks)
 
 
-def _demo(args, path: str | None) -> bool:
-    """Whether the subcommand runs on its --demo data; a CSV path beside --demo is refused."""
-    if args.demo and path:
-        raise ConfigError(f"--demo makes its own data and takes no CSV path, got {path}")
-    return args.demo
+def _input_text(args, path: str | None, kind: str) -> str | None:
+    """The text of the input CSV at path, or None under --demo, which makes its own data.
 
-
-def _input_text(args, path: str | None, kind: str) -> str:
-    """The text of the input CSV at path, which a subcommand needs unless it runs --demo.
-
-    --seed seeds only the --demo data, so it is refused beside a CSV.
+    A CSV path beside --demo is refused, and so is --seed beside a CSV: it seeds
+    only the --demo data.
     """
+    if args.demo:
+        if path:
+            raise ConfigError(f"--demo makes its own data and takes no CSV path, got {path}")
+        return None
     if not path:
         raise ConfigError(f"{args.subcommand} needs a {kind} CSV path or --demo")
     if getattr(args, "seed", None) is not None:
@@ -301,22 +303,21 @@ def _input_text(args, path: str | None, kind: str) -> str:
 
 
 def cmd_spot(args) -> Output:
-    if _demo(args, args.scan_csv):
+    scan_text = _input_text(args, args.scan_csv, "scan")
+    if scan_text is None:
         scan = synthetic.make_spot_scan(seed=args.seed if args.seed is not None else 0)
-        scan_text = ""
     else:
-        scan_text = _input_text(args, args.scan_csv, "scan")
         scan = estimation.SpotScan.from_csv(scan_text)
     area, amap = estimation.effective_area(scan)
-    return Output("active_area_map.csv", scan_text, amap.to_csv(), [f"effective active area: {area * 1e12:.2f} um^2"])
+    summary = [f"effective active area: {area * 1e12:.2f} um^2"]
+    return Output("active_area_map.csv", scan_text or "", amap.to_csv(), summary)
 
 
 def cmd_budget(args) -> Output:
-    if _demo(args, args.toggles_csv):
+    toggles_text = _input_text(args, args.toggles_csv, "toggle")
+    if toggles_text is None:
         measurements = synthetic.make_toggle_measurements(table_budget())
-        toggles_text = synthetic.toggle_measurements_to_csv(measurements)
     else:
-        toggles_text = _input_text(args, args.toggles_csv, "toggle")
         measurements = synthetic.toggle_measurements_from_csv(toggles_text)
     budget, sigma = estimation.decompose_budget(measurements)
     body = "source,rate_kcps,sigma_kcps\n" + "".join(
@@ -329,24 +330,22 @@ def cmd_budget(args) -> Output:
     summary.append(
         f"ion total: {budget.ion_total() / 1e3:.2f} kcps, background: {budget.background_total() / 1e3:.2f} kcps"
     )
-    return Output("budget.csv", toggles_text, body, summary)
+    return Output("budget.csv", toggles_text or "", body, summary)
 
 
 def cmd_qefit(args) -> Output:
     scenario, config_text = _load_config(args)
-    if _demo(args, args.data_csv):
-        offsets = np.arange(0.0, 81e-6, 5e-6)
-        expected = estimation.expected_incident_rates(scenario, offsets)
+    data_text = _input_text(args, args.data_csv, "data")
+    if data_text is None:
+        expected = estimation.expected_incident_rates(scenario, np.arange(0.0, 81e-6, 5e-6))
         rates = synthetic.make_qe_dataset(scenario, expected)
-        data_text = synthetic.qe_dataset_to_csv(offsets, rates)
     else:
-        data_text = _input_text(args, args.data_csv, "data")
         offsets, rates = synthetic.qe_dataset_from_csv(data_text)
         expected = estimation.expected_incident_rates(scenario, offsets)
     qe, err = estimation.fit_quantum_efficiency(expected, rates)
     body = f"qe,std_error\n{qe:.6g},{err:.6g}\n"
     summary = [f"quantum efficiency: {qe * 100:.1f} +/- {err * 100:.1f} %"]
-    return Output("qe_fit.csv", config_text + data_text, body, summary, checks=lambda: [
+    return Output("qe_fit.csv", config_text + (data_text or ""), body, summary, checks=lambda: [
         (abs(qe - 0.24) <= 0.03, f"fitted QE {qe:.3f} outside 0.24 +/- 0.03"),
     ])
 

@@ -147,7 +147,11 @@ def _build_scenario(values, base_dir):
             raise ConfigError(f"key 'geometry.active_area_csv': cannot read {path}: {exc}") from exc
         changes["scenario"]["geometry.active_area"] = area_map
     elif area:
-        changes["scenario"]["geometry.active_area"] = quarter_disc_map(**area)
+        try:
+            changes["scenario"]["geometry.active_area"] = quarter_disc_map(**area)
+        except ValueError as exc:
+            keys = [repr(key) for key, path, _ in _KEYS if path.removeprefix("area.") in area]
+            raise ConfigError(f"{'key' if len(keys) == 1 else 'keys'} {', '.join(keys)}: {exc}") from exc
     return _replaced(Scenario(), changes["scenario"])
 
 

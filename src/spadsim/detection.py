@@ -199,6 +199,11 @@ class FidelityCurve:
 _CHUNK_TRIALS = 256
 # Bins in the first window of the early-exit log-odds pass; each next window is twice as wide.
 _FIRST_WINDOW = 32
+# The most bins a sweep may take. Its widest window is half of them: at 2^16 bins, a chunk's
+# int64 counts in it are 256 x 32768, 64 MiB, and its log odds and their cumsum take as much
+# each. A sweep at the limit with every trial undecided to the end peaked at 236 MB (2-vCPU
+# Xeon, numpy 2.4). The presets take 500 and 1000 bins.
+_MAX_BINS = 1 << 16
 
 
 def fidelity_curve(
@@ -213,7 +218,8 @@ def fidelity_curve(
     For each target, `trials` ion-present and `trials` ion-absent streams run
     through the sequential detector; streams are shared across targets so the
     sweep is smooth in the common randomness. Each target lies in (0.5, 1),
-    and 0 < sub_bin <= max_time < inf.
+    0 < sub_bin <= max_time < inf, and max_time holds at most _MAX_BINS bins
+    (sweep_bins).
 
     Trials run in chunks of _CHUNK_TRIALS, each chunk drawing from its own
     generator. The chunk's log odds go window by window (_stopping_bins). Each
@@ -234,10 +240,8 @@ def fidelity_curve(
     # written so that NaN fails them; a target of 1 would divide by zero below
     if not all(0.5 < t < 1.0 for t in targets):
         raise ValueError("target_posterior must lie in (0.5, 1)")
-    if not 0.0 < sub_bin <= max_time < math.inf:
-        raise ValueError(f"require 0 < sub_bin <= max_time < inf, got sub_bin={sub_bin}, max_time={max_time}")
+    n_bins = sweep_bins(sub_bin, max_time)
     thresholds = [math.log(t / (1.0 - t)) for t in targets]
-    n_bins = max(int(np.floor(max_time / sub_bin + 1e-9)), 1)
     # per target: correct MAP choices per hypothesis (ion, then empty), and the sum of stopping bins + 1
     correct = np.zeros((len(targets), 2), dtype=np.int64)
     bins_used = np.zeros(len(targets), dtype=np.int64)
@@ -259,6 +263,17 @@ def fidelity_curve(
     _, thresh_fid = _threshold_optima(ion_rate, empty_rate, windows)
     thresh_points = [(float(w), float(f)) for w, f in zip(windows, thresh_fid)]
     return FidelityCurve(bayes_points, thresh_points, ion_rate, empty_rate)
+
+
+def sweep_bins(sub_bin: float, max_time: float) -> int:
+    """The bins of sub_bin seconds that fit in max_time, at least one; a ValueError unless
+    0 < sub_bin <= max_time < inf and they are at most _MAX_BINS, raised before any is made."""
+    if not 0.0 < sub_bin <= max_time < math.inf:
+        raise ValueError(f"require 0 < sub_bin <= max_time < inf, got sub_bin={sub_bin}, max_time={max_time}")
+    bins = np.floor(max_time / sub_bin + 1e-9)
+    if not bins <= _MAX_BINS:  # written so that inf fails it
+        raise ValueError(f"max_time / sub_bin is {bins:.6g} bins, more than the limit of {_MAX_BINS}")
+    return max(int(bins), 1)
 
 
 def _stopping_bins(counts, n_rows: int, n_bins: int, ion_rate: float, empty_rate: float, sub_bin: float, thresholds):

@@ -38,15 +38,6 @@ class SpotScan:
             row, col = bad[0]
             raise ValueError(f"counts must be finite, got {c[row, col]} in grid row {row + 1}, column {col + 1}")
 
-    def to_csv(self) -> str:
-        lines = [
-            f"# step_nm={self.step * 1e9:.6g}, dwell_ms={self.dwell * 1e3:.6g}, "
-            f"dark_kcps={self.dark_rate / 1e3:.6g}"
-        ]
-        for row in self.counts:
-            lines.append(",".join(f"{v:.6g}" for v in row))
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def from_csv(cls, text: str) -> "SpotScan":
         counts = read_grid(text, "spot-scan CSV")

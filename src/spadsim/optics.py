@@ -17,12 +17,19 @@ INDEX_SIN = 2.10 + 0.0j
 INDEX_SI = 6.9 + 1.4j
 # the trap's optical aperture over the detector; lines of sight through its wall are shadowed
 APERTURE_DIAMETER = 38e-6
+# the quartered detector's outer radius, and the guard ring's width over which its response tapers
+QUARTER_DISC_RADIUS = 11.0e-6
+GUARD_WIDTH = 2.0e-6
 # offsets x cells evaluated at once, kept to blocks for cache: on the default geometry's
 # 17 offsets (9979 weighted cells), nine block-sized stack_reflectance calls took 2.6 ms
 # against 3.9 ms for one call on every angle (median of 40 runs, 2-vCPU Xeon, numpy 2.4).
 # The transfer matrix's complex temporaries stay well under a megabyte together, so peak
 # memory does not grow with the number of offsets either
 _SWEEP_CELLS = 1 << 11
+# The most cells a side of quarter_disc_map's grid may have: 2^18 cells, 2 MiB in each float64
+# grid. The default `collection` sweep on such a map peaked at 155 MB and took 2.3 s (2-vCPU
+# Xeon, numpy 2.4); the default map is 29 cells a side.
+_MAX_MAP_SIDE = 1 << 9
 
 
 class ShadowingWarning(UserWarning):
@@ -199,7 +206,7 @@ class ActiveAreaMap:
         return cls(cell_size=cell, origin=(ox, oy), weights=weights)
 
 
-def quarter_disc_response(x, y, outer_radius=11.0e-6, guard_width=2.0e-6):
+def quarter_disc_response(x, y, outer_radius, guard_width):
     """Analytic response of the quarter-disc detector with guard-ring taper."""
     rr = np.hypot(x, y)
     w = (
@@ -211,20 +218,27 @@ def quarter_disc_response(x, y, outer_radius=11.0e-6, guard_width=2.0e-6):
 
 
 def quarter_disc_map(
-    outer_radius: float = 11.0e-6,
-    guard_width: float = 2.0e-6,
+    outer_radius: float = QUARTER_DISC_RADIUS,
+    guard_width: float = GUARD_WIDTH,
     cell_size: float = 0.4e-6,
 ) -> ActiveAreaMap:
     """Quartered-detector response model: a quarter disc whose efficiency tapers
     to zero across the guard-ring width at every edge.
 
-    The defaults reproduce the reference device's ~60 um^2 effective area.
+    The defaults reproduce the reference device's ~60 um^2 effective area. A
+    grid of more than _MAX_MAP_SIDE cells a side is a ValueError, raised before
+    any cell is made.
     """
     _positive("outer_radius", outer_radius)
     _positive("guard_width", guard_width)
     _positive("cell_size", cell_size)
-    n = int(math.ceil(outer_radius / cell_size)) + 1
-    xx, yy = _cell_centers((n, n), cell_size)
+    n = np.ceil(outer_radius / cell_size) + 1  # cells a side
+    if not n <= _MAX_MAP_SIDE:  # written so that inf fails it
+        raise ValueError(
+            f"outer_radius {outer_radius:g} m in cells of {cell_size:g} m makes a grid of {n:.6g} cells "
+            f"a side, more than the limit of {_MAX_MAP_SIDE}"
+        )
+    xx, yy = _cell_centers((int(n), int(n)), cell_size)
     w = quarter_disc_response(xx, yy, outer_radius, guard_width)
     return ActiveAreaMap(cell_size=cell_size, origin=(0.0, 0.0), weights=w)
 

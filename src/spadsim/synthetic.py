@@ -11,7 +11,7 @@ import numpy as np
 
 from .estimation import SpotScan, ToggleMeasurement
 from .model import BUDGET_SOURCES, SOURCE_LABELS, RateBudget, Scenario
-from .optics import _cell_centers, quarter_disc_response
+from .optics import GUARD_WIDTH, QUARTER_DISC_RADIUS, _cell_centers, quarter_disc_response
 from .tables import read_grid, read_rows
 
 _TOGGLE_HEADER = ",".join(SOURCE_LABELS) + ",rate_kcps,dwell_s"
@@ -20,23 +20,15 @@ _QE_HEADER = "offset_um,rate_kcps"
 QE_INTEGRATION_TIME = 50.0
 
 
-def make_spot_scan(
-    step: float = 0.8e-6,
-    extent: float = 14e-6,
-    peak_rate: float = 50e3,
-    dark_rate: float = 1.2e3,
-    dwell: float = 0.5,
-    outer_radius: float = 11.0e-6,
-    guard_width: float = 2.0e-6,
-    seed: int = 0,
-) -> SpotScan:
-    """Poisson-noised raster scan of the quarter-disc response."""
+def make_spot_scan(step: float = 0.8e-6, dwell: float = 0.5, seed: int = 0) -> SpotScan:
+    """Poisson-noised raster scan of the quarter-disc response over a 14 um square:
+    50 kcps at full response, over 1.2 kcps of dark counts."""
     rng = np.random.default_rng(seed)
-    n = int(np.ceil(extent / step))
+    n = int(np.ceil(14e-6 / step))
     xx, yy = _cell_centers((n, n), step)
-    w = quarter_disc_response(xx, yy, outer_radius, guard_width)
-    mean_counts = (peak_rate * w + dark_rate) * dwell
-    counts = rng.poisson(mean_counts)
+    w = quarter_disc_response(xx, yy, QUARTER_DISC_RADIUS, GUARD_WIDTH)
+    dark_rate = 1.2e3
+    counts = rng.poisson((50e3 * w + dark_rate) * dwell)
     return SpotScan(step=step, counts=counts, dark_rate=dark_rate, dwell=dwell)
 
 
@@ -68,14 +60,6 @@ def make_toggle_measurements(
     return out
 
 
-def toggle_measurements_to_csv(measurements) -> str:
-    lines = [_TOGGLE_HEADER]
-    for m in measurements:
-        flags = ",".join("1" if f else "0" for f in m.active_sources)
-        lines.append(f"{flags},{m.measured_rate / 1e3:.9g},{m.dwell:.9g}")
-    return "\n".join(lines) + "\n"
-
-
 def toggle_measurements_from_csv(text: str) -> list[ToggleMeasurement]:
     def parse_row(fields):
         *flags, rate_kcps, dwell = fields
@@ -96,26 +80,20 @@ def _source_flag(field: str) -> bool:
     return flag == 1
 
 
-def make_qe_dataset(scenario: Scenario, expected, quantum_efficiency: float = 0.24) -> np.ndarray:
-    """Background-subtracted measured fluorescence rates with Poisson noise, drawn from
-    the scenario's seed, where the incident rates are expected (from
-    estimation.expected_incident_rates at the dataset's offsets).
+def make_qe_dataset(scenario: Scenario, expected) -> np.ndarray:
+    """Background-subtracted measured fluorescence rates with Poisson noise at the
+    paper's quantum efficiency of 0.24, drawn from the scenario's seed, where the
+    incident rates are expected (from estimation.expected_incident_rates at the
+    dataset's offsets).
 
     Counts accumulate over QE_INTEGRATION_TIME with the background rate known and
     subtracted, as in a paired ion/no-ion measurement.
     """
     rng = np.random.default_rng(scenario.rng_seed)
-    signal = quantum_efficiency * np.asarray(expected, dtype=float)
+    signal = 0.24 * np.asarray(expected, dtype=float)
     background = scenario.budget.background_total()
     total = rng.poisson((signal + background) * QE_INTEGRATION_TIME) / QE_INTEGRATION_TIME
     return np.maximum(total - background, 0.0)
-
-
-def qe_dataset_to_csv(offsets, rates) -> str:
-    lines = [_QE_HEADER]
-    for off, r in zip(offsets, rates):
-        lines.append(f"{off * 1e6:.9g},{r / 1e3:.9g}")
-    return "\n".join(lines) + "\n"
 
 
 def qe_dataset_from_csv(text: str) -> tuple[np.ndarray, np.ndarray]:

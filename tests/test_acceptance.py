@@ -158,7 +158,7 @@ def test_6_qe_closure():
     offsets = np.arange(0.0, 81e-6, 5e-6)
     with pytest.warns(ShadowingWarning, match="at offsets 75, 80 um"):  # wall occlusion is not modeled
         expected = expected_incident_rates(sc, offsets)
-    qe, err = fit_quantum_efficiency(expected, make_qe_dataset(sc, expected, qe_true))
+    qe, err = fit_quantum_efficiency(expected, make_qe_dataset(sc, expected))
     ok = abs(qe - qe_true) <= 0.03
     report(
         "quantum-efficiency closure",

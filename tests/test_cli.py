@@ -462,8 +462,8 @@ class TestOutputRules:
         (["collection", "--offsets-um", "0,40"], "410c63caa9d2f1fb"),
         (["arc", "--angles-deg", "0"], "49a612d09c781f76"),
         (["spot", "--demo"], "d5e1ce8046c94b70"),
-        (["budget", "--demo"], "5f1d6dc52cd60abc"),
-        (["qefit", "--demo"], "5c25b8fcb65aafb4"),
+        (["budget", "--demo"], "3866b5823593e7ce"),
+        (["qefit", "--demo"], "7ab6425d1a8ca19a"),
     ], ids=lambda v: "-".join(v).replace("--", "") if isinstance(v, list) else None)
     def test_manifest_line_is_pinned(self, tmp_path, monkeypatch, argv, manifest):
         monkeypatch.delenv("SPADSIM_OUTPUT_DIR", raising=False)
@@ -475,8 +475,8 @@ class TestOutputRules:
 
     # the --output-dir default is read from the environment at each call and hashes as its value
     @pytest.mark.parametrize("env, argv, path, manifest", [
-        ("results", ["budget", "--demo"], "results/budget.csv", "7ed2cc4f623bc058"),
-        ("results", ["budget", "--demo", "--out", "x/b.csv"], "x/b.csv", "ec4909a6574ca5ac"),
+        ("results", ["budget", "--demo"], "results/budget.csv", "2816fdfc3f0acdc5"),
+        ("results", ["budget", "--demo", "--out", "x/b.csv"], "x/b.csv", "dae7d6441a72fc6d"),
         (None, ["arc", "--output-dir", ""], "reflectance.csv", "352348de7aaddb0c"),
     ], ids=["budget-environment", "budget-environment-out", "arc-empty-output-dir"])
     def test_manifest_line_with_output_dir_is_pinned(self, tmp_path, monkeypatch, env, argv, path, manifest):
@@ -487,6 +487,42 @@ class TestOutputRules:
         monkeypatch.chdir(tmp_path)
         assert main(argv) == EXIT_OK
         assert read_output(tmp_path / path)[0] == f"# manifest: {manifest}"
+
+    # a manifest hashes the arguments and the text of each input the run reads: the data a
+    # --demo run makes from its arguments are no input, so only qefit's config text joins them
+    @pytest.mark.parametrize("argv, config", [
+        (["spot", "--demo", "--seed", "3"], None),
+        (["budget", "--demo"], None),
+        (["qefit", "--demo"], ""),
+        (["qefit", "--demo", "--seed", "3"], "trial.seed = 5\n"),
+    ], ids=["spot", "budget", "qefit", "qefit-config"])
+    def test_demo_manifest_hashes_arguments_and_config_alone(self, outdir, argv, config):
+        if config:
+            (outdir / "c.cfg").write_text(config)
+            argv = [*argv, "--config", str(outdir / "c.cfg")]
+        with warnings.catch_warnings():  # qefit --demo names its shadowed offsets
+            warnings.simplefilter("ignore", ShadowingWarning)
+            assert main([*argv, "--out", str(outdir / "t.csv")]) == EXIT_OK
+        args = cli.build_parser().parse_args([*argv, "--out", str(outdir / "t.csv")])
+        args.output_dir = str(outdir)
+        config_text = scenario_to_text(Scenario()) if config == "" else config or ""
+        assert read_output(outdir / "t.csv")[0] == f"# manifest: {cli._manifest_hash(argv[0], args, config_text)}"
+
+    # the CSV at a path is an input: the same path and arguments with other text write another manifest
+    @pytest.mark.parametrize("subcommand, table, edit", [
+        ("spot", "# step_nm=800, dwell_ms=500, dark_kcps=1.2\n600,5000,9000\n600,8000,12000\n", ("12000", "12001")),
+        ("budget", "fluorescence,repump,doppler,dark,rf,rate_kcps,dwell_s\n0,0,0,1,0,1.2,50\n0,0,0,1,1,2,50\n"
+                   "0,0,1,1,1,3,50\n0,1,1,1,1,4,50\n1,1,1,1,1,8,50\n", (",8,50", ",8.5,50")),
+        ("qefit", "offset_um,rate_kcps\n0,3.7\n20,3.1\n40,2.0\n", ("2.0", "2.1")),
+    ])
+    def test_csv_input_text_is_hashed(self, outdir, subcommand, table, edit):
+        data = outdir / "data.csv"
+        manifests = []
+        for text in (table, table.replace(*edit)):
+            data.write_text(text)
+            assert main([subcommand, str(data), "--out", str(outdir / "t.csv")]) == EXIT_OK
+            manifests.append(read_output(outdir / "t.csv")[0])
+        assert manifests[0] != manifests[1]
 
     @pytest.mark.parametrize("argv, name, summary, failure", [
         # both criteria fail; the first is named
@@ -641,13 +677,36 @@ class TestFlags:
             (["threshold", "--window-ms", "1e-6"], "--window-ms: 5e+10 gates of 1e-09 s, "
              "more than the limit of 16777216"),
             (["threshold", "--window-ms", "1e-320", "--duration", "1"], "--window-ms: inf gates"),
+            (["fidelity", "--sub-bin-us", "0.001"], "--sub-bin-us/--max-time-ms: max_time / sub_bin is 5e+07 bins, "
+             "more than the limit of 65536"),
+            (["fidelity", "--sub-bin-us", "1e-300", "--max-time-ms", "1e300"], "--sub-bin-us/--max-time-ms: "
+             "max_time / sub_bin is inf bins"),
         ],
-        ids=["arc-angles", "collection-offsets", "threshold-window", "threshold-window-overflow"],
+        ids=["arc-angles", "collection-offsets", "threshold-window", "threshold-window-overflow", "fidelity-sub-bin",
+             "fidelity-sub-bin-overflow"],
     )
     def test_size_past_limit_exits_2_naming_the_flag(self, outdir, capsys, argv, named):
-        assert main(argv) == EXIT_INPUT_ERROR
+        with unittest.mock.patch.object(detection, "_window_counter", side_effect=AssertionError("drew a window")):
+            assert main(argv) == EXIT_INPUT_ERROR
         assert f"error: {named}" in capsys.readouterr().err
         assert not any(outdir.iterdir())
+
+    # a config key that sizes the quarter disc's grid is bounded before any cell is made, and named
+    @pytest.mark.parametrize("line, named", [
+        ("geometry.cell_size_um = 0.0001", "key 'geometry.cell_size_um': outer_radius 1.1e-05 m in cells of 1e-10 m "
+         "makes a grid of 110001 cells a side, more than the limit of 512"),
+        ("geometry.active_outer_radius_um = 1e6", "key 'geometry.active_outer_radius_um': outer_radius 1 m in cells of "
+         "4e-07 m makes a grid of 2.5e+06 cells a side"),
+    ], ids=["cell-size", "outer-radius"])
+    @pytest.mark.parametrize("subcommand", ["collection", "qefit --demo"])
+    def test_area_grid_past_limit_exits_2_naming_the_key(self, outdir, tmp_path, capsys, line, named, subcommand):
+        config = tmp_path / "in" / "area.cfg"
+        config.parent.mkdir()
+        config.write_text(line + "\n")
+        with unittest.mock.patch.object(optics, "_cell_centers", side_effect=AssertionError("made a grid")):
+            assert main([*subcommand.split(), "--config", str(config)]) == EXIT_INPUT_ERROR
+        assert f"error: {named}" in capsys.readouterr().err
+        assert [p.name for p in outdir.iterdir()] == ["in"]
 
     # numpy's generators take seeds >= 0: a negative one is named by its flag or key
     @pytest.mark.parametrize(

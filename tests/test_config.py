@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from spadsim.config import (
@@ -136,6 +138,18 @@ class TestScenarioFromText:
     def test_negative_dead_time_rejected(self):
         with pytest.raises(ConfigError, match="dead_time must be >= 0"):
             scenario_from_text("deadtime.dead_time_us = -0.5\n")
+
+    # the quarter disc's keys are named with its error, and a grid past its limit is refused
+    @pytest.mark.parametrize("text, named", [
+        ("geometry.cell_size_um = 0.0001\n", "key 'geometry.cell_size_um': outer_radius 1.1e-05 m in cells of 1e-10 m "
+         "makes a grid of 110001 cells a side"),
+        ("geometry.active_outer_radius_um = 1e6\n", "key 'geometry.active_outer_radius_um': outer_radius 1 m"),
+        ("geometry.guard_width_um = 1\ngeometry.cell_size_um = 0\n",
+         "keys 'geometry.guard_width_um', 'geometry.cell_size_um': cell_size must be > 0"),
+    ], ids=["cell-size", "outer-radius", "two-keys"])
+    def test_area_keys_named_with_their_error(self, text, named):
+        with pytest.raises(ConfigError, match=f"^{re.escape(named)}"):
+            scenario_from_text(text)
 
     def test_active_area_csv_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="active_area_csv"):

@@ -1,8 +1,11 @@
 import math
+import re
+import unittest.mock
 
 import numpy as np
 import pytest
 
+from spadsim import detection
 from spadsim.detection import (
     PROJECTED_MAX_TIME,
     PROJECTED_SUB_BIN,
@@ -11,6 +14,7 @@ from spadsim.detection import (
     analytic_threshold_fidelity,
     fidelity_curve,
     projected_budget,
+    sweep_bins,
     threshold_fidelity,
     wald_bound,
 )
@@ -164,6 +168,20 @@ class TestBayesianDetect:
         sc = Scenario(budget=table_budget(), rng_seed=1)
         with pytest.raises(ValueError, match=message):
             fidelity_curve(sc, targets, trials=10, sub_bin=sub_bin, max_time=max_time)
+
+    def test_bins_bounded_before_any_draw(self):
+        # 2^16 bins keep a chunk's widest window near 64 MiB; one more bin is refused before anything is drawn
+        assert sweep_bins(1e-6, 65.536e-3) == 1 << 16
+        assert sweep_bins(100e-6, 100e-6) == sweep_bins(100e-6, 150e-6) == 1
+        sc = Scenario(budget=table_budget(), rng_seed=1)
+        with unittest.mock.patch.object(detection, "_window_counter", side_effect=AssertionError("drew a window")):
+            for sub_bin, max_time, named in [
+                (1e-6, 65.537e-3, "65537 bins, more than the limit of 65536"),
+                (1e-12, 50e-3, "5e+10 bins"),
+                (1e-300, 1e300, "inf bins"),
+            ]:
+                with pytest.raises(ValueError, match=rf"^max_time / sub_bin is {re.escape(named)}"):
+                    fidelity_curve(sc, [0.99], trials=10, sub_bin=sub_bin, max_time=max_time)
 
 
 class TestWaldBound:

@@ -20,10 +20,10 @@ from spadsim.synthetic import (
     make_spot_scan,
     make_toggle_measurements,
     qe_dataset_from_csv,
-    qe_dataset_to_csv,
     toggle_measurements_from_csv,
-    toggle_measurements_to_csv,
 )
+
+from reference_tables import qe_dataset_csv, spot_scan_csv, toggle_csv
 
 
 class TestEffectiveArea:
@@ -57,7 +57,7 @@ class TestEffectiveArea:
 
     def test_csv_round_trip(self):
         scan = make_spot_scan(step=1e-6, seed=1)
-        back = SpotScan.from_csv(scan.to_csv())
+        back = SpotScan.from_csv(spot_scan_csv(scan))
         assert back.step == pytest.approx(scan.step)
         assert back.dwell == pytest.approx(scan.dwell)
         assert back.dark_rate == pytest.approx(scan.dark_rate)
@@ -138,7 +138,7 @@ class TestDecomposeBudget:
 
     def test_csv_round_trip(self):
         meas = make_toggle_measurements(table_budget(), dwell=25.0)
-        back = toggle_measurements_from_csv(toggle_measurements_to_csv(meas))
+        back = toggle_measurements_from_csv(toggle_csv(meas))
         assert len(back) == len(meas)
         for a, b in zip(meas, back):
             assert a.active_sources == b.active_sources
@@ -146,7 +146,7 @@ class TestDecomposeBudget:
             assert b.dwell == pytest.approx(a.dwell)
 
     def test_csv_bad_rows(self):
-        good = toggle_measurements_to_csv(make_toggle_measurements(table_budget()))
+        good = toggle_csv(make_toggle_measurements(table_budget()))
         with pytest.raises(ValueError):
             toggle_measurements_from_csv("a,b\n1,2\n")
         with pytest.raises(ValueError, match="line 7"):  # header and five rows above it
@@ -154,7 +154,7 @@ class TestDecomposeBudget:
 
     @pytest.mark.parametrize("flag", ["2", "-3", "-1", "1.0", "yes"])
     def test_csv_flag_other_than_0_or_1_named(self, flag):
-        good = toggle_measurements_to_csv(make_toggle_measurements(table_budget()))
+        good = toggle_csv(make_toggle_measurements(table_budget()))
         with pytest.raises(ValueError, match="toggle CSV line 7"):  # header and five rows above it
             toggle_measurements_from_csv(good + f"1,0,{flag},0,0,1.0,1.0\n")
 
@@ -190,7 +190,7 @@ class TestQuantumEfficiencyFit:
             expected = expected_incident_rates(sc, self.OFFSETS)
         hits = 0
         for seed in range(5):
-            meas = make_qe_dataset(replace(sc, rng_seed=seed), expected, qe_true)
+            meas = make_qe_dataset(replace(sc, rng_seed=seed), expected)
             qe, err = fit_quantum_efficiency(expected, meas)
             hits += abs(qe - qe_true) <= 3 * err
         assert hits >= 4
@@ -208,7 +208,7 @@ class TestQuantumEfficiencyFit:
         sc = Scenario(budget=table_budget(), rng_seed=2)
         with pytest.warns(ShadowingWarning, match=self.SHADOWED):
             meas = make_qe_dataset(sc, expected_incident_rates(sc, self.OFFSETS))
-        o2, m2 = qe_dataset_from_csv(qe_dataset_to_csv(self.OFFSETS, meas))
+        o2, m2 = qe_dataset_from_csv(qe_dataset_csv(self.OFFSETS, meas))
         np.testing.assert_allclose(o2, self.OFFSETS, rtol=1e-6)
         np.testing.assert_allclose(m2, meas, rtol=1e-6)
 

@@ -130,6 +130,20 @@ class TestNonFiniteOpticsInputs:
         with pytest.raises(ValueError, match=re.escape(f"{field} must be > 0 and finite, got {value}")):
             make(**{field: value})
 
+    def test_area_map_grid_bounded_before_any_cell(self):
+        # 512 cells a side at most; the default map has 29
+        assert quarter_disc_map().weights.shape == (29, 29)
+        assert quarter_disc_map(outer_radius=511e-6, cell_size=1e-6).weights.shape == (512, 512)
+        with unittest.mock.patch.object(optics, "_cell_centers", side_effect=AssertionError("made a grid")):
+            for kwargs, named in [
+                ({"outer_radius": 511.5e-6, "cell_size": 1e-6}, "513 cells a side, more than the limit of 512"),
+                ({"cell_size": 1e-10}, "110001 cells a side"),
+                ({"outer_radius": 1.0}, "2.5e+06 cells a side"),
+                ({"outer_radius": 1e300, "cell_size": 1e-300}, "inf cells a side"),
+            ]:
+                with pytest.raises(ValueError, match=re.escape(named)):
+                    quarter_disc_map(**kwargs)
+
 
 class TestActiveAreaMap:
     def test_quarter_disc_effective_area(self):

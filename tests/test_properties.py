@@ -1,4 +1,7 @@
-"""Property tests: config text and every CSV table round-trip through their writers and readers."""
+"""Property tests: config text and every CSV table round-trip through their writers and readers.
+
+The tables spadsim reads and never writes take the tests' own writers (reference_tables).
+"""
 
 import numpy as np
 import pytest
@@ -11,12 +14,9 @@ from spadsim.estimation import SpotScan, ToggleMeasurement
 from spadsim.model import BUDGET_SOURCES, SOURCE_LABELS, RateBudget, Scenario
 from spadsim.optics import ActiveAreaMap
 from spadsim.simulator import EventStream
-from spadsim.synthetic import (
-    qe_dataset_from_csv,
-    qe_dataset_to_csv,
-    toggle_measurements_from_csv,
-    toggle_measurements_to_csv,
-)
+from spadsim.synthetic import qe_dataset_from_csv, toggle_measurements_from_csv
+
+from reference_tables import qe_dataset_csv, spot_scan_csv, toggle_csv
 
 MANIFEST = "# manifest: 0123456789abcdef\n"
 
@@ -94,7 +94,7 @@ def test_active_area_csv_round_trip(weights, cell_um, origin_um, manifest):
 )
 def test_spot_scan_csv_round_trip(counts, step_nm, dwell_ms, dark_kcps, manifest):
     scan = SpotScan(step=step_nm * 1e-9, counts=counts, dark_rate=dark_kcps * 1e3, dwell=dwell_ms * 1e-3)
-    back = SpotScan.from_csv(with_manifest(scan.to_csv(), manifest))
+    back = SpotScan.from_csv(with_manifest(spot_scan_csv(scan), manifest))
     assert back.step == pytest.approx(scan.step, rel=1e-5)
     assert back.dwell == pytest.approx(scan.dwell, rel=1e-5)
     assert back.dark_rate == pytest.approx(scan.dark_rate, rel=1e-5)
@@ -113,7 +113,7 @@ def test_spot_scan_csv_round_trip(counts, step_nm, dwell_ms, dark_kcps, manifest
 )
 def test_toggle_csv_round_trip(rows, manifest):
     meas = [ToggleMeasurement(active_sources=f, measured_rate=r, dwell=d) for f, r, d in rows]
-    back = toggle_measurements_from_csv(with_manifest(toggle_measurements_to_csv(meas), manifest))
+    back = toggle_measurements_from_csv(with_manifest(toggle_csv(meas), manifest))
     assert [m.active_sources for m in back] == [m.active_sources for m in meas]
     assert [m.measured_rate for m in back] == pytest.approx([m.measured_rate for m in meas], rel=1e-8)
     assert [m.dwell for m in back] == pytest.approx([m.dwell for m in meas], rel=1e-8)
@@ -127,6 +127,6 @@ def test_toggle_csv_round_trip(rows, manifest):
 def test_qe_dataset_csv_round_trip(rows, manifest):
     offsets = np.array([r[0] * 1e-6 for r in rows])
     rates = np.array([r[1] for r in rows])
-    back_offsets, back_rates = qe_dataset_from_csv(with_manifest(qe_dataset_to_csv(offsets, rates), manifest))
+    back_offsets, back_rates = qe_dataset_from_csv(with_manifest(qe_dataset_csv(offsets, rates), manifest))
     np.testing.assert_allclose(back_offsets, offsets, rtol=1e-8, atol=1e-20)
     np.testing.assert_allclose(back_rates, rates, rtol=1e-8, atol=1e-9)
