@@ -13,7 +13,6 @@ from .optics import (
     DetectorGeometry,
     OpticalStack,
     arc_stack,
-    bare_silicon_stack,
     efficiency_vs_offset,
     quarter_disc_map,
     stack_reflectance,
@@ -40,6 +39,6 @@ from .estimation import (
     effective_area,
     fit_quantum_efficiency,
 )
-from .config import ConfigError, load_scenario, scenario_from_text, scenario_to_text
+from .config import ConfigError, load_scenario, scenario_from_text
 
 __version__ = "0.1.0"

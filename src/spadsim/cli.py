@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from . import detection, estimation, synthetic
-from .config import ConfigError, load_scenario, scenario_to_text
+from .config import ConfigError, load_scenario
 from .model import Scenario, table_budget
-from .optics import _reflectance_rows, bare_silicon_stack, efficiency_vs_offset, stack_reflectance
+from .optics import _reflectance_rows, efficiency_vs_offset, stack_reflectance
 from .simulator import gate_and_count, simulate_stream
 
 EXIT_OK = 0
@@ -46,8 +46,9 @@ class Output:
     """What a subcommand produced; main hashes, writes, prints and checks it.
 
     The manifest hashes the arguments and hashed, the text of each input the
-    run reads: the scenario's config text and the CSV at a path, joined. Data
-    that a preset makes from its arguments (--demo, --projection) are not
+    run reads: the scenario's config text (none without --config, which
+    applies no change to the reference device) and the CSV at a path, joined.
+    Data that a preset makes from its arguments (--demo, --projection) are not
     inputs, since the arguments already fix them. checks returns the --check
     criteria as (met, failure message) pairs; main calls it only under --check.
     """
@@ -81,11 +82,7 @@ def _output_path(args, default_name: str) -> Path:
 
 
 def _load_config(args) -> tuple[Scenario, str]:
-    if args.config:
-        scenario, text = load_scenario(args.config)
-    else:
-        scenario = Scenario()
-        text = scenario_to_text(scenario)
+    scenario, text = load_scenario(args.config) if args.config else (Scenario(), "")
     if getattr(args, "seed", None) is not None:
         scenario = replace(scenario, rng_seed=args.seed)
     if getattr(args, "duration", None) is not None:
@@ -99,6 +96,14 @@ def _float(flag: str, token: str) -> float:
         return float(token)
     except ValueError:
         raise ValueError(f"{flag}: {token!r} is not a number") from None
+
+
+def _flagged(flag: str, fn, *args):
+    """fn(*args), with the ValueError it raises, if any, prefixed by flag."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 def _parse_range(flag: str, spec: str, scale: float = 1.0) -> list[float]:
@@ -146,16 +151,11 @@ def cmd_simulate(args) -> Output:
 def cmd_threshold(args) -> Output:
     scenario, config_text = _load_config(args)
     window = args.window_ms * 1e-3
-    ion = simulate_stream(scenario, True)
-    empty = simulate_stream(scenario, False)
-    try:
-        counts = [gate_and_count(stream, window) for stream in (ion, empty)]
-    except ValueError as exc:
-        raise ValueError(f"--window-ms: {exc}") from None
-    result = detection.threshold_fidelity(*counts)
-    k_exact, f_exact = detection.analytic_threshold_fidelity(
-        scenario.budget.ion_total(), scenario.budget.background_total(), window
-    )
+    # the exact optimum draws nothing: taken first, a window past its table's limit is refused before any draw
+    k_exact, f_exact = _flagged("--window-ms", detection.analytic_threshold_fidelity,
+                                scenario.budget.ion_total(), scenario.budget.background_total(), window)
+    streams = simulate_stream(scenario, True), simulate_stream(scenario, False)
+    result = detection.threshold_fidelity(*(_flagged("--window-ms", gate_and_count, s, window) for s in streams))
     body = "count,freq_ion,freq_empty\n" + "".join(
         f"{k},{n_ion},{n_empty}\n"
         for k, (n_ion, n_empty) in enumerate(zip(result.histogram_ion, result.histogram_empty))
@@ -210,10 +210,8 @@ def cmd_fidelity(args) -> Output:
         if target in targets[:i]:  # a repeated target would run its sweep again for the same row
             raise ValueError(f"--targets: {tokens[i]!r} repeats an earlier target")
     sub_bin, max_time = args.sub_bin_us * 1e-6, args.max_time_ms * 1e-3
-    try:
-        detection.sweep_bins(sub_bin, max_time)
-    except ValueError as exc:
-        raise ValueError(f"--sub-bin-us/--max-time-ms: {exc}") from None
+    _flagged("--sub-bin-us/--max-time-ms", detection.sweep_bins, sub_bin, max_time)
+    _flagged("--max-time-ms", detection.threshold_kmax, scenario.budget.ion_total(), [max_time])
     curve = detection.fidelity_curve(scenario, targets, args.trials, sub_bin=sub_bin, max_time=max_time)
     summary = [
         f"target {target}: fidelity {fid:.4f}, mean time {mean_time * 1e3:.2f} ms"
@@ -265,7 +263,8 @@ def cmd_collection(args) -> Output:
 
 def cmd_arc(args) -> Output:
     scenario, config_text = _load_config(args)
-    stack = bare_silicon_stack() if args.bare else scenario.geometry.stack
+    bare = replace(scenario.geometry.stack, layers=())  # the scenario's substrate, uncoated
+    stack = bare if args.bare else scenario.geometry.stack
     angles = np.array(_parse_range("--angles-deg", args.angles_deg, math.pi / 180.0))
     rs, rp = _reflectance_rows(stack, angles)  # one transfer matrix for all three columns
     rows = list(zip(angles, rs, rp, 0.5 * (rs + rp)))  # the mean as stack_reflectance takes it
@@ -276,7 +275,7 @@ def cmd_arc(args) -> Output:
 
     def checks():
         r_normal = stack_reflectance(scenario.geometry.stack, 0.0)
-        r_bare = stack_reflectance(bare_silicon_stack(), 0.0)
+        r_bare = stack_reflectance(bare, 0.0)
         return [
             (abs(r_normal - 0.10) <= 0.03, f"coated normal-incidence R {r_normal:.3f} outside 0.10 +/- 0.03"),
             (abs(r_bare - 0.57) <= 0.04, f"bare-substrate normal R {r_bare:.3f} outside 0.57 +/- 0.04"),

@@ -1,14 +1,11 @@
-"""Flat key-value scenario config files, round-trippable."""
+"""Flat key-value scenario config files: each sets some keys of the reference device."""
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
 from dataclasses import replace
-from operator import attrgetter
 from pathlib import Path
-
-import numpy as np
 
 from .model import BUDGET_SOURCES, SOURCE_LABELS, Scenario
 from .optics import ActiveAreaMap, quarter_disc_map
@@ -18,22 +15,15 @@ class ConfigError(ValueError):
     """Malformed scenario config; message carries line/key diagnostics."""
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
-def _fmt_complex(z) -> str:
-    z = complex(z)
-    if z.imag == 0:
-        return _fmt(z.real)
-    return f"{z.real:.12g}{z.imag:+.12g}j"
-
-
 def _finite(value):
     """value, a real or complex number, if each of its parts is finite."""
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise ValueError(f"{value} is not finite")
     return value
+
+
+def _complex(text: str) -> complex:
+    return _finite(complex(text.replace(" ", "")))
 
 
 def _parse_layers(text: str):
@@ -44,17 +34,13 @@ def _parse_layers(text: str):
         fields = part.split()
         if len(fields) != 2:
             raise ValueError(f"each ';'-separated entry needs 'thickness_nm index', got {part.strip()!r}")
-        layers.append((_finite(float(fields[0]) * 1e-9), _finite(complex(fields[1]))))
+        layers.append((_finite(float(fields[0]) * 1e-9), _complex(fields[1])))
     return tuple(layers)
 
 
-def _fmt_layers(layers) -> str:
-    return " ; ".join(f"{_fmt(d / 1e-9)} {_fmt_complex(n)}" for d, n in layers)
-
-
 def _number(unit: float):
-    """(parse, format) of a finite real number written in units of `unit` SI units."""
-    return (lambda text: _finite(float(text) * unit)), (lambda x: _fmt(x / unit))
+    """The parser of a finite real number written in units of `unit` SI units."""
+    return lambda text: _finite(float(text) * unit)
 
 
 def _seed(text: str) -> int:
@@ -65,15 +51,10 @@ def _seed(text: str) -> int:
 
 
 _MICRONS = _number(1e-6)
-_SEED = (_seed, str)
-_TEXT = (str, str)
-_COMPLEX = ((lambda text: _finite(complex(text.replace(" ", "")))), _fmt_complex)
-_LAYERS = (_parse_layers, _fmt_layers)
 
-# One row per config key: (key, attribute path, (parse, format)). The path
-# starts with the object the key sets: the scenario, or the active area (a CSV
-# file, or the arguments of quarter_disc_map). scenario_to_text writes the
-# scenario keys in this order.
+# One row per config key: (key, attribute path, parse). The path starts with
+# the object the key sets: the scenario, or the active area (a CSV file, or the
+# arguments of quarter_disc_map).
 _KEYS = (
     *(
         (f"budget.{label}_kcps", f"scenario.budget.{name}", _number(1e3))
@@ -82,16 +63,16 @@ _KEYS = (
     ("emitter.gamma_over_2pi_mhz", "scenario.emitter.gamma_over_2pi_hz", _number(1e6)),
     ("emitter.saturation_fraction", "scenario.emitter.saturation_fraction", _number(1.0)),
     ("trial.duration_s", "scenario.trial_duration", _number(1.0)),
-    ("trial.seed", "scenario.rng_seed", _SEED),
+    ("trial.seed", "scenario.rng_seed", _seed),
     ("geometry.ion_height_um", "scenario.geometry.ion_height_above_surface", _MICRONS),
     ("geometry.recess_um", "scenario.geometry.detector_recess_below_surface", _MICRONS),
-    ("geometry.emission", "scenario.geometry.emission_pattern", _TEXT),
+    ("geometry.emission", "scenario.geometry.emission_pattern", str),
     ("stack.wavelength_nm", "scenario.geometry.stack.wavelength", _number(1e-9)),
-    ("stack.ambient_index", "scenario.geometry.stack.ambient_index", _COMPLEX),
-    ("stack.substrate_index", "scenario.geometry.stack.substrate_index", _COMPLEX),
-    ("stack.layers", "scenario.geometry.stack.layers", _LAYERS),
+    ("stack.ambient_index", "scenario.geometry.stack.ambient_index", _complex),
+    ("stack.substrate_index", "scenario.geometry.stack.substrate_index", _complex),
+    ("stack.layers", "scenario.geometry.stack.layers", _parse_layers),
     ("deadtime.dead_time_us", "scenario.dead_time", _MICRONS),
-    ("geometry.active_area_csv", "area.csv", _TEXT),
+    ("geometry.active_area_csv", "area.csv", str),
     ("geometry.active_outer_radius_um", "area.outer_radius", _MICRONS),
     ("geometry.guard_width_um", "area.guard_width", _MICRONS),
     ("geometry.cell_size_um", "area.cell_size", _MICRONS),
@@ -130,7 +111,7 @@ def scenario_from_text(text: str, base_dir: Path | None = None) -> Scenario:
 
 def _build_scenario(values, base_dir):
     changes = {"scenario": {}, "area": {}}
-    for key, path, (parse, _) in _KEYS:
+    for key, path, parse in _KEYS:
         if key in values:
             try:
                 value = parse(values[key])
@@ -177,27 +158,3 @@ def load_scenario(path) -> tuple[Scenario, str]:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return scenario_from_text(text, base_dir=path.parent), text
-
-
-def scenario_to_text(scenario: Scenario) -> str:
-    """Serialize to the flat config format; parse(serialize(s)) reproduces s.
-
-    The active-area keys are not written, so the parsed scenario has the
-    default active area. Any other area raises ValueError: write its map to a
-    CSV file and name that with geometry.active_area_csv by hand.
-    """
-    area, default = scenario.geometry.active_area, quarter_disc_map()
-    if not (
-        area.cell_size == default.cell_size
-        and tuple(area.origin) == default.origin
-        and np.array_equal(area.weights, default.weights)
-    ):
-        raise ValueError(
-            "geometry.active_area_csv: the config text cannot carry an active area other than "
-            "the default quarter disc; write its map to a CSV file and name it with that key"
-        )
-    return "".join(
-        f"{key} = {fmt(attrgetter(path.removeprefix('scenario.'))(scenario))}\n"
-        for key, path, (_, fmt) in _KEYS
-        if path.startswith("scenario.")
-    )

@@ -87,6 +87,27 @@ def _poisson_cdf(mu, log_factorial: np.ndarray) -> np.ndarray:
 # A band of the threshold curve holds the windows whose kmax is at most this many times
 # its least one's: 3 bands at the reference budget, 2 at the projection's.
 _BAND_RATIO = 4
+# The most entries of the threshold law's ln k! table, which runs to the longest window's
+# kmax. An entry costs one math.lgamma call and its share of the bands' CDF rows, about
+# 0.5 us and 140 B (2-vCPU Xeon, numpy 2.4): a curve at the limit took 0.51 s and 150 MB.
+# It covers windows up to about 89 s at the reference budget; the presets take 837
+# entries (fidelity), 474 (threshold at 25 ms) and 211 (projection).
+_MAX_TABLE = 1 << 20
+
+
+def threshold_kmax(ion_rate: float, windows) -> np.ndarray:
+    """Each window's largest candidate threshold, 10 standard deviations above its
+    ion-present mean; a ValueError if the ln k! table to the largest would hold more
+    than _MAX_TABLE entries, raised before it is built."""
+    windows = np.asarray(windows, dtype=float)
+    mu1 = ion_rate * windows
+    kmax = mu1 + 10.0 * np.sqrt(mu1) + 10
+    if not kmax.max(initial=0) < _MAX_TABLE:  # written so that inf fails it
+        raise ValueError(
+            f"a window of {windows.max():.6g} s at {ion_rate:.6g} counts/s needs a ln k! table of "
+            f"{np.floor(kmax.max()) + 1:.6g} entries, more than the limit of {_MAX_TABLE}"
+        )
+    return kmax.astype(np.int64)
 
 
 def _threshold_optima(ion_rate: float, empty_rate: float, windows) -> tuple[np.ndarray, np.ndarray]:
@@ -94,10 +115,10 @@ def _threshold_optima(ion_rate: float, empty_rate: float, windows) -> tuple[np.n
     rule for each window.
 
     A window's candidate thresholds k run to kmax, 10 standard deviations above
-    its ion-present mean. The false alarm is 1 - CDF of the empty mean, so equal
-    rates give exactly 0.5. The windows go in bands of similar kmax (_BAND_RATIO),
-    and a band's CDF rows run only to its own largest kmax, all from one table
-    of ln k!. A row's cumsum up to k does not depend on how far the row runs,
+    its ion-present mean (threshold_kmax). The false alarm is 1 - CDF of the
+    empty mean, so equal rates give exactly 0.5. The windows go in bands of
+    similar kmax (_BAND_RATIO), and a band's CDF rows run only to its own
+    largest kmax, all from one table of ln k!. A row's cumsum up to k does not depend on how far the row runs,
     and the terms past a band's width, over 10 standard deviations above every
     mean in it, are below half an ulp of the sum they would join, so its last
     entry, the divisor, does not either: every value equals the one a row run
@@ -108,9 +129,9 @@ def _threshold_optima(ion_rate: float, empty_rate: float, windows) -> tuple[np.n
     windows = np.asarray(windows, dtype=float)
     if not np.all(windows > 0):
         raise ValueError("window must be > 0")
+    kmax = threshold_kmax(ion_rate, windows)
     mu1 = ion_rate * windows
     mu0 = empty_rate * windows
-    kmax = (mu1 + 10.0 * np.sqrt(mu1) + 10).astype(np.int64)
     log_factorial = np.fromiter(map(math.lgamma, range(1, kmax.max(initial=0) + 2)), float)
     best = np.empty(windows.size, dtype=np.intp)
     best_fid = np.empty(windows.size)
@@ -218,8 +239,9 @@ def fidelity_curve(
     For each target, `trials` ion-present and `trials` ion-absent streams run
     through the sequential detector; streams are shared across targets so the
     sweep is smooth in the common randomness. Each target lies in (0.5, 1),
-    0 < sub_bin <= max_time < inf, and max_time holds at most _MAX_BINS bins
-    (sweep_bins).
+    0 < sub_bin <= max_time < inf, max_time holds at most _MAX_BINS bins
+    (sweep_bins), and its threshold law's ln k! table at most _MAX_TABLE entries
+    (threshold_kmax).
 
     Trials run in chunks of _CHUNK_TRIALS, each chunk drawing from its own
     generator. The chunk's log odds go window by window (_stopping_bins). Each
@@ -241,6 +263,9 @@ def fidelity_curve(
     if not all(0.5 < t < 1.0 for t in targets):
         raise ValueError("target_posterior must lie in (0.5, 1)")
     n_bins = sweep_bins(sub_bin, max_time)
+    # the threshold curve draws nothing: taken first, a window past its table's limit is refused before any draw
+    windows = np.geomspace(sub_bin, max_time, 25)
+    _, thresh_fid = _threshold_optima(ion_rate, empty_rate, windows)
     thresholds = [math.log(t / (1.0 - t)) for t in targets]
     # per target: correct MAP choices per hypothesis (ion, then empty), and the sum of stopping bins + 1
     correct = np.zeros((len(targets), 2), dtype=np.int64)
@@ -258,9 +283,6 @@ def fidelity_curve(
         (target, 0.5 * (int(ok[0]) / trials + int(ok[1]) / trials), float(int(used) * sub_bin / (2 * trials)))
         for target, ok, used in zip(targets, correct, bins_used)
     ]
-
-    windows = np.geomspace(sub_bin, max_time, 25)
-    _, thresh_fid = _threshold_optima(ion_rate, empty_rate, windows)
     thresh_points = [(float(w), float(f)) for w, f in zip(windows, thresh_fid)]
     return FidelityCurve(bayes_points, thresh_points, ion_rate, empty_rate)
 

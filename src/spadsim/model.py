@@ -89,14 +89,17 @@ def table_budget() -> RateBudget:
     )
 
 
+_MAX_DEAD_TIME = 2.0**62 * 1e-9  # seconds
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Immutable bundle of everything a simulated trial needs; by default the reference device.
 
     dead_time is the detector's nonparalyzable dead time in seconds: an event
     within it of the last kept event is dropped. trial_duration must be finite
-    and > 0, dead_time finite and >= 0; any other value is a ValueError that
-    names the field and the value.
+    and > 0, dead_time >= 0 and below 2^62 ns; any other value is a ValueError
+    that names the field and the value.
     """
 
     budget: RateBudget = field(default_factory=table_budget)
@@ -111,4 +114,8 @@ class Scenario:
             raise ValueError(f"trial_duration must be > 0 and finite, got {self.trial_duration}")
         if not 0 <= self.dead_time < math.inf:
             raise ValueError(f"dead_time must be >= 0 and finite, got {self.dead_time}")
+        # the simulator adds the dead time to a timestamp in int64 nanoseconds: below 2^62 ns
+        # (about 146 years) each, the sum fits
+        if self.dead_time >= _MAX_DEAD_TIME:
+            raise ValueError(f"dead_time must be below 2^62 ns ({_MAX_DEAD_TIME:.6g} s), got {self.dead_time}")
 

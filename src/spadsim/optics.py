@@ -75,10 +75,6 @@ def arc_stack() -> OpticalStack:
     return OpticalStack(layers=((29e-9, INDEX_SIN), (10e-9, INDEX_SIO2)))
 
 
-def bare_silicon_stack() -> OpticalStack:
-    return OpticalStack(layers=())
-
-
 def _reflectance_rows(stack: OpticalStack, angle_of_incidence) -> np.ndarray:
     """Power reflectance |r|^2 of the stack over angles, s then p on a new leading axis:
     r = (e0 B - C) / (e0 B + C) for the ambient's admittance e0 and [B, C] = M [1, es],

@@ -1,12 +1,23 @@
-"""Writers for the input tables that spadsim reads and never writes, shared by the round-trip tests.
+"""Writers for the inputs that spadsim reads and never writes, shared by the tests.
 
 A spot scan, a toggle table and a fluorescence-vs-offset dataset are
 measurements: `spot`, `budget` and `qefit` read them from a CSV path, and
 their --demo runs make the data in memory. These writers give each reader a
-text in its own format, with the precision the round-trip tests assume.
+text in its own format, with the precision the round-trip tests assume. A
+scenario config is a diff applied to the reference device; its writer here
+sets only the keys the tests vary.
 """
 
-from spadsim.model import SOURCE_LABELS
+from spadsim.model import BUDGET_SOURCES, SOURCE_LABELS
+
+
+def scenario_config(scenario) -> str:
+    """Config text setting the scenario's budget, trial.* keys and dead time; other keys keep the reference's."""
+    lines = [f"budget.{label}_kcps = {getattr(scenario.budget, name) / 1e3!r}"
+             for label, name in zip(SOURCE_LABELS, BUDGET_SOURCES)]
+    lines += [f"trial.duration_s = {scenario.trial_duration!r}", f"trial.seed = {scenario.rng_seed}",
+              f"deadtime.dead_time_us = {scenario.dead_time / 1e-6!r}"]
+    return "\n".join(lines) + "\n"
 
 
 def spot_scan_csv(scan) -> str:

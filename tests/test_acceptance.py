@@ -26,7 +26,6 @@ from spadsim.optics import (
     ShadowingWarning,
     _reflectance_rows,
     arc_stack,
-    bare_silicon_stack,
     efficiency_vs_offset,
     stack_reflectance,
 )
@@ -79,7 +78,7 @@ def test_2_threshold_detection():
 
 def test_3_arc_optics():
     r_coated = stack_reflectance(arc_stack(), 0.0)
-    r_bare = stack_reflectance(bare_silicon_stack(), 0.0)
+    r_bare = stack_reflectance(OpticalStack(), 0.0)
     vertical = 57e-6
     r_far = stack_reflectance(arc_stack(), math.atan2(80e-6, vertical))
     r_near = stack_reflectance(arc_stack(), math.atan2(50e-6, vertical))

@@ -11,9 +11,11 @@ import pytest
 
 from spadsim import cli, detection, estimation, optics
 from spadsim.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, _fidelity_csv, main
-from spadsim.config import KNOWN_KEYS, scenario_to_text
+from spadsim.config import KNOWN_KEYS
 from spadsim.model import BUDGET_SOURCES, RateBudget, Scenario, table_budget
 from spadsim.optics import ShadowingWarning, quarter_disc_map
+
+from reference_tables import scenario_config
 
 # the reference budget at 2%: the threshold fidelity falls far below 0.996
 WEAK_BUDGET = RateBudget(**{name: 0.02 * getattr(table_budget(), name) for name in BUDGET_SOURCES})
@@ -29,7 +31,7 @@ def outdir(tmp_path, monkeypatch):
 def config_file(tmp_path):
     path = tmp_path / "scenario.cfg"
     scenario = Scenario(budget=table_budget(), trial_duration=5.0, rng_seed=11)
-    path.write_text(scenario_to_text(scenario))
+    path.write_text(scenario_config(scenario))
     return str(path)
 
 
@@ -93,7 +95,7 @@ class TestThreshold:
     def test_check_fails_on_weak_signal(self, outdir, tmp_path, capsys):
         cfg = tmp_path / "weak.cfg"
         weak = Scenario(budget=WEAK_BUDGET, trial_duration=20.0, rng_seed=1)
-        cfg.write_text(scenario_to_text(weak))
+        cfg.write_text(scenario_config(weak))
         rc = main(["threshold", "--config", str(cfg), "--check"])
         assert rc == EXIT_CHECK_FAILED
         assert "check: FAIL" in capsys.readouterr().err
@@ -124,7 +126,7 @@ class TestFidelity:
         for dead_us in (1.0, 20.0):
             cfg = tmp_path / f"dead_{dead_us:g}us.cfg"
             scenario = Scenario(budget=table_budget(), trial_duration=5.0, rng_seed=11, dead_time=dead_us * 1e-6)
-            cfg.write_text(scenario_to_text(scenario))
+            cfg.write_text(scenario_config(scenario))
             out = tmp_path / f"curve_{dead_us:g}us.csv"
             argv = ["fidelity", "--config", str(cfg), "--targets", "0.9,0.99", "--trials", "200",
                     "--max-time-ms", "20", "--out", str(out)]
@@ -270,6 +272,18 @@ class TestArc:
         r_bare = float(read_output(outdir / "bare.csv")[2].split(",")[3])
         assert r_bare > r_coated
 
+    @pytest.mark.parametrize("line", ["stack.substrate_index = 3.5", "stack.ambient_index = 1.5"],
+                             ids=["substrate", "ambient"])
+    def test_bare_takes_the_scenario_substrate_and_ambient(self, outdir, tmp_path, line):
+        # --bare drops the coating's layers only: the config's substrate and ambient still hold
+        config = tmp_path / "bare.cfg"
+        config.write_text(line + "\n")
+        bodies = []
+        for extra in ([], ["--config", str(config)]):
+            assert main(["arc", "--bare", "--angles-deg", "0,30", *extra, "--out", str(outdir / "t.csv")]) == EXIT_OK
+            bodies.append(read_output(outdir / "t.csv")[1:])
+        assert bodies[0] != bodies[1]
+
     def test_one_transfer_matrix_for_the_table(self, outdir):
         # every transfer matrix, whether the table's own or one behind stack_reflectance
         rows = unittest.mock.Mock(wraps=optics._reflectance_rows)
@@ -393,7 +407,7 @@ class TestQEFit:
     def test_demo_draws_from_config_seed_unless_overridden(self, tmp_path):
         def body(seed, *argv):
             config = tmp_path / f"seed{seed}.cfg"
-            config.write_text(scenario_to_text(Scenario(budget=table_budget(), rng_seed=seed)))
+            config.write_text(scenario_config(Scenario(budget=table_budget(), rng_seed=seed)))
             out = tmp_path / "qe_fit.csv"
             with pytest.warns(ShadowingWarning):
                 assert main(["qefit", "--demo", "--config", str(config), *argv, "--out", str(out)]) == EXIT_OK
@@ -455,15 +469,15 @@ class TestOutputRules:
     # every subcommand writes one manifest-headed table; the manifest hashes the
     # arguments and the subcommand's input text, and these values are pinned
     @pytest.mark.parametrize("argv, manifest", [
-        (["simulate", "--duration", "0.01"], "6152b87f2b15bbcf"),
-        (["threshold", "--duration", "1"], "fc000cba4415ad2b"),
-        (["fidelity", "--trials", "20"], "6d74aed176a854f1"),
+        (["simulate", "--duration", "0.01"], "6011dfb65bc5d4ce"),
+        (["threshold", "--duration", "1"], "b9a126564d77fe4b"),
+        (["fidelity", "--trials", "20"], "122b4b0e32244726"),
         (["fidelity", "--projection", "--trials", "20"], "8f315d2a2b685bac"),
-        (["collection", "--offsets-um", "0,40"], "410c63caa9d2f1fb"),
-        (["arc", "--angles-deg", "0"], "49a612d09c781f76"),
+        (["collection", "--offsets-um", "0,40"], "48f722e3b3c250d7"),
+        (["arc", "--angles-deg", "0"], "016cf4cdb4b06261"),
         (["spot", "--demo"], "d5e1ce8046c94b70"),
         (["budget", "--demo"], "3866b5823593e7ce"),
-        (["qefit", "--demo"], "7ab6425d1a8ca19a"),
+        (["qefit", "--demo"], "f81f789387432f7e"),
     ], ids=lambda v: "-".join(v).replace("--", "") if isinstance(v, list) else None)
     def test_manifest_line_is_pinned(self, tmp_path, monkeypatch, argv, manifest):
         monkeypatch.delenv("SPADSIM_OUTPUT_DIR", raising=False)
@@ -477,7 +491,7 @@ class TestOutputRules:
     @pytest.mark.parametrize("env, argv, path, manifest", [
         ("results", ["budget", "--demo"], "results/budget.csv", "2816fdfc3f0acdc5"),
         ("results", ["budget", "--demo", "--out", "x/b.csv"], "x/b.csv", "dae7d6441a72fc6d"),
-        (None, ["arc", "--output-dir", ""], "reflectance.csv", "352348de7aaddb0c"),
+        (None, ["arc", "--output-dir", ""], "reflectance.csv", "294f5c2096ac7302"),
     ], ids=["budget-environment", "budget-environment-out", "arc-empty-output-dir"])
     def test_manifest_line_with_output_dir_is_pinned(self, tmp_path, monkeypatch, env, argv, path, manifest):
         if env is None:
@@ -505,8 +519,7 @@ class TestOutputRules:
             assert main([*argv, "--out", str(outdir / "t.csv")]) == EXIT_OK
         args = cli.build_parser().parse_args([*argv, "--out", str(outdir / "t.csv")])
         args.output_dir = str(outdir)
-        config_text = scenario_to_text(Scenario()) if config == "" else config or ""
-        assert read_output(outdir / "t.csv")[0] == f"# manifest: {cli._manifest_hash(argv[0], args, config_text)}"
+        assert read_output(outdir / "t.csv")[0] == f"# manifest: {cli._manifest_hash(argv[0], args, config or '')}"
 
     # the CSV at a path is an input: the same path and arguments with other text write another manifest
     @pytest.mark.parametrize("subcommand, table, edit", [
@@ -535,7 +548,7 @@ class TestOutputRules:
     def test_failed_check_keeps_table_and_summary(self, outdir, tmp_path, monkeypatch, capsys, argv, name, summary,
                                                    failure):
         weak = Scenario(budget=WEAK_BUDGET, trial_duration=20.0, rng_seed=1)
-        (tmp_path / "weak.cfg").write_text(scenario_to_text(weak))
+        (tmp_path / "weak.cfg").write_text(scenario_config(weak))
         (tmp_path / "thick.cfg").write_text("stack.layers = 80 2.1 ; 10 1.47\n")
         (tmp_path / "off.csv").write_text("offset_um,rate_kcps\n0,50\n20,40\n40,30\n60,20\n")
         monkeypatch.chdir(tmp_path)
@@ -563,6 +576,24 @@ class TestOutputRules:
         assert read_output(outdir / "fidelity_curve.csv")[2].endswith(",")
         assert "target 0.99: fidelity" in out
         assert err == "error: require ion_rate > empty_rate > 0\n"
+
+    # without --config a run applies no change to the reference device, so its config text is empty
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--duration", "0.01"],
+        ["threshold", "--duration", "1"],
+        ["fidelity", "--trials", "20"],
+        ["collection", "--offsets-um", "0,40"],
+        ["arc", "--angles-deg", "0"],
+        ["qefit", "--demo"],
+    ], ids=lambda v: v[0])
+    def test_run_without_config_hashes_no_config_text(self, outdir, argv):
+        manifest_hash = unittest.mock.Mock(wraps=cli._manifest_hash)
+        with unittest.mock.patch.object(cli, "_manifest_hash", manifest_hash), warnings.catch_warnings():
+            warnings.simplefilter("ignore", ShadowingWarning)  # qefit --demo names its shadowed offsets
+            assert main([*argv, "--out", str(outdir / "t.csv")]) == EXIT_OK
+        (subcommand, args, hashed), _ = manifest_hash.call_args
+        assert (subcommand, hashed) == (argv[0], "")
+        assert read_output(outdir / "t.csv")[0] == f"# manifest: {cli._manifest_hash(subcommand, args, '')}"
 
     def test_config_starts_from_reference_device(self, outdir, tmp_path, capsys):
         config = tmp_path / "short.cfg"
@@ -681,14 +712,24 @@ class TestFlags:
              "more than the limit of 65536"),
             (["fidelity", "--sub-bin-us", "1e-300", "--max-time-ms", "1e300"], "--sub-bin-us/--max-time-ms: "
              "max_time / sub_bin is inf bins"),
+            # 65000 bins, inside the bin limit, but the threshold law's longest window is 65000 s
+            (["fidelity", "--sub-bin-us", "1e6", "--max-time-ms", "6.5e7", "--trials", "1"], "--max-time-ms: a window "
+             "of 65000 s at 11700 counts/s needs a ln k! table of 7.60776e+08 entries, more than the limit of 1048576"),
         ],
         ids=["arc-angles", "collection-offsets", "threshold-window", "threshold-window-overflow", "fidelity-sub-bin",
-             "fidelity-sub-bin-overflow"],
+             "fidelity-sub-bin-overflow", "fidelity-threshold-table"],
     )
     def test_size_past_limit_exits_2_naming_the_flag(self, outdir, capsys, argv, named):
         with unittest.mock.patch.object(detection, "_window_counter", side_effect=AssertionError("drew a window")):
             assert main(argv) == EXIT_INPUT_ERROR
         assert f"error: {named}" in capsys.readouterr().err
+        assert not any(outdir.iterdir())
+
+    def test_threshold_window_past_table_limit_exits_2_before_any_draw(self, outdir, capsys):
+        with unittest.mock.patch.object(cli, "simulate_stream", side_effect=AssertionError("drew a stream")):
+            assert main(["threshold", "--duration", "100", "--window-ms", "1e5"]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == ("error: --window-ms: a window of 100 s at 11700 counts/s needs a ln k! "
+                                           "table of 1.18083e+06 entries, more than the limit of 1048576\n")
         assert not any(outdir.iterdir())
 
     # a config key that sizes the quarter disc's grid is bounded before any cell is made, and named
@@ -706,6 +747,17 @@ class TestFlags:
         with unittest.mock.patch.object(optics, "_cell_centers", side_effect=AssertionError("made a grid")):
             assert main([*subcommand.split(), "--config", str(config)]) == EXIT_INPUT_ERROR
         assert f"error: {named}" in capsys.readouterr().err
+        assert [p.name for p in outdir.iterdir()] == ["in"]
+
+    # the simulator adds the dead time to int64 nanosecond timestamps: one of 2^62 ns or more is named
+    @pytest.mark.parametrize("argv", [["simulate", "--duration", "0.01"], ["fidelity", "--trials", "10"]],
+                             ids=lambda v: v[0])
+    def test_dead_time_past_int64_exits_2_naming_it(self, outdir, tmp_path, capsys, argv):
+        config = tmp_path / "in" / "dead.cfg"
+        config.parent.mkdir()
+        config.write_text("deadtime.dead_time_us = 1e300\n")
+        assert main([*argv, "--config", str(config)]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == "error: dead_time must be below 2^62 ns (4.61169e+09 s), got 1e+294\n"
         assert [p.name for p in outdir.iterdir()] == ["in"]
 
     # numpy's generators take seeds >= 0: a negative one is named by its flag or key

@@ -2,14 +2,8 @@ import re
 
 import pytest
 
-from spadsim.config import (
-    ConfigError,
-    parse_config_text,
-    scenario_from_text,
-    scenario_to_text,
-)
-from spadsim.model import BUDGET_SOURCES, RateBudget, Scenario, table_budget
-from spadsim.optics import DetectorGeometry, quarter_disc_map
+from spadsim.config import ConfigError, parse_config_text, scenario_from_text
+from spadsim.model import Scenario, table_budget
 
 
 MINIMAL = """
@@ -23,8 +17,7 @@ trial.duration_s = 2.5
 trial.seed = 99
 """
 
-# scenario_to_text of the reference-budget scenario, as written before the dead
-# time moved into Scenario
+# every scenario key at the reference device's value, as a pinned input
 REFERENCE_TEXT = """\
 budget.fluorescence_kcps = 4.8
 budget.repump_kcps = 4
@@ -78,6 +71,25 @@ class TestScenarioFromText:
         assert scenario.dead_time == pytest.approx(1e-6)
         big = 2**53 + 1  # not a float
         assert scenario_from_text(f"trial.seed = {big}\n").rng_seed == big
+
+    def test_reference_text_gives_reference_scenario(self):
+        parsed, reference = scenario_from_text(REFERENCE_TEXT), Scenario(budget=table_budget())
+        assert parsed.budget == reference.budget
+        assert parsed.emitter == reference.emitter
+        assert (parsed.trial_duration, parsed.rng_seed) == (reference.trial_duration, reference.rng_seed)
+        assert parsed.dead_time == pytest.approx(reference.dead_time, rel=1e-15)
+        geometry, ref_geometry = parsed.geometry, reference.geometry
+        assert geometry.ion_height_above_surface == pytest.approx(ref_geometry.ion_height_above_surface, rel=1e-15)
+        assert geometry.detector_recess_below_surface == pytest.approx(
+            ref_geometry.detector_recess_below_surface, rel=1e-15
+        )
+        assert geometry.emission_pattern == ref_geometry.emission_pattern
+        assert geometry.active_area.effective_area() == ref_geometry.active_area.effective_area()
+        stack, ref_stack = geometry.stack, ref_geometry.stack
+        assert stack.wavelength == pytest.approx(ref_stack.wavelength, rel=1e-15)
+        assert (stack.ambient_index, stack.substrate_index) == (ref_stack.ambient_index, ref_stack.substrate_index)
+        assert [d for d, _ in stack.layers] == pytest.approx([d for d, _ in ref_stack.layers], rel=1e-15)
+        assert [n for _, n in stack.layers] == [n for _, n in ref_stack.layers]
 
     def test_defaults_when_empty(self):
         scenario = scenario_from_text("")
@@ -165,49 +177,3 @@ class TestScenarioFromText:
             base_scenario.geometry.active_area.effective_area(), rel=1e-6
         )
 
-
-class TestRoundTrip:
-    def test_default_scenario(self):
-        scenario = Scenario(dead_time=2.5e-6)
-        text = scenario_to_text(scenario)
-        back = scenario_from_text(text)
-        assert back.budget == scenario.budget
-        assert back.rng_seed == scenario.rng_seed
-        assert back.trial_duration == pytest.approx(scenario.trial_duration)
-        assert back.geometry.ion_height_above_surface == pytest.approx(
-            scenario.geometry.ion_height_above_surface, rel=1e-12
-        )
-        assert back.dead_time == pytest.approx(scenario.dead_time)
-        # serialize(parse(serialize(s))) is a fixed point
-        assert scenario_to_text(back) == text
-
-    def test_modified_scenario(self):
-        budget = RateBudget(**{name: 1.7 * getattr(table_budget(), name) for name in BUDGET_SOURCES})
-        scenario = Scenario(budget=budget, trial_duration=0.125, rng_seed=7)
-        text = scenario_to_text(scenario)
-        back = scenario_from_text(text)
-        assert back.budget.fluorescence == pytest.approx(scenario.budget.fluorescence, rel=1e-12)
-        assert back.trial_duration == scenario.trial_duration
-        assert back.rng_seed == 7
-        assert scenario_to_text(back) == text
-
-    def test_serialized_text_is_stable(self):
-        scenario = Scenario()
-        t1 = scenario_to_text(scenario)
-        t2 = scenario_to_text(scenario_from_text(t1))
-        assert t1 == t2
-
-    def test_non_default_active_area_refused(self):
-        # the text has no key for the area; it would parse back as the default 29x29 map
-        area = quarter_disc_map(outer_radius=20e-6)
-        scenario = Scenario(geometry=DetectorGeometry(active_area=area))
-        with pytest.raises(ValueError, match="geometry.active_area_csv"):
-            scenario_to_text(scenario)
-
-    def test_rebuilt_default_active_area_accepted(self):
-        scenario = Scenario(geometry=DetectorGeometry(active_area=quarter_disc_map()))
-        assert scenario_to_text(scenario) == scenario_to_text(Scenario())
-
-    def test_reference_text_is_pinned(self):
-        # the config of every CLI run without --config, and so part of its manifest hash
-        assert scenario_to_text(Scenario(budget=table_budget())) == REFERENCE_TEXT

@@ -65,6 +65,21 @@ class TestAnalyticThreshold:
         with pytest.raises(ValueError):
             analytic_threshold_fidelity(5000.0, 6000.0, 0.025)
 
+    def test_table_past_limit_refused_before_it_is_built(self):
+        # the ln k! table runs to the longest window's kmax: 1.04e6 entries at 88 s of the
+        # reference budget, past the 2^20 limit at 89 s
+        rate = table_budget().ion_total()
+        assert detection.threshold_kmax(rate, [1.0, 88.0]).max() < 2**20
+        with unittest.mock.patch.object(detection.math, "lgamma", side_effect=AssertionError("built the table")):
+            with pytest.raises(ValueError, match=r"^a window of 89 s at 11700 counts/s needs a ln k! table of "
+                                                 r"1.05152e\+06 entries, more than the limit of 1048576$"):
+                analytic_threshold_fidelity(rate, 0.0, 89.0)
+
+    def test_curve_refuses_a_table_past_limit_before_any_draw(self):
+        with unittest.mock.patch.object(detection, "_window_counter", side_effect=AssertionError("drew a window")):
+            with pytest.raises(ValueError, match="a window of 100 s .* more than the limit of 1048576"):
+                fidelity_curve(Scenario(), [0.99], 1, sub_bin=1.0, max_time=100.0)
+
     @pytest.mark.parametrize("budget, sub_bin, max_time", [
         (table_budget(), 100e-6, 50e-3),
         (projected_budget(), PROJECTED_SUB_BIN, PROJECTED_MAX_TIME),

@@ -109,3 +109,12 @@ def test_non_finite_trial_duration_named(value):
 def test_non_finite_dead_time_named(value):
     with pytest.raises(ValueError, match=rf"^dead_time must be >= 0 and finite, got {value}$"):
         Scenario(dead_time=value)
+
+
+def test_dead_time_past_int64_nanoseconds_named():
+    # the simulator adds the dead time to a timestamp in int64 nanoseconds
+    limit = 2.0**62 * 1e-9
+    assert Scenario(dead_time=math.nextafter(limit, 0)).dead_time < limit
+    named = r"^dead_time must be below 2\^62 ns \(4.61169e\+09 s\), got 4611686018.427388$"
+    with pytest.raises(ValueError, match=named):
+        Scenario(dead_time=limit)

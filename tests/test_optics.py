@@ -14,7 +14,6 @@ from spadsim.optics import (
     ShadowingWarning,
     _reflectance_rows,
     arc_stack,
-    bare_silicon_stack,
     efficiency_vs_offset,
     quarter_disc_map,
     stack_reflectance,
@@ -30,7 +29,7 @@ def offset_angle(offset):
 
 class TestReflectance:
     def test_bare_silicon_normal_incidence(self):
-        assert stack_reflectance(bare_silicon_stack(), 0.0) == pytest.approx(0.57, abs=0.04)
+        assert stack_reflectance(OpticalStack(), 0.0) == pytest.approx(0.57, abs=0.04)
 
     def test_coated_normal_incidence(self):
         assert stack_reflectance(arc_stack(), 0.0) == pytest.approx(0.10, abs=0.03)
@@ -60,7 +59,7 @@ class TestReflectance:
         assert rs == pytest.approx(rp, abs=1e-9)
 
     def test_reflectance_bounded(self):
-        for stack in (arc_stack(), bare_silicon_stack()):
+        for stack in (arc_stack(), OpticalStack()):
             for angle in np.linspace(0, math.pi / 2 * 0.999, 50):
                 for r in (*_reflectance_rows(stack, angle), stack_reflectance(stack, angle)):
                     assert 0.0 <= r <= 1.0

@@ -1,6 +1,7 @@
-"""Property tests: config text and every CSV table round-trip through their writers and readers.
+"""Property tests: config text parses to the values written in it, and every CSV table
+round-trips through its writer and reader.
 
-The tables spadsim reads and never writes take the tests' own writers (reference_tables).
+The inputs spadsim reads and never writes take the tests' own writers (reference_tables).
 """
 
 import numpy as np
@@ -9,14 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from spadsim.config import scenario_from_text, scenario_to_text
+from spadsim.config import scenario_from_text
 from spadsim.estimation import SpotScan, ToggleMeasurement
 from spadsim.model import BUDGET_SOURCES, SOURCE_LABELS, RateBudget, Scenario
 from spadsim.optics import ActiveAreaMap
 from spadsim.simulator import EventStream
 from spadsim.synthetic import qe_dataset_from_csv, toggle_measurements_from_csv
 
-from reference_tables import qe_dataset_csv, spot_scan_csv, toggle_csv
+from reference_tables import qe_dataset_csv, scenario_config, spot_scan_csv, toggle_csv
 
 MANIFEST = "# manifest: 0123456789abcdef\n"
 
@@ -26,7 +27,7 @@ def finite(lo, hi):
 
 
 def zero_or(lo, hi):
-    """0 or a value in [lo, hi]: config values print with 12 digits, which subnormals lack."""
+    """0 or a value in [lo, hi], away from the subnormals that scaling by a unit rounds."""
     return st.one_of(st.just(0.0), finite(lo, hi))
 
 
@@ -45,13 +46,16 @@ def with_manifest(text, manifest):
     duration=finite(1e-9, 1e6),
     dead_time=zero_or(1e-12, 1e-2),
 )
-def test_config_text_round_trip(rates, seed, duration, dead_time):
+def test_config_text_parses_to_its_values(rates, seed, duration, dead_time):
+    # each value comes back within rounding of its scaling from the key's unit to SI and back
     scenario = Scenario(
         budget=RateBudget(**dict(zip(BUDGET_SOURCES, rates))), trial_duration=duration, rng_seed=seed,
         dead_time=dead_time,
     )
-    text = scenario_to_text(scenario)
-    assert scenario_to_text(scenario_from_text(text)) == text
+    parsed = scenario_from_text(scenario_config(scenario))
+    assert [getattr(parsed.budget, name) for name in BUDGET_SOURCES] == pytest.approx(rates, rel=1e-15)
+    assert (parsed.rng_seed, parsed.trial_duration) == (seed, duration)
+    assert parsed.dead_time == pytest.approx(dead_time, rel=1e-15)
 
 
 @settings(deadline=None)
