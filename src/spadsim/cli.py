@@ -86,7 +86,7 @@ def _load_config(args) -> tuple[Scenario, str]:
     if getattr(args, "seed", None) is not None:
         scenario = replace(scenario, rng_seed=args.seed)
     if getattr(args, "duration", None) is not None:
-        scenario = replace(scenario, trial_duration=args.duration)
+        scenario = _flagged("--duration", lambda: replace(scenario, trial_duration=args.duration))
     return scenario, text
 
 

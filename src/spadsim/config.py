@@ -7,8 +7,8 @@ from collections import defaultdict
 from dataclasses import replace
 from pathlib import Path
 
-from .model import BUDGET_SOURCES, SOURCE_LABELS, Scenario
-from .optics import ActiveAreaMap, quarter_disc_map
+from .model import BUDGET_SOURCES, MAX_LINEWIDTH, MAX_TIME, SOURCE_LABELS, Scenario
+from .optics import MAX_HEIGHT, ActiveAreaMap, quarter_disc_map
 
 
 class ConfigError(ValueError):
@@ -38,9 +38,18 @@ def _parse_layers(text: str):
     return tuple(layers)
 
 
-def _number(unit: float):
-    """The parser of a finite real number written in units of `unit` SI units."""
-    return lambda text: _finite(float(text) * unit)
+def _number(unit: float, limit: float = math.inf):
+    """The parser of a finite real number written in units of `unit` SI units, below `limit`
+    SI units in magnitude: the bound of the field it sets, checked here so that its error
+    names the key."""
+
+    def parse(text: str) -> float:
+        value = _finite(float(text) * unit)
+        if not abs(value) < limit:
+            raise ValueError(f"its magnitude must be below {limit / unit:g}")
+        return value
+
+    return parse
 
 
 def _seed(text: str) -> int:
@@ -51,6 +60,7 @@ def _seed(text: str) -> int:
 
 
 _MICRONS = _number(1e-6)
+_HEIGHT_MICRONS = _number(1e-6, MAX_HEIGHT)
 
 # One row per config key: (key, attribute path, parse). The path starts with
 # the object the key sets: the scenario, or the active area (a CSV file, or the
@@ -60,12 +70,12 @@ _KEYS = (
         (f"budget.{label}_kcps", f"scenario.budget.{name}", _number(1e3))
         for label, name in zip(SOURCE_LABELS, BUDGET_SOURCES)
     ),
-    ("emitter.gamma_over_2pi_mhz", "scenario.emitter.gamma_over_2pi_hz", _number(1e6)),
+    ("emitter.gamma_over_2pi_mhz", "scenario.emitter.gamma_over_2pi_hz", _number(1e6, MAX_LINEWIDTH)),
     ("emitter.saturation_fraction", "scenario.emitter.saturation_fraction", _number(1.0)),
-    ("trial.duration_s", "scenario.trial_duration", _number(1.0)),
+    ("trial.duration_s", "scenario.trial_duration", _number(1.0, MAX_TIME)),
     ("trial.seed", "scenario.rng_seed", _seed),
-    ("geometry.ion_height_um", "scenario.geometry.ion_height_above_surface", _MICRONS),
-    ("geometry.recess_um", "scenario.geometry.detector_recess_below_surface", _MICRONS),
+    ("geometry.ion_height_um", "scenario.geometry.ion_height_above_surface", _HEIGHT_MICRONS),
+    ("geometry.recess_um", "scenario.geometry.detector_recess_below_surface", _HEIGHT_MICRONS),
     ("geometry.emission", "scenario.geometry.emission_pattern", str),
     ("stack.wavelength_nm", "scenario.geometry.stack.wavelength", _number(1e-9)),
     ("stack.ambient_index", "scenario.geometry.stack.ambient_index", _complex),

@@ -93,6 +93,9 @@ _BAND_RATIO = 4
 # It covers windows up to about 89 s at the reference budget; the presets take 837
 # entries (fidelity), 474 (threshold at 25 ms) and 211 (projection).
 _MAX_TABLE = 1 << 20
+# ln k! for k = 0, 1, ..., from math.lgamma: built on first use, grown on demand and kept
+# for the process (_log_factorials), read-only
+_log_factorial_table = None
 
 
 def threshold_kmax(ion_rate: float, windows) -> np.ndarray:
@@ -110,6 +113,19 @@ def threshold_kmax(ion_rate: float, windows) -> np.ndarray:
     return kmax.astype(np.int64)
 
 
+def _log_factorials(size: int) -> np.ndarray:
+    """ln k! for k = 0..size-1, each math.lgamma(k + 1): a view of the process's table, which
+    grows to `size` entries first if it holds fewer. The caller bounds `size` (threshold_kmax)."""
+    global _log_factorial_table
+    have = 0 if _log_factorial_table is None else _log_factorial_table.size
+    if size > have:
+        more = np.fromiter(map(math.lgamma, range(have + 1, size + 1)), float, size - have)
+        table = more if _log_factorial_table is None else np.concatenate((_log_factorial_table, more))
+        table.flags.writeable = False
+        _log_factorial_table = table
+    return _log_factorial_table[:size]
+
+
 def _threshold_optima(ion_rate: float, empty_rate: float, windows) -> tuple[np.ndarray, np.ndarray]:
     """Exact-Poisson optimal threshold and fidelity of the classify-if-count-exceeds-k
     rule for each window.
@@ -118,11 +134,12 @@ def _threshold_optima(ion_rate: float, empty_rate: float, windows) -> tuple[np.n
     its ion-present mean (threshold_kmax). The false alarm is 1 - CDF of the
     empty mean, so equal rates give exactly 0.5. The windows go in bands of
     similar kmax (_BAND_RATIO), and a band's CDF rows run only to its own
-    largest kmax, all from one table of ln k!. A row's cumsum up to k does not depend on how far the row runs,
-    and the terms past a band's width, over 10 standard deviations above every
-    mean in it, are below half an ulp of the sum they would join, so its last
-    entry, the divisor, does not either: every value equals the one a row run
-    to the largest kmax of all windows gives, to the bit.
+    largest kmax, all from the process's table of ln k! (_log_factorials). A
+    row's cumsum up to k does not depend on how far the row runs, and the terms
+    past a band's width, over 10 standard deviations above every mean in it,
+    are below half an ulp of the sum they would join, so its last entry, the
+    divisor, does not either: every value equals the one a row run to the
+    largest kmax of all windows gives, to the bit.
     """
     if not ion_rate >= empty_rate >= 0:
         raise ValueError("rate ordering violated: require ion_rate >= empty_rate >= 0")
@@ -132,7 +149,7 @@ def _threshold_optima(ion_rate: float, empty_rate: float, windows) -> tuple[np.n
     kmax = threshold_kmax(ion_rate, windows)
     mu1 = ion_rate * windows
     mu0 = empty_rate * windows
-    log_factorial = np.fromiter(map(math.lgamma, range(1, kmax.max(initial=0) + 2)), float)
+    log_factorial = _log_factorials(int(kmax.max(initial=0)) + 1)
     best = np.empty(windows.size, dtype=np.intp)
     best_fid = np.empty(windows.size)
     order = np.argsort(kmax, kind="stable")
@@ -215,9 +232,23 @@ class FidelityCurve:
 
 # Trials drawn from one generator, [seed, hypothesis, chunk]: this constant fixes
 # the sweep's random stream. A window of a chunk's undecided trials draws at most
-# about 10k events at either preset with 256 trials, about 1 MiB with its spacings,
-# and fewer chunks mean fewer per-window calls beside its two draws.
+# about 10k events at either preset with 256 trials, about 1 MiB with its spacings.
 _CHUNK_TRIALS = 256
+# The stopping pass takes a window's undecided trials in slices of whole consecutive
+# chunks (_slice_cuts), and each slice draws, bins and sums its log odds in one go. A
+# slice grows while its expected events (undecided trials x the window's span x their
+# hypothesis's total rate, over its chunks) stay within _SLICE_EVENTS and its trials x
+# bins within _SLICE_CELLS; a chunk past either budget is a slice of its own. At 2^14
+# events and 2^16 cells a slice holds about what one chunk does at worst at either
+# preset, so a window's arrays stay about as large as one chunk's, while the per-slice
+# calls are made fewer times: the projection preset takes 46 slices where chunk by chunk
+# it took 426 windows, the fidelity preset 121 where it took 241.
+_SLICE_EVENTS = 1 << 14
+_SLICE_CELLS = 1 << 16
+# The most chunks one stopping pass takes, so that its per-trial state (16 bytes a trial
+# and 10 more per target) and its generators (about 1.7 KB each) stay bounded whatever
+# the trial count. The presets take one pass each (80 and 158 chunks).
+_PASS_CHUNKS = 256
 # Bins in the first window of the early-exit log-odds pass; each next window is twice as wide.
 _FIRST_WINDOW = 32
 # The most bins a sweep may take. Its widest window is half of them: at 2^16 bins, a chunk's
@@ -243,13 +274,17 @@ def fidelity_curve(
     (sweep_bins), and its threshold law's ln k! table at most _MAX_TABLE entries
     (threshold_kmax).
 
-    Trials run in chunks of _CHUNK_TRIALS, each chunk drawing from its own
-    generator. The chunk's log odds go window by window (_stopping_bins). Each
-    window draws one superposed process per trial still undecided, already in
-    time order, over its own span only, then dead-time filters and bins it
+    Trials come in chunks of _CHUNK_TRIALS, each chunk drawing from its own
+    generator, and the chunks of both hypotheses go through one stopping pass
+    (_stopping_bins), up to _PASS_CHUNKS at a time. The pass goes window by
+    window, and a window by slices of whole chunks (_slice_cuts). A slice draws
+    one superposed process per trial still undecided, already in time order,
+    over the window's span only, then dead-time filters and bins it
     (_window_counter), so a trial's photons are drawn only as far as it is
-    undecided. Only counts of correct choices and sums of stopping bins are
-    kept, so memory does not grow with `trials`.
+    undecided. Every chunk makes the draws it would make on its own, so the
+    slicing leaves every result bit-identical. Memory is bounded by the slice
+    budgets (_SLICE_EVENTS, _SLICE_CELLS) and by the per-trial state of one
+    pass; only counts of correct choices and sums of stopping bins outlive it.
     """
     targets = list(targets)
     if not targets:
@@ -270,14 +305,22 @@ def fidelity_curve(
     # per target: correct MAP choices per hypothesis (ion, then empty), and the sum of stopping bins + 1
     correct = np.zeros((len(targets), 2), dtype=np.int64)
     bins_used = np.zeros(len(targets), dtype=np.int64)
-    for h, ion_present in enumerate((True, False)):
-        for chunk, first in enumerate(range(0, trials, _CHUNK_TRIALS)):
-            n = min(_CHUNK_TRIALS, trials - first)
-            rng = np.random.default_rng([scenario.rng_seed, int(ion_present), chunk])
-            counts = _window_counter(scenario, ion_present, rng, n, sub_bin)
-            stop, says_ion = _stopping_bins(counts, n, n_bins, ion_rate, empty_rate, sub_bin, thresholds)
-            correct[:, h] += np.count_nonzero(says_ion == ion_present, axis=0)
-            bins_used += (stop + 1).sum(axis=0)
+    chunks = [
+        (ion_present, chunk, min(_CHUNK_TRIALS, trials - first))
+        for ion_present in (True, False)
+        for chunk, first in enumerate(range(0, trials, _CHUNK_TRIALS))
+    ]
+    for group in range(0, len(chunks), _PASS_CHUNKS):
+        part = chunks[group : group + _PASS_CHUNKS]
+        sizes = [n for _, _, n in part]
+        draws = [(ion, np.random.default_rng([scenario.rng_seed, int(ion), chunk]), n) for ion, chunk, n in part]
+        cuts = _slice_cuts(sizes, [ion_rate if ion else empty_rate for ion, _, _ in part], sub_bin)
+        counts = _window_counter(scenario, draws, sub_bin)
+        stop, says_ion = _stopping_bins(counts, cuts, sum(sizes), n_bins, ion_rate, empty_rate, sub_bin, thresholds)
+        ion_rows = np.repeat([ion for ion, _, _ in part], sizes)
+        correct[:, 0] += np.count_nonzero(says_ion[ion_rows], axis=0)
+        correct[:, 1] += np.count_nonzero(~says_ion[~ion_rows], axis=0)
+        bins_used += (stop + 1).sum(axis=0)
 
     bayes_points = [
         (target, 0.5 * (int(ok[0]) / trials + int(ok[1]) / trials), float(int(used) * sub_bin / (2 * trials)))
@@ -285,6 +328,37 @@ def fidelity_curve(
     ]
     thresh_points = [(float(w), float(f)) for w, f in zip(windows, thresh_fid)]
     return FidelityCurve(bayes_points, thresh_points, ion_rate, empty_rate)
+
+
+def _slice_cuts(sizes, row_rates, sub_bin: float):
+    """cuts(live, start, end) for _stopping_bins over trials in chunks of `sizes` trials,
+    numbered chunk after chunk, a trial of chunk c drawing row_rates[c] events/s: the
+    places in `live` (ascending) where it splits into slices of whole consecutive chunks
+    for the window of bins start..end-1.
+
+    A slice takes the next chunk with undecided trials while its expected events and its
+    trials x bins stay within _SLICE_EVENTS and _SLICE_CELLS; a slice holds at least one
+    chunk.
+    """
+    chunk_ends = np.cumsum(sizes)
+    rates = np.asarray(row_rates, dtype=float)
+
+    def cuts(live: np.ndarray, start: int, end: int) -> list[int]:
+        bins = end - start
+        last = np.searchsorted(live, chunk_ends)  # the place in live after each chunk's trials
+        per_chunk = np.diff(last, prepend=0)
+        touched = np.flatnonzero(per_chunk)
+        places, events, cells = [], 0.0, 0
+        expected = per_chunk * rates * (bins * sub_bin)
+        for n, e, after in zip(per_chunk[touched].tolist(), expected[touched].tolist(), last[touched].tolist()):
+            if cells and (events + e > _SLICE_EVENTS or cells + n * bins > _SLICE_CELLS):
+                places.append(after - n)
+                events, cells = 0.0, 0
+            events += e
+            cells += n * bins
+        return places
+
+    return cuts
 
 
 def sweep_bins(sub_bin: float, max_time: float) -> int:
@@ -298,7 +372,9 @@ def sweep_bins(sub_bin: float, max_time: float) -> int:
     return max(int(bins), 1)
 
 
-def _stopping_bins(counts, n_rows: int, n_bins: int, ion_rate: float, empty_rate: float, sub_bin: float, thresholds):
+def _stopping_bins(
+    counts, cuts, n_rows: int, n_bins: int, ion_rate: float, empty_rate: float, sub_bin: float, thresholds
+):
     """Each of n_rows rows' stopping bin per threshold, and whether its log odds there favour
     the ion, as two rows x thresholds arrays; a row that never reaches a threshold stops at
     its last bin, n_bins - 1.
@@ -307,7 +383,9 @@ def _stopping_bins(counts, n_rows: int, n_bins: int, ion_rate: float, empty_rate
     a len(rows) x (end - start) matrix. It is asked for windows of
     _FIRST_WINDOW bins, then twice as many, and so on, each starting where the
     last ended and each only for the rows still below some threshold, so a
-    draw behind it (_window_counter) need go no further than that.
+    draw behind it (_window_counter) need go no further than that. A window's
+    rows are asked for and passed over in slices, split at the places in them
+    that cuts(rows, start, end) gives (_slice_cuts).
 
     The priors are equal, so a row's log odds after a bin are the cumsum of its
     _bin_log_likelihood_ratios up to that bin, and the result is
@@ -315,7 +393,8 @@ def _stopping_bins(counts, n_rows: int, n_bins: int, ion_rate: float, empty_rate
     threshold carries its log odds into the next window's first bin, so the
     sums are added in the same order as one cumsum over the row. Nothing else
     is carried: a row still below a threshold has reached it in no earlier
-    bin, so its first crossing in this window is its first over the row.
+    bin, so its first crossing in this window is its first over the row. Rows
+    are independent, so how a window is sliced changes no result.
     """
     stop = np.empty((n_rows, len(thresholds)), dtype=np.int64)
     says_ion = np.empty((n_rows, len(thresholds)), dtype=bool)
@@ -325,17 +404,18 @@ def _stopping_bins(counts, n_rows: int, n_bins: int, ion_rate: float, empty_rate
     start, width = 0, _FIRST_WINDOW
     while live.size:
         end = min(start + width, n_bins)
-        per_bin = _bin_log_likelihood_ratios(counts(live, start, end), ion_rate, empty_rate, sub_bin)
-        per_bin[:, 0] += total[live]
-        llr = np.cumsum(per_bin, axis=1)
-        total[live] = llr[:, -1]
-        crossing = _first_crossings(llr, thresholds)
-        if end == n_bins:  # the rows left stop at the last bin
-            crossing = np.minimum(crossing, end - start - 1)
-        r, j = np.nonzero(below[live] & (crossing < end - start))
-        stop[live[r], j] = start + crossing[r, j]
-        says_ion[live[r], j] = llr[r, crossing[r, j]] > 0
-        below[live[r], j] = False
+        for rows in np.split(live, cuts(live, start, end)):
+            per_bin = _bin_log_likelihood_ratios(counts(rows, start, end), ion_rate, empty_rate, sub_bin)
+            per_bin[:, 0] += total[rows]
+            llr = np.cumsum(per_bin, axis=1)
+            total[rows] = llr[:, -1]
+            crossing = _first_crossings(llr, thresholds)
+            if end == n_bins:  # the rows left stop at the last bin
+                crossing = np.minimum(crossing, end - start - 1)
+            r, j = np.nonzero(below[rows] & (crossing < end - start))
+            stop[rows[r], j] = start + crossing[r, j]
+            says_ion[rows[r], j] = llr[r, crossing[r, j]] > 0
+            below[rows[r], j] = False
         live = live[below[live].any(axis=1)]
         start, width = end, 2 * width
     return stop, says_ion

@@ -44,13 +44,19 @@ class RateBudget:
 BUDGET_SOURCES = tuple(f.name for f in fields(RateBudget))
 
 
+# The widest linewidth gamma/2pi an emitter takes, in Hz: no atomic transition is that broad,
+# and below it the emission rate keeps the QE demo's Poisson draws in numpy's range.
+MAX_LINEWIDTH = 1e12
+
+
 @dataclass(frozen=True)
 class EmitterParams:
     """Two-level scatterer: natural linewidth and drive strength.
 
-    gamma_over_2pi_hz is the linewidth gamma/2pi in Hz. saturation_fraction is
-    s/(1+s), the fraction of the fully saturated emission rate gamma/2. A value out
-    of range, NaN or ±inf included, is a ValueError that names the field and the value.
+    gamma_over_2pi_hz is the linewidth gamma/2pi in Hz, > 0 and below
+    MAX_LINEWIDTH. saturation_fraction is s/(1+s), the fraction of the fully
+    saturated emission rate gamma/2. A value out of range, NaN or ±inf included,
+    is a ValueError that names the field and the value.
     """
 
     gamma_over_2pi_hz: float = 19.6e6
@@ -60,6 +66,8 @@ class EmitterParams:
         # each test is written so that NaN fails it
         if not 0 < self.gamma_over_2pi_hz < math.inf:
             raise ValueError(f"gamma_over_2pi_hz must be > 0 and finite, got {self.gamma_over_2pi_hz}")
+        if not self.gamma_over_2pi_hz < MAX_LINEWIDTH:
+            raise ValueError(f"gamma_over_2pi_hz must be below {MAX_LINEWIDTH:g} Hz, got {self.gamma_over_2pi_hz}")
         if not 0.0 <= self.saturation_fraction < 1.0 + 1e-12:
             raise ValueError(f"saturation_fraction must lie in [0, 1], got {self.saturation_fraction}")
 
@@ -89,7 +97,10 @@ def table_budget() -> RateBudget:
     )
 
 
-_MAX_DEAD_TIME = 2.0**62 * 1e-9  # seconds
+# The longest dead time and trial duration, 2^62 ns in seconds: the simulator stamps events
+# in int64 nanoseconds up to the duration and adds the dead time to a stamp, so each below
+# 2^62 ns (about 146 years) keeps every stamp and sum in range.
+MAX_TIME = 2.0**62 * 1e-9
 
 
 @dataclass(frozen=True)
@@ -97,9 +108,9 @@ class Scenario:
     """Immutable bundle of everything a simulated trial needs; by default the reference device.
 
     dead_time is the detector's nonparalyzable dead time in seconds: an event
-    within it of the last kept event is dropped. trial_duration must be finite
-    and > 0, dead_time >= 0 and below 2^62 ns; any other value is a ValueError
-    that names the field and the value.
+    within it of the last kept event is dropped. trial_duration must be > 0 and
+    dead_time >= 0, each below 2^62 ns (MAX_TIME); any other value is a
+    ValueError that names the field and the value.
     """
 
     budget: RateBudget = field(default_factory=table_budget)
@@ -114,8 +125,7 @@ class Scenario:
             raise ValueError(f"trial_duration must be > 0 and finite, got {self.trial_duration}")
         if not 0 <= self.dead_time < math.inf:
             raise ValueError(f"dead_time must be >= 0 and finite, got {self.dead_time}")
-        # the simulator adds the dead time to a timestamp in int64 nanoseconds: below 2^62 ns
-        # (about 146 years) each, the sum fits
-        if self.dead_time >= _MAX_DEAD_TIME:
-            raise ValueError(f"dead_time must be below 2^62 ns ({_MAX_DEAD_TIME:.6g} s), got {self.dead_time}")
+        for name in ("trial_duration", "dead_time"):
+            if getattr(self, name) >= MAX_TIME:
+                raise ValueError(f"{name} must be below 2^62 ns ({MAX_TIME:.6g} s), got {getattr(self, name)}")
 

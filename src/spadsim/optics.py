@@ -239,15 +239,20 @@ def quarter_disc_map(
     return ActiveAreaMap(cell_size=cell_size, origin=(0.0, 0.0), weights=w)
 
 
+# The largest height of the ion above the trap surface, or depth of the detector below it, in
+# metres: no trap is that large, and below it the collection sum's squared distances stay finite.
+MAX_HEIGHT = 1.0
+
+
 @dataclass(frozen=True)
 class DetectorGeometry:
     """The recessed detector below the ion: where it sits, what it collects, and
     how the ion emits.
 
     The ion sits ion_height_above_surface above the trap surface; the detector
-    plane is detector_recess_below_surface below it. Both must be finite and
-    their sum > 0. The ion's lateral position is not part of the geometry:
-    efficiency_vs_offset takes it as an offset.
+    plane is detector_recess_below_surface below it. Both must be below
+    MAX_HEIGHT in magnitude and their sum > 0. The ion's lateral position is not
+    part of the geometry: efficiency_vs_offset takes it as an offset.
     """
 
     ion_height_above_surface: float = 50e-6
@@ -260,6 +265,8 @@ class DetectorGeometry:
         for name in ("ion_height_above_surface", "detector_recess_below_surface"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            if not abs(getattr(self, name)) < MAX_HEIGHT:
+                raise ValueError(f"{name} must be below {MAX_HEIGHT:g} m in magnitude, got {getattr(self, name)}")
         if not self.vertical_distance > 0:
             raise ValueError(f"ion-to-detector vertical distance must be > 0, got {self.vertical_distance}")
         if self.emission_pattern not in ("isotropic", "dipole_perpendicular"):

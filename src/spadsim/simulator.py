@@ -317,20 +317,33 @@ def _rates(scenario: Scenario, ion_present: bool, span: float, n: int = 1) -> li
     return rates
 
 
-def _ordered_arrivals(scenario: Scenario, ion_present: bool, rng, start: float, end: float, n: int):
-    """n rows' superposed Poisson arrivals over [start, end) seconds before dead time: float
-    times in seconds, ascending within each row, and their rows, ascending.
+def _ordered_arrivals(scenario: Scenario, draws, start: float, end: float):
+    """The superposed Poisson arrivals over [start, end) seconds, before dead time, of the rows
+    of `draws`, a sequence of (ion_present, rng, n): n rows of that hypothesis drawn from rng,
+    numbered draw after draw. Returns float times in seconds, ascending within each row, and
+    their rows, ascending.
 
-    One call draws each row's count at the total rate, one call the exponential spacings of all
-    rows, k + 1 for a row of k, whose partial sums over their total are k sorted uniforms on
-    [0, 1) (Devroye 1986, ch. V): nothing is sorted.
+    Each draw makes two calls on its own generator: its rows' counts at the total rate, then
+    the exponential spacings of all its rows, k + 1 for a row of k, whose partial sums over
+    their total are k sorted uniforms on [0, 1) (Devroye 1986, ch. V): nothing is sorted.
+    The partial sums run within each draw, into its own part of one buffer, so a draw's sums
+    do not depend on the draws beside it; the rest runs once over every draw's rows.
     """
-    rate = sum(_rates(scenario, ion_present, end - start, n))
-    per_row = rng.poisson(rate * (end - start), size=n)
-    rows = np.repeat(np.arange(n), per_row)
-    sums = np.cumsum(rng.standard_exponential(rows.size + n))
+    span = end - start
+    per_draw = [
+        rng.poisson(sum(_rates(scenario, ion_present, span, n)) * span, size=n) for ion_present, rng, n in draws
+    ]
+    per_row = np.concatenate(per_draw)
+    sums = np.empty(per_row.sum() + per_row.size)
+    at = 0
+    for (_, rng, n), counts in zip(draws, per_draw):
+        size = int(counts.sum()) + n
+        np.cumsum(rng.standard_exponential(size), out=sums[at : at + size])
+        at += size
+    rows = np.repeat(np.arange(per_row.size), per_row)
     ends = np.cumsum(per_row + 1) - 1  # each row's last spacing
-    base = np.append(0.0, sums[ends[:-1]])  # the sum before each row's first spacing
+    base = np.append(0.0, sums[ends[:-1]])  # the sum before each row's first spacing, in its draw
+    base[np.cumsum([0] + [n for _, _, n in draws[:-1]])] = 0.0  # a draw's first row: its sums start at 0
     fractions = (sums[np.arange(rows.size) + rows] - base[rows]) / (sums[ends] - base)[rows]
     return start + (end - start) * fractions, rows
 
@@ -394,25 +407,33 @@ def _carry_dead_time(times_ns: np.ndarray, labels: np.ndarray, rows: np.ndarray,
     return labels, rows
 
 
-def _window_counter(scenario: Scenario, ion_present: bool, rng, n_rows: int, width: float):
-    """Dead-time-filtered counts of n_rows trials in bins of `width` seconds, drawn one
-    window at a time as they are asked for.
+def _window_counter(scenario: Scenario, chunks, width: float):
+    """Dead-time-filtered counts in bins of `width` seconds of the trials of `chunks`, drawn
+    one window at a time as they are asked for.
 
-    Returns counts(rows, start, end): the counts of the trials `rows` (ascending, below
-    n_rows) in bins start..end-1, a len(rows) x (end - start) matrix. Each call starts
-    where the last one ended, for rows among the last call's. It draws those rows'
-    arrivals over [start * width, end * width) only, in (row, time) order
-    (_ordered_arrivals), and bins each on its drawn time, half-open, so every arrival is
-    counted in exactly one window. Poisson arrivals in disjoint windows are independent,
-    and a trial's last kept time is all the dead-time filter carries from one window to
-    the next (_carry_dead_time), so the counts are distributed as whole trials' counts.
+    chunks is a sequence of (ion_present, rng, n_rows): n_rows trials of that hypothesis,
+    drawn from rng; the trials are numbered chunk after chunk. Returns counts(rows, start,
+    end): the counts of the trials `rows` (ascending) in bins start..end-1, a len(rows) x
+    (end - start) matrix. A trial is asked for consecutive windows, each starting where its
+    last one ended. A call draws the arrivals of its rows over [start * width, end * width)
+    only, in (row, time) order, each chunk's from its own generator (_ordered_arrivals), and
+    bins each on its drawn time, half-open, so every arrival is counted in exactly one
+    window. Poisson arrivals in disjoint windows are independent, and a trial's last kept
+    time is all the dead-time filter carries from one window to the next
+    (_carry_dead_time), so the counts are distributed as whole trials' counts. When all of a
+    chunk's trials asked for a window come in one call, the chunk makes the draws it would
+    make on its own, whichever chunks share the call.
     """
     dead_ns = _dead_ns(scenario)
-    last_ns = np.full(n_rows, -_dead_gap_ns(dead_ns), dtype=np.int64)  # nothing kept yet
+    firsts = np.cumsum([0] + [n for _, _, n in chunks])  # each chunk's first trial, then the total
+    last_ns = np.full(firsts[-1], -_dead_gap_ns(dead_ns), dtype=np.int64)  # nothing kept yet
 
     def counts(rows: np.ndarray, start: int, end: int) -> np.ndarray:
         n_bins, lo = end - start, start * width
-        t, row = _ordered_arrivals(scenario, ion_present, rng, lo, end * width, rows.size)
+        per_chunk = np.diff(np.searchsorted(rows, firsts))
+        touched = np.flatnonzero(per_chunk).tolist()
+        draws = [(*chunks[c][:2], n) for c, n in zip(touched, per_chunk[touched].tolist())]
+        t, row = _ordered_arrivals(scenario, draws, lo, end * width)
         bins = np.minimum(((t - lo) / width).astype(np.int64), n_bins - 1)  # rounding may reach `end`
         carry = last_ns[rows]
         bins, row = _carry_dead_time(np.round(t / NS).astype(np.int64), bins, row, carry, dead_ns)

@@ -12,7 +12,7 @@ import pytest
 from spadsim import cli, detection, estimation, optics
 from spadsim.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, _fidelity_csv, main
 from spadsim.config import KNOWN_KEYS
-from spadsim.model import BUDGET_SOURCES, RateBudget, Scenario, table_budget
+from spadsim.model import BUDGET_SOURCES, SOURCE_LABELS, RateBudget, Scenario, table_budget
 from spadsim.optics import ShadowingWarning, quarter_disc_map
 
 from reference_tables import scenario_config
@@ -419,9 +419,11 @@ class TestQEFit:
 
 class TestPinnedOutputs:
     # sha256 of the body under the manifest line of a 1 s `simulate` event CSV, of the
-    # default `threshold`, of a 500-trial `fidelity`, of the Fig. 6 presets `collection`
-    # and `arc`, coated and `--bare` (which take no seed), of `qefit --demo`, of the
-    # Fig. 3 preset `spot --demo` and of the Table 1 preset `budget --demo` (no seed).
+    # default `threshold`, of a 500- and a 3000-trial `fidelity`, of the 20000-trial
+    # `fidelity --projection` (24 and 158 chunks of trials, which the sweep's stopping pass
+    # takes several to a slice), of the Fig. 6 presets `collection` and `arc`, coated and
+    # `--bare` (which take no seed), of `qefit --demo`, of the Fig. 3 preset `spot --demo`
+    # and of the Table 1 preset `budget --demo` (no seed).
     # The `--bare` row is the transfer matrix with no layer. A faster path must keep these
     # bytes; a declared change of the random stream or of the optics updates them.
     @pytest.mark.parametrize("argv, seed, digest", [
@@ -431,6 +433,10 @@ class TestPinnedOutputs:
         (["threshold"], 4242, "8a77d5242817d0e34222bbc1b410b2be91b09fb9b8816f36440a1f11c676a00a"),
         (["fidelity", "--trials", "500"], 1, "f8c7b2234b64ef9d3e49ccd8a3bc83e8271187d3e7951c36285a060051e674d7"),
         (["fidelity", "--trials", "500"], 4242, "80bc77c8fb5242e0a1a3b95dcb1ccb3da02ec6b6c623f5786f3c79a0c82cc0b4"),
+        (["fidelity", "--trials", "3000"], 1, "b79ea7fd80564eb0c57aa150a041663b645801eb2efe0c4f5aa21d5742051e3a"),
+        (["fidelity", "--trials", "3000"], 4242, "7e5fa8229a619f38a6c81fc2e0c472c08cf1caf360574f01b52eb3418ead2597"),
+        (["fidelity", "--projection"], 1, "4f6d284e80d387fd1f0993ccefa76a01dbfee637de7dada0fd7865d41fb68e2b"),
+        (["fidelity", "--projection"], 4242, "3fbaa2ff32752131b7ce775c84355943d9bf0eeb3ab077927ce8cbe7069be946"),
         (["collection"], None, "43f1d2511584aa2022bc30fe0ebe8474689413a693fee8761412e3228a46ea48"),
         (["arc"], None, "689163aa47e7014b44add7114d171d4a9d280ed4fdac1e186041abab0ce3b814"),
         (["arc", "--bare"], None, "994abc5aab07543993374dbcbd65b44bf97c1e33a53f640ede2f29dad259aa52"),
@@ -681,17 +687,18 @@ class TestFlags:
         assert f"error: {named} is not a number" in capsys.readouterr().err
         assert not any(outdir.iterdir())
 
-    # an event count too large to draw is an input error, raised before any output is written
+    # an event count too large to draw is an input error, raised before any output is written;
+    # 1e9 s is 1e18 ns, inside the int64 bound on the duration
     @pytest.mark.parametrize(
         "argv",
-        [["simulate", "--duration", "1e12"], ["threshold", "--duration", "1e12"], ["simulate", "--config"]],
+        [["simulate", "--duration", "1e9"], ["threshold", "--duration", "1e9"], ["simulate", "--config"]],
         ids=["simulate-duration", "threshold-duration", "config-duration"],
     )
     def test_event_count_past_limit_exits_2(self, outdir, tmp_path, capsys, argv):
         if argv[-1] == "--config":
             config = tmp_path / "in" / "huge.cfg"
             config.parent.mkdir()
-            config.write_text("budget.dark_kcps = 1.2\ntrial.duration_s = 1e12\n")
+            config.write_text("budget.dark_kcps = 1.2\ntrial.duration_s = 1e9\n")
             argv = [*argv, str(config)]
         before = set(outdir.iterdir())
         assert main(argv) == EXIT_INPUT_ERROR
@@ -747,6 +754,45 @@ class TestFlags:
         with unittest.mock.patch.object(optics, "_cell_centers", side_effect=AssertionError("made a grid")):
             assert main([*subcommand.split(), "--config", str(config)]) == EXIT_INPUT_ERROR
         assert f"error: {named}" in capsys.readouterr().err
+        assert [p.name for p in outdir.iterdir()] == ["in"]
+
+    # the simulator stamps events in int64 nanoseconds: a trial duration of 2^62 ns or more is
+    # refused before any draw, named by its flag or key, even where it would draw few events
+    @pytest.mark.parametrize("argv, named", [
+        (["simulate", "--duration", "1e12"], "--duration: trial_duration must be below 2^62 ns (4.61169e+09 s), "
+         "got 1000000000000.0"),
+        (["threshold", "--duration", "4.7e9"], "--duration: trial_duration must be below 2^62 ns"),
+        (["simulate", "--config"], "key 'trial.duration_s': cannot parse '1e13': its magnitude must be below "
+         "4.61169e+09"),
+    ], ids=["simulate-flag", "threshold-flag", "config"])
+    def test_duration_past_int64_exits_2_naming_it(self, outdir, tmp_path, capsys, argv, named):
+        if argv[-1] == "--config":
+            config = tmp_path / "in" / "long.cfg"
+            config.parent.mkdir()
+            # about 1e5 expected events: inside the event limit, so only the duration bound refuses it
+            budget = "".join(f"budget.{label}_kcps = {1e-11 if label == 'dark' else 0}\n" for label in SOURCE_LABELS)
+            config.write_text(budget + "trial.duration_s = 1e13\n")
+            argv = [*argv, str(config)]
+        with unittest.mock.patch.object(cli, "simulate_stream", side_effect=AssertionError("drew a stream")):
+            assert main(argv) == EXIT_INPUT_ERROR
+        assert f"error: {named}" in capsys.readouterr().err
+        assert not any(p.is_file() for p in outdir.iterdir())
+
+    # a config key whose value would overflow the optics or the QE demo's draw is named
+    @pytest.mark.parametrize("subcommand, line, named", [
+        ("collection", "geometry.ion_height_um = 1e300", "key 'geometry.ion_height_um': cannot parse '1e300': "
+         "its magnitude must be below 1e+06"),
+        ("collection", "geometry.recess_um = -2e6", "key 'geometry.recess_um': cannot parse '-2e6': "
+         "its magnitude must be below 1e+06"),
+        ("qefit --demo", "emitter.gamma_over_2pi_mhz = 1e300", "key 'emitter.gamma_over_2pi_mhz': cannot parse "
+         "'1e300': its magnitude must be below 1e+06"),
+    ], ids=["ion-height", "recess", "linewidth"])
+    def test_huge_geometry_or_linewidth_exits_2_naming_the_key(self, outdir, tmp_path, capsys, subcommand, line, named):
+        config = tmp_path / "in" / "huge.cfg"
+        config.parent.mkdir()
+        config.write_text(line + "\n")
+        assert main([*subcommand.split(), "--config", str(config)]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: {named}\n"
         assert [p.name for p in outdir.iterdir()] == ["in"]
 
     # the simulator adds the dead time to int64 nanosecond timestamps: one of 2^62 ns or more is named

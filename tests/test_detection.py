@@ -10,6 +10,9 @@ from spadsim.detection import (
     PROJECTED_MAX_TIME,
     PROJECTED_SUB_BIN,
     PROJECTION_TARGET_SWEEP,
+    _CHUNK_TRIALS,
+    _SLICE_CELLS,
+    _SLICE_EVENTS,
     _bin_log_likelihood_ratios,
     analytic_threshold_fidelity,
     fidelity_curve,
@@ -74,6 +77,23 @@ class TestAnalyticThreshold:
             with pytest.raises(ValueError, match=r"^a window of 89 s at 11700 counts/s needs a ln k! table of "
                                                  r"1.05152e\+06 entries, more than the limit of 1048576$"):
                 analytic_threshold_fidelity(rate, 0.0, 89.0)
+
+    def test_log_factorial_table_is_built_once_and_grown_to_the_bit(self, monkeypatch):
+        monkeypatch.setattr(detection, "_log_factorial_table", None)
+        rate = table_budget().ion_total()
+        first = analytic_threshold_fidelity(rate, 0.0, 0.025)
+        table = detection._log_factorial_table
+        # a second call that needs no more entries reuses the table, and gives the same result
+        with unittest.mock.patch.object(detection.math, "lgamma", side_effect=AssertionError("rebuilt the table")):
+            again = analytic_threshold_fidelity(rate, 0.0, 0.025)
+            analytic_threshold_fidelity(rate, 0.0, 0.01)
+        assert again == first and detection._log_factorial_table is table
+        # a longer window grows it, keeping the entries it had; every entry is a fresh lgamma to the bit
+        fidelity_curve(Scenario(), [0.99], 1, max_time=0.05)
+        grown = detection._log_factorial_table
+        assert grown.size > table.size and not grown.flags.writeable
+        fresh = np.fromiter(map(math.lgamma, range(1, grown.size + 1)), float)
+        assert grown.tobytes() == fresh.tobytes()
 
     def test_curve_refuses_a_table_past_limit_before_any_draw(self):
         with unittest.mock.patch.object(detection, "_window_counter", side_effect=AssertionError("drew a window")):
@@ -274,6 +294,56 @@ class TestFidelityCurve:
         sc = Scenario(budget=RateBudget(dark_counts=1000.0), rng_seed=1)
         with pytest.raises(ValueError):
             fidelity_curve(sc, [0.99], trials=10)
+
+    def test_passes_of_any_size_give_the_same_curve(self):
+        scenario = Scenario(budget=projected_budget(), rng_seed=5, dead_time=0.0)
+        args = (scenario, [0.99, 0.9987], 5 * _CHUNK_TRIALS + 3, PROJECTED_SUB_BIN, PROJECTED_MAX_TIME)
+        # 12 chunks in passes of 4: the middle pass holds both hypotheses' chunks
+        with unittest.mock.patch.object(detection, "_PASS_CHUNKS", 4):
+            in_passes = fidelity_curve(*args)
+        assert in_passes == fidelity_curve(*args)
+
+    @pytest.mark.parametrize("budget, dead_time, sub_bin, max_time", [
+        (projected_budget(), 0.0, PROJECTED_SUB_BIN, PROJECTED_MAX_TIME),
+        (table_budget(), 1e-6, 100e-6, 20e-3),
+    ], ids=["projection", "reference"])
+    def test_slices_hold_whole_chunks_within_budgets(self, budget, dead_time, sub_bin, max_time):
+        # every counts call is one slice: record each with the chunk of each of its trials
+        scenario = Scenario(budget=budget, rng_seed=3, dead_time=dead_time)
+        rates = {True: budget.ion_total(), False: budget.background_total()}
+        calls = []
+
+        def recording_counter(scenario, chunks, width):
+            counts = window_counter(scenario, chunks, width)
+            chunk_of = np.repeat(np.arange(len(chunks)), [n for _, _, n in chunks])
+            rate_of = np.array([rates[ion] for ion, _, _ in chunks])
+
+            def recorded(rows, start, end):
+                calls.append((start, end, chunk_of[rows], rate_of[chunk_of[rows]]))
+                return counts(rows, start, end)
+
+            return recorded
+
+        window_counter = detection._window_counter
+        trials = 5 * _CHUNK_TRIALS + 3
+        with unittest.mock.patch.object(detection, "_window_counter", recording_counter):
+            curve = fidelity_curve(scenario, [0.9, 0.99], trials, sub_bin=sub_bin, max_time=max_time)
+        assert curve == fidelity_curve(scenario, [0.9, 0.99], trials, sub_bin=sub_bin, max_time=max_time)
+        split_windows = multi_chunk = 0
+        for window in sorted({(start, end) for start, end, _, _ in calls}):
+            slices = [(chunks, row_rates) for start, end, chunks, row_rates in calls if (start, end) == window]
+            owners = [set(chunks.tolist()) for chunks, _ in slices]
+            assert sum(map(len, owners)) == len(set().union(*owners))  # no chunk in two slices
+            span = window[1] - window[0]
+            for (chunks, row_rates), owner in zip(slices, owners):
+                assert np.all(np.diff(chunks) >= 0)
+                if len(owner) > 1:
+                    multi_chunk += 1
+                    assert row_rates.sum() * span * sub_bin <= _SLICE_EVENTS
+                    assert chunks.size * span <= _SLICE_CELLS
+            split_windows += len(slices) > 1
+        # the case is not vacuous: the budgets split some window, and some slice holds several chunks
+        assert split_windows and multi_chunk
 
 
 class TestProjection:

@@ -111,6 +111,21 @@ def test_non_finite_dead_time_named(value):
         Scenario(dead_time=value)
 
 
+def test_trial_duration_past_int64_nanoseconds_named():
+    # the simulator stamps events in int64 nanoseconds up to the trial duration
+    limit = 2.0**62 * 1e-9
+    assert Scenario(trial_duration=math.nextafter(limit, 0)).trial_duration < limit
+    named = r"^trial_duration must be below 2\^62 ns \(4.61169e\+09 s\), got 10000000000000.0$"
+    with pytest.raises(ValueError, match=named):
+        Scenario(trial_duration=1e13)
+
+
+def test_linewidth_past_limit_named():
+    assert EmitterParams(gamma_over_2pi_hz=math.nextafter(1e12, 0)).gamma_over_2pi_hz < 1e12
+    with pytest.raises(ValueError, match=r"^gamma_over_2pi_hz must be below 1e\+12 Hz, got 1e\+306$"):
+        EmitterParams(gamma_over_2pi_hz=1e306)
+
+
 def test_dead_time_past_int64_nanoseconds_named():
     # the simulator adds the dead time to a timestamp in int64 nanoseconds
     limit = 2.0**62 * 1e-9

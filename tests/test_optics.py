@@ -119,6 +119,14 @@ class TestNonFiniteOpticsInputs:
         with pytest.raises(ValueError, match=re.escape(f"{field} must be finite, got {value}")):
             DetectorGeometry(**{field: value})
 
+    # past 1 m the collection sum's squared distances overflow: refused, not met as a bad angle
+    @pytest.mark.parametrize("field", ["ion_height_above_surface", "detector_recess_below_surface"])
+    @pytest.mark.parametrize("value", [1.0, -1.0, 1e300])
+    def test_geometry_rejects_a_height_of_1_m_or_more(self, field, value):
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be below 1 m in magnitude, got {value}")):
+            DetectorGeometry(**{field: value})
+        assert DetectorGeometry(**{field: 0.999}).vertical_distance > 0
+
     @pytest.mark.parametrize("make, field", [
         (quarter_disc_map, "outer_radius"),
         (quarter_disc_map, "guard_width"),

@@ -42,6 +42,7 @@ from spadsim import detection, simulator, tables
 from spadsim.detection import (
     _CHUNK_TRIALS,
     _FIRST_WINDOW,
+    PROJECTED_MAX_TIME,
     PROJECTION_TARGET_SWEEP,
     _bin_log_likelihood_ratios,
     _first_crossings,
@@ -49,6 +50,7 @@ from spadsim.detection import (
     _stopping_bins,
     _threshold_optima,
     fidelity_curve,
+    projected_budget,
     projected_scenario_fidelity,
     threshold_fidelity,
 )
@@ -336,7 +338,7 @@ def test_chunk_draw_matches_per_source_calls(seed, ion_present, budget):
     width, n = 1e-4, 9
     windows = [(np.arange(n), 0, 3), (np.array([0, 2, 5, 8]), 3, 7), (np.array([5]), 7, 8)]
     rng = RecordingRng(seed)
-    counter = _window_counter(scenario, ion_present, rng, n, width)
+    counter = _window_counter(scenario, [(ion_present, rng, n)], width)
     got = [counter(rows, start, end) for rows, start, end in windows]
     calls = iter(rng.calls)
     for (rows, start, end), counts in zip(windows, got):
@@ -469,9 +471,10 @@ def loop_detect(counts, ion_rate, empty_rate, target, sub_bin):
 
 
 def stopping_bins_of(counts, ion_rate, empty_rate, sub_bin, thresholds):
-    """_stopping_bins on a prebuilt rows x bins matrix of counts."""
+    """_stopping_bins on a prebuilt rows x bins matrix of counts, each window in one slice."""
     return _stopping_bins(
-        lambda rows, start, end: counts[rows, start:end], *counts.shape, ion_rate, empty_rate, sub_bin, thresholds
+        lambda rows, start, end: counts[rows, start:end], lambda rows, start, end: [], *counts.shape,
+        ion_rate, empty_rate, sub_bin, thresholds,
     )
 
 
@@ -578,6 +581,13 @@ targets_st = st.lists(
 # empty_rate = 0 at zero dead time: the empty hypothesis draws no events at all
 @example(fluorescence=5e3, background=0.0, dead_time=0.0, targets=[0.9, 0.999999999],
          trials=_CHUNK_TRIALS + 1, max_time=5e-3, n_bins=50, seed=7)
+# twelve chunks in one stopping pass, several to a slice: at the projection's budget, bins
+# and horizon the trials x bins budget splits the first window's slices, and at the
+# reference budget with 1 us dead time the expected-events budget does
+@example(fluorescence=projected_budget().fluorescence, background=projected_budget().dark_counts, dead_time=0.0,
+         targets=[0.99, 0.9987], trials=5 * _CHUNK_TRIALS + 3, max_time=PROJECTED_MAX_TIME, n_bins=1000, seed=11)
+@example(fluorescence=4800.0, background=6900.0, dead_time=1e-6, targets=[0.9, 0.99],
+         trials=5 * _CHUNK_TRIALS + 3, max_time=20e-3, n_bins=200, seed=12)
 def test_fidelity_curve_matches_per_trial_detector(
     fluorescence, background, dead_time, targets, trials, max_time, n_bins, seed
 ):

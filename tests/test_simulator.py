@@ -145,12 +145,12 @@ class TestSimulateStream:
 
     def test_event_count_past_limit_rejected_before_drawing(self):
         # counts far past any memory, so that a missing bound fails to allocate rather than allocating
-        sc = Scenario(budget=table_budget(), trial_duration=1e12, rng_seed=1)
-        with pytest.raises(ValueError, match=rf"1.17e\+16 events expected in one draw .* limit of {_MAX_EVENTS}"):
+        sc = Scenario(budget=table_budget(), trial_duration=1e9, rng_seed=1)  # 1e18 ns: inside int64
+        with pytest.raises(ValueError, match=rf"1.17e\+13 events expected in one draw .* limit of {_MAX_EVENTS}"):
             simulate_stream(sc, True)
         rng = np.random.default_rng(1)
         state = rng.bit_generator.state
-        counts = _window_counter(sc, True, rng, 10**6, 1e3)
+        counts = _window_counter(sc, [(True, rng, 10**6)], 1e3)
         with pytest.raises(ValueError, match=rf"1.17e\+13 events expected .* limit of {_MAX_EVENTS}"):
             counts(np.arange(10**6), 0, 1)  # a sweep window: rows multiply the count
         assert rng.bit_generator.state == state
@@ -197,7 +197,7 @@ class TestWindowDraw:
     def test_times_are_sorted_uniforms_in_the_window(self, seed, ion_present):
         sc = Scenario(budget=table_budget(), rng_seed=seed, dead_time=0.0)
         lo, hi, n = 3.2e-3, 6.4e-3, 2000
-        t, rows = _ordered_arrivals(sc, ion_present, np.random.default_rng(seed), lo, hi, n)
+        t, rows = _ordered_arrivals(sc, [(ion_present, np.random.default_rng(seed), n)], lo, hi)
         assert t.size > 10_000
         assert np.all((t >= lo) & (t < hi))
         assert np.all(np.diff(rows) >= 0)
@@ -211,7 +211,7 @@ class TestWindowDraw:
         width, n_bins, n = 1e-4, 32, 4000
         rate = sc.budget.ion_total() if ion_present else sc.budget.background_total()
         mu = rate * n_bins * width
-        per_row = _window_counter(sc, ion_present, np.random.default_rng(seed), n, width)(np.arange(n), 0, n_bins)
+        per_row = _window_counter(sc, [(ion_present, np.random.default_rng(seed), n)], width)(np.arange(n), 0, n_bins)
         per_row = per_row.sum(axis=1)
         # a Poisson count's fourth central moment is mu + 3 mu^2, so its sample variance has variance (mu + 2 mu^2) / n
         assert abs(per_row.mean() - mu) < 4 * np.sqrt(mu / n)
@@ -224,7 +224,7 @@ class TestWindowDraw:
         sc = Scenario(budget=table_budget(), rng_seed=7, dead_time=tau)
         width, window, n, horizon = 1e-4, 10, 8, 5.0
         rate = sc.budget.ion_total()
-        counts = _window_counter(sc, True, np.random.default_rng(7), n, width)
+        counts = _window_counter(sc, [(True, np.random.default_rng(7), n)], width)
         rows = np.arange(n)
         n_windows = round(horizon / (window * width))
         kept = sum(int(counts(rows, k * window, (k + 1) * window).sum()) for k in range(n_windows))
