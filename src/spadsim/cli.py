@@ -18,7 +18,7 @@ import numpy as np
 from . import detection, estimation, synthetic
 from .config import ConfigError, load_scenario
 from .model import Scenario, table_budget
-from .optics import _reflectance_rows, efficiency_vs_offset, stack_reflectance
+from .optics import GrazingAngleError, _reflectance_rows, efficiency_vs_offset, lateral_offsets, stack_reflectance
 from .simulator import gate_and_count, simulate_stream
 
 EXIT_OK = 0
@@ -104,6 +104,19 @@ def _flagged(flag: str, fn, *args):
         return fn(*args)
     except ValueError as exc:
         raise ValueError(f"{flag}: {exc}") from None
+
+
+def _geometry_keyed(geometry, fn, *args):
+    """fn(*args), a collection sweep of geometry, with a GrazingAngleError named by the
+    geometry's config keys: the offsets are bounded, so a line of sight grazes the
+    detector plane only at a vertical distance far below the lateral ones."""
+    try:
+        return fn(*args)
+    except GrazingAngleError as exc:
+        raise ConfigError(
+            f"keys 'geometry.ion_height_um', 'geometry.recess_um': a vertical distance of "
+            f"{geometry.vertical_distance:g} m is too small for the lateral distances to the active area: {exc}"
+        ) from None
 
 
 def _parse_range(flag: str, spec: str, scale: float = 1.0) -> list[float]:
@@ -251,14 +264,21 @@ def _fidelity_csv(curve: detection.FidelityCurve) -> str:
 def cmd_collection(args) -> Output:
     scenario, config_text = _load_config(args)
     offsets = _parse_range("--offsets-um", args.offsets_um, 1e-6)
-    ces, ces_bare = efficiency_vs_offset(scenario.geometry, offsets)
+    _flagged("--offsets-um", lateral_offsets, offsets)
+    ces, ces_bare = _geometry_keyed(scenario.geometry, efficiency_vs_offset, scenario.geometry, offsets)
     body = "offset_um,efficiency,efficiency_no_arc\n" + "".join(
         f"{off * 1e6:.6g},{ce:.6g},{ce0:.6g}\n" for off, ce, ce0 in zip(offsets, ces, ces_bare)
     )
     summary = [f"offset {off * 1e6:6.1f} um: efficiency {ce * 100:.4f}%" for off, ce in zip(offsets, ces)]
-    return Output("collection_efficiency.csv", config_text, body, summary, checks=lambda: [
-        (not np.any(np.diff(ces[np.argsort(offsets)]) > 0), "efficiency is not monotone decreasing with offset"),
-    ])
+
+    def checks():
+        bad = [off for off, ce, ce0 in zip(offsets, ces, ces_bare) if not (math.isfinite(ce) and math.isfinite(ce0))]
+        return [
+            (not bad, f"efficiency is not finite at offsets {', '.join(f'{off * 1e6:.6g}' for off in bad)} um"),
+            (not np.any(np.diff(ces[np.argsort(offsets)]) > 0), "efficiency is not monotone decreasing with offset"),
+        ]
+
+    return Output("collection_efficiency.csv", config_text, body, summary, checks)
 
 
 def cmd_arc(args) -> Output:
@@ -266,7 +286,7 @@ def cmd_arc(args) -> Output:
     bare = replace(scenario.geometry.stack, layers=())  # the scenario's substrate, uncoated
     stack = bare if args.bare else scenario.geometry.stack
     angles = np.array(_parse_range("--angles-deg", args.angles_deg, math.pi / 180.0))
-    rs, rp = _reflectance_rows(stack, angles)  # one transfer matrix for all three columns
+    rs, rp = _flagged("--angles-deg", _reflectance_rows, stack, angles)  # one transfer matrix for all three columns
     rows = list(zip(angles, rs, rp, 0.5 * (rs + rp)))  # the mean as stack_reflectance takes it
     body = "angle_deg,R_s,R_p,R_unpolarized\n" + "".join(
         f"{math.degrees(a):.6g},{rs:.6g},{rp:.6g},{ru:.6g}\n" for a, rs, rp, ru in rows
@@ -336,11 +356,13 @@ def cmd_qefit(args) -> Output:
     scenario, config_text = _load_config(args)
     data_text = _input_text(args, args.data_csv, "data")
     if data_text is None:
-        expected = estimation.expected_incident_rates(scenario, np.arange(0.0, 81e-6, 5e-6))
-        rates = synthetic.make_qe_dataset(scenario, expected)
+        offsets = np.arange(0.0, 81e-6, 5e-6)
     else:
         offsets, rates = synthetic.qe_dataset_from_csv(data_text)
-        expected = estimation.expected_incident_rates(scenario, offsets)
+        _flagged(f"data CSV {args.data_csv}", lateral_offsets, offsets)
+    expected = _geometry_keyed(scenario.geometry, estimation.expected_incident_rates, scenario, offsets)
+    if data_text is None:
+        rates = synthetic.make_qe_dataset(scenario, expected)
     qe, err = estimation.fit_quantum_efficiency(expected, rates)
     body = f"qe,std_error\n{qe:.6g},{err:.6g}\n"
     summary = [f"quantum efficiency: {qe * 100:.1f} +/- {err * 100:.1f} %"]

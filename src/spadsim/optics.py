@@ -20,16 +20,23 @@ APERTURE_DIAMETER = 38e-6
 # the quartered detector's outer radius, and the guard ring's width over which its response tapers
 QUARTER_DISC_RADIUS = 11.0e-6
 GUARD_WIDTH = 2.0e-6
-# offsets x cells evaluated at once, kept to blocks for cache: on the default geometry's
-# 17 offsets (9979 weighted cells), nine block-sized stack_reflectance calls took 2.6 ms
-# against 3.9 ms for one call on every angle (median of 40 runs, 2-vCPU Xeon, numpy 2.4).
-# The transfer matrix's complex temporaries stay well under a megabyte together, so peak
-# memory does not grow with the number of offsets either
-_SWEEP_CELLS = 1 << 11
+# offsets x cells whose geometry is evaluated at once (256 KiB in each float64 temporary; all 17
+# offsets of the default 841-cell map), and the most weighted angles handed to stack_reflectance
+# at once, whose transfer matrix is fastest on arrays that stay in cache. The default 17-offset
+# sweep (9979 weighted angles), every block size run in turn 3000 times in one process (2-vCPU
+# Xeon, numpy 2.4), took 4.14 ms at these sizes, against 4.84 ms with 2^10 angles, 4.98 ms with
+# 2^12, 4.44 ms with 2^13 cells, and 5.30 ms with the former 2^11 cells and every angle of a block
+# in one call. Peak memory does not grow with the number of offsets.
+_SWEEP_CELLS = 1 << 15
+_REFLECTANCE_ANGLES = 1 << 11
 # The most cells a side of quarter_disc_map's grid may have: 2^18 cells, 2 MiB in each float64
 # grid. The default `collection` sweep on such a map peaked at 155 MB and took 2.3 s (2-vCPU
 # Xeon, numpy 2.4); the default map is 29 cells a side.
 _MAX_MAP_SIDE = 1 << 9
+
+
+class GrazingAngleError(ValueError):
+    """Raised for an angle of incidence at which the ambient's normal index rounds to 0."""
 
 
 class ShadowingWarning(UserWarning):
@@ -81,17 +88,36 @@ def _reflectance_rows(stack: OpticalStack, angle_of_incidence) -> np.ndarray:
     M the product of the layer matrices top first and es the substrate's admittance
     (Macleod, Thin-Film Optical Filters, ch. 2).
 
-    A layer whose phase is real at every angle (lossless, below its critical angle)
-    takes cos and sin in real arithmetic, bit-equal to the complex functions on the
-    real axis. A scalar angle goes through the same array arithmetic as an array of
-    them, so its results equal the array's element to the bit.
+    When the ambient index and every layer index are real and every layer is below
+    its critical angle at every angle of the call (n^2 > kpar^2), each layer's phase
+    and admittances are real and M is [[A, iB], [iC, D]] with A, B, C and D real:
+    that product runs in real arithmetic, and the matrix turns complex only where
+    the substrate enters. The result equals the complex product's to the bit: each
+    complex product it replaces has a factor with a zero imaginary part, or is a
+    product of two pure imaginaries, which numpy rounds as the real product; numpy's
+    complex division is x * (1/y), and so are the divisions here; and the square
+    root of x + 0j is that of x for x > 0. Any other stack (an absorbing layer, a
+    layer past its critical angle, a complex ambient) takes the complex product,
+    in which a layer whose phase is real at every angle still takes cos and sin in
+    real arithmetic. A real ambient's admittances are real in either product.
+
+    An angle whose sine rounds so near 1 that the ambient's normal index is 0 is a
+    GrazingAngleError, as r is 0/0 there. A scalar angle goes through the same array
+    arithmetic as an array of them, so its results equal the array's element to the bit.
     """
     angle = np.asarray(angle_of_incidence, dtype=float)
     if not np.all((angle >= 0.0) & (angle < math.pi / 2)):
         raise ValueError("angle of incidence must lie in [0, pi/2)")
     n0 = complex(stack.ambient_index)
-    kpar = n0 * np.sin(angle.reshape(-1))  # conserved transverse index
+    real_ambient = n0.imag == 0
+    kpar = (n0.real if real_ambient else n0) * np.sin(angle.reshape(-1))  # conserved transverse index
     kpar2 = kpar * kpar
+    q0_squared = (n0.real * n0.real if real_ambient else n0 * n0) - kpar2
+    if not q0_squared.all():
+        raise GrazingAngleError(
+            f"angle of incidence {angle.reshape(-1)[np.argmin(q0_squared != 0)]:.17g} rad grazes the surface: "
+            "the ambient's normal index is 0"
+        )
 
     def admittances(n):
         """The normal index q, and the s and p admittances (q and n^2/q) on a leading axis."""
@@ -100,34 +126,71 @@ def _reflectance_rows(stack: OpticalStack, angle_of_incidence) -> np.ndarray:
         np.divide(n * n, q, out=e[1])
         return q, e
 
-    # the running product [[m11, m12], [m21, m22]], each entry elementwise over polarizations
-    # and angles; the first layer's matrix starts it
-    m = None
-    for d, n in stack.layers:
-        q, e = admittances(n)
-        delta = 2.0 * np.pi * d / stack.wavelength * (q if q.imag.any() else q.real)
-        cos, sin = np.cos(delta), np.sin(delta)
-        i_sin_e, i_e_sin = 1j * sin / e, 1j * e * sin
-        if m is None:
-            m = cos, i_sin_e, i_e_sin, cos
-            continue
-        m11, m12, m21, m22 = m
-        m = (
-            m11 * cos + m12 * i_e_sin,
-            m11 * i_sin_e + m12 * cos,
-            m21 * cos + m22 * i_e_sin,
-            m21 * i_sin_e + m22 * cos,
-        )
-    _, e0 = admittances(n0)
+    e0 = _real_admittances(n0.real * n0.real, q0_squared) if real_ambient else admittances(n0)[1]
     _, es = admittances(complex(stack.substrate_index))
-    if m is None:  # no layers: M is the identity
-        e0b, c = e0, es
+    indices = [complex(n) for _, n in stack.layers]
+    m = _lossless_product(stack, indices, kpar2) if real_ambient else None
+    if m is not None:
+        a, b, c, d = m
+        e0b, c = e0 * (a + b * 1j * es), c * 1j + d * es
     else:
-        m11, m12, m21, m22 = m
-        e0b, c = e0 * (m11 + m12 * es), m21 + m22 * es
+        # the running product [[m11, m12], [m21, m22]], each entry elementwise over
+        # polarizations and angles; the first layer's matrix starts it
+        for (d, _), n in zip(stack.layers, indices):
+            q, e = admittances(n)
+            delta = 2.0 * np.pi * d / stack.wavelength * (q if q.imag.any() else q.real)
+            cos, sin = np.cos(delta), np.sin(delta)
+            i_sin_e, i_e_sin = 1j * sin / e, 1j * e * sin
+            if m is None:
+                m = cos, i_sin_e, i_e_sin, cos
+                continue
+            m11, m12, m21, m22 = m
+            m = (
+                m11 * cos + m12 * i_e_sin,
+                m11 * i_sin_e + m12 * cos,
+                m21 * cos + m22 * i_e_sin,
+                m21 * i_sin_e + m22 * cos,
+            )
+        if m is None:  # no layers: M is the identity
+            e0b, c = e0, es
+        else:
+            m11, m12, m21, m22 = m
+            e0b, c = e0 * (m11 + m12 * es), m21 + m22 * es
     r = e0b - c
     r /= e0b + c
     return (abs(r) ** 2).reshape(2, *angle.shape)
+
+
+def _real_admittances(n_squared: float, q_squared: np.ndarray) -> np.ndarray:
+    """The s and p admittances q and n^2/q on a leading axis, for q^2 = n^2 - kpar^2 > 0:
+    the real parts of the complex ones, to the bit."""
+    e = np.empty((2, q_squared.size))
+    q = np.sqrt(q_squared, out=e[0])
+    np.multiply(n_squared, 1.0 / q, out=e[1])
+    return e
+
+
+def _lossless_product(stack: OpticalStack, indices, kpar2):
+    """A, B, C and D of the layers' product [[A, iB], [iC, D]] in real arithmetic, for
+    real kpar2; None unless there are layers, each with a real index and below its
+    critical angle at every angle."""
+    if not indices or any(n.imag for n in indices):
+        return None
+    q_squared = [n.real * n.real - kpar2 for n in indices]
+    if not all((x > 0).all() for x in q_squared):
+        return None
+    m = None
+    for (thickness, n), x in zip(stack.layers, q_squared):
+        e = _real_admittances(n.real * n.real, x)
+        delta = 2.0 * np.pi * thickness / stack.wavelength * e[0]
+        cos, sin = np.cos(delta), np.sin(delta)
+        sin_e, e_sin = sin * (1.0 / e), e * sin
+        if m is None:
+            m = cos, sin_e, e_sin, cos
+            continue
+        a, b, c, d = m
+        m = a * cos - b * e_sin, a * sin_e + b * cos, c * cos + d * e_sin, d * cos - c * sin_e
+    return m
 
 
 def stack_reflectance(stack: OpticalStack, angle_of_incidence):
@@ -277,6 +340,21 @@ class DetectorGeometry:
         return self.ion_height_above_surface + self.detector_recess_below_surface
 
 
+def lateral_offsets(offsets) -> np.ndarray:
+    """offsets as a float array, checked before any sweep array is made: a ValueError
+    if there are none, or naming the first that is not finite or not below MAX_HEIGHT
+    in magnitude (past it the sweep's squared distances overflow)."""
+    offsets = np.asarray(list(offsets), dtype=float)
+    if offsets.size == 0:
+        raise ValueError("offsets must be non-empty")
+    limit = f"below {MAX_HEIGHT:g} m in magnitude"
+    for bad, rule in ((~np.isfinite(offsets), "finite"), (~(abs(offsets) < MAX_HEIGHT), limit)):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"offsets must be {rule}, got {offsets[i]:g} m at point {i + 1}")
+    return offsets
+
+
 def efficiency_vs_offset(geometry: DetectorGeometry, offsets) -> tuple[np.ndarray, np.ndarray]:
     """Collection efficiency at each lateral offset, in input order: through the
     stack, and with no reflection loss at all (transmission 1, not bare silicon).
@@ -288,17 +366,14 @@ def efficiency_vs_offset(geometry: DetectorGeometry, offsets) -> tuple[np.ndarra
     (1 - R(theta)) for the first array; the dipole_perpendicular pattern
     multiplies in (3/2) sin^2(theta). Both arrays come from one sweep: all
     offsets are evaluated as one offsets x cells array, a block of offsets at a
-    time, with R only at cells of positive weight (the rest add an exact 0).
+    time, with R only at cells of positive weight (the rest add an exact 0), in
+    runs of at most _REFLECTANCE_ANGLES angles.
     One ShadowingWarning names every offset at which a weighted cell's line of sight
     to the ion leaves the aperture through its wall, whose occlusion is not modeled.
+    The offsets are checked by lateral_offsets; a line of sight so near the detector
+    plane that the ambient's normal index is 0 is a GrazingAngleError.
     """
-    offsets = np.asarray(list(offsets), dtype=float)
-    if offsets.size == 0:
-        raise ValueError("offsets must be non-empty")
-    bad = ~np.isfinite(offsets)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"offsets must be finite, got {offsets[i]:g} m at point {i + 1}")
+    offsets = lateral_offsets(offsets)
     amap = geometry.active_area
     cx, cy = amap.centroid()  # raises on a map with zero total response
     d = geometry.vertical_distance
@@ -318,8 +393,12 @@ def efficiency_vs_offset(geometry: DetectorGeometry, offsets) -> tuple[np.ndarra
         frac = amap.weights * cos_t / (4.0 * np.pi * r2) * amap.cell_size**2
         if geometry.emission_pattern == "dipole_perpendicular":
             frac = frac * 1.5 * np.sin(theta) ** 2
+        reflect = theta[:, weighted].reshape(-1)  # the weighted cells' angles, each overwritten by its R
+        for i in range(0, reflect.size, _REFLECTANCE_ANGLES):
+            part = reflect[i : i + _REFLECTANCE_ANGLES]
+            part[...] = stack_reflectance(geometry.stack, part)
         transmit = np.ones_like(theta)
-        transmit[:, weighted] = 1.0 - stack_reflectance(geometry.stack, theta[:, weighted])
+        transmit[:, weighted] = 1.0 - reflect.reshape(len(theta), -1)
         no_reflection[start : start + block] = frac.reshape(len(frac), -1).sum(axis=1)
         efficiency[start : start + block] = (frac * transmit).reshape(len(frac), -1).sum(axis=1)
         if t_surface > 0:

@@ -235,6 +235,19 @@ class TestCollection:
         assert f"--offsets-um: range {spec!r} holds a value that is not finite" in capsys.readouterr().err
         assert not (outdir / "collection_efficiency.csv").exists()
 
+    @pytest.mark.parametrize("spec", ["1e300", "0,1e6", "0:1e6:1e5"])
+    def test_offset_of_1_m_or_more_exits_2_naming_the_flag(self, outdir, capsys, spec):
+        # the offset's square used to overflow into "angle of incidence must lie in [0, pi/2)"
+        assert main(["collection", "--offsets-um", spec]) == EXIT_INPUT_ERROR
+        assert "error: --offsets-um: offsets must be below 1 m in magnitude, got " in capsys.readouterr().err
+        assert not any(outdir.iterdir())
+
+    def test_check_fails_on_an_efficiency_that_is_not_finite(self, outdir, capsys):
+        sweep = unittest.mock.Mock(return_value=(np.array([1e-3, np.nan, 5e-4]), np.array([2e-3, 1e-3, np.inf])))
+        with unittest.mock.patch.object(cli, "efficiency_vs_offset", sweep):
+            assert main(["collection", "--offsets-um", "0,10,20", "--check"]) == EXIT_CHECK_FAILED
+        assert "check: FAIL: efficiency is not finite at offsets 10, 20 um" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [["collection"], ["qefit", "--demo"]], ids=["collection", "qefit"])
     def test_non_finite_area_weight_names_key_and_file(self, outdir, tmp_path, capsys, argv):
         # a NaN weight used to fail deep in the optics: "angle of incidence must lie in [0, pi/2)"
@@ -291,6 +304,13 @@ class TestArc:
                 unittest.mock.patch.object(cli, "_reflectance_rows", rows):
             assert main(["arc"]) == EXIT_OK
         assert rows.call_count == 1  # the s and p rows give all three columns
+
+    def test_grazing_angle_exits_2_naming_the_flag(self, outdir, capsys):
+        # below 90 deg, but its sine rounds to 1: R used to be written as nan
+        assert main(["arc", "--angles-deg", "0,89.9999999"]) == EXIT_INPUT_ERROR
+        assert ("error: --angles-deg: angle of incidence 1.5707963250495673 rad grazes the surface"
+                in capsys.readouterr().err)
+        assert not any(outdir.iterdir())
 
     def test_non_finite_range_spec(self, outdir, capsys):
         assert main(["arc", "--angles-deg", "0:inf:5"]) == EXIT_INPUT_ERROR
@@ -389,6 +409,14 @@ class TestQEFit:
         data.write_text("offset_um,rate_kcps\n0,1.0\ninf,2.0\n")
         assert main(["qefit", str(data)]) == EXIT_INPUT_ERROR
         assert "offsets must be finite, got inf m at point 2" in capsys.readouterr().err
+        assert not (outdir / "qe_fit.csv").exists()
+
+    def test_offset_of_1_m_or_more_exits_2_naming_the_csv(self, outdir, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("offset_um,rate_kcps\n0,1.0\n1e300,2.0\n")
+        assert main(["qefit", str(data)]) == EXIT_INPUT_ERROR
+        assert (f"error: data CSV {data}: offsets must be below 1 m in magnitude, got 1e+294 m at point 2"
+                in capsys.readouterr().err)
         assert not (outdir / "qe_fit.csv").exists()
 
     @pytest.mark.parametrize("demo", [True, False], ids=["demo", "csv"])
@@ -793,6 +821,23 @@ class TestFlags:
         config.write_text(line + "\n")
         assert main([*subcommand.split(), "--config", str(config)]) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err == f"error: {named}\n"
+        assert [p.name for p in outdir.iterdir()] == ["in"]
+
+    # a vertical distance of about 1e-17 m: every line of sight grazes the detector plane, where r is 0/0.
+    # collection --check used to write nan efficiencies and pass; qefit --demo failed in its Poisson draw
+    @pytest.mark.parametrize("argv", [["collection", "--check"], ["qefit", "--demo"], ["qefit", "data.csv"]],
+                             ids=["collection", "qefit-demo", "qefit-csv"])
+    def test_grazing_geometry_exits_2_naming_the_keys(self, outdir, tmp_path, capsys, argv):
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        (inputs / "grazing.cfg").write_text("geometry.recess_um = -49.99999999999\n")
+        (inputs / "data.csv").write_text("offset_um,rate_kcps\n0,3.7\n20,3.1\n")
+        argv = [str(inputs / arg) if arg.endswith(".csv") else arg for arg in argv]
+        assert main([*argv, "--config", str(inputs / "grazing.cfg")]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith(
+            "error: keys 'geometry.ion_height_um', 'geometry.recess_um': a vertical distance of 1.00018e-17 m "
+            "is too small for the lateral distances to the active area: angle of incidence "
+        )
         assert [p.name for p in outdir.iterdir()] == ["in"]
 
     # the simulator adds the dead time to int64 nanosecond timestamps: one of 2^62 ns or more is named

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 import unittest.mock
 
 import numpy as np
@@ -69,6 +70,15 @@ class TestReflectance:
             stack_reflectance(arc_stack(), -0.1)
         with pytest.raises(ValueError):
             stack_reflectance(arc_stack(), math.pi / 2)
+
+    @pytest.mark.parametrize("stack", [arc_stack(), OpticalStack(ambient_index=1.5 + 0j)], ids=["coating", "bare"])
+    def test_grazing_angle_refused(self, stack):
+        # below pi/2, but its sine rounds to 1: the ambient's normal index is 0 and r would be 0/0
+        angle = math.radians(89.9999999)
+        assert angle < math.pi / 2 and math.sin(angle) == 1.0
+        with pytest.raises(optics.GrazingAngleError, match=f"angle of incidence {angle!r} rad grazes the surface"):
+            _reflectance_rows(stack, np.array([0.0, angle]))
+        assert np.all(np.isfinite(stack_reflectance(stack, math.radians(89.999999))))
 
     def test_scalar_angle_equals_array_element(self):
         # a complex ambient index makes every complex product in the transfer matrix count
@@ -319,6 +329,49 @@ class TestEfficiencyVsOffset:
         with pytest.warns(ShadowingWarning, match="at offsets 75, 80 um"):
             arrays = efficiency_vs_offset(DetectorGeometry(), offsets)
         assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays) == digests
+
+    # both arrays of a 401-offset sweep, several geometry blocks long, on each emission pattern
+    @pytest.mark.parametrize("pattern, digests", [
+        ("isotropic", ("c9f98fceef529090521ec1b31a57446b31a7efd8a2bc940be12c169524cc5197",
+                       "0c284b8e8a463fb57c0da06bf00aea45f34ef8567fabe15609c4ecbe440f9974")),
+        ("dipole_perpendicular", ("609a55035914c63663da50f46db6ed7568becb192d008c551f247b86c15fb7e6",
+                                  "6d2d94fb3d7e35b552ad9e7bb8196b315ce2b6602e5cf7af34935865b80205f7")),
+    ])
+    def test_long_sweep_is_pinned(self, pattern, digests):
+        offsets = np.linspace(-100e-6, 100e-6, 401)
+        assert offsets.size * DetectorGeometry().active_area.weights.size > 4 * optics._SWEEP_CELLS
+        with pytest.warns(ShadowingWarning, match="at offsets 73, 73.5, "):
+            arrays = efficiency_vs_offset(DetectorGeometry(emission_pattern=pattern), offsets)
+        assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays) == digests
+
+    @pytest.mark.parametrize("bad", [1.0, -1.0, 1e300])
+    def test_offset_of_1_m_or_more_rejected(self, bad):
+        # past MAX_HEIGHT the squared distances overflow; refused before any sweep array is made
+        geometry = DetectorGeometry()
+        with unittest.mock.patch.object(optics, "_cell_centers", side_effect=AssertionError("made a grid")):
+            with pytest.raises(ValueError, match=re.escape(f"offsets must be below 1 m in magnitude, got {bad:g} m "
+                                                           "at point 2")):
+                efficiency_vs_offset(geometry, [0.0, bad])
+
+    def test_grazing_geometry_refused(self):
+        # a vertical distance of about 1e-17 m: every line of sight grazes the detector plane
+        geometry = DetectorGeometry(detector_recess_below_surface=-49.99999999999e-6)
+        with pytest.raises(optics.GrazingAngleError, match="grazes the surface"):
+            efficiency_vs_offset(geometry, [0.0])
+
+    def test_peak_memory_independent_of_offset_count(self):
+        geometry = DetectorGeometry()
+        efficiency_vs_offset(geometry, [0.0])  # lazy set-up outside the measurement
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                efficiency_vs_offset(geometry, np.linspace(-20e-6, 20e-6, n))  # none shadowed
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4000) <= 1.5 * peak(40)
 
     def test_empty_offsets_rejected(self):
         with pytest.raises(ValueError):

@@ -1091,6 +1091,28 @@ def test_complex_phase_bits_match_reference_matrix(stack, angles, pol):
     assert_matches_reference_bits(stack, angles, pol)
 
 
+# the coating's product runs in real arithmetic, on more angles than several of the sweep's runs
+@pytest.mark.parametrize("pol", ["s", "p", "unpolarized"])
+def test_real_product_bits_match_reference_matrix_on_long_array(pol):
+    stack = optics.arc_stack()
+    angles = np.linspace(0.0, 1.5707, 5 * optics._REFLECTANCE_ANGLES + 7)
+    kpar = np.sin(angles)
+    assert optics._lossless_product(stack, [complex(n) for _, n in stack.layers], kpar * kpar) is not None
+    assert_matches_reference_bits(stack, angles, pol)
+
+
+# a lossless layer of index 1.2 under an ambient of 1.5 passes its critical angle (53.1 deg)
+# inside the array: the whole array takes the complex product
+@pytest.mark.parametrize("pol", ["s", "p", "unpolarized"])
+def test_layer_past_critical_inside_array_takes_complex_product(pol):
+    stack = OpticalStack(ambient_index=1.5 + 0j, layers=((29e-9, 2.1 + 0j), (100e-9, 1.2 + 0j)),
+                         substrate_index=3.0 + 0.5j)
+    angles = np.linspace(0.0, 1.5707, 3001)
+    kpar = 1.5 * np.sin(angles)
+    assert optics._lossless_product(stack, [complex(n) for _, n in stack.layers], kpar * kpar) is None
+    assert_matches_reference_bits(stack, angles, pol)
+
+
 # --- collection efficiency ---------------------------------------------------------
 
 
