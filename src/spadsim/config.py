@@ -59,7 +59,6 @@ def _seed(text: str) -> int:
     return seed
 
 
-_MICRONS = _number(1e-6)
 _HEIGHT_MICRONS = _number(1e-6, MAX_HEIGHT)
 
 # One row per config key: (key, attribute path, parse). The path starts with
@@ -81,11 +80,11 @@ _KEYS = (
     ("stack.ambient_index", "scenario.geometry.stack.ambient_index", _complex),
     ("stack.substrate_index", "scenario.geometry.stack.substrate_index", _complex),
     ("stack.layers", "scenario.geometry.stack.layers", _parse_layers),
-    ("deadtime.dead_time_us", "scenario.dead_time", _MICRONS),
+    ("deadtime.dead_time_us", "scenario.dead_time", _number(1e-6, MAX_TIME)),
     ("geometry.active_area_csv", "area.csv", str),
-    ("geometry.active_outer_radius_um", "area.outer_radius", _MICRONS),
-    ("geometry.guard_width_um", "area.guard_width", _MICRONS),
-    ("geometry.cell_size_um", "area.cell_size", _MICRONS),
+    ("geometry.active_outer_radius_um", "area.outer_radius", _HEIGHT_MICRONS),
+    ("geometry.guard_width_um", "area.guard_width", _HEIGHT_MICRONS),
+    ("geometry.cell_size_um", "area.cell_size", _HEIGHT_MICRONS),
 )
 
 KNOWN_KEYS = {key for key, _, _ in _KEYS}

@@ -278,13 +278,13 @@ def fidelity_curve(
     generator, and the chunks of both hypotheses go through one stopping pass
     (_stopping_bins), up to _PASS_CHUNKS at a time. The pass goes window by
     window, and a window by slices of whole chunks (_slice_cuts). A slice draws
-    one superposed process per trial still undecided, already in time order,
-    over the window's span only, then dead-time filters and bins it
-    (_window_counter), so a trial's photons are drawn only as far as it is
-    undecided. Every chunk makes the draws it would make on its own, so the
-    slicing leaves every result bit-identical. Memory is bounded by the slice
-    budgets (_SLICE_EVENTS, _SLICE_CELLS) and by the per-trial state of one
-    pass; only counts of correct choices and sums of stopping bins outlive it.
+    each undecided trial's superposed process over the window's span only, in
+    time order, bins it, and dead-time filters only the events close to their
+    predecessor or in the trial's carried dead time (_window_counter). Every
+    chunk makes the draws it would make on its own, so the slicing leaves every
+    result bit-identical. Memory is bounded by the slice budgets (_SLICE_EVENTS,
+    _SLICE_CELLS) and by the per-trial state of one pass; only counts of
+    correct choices and sums of stopping bins outlive it.
     """
     targets = list(targets)
     if not targets:

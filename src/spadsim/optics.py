@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import warnings
@@ -224,6 +225,9 @@ class ActiveAreaMap:
             raise ValueError(f"cell_size must be finite and > 0 and origin finite, got {self.cell_size}, {self.origin}")
         if w.ndim != 2:
             raise ValueError("weights must be a 2-D grid")
+        reach = max(abs(o) + self.cell_size * n for o, n in zip(self.origin, w.shape))  # its farthest edge
+        if not reach < MAX_HEIGHT:
+            raise ValueError(f"the grid must lie within {MAX_HEIGHT:g} m of (0, 0), got cells reaching {reach:g} m")
         bad = np.argwhere(~((w >= 0) & (w <= 1 + 1e-12)))  # NaN fails both comparisons
         if bad.size:
             row, col = bad[0]
@@ -302,6 +306,14 @@ def quarter_disc_map(
     return ActiveAreaMap(cell_size=cell_size, origin=(0.0, 0.0), weights=w)
 
 
+@functools.cache
+def _reference_area() -> ActiveAreaMap:
+    """quarter_disc_map(), made once per process for every default geometry: its weights are read-only."""
+    area = quarter_disc_map()
+    area.weights.flags.writeable = False
+    return area
+
+
 # The largest height of the ion above the trap surface, or depth of the detector below it, in
 # metres: no trap is that large, and below it the collection sum's squared distances stay finite.
 MAX_HEIGHT = 1.0
@@ -320,7 +332,7 @@ class DetectorGeometry:
 
     ion_height_above_surface: float = 50e-6
     detector_recess_below_surface: float = 7e-6
-    active_area: ActiveAreaMap = field(default_factory=quarter_disc_map)
+    active_area: ActiveAreaMap = field(default_factory=_reference_area)
     stack: OpticalStack = field(default_factory=arc_stack)
     emission_pattern: str = "isotropic"
 

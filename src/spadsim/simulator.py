@@ -264,34 +264,37 @@ def _words_before(words: np.ndarray, at: np.ndarray, n: int) -> list[np.ndarray]
 
 def apply_dead_time(times_ns: np.ndarray, labels: np.ndarray, dead_ns: int):
     """Nonparalyzable filter on ascending times_ns: keep an event iff it is >= dead_ns
-    (and >= 1 ns) after the last kept one (_dead_time_keep)."""
+    (and >= 1 ns) after the last kept one (_dead_time_drops)."""
     gap = _dead_gap_ns(dead_ns)
-    keep = _dead_time_keep(times_ns, np.diff(times_ns) < gap, gap)
+    keep = np.ones(times_ns.size, dtype=bool)
+    keep[_dead_time_drops(times_ns, np.flatnonzero(np.diff(times_ns) < gap) + 1, gap)] = False
     return times_ns[keep], labels[keep]
 
 
-def _dead_time_keep(times_ns: np.ndarray, close: np.ndarray, gap: int) -> np.ndarray:
-    """Which events the nonparalyzable filter keeps: each is kept iff it is >= gap after
-    the last kept one of its run, where close[i - 1] says event i is in the same run as
-    event i - 1 and less than gap after it (a run's times ascending).
+def _dead_time_drops(times_ns: np.ndarray, close: np.ndarray, gap: int) -> np.ndarray:
+    """The ascending places of the events the nonparalyzable filter drops: those in `close`, the
+    ascending places of the events less than gap after their predecessor in the same run (a
+    run's times ascending), that are less than gap after the last kept event of their run.
 
     An event that is not close to its predecessor is always kept, and one close
     to a kept predecessor is always dropped. So the first close event of each
     chain is dropped after a kept one, and only the events whose predecessor is
     close too are walked in order.
     """
-    keep = np.ones(times_ns.size, dtype=bool)
-    keep[1:] = ~close
-    chained = np.flatnonzero(close[1:] & close[:-1]) + 2
+    chained = np.flatnonzero(np.diff(close) == 1) + 1  # the places in `close` of those events
+    if not chained.size:
+        return close
+    dropped = np.ones(close.size, dtype=bool)
     walked = -1
-    for i, t, before in zip(chained.tolist(), times_ns[chained].tolist(), times_ns[chained - 2].tolist()):
+    at = close[chained]
+    for j, i, t, before in zip(chained.tolist(), at.tolist(), times_ns[at].tolist(), times_ns[at - 2].tolist()):
         if i - 1 != walked:  # event i - 1 starts the chain: dropped after the kept event i - 2
             last = before
         if t - last >= gap:
-            keep[i] = True
+            dropped[j] = False
             last = t
         walked = i
-    return keep
+    return close[dropped]
 
 
 def _dead_gap_ns(dead_ns: int) -> int:
@@ -320,8 +323,8 @@ def _rates(scenario: Scenario, ion_present: bool, span: float, n: int = 1) -> li
 def _ordered_arrivals(scenario: Scenario, draws, start: float, end: float):
     """The superposed Poisson arrivals over [start, end) seconds, before dead time, of the rows
     of `draws`, a sequence of (ion_present, rng, n): n rows of that hypothesis drawn from rng,
-    numbered draw after draw. Returns float times in seconds, ascending within each row, and
-    their rows, ascending.
+    numbered draw after draw. Returns float times in seconds, row after row, ascending within
+    each row, and each row's number of them.
 
     Each draw makes two calls on its own generator: its rows' counts at the total rate, then
     the exponential spacings of all its rows, k + 1 for a row of k, whose partial sums over
@@ -340,12 +343,13 @@ def _ordered_arrivals(scenario: Scenario, draws, start: float, end: float):
         size = int(counts.sum()) + n
         np.cumsum(rng.standard_exponential(size), out=sums[at : at + size])
         at += size
-    rows = np.repeat(np.arange(per_row.size), per_row)
     ends = np.cumsum(per_row + 1) - 1  # each row's last spacing
     base = np.append(0.0, sums[ends[:-1]])  # the sum before each row's first spacing, in its draw
     base[np.cumsum([0] + [n for _, _, n in draws[:-1]])] = 0.0  # a draw's first row: its sums start at 0
-    fractions = (sums[np.arange(rows.size) + rows] - base[rows]) / (sums[ends] - base)[rows]
-    return start + (end - start) * fractions, rows
+    inner = np.ones(sums.size, dtype=bool)
+    inner[ends] = False
+    fractions = (sums[inner] - np.repeat(base, per_row)) / np.repeat(sums[ends] - base, per_row)
+    return start + (end - start) * fractions, per_row
 
 
 def simulate_stream(scenario: Scenario, ion_present: bool) -> EventStream:
@@ -363,7 +367,7 @@ def simulate_stream(scenario: Scenario, ion_present: bool) -> EventStream:
     the draw together, so the two hypotheses' streams are independent.
 
     This is _ordered_arrivals' law for one row, drawn in place: that function's
-    row index and per-row sums would cost a stream more memory and time.
+    per-row sums and compress would cost a stream more memory and time.
     """
     rng, span = np.random.default_rng([scenario.rng_seed, int(ion_present)]), scenario.trial_duration
     rates = _rates(scenario, ion_present, span)
@@ -383,30 +387,6 @@ def simulate_stream(scenario: Scenario, ion_present: bool) -> EventStream:
     return EventStream(t_ns, labels, span)
 
 
-def _carry_dead_time(times_ns: np.ndarray, labels: np.ndarray, rows: np.ndarray, last_ns: np.ndarray, dead_ns: int):
-    """apply_dead_time on each row's events in one window, continuing from last_ns[r], row
-    r's last kept time before the window; last_ns is updated in place.
-
-    The events come, and the kept labels and rows go, in (row, time) order. Events
-    within the dead-time gap of their row's last kept time are dropped first (when there
-    are any), and the row's next is kept, as in one pass over its windows joined. An
-    event is then close when it is less than the gap after its predecessor in the same
-    row, and the rows share one _dead_time_keep pass.
-    """
-    gap = _dead_gap_ns(dead_ns)
-    fresh = times_ns - last_ns[rows] >= gap
-    if not fresh.all():
-        times_ns, labels, rows = times_ns[fresh], labels[fresh], rows[fresh]
-    if not times_ns.size:
-        return labels, rows
-    same_row = rows[1:] == rows[:-1]
-    keep = _dead_time_keep(times_ns, (np.diff(times_ns) < gap) & same_row, gap)
-    times_ns, labels, rows = times_ns[keep], labels[keep], rows[keep]
-    row_ends = np.flatnonzero(np.append(rows[1:] != rows[:-1], True))
-    last_ns[rows[row_ends]] = times_ns[row_ends]
-    return labels, rows
-
-
 def _window_counter(scenario: Scenario, chunks, width: float):
     """Dead-time-filtered counts in bins of `width` seconds of the trials of `chunks`, drawn
     one window at a time as they are asked for.
@@ -416,31 +396,65 @@ def _window_counter(scenario: Scenario, chunks, width: float):
     end): the counts of the trials `rows` (ascending) in bins start..end-1, a len(rows) x
     (end - start) matrix. A trial is asked for consecutive windows, each starting where its
     last one ended. A call draws the arrivals of its rows over [start * width, end * width)
-    only, in (row, time) order, each chunk's from its own generator (_ordered_arrivals), and
-    bins each on its drawn time, half-open, so every arrival is counted in exactly one
-    window. Poisson arrivals in disjoint windows are independent, and a trial's last kept
-    time is all the dead-time filter carries from one window to the next
-    (_carry_dead_time), so the counts are distributed as whole trials' counts. When all of a
-    chunk's trials asked for a window come in one call, the chunk makes the draws it would
-    make on its own, whichever chunks share the call.
+    only, row after row, each chunk's from its own generator (_ordered_arrivals), and bins
+    each on its drawn time, half-open, so every arrival is counted in exactly one window.
+    Poisson arrivals in disjoint windows are independent, and a trial's last kept time is
+    all the dead-time filter carries from one window to the next (_window_drops), so the
+    counts are distributed as whole trials' counts; a dropped event is counted in a spare
+    bin past the matrix. When all of a chunk's trials asked for a window come in one call,
+    the chunk makes the draws it would make on its own, whichever chunks share the call.
     """
-    dead_ns = _dead_ns(scenario)
+    gap = _dead_gap_ns(_dead_ns(scenario))
     firsts = np.cumsum([0] + [n for _, _, n in chunks])  # each chunk's first trial, then the total
-    last_ns = np.full(firsts[-1], -_dead_gap_ns(dead_ns), dtype=np.int64)  # nothing kept yet
+    last_ns = np.full(firsts[-1], -gap, dtype=np.int64)  # nothing kept yet
 
     def counts(rows: np.ndarray, start: int, end: int) -> np.ndarray:
-        n_bins, lo = end - start, start * width
+        n_bins, lo, cells = end - start, start * width, rows.size * (end - start)
         per_chunk = np.diff(np.searchsorted(rows, firsts))
         touched = np.flatnonzero(per_chunk).tolist()
         draws = [(*chunks[c][:2], n) for c, n in zip(touched, per_chunk[touched].tolist())]
-        t, row = _ordered_arrivals(scenario, draws, lo, end * width)
-        bins = np.minimum(((t - lo) / width).astype(np.int64), n_bins - 1)  # rounding may reach `end`
+        t, per_row = _ordered_arrivals(scenario, draws, lo, end * width)
+        flat = np.minimum(((t - lo) / width).astype(np.int64), n_bins - 1)  # rounding may reach `end`
+        flat += np.repeat(np.arange(0, cells, n_bins), per_row)  # row * n_bins + bin
         carry = last_ns[rows]
-        bins, row = _carry_dead_time(np.round(t / NS).astype(np.int64), bins, row, carry, dead_ns)
+        flat[_window_drops(np.round(t / NS).astype(np.int64), per_row, carry, gap)] = cells
         last_ns[rows] = carry
-        return np.bincount(row * n_bins + bins, minlength=rows.size * n_bins).reshape(rows.size, n_bins)
+        return np.bincount(flat, minlength=cells + 1)[:cells].reshape(rows.size, n_bins)
 
     return counts
+
+
+def _window_drops(times_ns: np.ndarray, per_row: np.ndarray, last_ns: np.ndarray, gap: int) -> np.ndarray:
+    """The ascending places of the events the filter drops from one window's per_row[r] events of
+    each row r, laid row after row and each row's ascending, continuing from last_ns[r], row r's
+    last kept time, which is updated in place. The events inside a row's carried dead time are
+    a prefix of it, searched for only in the rows that start with one, and the next is kept, as
+    in one pass over the row's windows joined. The filter then walks only the events less than
+    the gap after their predecessor in their row (_dead_time_drops).
+    """
+    if not times_ns.size:
+        return times_ns
+    ends = np.cumsum(per_row)
+    heads = ends - per_row  # each row's first place; for a row with none, the next row's
+    close = np.zeros(times_ns.size + 1, dtype=bool)  # close[i]: event i is close; one spare past the end
+    np.less(np.diff(times_ns), gap, out=close[1:-1])
+    close[heads] = False
+    prefix = ends[:0]
+    if last_ns.max() + gap > times_ns.min():  # else no event is inside its row's carried dead time
+        hit = np.flatnonzero(np.take(times_ns, heads, mode="clip") - last_ns < gap)  # a row with none has no place
+        n = per_row[hit]
+        places = np.arange(n.sum()) + np.repeat(heads[hit] - (np.cumsum(n) - n), n)  # the hit rows' events
+        prefix = places[times_ns[places] < np.repeat(last_ns[hit] + gap, n)]
+        close[prefix] = close[prefix + 1] = False
+    dropped = _dead_time_drops(times_ns, np.flatnonzero(close), gap)
+    dropped = np.union1d(prefix, dropped) if prefix.size else dropped
+    last = ends - 1
+    if dropped.size:
+        below = np.searchsorted(dropped, last, side="right")  # the drops at or before each row's last event
+        # a place less its rank in `dropped` is constant along, and only along, a run of consecutive drops
+        last -= below - np.searchsorted(dropped - np.arange(dropped.size), last - below + 1)
+    np.copyto(last_ns, times_ns[last], where=last >= heads)
+    return dropped
 
 
 def gate_and_count(stream: EventStream, gate: float) -> np.ndarray:

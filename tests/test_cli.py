@@ -261,6 +261,23 @@ class TestCollection:
         assert "got nan in grid row 1, column 2" in err
         assert sorted(path.name for path in outdir.iterdir()) == ["area_nan.cfg", "area_nan.csv"]  # no output
 
+    # an active area reaching 1 m or more used to end `collection` in an OverflowError (exit 1)
+    @pytest.mark.parametrize("argv", [["collection"], ["qefit", "--demo"]], ids=["collection", "qefit"])
+    @pytest.mark.parametrize("lines, named", [
+        ("geometry.active_outer_radius_um = 1e300\ngeometry.cell_size_um = 1e298\n",
+         "key 'geometry.active_outer_radius_um': cannot parse '1e300': its magnitude must be below 1e+06"),
+        ("geometry.active_area_csv = big.csv\n",
+         "key 'geometry.active_area_csv': cannot read {dir}/big.csv: the grid must lie within 1 m of (0, 0), "
+         "got cells reaching 2e+292 m"),
+    ], ids=["quarter-disc", "csv"])
+    def test_area_past_1m_exits_2_naming_key(self, outdir, tmp_path, capsys, argv, lines, named):
+        (tmp_path / "big.csv").write_text("# cell_size_um=1e298, origin_um=0,0\n1,1\n1,1\n")
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(lines)
+        assert main([*argv, "--config", str(cfg)]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: {named.format(dir=tmp_path)}\n"
+        assert sorted(path.name for path in outdir.iterdir()) == ["big.cfg", "big.csv"]  # no output
+
     def test_substrate_index_of_real_part_0_exits_2(self, outdir, tmp_path, capsys):
         # it used to exit 0 with R = 1 and efficiencies of 6.5e-21
         cfg = tmp_path / "index_0.cfg"
@@ -771,8 +788,8 @@ class TestFlags:
     @pytest.mark.parametrize("line, named", [
         ("geometry.cell_size_um = 0.0001", "key 'geometry.cell_size_um': outer_radius 1.1e-05 m in cells of 1e-10 m "
          "makes a grid of 110001 cells a side, more than the limit of 512"),
-        ("geometry.active_outer_radius_um = 1e6", "key 'geometry.active_outer_radius_um': outer_radius 1 m in cells of "
-         "4e-07 m makes a grid of 2.5e+06 cells a side"),
+        ("geometry.active_outer_radius_um = 1e5", "key 'geometry.active_outer_radius_um': outer_radius 0.1 m in cells "
+         "of 4e-07 m makes a grid of 250001 cells a side"),
     ], ids=["cell-size", "outer-radius"])
     @pytest.mark.parametrize("subcommand", ["collection", "qefit --demo"])
     def test_area_grid_past_limit_exits_2_naming_the_key(self, outdir, tmp_path, capsys, line, named, subcommand):
@@ -840,7 +857,7 @@ class TestFlags:
         )
         assert [p.name for p in outdir.iterdir()] == ["in"]
 
-    # the simulator adds the dead time to int64 nanosecond timestamps: one of 2^62 ns or more is named
+    # the simulator adds the dead time to int64 nanosecond timestamps: one of 2^62 ns or more is named by its key
     @pytest.mark.parametrize("argv", [["simulate", "--duration", "0.01"], ["fidelity", "--trials", "10"]],
                              ids=lambda v: v[0])
     def test_dead_time_past_int64_exits_2_naming_it(self, outdir, tmp_path, capsys, argv):
@@ -848,7 +865,9 @@ class TestFlags:
         config.parent.mkdir()
         config.write_text("deadtime.dead_time_us = 1e300\n")
         assert main([*argv, "--config", str(config)]) == EXIT_INPUT_ERROR
-        assert capsys.readouterr().err == "error: dead_time must be below 2^62 ns (4.61169e+09 s), got 1e+294\n"
+        assert capsys.readouterr().err == (
+            "error: key 'deadtime.dead_time_us': cannot parse '1e300': its magnitude must be below 4.61169e+15\n"
+        )
         assert [p.name for p in outdir.iterdir()] == ["in"]
 
     # numpy's generators take seeds >= 0: a negative one is named by its flag or key

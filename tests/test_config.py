@@ -155,13 +155,39 @@ class TestScenarioFromText:
     @pytest.mark.parametrize("text, named", [
         ("geometry.cell_size_um = 0.0001\n", "key 'geometry.cell_size_um': outer_radius 1.1e-05 m in cells of 1e-10 m "
          "makes a grid of 110001 cells a side"),
-        ("geometry.active_outer_radius_um = 1e6\n", "key 'geometry.active_outer_radius_um': outer_radius 1 m"),
+        ("geometry.active_outer_radius_um = 1e5\n", "key 'geometry.active_outer_radius_um': outer_radius 0.1 m"),
         ("geometry.guard_width_um = 1\ngeometry.cell_size_um = 0\n",
          "keys 'geometry.guard_width_um', 'geometry.cell_size_um': cell_size must be > 0"),
     ], ids=["cell-size", "outer-radius", "two-keys"])
     def test_area_keys_named_with_their_error(self, text, named):
         with pytest.raises(ConfigError, match=f"^{re.escape(named)}"):
             scenario_from_text(text)
+
+    # a dead time of 2^62 ns or more leaves int64 nanoseconds, and an active area reaching 1 m or
+    # more overflows the collection sum (a radius of 1e300 um in cells of 1e298 um ended in an
+    # OverflowError): each is refused by its key's bound, which names the key
+    @pytest.mark.parametrize("text, named", [
+        ("deadtime.dead_time_us = 1e300\n", "key 'deadtime.dead_time_us': cannot parse '1e300': its magnitude must "
+         "be below 4.61169e+15"),
+        ("geometry.active_outer_radius_um = 1e300\ngeometry.cell_size_um = 1e298\n",
+         "key 'geometry.active_outer_radius_um': cannot parse '1e300': its magnitude must be below 1e+06"),
+        ("geometry.active_outer_radius_um = 1e6\n",
+         "key 'geometry.active_outer_radius_um': cannot parse '1e6': its magnitude must be below 1e+06"),
+        ("geometry.guard_width_um = 1e6\n", "key 'geometry.guard_width_um': cannot parse '1e6': its magnitude must "
+         "be below 1e+06"),
+        ("geometry.cell_size_um = 1e298\n", "key 'geometry.cell_size_um': cannot parse '1e298': its magnitude must "
+         "be below 1e+06"),
+    ], ids=["dead-time", "radius-and-cell", "radius-1m", "guard", "cell"])
+    def test_key_past_its_bound_named(self, text, named):
+        with pytest.raises(ConfigError, match=f"^{re.escape(named)}$"):
+            scenario_from_text(text)
+
+    def test_area_csv_reaching_past_1m_named(self, tmp_path):
+        (tmp_path / "big.csv").write_text("# cell_size_um=1e298, origin_um=0,0\n1,1\n1,1\n")
+        path = tmp_path / "big.csv"
+        named = f"key 'geometry.active_area_csv': cannot read {path}: the grid must lie within 1 m of (0, 0)"
+        with pytest.raises(ConfigError, match=f"^{re.escape(named)}, got cells reaching 2e\\+292 m$"):
+            scenario_from_text("geometry.active_area_csv = big.csv\n", base_dir=tmp_path)
 
     def test_active_area_csv_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="active_area_csv"):

@@ -186,6 +186,27 @@ class TestActiveAreaMap:
         with pytest.raises(ValueError, match=f"must be finite .*got {cell_size}, \\({origin[0]}, {origin[1]}\\)"):
             ActiveAreaMap(cell_size=cell_size, origin=origin, weights=np.ones((2, 2)))
 
+    # past 1 m from (0, 0) the collection sum's squared distances overflow
+    @pytest.mark.parametrize("cell_size, origin, shape, reach", [
+        (1e298, (0.0, 0.0), (2, 2), "2e+298"), (0.25, (0.0, 0.0), (1, 4), "1"), (1e-6, (-0.999999, 0.0), (3, 3), "1"),
+    ])
+    def test_grid_reaching_1m_rejected(self, cell_size, origin, shape, reach):
+        named = f"the grid must lie within 1 m of (0, 0), got cells reaching {reach} m"
+        with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+            ActiveAreaMap(cell_size=cell_size, origin=origin, weights=np.ones(shape))
+
+    def test_default_geometry_shares_one_read_only_map(self):
+        # built once per process: every default geometry holds the same map, which no holder can change
+        first, second = DetectorGeometry().active_area, DetectorGeometry().active_area
+        assert first is second
+        assert not first.weights.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            first.weights[0, 0] = 0.5
+        fresh = quarter_disc_map()  # with or without arguments, quarter_disc_map makes a new map
+        assert fresh is not quarter_disc_map() and fresh.weights.flags.writeable
+        assert np.array_equal(fresh.weights, first.weights)
+        assert (fresh.cell_size, fresh.origin) == (first.cell_size, first.origin)
+
     def test_csv_round_trip(self):
         amap = quarter_disc_map(cell_size=1e-6)
         back = ActiveAreaMap.from_csv(amap.to_csv())

@@ -2,8 +2,10 @@
 
 The loops below are the reference implementations: the per-event arrival
 draw; the per-event dead-time filter, also for the window-by-window filter
-with its carried last kept time, and the one pass over an int64 (row, time)
-key that the window filter replaced; np.histogram and the per-event edge search
+with its carried last kept time; the sweep's window count with a row index
+per event and a filter pass over every event, which the count that walks
+only the close events replaced, and the one pass over an int64 (row, time)
+key that the per-event pass replaced; np.histogram and the per-event edge search
 for the binning; searchsorted on the sorted counts for the threshold rule's
 empirical CDFs; the running max of |log odds| for the first crossings; the
 threshold curve with every window's CDF rows run to the largest cutoff;
@@ -74,11 +76,12 @@ from spadsim.simulator import (
     EventStream,
     FrontEndParams,
     _bin_counts,
-    _carry_dead_time,
     _event_row,
     _first_order,
+    _ordered_arrivals,
     _schmitt_crossings,
     _window_counter,
+    _window_drops,
     apply_dead_time,
     gate_and_count,
     simulate_frontend,
@@ -166,6 +169,14 @@ def window_cases(draw):
     return dead_ns, n_rows, windows
 
 
+def window_rows(events, n_rows):
+    """A window's (row, time) pairs, in (row, time) order, as the window filters take them:
+    each event's row, the times, and each row's number of them."""
+    rows = np.array([r for r, _ in events], dtype=np.int64)
+    times = np.array([t for _, t in events], dtype=np.int64)
+    return rows, times, np.bincount(rows, minlength=n_rows)
+
+
 @settings(deadline=None, max_examples=300)
 @given(case=window_cases())
 # a dead time longer than the window it starts in, reaching into the next two
@@ -173,27 +184,25 @@ def window_cases(draw):
 # a time on a closing edge, then the same time opening the next window
 @example(case=(0, 1, [[(0, 0), (0, 10)], [(0, 10), (0, 11)]]))
 def test_windowed_dead_time_matches_joined_stream(case):
-    """_carry_dead_time window after window, each window's events in (row, time) order and
-    each row's last kept time carried, keeps what apply_dead_time keeps on each row's
-    windows joined into one stream."""
+    """_window_drops window after window, each window's events row after row and each row's
+    last kept time carried, keeps what apply_dead_time keeps on each row's windows joined
+    into one stream."""
     dead_ns, n_rows, windows = case
     last_ns = np.full(n_rows, -max(dead_ns, 1), dtype=np.int64)
     kept = [[] for _ in range(n_rows)]
     joined = [[] for _ in range(n_rows)]  # per row: (time, id), windows in order
-    ids, time_of = 0, []
+    ids = 0
     for events in windows:
-        rows = np.array([r for r, _ in events], dtype=np.int64)
-        times = np.array([t for _, t in events], dtype=np.int64)
-        labels = np.arange(ids, ids + len(events))  # unique ids: each kept one names its time
-        ids += len(events)
-        time_of += times.tolist()
-        for r in range(n_rows):
-            mine = rows == r
-            joined[r] += zip(times[mine].tolist(), labels[mine].tolist())
-        got_l, got_rows = _carry_dead_time(times, labels, rows, last_ns, dead_ns)
-        assert np.all(np.diff(got_rows) >= 0)
-        for r, label in zip(got_rows.tolist(), got_l.tolist()):
-            kept[r].append((time_of[label], label))
+        rows, times, per_row = window_rows(events, n_rows)
+        dropped = _window_drops(times, per_row, last_ns, max(dead_ns, 1))
+        assert np.all(np.diff(dropped) > 0)
+        keep = np.ones(times.size, dtype=bool)
+        keep[dropped] = False
+        for r, t, k in zip(rows.tolist(), times.tolist(), keep.tolist()):
+            joined[r].append((t, ids))
+            if k:
+                kept[r].append((t, ids))
+            ids += 1
     for r in range(n_rows):
         t = np.array([e[0] for e in joined[r]], dtype=np.int64)
         want_t, want_l = apply_dead_time(t, np.array([e[1] for e in joined[r]], dtype=np.int64), dead_ns)
@@ -201,8 +210,46 @@ def test_windowed_dead_time_matches_joined_stream(case):
         assert last_ns[r] == (want_t[-1] if want_t.size else -max(dead_ns, 1))
 
 
+def reference_dead_time_keep(times_ns, close, gap):
+    """Which events the nonparalyzable filter keeps, where close[i - 1] says event i is in the
+    same run as event i - 1 and less than gap after it: each close event is dropped after a
+    kept one, and the chained close events are walked in order."""
+    keep = np.ones(times_ns.size, dtype=bool)
+    keep[1:] = ~close
+    chained = np.flatnonzero(close[1:] & close[:-1]) + 2
+    walked = -1
+    for i, t, before in zip(chained.tolist(), times_ns[chained].tolist(), times_ns[chained - 2].tolist()):
+        if i - 1 != walked:  # event i - 1 starts the chain: dropped after the kept event i - 2
+            last = before
+        if t - last >= gap:
+            keep[i] = True
+            last = t
+        walked = i
+    return keep
+
+
+def reference_carry_dead_time(times_ns, labels, rows, last_ns, dead_ns):
+    """The window filter with a row index per event: apply_dead_time on each row's events in
+    one window, continuing from last_ns[r], row r's last kept time before the window; last_ns
+    is updated in place. The events come, and the kept labels and rows go, in (row, time)
+    order. Events within the gap of their row's last kept time are dropped first, and the
+    rest are close when less than the gap after their predecessor in the same row."""
+    gap = max(int(dead_ns), 1)
+    fresh = times_ns - last_ns[rows] >= gap
+    if not fresh.all():
+        times_ns, labels, rows = times_ns[fresh], labels[fresh], rows[fresh]
+    if not times_ns.size:
+        return labels, rows
+    same_row = rows[1:] == rows[:-1]
+    keep = reference_dead_time_keep(times_ns, (np.diff(times_ns) < gap) & same_row, gap)
+    times_ns, labels, rows = times_ns[keep], labels[keep], rows[keep]
+    row_ends = np.flatnonzero(np.append(rows[1:] != rows[:-1], True))
+    last_ns[rows[row_ends]] = times_ns[row_ends]
+    return labels, rows
+
+
 def keyed_carry_dead_time(times_ns, labels, rows, last_ns, dead_ns):
-    """_carry_dead_time as one apply_dead_time pass over an int64 (row, time) key: each
+    """reference_carry_dead_time as one apply_dead_time pass over an int64 (row, time) key: each
     row's times offset by the window's least, the rows laid end to end more than a gap
     apart, and the rows and last kept times taken back out of the kept keys."""
     gap = max(int(dead_ns), 1)
@@ -228,22 +275,153 @@ def keyed_carry_dead_time(times_ns, labels, rows, last_ns, dead_ns):
 # every event fresh, and none: the second window lies wholly inside the dead time
 @example(case=(5, 3, [[(0, 0), (1, 10), (2, 20)], [(0, 2), (1, 12), (2, 22)], []]))
 def test_carry_dead_time_matches_keyed_reference(case):
-    """_carry_dead_time keeps the same labels and rows, and leaves the same last kept
-    times, as the int64-key pass, window after window."""
+    """The per-event window filter keeps the same labels and rows, and leaves the same last
+    kept times, as the int64-key pass, window after window; _window_drops drops every other
+    event and leaves the same last kept times."""
     dead_ns, n_rows, windows = case
     last_ns = np.full(n_rows, -max(dead_ns, 1), dtype=np.int64)
-    want_last = last_ns.copy()
+    want_last, drops_last = last_ns.copy(), last_ns.copy()
     ids = 0
     for events in windows:
-        rows = np.array([r for r, _ in events], dtype=np.int64)
-        times = np.array([t for _, t in events], dtype=np.int64)
+        rows, times, per_row = window_rows(events, n_rows)
         labels = np.arange(ids, ids + len(events))
         ids += len(events)
-        got = _carry_dead_time(times, labels, rows, last_ns, dead_ns)
+        got = reference_carry_dead_time(times, labels, rows, last_ns, dead_ns)
         want = keyed_carry_dead_time(times, labels, rows, want_last, dead_ns)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
         assert np.array_equal(last_ns, want_last)
+        dropped = _window_drops(times, per_row, drops_last, max(dead_ns, 1))
+        assert np.array_equal(np.delete(labels, dropped), got[0])
+        assert np.array_equal(drops_last, last_ns)
+
+
+def reference_ordered_arrivals(scenario, draws, start, end):
+    """_ordered_arrivals with a row index per event: the float times row after row, and each
+    one's row, each row's k sorted spacing sums gathered at their places in the buffer."""
+    span = end - start
+    per_draw = [
+        rng.poisson(sum(simulator._rates(scenario, ion_present, span, n)) * span, size=n)
+        for ion_present, rng, n in draws
+    ]
+    per_row = np.concatenate(per_draw)
+    sums = np.empty(per_row.sum() + per_row.size)
+    at = 0
+    for (_, rng, n), counts in zip(draws, per_draw):
+        size = int(counts.sum()) + n
+        np.cumsum(rng.standard_exponential(size), out=sums[at : at + size])
+        at += size
+    rows = np.repeat(np.arange(per_row.size), per_row)
+    ends = np.cumsum(per_row + 1) - 1
+    base = np.append(0.0, sums[ends[:-1]])
+    base[np.cumsum([0] + [n for _, _, n in draws[:-1]])] = 0.0
+    fractions = (sums[np.arange(rows.size) + rows] - base[rows]) / (sums[ends] - base)[rows]
+    return start + (end - start) * fractions, rows
+
+
+def reference_window_counter(scenario, chunks, width, carries):
+    """_window_counter with a row index per event and the per-event window filter
+    (reference_carry_dead_time). Each call appends its rows' last kept times to carries."""
+    dead_ns = round(scenario.dead_time / NS)
+    firsts = np.cumsum([0] + [n for _, _, n in chunks])
+    last_ns = np.full(firsts[-1], -max(dead_ns, 1), dtype=np.int64)
+
+    def counts(rows, start, end):
+        n_bins, lo = end - start, start * width
+        per_chunk = np.diff(np.searchsorted(rows, firsts))
+        touched = np.flatnonzero(per_chunk).tolist()
+        draws = [(*chunks[c][:2], n) for c, n in zip(touched, per_chunk[touched].tolist())]
+        t, row = reference_ordered_arrivals(scenario, draws, lo, end * width)
+        bins = np.minimum(((t - lo) / width).astype(np.int64), n_bins - 1)
+        carry = last_ns[rows]
+        bins, row = reference_carry_dead_time(np.round(t / NS).astype(np.int64), bins, row, carry, dead_ns)
+        last_ns[rows] = carry
+        carries.append(carry.copy())
+        return np.bincount(row * n_bins + bins, minlength=rows.size * n_bins).reshape(rows.size, n_bins)
+
+    return counts
+
+
+@st.composite
+def sweep_cases(draw):
+    """Rates, a dead time and a bin width for _window_counter, its chunks of trials, and the
+    windows its trials are asked for: (events per trial per bin, the ion's share of them,
+    dead time in bins, bin width, [(ion_present, trials)], seed, [(bins, [rows of each
+    call])]).
+
+    Bins run from 1 ns, where drawn times tie on the ns grid, up; the rates give from no
+    event to a few per trial and bin; the dead time runs from none to several bins, so rows
+    lie wholly inside their carried dead time and chains of close events cross window
+    edges. Each window asks for some of the trials of the one before, in one call or split
+    into several, as the sweep's slices do.
+    """
+    per_bin = draw(st.one_of(st.just(0.0), finite(0.0, 4.0)))
+    share = draw(finite(0.0, 1.0))
+    dead_bins = draw(st.one_of(st.sampled_from([0.0, 1.0]), finite(0.0, 6.0)))
+    width = draw(st.one_of(st.sampled_from([1e-9, 3e-9]), finite(1e-9, 1e-4)))
+    chunks = draw(st.lists(st.tuples(st.booleans(), st.integers(1, 6)), min_size=1, max_size=4))
+    live = list(range(sum(n for _, n in chunks)))
+    schedule = []
+    for _ in range(draw(st.integers(1, 6))):
+        live = sorted(draw(st.lists(st.sampled_from(live), min_size=1, unique=True)))
+        cuts = sorted(draw(st.sets(st.integers(1, len(live) - 1), max_size=2))) if len(live) > 1 else []
+        schedule.append((draw(st.integers(1, 8)), [live[a:b] for a, b in zip([0, *cuts], [*cuts, len(live)])]))
+    return per_bin, share, dead_bins, width, chunks, draw(st.integers(0, 2**32)), schedule
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(case=sweep_cases())
+# no events at all, in every window
+@example(case=(0.0, 0.5, 1.0, 1e-6, [(True, 3)], 1, [(2, [[0, 1, 2]]), (4, [[0, 2]])]))
+# a dead time of six bins and windows of one: whole rows lie inside their carried dead time
+@example(case=(3.0, 0.5, 6.0, 1e-6, [(True, 4), (False, 3)], 2, [(1, [list(range(7))])] * 2 + [(1, [[1, 5]])] * 4))
+# a dead time of 1.5 bins over busy windows: chains of close events cross the window edges
+@example(case=(4.0, 0.7, 1.5, 1e-6, [(True, 5), (False, 5)], 3, [(1, [list(range(5)), list(range(5, 10))])] * 5))
+# 1 ns bins: drawn times tie on the grid at zero dead time, and an edge's time opens the next window
+@example(case=(2.0, 0.5, 0.0, 1e-9, [(True, 6)], 4, [(3, [list(range(6))]), (2, [[0, 3, 4]]), (8, [[3]])]))
+def test_window_counter_matches_per_event_reference(case):
+    """_window_counter gives the counts, and leaves the last kept times, of the counter with
+    a row index per event and the per-event window filter, call after call, to the bit."""
+    per_bin, share, dead_bins, width, chunks, seed, schedule = case
+    budget = RateBudget(fluorescence=share * per_bin / width, dark_counts=(1 - share) * per_bin / width)
+    scenario = Scenario(budget=budget, rng_seed=seed, dead_time=dead_bins * width)
+
+    def generators():
+        return [(ion, np.random.default_rng([seed, c]), n) for c, (ion, n) in enumerate(chunks)]
+
+    want_carries, got_carries = [], []
+    want = reference_window_counter(scenario, generators(), width, want_carries)
+    window_drops = simulator._window_drops
+
+    def recording_drops(times_ns, per_row, last_ns, gap):
+        dropped = window_drops(times_ns, per_row, last_ns, gap)
+        got_carries.append(last_ns.copy())
+        return dropped
+
+    with unittest.mock.patch.object(simulator, "_window_drops", recording_drops):
+        got = _window_counter(scenario, generators(), width)
+        start = 0
+        for bins, calls in schedule:
+            for rows in calls:
+                rows = np.array(rows)
+                assert np.array_equal(got(rows, start, start + bins), want(rows, start, start + bins))
+                assert np.array_equal(got_carries[-1], want_carries[-1])
+            start += bins
+    assert len(got_carries) == len(want_carries) == sum(len(calls) for _, calls in schedule)
+
+
+def test_ordered_arrivals_match_per_event_reference():
+    """_ordered_arrivals gives the times of the row-indexed draw to the bit, and each row's
+    number of them, across draws of both hypotheses; in 1 ns every row has none."""
+    scenario = Scenario(budget=table_budget(), rng_seed=3, dead_time=0.0)
+    for lo, hi, sizes in [(0.0, 1e-4, [5, 40]), (3e-3, 6.4e-3, [64, 7, 64]), (0.0, 1e-9, [9])]:
+        def draws():
+            return [(k % 2 == 0, np.random.default_rng(k), n) for k, n in enumerate(sizes)]
+
+        t, per_row = _ordered_arrivals(scenario, draws(), lo, hi)
+        want_t, rows = reference_ordered_arrivals(scenario, draws(), lo, hi)
+        assert np.array_equal(t, want_t)
+        assert np.array_equal(per_row, np.bincount(rows, minlength=sum(sizes)))
 
 
 # --- arrivals --------------------------------------------------------------------

@@ -197,7 +197,9 @@ class TestWindowDraw:
     def test_times_are_sorted_uniforms_in_the_window(self, seed, ion_present):
         sc = Scenario(budget=table_budget(), rng_seed=seed, dead_time=0.0)
         lo, hi, n = 3.2e-3, 6.4e-3, 2000
-        t, rows = _ordered_arrivals(sc, [(ion_present, np.random.default_rng(seed), n)], lo, hi)
+        t, per_row = _ordered_arrivals(sc, [(ion_present, np.random.default_rng(seed), n)], lo, hi)
+        assert per_row.size == n and per_row.sum() == t.size
+        rows = np.repeat(np.arange(n), per_row)
         assert t.size > 10_000
         assert np.all((t >= lo) & (t < hi))
         assert np.all(np.diff(rows) >= 0)
