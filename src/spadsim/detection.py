@@ -238,7 +238,8 @@ _CHUNK_TRIALS = 256
 # chunks (_slice_cuts), and each slice draws, bins and sums its log odds in one go. A
 # slice grows while its expected events (undecided trials x the window's span x their
 # hypothesis's total rate, over its chunks) stay within _SLICE_EVENTS and its trials x
-# bins within _SLICE_CELLS; a chunk past either budget is a slice of its own. At 2^14
+# bins within _SLICE_CELLS; a chunk past either budget is a slice of its own. These are
+# the cells asked for, a bound on those built, since a silent trial builds none. At 2^14
 # events and 2^16 cells a slice holds about what one chunk does at worst at either
 # preset, so a window's arrays stay about as large as one chunk's, while the per-slice
 # calls are made fewer times: the projection preset takes 46 slices where chunk by chunk
@@ -282,9 +283,12 @@ def fidelity_curve(
     time order, bins it, and dead-time filters only the events close to their
     predecessor or in the trial's carried dead time (_window_counter). Every
     chunk makes the draws it would make on its own, so the slicing leaves every
-    result bit-identical. Memory is bounded by the slice budgets (_SLICE_EVENTS,
-    _SLICE_CELLS) and by the per-trial state of one pass; only counts of
-    correct choices and sums of stopping bins outlive it.
+    result bit-identical. Only the trials that drew an arrival in the window are
+    binned and summed as rows of their own; the silent ones share one log-odds
+    ramp per carried log odds (_stopping_bins), which is what each of them
+    would have summed on its own. Memory is bounded by the slice budgets
+    (_SLICE_EVENTS, _SLICE_CELLS) and by the per-trial state of one pass; only
+    counts of correct choices and sums of stopping bins outlive it.
     """
     targets = list(targets)
     if not targets:
@@ -379,13 +383,15 @@ def _stopping_bins(
     the ion, as two rows x thresholds arrays; a row that never reaches a threshold stops at
     its last bin, n_bins - 1.
 
-    counts(rows, start, end) gives the counts of `rows` in bins start..end-1,
-    a len(rows) x (end - start) matrix. It is asked for windows of
-    _FIRST_WINDOW bins, then twice as many, and so on, each starting where the
-    last ended and each only for the rows still below some threshold, so a
-    draw behind it (_window_counter) need go no further than that. A window's
-    rows are asked for and passed over in slices, split at the places in them
-    that cuts(rows, start, end) gives (_slice_cuts).
+    counts(rows, start, end) gives the counts of `rows` in bins start..end-1 as
+    (loud, counts): the ascending places in `rows` of the rows it counts, and
+    their len(loud) x (end - start) matrix; every other row of `rows` is silent,
+    with no count in the window. It is asked for windows of _FIRST_WINDOW bins,
+    then twice as many, and so on, each starting where the last ended and each
+    only for the rows still below some threshold, so a draw behind it
+    (_window_counter) need go no further than that. A window's rows are asked
+    for and passed over in slices, split at the places in them that
+    cuts(rows, start, end) gives (_slice_cuts).
 
     The priors are equal, so a row's log odds after a bin are the cumsum of its
     _bin_log_likelihood_ratios up to that bin, and the result is
@@ -394,7 +400,11 @@ def _stopping_bins(
     sums are added in the same order as one cumsum over the row. Nothing else
     is carried: a row still below a threshold has reached it in no earlier
     bin, so its first crossing in this window is its first over the row. Rows
-    are independent, so how a window is sliced changes no result.
+    are independent, so how a window is sliced changes no result. Silent rows
+    whose carried log odds have the same bits have the same log odds in every
+    bin of the window, so each such group shares one zero-count row of the
+    matrix (_silent_ramps); a slice with no silent row takes the loud matrix
+    as it is.
     """
     stop = np.empty((n_rows, len(thresholds)), dtype=np.int64)
     says_ion = np.empty((n_rows, len(thresholds)), dtype=bool)
@@ -405,20 +415,41 @@ def _stopping_bins(
     while live.size:
         end = min(start + width, n_bins)
         for rows in np.split(live, cuts(live, start, end)):
-            per_bin = _bin_log_likelihood_ratios(counts(rows, start, end), ion_rate, empty_rate, sub_bin)
-            per_bin[:, 0] += total[rows]
+            loud, window = counts(rows, start, end)
+            carried, place = total[rows], None  # place: each row's row of the matrix, when not its own
+            if loud.size < rows.size:
+                window, carried, place = _silent_ramps(loud, window, carried)
+            per_bin = _bin_log_likelihood_ratios(window, ion_rate, empty_rate, sub_bin)
+            del window  # the counts go once used, before the log odds' arrays are made
+            per_bin[:, 0] += carried
             llr = np.cumsum(per_bin, axis=1)
-            total[rows] = llr[:, -1]
+            total[rows] = llr[:, -1] if place is None else llr[place, -1]
             crossing = _first_crossings(llr, thresholds)
             if end == n_bins:  # the rows left stop at the last bin
                 crossing = np.minimum(crossing, end - start - 1)
+            if place is not None:
+                crossing = crossing[place]
             r, j = np.nonzero(below[rows] & (crossing < end - start))
             stop[rows[r], j] = start + crossing[r, j]
-            says_ion[rows[r], j] = llr[r, crossing[r, j]] > 0
+            says_ion[rows[r], j] = llr[r if place is None else place[r], crossing[r, j]] > 0
             below[rows[r], j] = False
         live = live[below[live].any(axis=1)]
         start, width = end, 2 * width
     return stop, says_ion
+
+
+def _silent_ramps(loud: np.ndarray, window: np.ndarray, carried: np.ndarray):
+    """The matrix of a slice with silent rows, its carried log odds and each row's row of it:
+    the loud rows' counts (window, at the places `loud` in the slice), then one zero-count
+    row for each distinct bit pattern of the silent rows' carried log odds."""
+    silent = np.ones(carried.size, dtype=bool)
+    silent[loud] = False
+    bits, group = np.unique(carried[silent].view(np.int64), return_inverse=True)
+    place = np.empty(carried.size, dtype=np.intp)
+    place[loud] = np.arange(loud.size)
+    place[silent] = loud.size + group
+    window = np.concatenate((window, np.zeros((bits.size, window.shape[1]), dtype=window.dtype)))
+    return window, np.concatenate((carried[loud], bits.view(float))), place
 
 
 def projected_budget() -> RateBudget:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import BUDGET_SOURCES, RateBudget, Scenario, scattering_rate
-from .optics import ActiveAreaMap, efficiency_vs_offset
+from .optics import MAX_HEIGHT, ActiveAreaMap, efficiency_vs_offset
 from .tables import read_grid, read_metadata
 
 
@@ -48,6 +48,12 @@ class SpotScan:
             dark = float(meta["dark_kcps"]) * 1e3
         except (KeyError, ValueError) as exc:
             raise ValueError("spot-scan CSV needs a '# step_nm=..., dwell_ms=..., dark_kcps=...' line") from exc
+        reach = step * max(counts.shape)  # the map's farthest edge from its corner at (0, 0)
+        if not reach < MAX_HEIGHT:  # written so that NaN fails it
+            raise ValueError(
+                f"spot-scan CSV: step_nm={meta['step_nm']} puts its {counts.shape[0]} x {counts.shape[1]} grid "
+                f"{reach:g} m from (0, 0); the grid must lie within {MAX_HEIGHT:g} m"
+            )
         return cls(step=step, counts=counts, dark_rate=dark, dwell=dwell)
 
 

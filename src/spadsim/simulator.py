@@ -393,33 +393,43 @@ def _window_counter(scenario: Scenario, chunks, width: float):
 
     chunks is a sequence of (ion_present, rng, n_rows): n_rows trials of that hypothesis,
     drawn from rng; the trials are numbered chunk after chunk. Returns counts(rows, start,
-    end): the counts of the trials `rows` (ascending) in bins start..end-1, a len(rows) x
-    (end - start) matrix. A trial is asked for consecutive windows, each starting where its
-    last one ended. A call draws the arrivals of its rows over [start * width, end * width)
-    only, row after row, each chunk's from its own generator (_ordered_arrivals), and bins
-    each on its drawn time, half-open, so every arrival is counted in exactly one window.
-    Poisson arrivals in disjoint windows are independent, and a trial's last kept time is
-    all the dead-time filter carries from one window to the next (_window_drops), so the
-    counts are distributed as whole trials' counts; a dropped event is counted in a spare
-    bin past the matrix. When all of a chunk's trials asked for a window come in one call,
-    the chunk makes the draws it would make on its own, whichever chunks share the call.
+    end) for the trials `rows` (ascending) in bins start..end-1, as (loud, counts): loud
+    holds the ascending places in `rows` of the trials that drew at least one arrival in
+    the window, and counts is their len(loud) x (end - start) matrix. Every other trial is
+    silent, with no count in any bin of the window, and costs no cell; a trial whose
+    arrivals all fell in its carried dead time stays loud, with a zero row. A trial is
+    asked for consecutive windows, each starting where its last one ended. A call draws the
+    arrivals of its rows over [start * width, end * width) only, row after row, each
+    chunk's from its own generator (_ordered_arrivals), and bins each on its drawn time,
+    half-open, so every arrival is counted in exactly one window. Poisson arrivals in
+    disjoint windows are independent, and a trial's last kept time is all the dead-time
+    filter carries from one window to the next (_window_drops), so the counts are
+    distributed as whole trials' counts; a dropped event is counted in a spare bin past the
+    matrix. When all of a chunk's trials asked for a window come in one call, the chunk
+    makes the draws it would make on its own, whichever chunks share the call.
     """
     gap = _dead_gap_ns(_dead_ns(scenario))
     firsts = np.cumsum([0] + [n for _, _, n in chunks])  # each chunk's first trial, then the total
     last_ns = np.full(firsts[-1], -gap, dtype=np.int64)  # nothing kept yet
 
-    def counts(rows: np.ndarray, start: int, end: int) -> np.ndarray:
-        n_bins, lo, cells = end - start, start * width, rows.size * (end - start)
+    def counts(rows: np.ndarray, start: int, end: int) -> tuple[np.ndarray, np.ndarray]:
+        n_bins, lo = end - start, start * width
         per_chunk = np.diff(np.searchsorted(rows, firsts))
         touched = np.flatnonzero(per_chunk).tolist()
         draws = [(*chunks[c][:2], n) for c, n in zip(touched, per_chunk[touched].tolist())]
         t, per_row = _ordered_arrivals(scenario, draws, lo, end * width)
+        if np.count_nonzero(per_row) < rows.size:  # a silent row keeps its last kept time and takes no cell
+            loud = np.flatnonzero(per_row)
+            rows, per_row = rows[loud], per_row[loud]
+        else:
+            loud = np.arange(rows.size)
+        cells = rows.size * n_bins
         flat = np.minimum(((t - lo) / width).astype(np.int64), n_bins - 1)  # rounding may reach `end`
         flat += np.repeat(np.arange(0, cells, n_bins), per_row)  # row * n_bins + bin
         carry = last_ns[rows]
         flat[_window_drops(np.round(t / NS).astype(np.int64), per_row, carry, gap)] = cells
         last_ns[rows] = carry
-        return np.bincount(flat, minlength=cells + 1)[:cells].reshape(rows.size, n_bins)
+        return loud, np.bincount(flat, minlength=cells + 1)[:cells].reshape(rows.size, n_bins)
 
     return counts
 

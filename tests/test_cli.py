@@ -359,6 +359,16 @@ class TestSpot:
         assert "counts must be finite, got nan in grid row 2, column 2" in capsys.readouterr().err
         assert not (outdir / "active_area_map.csv").exists()
 
+    @pytest.mark.parametrize("step_nm", ["1e300", "inf", "nan", "4e8"])
+    def test_step_past_1m_exits_2_naming_it(self, outdir, tmp_path, capsys, step_nm):
+        # a 2 x 3 grid of 4e8 nm cells reaches 1.2 m; the map built from the scan would be refused
+        # for reaching past 1 m, in words that named neither the CSV nor its step
+        scan = tmp_path / "scan.csv"
+        scan.write_text(f"# step_nm={step_nm}, dwell_ms=500, dark_kcps=1.2\n600,5000,9000\n600,8000,12000\n")
+        assert main(["spot", str(scan)]) == EXIT_INPUT_ERROR
+        assert f"error: spot-scan CSV: step_nm={step_nm} puts its 2 x 3 grid" in capsys.readouterr().err
+        assert not (outdir / "active_area_map.csv").exists()
+
 
 class TestBudget:
     def test_demo_recovers_reference_rates(self, outdir, capsys):

@@ -319,9 +319,10 @@ def reference_ordered_arrivals(scenario, draws, start, end):
     return start + (end - start) * fractions, rows
 
 
-def reference_window_counter(scenario, chunks, width, carries):
+def reference_window_counter(scenario, chunks, width, carries, drawn=None):
     """_window_counter with a row index per event and the per-event window filter
-    (reference_carry_dead_time). Each call appends its rows' last kept times to carries."""
+    (reference_carry_dead_time), as the dense len(rows) x bins matrix. Each call appends its
+    rows' last kept times to carries, and to drawn, if given, their arrivals before dead time."""
     dead_ns = round(scenario.dead_time / NS)
     firsts = np.cumsum([0] + [n for _, _, n in chunks])
     last_ns = np.full(firsts[-1], -max(dead_ns, 1), dtype=np.int64)
@@ -332,6 +333,8 @@ def reference_window_counter(scenario, chunks, width, carries):
         touched = np.flatnonzero(per_chunk).tolist()
         draws = [(*chunks[c][:2], n) for c, n in zip(touched, per_chunk[touched].tolist())]
         t, row = reference_ordered_arrivals(scenario, draws, lo, end * width)
+        if drawn is not None:
+            drawn.append(np.bincount(row, minlength=rows.size))
         bins = np.minimum(((t - lo) / width).astype(np.int64), n_bins - 1)
         carry = last_ns[rows]
         bins, row = reference_carry_dead_time(np.round(t / NS).astype(np.int64), bins, row, carry, dead_ns)
@@ -340,6 +343,25 @@ def reference_window_counter(scenario, chunks, width, carries):
         return np.bincount(row * n_bins + bins, minlength=rows.size * n_bins).reshape(rows.size, n_bins)
 
     return counts
+
+
+def dense_counter(counter):
+    """A _window_counter counts(rows, start, end), whose (loud, counts) hold only the loud rows,
+    as one that returns the len(rows) x (end - start) matrix they stand for: silent rows zero."""
+
+    def counts(rows, start, end):
+        loud, matrix = counter(rows, start, end)
+        dense = np.zeros((len(rows), end - start), dtype=matrix.dtype)
+        dense[loud] = matrix
+        return dense
+
+    return counts
+
+
+def carried_last_ns(counter):
+    """The last kept time of every trial that a _window_counter counts(...) carries between
+    calls: the array it updates in place."""
+    return counter.__closure__[counter.__code__.co_freevars.index("last_ns")].cell_contents
 
 
 @st.composite
@@ -391,23 +413,67 @@ def test_window_counter_matches_per_event_reference(case):
 
     want_carries, got_carries = [], []
     want = reference_window_counter(scenario, generators(), width, want_carries)
-    window_drops = simulator._window_drops
-
-    def recording_drops(times_ns, per_row, last_ns, gap):
-        dropped = window_drops(times_ns, per_row, last_ns, gap)
-        got_carries.append(last_ns.copy())
-        return dropped
-
-    with unittest.mock.patch.object(simulator, "_window_drops", recording_drops):
-        got = _window_counter(scenario, generators(), width)
-        start = 0
-        for bins, calls in schedule:
-            for rows in calls:
-                rows = np.array(rows)
-                assert np.array_equal(got(rows, start, start + bins), want(rows, start, start + bins))
-                assert np.array_equal(got_carries[-1], want_carries[-1])
-            start += bins
+    counter = _window_counter(scenario, generators(), width)
+    got, last_ns = dense_counter(counter), carried_last_ns(counter)
+    start = 0
+    for bins, calls in schedule:
+        for rows in calls:
+            rows = np.array(rows)
+            assert np.array_equal(got(rows, start, start + bins), want(rows, start, start + bins))
+            got_carries.append(last_ns[rows].copy())  # silent rows too, which the filter never sees
+            assert np.array_equal(got_carries[-1], want_carries[-1])
+        start += bins
     assert len(got_carries) == len(want_carries) == sum(len(calls) for _, calls in schedule)
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(case=sweep_cases())
+# no events at all: every call is silent throughout
+@example(case=(0.0, 0.5, 1.0, 1e-6, [(True, 3)], 1, [(2, [[0, 1, 2]]), (4, [[0, 2]])]))
+# a sparse draw over windows of one bin: most trials are silent in most calls
+@example(case=(0.05, 0.5, 0.0, 1e-6, [(True, 6), (False, 6)], 5, [(1, [list(range(12))])] * 4 + [(2, [[0, 4, 7, 11]])]))
+# a dead time of six bins: trials whose only arrivals fall inside it are loud with a zero row
+@example(case=(3.0, 0.5, 6.0, 1e-6, [(True, 4), (False, 3)], 2, [(1, [list(range(7))])] * 2 + [(1, [[1, 5]])] * 4))
+def test_window_counter_counts_only_rows_that_drew(case):
+    """Each call's loud rows are the ascending places of the trials that drew an arrival in the
+    window, their matrix holds one row each, and scattered back into a dense matrix (silent rows
+    zero) it is the per-event reference counter's, to the bit."""
+    per_bin, share, dead_bins, width, chunks, seed, schedule = case
+    budget = RateBudget(fluorescence=share * per_bin / width, dark_counts=(1 - share) * per_bin / width)
+    scenario = Scenario(budget=budget, rng_seed=seed, dead_time=dead_bins * width)
+
+    def generators():
+        return [(ion, np.random.default_rng([seed, c]), n) for c, (ion, n) in enumerate(chunks)]
+
+    drawn = []
+    want = reference_window_counter(scenario, generators(), width, [], drawn)
+    got = _window_counter(scenario, generators(), width)
+    start = 0
+    for bins, calls in schedule:
+        for rows in calls:
+            rows = np.array(rows)
+            loud, counts = got(rows, start, start + bins)
+            dense = want(rows, start, start + bins)
+            assert np.array_equal(loud, np.flatnonzero(drawn[-1]))
+            assert counts.shape == (loud.size, bins)
+            assert np.array_equal(counts, dense[loud])
+            assert not np.delete(dense, loud, axis=0).any()
+        start += bins
+
+
+def test_window_counter_keeps_trials_drawn_into_the_dead_time_loud():
+    """A trial whose arrivals in a window all fall inside its carried dead time drew, so it is
+    loud, with a zero row; a trial that drew nothing is silent. Six-bin dead time, one-bin windows."""
+    budget = RateBudget(fluorescence=1.5e6, dark_counts=1.5e6)
+    scenario = Scenario(budget=budget, rng_seed=2, dead_time=6e-6)
+    counter = _window_counter(scenario, [(True, np.random.default_rng(2), 64)], 1e-6)
+    rows = np.arange(64)
+    zero_loud = silent = 0
+    for start in range(8):
+        loud, counts = counter(rows, start, start + 1)
+        zero_loud += np.count_nonzero(counts.sum(axis=1) == 0)
+        silent += rows.size - loud.size
+    assert zero_loud and silent
 
 
 def test_ordered_arrivals_match_per_event_reference():
@@ -516,7 +582,7 @@ def test_chunk_draw_matches_per_source_calls(seed, ion_present, budget):
     width, n = 1e-4, 9
     windows = [(np.arange(n), 0, 3), (np.array([0, 2, 5, 8]), 3, 7), (np.array([5]), 7, 8)]
     rng = RecordingRng(seed)
-    counter = _window_counter(scenario, [(ion_present, rng, n)], width)
+    counter = dense_counter(_window_counter(scenario, [(ion_present, rng, n)], width))
     got = [counter(rows, start, end) for rows, start, end in windows]
     calls = iter(rng.calls)
     for (rows, start, end), counts in zip(windows, got):
@@ -648,10 +714,28 @@ def loop_detect(counts, ion_rate, empty_rate, target, sub_bin):
     return bool(llr[stop] > 0), stop
 
 
-def stopping_bins_of(counts, ion_rate, empty_rate, sub_bin, thresholds):
-    """_stopping_bins on a prebuilt rows x bins matrix of counts, each window in one slice."""
+def loud_counts(counts, loud_anyway=None):
+    """counts(rows, start, end) over a prebuilt rows x bins matrix, in _window_counter's form
+    (loud, counts): loud holds the places in `rows` of the rows with a count in the window,
+    and of those flagged in loud_anyway (a bool per row of the matrix), which the counter
+    also gives with a zero row when a trial's arrivals all fall in its carried dead time."""
+
+    def window(rows, start, end):
+        part = counts[rows, start:end]
+        loud = part.any(axis=1)
+        if loud_anyway is not None:
+            loud |= loud_anyway[rows]
+        loud = np.flatnonzero(loud)
+        return loud, part[loud]
+
+    return window
+
+
+def stopping_bins_of(counts, ion_rate, empty_rate, sub_bin, thresholds, loud_anyway=None):
+    """_stopping_bins on a prebuilt rows x bins matrix of counts, each window in one slice,
+    its rows with no count in a window given as silent (loud_counts)."""
     return _stopping_bins(
-        lambda rows, start, end: counts[rows, start:end], lambda rows, start, end: [], *counts.shape,
+        loud_counts(counts, loud_anyway), lambda rows, start, end: [], *counts.shape,
         ion_rate, empty_rate, sub_bin, thresholds,
     )
 
@@ -856,6 +940,49 @@ def test_one_row_stopping_bins_matches_bin_scan(counts, rates, target, sub_bin):
     want_ion, want_stop = loop_detect(counts, ion_rate, empty_rate, target, sub_bin)
     assert stop == want_stop
     assert says_ion == want_ion
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(
+    shape=st.tuples(st.integers(1, 70), st.integers(1, 300)),
+    mu_ion=finite(0.01, 5.0),
+    empty_fraction=st.one_of(st.just(0.0), finite(0.002, 0.95)),
+    drawn_from=finite(0.0, 1.0),  # the count mean, from the empty (0) to the ion (1) hypothesis's
+    zero_share=finite(0.0, 1.0),  # the rows with no count at all
+    loud_share=st.one_of(st.just(0.0), finite(0.0, 1.0)),  # the rows loud even with no count
+    targets=targets_st,
+    first_window=st.sampled_from([1, 2, 3, 32]),
+    seed=st.integers(0, 2**32),
+)
+# the projection's empty trap: a count in some 0.4% of 32-bin windows, most rows silent throughout
+@example(shape=(64, 1000), mu_ion=0.1, empty_fraction=100.0 / 50140.0, drawn_from=0.0, zero_share=0.3,
+         loud_share=0.0, targets=[0.99, 0.9987], first_window=32, seed=1)
+# empty_rate = 0: a count gives infinite log odds, and silent rows share one slow drift
+@example(shape=(64, 300), mu_ion=0.02, empty_fraction=0.0, drawn_from=0.5, zero_share=0.5,
+         loud_share=0.2, targets=[0.9, 0.999999999], first_window=32, seed=2)
+# one-bin windows: silent rows that counted before carry log odds that differ, and those that
+# never counted share theirs; rows left at the last window's end stop there
+@example(shape=(40, 37), mu_ion=0.3, empty_fraction=0.5, drawn_from=0.5, zero_share=0.5,
+         loud_share=0.1, targets=[0.999999999], first_window=1, seed=3)
+def test_stopping_bins_on_loud_rows_matches_dense_pass(
+    shape, mu_ion, empty_fraction, drawn_from, zero_share, loud_share, targets, first_window, seed
+):
+    """_stopping_bins fed only the rows with a count in each window (and some zero rows besides,
+    as the counter gives a trial drawn wholly into its dead time) equals the dense whole-row
+    pass: silent rows sharing one zero-count row per carried log odds change no bit."""
+    sub_bin = 1e-4
+    ion_rate, empty_rate = mu_ion / sub_bin, mu_ion * empty_fraction / sub_bin
+    mean = mu_ion * (empty_fraction + drawn_from * (1.0 - empty_fraction))
+    rng = np.random.default_rng(seed)
+    counts = rng.poisson(mean, shape)
+    counts[rng.random(shape[0]) < zero_share] = 0
+    loud_anyway = rng.random(shape[0]) < loud_share
+    thresholds = [math.log(t / (1.0 - t)) for t in targets]
+    with unittest.mock.patch.object(detection, "_FIRST_WINDOW", first_window):
+        stop, says_ion = stopping_bins_of(counts, ion_rate, empty_rate, sub_bin, thresholds, loud_anyway)
+    want_stop, want_ion = dense_stopping_bins(counts, ion_rate, empty_rate, sub_bin, thresholds)
+    assert stop.tolist() == want_stop.tolist()
+    assert says_ion.tolist() == want_ion.tolist()
 
 
 # --- exact sequential test --------------------------------------------------------

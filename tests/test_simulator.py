@@ -20,6 +20,7 @@ from spadsim.simulator import (
     simulate_frontend,
     simulate_stream,
 )
+from test_oracles import dense_counter
 
 
 def make_stream(times_ns, duration=1.0):
@@ -213,7 +214,8 @@ class TestWindowDraw:
         width, n_bins, n = 1e-4, 32, 4000
         rate = sc.budget.ion_total() if ion_present else sc.budget.background_total()
         mu = rate * n_bins * width
-        per_row = _window_counter(sc, [(ion_present, np.random.default_rng(seed), n)], width)(np.arange(n), 0, n_bins)
+        counter = dense_counter(_window_counter(sc, [(ion_present, np.random.default_rng(seed), n)], width))
+        per_row = counter(np.arange(n), 0, n_bins)
         per_row = per_row.sum(axis=1)
         # a Poisson count's fourth central moment is mu + 3 mu^2, so its sample variance has variance (mu + 2 mu^2) / n
         assert abs(per_row.mean() - mu) < 4 * np.sqrt(mu / n)
@@ -226,7 +228,7 @@ class TestWindowDraw:
         sc = Scenario(budget=table_budget(), rng_seed=7, dead_time=tau)
         width, window, n, horizon = 1e-4, 10, 8, 5.0
         rate = sc.budget.ion_total()
-        counts = _window_counter(sc, [(True, np.random.default_rng(7), n)], width)
+        counts = dense_counter(_window_counter(sc, [(True, np.random.default_rng(7), n)], width))
         rows = np.arange(n)
         n_windows = round(horizon / (window * width))
         kept = sum(int(counts(rows, k * window, (k + 1) * window).sum()) for k in range(n_windows))
