@@ -195,6 +195,8 @@ _CURVE_TRIALS = 10000  # the curve's --trials when omitted; the projection's is 
 def cmd_fidelity(args) -> Output:
     if args.trials is None:  # so an omitted --trials hashes like its value
         args.trials = detection.PROJECTED_TRIALS if args.projection else _CURVE_TRIALS
+    if args.trials < 1:  # refused here, where the flag has its name
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     if args.projection:
         given = [name for name in ("config", *_CURVE_DEFAULTS) if getattr(args, name) is not None]
         if given:

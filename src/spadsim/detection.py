@@ -3,6 +3,7 @@ fidelity-vs-time curves and the sequential-analysis lower bound."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -234,18 +235,6 @@ class FidelityCurve:
 # the sweep's random stream. A window of a chunk's undecided trials draws at most
 # about 10k events at either preset with 256 trials, about 1 MiB with its spacings.
 _CHUNK_TRIALS = 256
-# The stopping pass takes a window's undecided trials in slices of whole consecutive
-# chunks (_slice_cuts), and each slice draws, bins and sums its log odds in one go. A
-# slice grows while its expected events (undecided trials x the window's span x their
-# hypothesis's total rate, over its chunks) stay within _SLICE_EVENTS and its trials x
-# bins within _SLICE_CELLS; a chunk past either budget is a slice of its own. These are
-# the cells asked for, a bound on those built, since a silent trial builds none. At 2^14
-# events and 2^16 cells a slice holds about what one chunk does at worst at either
-# preset, so a window's arrays stay about as large as one chunk's, while the per-slice
-# calls are made fewer times: the projection preset takes 46 slices where chunk by chunk
-# it took 426 windows, the fidelity preset 121 where it took 241.
-_SLICE_EVENTS = 1 << 14
-_SLICE_CELLS = 1 << 16
 # The most chunks one stopping pass takes, so that its per-trial state (16 bytes a trial
 # and 10 more per target) and its generators (about 1.7 KB each) stay bounded whatever
 # the trial count. The presets take one pass each (80 and 158 chunks).
@@ -277,18 +266,19 @@ def fidelity_curve(
 
     Trials come in chunks of _CHUNK_TRIALS, each chunk drawing from its own
     generator, and the chunks of both hypotheses go through one stopping pass
-    (_stopping_bins), up to _PASS_CHUNKS at a time. The pass goes window by
-    window, and a window by slices of whole chunks (_slice_cuts). A slice draws
-    each undecided trial's superposed process over the window's span only, in
-    time order, bins it, and dead-time filters only the events close to their
-    predecessor or in the trial's carried dead time (_window_counter). Every
-    chunk makes the draws it would make on its own, so the slicing leaves every
-    result bit-identical. Only the trials that drew an arrival in the window are
-    binned and summed as rows of their own; the silent ones share one log-odds
-    ramp per carried log odds (_stopping_bins), which is what each of them
-    would have summed on its own. Memory is bounded by the slice budgets
-    (_SLICE_EVENTS, _SLICE_CELLS) and by the per-trial state of one pass; only
-    counts of correct choices and sums of stopping bins outlive it.
+    (_stopping_bins), up to _PASS_CHUNKS at a time, each pass's chunks made as
+    it starts. The pass goes window by window, and the counter behind it
+    (_window_counter) plans each window's slices of whole chunks and yields them
+    one at a time. A slice draws each undecided trial's superposed process over
+    the window's span only, in time order, bins it, and dead-time filters only
+    the events close to their predecessor or in the trial's carried dead time.
+    Every chunk makes the draws it would make on its own, so the slicing leaves
+    every result bit-identical. Only the trials that drew an arrival in the
+    window are binned and summed as rows of their own; the silent ones share
+    one log-odds ramp per carried log odds (_stopping_bins), which is what each
+    of them would have summed on its own. Memory is bounded by the counter's
+    slice budgets and by the per-trial state of one pass; only counts of
+    correct choices and sums of stopping bins outlive it.
     """
     targets = list(targets)
     if not targets:
@@ -309,18 +299,16 @@ def fidelity_curve(
     # per target: correct MAP choices per hypothesis (ion, then empty), and the sum of stopping bins + 1
     correct = np.zeros((len(targets), 2), dtype=np.int64)
     bins_used = np.zeros(len(targets), dtype=np.int64)
-    chunks = [
+    chunks = (  # made pass by pass, so that no list of them grows with the trial count
         (ion_present, chunk, min(_CHUNK_TRIALS, trials - first))
         for ion_present in (True, False)
         for chunk, first in enumerate(range(0, trials, _CHUNK_TRIALS))
-    ]
-    for group in range(0, len(chunks), _PASS_CHUNKS):
-        part = chunks[group : group + _PASS_CHUNKS]
+    )
+    while part := list(itertools.islice(chunks, _PASS_CHUNKS)):
         sizes = [n for _, _, n in part]
         draws = [(ion, np.random.default_rng([scenario.rng_seed, int(ion), chunk]), n) for ion, chunk, n in part]
-        cuts = _slice_cuts(sizes, [ion_rate if ion else empty_rate for ion, _, _ in part], sub_bin)
         counts = _window_counter(scenario, draws, sub_bin)
-        stop, says_ion = _stopping_bins(counts, cuts, sum(sizes), n_bins, ion_rate, empty_rate, sub_bin, thresholds)
+        stop, says_ion = _stopping_bins(counts, sum(sizes), n_bins, ion_rate, empty_rate, sub_bin, thresholds)
         ion_rows = np.repeat([ion for ion, _, _ in part], sizes)
         correct[:, 0] += np.count_nonzero(says_ion[ion_rows], axis=0)
         correct[:, 1] += np.count_nonzero(~says_ion[~ion_rows], axis=0)
@@ -334,37 +322,6 @@ def fidelity_curve(
     return FidelityCurve(bayes_points, thresh_points, ion_rate, empty_rate)
 
 
-def _slice_cuts(sizes, row_rates, sub_bin: float):
-    """cuts(live, start, end) for _stopping_bins over trials in chunks of `sizes` trials,
-    numbered chunk after chunk, a trial of chunk c drawing row_rates[c] events/s: the
-    places in `live` (ascending) where it splits into slices of whole consecutive chunks
-    for the window of bins start..end-1.
-
-    A slice takes the next chunk with undecided trials while its expected events and its
-    trials x bins stay within _SLICE_EVENTS and _SLICE_CELLS; a slice holds at least one
-    chunk.
-    """
-    chunk_ends = np.cumsum(sizes)
-    rates = np.asarray(row_rates, dtype=float)
-
-    def cuts(live: np.ndarray, start: int, end: int) -> list[int]:
-        bins = end - start
-        last = np.searchsorted(live, chunk_ends)  # the place in live after each chunk's trials
-        per_chunk = np.diff(last, prepend=0)
-        touched = np.flatnonzero(per_chunk)
-        places, events, cells = [], 0.0, 0
-        expected = per_chunk * rates * (bins * sub_bin)
-        for n, e, after in zip(per_chunk[touched].tolist(), expected[touched].tolist(), last[touched].tolist()):
-            if cells and (events + e > _SLICE_EVENTS or cells + n * bins > _SLICE_CELLS):
-                places.append(after - n)
-                events, cells = 0.0, 0
-            events += e
-            cells += n * bins
-        return places
-
-    return cuts
-
-
 def sweep_bins(sub_bin: float, max_time: float) -> int:
     """The bins of sub_bin seconds that fit in max_time, at least one; a ValueError unless
     0 < sub_bin <= max_time < inf and they are at most _MAX_BINS, raised before any is made."""
@@ -376,22 +333,20 @@ def sweep_bins(sub_bin: float, max_time: float) -> int:
     return max(int(bins), 1)
 
 
-def _stopping_bins(
-    counts, cuts, n_rows: int, n_bins: int, ion_rate: float, empty_rate: float, sub_bin: float, thresholds
-):
+def _stopping_bins(counts, n_rows: int, n_bins: int, ion_rate: float, empty_rate: float, sub_bin: float, thresholds):
     """Each of n_rows rows' stopping bin per threshold, and whether its log odds there favour
     the ion, as two rows x thresholds arrays; a row that never reaches a threshold stops at
     its last bin, n_bins - 1.
 
-    counts(rows, start, end) gives the counts of `rows` in bins start..end-1 as
-    (loud, counts): the ascending places in `rows` of the rows it counts, and
-    their len(loud) x (end - start) matrix; every other row of `rows` is silent,
-    with no count in the window. It is asked for windows of _FIRST_WINDOW bins,
-    then twice as many, and so on, each starting where the last ended and each
-    only for the rows still below some threshold, so a draw behind it
-    (_window_counter) need go no further than that. A window's rows are asked
-    for and passed over in slices, split at the places in them that
-    cuts(rows, start, end) gives (_slice_cuts).
+    counts(live, start, end) yields the counts of the rows `live` in bins
+    start..end-1 slice by slice, as (rows, loud, counts): the slice's rows, a
+    run of `live` in order, the ascending places in `rows` of the rows it
+    counts, and their len(loud) x (end - start) matrix; every other row of
+    `rows` is silent, with no count in the window. The slices cover `live`, and
+    the counter (_window_counter) plans them. It is asked for windows of
+    _FIRST_WINDOW bins, then twice as many, and so on, each starting where the
+    last ended and each only for the rows still below some threshold, so its
+    draw need go no further than that.
 
     The priors are equal, so a row's log odds after a bin are the cumsum of its
     _bin_log_likelihood_ratios up to that bin, and the result is
@@ -414,8 +369,7 @@ def _stopping_bins(
     start, width = 0, _FIRST_WINDOW
     while live.size:
         end = min(start + width, n_bins)
-        for rows in np.split(live, cuts(live, start, end)):
-            loud, window = counts(rows, start, end)
+        for rows, loud, window in counts(live, start, end):
             carried, place = total[rows], None  # place: each row's row of the matrix, when not its own
             if loud.size < rows.size:
                 window, carried, place = _silent_ramps(loud, window, carried)

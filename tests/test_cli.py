@@ -189,6 +189,17 @@ class TestFidelity:
         assert f"trials must be >= 1, got {trials}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, trials", [
+        (["fidelity", "--trials", "0"], 0),
+        (["fidelity", "--trials", "-3"], -3),
+        (["fidelity", "--projection", "--trials", "0"], 0),
+    ], ids=["zero", "negative", "projection"])
+    def test_trials_below_one_names_the_flag(self, outdir, capsys, argv, trials):
+        with unittest.mock.patch.object(detection, "_window_counter", side_effect=AssertionError("drew a window")):
+            assert main(argv) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: --trials must be >= 1, got {trials}\n"
+        assert not any(outdir.iterdir())
+
 
 class TestCollection:
     def test_check_monotone(self, outdir, capsys):

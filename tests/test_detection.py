@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import unittest.mock
 
 import numpy as np
@@ -11,8 +12,6 @@ from spadsim.detection import (
     PROJECTED_SUB_BIN,
     PROJECTION_TARGET_SWEEP,
     _CHUNK_TRIALS,
-    _SLICE_CELLS,
-    _SLICE_EVENTS,
     _bin_log_likelihood_ratios,
     analytic_threshold_fidelity,
     fidelity_curve,
@@ -22,6 +21,7 @@ from spadsim.detection import (
     wald_bound,
 )
 from spadsim.model import RateBudget, Scenario, table_budget
+from spadsim.simulator import _SLICE_CELLS, _SLICE_EVENTS
 from test_oracles import exact_sequential, stopping_bins_of
 
 ION_RATE = 11700.0
@@ -303,12 +303,25 @@ class TestFidelityCurve:
             in_passes = fidelity_curve(*args)
         assert in_passes == fidelity_curve(*args)
 
+    def test_state_before_the_first_draw_is_bounded_whatever_the_trial_count(self):
+        # 2^26 trials are 2^19 chunks: a list of them all peaked at about 50 MiB before any draw
+        fidelity_curve(Scenario(), [0.99], 1)  # the ln k! table the curve needs is built first
+        tracemalloc.start()
+        try:
+            with unittest.mock.patch.object(detection, "_window_counter", side_effect=AssertionError("drew")):
+                with pytest.raises(AssertionError, match="drew"):
+                    fidelity_curve(Scenario(), [0.99], 1 << 26)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+
     @pytest.mark.parametrize("budget, dead_time, sub_bin, max_time", [
         (projected_budget(), 0.0, PROJECTED_SUB_BIN, PROJECTED_MAX_TIME),
         (table_budget(), 1e-6, 100e-6, 20e-3),
     ], ids=["projection", "reference"])
     def test_slices_hold_whole_chunks_within_budgets(self, budget, dead_time, sub_bin, max_time):
-        # every counts call is one slice: record each with the chunk of each of its trials
+        # record each slice the counter yields, with the chunk of each of its trials
         scenario = Scenario(budget=budget, rng_seed=3, dead_time=dead_time)
         rates = {True: budget.ion_total(), False: budget.background_total()}
         calls = []
@@ -318,9 +331,10 @@ class TestFidelityCurve:
             chunk_of = np.repeat(np.arange(len(chunks)), [n for _, _, n in chunks])
             rate_of = np.array([rates[ion] for ion, _, _ in chunks])
 
-            def recorded(rows, start, end):
-                calls.append((start, end, chunk_of[rows], rate_of[chunk_of[rows]]))
-                return counts(rows, start, end)
+            def recorded(live, start, end):
+                for rows, loud, window in counts(live, start, end):
+                    calls.append((start, end, chunk_of[rows], rate_of[chunk_of[rows]]))
+                    yield rows, loud, window
 
             return recorded
 

@@ -346,13 +346,16 @@ def reference_window_counter(scenario, chunks, width, carries, drawn=None):
 
 
 def dense_counter(counter):
-    """A _window_counter counts(rows, start, end), whose (loud, counts) hold only the loud rows,
-    as one that returns the len(rows) x (end - start) matrix they stand for: silent rows zero."""
+    """A _window_counter counts(live, start, end), which yields (rows, loud, counts) slice by
+    slice, each holding only its loud rows, as one that returns the len(live) x (end - start)
+    matrix they stand for: the slices' rows in turn, silent rows zero."""
 
-    def counts(rows, start, end):
-        loud, matrix = counter(rows, start, end)
-        dense = np.zeros((len(rows), end - start), dtype=matrix.dtype)
-        dense[loud] = matrix
+    def counts(live, start, end):
+        dense = np.zeros((len(live), end - start), dtype=np.intp)
+        at = 0
+        for rows, loud, matrix in counter(live, start, end):
+            dense[at + loud] = matrix
+            at += rows.size
         return dense
 
     return counts
@@ -360,8 +363,9 @@ def dense_counter(counter):
 
 def carried_last_ns(counter):
     """The last kept time of every trial that a _window_counter counts(...) carries between
-    calls: the array it updates in place."""
-    return counter.__closure__[counter.__code__.co_freevars.index("last_ns")].cell_contents
+    calls: the array that its per-slice draw updates in place."""
+    draw = counter.__closure__[counter.__code__.co_freevars.index("slice_counts")].cell_contents
+    return draw.__closure__[draw.__code__.co_freevars.index("last_ns")].cell_contents
 
 
 @st.composite
@@ -452,7 +456,7 @@ def test_window_counter_counts_only_rows_that_drew(case):
     for bins, calls in schedule:
         for rows in calls:
             rows = np.array(rows)
-            loud, counts = got(rows, start, start + bins)
+            [(_, loud, counts)] = got(rows, start, start + bins)  # a few trials: one slice
             dense = want(rows, start, start + bins)
             assert np.array_equal(loud, np.flatnonzero(drawn[-1]))
             assert counts.shape == (loud.size, bins)
@@ -470,10 +474,75 @@ def test_window_counter_keeps_trials_drawn_into_the_dead_time_loud():
     rows = np.arange(64)
     zero_loud = silent = 0
     for start in range(8):
-        loud, counts = counter(rows, start, start + 1)
+        [(_, loud, counts)] = counter(rows, start, start + 1)  # one chunk: one slice
         zero_loud += np.count_nonzero(counts.sum(axis=1) == 0)
         silent += rows.size - loud.size
     assert zero_loud and silent
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(
+    chunks=st.lists(st.tuples(st.booleans(), st.integers(1, 30)), min_size=1, max_size=8),
+    per_bin=st.one_of(st.just(0.0), finite(0.0, 1.0)),  # events per trial and bin with the ion
+    share=finite(0.0, 1.0),  # the ion's share of them
+    width=st.sampled_from([1e-9, 1e-6, 1e-4]),
+    budgets=st.tuples(finite(0.5, 300.0), st.integers(1, 1500)),  # _SLICE_EVENTS, _SLICE_CELLS
+    seed=st.integers(0, 2**32),
+    # each window's bins, and the share of the last window's trials it asks for, picked by a seed
+    windows=st.lists(st.tuples(st.integers(1, 12), finite(0.0, 1.0), st.integers(0, 2**32)), min_size=1, max_size=5),
+)
+# the package's budgets: a chunk of 256 trials in a window of 256 bins fills a slice's cells
+@example(chunks=[(True, 256), (False, 256), (True, 3)], per_bin=0.01, share=0.5, width=1e-6,
+         budgets=(simulator._SLICE_EVENTS, simulator._SLICE_CELLS), seed=1, windows=[(256, 1.0, 0), (64, 0.5, 1)])
+def test_window_counter_slices_partition_live(chunks, per_bin, share, width, budgets, seed, windows):
+    """The slices the counter yields for a window hold `live` in order, each a run of whole
+    chunks; a slice of more than one chunk is within both budgets, and each next chunk starts
+    a slice only if it would take its slice past one. The counts are those of the same
+    counter taking each window in one slice, to the bit."""
+    budget = RateBudget(fluorescence=share * per_bin / width, dark_counts=(1 - share) * per_bin / width)
+    scenario = Scenario(budget=budget, rng_seed=seed, dead_time=width)
+    rates = [sum(simulator._rates(scenario, ion, 0.0)) for ion, _ in chunks]
+    chunk_of = np.repeat(np.arange(len(chunks)), [n for _, n in chunks])
+
+    def counter():
+        return _window_counter(scenario, [(ion, np.random.default_rng([seed, c]), n)
+                                          for c, (ion, n) in enumerate(chunks)], width)
+
+    sliced, unsliced = counter(), counter()
+    whole = dense_counter(unsliced)
+    events_budget, cells_budget = budgets
+    live, start = np.arange(chunk_of.size), 0
+    for bins, share_asked, pick in windows:
+        asked = np.random.default_rng(pick).random(live.size) < share_asked
+        asked[0] = True
+        live = live[asked]
+        with unittest.mock.patch.multiple(simulator, _SLICE_EVENTS=events_budget, _SLICE_CELLS=cells_budget):
+            slices = list(sliced(live, start, start + bins))
+        with unittest.mock.patch.multiple(simulator, _SLICE_EVENTS=math.inf, _SLICE_CELLS=1 << 62):
+            want = whole(live, start, start + bins)
+        assert np.array_equal(np.concatenate([rows for rows, _, _ in slices]), live)
+        owners = [chunk_of[rows] for rows, _, _ in slices]
+        assert all(a[-1] < b[0] for a, b in zip(owners, owners[1:]))  # no chunk in two slices
+        sizes = [np.unique(owner, return_counts=True) for owner in owners]
+        loads = [
+            (sum((n * rates[c] * (bins * width) for c, n in zip(*size)), 0.0), sum(size[1]) * bins)
+            for size in sizes
+        ]
+        for (chunks_in, _), (events, cells) in zip(sizes, loads):
+            if chunks_in.size > 1:
+                assert events <= events_budget and cells <= cells_budget
+        for (events, cells), (next_chunks, next_trials) in zip(loads, sizes[1:]):
+            added = next_trials[0] * rates[next_chunks[0]] * (bins * width)
+            assert events + added > events_budget or cells + next_trials[0] * bins > cells_budget
+        dense = np.zeros_like(want)
+        at = 0
+        for rows, loud, counts in slices:
+            assert counts.shape == (loud.size, bins)
+            dense[at + loud] = counts
+            at += rows.size
+        assert np.array_equal(dense, want)
+        assert np.array_equal(carried_last_ns(sliced), carried_last_ns(unsliced))
+        start += bins
 
 
 def test_ordered_arrivals_match_per_event_reference():
@@ -715,18 +784,19 @@ def loop_detect(counts, ion_rate, empty_rate, target, sub_bin):
 
 
 def loud_counts(counts, loud_anyway=None):
-    """counts(rows, start, end) over a prebuilt rows x bins matrix, in _window_counter's form
-    (loud, counts): loud holds the places in `rows` of the rows with a count in the window,
-    and of those flagged in loud_anyway (a bool per row of the matrix), which the counter
-    also gives with a zero row when a trial's arrivals all fall in its carried dead time."""
+    """counts(live, start, end) over a prebuilt rows x bins matrix, in _window_counter's form:
+    it yields the whole window as one slice (live, loud, counts), where loud holds the places
+    in `live` of the rows with a count in the window, and of those flagged in loud_anyway (a
+    bool per row of the matrix), which the counter also gives with a zero row when a trial's
+    arrivals all fall in its carried dead time."""
 
-    def window(rows, start, end):
-        part = counts[rows, start:end]
+    def window(live, start, end):
+        part = counts[live, start:end]
         loud = part.any(axis=1)
         if loud_anyway is not None:
-            loud |= loud_anyway[rows]
+            loud |= loud_anyway[live]
         loud = np.flatnonzero(loud)
-        return loud, part[loud]
+        yield live, loud, part[loud]
 
     return window
 
@@ -734,10 +804,7 @@ def loud_counts(counts, loud_anyway=None):
 def stopping_bins_of(counts, ion_rate, empty_rate, sub_bin, thresholds, loud_anyway=None):
     """_stopping_bins on a prebuilt rows x bins matrix of counts, each window in one slice,
     its rows with no count in a window given as silent (loud_counts)."""
-    return _stopping_bins(
-        loud_counts(counts, loud_anyway), lambda rows, start, end: [], *counts.shape,
-        ion_rate, empty_rate, sub_bin, thresholds,
-    )
+    return _stopping_bins(loud_counts(counts, loud_anyway), *counts.shape, ion_rate, empty_rate, sub_bin, thresholds)
 
 
 def loop_fidelity_points(scenario, targets, trials, sub_bin, max_time):

@@ -153,7 +153,7 @@ class TestSimulateStream:
         state = rng.bit_generator.state
         counts = _window_counter(sc, [(True, rng, 10**6)], 1e3)
         with pytest.raises(ValueError, match=rf"1.17e\+13 events expected .* limit of {_MAX_EVENTS}"):
-            counts(np.arange(10**6), 0, 1)  # a sweep window: rows multiply the count
+            next(counts(np.arange(10**6), 0, 1))  # a sweep window's first slice: rows multiply the count
         assert rng.bit_generator.state == state
 
     def test_superposition_property(self):
