@@ -39,9 +39,11 @@ _MAX_GATES = 1 << 24
 class EventStream:
     """Timestamped detector events on a 1 ns grid.
 
-    timestamps_ns are nonnegative, strictly increasing int64 nanoseconds;
-    labels index into SOURCE_LABELS. duration is the covered span in seconds,
-    finite and > 0; any other value is a ValueError that names it.
+    timestamps_ns are nonnegative, strictly increasing int64 nanoseconds, given
+    as a 1-D array of integers or of whole floats; labels are a 1-D array of
+    the same length, each an index into SOURCE_LABELS. duration is the covered
+    span in seconds, finite and > 0. Any other value is a ValueError that names
+    it: by its index, or for an array that is not 1-D, by the shapes.
     """
 
     timestamps_ns: np.ndarray
@@ -49,21 +51,29 @@ class EventStream:
     duration: float
 
     def __post_init__(self):
-        ts = np.asarray(self.timestamps_ns, dtype=np.int64)
-        lb = np.asarray(self.labels)
+        ts, lb = np.asarray(self.timestamps_ns), np.asarray(self.labels)
+        if ts.ndim != 1 or lb.ndim != 1:
+            raise ValueError(f"timestamps and labels must be 1-D arrays, got shapes {ts.shape} and {lb.shape}")
         if ts.shape != lb.shape:
             raise ValueError("timestamps and labels must have equal length")
-        negative = np.flatnonzero(ts < 0)
-        if negative.size:
-            i = int(negative[0])
+        if ts.dtype.kind == "f":  # a float stamp is taken only as a whole number in int64, not truncated
+            whole = (ts >= -(2.0**63)) & (ts < 2.0**63) & (ts == np.floor(ts))  # NaN fails each test
+            if not whole.all():
+                i = int(whole.argmin())
+                raise ValueError(f"timestamp {ts[i]} ns at index {i} is not a whole number of ns in int64")
+        ts = ts.astype(np.int64, copy=False)
+        # integer stamps and labels are checked by reductions; a failing place is searched for only then
+        if ts.size and ts.min() < 0:
+            i = int(np.flatnonzero(ts < 0)[0])
             raise ValueError(f"timestamp {ts[i]} ns at index {i} is negative")
-        bad = (lb < 0) | (lb >= len(SOURCE_LABELS))
-        if lb.dtype.kind == "f":  # a fractional label is no source index either, not one truncated
-            bad |= lb != np.floor(lb)
-        unknown = np.flatnonzero(bad)
-        if unknown.size:
-            i = int(unknown[0])
-            raise ValueError(f"label {lb[i]} at index {i} is not a source index 0..{len(SOURCE_LABELS) - 1}")
+        if lb.dtype.kind not in "iu" or lb.size and (lb.min() < 0 or lb.max() >= len(SOURCE_LABELS)):
+            bad = (lb < 0) | (lb >= len(SOURCE_LABELS))
+            if lb.dtype.kind == "f":  # a fractional label is no source index either, not one truncated
+                bad |= lb != np.floor(lb)
+            unknown = np.flatnonzero(bad)
+            if unknown.size:
+                i = int(unknown[0])
+                raise ValueError(f"label {lb[i]} at index {i} is not a source index 0..{len(SOURCE_LABELS) - 1}")
         object.__setattr__(self, "timestamps_ns", ts)
         object.__setattr__(self, "labels", lb.astype(np.int8, copy=False))
         behind = ts[1:] <= ts[:-1]
@@ -84,14 +94,18 @@ class EventStream:
         return self.timestamps_ns * NS
 
     def counts_by_source(self) -> dict[str, int]:
-        return dict(zip(SOURCE_LABELS, np.bincount(self.labels, minlength=len(SOURCE_LABELS)).tolist()))
+        return {name: np.count_nonzero(self.labels == code) for code, name in enumerate(SOURCE_LABELS)}
 
     def to_csv(self) -> str:
-        parts = [_EVENT_HEADER + "\n"]
+        """The event CSV text: its blocks are joined as bytes, which are dropped before the one
+        decode, so the text is held at most twice."""
+        parts = [_EVENT_HEADER.encode() + b"\n"]
         for start in range(0, len(self), _WRITE_ROWS):
             block = slice(start, start + _WRITE_ROWS)
             parts.append(_format_rows(self.timestamps_ns[block], self.labels[block]))
-        return "".join(parts)
+        text = b"".join(parts)
+        del parts
+        return text.decode("ascii")
 
     @classmethod
     def from_csv(cls, text: str, duration: float) -> "EventStream":
@@ -161,8 +175,8 @@ def _digit_quads() -> tuple[np.ndarray, np.ndarray]:
 _DIGIT_QUADS, _LEAD_QUADS = _digit_quads()
 
 
-def _format_rows(stamps: np.ndarray, labels: np.ndarray) -> str:
-    """The event CSV rows of ascending nonnegative stamps and their label codes.
+def _format_rows(stamps: np.ndarray, labels: np.ndarray) -> bytes:
+    """The event CSV rows of ascending nonnegative stamps and their label codes, as ASCII bytes.
 
     Row i is laid out in row i of a NUL-filled byte matrix: the timestamp in
     groups of four digits, right-aligned, then the label's suffix. A stamp's
@@ -183,7 +197,7 @@ def _format_rows(stamps: np.ndarray, labels: np.ndarray) -> str:
         quads[below[j] :, groups - 1 - j] = _DIGIT_QUADS[low[below[j] :]]
         rest, lead = high, below[j]
     rows[:, 4 * groups :].view(_SUFFIX_BYTES.dtype)[:, 0] = np.take(_SUFFIX_BYTES, labels)
-    return rows.tobytes().translate(None, b"\0").decode("ascii")
+    return rows.tobytes().translate(None, b"\0")
 
 
 def _parse_canonical(text: str) -> tuple[np.ndarray, np.ndarray] | None:
@@ -239,7 +253,8 @@ def _parse_rows(raw: bytes, back: int) -> tuple[np.ndarray, np.ndarray] | None:
     commas, ends = delims[0::2], delims[1::2]
     gaps = np.diff(delims, prepend=_BACK - 1)
     ndigits, codes = gaps[0::2] - 1, np.take(_LENGTH_CODES, gaps[1::2] - 1, mode="clip")
-    if ndigits.min() < 1 or ndigits.max() > _MAX_DIGITS or codes.min() < 0:
+    fewest, most = int(ndigits.min()), int(ndigits.max())
+    if fewest < 1 or most > _MAX_DIGITS or codes.min() < 0:
         return None
     for word, mask, suffix in zip(_words_before(words, ends + 1, 2), _SUFFIX_MASKS, _SUFFIX_WORDS):
         if np.any(word & np.take(mask, codes) != np.take(suffix, codes)):
@@ -248,8 +263,9 @@ def _parse_rows(raw: bytes, back: int) -> tuple[np.ndarray, np.ndarray] | None:
     if np.count_nonzero(body - ord("0") < 10) != ndigits.sum():
         return None
     stamps = np.zeros(commas.size, np.uint64)
-    for k, word in enumerate(_words_before(words, commas, -(-int(ndigits.max()) // 8))):
-        valid = np.clip(ndigits - 8 * k, 0, 8)
+    for k, word in enumerate(_words_before(words, commas, -(-most // 8))):
+        # the digits in word k: one number for a block of stamps of one width, as most blocks are
+        valid = min(most - 8 * k, 8) if fewest == most else np.clip(ndigits - 8 * k, 0, 8)
         v = (word & _TOP_BYTES[valid]) - _TOP_ZEROS[valid]
         # the first digit is the lowest byte: pair digits, then pairs, then quads
         v = (v * 10 + (v >> 8)) & 0x00FF00FF00FF00FF
@@ -276,10 +292,16 @@ def _words_before(words: np.ndarray, at: np.ndarray, n: int) -> list[np.ndarray]
 def apply_dead_time(times_ns: np.ndarray, labels: np.ndarray, dead_ns: int):
     """Nonparalyzable filter on ascending times_ns: keep an event iff it is >= dead_ns
     (and >= 1 ns) after the last kept one (_dead_time_drops)."""
+    keep = _dead_time_keep(times_ns, dead_ns)
+    return times_ns[keep], labels[keep]
+
+
+def _dead_time_keep(times_ns: np.ndarray, dead_ns: int) -> np.ndarray:
+    """The mask of the events of ascending times_ns that apply_dead_time keeps."""
     gap = _dead_gap_ns(dead_ns)
     keep = np.ones(times_ns.size, dtype=bool)
     keep[_dead_time_drops(times_ns, np.flatnonzero(np.diff(times_ns) < gap) + 1, gap)] = False
-    return times_ns[keep], labels[keep]
+    return keep
 
 
 def _dead_time_drops(times_ns: np.ndarray, close: np.ndarray, gap: int) -> np.ndarray:
@@ -369,33 +391,54 @@ def simulate_stream(scenario: Scenario, ion_present: bool) -> EventStream:
 
     Fluorescence contributes only when ion_present. The sources superpose into one
     Poisson process at the total rate whose events take independent labels by rate
-    share (Kingman 1993), so one draw serves them all: a count at the total rate,
-    then count + 1 exponential spacings, whose partial sums over their total, times
-    the span, are the count's sorted uniform times (Devroye 1986, ch. V), then one
-    uniform per event, whose label is the number of the four interior cumulative
-    rate shares at or below it. Nothing is sorted, and a source of zero rate is
-    never drawn. Deterministic given the scenario seed and ion_present, which seed
-    the draw together, so the two hypotheses' streams are independent.
-
-    This is _ordered_arrivals' law for one row, drawn in place: that function's
-    per-row sums and compress would cost a stream more memory and time.
+    share (Kingman 1993), so one draw serves them all: the arrival times
+    (_arrival_times), then one uniform per event, whose label is the number of the
+    four interior cumulative rate shares at or below it. Nothing is sorted, and a
+    source of zero rate is never drawn. Deterministic given the scenario seed and
+    ion_present, which seed the draw together, so the two hypotheses' streams are
+    independent.
     """
-    rng, span = np.random.default_rng([scenario.rng_seed, int(ion_present)]), scenario.trial_duration
-    rates = _rates(scenario, ion_present, span)
+    rates = _rates(scenario, ion_present, scenario.trial_duration)
     total = sum(rates)
-    n = rng.poisson(total * span)
-    t = rng.standard_exponential(n + 1)
-    np.cumsum(t, out=t)
-    t *= span / NS / t[-1]
-    t_ns = np.round(t[:-1], out=t[:-1]).astype(np.int64)
-    del t  # each temporary goes once it is used up: the draw peaks at the dead-time filter
+    rng, t_ns = _arrival_times(scenario, ion_present, total)
+    n = t_ns.size
     u = rng.random(n)
     labels = np.zeros(n, dtype=np.int8)
     for cumulative in accumulate(rates[:-1]) if n else ():  # no events: no shares, and maybe no rate
         labels += u >= cumulative / total
-    del u
+    del u  # each temporary goes once it is used up: the draw peaks at the dead-time filter
     t_ns, labels = apply_dead_time(t_ns, labels, _dead_ns(scenario))
-    return EventStream(t_ns, labels, span)
+    return EventStream(t_ns, labels, scenario.trial_duration)
+
+
+def _arrival_times(scenario: Scenario, ion_present: bool, total: float) -> tuple[np.random.Generator, np.ndarray]:
+    """The generator of the scenario's stream under ion_present, and the stream's arrival times
+    at the total rate, rounded to the 1 ns grid, before dead time; the generator is left where
+    the stream's label uniforms start.
+
+    A count at the total rate, then count + 1 exponential spacings, whose partial sums over
+    their total, times the span, are the count's sorted uniform times (Devroye 1986, ch. V).
+    This is _ordered_arrivals' law for one row, drawn in place: that function's per-row sums
+    and compress would cost a stream more memory and time.
+    """
+    rng, span = np.random.default_rng([scenario.rng_seed, int(ion_present)]), scenario.trial_duration
+    t = rng.standard_exponential(rng.poisson(total * span) + 1)
+    np.cumsum(t, out=t)
+    t *= span / NS / t[-1]
+    return rng, np.round(t[:-1], out=t[:-1]).astype(np.int64)
+
+
+def _gated_counts(scenario: Scenario, ion_present: bool, gate: float) -> np.ndarray:
+    """gate_and_count(simulate_stream(scenario, ion_present), gate), from the arrival times
+    alone: the same times, filtered by the same dead-time walk, with no label drawn.
+
+    Its errors are the composition's: the event bound, then the gate (GateError), are
+    checked before anything is drawn.
+    """
+    total = sum(_rates(scenario, ion_present, scenario.trial_duration))
+    n_gates = _gate_count(scenario.trial_duration, gate)
+    _, t_ns = _arrival_times(scenario, ion_present, total)
+    return _bin_counts(t_ns[_dead_time_keep(t_ns, _dead_ns(scenario))], gate, n_gates)
 
 
 def _window_counter(scenario: Scenario, chunks, width: float):
@@ -500,21 +543,29 @@ def _window_drops(times_ns: np.ndarray, per_row: np.ndarray, last_ns: np.ndarray
     return dropped
 
 
+class GateError(ValueError):
+    """A gate that cannot partition the stream's duration into windows."""
+
+
 def gate_and_count(stream: EventStream, gate: float) -> np.ndarray:
     """Counts in consecutive windows of length gate partitioning [0, duration).
 
-    gate is in seconds, finite and > 0; any other value is a ValueError that names it.
-    More than _MAX_GATES windows are a ValueError too, raised before any edge is made.
+    gate is in seconds, finite and > 0; any other value is a GateError (a ValueError) that
+    names it. More than _MAX_GATES windows are a GateError too, raised before any edge is made.
     """
+    return _bin_counts(stream.timestamps_ns, gate, _gate_count(stream.duration, gate))
+
+
+def _gate_count(duration: float, gate: float) -> int:
+    """The number of whole windows of length gate in duration, or a GateError naming the gate."""
     if not 0 < gate < math.inf:
-        raise ValueError(f"gate must be > 0 and finite, got {gate}")
-    gates = np.floor(stream.duration / gate + 1e-9)
+        raise GateError(f"gate must be > 0 and finite, got {gate}")
+    gates = np.floor(duration / gate + 1e-9)
     if not gates <= _MAX_GATES:  # written so that inf fails it
-        raise ValueError(f"{gates:.3g} gates of {gate:g} s, more than the limit of {_MAX_GATES}")
-    n_gates = int(gates)
-    if n_gates < 1:
-        raise ValueError("gate is longer than the stream duration")
-    return _bin_counts(stream.timestamps_ns, gate, n_gates)
+        raise GateError(f"{gates:.3g} gates of {gate:g} s, more than the limit of {_MAX_GATES}")
+    if gates < 1:
+        raise GateError("gate is longer than the stream duration")
+    return int(gates)
 
 
 def _bin_counts(timestamps_ns: np.ndarray, width: float, n: int) -> np.ndarray:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spadsim import cli, detection, estimation, optics
+from spadsim import cli, detection, estimation, optics, simulator
 from spadsim.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, _fidelity_csv, main
 from spadsim.config import KNOWN_KEYS
 from spadsim.model import BUDGET_SOURCES, SOURCE_LABELS, RateBudget, Scenario, table_budget
@@ -799,10 +799,16 @@ class TestFlags:
         assert not any(outdir.iterdir())
 
     def test_threshold_window_past_table_limit_exits_2_before_any_draw(self, outdir, capsys):
-        with unittest.mock.patch.object(cli, "simulate_stream", side_effect=AssertionError("drew a stream")):
+        with unittest.mock.patch.object(simulator, "_arrival_times", side_effect=AssertionError("drew a stream")):
             assert main(["threshold", "--duration", "100", "--window-ms", "1e5"]) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err == ("error: --window-ms: a window of 100 s at 11700 counts/s needs a ln k! "
                                            "table of 1.18083e+06 entries, more than the limit of 1048576\n")
+        assert not any(outdir.iterdir())
+
+    def test_threshold_window_past_duration_exits_2_before_any_draw(self, outdir, capsys):
+        with unittest.mock.patch.object(simulator, "_arrival_times", side_effect=AssertionError("drew a stream")):
+            assert main(["threshold", "--duration", "0.01", "--window-ms", "25"]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == "error: --window-ms: gate is longer than the stream duration\n"
         assert not any(outdir.iterdir())
 
     # a config key that sizes the quarter disc's grid is bounded before any cell is made, and named
@@ -839,7 +845,7 @@ class TestFlags:
             budget = "".join(f"budget.{label}_kcps = {1e-11 if label == 'dark' else 0}\n" for label in SOURCE_LABELS)
             config.write_text(budget + "trial.duration_s = 1e13\n")
             argv = [*argv, str(config)]
-        with unittest.mock.patch.object(cli, "simulate_stream", side_effect=AssertionError("drew a stream")):
+        with unittest.mock.patch.object(simulator, "_arrival_times", side_effect=AssertionError("drew a stream")):
             assert main(argv) == EXIT_INPUT_ERROR
         assert f"error: {named}" in capsys.readouterr().err
         assert not any(p.is_file() for p in outdir.iterdir())

@@ -78,6 +78,7 @@ from spadsim.simulator import (
     _bin_counts,
     _event_row,
     _first_order,
+    _gated_counts,
     _ordered_arrivals,
     _schmitt_crossings,
     _window_counter,
@@ -731,6 +732,46 @@ def test_gate_and_count_matches_per_event_search(case):
     got = gate_and_count(EventStream(ts, np.zeros(ts.size, dtype=np.int8), duration), gate)
     assert got.dtype == np.int64
     np.testing.assert_array_equal(got, per_event_bin_counts(ts, gate, got.size))
+
+
+@st.composite
+def gated_draw_cases(draw):
+    """A scenario, a hypothesis and a gate: budgets with zero-rate sources or none drawn at
+    all, dead times from 0 to past a gate, and gates that divide the duration, that leave
+    part of it, and that are refused."""
+    rates = draw(st.lists(st.one_of(st.just(0.0), finite(1.0, 2e5)), min_size=len(BUDGET_SOURCES),
+                          max_size=len(BUDGET_SOURCES)))
+    duration = draw(finite(1e-4, 0.05))
+    gate = draw(st.one_of(
+        finite(duration / 200, duration),
+        st.sampled_from([duration, duration / 7, 1.5 * duration, 0.0, -duration, math.nan, math.inf, duration * 1e-9]),
+    ))
+    dead_time = draw(st.one_of(st.just(0.0), finite(1e-9, 1e-5), finite(duration / 100, 2 * duration)))
+    budget = RateBudget(**dict(zip(BUDGET_SOURCES, rates)))
+    scenario = Scenario(budget=budget, trial_duration=duration, dead_time=dead_time, rng_seed=draw(st.integers(0, 2**32)))
+    return scenario, draw(st.booleans()), gate
+
+
+def gate_outcome(count):
+    """count()'s counts with their dtype, or its error's type and text."""
+    try:
+        counts = count()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return counts.dtype, counts.tolist()
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(case=gated_draw_cases())
+@example(case=(Scenario(budget=RateBudget(), trial_duration=0.01), True, 1e-3))  # no rate: no event
+# an event count past the limit and a bad gate: the event bound is named, before any draw
+@example(case=(Scenario(budget=table_budget(), trial_duration=1e9), True, math.nan))
+def test_gated_counts_match_gated_stream(case):
+    """The label-free gate path counts, bit for bit, what gating the labelled stream does,
+    and refuses what it refuses with the same error."""
+    scenario, ion_present, gate = case
+    want = gate_outcome(lambda: gate_and_count(simulate_stream(scenario, ion_present), gate))
+    assert gate_outcome(lambda: _gated_counts(scenario, ion_present, gate)) == want
 
 
 # --- threshold rule --------------------------------------------------------------
@@ -1790,6 +1831,41 @@ def test_written_event_csv_is_read_as_bytes(stream, manifest, block):
         back = EventStream.from_csv(text, 1.0)
     np.testing.assert_array_equal(back.timestamps_ns, stream.timestamps_ns)
     np.testing.assert_array_equal(back.labels, stream.labels)
+
+
+# a row made malformed: a digit, the label or the field count
+BAD_ROWS = {"digit": lambda t: f"{t}"[:-2] + "x" + f"{t}"[-1:] + ",dark", "label": lambda t: f"{t},bogus",
+            "field": lambda t: f"{t},dark,"}
+
+
+def width_step_text(k, bad=None):
+    """Event CSV text of up to 20 stamps below 10**k and 80 from it on, spaced to vary every digit
+    but the first, one row each, and the block size that puts the step to k + 1 digits inside
+    the first block, beside blocks of one width. bad, if given, names the BAD_ROWS form that
+    the 70th row takes, in a block of one width."""
+    step = max(10**k // 7 // 80, 1)  # the stamps from 10**k stay below 2 * 10**k
+    stamps = [*range(max(10**k - 20, 0), 10**k), *range(10**k, 10**k + 80 * step, step)]
+    rows = [f"{t},{SOURCE_LABELS[t % len(SOURCE_LABELS)]}\n" for t in stamps]
+    if bad is not None:
+        rows[69] = BAD_ROWS[bad](stamps[69]) + "\n"
+    return _EVENT_HEADER + "\n" + "".join(rows), len("".join(rows[:30]))
+
+
+@pytest.mark.parametrize("k", [1, 8, 16])
+@pytest.mark.parametrize("bad", [None, *BAD_ROWS])
+def test_width_step_beside_uniform_blocks_matches_line_reader(k, bad):
+    """A block whose stamps step up a digit beside blocks of one width, whose digit masks are
+    numbers: the byte parser reads what the line reader does, and a malformed row in a block
+    of one width still falls back to the line reader, which names its line."""
+    text, block = width_step_text(k, bad)
+    parsed = unittest.mock.Mock(wraps=simulator._parse_rows)
+    with unittest.mock.patch.object(simulator, "_READ_CHARS", block), \
+            unittest.mock.patch.object(simulator, "_parse_rows", parsed):
+        got = stream_outcome(lambda t: EventStream.from_csv(t, 1.0), text)
+    want = outcome(read_event_rows, text)
+    assert got == (want if bad else ([t for t, _ in want], [code for _, code in want]))
+    widths = [{len(row.split(b",")[0]) for row in raw[back:].splitlines()} for (raw, back), _ in parsed.call_args_list]
+    assert len(widths[0]) == 2 and len(widths) >= 3 and all(len(w) == 1 for w in widths[1:3])
 
 
 @settings(deadline=None, max_examples=200)

@@ -14,6 +14,7 @@ from spadsim.simulator import (
     _MAX_SAMPLES,
     EventStream,
     FrontEndParams,
+    _gated_counts,
     _ordered_arrivals,
     _window_counter,
     gate_and_count,
@@ -113,6 +114,15 @@ class TestSimulateStream:
         stream, peak = traced_peak(lambda: simulate_stream(sc, True))
         assert len(stream) > 100_000
         assert peak / len(stream) <= 24
+
+    def test_label_free_draw_peak_per_event(self):
+        # threshold's draw holds the spacings, then the times, the filter's gaps and its two
+        # masks, and the kept times: about 18 bytes an event, with no label drawn
+        sc = Scenario(budget=table_budget(), trial_duration=10.0, dead_time=1e-6, rng_seed=1)
+        _gated_counts(sc, True, 0.025)
+        counts, peak = traced_peak(lambda: _gated_counts(sc, True, 0.025))
+        assert counts.sum() > 100_000
+        assert peak / counts.sum() <= 20
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4242])
     @pytest.mark.parametrize("ion_present", [True, False])
@@ -435,6 +445,15 @@ class TestEventStreamSerialization:
         np.testing.assert_array_equal(back.timestamps_ns, stream.timestamps_ns)
         np.testing.assert_array_equal(back.labels, stream.labels)
 
+    def test_to_csv_holds_its_text_at_most_twice(self):
+        # the blocks are joined as bytes and dropped before the one decode: decoding with the
+        # blocks still held would hold the text three times
+        stream = simulate_stream(Scenario(budget=table_budget(), trial_duration=50.0, rng_seed=1), True)
+        stream.to_csv()
+        text, peak = traced_peak(stream.to_csv)
+        assert len(text) > 10_000_000
+        assert peak <= 2 * len(text) + (1 << 20)
+
     def test_csv_bad_header(self):
         with pytest.raises(ValueError):
             EventStream.from_csv("time,source\n", duration=1.0)
@@ -484,6 +503,34 @@ class TestEventStreamValidation:
     def test_fractional_label_named_not_truncated(self, labels, named):
         with pytest.raises(ValueError, match=rf"label {named} is not a source index"):
             EventStream(np.array([10, 20]), np.array(labels), 1.0)
+
+    # an array that is not 1-D is named by its shape, not met later as an IndexError or a
+    # length that counts rows of a matrix
+    @pytest.mark.parametrize("timestamps, labels, shapes", [
+        ([[1, 2], [3, 4]], [[0, 0], [0, 0]], r"\(2, 2\) and \(2, 2\)"),
+        ([[3, 4], [1, 2]], [[0, 0], [0, 0]], r"\(2, 2\) and \(2, 2\)"),  # out of order
+        (5, 0, r"\(\) and \(\)"),
+        ([1, 2], [[0, 0]], r"\(2,\) and \(1, 2\)"),
+    ], ids=["2-D", "2-D-out-of-order", "0-D", "2-D-labels"])
+    def test_array_not_1d_named_by_shape(self, timestamps, labels, shapes):
+        with pytest.raises(ValueError, match=rf"^timestamps and labels must be 1-D arrays, got shapes {shapes}$"):
+            EventStream(np.array(timestamps), np.array(labels), 1.0)
+
+    # a float timestamp is taken only as a whole number of ns in int64: not truncated, and a
+    # NaN is not cast to INT64_MIN and reported as negative
+    @pytest.mark.parametrize("timestamps, named", [
+        ([1.5, 2.7], "1.5 ns at index 0"),
+        ([1.0, np.nan], "nan ns at index 1"),
+        ([1.0, np.inf], "inf ns at index 1"),
+        ([1.0, 2.0**63], r"9.223372036854776e\+18 ns at index 1"),
+    ], ids=["fractional", "nan", "inf", "past-int64"])
+    def test_float_timestamp_not_whole_named(self, timestamps, named):
+        with pytest.raises(ValueError, match=rf"^timestamp {named} is not a whole number of ns in int64$"):
+            EventStream(np.array(timestamps), np.array([0, 0]), 1.0)
+
+    def test_whole_float_timestamps_accepted(self):
+        stream = EventStream(np.array([10.0, 20.0]), np.array([0, 1]), 1.0)
+        assert stream.timestamps_ns.dtype == np.int64 and stream.timestamps_ns.tolist() == [10, 20]
 
     def test_whole_float_labels_accepted(self):
         assert EventStream(np.array([10, 20]), np.array([4.0, 0.0]), 1.0).labels.tolist() == [4, 0]
