@@ -19,7 +19,7 @@ from . import detection, estimation, synthetic
 from .config import ConfigError, load_scenario
 from .model import Scenario, table_budget
 from .optics import GrazingAngleError, _reflectance_rows, efficiency_vs_offset, lateral_offsets, stack_reflectance
-from .simulator import GateError, _gated_counts, simulate_stream
+from .simulator import GateError, gate_and_count, simulate_stream
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -168,7 +168,7 @@ def cmd_threshold(args) -> Output:
     k_exact, f_exact = _flagged("--window-ms", detection.analytic_threshold_fidelity,
                                 scenario.budget.ion_total(), scenario.budget.background_total(), window)
     try:  # each stream's event bound, then the gate, are checked before it is drawn; only labels go undrawn
-        counts = [_gated_counts(scenario, ion, window) for ion in (True, False)]
+        counts = [gate_and_count(scenario, ion, window) for ion in (True, False)]
     except GateError as exc:
         raise ValueError(f"--window-ms: {exc}") from None
     result = detection.threshold_fidelity(*counts)

@@ -8,7 +8,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .model import BUDGET_SOURCES, MAX_LINEWIDTH, MAX_TIME, SOURCE_LABELS, Scenario
-from .optics import MAX_HEIGHT, ActiveAreaMap, quarter_disc_map
+from .optics import MAX_HEIGHT, ActiveAreaMap, OpticalStack, quarter_disc_map
 
 
 class ConfigError(ValueError):
@@ -24,6 +24,11 @@ def _finite(value):
 
 def _complex(text: str) -> complex:
     return _finite(complex(text.replace(" ", "")))
+
+
+def _ambient(text: str) -> complex:
+    """An ambient index, checked by OpticalStack (a lossless incident medium) so that its error names the key."""
+    return OpticalStack(ambient_index=_complex(text)).ambient_index
 
 
 def _parse_layers(text: str):
@@ -77,7 +82,7 @@ _KEYS = (
     ("geometry.recess_um", "scenario.geometry.detector_recess_below_surface", _HEIGHT_MICRONS),
     ("geometry.emission", "scenario.geometry.emission_pattern", str),
     ("stack.wavelength_nm", "scenario.geometry.stack.wavelength", _number(1e-9)),
-    ("stack.ambient_index", "scenario.geometry.stack.ambient_index", _complex),
+    ("stack.ambient_index", "scenario.geometry.stack.ambient_index", _ambient),
     ("stack.substrate_index", "scenario.geometry.stack.substrate_index", _complex),
     ("stack.layers", "scenario.geometry.stack.layers", _parse_layers),
     ("deadtime.dead_time_us", "scenario.dead_time", _number(1e-6, MAX_TIME)),

@@ -60,6 +60,8 @@ class OpticalStack:
             _index(f"layer {i} index", n)
         _index("substrate_index", self.substrate_index)
         _index("ambient_index", self.ambient_index)
+        if complex(self.ambient_index).imag:  # |r|^2 is the power reflectance only from a lossless medium
+            raise ValueError(f"ambient_index must be real (a lossless incident medium), got {self.ambient_index}")
 
 
 def _positive(name: str, value: float):
@@ -89,18 +91,16 @@ def _reflectance_rows(stack: OpticalStack, angle_of_incidence) -> np.ndarray:
     M the product of the layer matrices top first and es the substrate's admittance
     (Macleod, Thin-Film Optical Filters, ch. 2).
 
-    When the ambient index and every layer index are real and every layer is below
-    its critical angle at every angle of the call (n^2 > kpar^2), each layer's phase
-    and admittances are real and M is [[A, iB], [iC, D]] with A, B, C and D real:
-    that product runs in real arithmetic, and the matrix turns complex only where
-    the substrate enters. The result equals the complex product's to the bit: each
-    complex product it replaces has a factor with a zero imaginary part, or is a
-    product of two pure imaginaries, which numpy rounds as the real product; numpy's
-    complex division is x * (1/y), and so are the divisions here; and the square
-    root of x + 0j is that of x for x > 0. Any other stack (an absorbing layer, a
-    layer past its critical angle, a complex ambient) takes the complex product,
-    in which a layer whose phase is real at every angle still takes cos and sin in
-    real arithmetic. A real ambient's admittances are real in either product.
+    The ambient is lossless (OpticalStack), so its admittances are real. When every
+    layer index is real too and every layer is below its critical angle at every angle
+    of the call (n^2 > kpar^2), each layer's phase and admittances are real and M is
+    [[A, iB], [iC, D]] with A, B, C and D real: that product runs in real arithmetic,
+    and the matrix turns complex only where the substrate enters. The result equals
+    the complex product's to the bit: each complex product it replaces has a factor
+    with a zero imaginary part, or is a product of two pure imaginaries, which numpy
+    rounds as the real product; numpy's complex division is x * (1/y), and so are the
+    divisions here; and the square root of x + 0j is that of x for x > 0. Any other
+    stack (an absorbing layer, a layer past its critical angle) takes the complex product.
 
     An angle whose sine rounds so near 1 that the ambient's normal index is 0 is a
     GrazingAngleError, as r is 0/0 there. A scalar angle goes through the same array
@@ -109,11 +109,10 @@ def _reflectance_rows(stack: OpticalStack, angle_of_incidence) -> np.ndarray:
     angle = np.asarray(angle_of_incidence, dtype=float)
     if not np.all((angle >= 0.0) & (angle < math.pi / 2)):
         raise ValueError("angle of incidence must lie in [0, pi/2)")
-    n0 = complex(stack.ambient_index)
-    real_ambient = n0.imag == 0
-    kpar = (n0.real if real_ambient else n0) * np.sin(angle.reshape(-1))  # conserved transverse index
+    n0 = complex(stack.ambient_index).real  # lossless: OpticalStack refuses an imaginary part
+    kpar = n0 * np.sin(angle.reshape(-1))  # conserved transverse index
     kpar2 = kpar * kpar
-    q0_squared = (n0.real * n0.real if real_ambient else n0 * n0) - kpar2
+    q0_squared = n0 * n0 - kpar2
     if not q0_squared.all():
         raise GrazingAngleError(
             f"angle of incidence {angle.reshape(-1)[np.argmin(q0_squared != 0)]:.17g} rad grazes the surface: "
@@ -127,10 +126,10 @@ def _reflectance_rows(stack: OpticalStack, angle_of_incidence) -> np.ndarray:
         np.divide(n * n, q, out=e[1])
         return q, e
 
-    e0 = _real_admittances(n0.real * n0.real, q0_squared) if real_ambient else admittances(n0)[1]
+    e0 = _real_admittances(n0 * n0, q0_squared)
     _, es = admittances(complex(stack.substrate_index))
     indices = [complex(n) for _, n in stack.layers]
-    m = _lossless_product(stack, indices, kpar2) if real_ambient else None
+    m = _lossless_product(stack, indices, kpar2)
     if m is not None:
         a, b, c, d = m
         e0b, c = e0 * (a + b * 1j * es), c * 1j + d * es
@@ -139,7 +138,7 @@ def _reflectance_rows(stack: OpticalStack, angle_of_incidence) -> np.ndarray:
         # polarizations and angles; the first layer's matrix starts it
         for (d, _), n in zip(stack.layers, indices):
             q, e = admittances(n)
-            delta = 2.0 * np.pi * d / stack.wavelength * (q if q.imag.any() else q.real)
+            delta = 2.0 * np.pi * d / stack.wavelength * q
             cos, sin = np.cos(delta), np.sin(delta)
             i_sin_e, i_e_sin = 1j * sin / e, 1j * e * sin
             if m is None:

@@ -39,11 +39,11 @@ _MAX_GATES = 1 << 24
 class EventStream:
     """Timestamped detector events on a 1 ns grid.
 
-    timestamps_ns are nonnegative, strictly increasing int64 nanoseconds, given
-    as a 1-D array of integers or of whole floats; labels are a 1-D array of
-    the same length, each an index into SOURCE_LABELS. duration is the covered
-    span in seconds, finite and > 0. Any other value is a ValueError that names
-    it: by its index, or for an array that is not 1-D, by the shapes.
+    timestamps_ns are nonnegative, strictly increasing int64 nanoseconds, given as a
+    1-D array of integers or of whole floats, not booleans; labels are a 1-D array of
+    the same length, each an index into SOURCE_LABELS. duration is the covered span in
+    seconds, finite and > 0. Any other value is a ValueError that names it: by its
+    index, or for an array that is not 1-D, by the shapes.
     """
 
     timestamps_ns: np.ndarray
@@ -56,8 +56,10 @@ class EventStream:
             raise ValueError(f"timestamps and labels must be 1-D arrays, got shapes {ts.shape} and {lb.shape}")
         if ts.shape != lb.shape:
             raise ValueError("timestamps and labels must have equal length")
-        if ts.dtype.kind == "f":  # a float stamp is taken only as a whole number in int64, not truncated
-            whole = (ts >= -(2.0**63)) & (ts < 2.0**63) & (ts == np.floor(ts))  # NaN fails each test
+        if ts.dtype.kind == "b" or lb.dtype.kind == "b":  # not taken as 0 and 1
+            raise ValueError(f"timestamps and labels must be numbers, got {ts.dtype} and {lb.dtype}")
+        if ts.dtype.kind in "fuO":  # a float, uint64 or Python int stamp: not truncated, wrapped or overflowed
+            whole = (ts >= -(2**63)) & (ts < 2**63) & (ts == np.floor(ts))  # NaN fails each test
             if not whole.all():
                 i = int(whole.argmin())
                 raise ValueError(f"timestamp {ts[i]} ns at index {i} is not a whole number of ns in int64")
@@ -428,19 +430,6 @@ def _arrival_times(scenario: Scenario, ion_present: bool, total: float) -> tuple
     return rng, np.round(t[:-1], out=t[:-1]).astype(np.int64)
 
 
-def _gated_counts(scenario: Scenario, ion_present: bool, gate: float) -> np.ndarray:
-    """gate_and_count(simulate_stream(scenario, ion_present), gate), from the arrival times
-    alone: the same times, filtered by the same dead-time walk, with no label drawn.
-
-    Its errors are the composition's: the event bound, then the gate (GateError), are
-    checked before anything is drawn.
-    """
-    total = sum(_rates(scenario, ion_present, scenario.trial_duration))
-    n_gates = _gate_count(scenario.trial_duration, gate)
-    _, t_ns = _arrival_times(scenario, ion_present, total)
-    return _bin_counts(t_ns[_dead_time_keep(t_ns, _dead_ns(scenario))], gate, n_gates)
-
-
 def _window_counter(scenario: Scenario, chunks, width: float):
     """Dead-time-filtered counts in bins of `width` seconds of the trials of `chunks`, drawn
     one window at a time, slice by slice, as they are asked for.
@@ -547,13 +536,19 @@ class GateError(ValueError):
     """A gate that cannot partition the stream's duration into windows."""
 
 
-def gate_and_count(stream: EventStream, gate: float) -> np.ndarray:
-    """Counts in consecutive windows of length gate partitioning [0, duration).
+def gate_and_count(scenario: Scenario, ion_present: bool, gate: float) -> np.ndarray:
+    """Counts in consecutive windows of length gate partitioning [0, trial_duration) of the
+    scenario's stream under ion_present: the arrival times simulate_stream draws, filtered by
+    the same dead-time walk, with no label drawn, so they count its timestamps to the bit.
 
     gate is in seconds, finite and > 0; any other value is a GateError (a ValueError) that
-    names it. More than _MAX_GATES windows are a GateError too, raised before any edge is made.
+    names it. More than _MAX_GATES windows are a GateError too. The event bound, then the
+    gate, are checked before anything is drawn.
     """
-    return _bin_counts(stream.timestamps_ns, gate, _gate_count(stream.duration, gate))
+    total = sum(_rates(scenario, ion_present, scenario.trial_duration))
+    n_gates = _gate_count(scenario.trial_duration, gate)
+    _, t_ns = _arrival_times(scenario, ion_present, total)
+    return _bin_counts(t_ns[_dead_time_keep(t_ns, _dead_ns(scenario))], gate, n_gates)
 
 
 def _gate_count(duration: float, gate: float) -> int:

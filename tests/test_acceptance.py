@@ -63,8 +63,8 @@ def test_1_adaptive_bayesian_detection():
 def test_2_threshold_detection():
     window = 0.025
     sc = Scenario(budget=table_budget(), trial_duration=50.0, rng_seed=77)
-    ion = gate_and_count(simulate_stream(sc, True), window)
-    empty = gate_and_count(simulate_stream(sc, False), window)
+    ion = gate_and_count(sc, True, window)
+    empty = gate_and_count(sc, False, window)
     result = threshold_fidelity(ion, empty)
     _, exact = analytic_threshold_fidelity(11_700.0, 6_900.0, window)
     ok = result.fidelity >= 0.996 and abs(result.fidelity - exact) <= 0.003
@@ -182,7 +182,7 @@ def test_8_property_suite():
 
     # Poisson goodness of fit
     sc = Scenario(budget=RateBudget(dark_counts=5e3), trial_duration=20.0, rng_seed=12, dead_time=0.0)
-    counts = gate_and_count(simulate_stream(sc, False), 10e-3)
+    counts = gate_and_count(sc, False, 10e-3)
     p_gof = poisson_gof_pvalue(counts, 50.0)
 
     # dead-time rate formula

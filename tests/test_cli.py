@@ -297,6 +297,18 @@ class TestCollection:
         assert "substrate_index must have real part > 0, got 0j" in capsys.readouterr().err
         assert sorted(path.name for path in outdir.iterdir()) == ["index_0.cfg"]  # no output
 
+    # |r|^2 is no power reflectance from an absorbing incident medium: it used to exit 0 with that table
+    @pytest.mark.parametrize("argv", [["arc"], ["collection"]], ids=["arc", "collection"])
+    def test_lossy_ambient_index_exits_2_naming_key(self, outdir, tmp_path, capsys, argv):
+        cfg = tmp_path / "ambient_lossy.cfg"
+        cfg.write_text("stack.ambient_index = 1.33+0.01j\n")
+        assert main([*argv, "--config", str(cfg)]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == (
+            "error: key 'stack.ambient_index': cannot parse '1.33+0.01j': "
+            "ambient_index must be real (a lossless incident medium), got (1.33+0.01j)\n"
+        )
+        assert sorted(path.name for path in outdir.iterdir()) == ["ambient_lossy.cfg"]  # no output
+
 
 class TestArc:
     def test_check_reference_reflectances(self, outdir, capsys):

@@ -81,8 +81,8 @@ class TestReflectance:
         assert np.all(np.isfinite(stack_reflectance(stack, math.radians(89.999999))))
 
     def test_scalar_angle_equals_array_element(self):
-        # a complex ambient index makes every complex product in the transfer matrix count
-        stack = OpticalStack(ambient_index=1.33 + 0.01j, layers=((80e-9, 2.0 + 0.3j), (40e-9, 1.5 + 0.1j)))
+        # absorbing layers under an ambient other than vacuum make every complex product in the transfer matrix count
+        stack = OpticalStack(ambient_index=1.33 + 0j, layers=((80e-9, 2.0 + 0.3j), (40e-9, 1.5 + 0.1j)))
         angles = np.linspace(0.0, 1.5, 31)
         assert _reflectance_rows(stack, angles).T.tolist() == [_reflectance_rows(stack, a).tolist() for a in angles]
         assert stack_reflectance(stack, angles).tolist() == [stack_reflectance(stack, a) for a in angles]
@@ -118,6 +118,9 @@ class TestNonFiniteOpticsInputs:
         ({"substrate_index": 0}, "substrate_index must have real part > 0, got 0j"),
         ({"substrate_index": complex(-6.9, 1.4)}, "substrate_index must have real part > 0, got (-6.9+1.4j)"),
         ({"ambient_index": -0.0}, "ambient_index must have real part > 0, got (-0+0j)"),
+        # an absorbing incident medium has no power reflectance |r|^2: it used to be given that table
+        ({"ambient_index": 1.33 + 0.01j}, "ambient_index must be real (a lossless incident medium), got (1.33+0.01j)"),
+        ({"ambient_index": 1 + 1e-300j}, "ambient_index must be real (a lossless incident medium), got (1+1e-300j)"),
     ], ids=lambda v: next(iter(v)) if isinstance(v, dict) else v.split(" got ")[1])
     def test_stack_rejects(self, kwargs, named):
         with pytest.raises(ValueError, match=re.escape(named)):

@@ -78,7 +78,7 @@ from spadsim.simulator import (
     _bin_counts,
     _event_row,
     _first_order,
-    _gated_counts,
+    _gate_count,
     _ordered_arrivals,
     _schmitt_crossings,
     _window_counter,
@@ -673,6 +673,13 @@ def test_chunk_draw_matches_per_source_calls(seed, ion_present, budget):
 # --- binning ---------------------------------------------------------------------
 
 
+def gate_stream(stream, gate):
+    """Counts of an event stream's timestamps in consecutive windows of length gate partitioning
+    [0, duration): the package's binning and gate checks composed on a stream, the reference
+    gate_and_count(scenario, ion_present, gate) must equal on simulate_stream's stream."""
+    return _bin_counts(stream.timestamps_ns, gate, _gate_count(stream.duration, gate))
+
+
 def per_event_bin_counts(timestamps_ns, width, n):
     """Events in each of n windows of `width` seconds from 0: each event searched in the
     edges, the closing edge counted in the last window, anything else outside dropped."""
@@ -726,10 +733,10 @@ def stream_gate_cases(draw):
 @example(case=(1e-6, 3e-6, np.array([0, 999, 1000, 2999, 3000, 3001, 4000])))
 @example(case=(1e-6, 3.5e-6, np.array([1000, 3000, 3400, 4000])))
 def test_gate_and_count_matches_per_event_search(case):
-    """gate_and_count on an event stream counts what each event's own edge search does:
+    """Gating an event stream counts what each event's own edge search does:
     the closing edge in the last gate, nothing past it."""
     gate, duration, ts = case
-    got = gate_and_count(EventStream(ts, np.zeros(ts.size, dtype=np.int8), duration), gate)
+    got = gate_stream(EventStream(ts, np.zeros(ts.size, dtype=np.int8), duration), gate)
     assert got.dtype == np.int64
     np.testing.assert_array_equal(got, per_event_bin_counts(ts, gate, got.size))
 
@@ -767,11 +774,11 @@ def gate_outcome(count):
 # an event count past the limit and a bad gate: the event bound is named, before any draw
 @example(case=(Scenario(budget=table_budget(), trial_duration=1e9), True, math.nan))
 def test_gated_counts_match_gated_stream(case):
-    """The label-free gate path counts, bit for bit, what gating the labelled stream does,
+    """The label-free gate counts, bit for bit, what gating the labelled stream does,
     and refuses what it refuses with the same error."""
     scenario, ion_present, gate = case
-    want = gate_outcome(lambda: gate_and_count(simulate_stream(scenario, ion_present), gate))
-    assert gate_outcome(lambda: _gated_counts(scenario, ion_present, gate)) == want
+    want = gate_outcome(lambda: gate_stream(simulate_stream(scenario, ion_present), gate))
+    assert gate_outcome(lambda: gate_and_count(scenario, ion_present, gate)) == want
 
 
 # --- threshold rule --------------------------------------------------------------
@@ -1490,17 +1497,28 @@ def test_reflectance_bits_match_reference_matrix(layers, substrate, angles, pol)
 
 # stacks whose phases are complex, and the bare substrate, at a scalar angle and at an array
 # of them: an absorbing layer; a layer of index 1.2 under an ambient of 1.5, whose phase turns
-# imaginary past the critical angle asin(1.2 / 1.5) = 53.1 deg; a complex ambient index
+# imaginary past the critical angle asin(1.2 / 1.5) = 53.1 deg; absorbing layers under an
+# ambient of 1.33, as water (an absorbing ambient is refused by OpticalStack)
 @pytest.mark.parametrize("stack", [
     OpticalStack(layers=((143.7e-9, 2.0 + 0.25j),), substrate_index=2.0 + 0j),
     OpticalStack(ambient_index=1.5 + 0j, layers=((100e-9, 1.2 + 0j),), substrate_index=3.0 + 0j),
     OpticalStack(ambient_index=1.5 + 0j, layers=((100e-9, 1.2 + 0j), (29e-9, 2.1 + 0j)), substrate_index=3.0 + 0j),
-    OpticalStack(ambient_index=1.33 + 0.01j, layers=((80e-9, 2.0 + 0.3j), (40e-9, 1.5 + 0.1j))),
+    OpticalStack(ambient_index=1.33 + 0j, layers=((80e-9, 2.0 + 0.3j), (40e-9, 1.5 + 0.1j))),
     OpticalStack(layers=()),
-], ids=["absorbing", "past-critical", "past-critical-over-lossless", "complex-ambient", "bare"])
+], ids=["absorbing", "past-critical", "past-critical-over-lossless", "absorbing-under-water", "bare"])
 @pytest.mark.parametrize("angles", [np.linspace(0.0, 1.5707, 181), 1.2], ids=["array", "scalar"])
 @pytest.mark.parametrize("pol", ["s", "p", "unpolarized"])
 def test_complex_phase_bits_match_reference_matrix(stack, angles, pol):
+    assert_matches_reference_bits(stack, angles, pol)
+
+
+# a lossless ambient of index 1 to 2 over lossless layers of index 1.2 to 3.0: a layer of lower
+# index than the ambient passes its critical angle inside many an array, where the whole
+# array takes the complex product; every other array takes the real one
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(ambient=finite(1.0, 2.0), **lossless_stacks)
+def test_ambient_reflectance_bits_match_reference_matrix(ambient, layers, substrate, angles, pol):
+    stack = OpticalStack(ambient_index=ambient, layers=tuple(layers), substrate_index=substrate)
     assert_matches_reference_bits(stack, angles, pol)
 
 

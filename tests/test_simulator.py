@@ -14,14 +14,13 @@ from spadsim.simulator import (
     _MAX_SAMPLES,
     EventStream,
     FrontEndParams,
-    _gated_counts,
     _ordered_arrivals,
     _window_counter,
     gate_and_count,
     simulate_frontend,
     simulate_stream,
 )
-from test_oracles import dense_counter
+from test_oracles import dense_counter, gate_stream
 
 
 def make_stream(times_ns, duration=1.0):
@@ -119,8 +118,8 @@ class TestSimulateStream:
         # threshold's draw holds the spacings, then the times, the filter's gaps and its two
         # masks, and the kept times: about 18 bytes an event, with no label drawn
         sc = Scenario(budget=table_budget(), trial_duration=10.0, dead_time=1e-6, rng_seed=1)
-        _gated_counts(sc, True, 0.025)
-        counts, peak = traced_peak(lambda: _gated_counts(sc, True, 0.025))
+        gate_and_count(sc, True, 0.025)
+        counts, peak = traced_peak(lambda: gate_and_count(sc, True, 0.025))
         assert counts.sum() > 100_000
         assert peak / counts.sum() <= 20
 
@@ -151,7 +150,7 @@ class TestSimulateStream:
         shared = np.intersect1d(ion.timestamps_ns, empty.timestamps_ns).size
         chance = len(ion) * len(empty) / (sc.trial_duration / 1e-9)  # about 4 at 50 s
         assert shared <= chance + 4 * np.sqrt(chance) + 1
-        a, b = gate_and_count(ion, 0.025), gate_and_count(empty, 0.025)
+        a, b = gate_stream(ion, 0.025), gate_stream(empty, 0.025)
         assert abs(np.corrcoef(a, b)[0, 1]) < 4 / np.sqrt(a.size)
 
     def test_event_count_past_limit_rejected_before_drawing(self):
@@ -194,7 +193,7 @@ class TestSimulateStream:
         n_rep = 100
         for seed in range(n_rep):
             sc = Scenario(budget=RateBudget(dark_counts=rate), trial_duration=duration, rng_seed=seed)
-            counts = gate_and_count(simulate_stream(replace(sc, dead_time=0.0), False), gate)
+            counts = gate_and_count(replace(sc, dead_time=0.0), False, gate)
             passes += poisson_gof_pvalue(counts, rate * gate) > 0.01
         assert passes >= 0.95 * n_rep
 
@@ -277,45 +276,45 @@ def poisson_gof_pvalue(counts, mu):
 class TestGateAndCount:
     def test_empty_stream_all_zeros(self):
         stream = make_stream([], duration=1.0)
-        counts = gate_and_count(stream, 0.1)
+        counts = gate_stream(stream, 0.1)
         assert counts.shape == (10,) and counts.sum() == 0
 
     def test_hand_countable(self):
         stream = make_stream([1_000_000, 2_000_000, 26_000_000], duration=0.050)
-        np.testing.assert_array_equal(gate_and_count(stream, 0.025), [2, 1])
+        np.testing.assert_array_equal(gate_stream(stream, 0.025), [2, 1])
 
     def test_mean_counts_at_reference_rates(self):
         sc = Scenario(budget=table_budget(), trial_duration=50.0, rng_seed=8)
-        counts = gate_and_count(simulate_stream(replace(sc, dead_time=0.0), True), 0.025)
+        counts = gate_and_count(replace(sc, dead_time=0.0), True, 0.025)
         assert counts.size == 2000
         assert np.mean(counts) == pytest.approx(292.5, rel=0.02)
 
     def test_count_conservation(self):
         sc = Scenario(budget=table_budget(), trial_duration=1.0, rng_seed=4)
         stream = simulate_stream(replace(sc, dead_time=0.0), True)
-        counts = gate_and_count(stream, 0.25)
+        counts = gate_stream(stream, 0.25)
         assert counts.sum() == np.sum(stream.times_s < 1.0)
 
     def test_gate_longer_than_duration_rejected(self):
         with pytest.raises(ValueError):
-            gate_and_count(make_stream([100], duration=0.01), 0.02)
+            gate_stream(make_stream([100], duration=0.01), 0.02)
 
     def test_nonpositive_gate_rejected(self):
         with pytest.raises(ValueError):
-            gate_and_count(make_stream([], duration=1.0), 0.0)
+            gate_stream(make_stream([], duration=1.0), 0.0)
 
     # a gate that is not finite is named, not met as a failed int conversion or a "longer than" error
     @pytest.mark.parametrize("gate", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_gate_named(self, gate):
         with pytest.raises(ValueError, match=rf"^gate must be > 0 and finite, got {gate}$"):
-            gate_and_count(make_stream([100], duration=1.0), gate)
+            gate_stream(make_stream([100], duration=1.0), gate)
 
     # the window count is bounded before any edge is made; a count past float range is refused too
     @pytest.mark.parametrize("gate, count", [(1e-9, "5e+10"), (1e-320, "inf")], ids=["large", "overflow"])
     def test_gate_count_past_limit_named(self, gate, count):
         named = f"{count} gates of {gate:g} s, more than the limit of {_MAX_GATES}"
         with pytest.raises(ValueError, match=re.escape(named)):
-            gate_and_count(make_stream([100], duration=50.0), gate)
+            gate_stream(make_stream([100], duration=50.0), gate)
 
 
 class TestFrontEnd:
@@ -528,6 +527,29 @@ class TestEventStreamValidation:
         with pytest.raises(ValueError, match=rf"^timestamp {named} is not a whole number of ns in int64$"):
             EventStream(np.array(timestamps), np.array([0, 0]), 1.0)
 
+    # an integer stamp past int64 is named by its index: a uint64 one is not wrapped to a
+    # negative one, and a Python int is not met as an OverflowError
+    @pytest.mark.parametrize("timestamps, named", [
+        (np.array([2**64 - 1], np.uint64), "18446744073709551615 ns at index 0"),
+        ([3, 2**70], "1180591620717411303424 ns at index 1"),
+    ], ids=["uint64", "python-int"])
+    def test_integer_timestamp_past_int64_named(self, timestamps, named):
+        with pytest.raises(ValueError, match=rf"^timestamp {named} is not a whole number of ns in int64$"):
+            EventStream(timestamps, [0] * len(timestamps), 1.0)
+
+    def test_uint64_timestamps_within_int64_accepted(self):
+        stream = EventStream(np.array([1, 2**63 - 1], np.uint64), [0, 4], 1.0)
+        assert stream.timestamps_ns.dtype == np.int64 and stream.timestamps_ns.tolist() == [1, 2**63 - 1]
+
+    # booleans are no stamps or source indices, not taken as 0 and 1
+    @pytest.mark.parametrize("timestamps, labels, dtypes", [
+        ([False, True], [0, 0], "bool and int64"),
+        ([1, 2], [True, False], "int64 and bool"),
+    ], ids=["timestamps", "labels"])
+    def test_boolean_arrays_refused(self, timestamps, labels, dtypes):
+        with pytest.raises(ValueError, match=rf"^timestamps and labels must be numbers, got {dtypes}$"):
+            EventStream(np.array(timestamps), np.array(labels), 1.0)
+
     def test_whole_float_timestamps_accepted(self):
         stream = EventStream(np.array([10.0, 20.0]), np.array([0, 1]), 1.0)
         assert stream.timestamps_ns.dtype == np.int64 and stream.timestamps_ns.tolist() == [10, 20]
@@ -539,7 +561,7 @@ class TestEventStreamValidation:
         stream = EventStream(np.array([1, 2, 3, 4]), np.array([4, 0, 4, 2]), 1.0)
         assert stream.counts_by_source() == {"fluorescence": 1, "repump": 0, "doppler": 1, "dark": 0, "rf": 2}
 
-    # a duration that is not finite is named here, not later by gate_and_count's int conversion
+    # a duration that is not finite is named here, not later by the gate's int conversion
     @pytest.mark.parametrize("duration", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_duration_named(self, duration):
         with pytest.raises(ValueError, match=rf"^duration must be > 0 and finite, got {duration}$"):
