@@ -15,11 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import detection, estimation, synthetic
+# Only the layers that parsing and every subcommand need load here; each cmd_*
+# imports the rest of what it runs, so a cold start loads no layer it never calls.
 from .config import ConfigError, load_scenario
 from .model import Scenario, table_budget
 from .optics import GrazingAngleError, _reflectance_rows, efficiency_vs_offset, lateral_offsets, stack_reflectance
-from .simulator import GateError, gate_and_count, simulate_stream
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -154,6 +154,8 @@ def _finite_float(text: str) -> float:
 
 
 def cmd_simulate(args) -> Output:
+    from .simulator import simulate_stream
+
     scenario, config_text = _load_config(args)
     stream = simulate_stream(scenario, ion_present=args.ion)
     summary = [f"total events: {len(stream)}"]
@@ -162,6 +164,9 @@ def cmd_simulate(args) -> Output:
 
 
 def cmd_threshold(args) -> Output:
+    from . import detection
+    from .simulator import GateError, gate_and_count
+
     scenario, config_text = _load_config(args)
     window = args.window_ms * 1e-3
     # the exact optimum draws nothing: taken first, a window past its table's limit is refused before any draw
@@ -196,6 +201,8 @@ _CURVE_TRIALS = 10000  # the curve's --trials when omitted; the projection's is 
 
 
 def cmd_fidelity(args) -> Output:
+    from . import detection
+
     if args.trials is None:  # so an omitted --trials hashes like its value
         args.trials = detection.PROJECTED_TRIALS if args.projection else _CURVE_TRIALS
     if args.trials < 1:  # refused here, where the flag has its name
@@ -250,7 +257,10 @@ def cmd_fidelity(args) -> Output:
     return Output("fidelity_curve.csv", config_text, _fidelity_csv(curve), summary, checks)
 
 
-def _fidelity_csv(curve: detection.FidelityCurve) -> str:
+def _fidelity_csv(curve) -> str:
+    """The table of a detection.FidelityCurve."""
+    from . import detection
+
     lines = ["target,fidelity,mean_time_ms,wald_bound_ms"]
     for target, fid, mean_time in curve.bayes:
         try:
@@ -327,6 +337,8 @@ def _input_text(args, path: str | None, kind: str) -> str | None:
 
 
 def cmd_spot(args) -> Output:
+    from . import estimation, synthetic
+
     scan_text = _input_text(args, args.scan_csv, "scan")
     if scan_text is None:
         scan = synthetic.make_spot_scan(seed=args.seed if args.seed is not None else 0)
@@ -338,6 +350,8 @@ def cmd_spot(args) -> Output:
 
 
 def cmd_budget(args) -> Output:
+    from . import estimation, synthetic
+
     toggles_text = _input_text(args, args.toggles_csv, "toggle")
     if toggles_text is None:
         measurements = synthetic.make_toggle_measurements(table_budget())
@@ -358,6 +372,8 @@ def cmd_budget(args) -> Output:
 
 
 def cmd_qefit(args) -> Output:
+    from . import estimation, synthetic
+
     scenario, config_text = _load_config(args)
     data_text = _input_text(args, args.data_csv, "data")
     if data_text is None:
@@ -422,8 +438,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fidelity", help="adaptive-detection fidelity vs mean gate time")
     common(p)
     p.add_argument("--targets", help="comma-separated stopping targets")
+    # the projection's count is detection.PROJECTED_TRIALS, written out so that parsing loads no detector
     p.add_argument("--trials", type=int, help=f"trials per hypothesis and target (default {_CURVE_TRIALS}, "
-                   f"{detection.PROJECTED_TRIALS} with --projection)")
+                   "20000 with --projection)")
     p.add_argument("--sub-bin-us", type=_finite_float)
     p.add_argument("--max-time-ms", type=_finite_float)
     p.add_argument("--projection", action="store_true", help="run the improved-device projection preset")

@@ -217,6 +217,11 @@ def wald_bound(ion_rate: float, empty_rate: float, error: float) -> tuple[float,
     a = math.log((1.0 - error) / error)
     d_ion = ion_rate * math.log(ion_rate / empty_rate) - ion_rate + empty_rate
     d_empty = empty_rate * math.log(empty_rate / ion_rate) + ion_rate - empty_rate
+    if not (d_ion > 0 and d_empty > 0):  # rates within rounding of each other cancel to 0, or below it
+        raise ValueError(
+            f"the KL divergence rates {d_ion:g} and {d_empty:g} /s between ion_rate {ion_rate:g} /s"
+            f" and empty_rate {empty_rate:g} /s round to <= 0"
+        )
     return a / d_ion, a / d_empty
 
 

@@ -158,6 +158,10 @@ def fit_quantum_efficiency(expected, measured) -> tuple[float, float]:
     if np.all(expected <= 0):
         raise ValueError("expected incident rates are all zero; geometry collects nothing")
     denom = float(np.dot(expected, expected))
+    if denom == 0.0:  # rates of about 1e-160 /s or less: their squares underflow
+        raise ValueError(
+            f"expected incident rates, at most {expected.max():g} /s, have a sum of squares that underflows to 0"
+        )
     qe = float(np.dot(measured, expected)) / denom
     resid = measured - qe * expected
     dof = max(measured.size - 1, 1)

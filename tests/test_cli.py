@@ -447,6 +447,16 @@ class TestQEFit:
     def test_missing_input(self, outdir):
         assert main(["qefit"]) == EXIT_INPUT_ERROR
 
+    @pytest.mark.parametrize("line", ["emitter.saturation_fraction = 1e-300", "emitter.gamma_over_2pi_mhz = 5e-324"])
+    def test_expected_rates_that_underflow_exit_2(self, outdir, tmp_path, capsys, line):
+        config = tmp_path / "faint.cfg"
+        config.write_text(line + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ShadowingWarning)
+            assert main(["qefit", "--demo", "--config", str(config)]) == EXIT_INPUT_ERROR
+        assert "have a sum of squares that underflows to 0" in capsys.readouterr().err
+        assert not (outdir / "qe_fit.csv").exists()
+
     def test_non_finite_rate_exits_2(self, outdir, tmp_path, capsys):
         data = tmp_path / "data.csv"
         data.write_text("offset_um,rate_kcps\n0,nan\n10,2.0\n")
@@ -660,6 +670,20 @@ class TestOutputRules:
         assert read_output(outdir / "fidelity_curve.csv")[2].endswith(",")
         assert "target 0.99: fidelity" in out
         assert err == "error: require ion_rate > empty_rate > 0\n"
+
+    def test_indistinguishable_rates_leave_the_bound_empty(self, outdir, tmp_path, capsys):
+        # a fluorescence of 1e-6 /s makes the divergence between the hypotheses round to 0: as with no
+        # background, the table leaves the bound empty, and the --check criterion that needs it fails
+        config = tmp_path / "faint.cfg"
+        config.write_text("budget.fluorescence_kcps = 1e-9\n")
+        argv = ["fidelity", "--config", str(config), "--trials", "20", "--targets", "0.9"]
+        assert main(argv) == EXIT_OK
+        assert read_output(outdir / "fidelity_curve.csv")[2].endswith(",")
+        capsys.readouterr()
+        (outdir / "fidelity_curve.csv").unlink()
+        assert main([*argv, "--check"]) == EXIT_INPUT_ERROR
+        assert read_output(outdir / "fidelity_curve.csv")[2].endswith(",")
+        assert capsys.readouterr().err.startswith("error: the KL divergence rates 0 and 0 /s between ion_rate")
 
     # without --config a run applies no change to the reference device, so its config text is empty
     @pytest.mark.parametrize("argv", [
@@ -1068,3 +1092,53 @@ assert len(digital) > 0
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "events.csv", "fidelity_curve.csv", "fidelity_projection.csv", "threshold_histogram.csv",
     ]
+
+
+# the spadsim modules each subcommand loads: cli and what parsing needs, plus the layers it runs
+PARSING_LAYERS = {"cli", "config", "model", "optics", "tables"}
+LAYERS_BY_GROUP = {
+    ("collection", "arc"): PARSING_LAYERS,
+    ("spot", "budget", "qefit"): PARSING_LAYERS | {"estimation", "synthetic"},
+    ("simulate",): PARSING_LAYERS | {"simulator"},
+    ("threshold", "fidelity"): PARSING_LAYERS | {"simulator", "detection"},
+}
+LAYER_RUNS = {
+    "collection": [], "arc": [], "spot": ["--demo"], "budget": ["--demo"], "qefit": ["--demo"],
+    "simulate": ["--duration", "0.1"], "threshold": ["--duration", "1", "--window-ms", "10"],
+    "fidelity": ["--trials", "20"],
+}
+
+
+def test_each_subcommand_loads_only_the_layers_it_runs(tmp_path):
+    # one fresh interpreter per group of subcommands that load the same modules, all at once; in each,
+    # the package root loads no layer, and after every subcommand the loaded set is the group's
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    procs = []
+    for subcommands in LAYERS_BY_GROUP:
+        code = f"""
+import sys
+sys.path.insert(0, {src!r})
+loaded = lambda: sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("spadsim."))
+import spadsim
+print(loaded())
+from spadsim.cli import main
+for name in {list(subcommands)!r}:
+    assert main([name, *{LAYER_RUNS!r}[name], "--output-dir", {str(tmp_path / subcommands[0])!r}]) == 0, name
+    print(loaded())
+"""
+        procs.append(subprocess.Popen([sys.executable, "-W", "ignore", "-c", code],
+                                      stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
+    for (subcommands, layers), proc in zip(LAYERS_BY_GROUP.items(), procs):
+        out, err = proc.communicate()
+        assert proc.returncode == 0, err
+        root, *after = [line for line in out.splitlines() if line.startswith("[")]
+        assert root == "[]"
+        assert after == [repr(sorted(layers))] * len(subcommands), subcommands
+    assert sorted(LAYER_RUNS) == sorted(name for group in LAYERS_BY_GROUP for name in group)
+
+
+def test_fidelity_help_names_the_projection_trials(capsys):
+    with pytest.raises(SystemExit):
+        main(["fidelity", "--help"])
+    assert f"default {cli._CURVE_TRIALS}, {detection.PROJECTED_TRIALS} with --projection" in " ".join(
+        capsys.readouterr().out.split())

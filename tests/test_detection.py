@@ -248,6 +248,10 @@ class TestWaldBound:
             wald_bound(5000.0, 0.0, 0.01)
         with pytest.raises(ValueError):
             wald_bound(ION_RATE, EMPTY_RATE, 0.6)
+        # rates within rounding of each other pass ion_rate > empty_rate, but their divergences cancel to 0
+        for ion_rate in (6900.000001, 6900.00001):
+            with pytest.raises(ValueError, match="KL divergence rates 0 and 0 /s"):
+                wald_bound(ion_rate, 6900.0, 0.01)
 
 
 class TestFidelityCurve:

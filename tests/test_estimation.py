@@ -225,6 +225,9 @@ class TestQuantumEfficiencyFit:
             fit_quantum_efficiency(np.array([1.0, 2.0]), np.array([math.inf, 1.0]))
         with pytest.raises(ValueError, match="geometry collects nothing"):
             fit_quantum_efficiency(np.zeros(2), np.array([1.0, 1.0]))
+        for rate in (1e-300, 5e-324):
+            with pytest.raises(ValueError, match=f"at most {rate:g} /s, have a sum of squares that underflows to 0"):
+                fit_quantum_efficiency(np.array([rate, 0.5 * rate]), np.array([1.0, 1.0]))
 
     def test_expected_rates_name_a_non_finite_offset(self):
         # the forward model takes the sweep's check: the value and its point are named
