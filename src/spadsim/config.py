@@ -7,8 +7,8 @@ from collections import defaultdict
 from dataclasses import replace
 from pathlib import Path
 
-from .model import BUDGET_SOURCES, MAX_LINEWIDTH, MAX_TIME, SOURCE_LABELS, Scenario
-from .optics import MAX_HEIGHT, ActiveAreaMap, OpticalStack, quarter_disc_map
+from .model import BUDGET_SOURCES, SOURCE_LABELS, Scenario
+from .optics import ActiveAreaMap, quarter_disc_map
 
 
 class ConfigError(ValueError):
@@ -26,11 +26,6 @@ def _complex(text: str) -> complex:
     return _finite(complex(text.replace(" ", "")))
 
 
-def _ambient(text: str) -> complex:
-    """An ambient index, checked by OpticalStack (a lossless incident medium) so that its error names the key."""
-    return OpticalStack(ambient_index=_complex(text)).ambient_index
-
-
 def _parse_layers(text: str):
     if not text:
         return ()
@@ -43,28 +38,10 @@ def _parse_layers(text: str):
     return tuple(layers)
 
 
-def _number(unit: float, limit: float = math.inf):
-    """The parser of a finite real number written in units of `unit` SI units, below `limit`
-    SI units in magnitude: the bound of the field it sets, checked here so that its error
-    names the key."""
+def _number(unit: float):
+    """The parser of a finite real number in units of `unit` SI units; the object it sets checks its range."""
+    return lambda text: _finite(float(text) * unit)
 
-    def parse(text: str) -> float:
-        value = _finite(float(text) * unit)
-        if not abs(value) < limit:
-            raise ValueError(f"its magnitude must be below {limit / unit:g}")
-        return value
-
-    return parse
-
-
-def _seed(text: str) -> int:
-    """A random seed: an integer >= 0, as numpy's generators take."""
-    if (seed := int(text)) < 0:
-        raise ValueError(f"a seed must be >= 0, got {seed}")
-    return seed
-
-
-_HEIGHT_MICRONS = _number(1e-6, MAX_HEIGHT)
 
 # One row per config key: (key, attribute path, parse). The path starts with
 # the object the key sets: the scenario, or the active area (a CSV file, or the
@@ -74,22 +51,22 @@ _KEYS = (
         (f"budget.{label}_kcps", f"scenario.budget.{name}", _number(1e3))
         for label, name in zip(SOURCE_LABELS, BUDGET_SOURCES)
     ),
-    ("emitter.gamma_over_2pi_mhz", "scenario.emitter.gamma_over_2pi_hz", _number(1e6, MAX_LINEWIDTH)),
+    ("emitter.gamma_over_2pi_mhz", "scenario.emitter.gamma_over_2pi_hz", _number(1e6)),
     ("emitter.saturation_fraction", "scenario.emitter.saturation_fraction", _number(1.0)),
-    ("trial.duration_s", "scenario.trial_duration", _number(1.0, MAX_TIME)),
-    ("trial.seed", "scenario.rng_seed", _seed),
-    ("geometry.ion_height_um", "scenario.geometry.ion_height_above_surface", _HEIGHT_MICRONS),
-    ("geometry.recess_um", "scenario.geometry.detector_recess_below_surface", _HEIGHT_MICRONS),
+    ("trial.duration_s", "scenario.trial_duration", _number(1.0)),
+    ("trial.seed", "scenario.rng_seed", int),
+    ("geometry.ion_height_um", "scenario.geometry.ion_height_above_surface", _number(1e-6)),
+    ("geometry.recess_um", "scenario.geometry.detector_recess_below_surface", _number(1e-6)),
     ("geometry.emission", "scenario.geometry.emission_pattern", str),
     ("stack.wavelength_nm", "scenario.geometry.stack.wavelength", _number(1e-9)),
-    ("stack.ambient_index", "scenario.geometry.stack.ambient_index", _ambient),
+    ("stack.ambient_index", "scenario.geometry.stack.ambient_index", _complex),
     ("stack.substrate_index", "scenario.geometry.stack.substrate_index", _complex),
     ("stack.layers", "scenario.geometry.stack.layers", _parse_layers),
-    ("deadtime.dead_time_us", "scenario.dead_time", _number(1e-6, MAX_TIME)),
+    ("deadtime.dead_time_us", "scenario.dead_time", _number(1e-6)),
     ("geometry.active_area_csv", "area.csv", str),
-    ("geometry.active_outer_radius_um", "area.outer_radius", _HEIGHT_MICRONS),
-    ("geometry.guard_width_um", "area.guard_width", _HEIGHT_MICRONS),
-    ("geometry.cell_size_um", "area.cell_size", _HEIGHT_MICRONS),
+    ("geometry.active_outer_radius_um", "area.outer_radius", _number(1e-6)),
+    ("geometry.guard_width_um", "area.guard_width", _number(1e-6)),
+    ("geometry.cell_size_um", "area.cell_size", _number(1e-6)),
 )
 
 KNOWN_KEYS = {key for key, _, _ in _KEYS}
@@ -115,16 +92,7 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 def scenario_from_text(text: str, base_dir: Path | None = None) -> Scenario:
     values = parse_config_text(text)
-    try:
-        return _build_scenario(values, base_dir)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _build_scenario(values, base_dir):
-    changes = {"scenario": {}, "area": {}}
+    changes = {"scenario": {}, "area": {}}  # each attribute path: (value, the keys that set it)
     for key, path, parse in _KEYS:
         if key in values:
             try:
@@ -132,36 +100,49 @@ def _build_scenario(values, base_dir):
             except ValueError as exc:
                 raise ConfigError(f"key {key!r}: cannot parse {values[key]!r}: {exc}") from exc
             obj, _, attr = path.partition(".")
-            changes[obj][attr] = value
+            changes[obj][attr] = value, (key,)
     area = changes["area"]
     if "csv" in area:
-        path = Path(area["csv"]) if base_dir is None else base_dir / area["csv"]
+        csv, keys = area["csv"]
+        path = Path(csv) if base_dir is None else base_dir / csv
         try:
             area_map = ActiveAreaMap.from_csv(path.read_text())
         except (OSError, ValueError) as exc:
             raise ConfigError(f"key 'geometry.active_area_csv': cannot read {path}: {exc}") from exc
-        changes["scenario"]["geometry.active_area"] = area_map
+        changes["scenario"]["geometry.active_area"] = area_map, keys
     elif area:
-        try:
-            changes["scenario"]["geometry.active_area"] = quarter_disc_map(**area)
-        except ValueError as exc:
-            keys = [repr(key) for key, path, _ in _KEYS if path.removeprefix("area.") in area]
-            raise ConfigError(f"{'key' if len(keys) == 1 else 'keys'} {', '.join(keys)}: {exc}") from exc
+        changes["scenario"]["geometry.active_area"] = _built(quarter_disc_map, area), _keys(area)
     return _replaced(Scenario(), changes["scenario"])
 
 
+def _keys(changes: dict) -> list[str]:
+    return [key for _, keys in changes.values() for key in keys]
+
+
+def _built(build, changes: dict, *args):
+    """build(*args, **fields), each field set to its value in changes, which maps it to (value,
+    the keys that set it). Every object a config sets is made here, so that each range is
+    checked once, by that object, and its ValueError becomes a ConfigError naming the keys."""
+    try:
+        return build(*args, **{name: value for name, (value, _) in changes.items()})
+    except ValueError as exc:
+        keys = _keys(changes)
+        raise ConfigError(f"{'key' if len(keys) == 1 else 'keys'} {', '.join(map(repr, keys))}: {exc}") from exc
+
+
 def _replaced(obj, changes: dict):
-    """Copy of obj with each dotted attribute path in changes set; every object is rebuilt once."""
+    """Copy of obj with each dotted attribute path in changes set, as in _built; every object is
+    rebuilt once, and its error names only the keys that set its own fields."""
     fields, nested = {}, defaultdict(dict)
-    for path, value in changes.items():
+    for path, change in changes.items():
         head, dot, rest = path.partition(".")
         if dot:
-            nested[head][rest] = value
+            nested[head][rest] = change
         else:
-            fields[head] = value
+            fields[head] = change
     for head, sub in nested.items():
-        fields[head] = _replaced(getattr(obj, head), sub)
-    return replace(obj, **fields)
+        fields[head] = _replaced(getattr(obj, head), sub), ()
+    return _built(replace, fields, obj)
 
 
 def load_scenario(path) -> tuple[Scenario, str]:

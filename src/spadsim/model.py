@@ -109,8 +109,8 @@ class Scenario:
 
     dead_time is the detector's nonparalyzable dead time in seconds: an event
     within it of the last kept event is dropped. trial_duration must be > 0 and
-    dead_time >= 0, each below 2^62 ns (MAX_TIME); any other value is a
-    ValueError that names the field and the value.
+    dead_time >= 0, each below 2^62 ns (MAX_TIME), and rng_seed >= 0, as numpy's
+    generators take; any other value is a ValueError that names the field and the value.
     """
 
     budget: RateBudget = field(default_factory=table_budget)
@@ -128,4 +128,6 @@ class Scenario:
         for name in ("trial_duration", "dead_time"):
             if getattr(self, name) >= MAX_TIME:
                 raise ValueError(f"{name} must be below 2^62 ns ({MAX_TIME:.6g} s), got {getattr(self, name)}")
+        if not self.rng_seed >= 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 

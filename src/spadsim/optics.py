@@ -60,8 +60,11 @@ class OpticalStack:
             _index(f"layer {i} index", n)
         _index("substrate_index", self.substrate_index)
         _index("ambient_index", self.ambient_index)
-        if complex(self.ambient_index).imag:  # |r|^2 is the power reflectance only from a lossless medium
+        n0 = complex(self.ambient_index)
+        if n0.imag:  # |r|^2 is the power reflectance only from a lossless medium
             raise ValueError(f"ambient_index must be real (a lossless incident medium), got {self.ambient_index}")
+        if not n0.real * n0.real > 0:  # its normal index is 0 at every angle; n ** 2 would overflow at 1e300
+            raise ValueError(f"ambient_index must square to a number > 0, got {n0.real}")
 
 
 def _positive(name: str, value: float):
@@ -287,13 +290,15 @@ def quarter_disc_map(
     """Quartered-detector response model: a quarter disc whose efficiency tapers
     to zero across the guard-ring width at every edge.
 
-    The defaults reproduce the reference device's ~60 um^2 effective area. A
-    grid of more than _MAX_MAP_SIDE cells a side is a ValueError, raised before
-    any cell is made.
+    The defaults reproduce the reference device's ~60 um^2 effective area. A guard
+    width of MAX_HEIGHT or more, or a grid of more than _MAX_MAP_SIDE cells a side,
+    is a ValueError, raised before any cell is made.
     """
     _positive("outer_radius", outer_radius)
     _positive("guard_width", guard_width)
     _positive("cell_size", cell_size)
+    if not guard_width < MAX_HEIGHT:
+        raise ValueError(f"guard_width must be below {MAX_HEIGHT:g} m, got {guard_width}")
     n = np.ceil(outer_radius / cell_size) + 1  # cells a side
     if not n <= _MAX_MAP_SIDE:  # written so that inf fails it
         raise ValueError(
@@ -325,8 +330,9 @@ class DetectorGeometry:
 
     The ion sits ion_height_above_surface above the trap surface; the detector
     plane is detector_recess_below_surface below it. Both must be below
-    MAX_HEIGHT in magnitude and their sum > 0. The ion's lateral position is not
-    part of the geometry: efficiency_vs_offset takes it as an offset.
+    MAX_HEIGHT in magnitude and their sum > 0, and the active area's total response
+    must be > 0. The ion's lateral position is not part of the geometry:
+    efficiency_vs_offset takes it as an offset.
     """
 
     ion_height_above_surface: float = 50e-6
@@ -345,6 +351,8 @@ class DetectorGeometry:
             raise ValueError(f"ion-to-detector vertical distance must be > 0, got {self.vertical_distance}")
         if self.emission_pattern not in ("isotropic", "dipole_perpendicular"):
             raise ValueError(f"unknown emission pattern {self.emission_pattern!r}")
+        if not self.active_area.weights.sum() > 0:
+            raise ValueError("active area map has zero total response")
 
     @property
     def vertical_distance(self) -> float:

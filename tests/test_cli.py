@@ -276,7 +276,8 @@ class TestCollection:
     @pytest.mark.parametrize("argv", [["collection"], ["qefit", "--demo"]], ids=["collection", "qefit"])
     @pytest.mark.parametrize("lines, named", [
         ("geometry.active_outer_radius_um = 1e300\ngeometry.cell_size_um = 1e298\n",
-         "key 'geometry.active_outer_radius_um': cannot parse '1e300': its magnitude must be below 1e+06"),
+         "keys 'geometry.active_outer_radius_um', 'geometry.cell_size_um': the grid must lie within 1 m of (0, 0), "
+         "got cells reaching 1.01e+294 m"),
         ("geometry.active_area_csv = big.csv\n",
          "key 'geometry.active_area_csv': cannot read {dir}/big.csv: the grid must lie within 1 m of (0, 0), "
          "got cells reaching 2e+292 m"),
@@ -304,10 +305,33 @@ class TestCollection:
         cfg.write_text("stack.ambient_index = 1.33+0.01j\n")
         assert main([*argv, "--config", str(cfg)]) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err == (
-            "error: key 'stack.ambient_index': cannot parse '1.33+0.01j': "
+            "error: key 'stack.ambient_index': "
             "ambient_index must be real (a lossless incident medium), got (1.33+0.01j)\n"
         )
         assert sorted(path.name for path in outdir.iterdir()) == ["ambient_lossy.cfg"]  # no output
+
+    # each range is checked by the object its key sets, and the error names the key: the first eight
+    # used to give the field's message alone, and the last three let `arc` exit 0
+    @pytest.mark.parametrize("case", [
+        ("collection", "stack.substrate_index = 0", "substrate_index must have real part > 0, got 0j"),
+        ("collection", "stack.wavelength_nm = -370", "wavelength must be > 0 and finite, got -3.7e-07"),
+        ("collection", "stack.layers = 29 -2.0", "layer 1 index must have real part > 0, got (-2+0j)"),
+        ("collection", "geometry.emission = foo", "unknown emission pattern 'foo'"),
+        ("collection", "emitter.saturation_fraction = 2", "saturation_fraction must lie in [0, 1], got 2.0"),
+        ("collection", "budget.dark_kcps = -1", "rate dark_counts must be >= 0 and finite, got -1000.0"),
+        ("collection", "trial.duration_s = 0", "trial_duration must be > 0 and finite, got 0.0"),
+        ("collection", "deadtime.dead_time_us = -0.5", "dead_time must be >= 0 and finite, got -5e-07"),
+        ("arc", "stack.ambient_index = 1e-300", "ambient_index must square to a number > 0, got 1e-300"),
+        ("arc", "geometry.active_outer_radius_um = 1e-9", "active area map has zero total response"),
+        ("arc", "geometry.active_area_csv = zero.csv", "active area map has zero total response"),
+    ], ids=lambda case: case[1].split(" = ")[0])
+    def test_out_of_range_key_exits_2_naming_it(self, outdir, tmp_path, capsys, case):
+        subcommand, line, named = case
+        (tmp_path / "zero.csv").write_text("# cell_size_um=1, origin_um=0,0\n0,0\n0,0\n")
+        (tmp_path / "bad.cfg").write_text(line + "\n")
+        assert main([subcommand, "--config", str(tmp_path / "bad.cfg")]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: key '{line.split(' = ')[0]}': {named}\n"
+        assert sorted(path.name for path in outdir.iterdir()) == ["bad.cfg", "zero.csv"]  # no output
 
 
 class TestArc:
@@ -870,8 +894,8 @@ class TestFlags:
         (["simulate", "--duration", "1e12"], "--duration: trial_duration must be below 2^62 ns (4.61169e+09 s), "
          "got 1000000000000.0"),
         (["threshold", "--duration", "4.7e9"], "--duration: trial_duration must be below 2^62 ns"),
-        (["simulate", "--config"], "key 'trial.duration_s': cannot parse '1e13': its magnitude must be below "
-         "4.61169e+09"),
+        (["simulate", "--config"], "key 'trial.duration_s': trial_duration must be below 2^62 ns (4.61169e+09 s), "
+         "got 10000000000000.0"),
     ], ids=["simulate-flag", "threshold-flag", "config"])
     def test_duration_past_int64_exits_2_naming_it(self, outdir, tmp_path, capsys, argv, named):
         if argv[-1] == "--config":
@@ -888,12 +912,12 @@ class TestFlags:
 
     # a config key whose value would overflow the optics or the QE demo's draw is named
     @pytest.mark.parametrize("subcommand, line, named", [
-        ("collection", "geometry.ion_height_um = 1e300", "key 'geometry.ion_height_um': cannot parse '1e300': "
-         "its magnitude must be below 1e+06"),
-        ("collection", "geometry.recess_um = -2e6", "key 'geometry.recess_um': cannot parse '-2e6': "
-         "its magnitude must be below 1e+06"),
-        ("qefit --demo", "emitter.gamma_over_2pi_mhz = 1e300", "key 'emitter.gamma_over_2pi_mhz': cannot parse "
-         "'1e300': its magnitude must be below 1e+06"),
+        ("collection", "geometry.ion_height_um = 1e300", "key 'geometry.ion_height_um': "
+         "ion_height_above_surface must be below 1 m in magnitude, got 1e+294"),
+        ("collection", "geometry.recess_um = -2e6", "key 'geometry.recess_um': "
+         "detector_recess_below_surface must be below 1 m in magnitude, got -2.0"),
+        ("qefit --demo", "emitter.gamma_over_2pi_mhz = 1e300", "key 'emitter.gamma_over_2pi_mhz': "
+         "gamma_over_2pi_hz must be below 1e+12 Hz, got 1e+306"),
     ], ids=["ion-height", "recess", "linewidth"])
     def test_huge_geometry_or_linewidth_exits_2_naming_the_key(self, outdir, tmp_path, capsys, subcommand, line, named):
         config = tmp_path / "in" / "huge.cfg"
@@ -929,7 +953,7 @@ class TestFlags:
         config.write_text("deadtime.dead_time_us = 1e300\n")
         assert main([*argv, "--config", str(config)]) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err == (
-            "error: key 'deadtime.dead_time_us': cannot parse '1e300': its magnitude must be below 4.61169e+15\n"
+            "error: key 'deadtime.dead_time_us': dead_time must be below 2^62 ns (4.61169e+09 s), got 1e+294\n"
         )
         assert [p.name for p in outdir.iterdir()] == ["in"]
 
@@ -940,7 +964,7 @@ class TestFlags:
             (["threshold", "--seed", "-1"], "--seed must be >= 0, got -1"),
             (["spot", "--demo", "--seed", "-1"], "--seed must be >= 0, got -1"),
             (["fidelity", "--projection", "--seed", "-3"], "--seed must be >= 0, got -3"),
-            (["simulate", "--config"], "key 'trial.seed': cannot parse '-1': a seed must be >= 0, got -1"),
+            (["simulate", "--config"], "key 'trial.seed': rng_seed must be >= 0, got -1"),
         ],
         ids=["threshold", "spot-demo", "projection", "config"],
     )

@@ -105,7 +105,7 @@ class TestScenarioFromText:
 
     def test_negative_seed_reports_key(self):
         # numpy's generators take seeds >= 0; the key is named here, not by numpy at the first draw
-        with pytest.raises(ConfigError, match=r"^key 'trial.seed': cannot parse '-1': a seed must be >= 0, got -1$"):
+        with pytest.raises(ConfigError, match=r"^key 'trial.seed': rng_seed must be >= 0, got -1$"):
             scenario_from_text("trial.seed = -1\n")
         assert scenario_from_text("trial.seed = 0\n").rng_seed == 0
 
@@ -163,20 +163,36 @@ class TestScenarioFromText:
         with pytest.raises(ConfigError, match=f"^{re.escape(named)}"):
             scenario_from_text(text)
 
+    # an object's error names the keys that set its own fields, not those of the objects inside it
+    @pytest.mark.parametrize("text, named", [
+        ("stack.wavelength_nm = 400\ngeometry.recess_um = -60\n",
+         "key 'geometry.recess_um': ion-to-detector vertical distance must be > 0, got -9.999999999999992e-06"),
+        ("stack.wavelength_nm = 400\ngeometry.ion_height_um = 10\ngeometry.recess_um = -10\n",
+         "keys 'geometry.ion_height_um', 'geometry.recess_um': ion-to-detector vertical distance must be > 0, got 0.0"),
+        ("budget.dark_kcps = 1\ntrial.duration_s = -1\n", "key 'trial.duration_s': trial_duration must be > 0 and "
+         "finite, got -1.0"),
+        ("stack.wavelength_nm = 400\ngeometry.active_outer_radius_um = 1e-9\n",
+         "key 'geometry.active_outer_radius_um': active area map has zero total response"),
+    ], ids=["geometry", "two-keys", "scenario", "area"])
+    def test_error_names_the_keys_of_its_object(self, text, named):
+        with pytest.raises(ConfigError, match=f"^{re.escape(named)}$"):
+            scenario_from_text(text)
+
     # a dead time of 2^62 ns or more leaves int64 nanoseconds, and an active area reaching 1 m or
     # more overflows the collection sum (a radius of 1e300 um in cells of 1e298 um ended in an
-    # OverflowError): each is refused by its key's bound, which names the key
+    # OverflowError): each is refused by the object its key sets, and the error names the key
     @pytest.mark.parametrize("text, named", [
-        ("deadtime.dead_time_us = 1e300\n", "key 'deadtime.dead_time_us': cannot parse '1e300': its magnitude must "
-         "be below 4.61169e+15"),
+        ("deadtime.dead_time_us = 1e300\n", "key 'deadtime.dead_time_us': dead_time must be below 2^62 ns "
+         "(4.61169e+09 s), got 1e+294"),
         ("geometry.active_outer_radius_um = 1e300\ngeometry.cell_size_um = 1e298\n",
-         "key 'geometry.active_outer_radius_um': cannot parse '1e300': its magnitude must be below 1e+06"),
+         "keys 'geometry.active_outer_radius_um', 'geometry.cell_size_um': the grid must lie within 1 m of (0, 0), "
+         "got cells reaching 1.01e+294 m"),
         ("geometry.active_outer_radius_um = 1e6\n",
-         "key 'geometry.active_outer_radius_um': cannot parse '1e6': its magnitude must be below 1e+06"),
-        ("geometry.guard_width_um = 1e6\n", "key 'geometry.guard_width_um': cannot parse '1e6': its magnitude must "
-         "be below 1e+06"),
-        ("geometry.cell_size_um = 1e298\n", "key 'geometry.cell_size_um': cannot parse '1e298': its magnitude must "
-         "be below 1e+06"),
+         "key 'geometry.active_outer_radius_um': outer_radius 1 m in cells of 4e-07 m makes a grid of 2.5e+06 cells "
+         "a side, more than the limit of 512"),
+        ("geometry.guard_width_um = 1e6\n", "key 'geometry.guard_width_um': guard_width must be below 1 m, got 1.0"),
+        ("geometry.cell_size_um = 1e298\n", "key 'geometry.cell_size_um': the grid must lie within 1 m of (0, 0), "
+         "got cells reaching 2e+292 m"),
     ], ids=["dead-time", "radius-and-cell", "radius-1m", "guard", "cell"])
     def test_key_past_its_bound_named(self, text, named):
         with pytest.raises(ConfigError, match=f"^{re.escape(named)}$"):

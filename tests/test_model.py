@@ -98,6 +98,13 @@ def test_scenario_validation():
         Scenario(trial_duration=0.0)
 
 
+def test_negative_seed_named():
+    # numpy's generators take seeds >= 0
+    assert Scenario(rng_seed=0).rng_seed == 0
+    with pytest.raises(ValueError, match=r"^rng_seed must be >= 0, got -1$"):
+        Scenario(rng_seed=-1)
+
+
 # a field that is not finite is named with its value here, not met later inside simulate_stream
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_non_finite_trial_duration_named(value):

@@ -121,6 +121,9 @@ class TestNonFiniteOpticsInputs:
         # an absorbing incident medium has no power reflectance |r|^2: it used to be given that table
         ({"ambient_index": 1.33 + 0.01j}, "ambient_index must be real (a lossless incident medium), got (1.33+0.01j)"),
         ({"ambient_index": 1 + 1e-300j}, "ambient_index must be real (a lossless incident medium), got (1+1e-300j)"),
+        # its square is 0, so every angle grazes: it used to be met as a bad angle of incidence
+        ({"ambient_index": 1e-300}, "ambient_index must square to a number > 0, got 1e-300"),
+        ({"ambient_index": 5e-324}, "ambient_index must square to a number > 0, got 5e-324"),
     ], ids=lambda v: next(iter(v)) if isinstance(v, dict) else v.split(" got ")[1])
     def test_stack_rejects(self, kwargs, named):
         with pytest.raises(ValueError, match=re.escape(named)):
@@ -149,6 +152,12 @@ class TestNonFiniteOpticsInputs:
     def test_area_map_rejects(self, make, field, value):
         with pytest.raises(ValueError, match=re.escape(f"{field} must be > 0 and finite, got {value}")):
             make(**{field: value})
+
+    def test_guard_width_of_1_m_or_more_rejected(self):
+        assert quarter_disc_map(guard_width=math.nextafter(1.0, 0)).weights.shape == (29, 29)
+        for value in (1.0, 1e300):
+            with pytest.raises(ValueError, match=re.escape(f"guard_width must be below 1 m, got {value}")):
+                quarter_disc_map(guard_width=value)
 
     def test_area_map_grid_bounded_before_any_cell(self):
         # 512 cells a side at most; the default map has 29
@@ -283,8 +292,8 @@ class TestCollectionEfficiency:
 
     def test_zero_area_rejected(self):
         amap = ActiveAreaMap(cell_size=1e-6, origin=(0, 0), weights=np.zeros((3, 3)))
-        geom = DetectorGeometry(active_area=amap)
         with pytest.raises(ValueError):
+            geom = DetectorGeometry(active_area=amap)
             efficiency_vs_offset(geom, [0.0])
 
     def test_dipole_pattern_differs(self):

@@ -1,8 +1,16 @@
-"""Property tests: config text parses to the values written in it, and every CSV table
-round-trips through its writer and reader.
+"""Property tests: config text parses to the values written in it, a config key at any
+value loads or is refused by name, and every CSV table round-trips through its writer
+and reader.
 
 The inputs spadsim reads and never writes take the tests' own writers (reference_tables).
 """
+
+import contextlib
+import io
+import os
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +18,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from spadsim.config import scenario_from_text
+from spadsim.cli import EXIT_INPUT_ERROR, EXIT_OK, main
+from spadsim.config import KNOWN_KEYS, ConfigError, scenario_from_text
 from spadsim.estimation import SpotScan, ToggleMeasurement
 from spadsim.model import BUDGET_SOURCES, SOURCE_LABELS, RateBudget, Scenario
 from spadsim.optics import ActiveAreaMap
@@ -56,6 +65,45 @@ def test_config_text_parses_to_its_values(rates, seed, duration, dead_time):
     assert [getattr(parsed.budget, name) for name in BUDGET_SOURCES] == pytest.approx(rates, rel=1e-15)
     assert (parsed.rng_seed, parsed.trial_duration) == (seed, duration)
     assert parsed.dead_time == pytest.approx(dead_time, rel=1e-15)
+
+
+# every config key, one a config, at the edges of its range, past them, and not a number
+FUZZ_KEYS = sorted(KNOWN_KEYS)
+FUZZ_VALUES = ["0", "-1", "-0", "1e-300", "5e-324", "1e-9", "1e6", "1e15", "1e300", "nan", "inf", "foo"]
+# each property draws from a grid small enough that hypothesis tries every point of it
+fuzz_grid = settings(derandomize=True, deadline=None, max_examples=1000)
+
+
+def fuzz_config(key, value):
+    """The config line setting key to value; stack.layers takes it as the index of a 29 nm layer."""
+    return f"{key} = 29 {value}\n" if key == "stack.layers" else f"{key} = {value}\n"
+
+
+@fuzz_grid
+@given(key=st.sampled_from(FUZZ_KEYS), value=st.sampled_from(FUZZ_VALUES))
+def test_config_key_loads_or_is_named(key, value):
+    # a directory that does not exist: the area CSV key's values name no file
+    base_dir = Path(__file__).parent / "no such directory"
+    try:
+        assert isinstance(scenario_from_text(fuzz_config(key, value), base_dir), Scenario)
+    except ConfigError as exc:
+        assert f"'{key}'" in str(exc)
+
+
+@fuzz_grid
+@given(key=st.sampled_from(FUZZ_KEYS), value=st.sampled_from(FUZZ_VALUES),
+       subcommand=st.sampled_from(["arc", "collection"]))
+def test_config_key_exits_0_or_2_naming_it(key, value, subcommand):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "fuzz.cfg"
+        config.write_text(fuzz_config(key, value))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # as in a spadsim process, a warning does not end the run
+            code = main([subcommand, "--config", str(config), "--output-dir", tmp])
+        if code != EXIT_OK:
+            assert (code, os.listdir(tmp)) == (EXIT_INPUT_ERROR, ["fuzz.cfg"]), err.getvalue()
+            assert f"'{key}'" in err.getvalue()
 
 
 @settings(deadline=None)
