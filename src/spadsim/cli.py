@@ -17,7 +17,7 @@ import numpy as np
 
 # Only the layers that parsing and every subcommand need load here; each cmd_*
 # imports the rest of what it runs, so a cold start loads no layer it never calls.
-from .config import ConfigError, load_scenario
+from .config import ConfigError, load_scenario, parse_config_text
 from .model import Scenario, table_budget
 from .optics import GrazingAngleError, _reflectance_rows, efficiency_vs_offset, lateral_offsets, stack_reflectance
 
@@ -106,6 +106,14 @@ def _flagged(flag: str, fn, *args):
         raise ValueError(f"{flag}: {exc}") from None
 
 
+def _span_and_rates(args, config_text: str) -> str:
+    """What set a stream's span and rates, to name the simulator's event bound: --duration or
+    the key 'trial.duration_s', and the 'budget.*_kcps' keys the config set."""
+    span = "trial.duration_s" if args.duration is None else None
+    keys = [repr(key) for key in parse_config_text(config_text) if key.startswith("budget.") or key == span]
+    return ", ".join(["--duration"] * (span is None) + keys)
+
+
 def _geometry_keyed(geometry, fn, *args):
     """fn(*args), a collection sweep of geometry, with a GrazingAngleError named by the
     geometry's config keys: the offsets are bounded, so a line of sight grazes the
@@ -157,7 +165,8 @@ def cmd_simulate(args) -> Output:
     from .simulator import simulate_stream
 
     scenario, config_text = _load_config(args)
-    stream = simulate_stream(scenario, ion_present=args.ion)
+    # the event bound is the one error a stream draw raises
+    stream = _flagged(_span_and_rates(args, config_text), simulate_stream, scenario, args.ion)
     summary = [f"total events: {len(stream)}"]
     summary += [f"  {name}: {n}" for name, n in stream.counts_by_source().items()]
     return Output("events.csv", config_text, stream.to_csv(), summary)
@@ -176,6 +185,8 @@ def cmd_threshold(args) -> Output:
         counts = [gate_and_count(scenario, ion, window) for ion in (True, False)]
     except GateError as exc:
         raise ValueError(f"--window-ms: {exc}") from None
+    except ValueError as exc:  # the event bound
+        raise ValueError(f"{_span_and_rates(args, config_text)}: {exc}") from None
     result = detection.threshold_fidelity(*counts)
     body = "count,freq_ion,freq_empty\n" + "".join(
         f"{k},{n_ion},{n_empty}\n"
@@ -237,6 +248,8 @@ def cmd_fidelity(args) -> Output:
     sub_bin, max_time = args.sub_bin_us * 1e-6, args.max_time_ms * 1e-3
     _flagged("--sub-bin-us/--max-time-ms", detection.sweep_bins, sub_bin, max_time)
     _flagged("--max-time-ms", detection.threshold_kmax, scenario.budget.ion_total(), [max_time])
+    if not scenario.budget.ion_total() > scenario.budget.background_total():  # no signal, or one lost in the sum
+        raise ConfigError("key 'budget.fluorescence_kcps': scenario has no signal rate above background")
     curve = detection.fidelity_curve(scenario, targets, args.trials, sub_bin=sub_bin, max_time=max_time)
     summary = [
         f"target {target}: fidelity {fid:.4f}, mean time {mean_time * 1e3:.2f} ms"

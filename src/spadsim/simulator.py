@@ -135,14 +135,16 @@ def _event_row(fields: list[str]) -> tuple[int, int]:
 # The event CSV codec. A row is `<timestamp digits>,<label name>\n`. Each label's
 # suffix `,<name>\n` is kept right-aligned in 16 NUL-padded bytes, and as the two
 # little-endian words ending at its newline, with masks of the bytes it fills.
-# The five suffixes have different lengths, so a row's label length names its
-# label (_LENGTH_CODES, -1 for none, the last entry for every longer one). The
+# The five names end in five different letters, so the byte before a row's
+# newline names its label (_END_CODES, -1 for none), and the name's length
+# places the comma (_COMMA_BACK, the comma's distance before the newline). The
 # tables come from Python bytes and ints where they can: then an import loads no
 # numpy arithmetic kernel, whose pages would count in every process's memory.
 _SUFFIXES = [f",{name}\n".encode().rjust(16, b"\0") for name in SOURCE_LABELS]
 _SUFFIX_BYTES = np.frombuffer(b"".join(_SUFFIXES), "V16")
-_LENGTHS = [len(name) for name in SOURCE_LABELS]
-_LENGTH_CODES = np.array([_LENGTHS.index(n) if n in _LENGTHS else -1 for n in range(16)], np.int8)
+_LAST_BYTES = [ord(name[-1]) for name in SOURCE_LABELS]
+_END_CODES = np.array([_LAST_BYTES.index(b) if b in _LAST_BYTES else -1 for b in range(256)], np.int8)
+_COMMA_BACK = np.array([len(name) + 1 for name in SOURCE_LABELS])
 
 
 def _suffix_words(rows: list[bytes]) -> np.ndarray:
@@ -153,7 +155,7 @@ def _suffix_words(rows: list[bytes]) -> np.ndarray:
 _SUFFIX_WORDS = _suffix_words(_SUFFIXES)
 _SUFFIX_MASKS = _suffix_words([bytes(b and 0xFF for b in x) for x in _SUFFIXES])
 _MAX_DIGITS = 18  # the reader's longest timestamp: every one of 18 digits fits in int64
-_BACK = 24  # bytes kept ahead of a block's rows: its first timestamp's three digit words reach that far
+_BACK = 24  # zero bytes ahead of a block's rows: its first timestamp's three digit words reach that far
 _GROUP_LIMITS = np.array([10**4, 10**8, 10**12, 10**16])  # the least stamps of 2, 3, 4 and 5 four-digit groups
 _TOP_BYTES = np.array([(1 << 8 * m) - 1 << 64 - 8 * m for m in range(9)], "<u8")  # the m high bytes of a word
 _TOP_ZEROS = np.array([top & 0x3030303030303030 for top in _TOP_BYTES.tolist()], "<u8")  # ASCII '0' in them
@@ -224,8 +226,7 @@ def _parse_canonical(text: str) -> tuple[np.ndarray, np.ndarray] | None:
     blocks = []
     while start < len(text):
         end = text.find("\n", start + _READ_CHARS) + 1 or len(text)
-        back = min(start, _BACK)
-        block = _parse_rows(text[start - back : end].encode("ascii"), back)
+        block = _parse_rows(text[start:end].encode("ascii"))
         if block is None:
             return None
         blocks.append(block)
@@ -235,40 +236,38 @@ def _parse_canonical(text: str) -> tuple[np.ndarray, np.ndarray] | None:
     return tuple(np.concatenate(col) for col in zip(*blocks))
 
 
-def _parse_rows(raw: bytes, back: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """(timestamps, label codes) of the rows in raw after its first `back` bytes, or None
-    unless each is `[0-9]{1,18},<label>\n`.
+def _parse_rows(raw: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """(timestamps, label codes) of the rows of raw, which ends in a newline, or None unless
+    each is `[0-9]{1,18},<label>\n`.
 
-    The bytes are copied _BACK bytes into a zeroed buffer of whole words.
-    Each row's suffix is checked as the two words ending at its newline, and
-    its digits are read from up to three words ending before its comma, eight
-    digits per word by shifts and multiplies.
+    raw goes behind _BACK zero bytes, read as the little-endian word at each byte
+    offset. Only the newlines are searched for: the byte before each names its
+    row's label, whose length places the comma. Each row's suffix is checked as
+    the two words ending at its newline, and its digits are read from up to three
+    words ending before its comma, eight digits per word by shifts and multiplies.
     """
-    size = _BACK - back + len(raw)
-    data = np.zeros(8 * (size // 8 + 2), np.uint8)
-    data[_BACK - back : size] = np.frombuffer(raw, np.uint8)
-    words, body = data.view("<u8"), data[_BACK:size]
-    delims = np.flatnonzero((body == ord("\n")) | (body == ord(","))) + _BACK
-    if delims.size % 2:
+    data = np.frombuffer(bytes(_BACK) + raw, np.uint8)
+    words = np.lib.stride_tricks.sliding_window_view(data, 8).view("<u8")[:, 0]
+    ends = np.flatnonzero(data == ord("\n"))
+    codes = np.take(_END_CODES, data[ends - 1])
+    if codes.min() < 0:
         return None
-    # taken as comma, newline, comma, ...: the label check below finds each in its place
-    commas, ends = delims[0::2], delims[1::2]
-    gaps = np.diff(delims, prepend=_BACK - 1)
-    ndigits, codes = gaps[0::2] - 1, np.take(_LENGTH_CODES, gaps[1::2] - 1, mode="clip")
+    commas = ends - np.take(_COMMA_BACK, codes)
+    ndigits = commas - np.append(_BACK - 1, ends[:-1]) - 1
     fewest, most = int(ndigits.min()), int(ndigits.max())
-    if fewest < 1 or most > _MAX_DIGITS or codes.min() < 0:
+    if fewest < 1 or most > _MAX_DIGITS:
         return None
-    for word, mask, suffix in zip(_words_before(words, ends + 1, 2), _SUFFIX_MASKS, _SUFFIX_WORDS):
+    for word, mask, suffix in zip((words[ends - 7], words[ends - 15]), _SUFFIX_MASKS, _SUFFIX_WORDS):
         if np.any(word & np.take(mask, codes) != np.take(suffix, codes)):
             return None
-    # the labels hold no digit, so the digit count is right iff the rest of each row is digits
-    if np.count_nonzero(body - ord("0") < 10) != ndigits.sum():
+    # the labels and the zero bytes hold no digit, so the count is right iff the rest of each row is digits
+    if np.count_nonzero(data - ord("0") < 10) != ndigits.sum():
         return None
     stamps = np.zeros(commas.size, np.uint64)
-    for k, word in enumerate(_words_before(words, commas, -(-most // 8))):
+    for k in range(-(-most // 8)):
         # the digits in word k: one number for a block of stamps of one width, as most blocks are
         valid = min(most - 8 * k, 8) if fewest == most else np.clip(ndigits - 8 * k, 0, 8)
-        v = (word & _TOP_BYTES[valid]) - _TOP_ZEROS[valid]
+        v = (words[commas - 8 * (k + 1)] & _TOP_BYTES[valid]) - _TOP_ZEROS[valid]
         # the first digit is the lowest byte: pair digits, then pairs, then quads
         v = (v * 10 + (v >> 8)) & 0x00FF00FF00FF00FF
         v = (v * 100 + (v >> 16)) & 0x0000FFFF0000FFFF
@@ -277,33 +276,18 @@ def _parse_rows(raw: bytes, back: int) -> tuple[np.ndarray, np.ndarray] | None:
     return stamps.view(np.int64), codes
 
 
-def _words_before(words: np.ndarray, at: np.ndarray, n: int) -> list[np.ndarray]:
-    """The n little-endian words ending just before each byte offset in `at` of the buffer
-    viewed as `words`, nearest first."""
-    right = ((at & 7) << 3).view(np.uint64)
-    left = 64 - right
-    q = at >> 3
-    upper, out = words[q], []
-    for k in range(1, n + 1):
-        lower = words[q - k]
-        out.append((lower >> right) | (upper << left))
-        upper = lower
-    return out
-
-
 def apply_dead_time(times_ns: np.ndarray, labels: np.ndarray, dead_ns: int):
     """Nonparalyzable filter on ascending times_ns: keep an event iff it is >= dead_ns
     (and >= 1 ns) after the last kept one (_dead_time_drops)."""
-    keep = _dead_time_keep(times_ns, dead_ns)
+    keep = np.ones(times_ns.size, dtype=bool)
+    keep[_dropped(times_ns, dead_ns)] = False
     return times_ns[keep], labels[keep]
 
 
-def _dead_time_keep(times_ns: np.ndarray, dead_ns: int) -> np.ndarray:
-    """The mask of the events of ascending times_ns that apply_dead_time keeps."""
+def _dropped(times_ns: np.ndarray, dead_ns: int) -> np.ndarray:
+    """The ascending places of the events of ascending times_ns that apply_dead_time drops."""
     gap = _dead_gap_ns(dead_ns)
-    keep = np.ones(times_ns.size, dtype=bool)
-    keep[_dead_time_drops(times_ns, np.flatnonzero(np.diff(times_ns) < gap) + 1, gap)] = False
-    return keep
+    return _dead_time_drops(times_ns, np.flatnonzero(np.diff(times_ns) < gap) + 1, gap)
 
 
 def _dead_time_drops(times_ns: np.ndarray, close: np.ndarray, gap: int) -> np.ndarray:
@@ -538,8 +522,8 @@ class GateError(ValueError):
 
 def gate_and_count(scenario: Scenario, ion_present: bool, gate: float) -> np.ndarray:
     """Counts in consecutive windows of length gate partitioning [0, trial_duration) of the
-    scenario's stream under ion_present: the arrival times simulate_stream draws, filtered by
-    the same dead-time walk, with no label drawn, so they count its timestamps to the bit.
+    scenario's stream under ion_present: the arrival times simulate_stream draws, with no label
+    drawn, less those the same dead-time walk drops, so they count its timestamps to the bit.
 
     gate is in seconds, finite and > 0; any other value is a GateError (a ValueError) that
     names it. More than _MAX_GATES windows are a GateError too. The event bound, then the
@@ -548,7 +532,7 @@ def gate_and_count(scenario: Scenario, ion_present: bool, gate: float) -> np.nda
     total = sum(_rates(scenario, ion_present, scenario.trial_duration))
     n_gates = _gate_count(scenario.trial_duration, gate)
     _, t_ns = _arrival_times(scenario, ion_present, total)
-    return _bin_counts(t_ns[_dead_time_keep(t_ns, _dead_ns(scenario))], gate, n_gates)
+    return _bin_counts(t_ns, gate, n_gates) - _bin_counts(t_ns[_dropped(t_ns, _dead_ns(scenario))], gate, n_gates)
 
 
 def _gate_count(duration: float, gate: float) -> int:

@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import re
 import subprocess
 import sys
 import unittest.mock
@@ -120,6 +121,17 @@ class TestFidelity:
         lines = read_output(outdir / "fidelity_curve.csv")
         assert lines[1] == "target,fidelity,mean_time_ms,wald_bound_ms"
         assert "target 0.99" in capsys.readouterr().out
+
+    # a fluorescence of 0, or one lost in the sum with the background, leaves no signal to detect
+    @pytest.mark.parametrize("rate", ["0", "-0", "1e-300", "5e-324"])
+    def test_no_signal_exits_2_naming_the_key(self, outdir, tmp_path, capsys, rate):
+        config = tmp_path / "dim.cfg"
+        config.write_text(f"budget.fluorescence_kcps = {rate}\n")
+        assert main(["fidelity", "--trials", "20", "--targets", "0.9", "--config", str(config)]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == (
+            "error: key 'budget.fluorescence_kcps': scenario has no signal rate above background\n"
+        )
+        assert list(outdir.iterdir()) == [config]
 
     def test_config_dead_time_takes_effect(self, tmp_path):
         bodies = []
@@ -813,22 +825,28 @@ class TestFlags:
         assert f"error: {named} is not a number" in capsys.readouterr().err
         assert not any(outdir.iterdir())
 
-    # an event count too large to draw is an input error, raised before any output is written;
-    # 1e9 s is 1e18 ns, inside the int64 bound on the duration
-    @pytest.mark.parametrize(
-        "argv",
-        [["simulate", "--duration", "1e9"], ["threshold", "--duration", "1e9"], ["simulate", "--config"]],
-        ids=["simulate-duration", "threshold-duration", "config-duration"],
-    )
-    def test_event_count_past_limit_exits_2(self, outdir, tmp_path, capsys, argv):
-        if argv[-1] == "--config":
-            config = tmp_path / "in" / "huge.cfg"
-            config.parent.mkdir()
-            config.write_text("budget.dark_kcps = 1.2\ntrial.duration_s = 1e9\n")
-            argv = [*argv, str(config)]
+    # an event count too large to draw is an input error, raised before any output is written, that
+    # names what set the span (--duration or the config key) and the config's rate keys; 1e9 s is
+    # 1e18 ns, inside the int64 bound on the duration
+    @pytest.mark.parametrize("argv, config, named", [
+        (["simulate", "--duration", "1e9"], None, "--duration"),
+        (["threshold", "--duration", "1e9"], None, "--duration"),
+        (["simulate"], "budget.dark_kcps = 1.2\ntrial.duration_s = 1e9\n", "'budget.dark_kcps', 'trial.duration_s'"),
+        (["threshold"], "budget.dark_kcps = 1.2\ntrial.duration_s = 1e9\n", "'budget.dark_kcps', 'trial.duration_s'"),
+        (["simulate"], "trial.duration_s = 1e9\ntrial.seed = 3\n", "'trial.duration_s'"),
+        (["threshold", "--duration", "1e9"], "trial.duration_s = 1\nbudget.rf_kcps = 1.2\n",
+         "--duration, 'budget.rf_kcps'"),
+    ], ids=["simulate-duration", "threshold-duration", "config-duration", "threshold-config", "config-span",
+            "flag-over-config"])
+    def test_event_count_past_limit_exits_2(self, outdir, tmp_path, capsys, argv, config, named):
+        if config is not None:
+            path = tmp_path / "in" / "huge.cfg"
+            path.parent.mkdir()
+            path.write_text(config)
+            argv = [*argv, "--config", str(path)]
         before = set(outdir.iterdir())
         assert main(argv) == EXIT_INPUT_ERROR
-        assert "events expected in one draw" in capsys.readouterr().err
+        assert re.match(rf"error: {named}: \S+ events expected in one draw", capsys.readouterr().err)
         assert set(outdir.iterdir()) == before
 
     # a size taken from a flag is bounded before anything of that size is made

@@ -1851,9 +1851,9 @@ def test_written_event_csv_is_read_as_bytes(stream, manifest, block):
     np.testing.assert_array_equal(back.labels, stream.labels)
 
 
-# a row made malformed: a digit, the label or the field count
+# a row made malformed: a digit, the label, the field count, or a label ending in a label's last letter
 BAD_ROWS = {"digit": lambda t: f"{t}"[:-2] + "x" + f"{t}"[-1:] + ",dark", "label": lambda t: f"{t},bogus",
-            "field": lambda t: f"{t},dark,"}
+            "field": lambda t: f"{t},dark,", "last": lambda t: f"{t},xark"}
 
 
 def width_step_text(k, bad=None):
@@ -1882,7 +1882,7 @@ def test_width_step_beside_uniform_blocks_matches_line_reader(k, bad):
         got = stream_outcome(lambda t: EventStream.from_csv(t, 1.0), text)
     want = outcome(read_event_rows, text)
     assert got == (want if bad else ([t for t, _ in want], [code for _, code in want]))
-    widths = [{len(row.split(b",")[0]) for row in raw[back:].splitlines()} for (raw, back), _ in parsed.call_args_list]
+    widths = [{len(row.split(b",")[0]) for row in raw.splitlines()} for (raw,), _ in parsed.call_args_list]
     assert len(widths[0]) == 2 and len(widths) >= 3 and all(len(w) == 1 for w in widths[1:3])
 
 

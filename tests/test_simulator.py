@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from spadsim.model import BUDGET_SOURCES, RateBudget, Scenario, table_budget
+from spadsim.model import BUDGET_SOURCES, SOURCE_LABELS, RateBudget, Scenario, table_budget
 from spadsim.simulator import (
     _MAX_EVENTS,
     _MAX_GATES,
@@ -461,8 +461,13 @@ class TestEventStreamSerialization:
         with pytest.raises(ValueError, match=r"timestamp -500 ns at index 0 is negative"):
             EventStream.from_csv("timestamp_ns,label\n-500,dark\n1000,dark\n", duration=1.0)
 
+    def test_labels_end_in_distinct_bytes(self):
+        # the byte reader names a row's label by the byte before its newline
+        assert len({name[-1] for name in SOURCE_LABELS}) == len(SOURCE_LABELS)
+
     # each bad row sits on line 5, below a manifest line, the header and blank lines
-    @pytest.mark.parametrize("row", ["1000,bogus", "1000.5,dark", "1000,dark,1", "1000,-1", "1000,7"])
+    @pytest.mark.parametrize("row", ["1000,bogus", "1000.5,dark", "1000,dark,1", "1000,-1", "1000,7",
+                                     "1000,xark", "1000,rff", "1,000,rf", ",rf"])
     def test_csv_bad_row_names_its_line(self, row):
         text = f"# manifest: 0123456789abcdef\n\ntimestamp_ns,label\n\n{row}\n2000,dark\n"
         with pytest.raises(ValueError, match=r"event CSV line 5: "):
