@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
@@ -69,11 +70,27 @@ def _manifest_hash(subcommand: str, args: argparse.Namespace, config_text: str) 
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
+# open's flags for "w" less O_TRUNC: truncating a file first frees its blocks, which are then allocated again
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
 def _write_output(path: Path, manifest: str, body: str):
+    """Write the manifest line and the body to path, overwriting an existing file in place.
+
+    A regular file is then cut at the written length, also when a write raises, so it holds
+    only this run's bytes; a pipe or device is never cut. Symlinks are followed, and an
+    existing file keeps its inode and mode; a new one is made 0o666 less the umask.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as f:  # two writes: the body is not copied behind the manifest line
-        f.write(f"# manifest: {manifest}\n")
-        f.write(body)
+    with open(os.open(path, _WRITE_FLAGS, 0o666), "w") as f:
+        try:  # two writes: the body is not copied behind the manifest line
+            f.write(f"# manifest: {manifest}\n")
+            f.write(body)
+            f.flush()
+        finally:
+            fd = f.fileno()
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
     print(f"wrote {path}")
 
 
@@ -106,12 +123,19 @@ def _flagged(flag: str, fn, *args):
         raise ValueError(f"{flag}: {exc}") from None
 
 
+def _with_rate_keys(flags: str, config_text: str, key: str | None = None) -> str:
+    """flags, then the 'budget.*_kcps' keys the config set and key, if it set that too, in the
+    config's order: what set the rates of a bound that a rate can pass, to name it."""
+    keys = [repr(k) for k in parse_config_text(config_text) if k.startswith("budget.") or k == key]
+    return ", ".join([flags] * bool(flags) + keys)
+
+
 def _span_and_rates(args, config_text: str) -> str:
     """What set a stream's span and rates, to name the simulator's event bound: --duration or
     the key 'trial.duration_s', and the 'budget.*_kcps' keys the config set."""
-    span = "trial.duration_s" if args.duration is None else None
-    keys = [repr(key) for key in parse_config_text(config_text) if key.startswith("budget.") or key == span]
-    return ", ".join(["--duration"] * (span is None) + keys)
+    if args.duration is None:
+        return _with_rate_keys("", config_text, "trial.duration_s")
+    return _with_rate_keys("--duration", config_text)
 
 
 def _geometry_keyed(geometry, fn, *args):
@@ -174,18 +198,22 @@ def cmd_simulate(args) -> Output:
 
 def cmd_threshold(args) -> Output:
     from . import detection
-    from .simulator import GateError, gate_and_count
+    from .simulator import EventBoundError, GateError, gate_and_count
 
     scenario, config_text = _load_config(args)
     window = args.window_ms * 1e-3
-    # the exact optimum draws nothing: taken first, a window past its table's limit is refused before any draw
-    k_exact, f_exact = _flagged("--window-ms", detection.analytic_threshold_fidelity,
-                                scenario.budget.ion_total(), scenario.budget.background_total(), window)
+    try:  # the exact optimum draws nothing: taken first, a window past its table's limit is refused before any draw
+        k_exact, f_exact = detection.analytic_threshold_fidelity(
+            scenario.budget.ion_total(), scenario.budget.background_total(), window)
+    except detection.TableBoundError as exc:  # the rates size the table too
+        raise ValueError(f"{_with_rate_keys('--window-ms', config_text)}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"--window-ms: {exc}") from None
     try:  # each stream's event bound, then the gate, are checked before it is drawn; only labels go undrawn
         counts = [gate_and_count(scenario, ion, window) for ion in (True, False)]
     except GateError as exc:
         raise ValueError(f"--window-ms: {exc}") from None
-    except ValueError as exc:  # the event bound
+    except EventBoundError as exc:
         raise ValueError(f"{_span_and_rates(args, config_text)}: {exc}") from None
     result = detection.threshold_fidelity(*counts)
     body = "count,freq_ion,freq_empty\n" + "".join(
@@ -213,6 +241,7 @@ _CURVE_TRIALS = 10000  # the curve's --trials when omitted; the projection's is 
 
 def cmd_fidelity(args) -> Output:
     from . import detection
+    from .simulator import EventBoundError
 
     if args.trials is None:  # so an omitted --trials hashes like its value
         args.trials = detection.PROJECTED_TRIALS if args.projection else _CURVE_TRIALS
@@ -247,10 +276,14 @@ def cmd_fidelity(args) -> Output:
             raise ValueError(f"--targets: {tokens[i]!r} repeats an earlier target")
     sub_bin, max_time = args.sub_bin_us * 1e-6, args.max_time_ms * 1e-3
     _flagged("--sub-bin-us/--max-time-ms", detection.sweep_bins, sub_bin, max_time)
-    _flagged("--max-time-ms", detection.threshold_kmax, scenario.budget.ion_total(), [max_time])
+    _flagged(_with_rate_keys("--max-time-ms", config_text), detection.threshold_kmax,
+             scenario.budget.ion_total(), [max_time])
     if not scenario.budget.ion_total() > scenario.budget.background_total():  # no signal, or one lost in the sum
         raise ConfigError("key 'budget.fluorescence_kcps': scenario has no signal rate above background")
-    curve = detection.fidelity_curve(scenario, targets, args.trials, sub_bin=sub_bin, max_time=max_time)
+    try:  # a sweep window's draw spans at most --max-time-ms in bins of --sub-bin-us, over a chunk of trials
+        curve = detection.fidelity_curve(scenario, targets, args.trials, sub_bin=sub_bin, max_time=max_time)
+    except EventBoundError as exc:
+        raise ValueError(f"{_with_rate_keys('--sub-bin-us/--max-time-ms, --trials', config_text)}: {exc}") from None
     summary = [
         f"target {target}: fidelity {fid:.4f}, mean time {mean_time * 1e3:.2f} ms"
         for target, fid, mean_time in curve.bayes

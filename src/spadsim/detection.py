@@ -99,15 +99,19 @@ _MAX_TABLE = 1 << 20
 _log_factorial_table = None
 
 
+class TableBoundError(ValueError):
+    """A threshold law whose ln k! table would hold more than _MAX_TABLE entries."""
+
+
 def threshold_kmax(ion_rate: float, windows) -> np.ndarray:
     """Each window's largest candidate threshold, 10 standard deviations above its
-    ion-present mean; a ValueError if the ln k! table to the largest would hold more
-    than _MAX_TABLE entries, raised before it is built."""
+    ion-present mean; a TableBoundError if the ln k! table to the largest would hold
+    more than _MAX_TABLE entries, raised before it is built."""
     windows = np.asarray(windows, dtype=float)
     mu1 = ion_rate * windows
     kmax = mu1 + 10.0 * np.sqrt(mu1) + 10
     if not kmax.max(initial=0) < _MAX_TABLE:  # written so that inf fails it
-        raise ValueError(
+        raise TableBoundError(
             f"a window of {windows.max():.6g} s at {ion_rate:.6g} counts/s needs a ln k! table of "
             f"{np.floor(kmax.max()) + 1:.6g} entries, more than the limit of {_MAX_TABLE}"
         )

@@ -326,13 +326,18 @@ def _dead_ns(scenario: Scenario) -> int:
     return int(round(scenario.dead_time / NS))
 
 
+class EventBoundError(ValueError):
+    """A draw that expects more than _MAX_EVENTS events."""
+
+
 def _rates(scenario: Scenario, ion_present: bool, span: float, n: int = 1) -> list[float]:
     """The budget's rates in BUDGET_SOURCES order, fluorescence only when ion_present; a draw
-    of n rows over `span` seconds expecting over _MAX_EVENTS events is refused before it starts."""
+    of n rows over `span` seconds expecting over _MAX_EVENTS events is refused before it starts,
+    with an EventBoundError."""
     rates = [getattr(scenario.budget, s) if ion_present or s != "fluorescence" else 0.0 for s in BUDGET_SOURCES]
     expected = sum(rates) * span * n
     if expected > _MAX_EVENTS:
-        raise ValueError(
+        raise EventBoundError(
             f"{expected:.3g} events expected in one draw (total rate x span x rows), "
             f"more than the limit of {_MAX_EVENTS}"
         )

@@ -1,6 +1,8 @@
 import argparse
 import hashlib
+import os
 import re
+import signal
 import subprocess
 import sys
 import unittest.mock
@@ -34,6 +36,15 @@ def config_file(tmp_path):
     scenario = Scenario(budget=table_budget(), trial_duration=5.0, rng_seed=11)
     path.write_text(scenario_config(scenario))
     return str(path)
+
+
+def fresh_table(path, argv, code=EXIT_OK):
+    """The bytes main(argv) writes to path when no file is there: path is removed first."""
+    path.unlink()
+    with warnings.catch_warnings():  # collection and qefit --demo name their shadowed offsets
+        warnings.simplefilter("ignore", ShadowingWarning)
+        assert main(argv) == code
+    return path.read_bytes()
 
 
 def read_output(path):
@@ -176,9 +187,11 @@ class TestFidelity:
         assert flag[0] in capsys.readouterr().err
         assert not out.exists()
 
-    def test_bad_target_is_input_error(self, outdir, config_file):
+    def test_bad_target_is_input_error(self, outdir, config_file, capsys):
+        # the config sets every budget key, and none is named: only the bounds that a rate can pass name them
         rc = main(["fidelity", "--config", config_file, "--targets", "1.5", "--trials", "10"])
         assert rc == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == "error: target_posterior must lie in (0.5, 1)\n"
 
     def test_repeated_target_is_input_error(self, outdir, capsys):
         # a repeated target would run the same sweep twice and write the same row twice
@@ -667,27 +680,107 @@ class TestOutputRules:
             manifests.append(read_output(outdir / "t.csv")[0])
         assert manifests[0] != manifests[1]
 
-    @pytest.mark.parametrize("argv, name, summary, failure", [
+    @pytest.mark.parametrize("argv, name, summary, failure, earlier", [
         # both criteria fail; the first is named
         (["threshold", "--config", "weak.cfg"], "threshold_histogram.csv", "optimal threshold:",
-         "threshold fidelity 0.7244 < 0.996"),
+         "threshold fidelity 0.7244 < 0.996", None),
         (["arc", "--config", "thick.cfg", "--angles-deg", "0"], "reflectance.csv", "angle   0.0 deg:",
-         "coated normal-incidence R 0.586 outside 0.10 +/- 0.03"),
-        (["qefit", "off.csv"], "qe_fit.csv", "quantum efficiency:", "fitted QE 0.783 outside 0.24 +/- 0.03"),
-    ], ids=["threshold", "arc", "qefit"])
+         "coated normal-incidence R 0.586 outside 0.10 +/- 0.03", None),
+        (["qefit", "off.csv"], "qe_fit.csv", "quantum efficiency:", "fitted QE 0.783 outside 0.24 +/- 0.03", None),
+        # written over a longer table, the table holds exactly what a run with no earlier table writes
+        (["arc", "--config", "thick.cfg", "--angles-deg", "0"], "reflectance.csv", "angle   0.0 deg:",
+         "coated normal-incidence R 0.586 outside 0.10 +/- 0.03", "x" * 100_000),
+    ], ids=["threshold", "arc", "qefit", "arc-over-longer"])
     def test_failed_check_keeps_table_and_summary(self, outdir, tmp_path, monkeypatch, capsys, argv, name, summary,
-                                                   failure):
+                                                   failure, earlier):
         weak = Scenario(budget=WEAK_BUDGET, trial_duration=20.0, rng_seed=1)
         (tmp_path / "weak.cfg").write_text(scenario_config(weak))
         (tmp_path / "thick.cfg").write_text("stack.layers = 80 2.1 ; 10 1.47\n")
         (tmp_path / "off.csv").write_text("offset_um,rate_kcps\n0,50\n20,40\n40,30\n60,20\n")
         monkeypatch.chdir(tmp_path)
+        if earlier is not None:
+            (outdir / name).write_text(earlier)
         assert main([*argv, "--check"]) == EXIT_CHECK_FAILED
         out, err = capsys.readouterr()
         assert len(read_output(outdir / name)) > 2
         assert out.splitlines()[0] == f"wrote {outdir / name}"
         assert summary in out and "check: PASS" not in out
         assert err.splitlines() == [f"check: FAIL: {failure}"]
+        if earlier is not None:
+            assert (outdir / name).read_bytes() == fresh_table(outdir / name, argv + ["--check"], EXIT_CHECK_FAILED)
+
+    # an existing table is overwritten in place and cut to its new length: a re-run that writes a
+    # shorter table leaves the bytes of a run with no earlier table
+    @pytest.mark.parametrize("longer, argv", [
+        (["collection", "--offsets-um", "0:80:1"], ["collection"]),
+        (["arc", "--angles-deg", "0:60:1"], ["arc"]),
+        (["simulate", "--duration", "0.1"], ["simulate", "--duration", "0.01"]),
+    ], ids=["collection", "arc", "simulate"])
+    def test_rerun_over_a_longer_table_writes_a_fresh_table(self, outdir, longer, argv):
+        with warnings.catch_warnings():  # collection names its shadowed offsets
+            warnings.simplefilter("ignore", ShadowingWarning)
+            assert main(longer) == EXIT_OK
+            (table,) = outdir.iterdir()
+            size = table.stat().st_size
+            assert main(argv) == EXIT_OK
+            assert table.stat().st_size < size
+            assert table.read_bytes() == fresh_table(table, argv)
+
+    # --out follows a symlink, also one whose target is gone: the link stays, and its target takes the table
+    def test_out_through_a_symlink_writes_its_target(self, outdir, tmp_path):
+        target = tmp_path / "tables" / "reflectance.csv"
+        target.parent.mkdir()
+        target.write_text("x" * 100_000)
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert main(["arc", "--out", str(link)]) == EXIT_OK
+        assert link.is_symlink() and link.readlink() == target
+        assert target.read_bytes() == fresh_table(target, ["arc", "--out", str(link)])
+        assert link.is_symlink() and link.readlink() == target
+
+    # a device or a pipe takes the table and is never cut to its length
+    def test_out_to_a_device_exits_0(self, outdir, capsys):
+        assert main(["arc", "--out", os.devnull]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[0] == f"wrote {os.devnull}"
+        assert not any(outdir.iterdir())
+
+    @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="no /dev/fd to name a pipe by")
+    def test_out_to_a_pipe_writes_the_table(self, outdir):
+        read_end, write_end = os.pipe()
+        with os.fdopen(read_end, "rb") as pipe, os.fdopen(write_end, "wb") as writer:
+            assert main(["arc", "--angles-deg", "0", "--out", f"/dev/fd/{writer.fileno()}"]) == EXIT_OK
+            writer.close()
+            piped = pipe.read()
+        assert main(["arc", "--angles-deg", "0", "--out", str(outdir / "file.csv")]) == EXIT_OK
+        manifest, body = piped.split(b"\n", 1)  # the manifest hashes --out, so it differs from the file's
+        assert manifest.startswith(b"# manifest: ")
+        assert body == (outdir / "file.csv").read_bytes().split(b"\n", 1)[1]
+
+    # a write that fails part-way (here at a file size limit, as on a full disk) exits 2 and leaves a
+    # prefix of the new table: no byte of the longer file it overwrote
+    @pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="no file size limit to write into")
+    def test_write_that_fails_part_way_leaves_no_earlier_byte(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        table = tmp_path / "events.csv"
+        argv = ["simulate", "--duration", "1", "--seed", "1", "--out", str(table)]
+        assert main(argv) == EXIT_OK
+        whole = table.read_bytes()
+        table.write_bytes(b"x" * (2 * len(whole)))
+        limit = len(whole) // 2
+        code = f"""
+import resource, signal, sys
+sys.path.insert(0, {src!r})
+from spadsim.cli import main
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # a write past the limit fails with EFBIG
+resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+sys.exit(main({argv!r}))
+"""
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert run.returncode == EXIT_INPUT_ERROR, run.stderr
+        assert "File too large" in run.stderr
+        written = table.read_bytes()
+        assert 0 < len(written) <= limit
+        assert written == whole[: len(written)]
 
     def test_checks_run_only_under_check(self, outdir, tmp_path, capsys):
         # with no background the Wald bound is undefined: the table leaves it empty,
@@ -826,8 +919,8 @@ class TestFlags:
         assert not any(outdir.iterdir())
 
     # an event count too large to draw is an input error, raised before any output is written, that
-    # names what set the span (--duration or the config key) and the config's rate keys; 1e9 s is
-    # 1e18 ns, inside the int64 bound on the duration
+    # names what set the span (--duration or the config key; a sweep window's bins, and the trials
+    # of its chunk) and the config's rate keys; 1e9 s is 1e18 ns, inside the int64 bound on the duration
     @pytest.mark.parametrize("argv, config, named", [
         (["simulate", "--duration", "1e9"], None, "--duration"),
         (["threshold", "--duration", "1e9"], None, "--duration"),
@@ -836,8 +929,11 @@ class TestFlags:
         (["simulate"], "trial.duration_s = 1e9\ntrial.seed = 3\n", "'trial.duration_s'"),
         (["threshold", "--duration", "1e9"], "trial.duration_s = 1\nbudget.rf_kcps = 1.2\n",
          "--duration, 'budget.rf_kcps'"),
+        # 256 trials of one 1 ms bin at 5e8 /s: 1.28e8 events, past the limit, though its ln k! table is not
+        (["fidelity", "--trials", "300", "--sub-bin-us", "1000", "--max-time-ms", "1"], "budget.dark_kcps = 5e5\n",
+         "--sub-bin-us/--max-time-ms, --trials, 'budget.dark_kcps'"),
     ], ids=["simulate-duration", "threshold-duration", "config-duration", "threshold-config", "config-span",
-            "flag-over-config"])
+            "flag-over-config", "fidelity-sweep"])
     def test_event_count_past_limit_exits_2(self, outdir, tmp_path, capsys, argv, config, named):
         if config is not None:
             path = tmp_path / "in" / "huge.cfg"
@@ -882,6 +978,23 @@ class TestFlags:
         assert capsys.readouterr().err == ("error: --window-ms: a window of 100 s at 11700 counts/s needs a ln k! "
                                            "table of 1.18083e+06 entries, more than the limit of 1048576\n")
         assert not any(outdir.iterdir())
+
+    # a rate set by the config can take the ln k! table past its limit too: the keys are named beside
+    # the flag, while a window refused for itself names only the flag
+    @pytest.mark.parametrize("argv, message", [
+        (["threshold"], "--window-ms, 'budget.dark_kcps', 'budget.rf_kcps': a window of 0.025 s at 1e+18 counts/s "
+         "needs a ln k! table of"),
+        (["fidelity"], "--max-time-ms, 'budget.dark_kcps', 'budget.rf_kcps': a window of 0.05 s at 1e+18 counts/s "
+         "needs a ln k! table of"),
+        (["threshold", "--window-ms", "-1"], "--window-ms: window must be > 0\n"),
+    ], ids=["threshold", "fidelity", "threshold-negative-window"])
+    def test_table_past_limit_names_the_rate_keys(self, outdir, tmp_path, capsys, argv, message):
+        config = tmp_path / "in" / "dark.cfg"
+        config.parent.mkdir()
+        config.write_text("trial.seed = 3\nbudget.dark_kcps = 1e15\nbudget.rf_kcps = 1\n")
+        assert main([*argv, "--config", str(config)]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert [p.name for p in outdir.iterdir()] == ["in"]
 
     def test_threshold_window_past_duration_exits_2_before_any_draw(self, outdir, capsys):
         with unittest.mock.patch.object(simulator, "_arrival_times", side_effect=AssertionError("drew a stream")):
